@@ -48,7 +48,6 @@ from .rates import (
     memory_identity_single,
     rates_from_amplitudes,
 )
-from .rng import resolve_workers
 from .trajectories import compare_unravelings, run_mcwf_pseudomode, run_nmqj
 
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
@@ -92,7 +91,6 @@ class RunConfig:
     out_dir: Path
     n_members: int = 10_000
     seed: int = 1234
-    workers: int | None = None
     raw_config: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -186,9 +184,7 @@ def _experiment_evolve(config, artifact, extras) -> None:
 
 def _experiment_nmqj(config, artifact, extras) -> None:
     rates = rates_from_amplitudes(_propagate(config))
-    ensemble = run_nmqj(
-        rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed, workers=config.workers
-    )
+    ensemble = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
     write_nmqj_csv(artifact("nmqj.csv"), ensemble)
 
 
@@ -196,24 +192,18 @@ def _experiment_mcwf(config, artifact, extras) -> None:
     dim = 3 if isinstance(config.model, LorentzianModel) else 4
     initial = np.zeros(dim, dtype=complex)
     initial[-1] = 1.0
-    ensemble = run_mcwf_pseudomode(
-        config.model, initial, config.n_members, config.seed, config.grid, workers=config.workers
-    )
+    ensemble = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
     write_mcwf_csv(artifact("mcwf.csv"), ensemble)
 
 
 def _experiment_compare(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
-    nmqj = run_nmqj(
-        rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed, workers=config.workers
-    )
+    nmqj = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
     dim = 3 if isinstance(config.model, LorentzianModel) else 4
     initial = np.zeros(dim, dtype=complex)
     initial[-1] = 1.0
-    mcwf = run_mcwf_pseudomode(
-        config.model, initial, config.n_members, config.seed, config.grid, workers=config.workers
-    )
+    mcwf = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
     report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
     write_nmqj_csv(artifact("nmqj.csv"), nmqj)
     write_mcwf_csv(artifact("mcwf.csv"), mcwf)
@@ -284,7 +274,6 @@ def run(config: RunConfig) -> RunManifest:
         "version": __version__,
         "seed": config.seed,
         "n_members": config.n_members,
-        "workers": resolve_workers(config.workers),
         "artifacts": ",".join(path.name for path in written),
     }
     for key, value in config.raw_config.items():

@@ -9,18 +9,18 @@ standard Monte Carlo wave-function process on the emitter+mode sector whose
 constant leakage rates never reverse.
 
 Because every not-yet-jumped member shares one deterministic pure state,
-each engine tracks (counts, shared state) instead of individual walkers; the
-per-member random draws still happen individually, addressed by
-(member, step) on a counter-based stream, so results are bit-identical for
-any worker count.
+each engine tracks (counts, shared state) instead of individual walkers. The
+members that move in one step are then one binomial draw (one multinomial
+draw across the MCWF channels) from the engine's own Philox stream, keyed by
+(seed, engine), so a run is a single sequential loop and repeats bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 from scipy.integrate import cumulative_trapezoid
 
 from .amplitudes import (
@@ -30,10 +30,9 @@ from .amplitudes import (
     propagate_single,
 )
 from .density import DensityMatrix
-from .errors import GridMismatch, InvalidRates, StepTooLarge
+from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
 from .models import BandGapModel, LorentzianModel, TimeGrid, derive_two_pseudomode_constants
 from .rates import RateTrajectory
-from .rng import resolve_workers, step_uniforms
 
 __all__ = [
     "MAX_JUMP_PROBABILITY",
@@ -53,9 +52,6 @@ MAX_JUMP_PROBABILITY = 0.1
 # stream ids keep the two engines statistically independent under one seed
 NMQJ_STREAM = 0x4E4D514A
 MCWF_STREAM = 0x4D435746
-
-# below this member count threading costs more than it saves
-_MIN_CHUNK = 20_000
 
 
 @dataclass(frozen=True)
@@ -126,36 +122,11 @@ def _coerce_unit_vector(initial, dim: int) -> np.ndarray:
     return vec
 
 
-def _count_below(
-    seed: int,
-    stream: int,
-    step: int,
-    count: int,
-    thresholds: np.ndarray,
-    pool: ThreadPoolExecutor | None,
-    workers: int,
-) -> np.ndarray:
-    """How many of the step's first ``count`` draws fall below each threshold.
-
-    Skipping a step draws nothing from other steps: positions are addressed
-    by (member, step), so conditional sampling stays reproducible.
-    """
-    if count == 0 or thresholds[-1] <= 0.0:
-        return np.zeros(len(thresholds), dtype=np.int64)
-
-    def chunk_counts(lo: int, hi: int) -> np.ndarray:
-        draws = step_uniforms(seed, stream, step, lo, hi)
-        return np.array([np.count_nonzero(draws < t) for t in thresholds], dtype=np.int64)
-
-    if pool is None or count < 2 * _MIN_CHUNK:
-        return chunk_counts(0, count)
-    bounds = np.linspace(0, count, workers + 1, dtype=np.int64)
-    futures = [
-        pool.submit(chunk_counts, int(lo), int(hi))
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    return np.sum([f.result() for f in futures], axis=0)
+def _engine_generator(seed: int, stream: int) -> Generator:
+    """The random stream of one engine run, keyed by (seed, engine stream id)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit an unsigned 64-bit value, got {seed}")
+    return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
 def run_nmqj(
@@ -165,7 +136,6 @@ def run_nmqj(
     seed: int,
     grid: TimeGrid | None = None,
     *,
-    workers: int | None = None,
     max_jump_probability: float = MAX_JUMP_PROBABILITY,
 ) -> NmqjEnsemble:
     """Sample the emitter unraveling driven by a signed decay-rate series.
@@ -190,7 +160,7 @@ def run_nmqj(
             "the unraveling needs finite coefficients on the whole grid"
         )
     psi_init = _coerce_unit_vector(initial, 2)
-    workers = resolve_workers(workers)
+    rng = _engine_generator(seed, NMQJ_STREAM)
 
     times = grid.times
     dt = grid.dt
@@ -225,36 +195,23 @@ def run_nmqj(
 
     n_points = len(times)
     n0 = np.empty(n_points, dtype=np.int64)
-    n1 = np.empty(n_points, dtype=np.int64)
-    cur0, cur1 = n_members, 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    threshold = np.empty(1)
-    try:
-        for k in range(n_points):
-            n0[k] = cur0
-            n1[k] = cur1
-            if k == n_points - 1:
-                break
-            if direct[k]:
-                threshold[0] = p_direct[k]
-                moved = int(_count_below(seed, NMQJ_STREAM, k, cur0, threshold, pool, workers)[0])
-                cur0 -= moved
-                cur1 += moved
-            elif cur1 > 0:
-                p_reverse = (cur0 / cur1) * (-gamma[k]) * dt * excited_pop[k]
-                if p_reverse > max_jump_probability:
-                    raise StepTooLarge(
-                        f"reverse-jump probability {p_reverse:.3g} at t={times[k]:.6g} "
-                        f"exceeds {max_jump_probability}; refine the grid or enlarge "
-                        "the ensemble"
-                    )
-                threshold[0] = p_reverse
-                moved = int(_count_below(seed, NMQJ_STREAM, k, cur1, threshold, pool, workers)[0])
-                cur1 -= moved
-                cur0 += moved
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    cur0 = n_members
+    for k in range(n_points - 1):
+        n0[k] = cur0
+        cur1 = n_members - cur0
+        if direct[k]:
+            cur0 -= int(rng.binomial(cur0, p_direct[k]))
+        elif cur1 > 0:
+            p_reverse = (cur0 / cur1) * (-gamma[k]) * dt * excited_pop[k]
+            if p_reverse > max_jump_probability:
+                raise StepTooLarge(
+                    f"reverse-jump probability {p_reverse:.3g} at t={times[k]:.6g} "
+                    f"exceeds {max_jump_probability}; refine the grid or enlarge "
+                    "the ensemble"
+                )
+            cur0 += int(rng.binomial(cur1, p_reverse))
+    n0[-1] = cur0
+    n1 = n_members - n0
     return NmqjEnsemble(grid, n_members, n0, n1, psi0, seed, dt)
 
 
@@ -265,7 +222,6 @@ def run_mcwf_pseudomode(
     seed: int,
     grid: TimeGrid,
     *,
-    workers: int | None = None,
     max_jump_probability: float = MAX_JUMP_PROBABILITY,
 ) -> McwfEnsemble:
     """Monte Carlo wave-function sampling on the emitter+mode sector.
@@ -282,7 +238,7 @@ def run_mcwf_pseudomode(
     single = isinstance(model, LorentzianModel)
     dim = 3 if single else 4
     psi_init = _coerce_unit_vector(initial, dim)
-    workers = resolve_workers(workers)
+    rng = _engine_generator(seed, MCWF_STREAM)
 
     vacuum = psi_init[0]
     if single:
@@ -296,6 +252,10 @@ def run_mcwf_pseudomode(
         constants = derive_two_pseudomode_constants(model)
         channel_rates = np.array([constants.gamma_p1, constants.gamma_p2])
         mode_slice = slice(1, 3)
+    if np.any(channel_rates < 0.0):
+        raise NonPhysical(
+            f"the MCWF unraveling needs non-negative mode leakage rates, got {channel_rates}"
+        )
 
     n_points = grid.n_steps
     phi = np.empty((n_points, dim), dtype=complex)
@@ -308,35 +268,26 @@ def run_mcwf_pseudomode(
 
     dt = grid.dt
     p_channel = mode_pops * channel_rates * dt
-    p_cum = np.cumsum(p_channel, axis=1)
-    worst = p_cum[:-1, -1].max(initial=0.0)
+    p_total = p_channel.sum(axis=1)
+    worst = p_total[:-1].max(initial=0.0)
     if worst > max_jump_probability:
-        k = int(np.argmax(p_cum[:-1, -1]))
+        k = int(np.argmax(p_total[:-1]))
         raise StepTooLarge(
             f"total jump probability {worst:.3g} at t={grid.times[k]:.6g} exceeds "
             f"{max_jump_probability}; refine the grid"
         )
+    # per step: one probability per channel, then staying in the no-jump state
+    p_outcome = np.column_stack([p_channel, 1.0 - p_total])
 
-    n_channels = len(channel_rates)
     n0 = np.empty(n_points, dtype=np.int64)
-    n1 = np.empty(n_points, dtype=np.int64)
-    jump_counts = np.zeros((n_points - 1, n_channels), dtype=np.int64)
-    cur0, cur1 = n_members, 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for k in range(n_points):
-            n0[k] = cur0
-            n1[k] = cur1
-            if k == n_points - 1:
-                break
-            below = _count_below(seed, MCWF_STREAM, k, cur0, p_cum[k], pool, workers)
-            jump_counts[k] = np.diff(below, prepend=0)
-            moved = int(below[-1])
-            cur0 -= moved
-            cur1 += moved
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    jump_counts = np.zeros((n_points - 1, len(channel_rates)), dtype=np.int64)
+    cur0 = n_members
+    for k in range(n_points - 1):
+        n0[k] = cur0
+        jump_counts[k] = rng.multinomial(cur0, p_outcome[k])[:-1]
+        cur0 -= int(jump_counts[k].sum())
+    n0[-1] = cur0
+    n1 = n_members - n0
     return McwfEnsemble(grid, n_members, n0, n1, psi0, seed, dt, jump_counts)
 
 

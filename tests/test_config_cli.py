@@ -147,15 +147,14 @@ class TestRun:
             )
         )
         outputs = []
-        for sub, workers in (("a", 1), ("b", 3)):
+        for sub, seed in (("a", 42), ("b", 42), ("c", 43)):
             config = RunConfig(
                 experiment="compare",
                 model=parsed.model,
                 grid=parsed.grid,
                 out_dir=tmp_path / sub,
                 n_members=2000,
-                seed=42,
-                workers=workers,
+                seed=seed,
                 raw_config=parsed.raw,
             )
             run(config)
@@ -166,6 +165,7 @@ class TestRun:
                 }
             )
         assert outputs[0] == outputs[1]
+        assert outputs[0]["nmqj.csv"] != outputs[2]["nmqj.csv"]
 
     def test_partial_suffix_on_failure(self, tmp_path, monkeypatch):
         import memorymodes.cli as cli_module

@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from memorymodes import (
+    BandGapModel,
     DensityMatrix,
     GridMismatch,
     InvalidRates,
     LorentzianModel,
     McwfEnsemble,
+    NonPhysical,
     RateTrajectory,
     StepTooLarge,
     TimeGrid,
     atom_density_from_amplitudes,
     compare_unravelings,
+    derive_two_pseudomode_constants,
     ensemble_ground_population,
     evolve_lindblad_single,
     propagate_single,
@@ -92,14 +95,14 @@ class TestNmqj:
         ens = run_nmqj(constant_rates(grid, -0.05), EXCITED_ATOM, 300, 19)
         assert np.all(ens.n1 == 0)
 
-    def test_seed_determinism_and_worker_independence(self, fig2_rates):
-        base = run_nmqj(fig2_rates, EXCITED_ATOM, 30_000, 23, workers=1)
-        again = run_nmqj(fig2_rates, EXCITED_ATOM, 30_000, 23, workers=1)
-        threaded = run_nmqj(fig2_rates, EXCITED_ATOM, 30_000, 23, workers=5)
-        for other in (again, threaded):
-            assert np.array_equal(base.n0, other.n0)
-            assert np.array_equal(base.n1, other.n1)
-            assert np.array_equal(base.psi0, other.psi0)
+    def test_seed_determinism(self, fig2_rates):
+        base = run_nmqj(fig2_rates, EXCITED_ATOM, 30_000, 23)
+        again = run_nmqj(fig2_rates, EXCITED_ATOM, 30_000, 23)
+        assert np.array_equal(base.n0, again.n0)
+        assert np.array_equal(base.n1, again.n1)
+        assert np.array_equal(base.psi0, again.psi0)
+        other = run_nmqj(fig2_rates, EXCITED_ATOM, 30_000, 24)
+        assert not np.array_equal(base.n0, other.n0)
 
     def test_step_too_large(self):
         grid = TimeGrid(0.0, 1.0, 20)
@@ -221,12 +224,14 @@ class TestMcwf:
         total = ens.jump_counts.sum()
         assert abs(total - expected) / math.sqrt(variance) < 5.0
 
-    def test_seed_determinism_and_worker_independence(self, fig2_model, fig2_grid):
+    def test_seed_determinism(self, fig2_model, fig2_grid):
         initial = np.array([0.0, 0.0, 1.0 + 0j])
-        base = run_mcwf_pseudomode(fig2_model, initial, 30_000, 43, fig2_grid, workers=1)
-        threaded = run_mcwf_pseudomode(fig2_model, initial, 30_000, 43, fig2_grid, workers=4)
-        assert np.array_equal(base.n0, threaded.n0)
-        assert np.array_equal(base.jump_counts, threaded.jump_counts)
+        base = run_mcwf_pseudomode(fig2_model, initial, 30_000, 43, fig2_grid)
+        again = run_mcwf_pseudomode(fig2_model, initial, 30_000, 43, fig2_grid)
+        assert np.array_equal(base.n0, again.n0)
+        assert np.array_equal(base.jump_counts, again.jump_counts)
+        other = run_mcwf_pseudomode(fig2_model, initial, 30_000, 44, fig2_grid)
+        assert not np.array_equal(base.n0, other.n0)
 
     def test_superposition_with_vacuum_component(self, fig2_model):
         # nonzero joint-vacuum amplitude: the no-jump state keeps it frozen
@@ -262,9 +267,25 @@ class TestMcwf:
         assert ens.psi0.shape == (fig2_grid.n_steps, 4)
         assert ens.jump_counts.shape == (fig2_grid.n_steps - 1, 2)
         assert np.all(ens.n0 + ens.n1 == n)
-        # both channels fire over the run
-        assert ens.jump_counts[:, 0].sum() > 0
-        assert ens.jump_counts[:, 1].sum() > 0
+        # each channel's total matches its expected share of the jumps
+        constants = derive_two_pseudomode_constants(bandgap_model)
+        rates = np.array([constants.gamma_p1, constants.gamma_p2])
+        per_member = np.abs(ens.psi0[:-1, 1:3]) ** 2 * rates * fig2_grid.dt
+        expected = ens.n0[:-1] @ per_member
+        variance = ens.n0[:-1] @ (per_member * (1 - per_member))
+        totals = ens.jump_counts.sum(axis=0)
+        assert np.all(totals > 0)
+        assert np.all(np.abs(totals - expected) / np.sqrt(variance) < 5.0)
+
+    def test_negative_leakage_rate_rejected(self):
+        # a storage mode with negative rate has no jump unraveling
+        model = BandGapModel(
+            omega0=0.0, omega_c=0.5, w1=0.4, w2=0.39, gamma1=2.0, gamma2=0.2,
+            omega_coupling=0.1, allow_nonphysical=True,
+        )
+        grid = TimeGrid(0.0, 1.0, 100)
+        with pytest.raises(NonPhysical):
+            run_mcwf_pseudomode(model, np.array([0.0, 0.0, 0.0, 1.0 + 0j]), 10, 1, grid)
 
     def test_step_too_large(self):
         model = LorentzianModel(0.0, 0.0, 5.0, 2.0)
@@ -275,6 +296,14 @@ class TestMcwf:
     def test_rejects_unnormalized_state(self, fig2_model, fig2_grid):
         with pytest.raises(ValueError, match="normalized"):
             run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 0.5]), 10, 1, fig2_grid)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_rejected(seed, fig2_model, fig2_rates, fig2_grid):
+    with pytest.raises(ValueError, match="seed"):
+        run_nmqj(fig2_rates, EXCITED_ATOM, 10, seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10, seed, fig2_grid)
 
 
 class TestTracedEnsemble:
