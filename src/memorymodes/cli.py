@@ -159,6 +159,14 @@ def _evolve_extended(config: RunConfig):
     return evolve_lindblad_double(config.model, DensityMatrix.excited(4), config.grid)
 
 
+def _record_invariants(extras: dict, *series) -> None:
+    """Worst invariant defects over every density series of the run."""
+    defects = [s.invariant_defects() for s in series]
+    extras["invariant.hermiticity"] = f"{max(d['hermiticity'] for d in defects):.17g}"
+    extras["invariant.trace"] = f"{max(d['trace'] for d in defects):.17g}"
+    extras["invariant.min_eigenvalue"] = f"{min(d['min_eigenvalue'] for d in defects):.17g}"
+
+
 def _experiment_evolve(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
@@ -166,7 +174,7 @@ def _experiment_evolve(config, artifact, extras) -> None:
     from_amplitudes = atom_density_from_amplitudes(traj)
     timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2), config.grid)
     extended = _evolve_extended(config)
-    traced = [partial_trace_pseudomodes(rho) for rho in extended]
+    traced = partial_trace_pseudomodes(extended)
     write_density_csv(artifact("density_amplitude.csv"), from_amplitudes, times)
     write_density_csv(artifact("density_timelocal.csv"), timelocal, times)
     write_density_csv(artifact("density_extended.csv"), extended, times)
@@ -175,11 +183,9 @@ def _experiment_evolve(config, artifact, extras) -> None:
     names = list(routes)
     for i, first in enumerate(names):
         for second in names[i + 1 :]:
-            diff = max(
-                float(np.max(np.abs(x.matrix - y.matrix)))
-                for x, y in zip(routes[first], routes[second])
-            )
+            diff = np.max(np.abs(routes[first].matrices - routes[second].matrices))
             extras[f"max_diff_{first}_{second}"] = f"{diff:.17g}"
+    _record_invariants(extras, from_amplitudes, timelocal, extended, traced)
 
 
 def _experiment_nmqj(config, artifact, extras) -> None:
@@ -213,8 +219,9 @@ def _experiment_compare(config, artifact, extras) -> None:
 
 
 def _experiment_info(config, artifact, extras) -> None:
-    series = info_series(_evolve_extended(config), config.grid)
-    write_info_csv(artifact("info.csv"), series)
+    extended = _evolve_extended(config)
+    write_info_csv(artifact("info.csv"), info_series(extended, config.grid))
+    _record_invariants(extras, extended)
 
 
 def _experiment_fig2(config, artifact, extras) -> None:

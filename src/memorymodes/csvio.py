@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import DensitySeries
 from .info import InfoSeries
 from .rates import MemoryIdentityReport, RateTrajectory
 from .trajectories import ComparisonReport, McwfEnsemble, NmqjEnsemble
@@ -77,19 +77,19 @@ def write_identity_csv(path, report: MemoryIdentityReport) -> None:
     _write(path, "t,lhs,rhs,residual", rows())
 
 
-def write_density_csv(path, densities: list[DensityMatrix], times: np.ndarray) -> None:
+def write_density_csv(path, densities: DensitySeries, times: np.ndarray) -> None:
     """Upper triangle in row-major order, dimension declared in a comment line."""
-    dim = densities[0].dim
-    basis = ",".join(densities[0].basis)
+    dim = densities.dim
+    basis = ",".join(densities.basis)
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     header = "t," + ",".join(f"re_{i}{j},im_{i}{j}" for i, j in pairs)
 
     def rows():
-        for k, rho in enumerate(densities):
+        for k, rho in enumerate(densities.matrices):
             cells = [_fmt(times[k])]
             for i, j in pairs:
-                cells.append(_fmt(rho.matrix[i, j].real))
-                cells.append(_fmt(rho.matrix[i, j].imag))
+                cells.append(_fmt(rho[i, j].real))
+                cells.append(_fmt(rho[i, j].imag))
             yield cells
 
     _write(path, header, rows(), preamble=f"# dim={dim}, basis={basis}")

@@ -6,6 +6,11 @@ emitter master equation driven by extracted coefficient series, dissipative
 direct reconstruction from amplitude trajectories. All evolutions run in the
 rotating frame; coherences can be dressed with the carrier phase afterwards.
 
+A single state is a ``DensityMatrix``; a state per grid point is one
+``DensitySeries``, a read-only ``(n, d, d)`` stack validated once for the
+whole series. Partial traces, populations and invariant checks act on the
+last two axes, so one implementation serves a single state and a series.
+
 Fixed basis orderings (vacuum first, excited emitter last):
 dim 2 -> (|g>, |e>); dim 3 -> (|g,0>, |g,1>, |e,0>);
 dim 4 -> (|g,0,0>, |g,1,0>, |g,0,1>, |e,0,0>).
@@ -33,6 +38,7 @@ from .rates import RateTrajectory
 __all__ = [
     "BASIS_LABELS",
     "DensityMatrix",
+    "DensitySeries",
     "HamiltonianSpec",
     "mode_lowering",
     "emitter_lowering",
@@ -58,6 +64,19 @@ BASIS_LABELS = {
 MAX_BRIDGEABLE_GAP = 2
 
 
+def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
+    """Read-only complex copy with square trailing axes of a sector dimension."""
+    mat = np.array(matrices, dtype=complex, order="C")
+    if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
+        raise ValueError(f"expected {expected}, got shape {mat.shape}")
+    if mat.shape[-1] not in BASIS_LABELS:
+        raise ValueError(f"unsupported dimension {mat.shape[-1]}; expected 2, 3 or 4")
+    if not np.all(np.isfinite(mat.view(float))):
+        raise ValueError("matrix entries must be finite")
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """State operator on the emitter or emitter+mode sector basis.
@@ -70,15 +89,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        if mat.shape[0] not in BASIS_LABELS:
-            raise ValueError(f"unsupported dimension {mat.shape[0]}; expected 2, 3 or 4")
-        if not np.all(np.isfinite(mat.view(float))):
-            raise ValueError("matrix entries must be finite")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _validated(self.matrix, 2, "a square matrix"))
 
     @property
     def dim(self) -> int:
@@ -102,21 +113,78 @@ class DensityMatrix:
 
     def invariant_defects(self) -> dict[str, float]:
         """Hermiticity gap, trace deviation, and smallest eigenvalue."""
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        trace = complex(np.trace(self.matrix))
-        eigs = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))
-        return {
-            "hermiticity": herm,
-            "trace": abs(trace.real - 1.0) + abs(trace.imag),
-            "min_eigenvalue": float(eigs.min()),
-        }
+        return _invariant_defects(self.matrix)
 
     def excited_population(self) -> float:
         return float(self.matrix[-1, -1].real)
 
     def ground_population(self) -> float:
         """Sum of the emitter-ground diagonal entries."""
-        return float(np.sum(np.diag(self.matrix).real[:-1]))
+        return float(_ground_population(self.matrix))
+
+
+@dataclass(frozen=True, eq=False)
+class DensitySeries:
+    """One state per grid point, held as a read-only ``(n, d, d)`` stack.
+
+    Shape, dimension and finiteness are checked once for the whole series.
+    ``series[k]`` is the ``DensityMatrix`` at point k, a slice is again a
+    series, and iteration yields ``DensityMatrix`` objects. Series compare by
+    identity; compare ``matrices`` to compare entries.
+    """
+
+    matrices: np.ndarray
+
+    def __post_init__(self) -> None:
+        stack = _validated(self.matrices, 3, "a non-empty (n, d, d) stack")
+        object.__setattr__(self, "matrices", stack)
+
+    @property
+    def dim(self) -> int:
+        return self.matrices.shape[1]
+
+    @property
+    def basis(self) -> tuple[str, ...]:
+        return BASIS_LABELS[self.dim]
+
+    def __len__(self) -> int:
+        return self.matrices.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return DensitySeries(self.matrices[index])
+        return DensityMatrix(self.matrices[index])
+
+    def __iter__(self):
+        return (DensityMatrix(mat) for mat in self.matrices)
+
+    def invariant_defects(self) -> dict[str, float]:
+        """Worst hermiticity gap, trace deviation and smallest eigenvalue."""
+        return _invariant_defects(self.matrices)
+
+    def ground_population(self) -> np.ndarray:
+        """Sum of the emitter-ground diagonal entries at every point."""
+        return _ground_population(self.matrices)
+
+
+def _invariant_defects(matrices: np.ndarray) -> dict[str, float]:
+    """Worst invariant defects of one matrix or a stack (last two axes)."""
+    adjoint = np.swapaxes(matrices, -1, -2).conj()
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    eigs = np.linalg.eigvalsh(0.5 * (matrices + adjoint))
+    return {
+        "hermiticity": float(np.max(np.abs(matrices - adjoint))),
+        "trace": float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag))),
+        "min_eigenvalue": float(eigs.min()),
+    }
+
+
+def _ground_population(matrices: np.ndarray) -> np.ndarray:
+    return np.sum(np.diagonal(matrices, axis1=-2, axis2=-1).real[..., :-1], axis=-1)
+
+
+def _entries(rho: DensityMatrix | DensitySeries) -> np.ndarray:
+    return rho.matrices if isinstance(rho, DensitySeries) else rho.matrix
 
 
 @dataclass(frozen=True)
@@ -224,7 +292,7 @@ def evolve_atom_timelocal(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> list[DensityMatrix]:
+) -> DensitySeries:
     """Integrate the emitter master equation with time-dependent coefficients.
 
     The coefficient series are cubic-interpolated between grid points;
@@ -260,11 +328,15 @@ def evolve_atom_timelocal(
     )
     if not solution.success:
         raise ToleranceNotMet(f"time-local integration failed: {solution.message}")
-    out = []
-    for ee, re_coh, im_coh in solution.y.T:
-        coh = complex(re_coh, im_coh)
-        out.append(DensityMatrix(np.array([[1.0 - ee, np.conj(coh)], [coh, ee]])))
-    return out
+    ee, re_coh, im_coh = solution.y
+    out = np.zeros((len(times), 2, 2), dtype=complex)
+    out[:, 0, 0] = 1.0 - ee
+    out[:, 1, 1] = ee
+    out[:, 1, 0].real = re_coh
+    out[:, 1, 0].imag = im_coh
+    out[:, 0, 1].real = re_coh
+    out[:, 0, 1].imag = -im_coh
+    return DensitySeries(out)
 
 
 def _evolve_lindblad(
@@ -274,7 +346,7 @@ def _evolve_lindblad(
     grid: TimeGrid,
     rtol: float,
     atol: float,
-) -> list[DensityMatrix]:
+) -> DensitySeries:
     dim = hamiltonian.shape[0]
     number_ops = [(rate, op, op.T @ op) for rate, op in channels]
 
@@ -296,7 +368,7 @@ def _evolve_lindblad(
     )
     if not solution.success:
         raise ToleranceNotMet(f"dissipative integration failed: {solution.message}")
-    return [DensityMatrix(col.reshape(dim, dim)) for col in solution.y.T]
+    return DensitySeries(solution.y.T.reshape(-1, dim, dim))
 
 
 def evolve_lindblad_single(
@@ -306,7 +378,7 @@ def evolve_lindblad_single(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> list[DensityMatrix]:
+) -> DensitySeries:
     """Evolve the emitter+mode state with mode leakage, rotating frame."""
     if rho0.dim != 3:
         raise SectorLeak(
@@ -323,7 +395,7 @@ def evolve_lindblad_double(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-) -> list[DensityMatrix]:
+) -> DensitySeries:
     """Evolve the emitter+two-mode state with both leakage channels."""
     if rho0.dim != 4:
         raise SectorLeak(
@@ -338,8 +410,10 @@ def evolve_lindblad_double(
     return _evolve_lindblad(h, channels, rho0, grid, rtol, atol)
 
 
-def partial_trace_pseudomodes(rho: DensityMatrix) -> DensityMatrix:
-    """Reduce an extended-sector state to the emitter alone.
+def partial_trace_pseudomodes(
+    rho: DensityMatrix | DensitySeries,
+) -> DensityMatrix | DensitySeries:
+    """Reduce an extended-sector state (or series) to the emitter alone.
 
     The ground population collects every emitter-ground diagonal entry; the
     only surviving coherence pairs |e, vacuum> with |g, vacuum> because all
@@ -347,27 +421,33 @@ def partial_trace_pseudomodes(rho: DensityMatrix) -> DensityMatrix:
     """
     if rho.dim == 2:
         raise ValueError("state is already emitter-only")
-    m = rho.matrix
+    m = _entries(rho)
     last = rho.dim - 1
-    gg = np.trace(m[:last, :last])
-    eg = m[last, 0]
-    return DensityMatrix(np.array([[gg, np.conj(eg)], [eg, m[last, last]]]))
+    out = np.empty(m.shape[:-2] + (2, 2), dtype=complex)
+    out[..., 0, 0] = np.trace(m[..., :last, :last], axis1=-2, axis2=-1)
+    out[..., 0, 1] = m[..., last, 0].conj()
+    out[..., 1, 0] = m[..., last, 0]
+    out[..., 1, 1] = m[..., last, last]
+    return type(rho)(out)
 
 
-def partial_trace_atom(rho: DensityMatrix) -> np.ndarray:
-    """Mode marginal of an extended-sector state (both modes as one subsystem)."""
+def partial_trace_atom(rho: DensityMatrix | DensitySeries) -> np.ndarray:
+    """Mode marginal of an extended-sector state (both modes as one subsystem).
+
+    A series gives an ``(n, d-1, d-1)`` array.
+    """
     if rho.dim == 2:
         raise ValueError("state carries no mode factor")
-    m = rho.matrix
+    m = _entries(rho)
     last = rho.dim - 1
-    out = np.array(m[:last, :last])
-    out[0, 0] += m[last, last]
+    out = np.array(m[..., :last, :last])
+    out[..., 0, 0] += m[..., last, last]
     return out
 
 
 def density_series_lab_frame(
-    densities: list[DensityMatrix], omega0: float, times: np.ndarray
-) -> list[DensityMatrix]:
+    densities: DensitySeries, omega0: float, times: np.ndarray
+) -> DensitySeries:
     """Dress a rotating-frame density series with the carrier phase.
 
     The rotating frame removes exp(i*omega0*t) per excitation, so entry
@@ -375,53 +455,54 @@ def density_series_lab_frame(
     excitation number of the basis state (0 for the joint vacuum, 1
     otherwise). Populations and vacuum-diagonal blocks are unchanged.
     """
+    times = np.asarray(times, dtype=float)
     if len(densities) != len(times):
         raise ValueError(f"{len(densities)} states for {len(times)} time points")
-    out = []
-    for rho, t in zip(densities, times):
-        excitation = np.ones(rho.dim)
-        excitation[0] = 0.0
-        # single exp per entry keeps the diagonal exactly one
-        gaps = excitation[:, None] - excitation[None, :]
-        out.append(DensityMatrix(rho.matrix * np.exp(-1j * omega0 * t * gaps)))
-    return out
+    excitation = np.ones(densities.dim)
+    excitation[0] = 0.0
+    # single exp per entry keeps the diagonal exactly one
+    gaps = excitation[:, None] - excitation[None, :]
+    phase = np.exp(-1j * omega0 * times[:, None, None] * gaps)
+    return DensitySeries(densities.matrices * phase)
 
 
 def atom_density_from_amplitudes(
     traj: AmplitudeTrajectory, vacuum_amplitude: complex = 0.0
-) -> list[DensityMatrix]:
+) -> DensitySeries:
     """Emitter state series reconstructed from a pure amplitude solution.
 
     Valid when the initial joint state was pure with vacuum component
     ``vacuum_amplitude`` and unit total norm: the norm lost by the amplitude
     vector accumulates in the ground population.
     """
-    c0 = complex(vacuum_amplitude)
-    out = []
-    for c1 in traj.c1:
-        ee = abs(c1) ** 2
-        coh = c1 * np.conj(c0)
-        out.append(DensityMatrix(np.array([[1.0 - ee, np.conj(coh)], [coh, ee]])))
-    return out
+    c1 = traj.c1
+    # hypot then pow rounds like the scalar abs(c1) ** 2; np.abs(c1) ** 2 can
+    # differ in the last bit
+    ee = np.float_power(np.hypot(c1.real, c1.imag), 2.0)
+    coh = c1 * np.conj(complex(vacuum_amplitude))
+    out = np.zeros((len(c1), 2, 2), dtype=complex)
+    out[:, 0, 0] = 1.0 - ee
+    out[:, 0, 1] = coh.conj()
+    out[:, 1, 0] = coh
+    out[:, 1, 1] = ee
+    return DensitySeries(out)
 
 
 def extended_density_from_amplitudes(
     traj: AmplitudeTrajectory, vacuum_amplitude: complex = 0.0
-) -> list[DensityMatrix]:
+) -> DensitySeries:
     """Extended-sector state series reconstructed from a pure amplitude solution.
 
     Each state is |phi(t)><phi(t)| plus the lost norm parked in the joint
     vacuum, with phi ordered on the sector basis (vacuum, modes, excited).
     """
-    c0 = complex(vacuum_amplitude)
+    states = traj.states
     dim = len(traj.labels) + 1
-    out = []
-    for row in traj.states:
-        phi = np.empty(dim, dtype=complex)
-        phi[0] = c0
-        phi[1 : dim - 1] = row[1:]
-        phi[dim - 1] = row[0]
-        rho = np.outer(phi, phi.conj())
-        rho[0, 0] += 1.0 - np.vdot(phi, phi).real
-        out.append(DensityMatrix(rho))
-    return out
+    phi = np.empty((len(states), dim), dtype=complex)
+    phi[:, 0] = complex(vacuum_amplitude)
+    phi[:, 1 : dim - 1] = states[:, 1:]
+    phi[:, dim - 1] = states[:, 0]
+    rho = phi[:, :, None] * phi[:, None, :].conj()
+    # a batched matmul rounds each norm as np.vdot(phi, phi) does
+    rho[:, 0, 0] += 1.0 - (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
+    return DensitySeries(rho)

@@ -1,13 +1,17 @@
-"""Entropy and correlation diagnostics along density-matrix series."""
+"""Entropy and correlation diagnostics along density-matrix series.
+
+One kernel computes spectral entropies of a single matrix or of a whole
+``(n, d, d)`` stack with one batched ``eigvalsh``, so ``info_series`` and
+``von_neumann_entropy`` give the same bits at every point.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .density import DensityMatrix, partial_trace_atom, partial_trace_pseudomodes
+from .density import DensityMatrix, DensitySeries, partial_trace_atom, partial_trace_pseudomodes
 from .models import TimeGrid
 
 __all__ = [
@@ -26,6 +30,15 @@ def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
+def _entropies(matrices: np.ndarray) -> np.ndarray:
+    """-sum(p ln p) over the last two axes of one matrix or a stack."""
+    eigs = np.linalg.eigvalsh(0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj()))
+    kept = eigs > EIGENVALUE_FLOOR
+    terms = np.where(kept, eigs * np.log(np.where(kept, eigs, 1.0)), 0.0)
+    # a state with no eigenvalue above the floor has entropy +0.0
+    return np.where(kept.any(axis=-1), -np.sum(terms, axis=-1), 0.0)
+
+
 def von_neumann_entropy(rho) -> float:
     """Spectral entropy -sum(p ln p) in nats.
 
@@ -33,12 +46,7 @@ def von_neumann_entropy(rho) -> float:
     ``EIGENVALUE_FLOOR`` count as zero, which guards against logarithms of
     tiny negatives produced by integration noise.
     """
-    mat = _as_matrix(rho)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
-    eigs = eigs[eigs > EIGENVALUE_FLOOR]
-    if eigs.size == 0:
-        return 0.0
-    return float(-np.sum(eigs * np.log(eigs)))
+    return float(_entropies(_as_matrix(rho)))
 
 
 def mutual_information(rho_joint) -> float:
@@ -60,15 +68,11 @@ class InfoSeries:
     mutual_information: np.ndarray
 
 
-def info_series(densities: Sequence[DensityMatrix], grid: TimeGrid) -> InfoSeries:
+def info_series(densities: DensitySeries, grid: TimeGrid) -> InfoSeries:
     """Evaluate the entropy diagnostics at every point of a joint-state series."""
     if len(densities) != grid.n_steps:
         raise ValueError(f"expected {grid.n_steps} states, got {len(densities)}")
-    s_atom = np.empty(grid.n_steps)
-    s_modes = np.empty(grid.n_steps)
-    s_joint = np.empty(grid.n_steps)
-    for k, rho in enumerate(densities):
-        s_atom[k] = von_neumann_entropy(partial_trace_pseudomodes(rho))
-        s_modes[k] = von_neumann_entropy(partial_trace_atom(rho))
-        s_joint[k] = von_neumann_entropy(rho)
+    s_atom = _entropies(partial_trace_pseudomodes(densities).matrices)
+    s_modes = _entropies(partial_trace_atom(densities))
+    s_joint = _entropies(densities.matrices)
     return InfoSeries(grid, s_atom, s_modes, s_joint, s_atom + s_modes - s_joint)

@@ -29,7 +29,7 @@ from .amplitudes import (
     propagate_double,
     propagate_single,
 )
-from .density import DensityMatrix
+from .density import DensitySeries
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
 from .models import BandGapModel, LorentzianModel, TimeGrid, derive_two_pseudomode_constants
 from .rates import RateTrajectory
@@ -291,23 +291,23 @@ def run_mcwf_pseudomode(
     return McwfEnsemble(grid, n_members, n0, n1, psi0, seed, dt, jump_counts)
 
 
-def traced_ensemble_atom_state(ens: McwfEnsemble) -> list[DensityMatrix]:
+def traced_ensemble_atom_state(ens: McwfEnsemble) -> DensitySeries:
     """Emitter marginal of the ensemble state at every step.
 
     Mixes the mode-traced shared state with the jumped fraction:
     (n0/N) Tr_modes |psi0><psi0| + (n1/N) |g><g|.
     """
-    out = []
-    n = ens.n_members
-    for k in range(ens.grid.n_steps):
-        psi = ens.psi0[k]
-        w0 = ens.n0[k] / n
-        w1 = ens.n1[k] / n
-        ee = w0 * abs(psi[-1]) ** 2
-        eg = w0 * psi[-1] * np.conj(psi[0])
-        gg = w0 * float(np.sum(np.abs(psi[:-1]) ** 2)) + w1
-        out.append(DensityMatrix(np.array([[gg, np.conj(eg)], [eg, ee]])))
-    return out
+    psi = ens.psi0
+    excited = psi[:, -1]
+    w0 = ens.n0 / ens.n_members
+    w1 = ens.n1 / ens.n_members
+    eg = w0 * excited * np.conj(psi[:, 0])
+    out = np.empty((len(psi), 2, 2), dtype=complex)
+    out[:, 0, 0] = w0 * np.sum(np.abs(psi[:, :-1]) ** 2, axis=1) + w1
+    out[:, 0, 1] = np.conj(eg)
+    out[:, 1, 0] = eg
+    out[:, 1, 1] = w0 * np.float_power(np.hypot(excited.real, excited.imag), 2.0)
+    return DensitySeries(out)
 
 
 def ensemble_ground_population(ens: NmqjEnsemble | McwfEnsemble) -> np.ndarray:
@@ -326,10 +326,12 @@ def _z_scores(diff: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def compare_unravelings(
-    a: NmqjEnsemble, b: McwfEnsemble, exact: list[DensityMatrix]
+    a: NmqjEnsemble, b: McwfEnsemble, exact: DensitySeries
 ) -> ComparisonReport:
     """Check both unravelings' ground populations against an exact series.
 
+    The exact ground population is the emitter-ground diagonal sum, so an
+    emitter series and an extended-sector series give the same reference.
     The binomial standard error uses the exact probability, so degenerate
     points (p = 0 or 1) produce zero sigma and a zero score whenever the
     observation agrees exactly.
@@ -340,7 +342,7 @@ def compare_unravelings(
         raise GridMismatch(
             f"reference series has {len(exact)} states for {a.grid.n_steps} grid points"
         )
-    p_exact = np.array([rho.matrix[0, 0].real for rho in exact])
+    p_exact = exact.ground_population()
     variance = np.clip(p_exact * (1.0 - p_exact), 0.0, None)
     sigma_a = np.sqrt(variance / a.n_members)
     sigma_b = np.sqrt(variance / b.n_members)

@@ -253,6 +253,24 @@ class TestMain:
         assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+@pytest.mark.parametrize("experiment", ["evolve", "info"])
+def test_manifest_reports_state_invariants(preset, experiment, tmp_path):
+    parsed = validate_config(REPO_ROOT / "configs" / f"{preset}.cfg")
+    config = RunConfig(
+        experiment=experiment,
+        model=parsed.model,
+        grid=parsed.grid,
+        out_dir=tmp_path / "out",
+        raw_config=parsed.raw,
+    )
+    entries = run(config).entries
+    assert float(entries["invariant.hermiticity"]) <= 1e-12
+    assert float(entries["invariant.trace"]) <= 1e-12
+    assert float(entries["invariant.min_eigenvalue"]) >= -1e-9
+    assert (tmp_path / "out" / "manifest.txt").read_text().count("invariant.") == 3
+
+
 class TestCsvFormats:
     def test_rates_csv_headers(self, tmp_path):
         config = fig2_config("rates", tmp_path / "out")

@@ -5,6 +5,7 @@ import pytest
 
 from memorymodes import (
     DensityMatrix,
+    DensitySeries,
     GridMismatch,
     LorentzianModel,
     RateGapTooWide,
@@ -147,6 +148,70 @@ class TestTimeLocal:
             evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), other)
 
 
+class TestDensitySeries:
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError):
+            DensitySeries(np.eye(2))
+        with pytest.raises(ValueError):
+            DensitySeries(np.zeros((3, 2, 3)))
+        with pytest.raises(ValueError):
+            DensitySeries(np.zeros((3, 5, 5)))
+        with pytest.raises(ValueError):
+            DensitySeries(np.zeros((0, 2, 2)))
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            DensitySeries(stack)
+
+    def test_stack_is_read_only_copy(self):
+        source = np.tile(np.diag([0.25, 0.75]), (4, 1, 1))
+        series = DensitySeries(source)
+        with pytest.raises(ValueError):
+            series.matrices[0, 0, 0] = 1.0
+        source[0, 0, 0] = 1.0
+        assert series.matrices[0, 0, 0] == 0.25
+
+    def test_invariant_defects_report_worst_point(self):
+        skewed = np.array([[0.5, 0.0], [0.1, 0.7]])
+        negative = np.diag([1.1, -0.1])
+        series = DensitySeries(np.array([np.diag([0.25, 0.75]), skewed, negative]))
+        defects = series.invariant_defects()
+        assert defects["hermiticity"] == pytest.approx(0.1, abs=1e-15)
+        assert defects["trace"] == pytest.approx(0.2, abs=1e-15)
+        assert defects["min_eigenvalue"] == pytest.approx(-0.1, abs=1e-15)
+
+    def test_slicing_indexing_and_iteration(self, fig2_model, fig2_grid):
+        series = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        assert isinstance(series, DensitySeries)
+        assert len(series) == fig2_grid.n_steps
+        part = series[10:400:7]
+        assert isinstance(part, DensitySeries)
+        assert np.array_equal(part.matrices, series.matrices[10:400:7])
+        for k in (0, 17, -1):
+            assert isinstance(series[k], DensityMatrix)
+            assert np.array_equal(series[k].matrix, DensityMatrix(series.matrices[k]).matrix)
+        states = list(part)
+        assert all(isinstance(rho, DensityMatrix) for rho in states)
+        assert np.array_equal(np.array([rho.matrix for rho in states]), part.matrices)
+
+    def test_batched_kernels_match_pointwise(self, bandgap_model, fig2_grid):
+        series = evolve_lindblad_double(bandgap_model, DensityMatrix.excited(4), fig2_grid)[::37]
+        traced = partial_trace_pseudomodes(series)
+        modes = partial_trace_atom(series)
+        assert isinstance(traced, DensitySeries)
+        assert modes.shape == (len(series), 3, 3)
+        for k, rho in enumerate(series):
+            assert np.array_equal(traced.matrices[k], partial_trace_pseudomodes(rho).matrix)
+            assert np.array_equal(modes[k], partial_trace_atom(rho))
+        pointwise = [rho.invariant_defects() for rho in series]
+        worst = series.invariant_defects()
+        assert worst["hermiticity"] == max(d["hermiticity"] for d in pointwise)
+        assert worst["trace"] == max(d["trace"] for d in pointwise)
+        assert worst["min_eigenvalue"] == min(d["min_eigenvalue"] for d in pointwise)
+        ground = series.ground_population()
+        assert np.array_equal(ground, [rho.ground_population() for rho in series])
+
+
 class TestLindbladSingle:
     def test_ground_state_stationary(self, fig2_model):
         grid = TimeGrid(0.0, 5.0, 200)
@@ -285,6 +350,33 @@ class TestLabFrame:
             traj.lab_frame(), vacuum_amplitude=0.6
         )
         assert max_entry_diff(dressed_ext, direct_ext) < 1e-12
+
+    def test_series_match_pointwise_reference(self):
+        from memorymodes import AmplitudeState1, density_series_lab_frame, propagate_single
+
+        model = LorentzianModel(1.7, 1.7 + 0.9, 0.7, 0.5)
+        grid = TimeGrid(0.0, 4.0, 160)
+        traj = propagate_single(model, AmplitudeState1(0.8, 0.0), grid)
+        c0 = 0.6 + 0.0j
+        atom, ext = [], []
+        for row in traj.states:
+            ee = abs(row[0]) ** 2
+            coh = row[0] * np.conj(c0)
+            atom.append([[1.0 - ee, np.conj(coh)], [coh, ee]])
+            phi = np.array([c0, row[1], row[0]])
+            rho = np.outer(phi, phi.conj())
+            rho[0, 0] += 1.0 - np.vdot(phi, phi).real
+            ext.append(rho)
+        # bitwise, including the signs of zeros
+        series = atom_density_from_amplitudes(traj, vacuum_amplitude=c0)
+        assert np.array_equal(series.matrices.view(float), np.array(atom, complex).view(float))
+        extended = extended_density_from_amplitudes(traj, vacuum_amplitude=c0)
+        assert np.array_equal(extended.matrices.view(float), np.array(ext).view(float))
+        excitation = np.array([0.0, 1.0, 1.0])
+        gaps = excitation[:, None] - excitation[None, :]
+        dressed = [rho * np.exp(-1j * model.omega0 * t * gaps) for rho, t in zip(ext, grid.times)]
+        lab = density_series_lab_frame(extended, model.omega0, grid.times)
+        assert np.array_equal(lab.matrices.view(float), np.array(dressed).view(float))
 
     def test_populations_unchanged(self, fig2_model, fig2_grid):
         from memorymodes import density_series_lab_frame

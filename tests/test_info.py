@@ -5,11 +5,15 @@ import pytest
 
 from memorymodes import (
     DensityMatrix,
+    DensitySeries,
     TimeGrid,
     atom_density_from_amplitudes,
+    evolve_lindblad_double,
     evolve_lindblad_single,
     info_series,
     mutual_information,
+    partial_trace_atom,
+    partial_trace_pseudomodes,
     propagate_single,
     von_neumann_entropy,
 )
@@ -96,6 +100,31 @@ class TestInfoSeries:
         assert np.array_equal(series.mutual_information, recombined)
         assert series.mutual_information.min() > -1e-9
         assert series.entropy_atom.max() <= LN2 + 1e-9
+
+    def test_rejects_series_of_wrong_length(self, fig2_model, fig2_grid):
+        joint = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        with pytest.raises(ValueError, match="states"):
+            info_series(joint[1:], fig2_grid)
+
+    def test_batched_entropies_match_single_state(self, bandgap_model):
+        grid = TimeGrid(0.0, 10.0, 800)
+        joint = evolve_lindblad_double(bandgap_model, DensityMatrix.excited(4), grid)
+        series = info_series(joint, grid)
+        modes = partial_trace_atom(joint)
+        atom = partial_trace_pseudomodes(joint)
+        for k in range(grid.n_steps):
+            assert von_neumann_entropy(joint[k]) == series.entropy_joint[k]
+            assert von_neumann_entropy(atom[k]) == series.entropy_atom[k]
+            assert von_neumann_entropy(modes[k]) == series.entropy_modes[k]
+        # the pure initial state keeps the sign of its -sum(p ln p) bit for bit
+        assert np.signbit(series.entropy_joint[0]) == np.signbit(
+            von_neumann_entropy(DensityMatrix.excited(4))
+        )
+
+    def test_no_eigenvalue_above_floor_gives_positive_zero(self):
+        series = DensitySeries(np.zeros((2, 2, 2)))
+        entropy = von_neumann_entropy(series[0])
+        assert entropy == 0.0 and not np.signbit(entropy)
 
     def test_entropy_non_increasing_during_negative_rate(
         self, fig2_traj, fig2_rates

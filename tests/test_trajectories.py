@@ -348,6 +348,19 @@ class TestTracedEnsemble:
             direct = partial_trace_pseudomodes(DensityMatrix(full))
             assert np.max(np.abs(direct.matrix - traced[k].matrix)) < 1e-12
 
+    def test_matches_pointwise_reference(self, bandgap_model, fig2_grid):
+        initial = np.array([0.3, 0.0, 0.0, math.sqrt(0.91) + 0j])
+        ens = run_mcwf_pseudomode(bandgap_model, initial, 500, 5, fig2_grid)
+        reference = []
+        for psi, n0, n1 in zip(ens.psi0, ens.n0, ens.n1):
+            w0, w1 = n0 / 500, n1 / 500
+            ee = w0 * abs(psi[-1]) ** 2
+            eg = w0 * psi[-1] * np.conj(psi[0])
+            gg = w0 * float(np.sum(np.abs(psi[:-1]) ** 2)) + w1
+            reference.append([[gg, np.conj(eg)], [eg, ee]])
+        traced = traced_ensemble_atom_state(ens).matrices
+        assert np.array_equal(traced.view(float), np.array(reference, complex).view(float))
+
 
 class TestCompare:
     def test_degenerate_decoupled_case_scores_zero(self):
@@ -371,6 +384,20 @@ class TestCompare:
         assert report.max_z_score < 5.0
         assert report.max_cross_z < 5.0
         assert np.all(report.sigma[report.pg_exact * (1 - report.pg_exact) > 0] > 0)
+
+    def test_extended_reference_reads_emitter_ground_population(
+        self, fig2_model, fig2_rates, fig2_traj, fig2_grid
+    ):
+        # [0, 0] of an extended state is the joint-vacuum population only; the
+        # reference must sum the whole emitter-ground diagonal
+        nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1000, 1)
+        mcwf = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 1000, 1, fig2_grid)
+        extended = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        atom = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
+        joint = compare_unravelings(nmqj, mcwf, extended)
+        assert abs(joint.max_z_score - atom.max_z_score) < 1e-6
+        assert abs(joint.max_cross_z - atom.max_cross_z) < 1e-6
+        assert np.max(np.abs(joint.pg_exact - atom.pg_exact)) < 1e-6
 
     def test_single_member_edge_case(self, fig2_model, fig2_rates, fig2_traj, fig2_grid):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1, 67)
