@@ -193,7 +193,7 @@ def _coerce_state(initial, dim: int) -> np.ndarray:
     return vec
 
 
-def _integrate(generator: np.ndarray, psi0: np.ndarray, grid: TimeGrid, rtol: float, atol: float) -> np.ndarray:
+def _integrate(generator: np.ndarray, psi0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     if not np.all(np.isfinite(generator.view(float))):
         raise ValueError("generator entries must be finite")
 
@@ -206,8 +206,8 @@ def _integrate(generator: np.ndarray, psi0: np.ndarray, grid: TimeGrid, rtol: fl
         psi0,
         method="DOP853",
         t_eval=grid.times,
-        rtol=rtol,
-        atol=atol,
+        rtol=DEFAULT_RTOL,
+        atol=DEFAULT_ATOL,
     )
     if not solution.success:
         raise ToleranceNotMet(f"amplitude integration failed: {solution.message}")
@@ -218,9 +218,6 @@ def propagate_single(
     model: LorentzianModel,
     initial=None,
     grid: TimeGrid | None = None,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> AmplitudeTrajectory:
     """Propagate (c1, b1) on ``grid`` in the rotating frame.
 
@@ -231,7 +228,7 @@ def propagate_single(
         raise TypeError("grid is required")
     psi0 = _coerce_state(initial, 2)
     generator = single_mode_generator(model)
-    states = _integrate(generator, psi0, grid, rtol, atol)
+    states = _integrate(generator, psi0, grid)
     return AmplitudeTrajectory(grid, states, generator, ("c1", "b1"), ROTATING, model.omega0)
 
 
@@ -239,9 +236,6 @@ def propagate_double(
     model: BandGapModel,
     initial=None,
     grid: TimeGrid | None = None,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> AmplitudeTrajectory:
     """Propagate (c1, a1, a2) on ``grid`` in the rotating frame."""
     if grid is None:
@@ -249,7 +243,7 @@ def propagate_double(
     psi0 = _coerce_state(initial, 3)
     constants = derive_two_pseudomode_constants(model)
     generator = double_mode_generator(model, constants)
-    states = _integrate(generator, psi0, grid, rtol, atol)
+    states = _integrate(generator, psi0, grid)
     return AmplitudeTrajectory(
         grid, states, generator, ("c1", "a1", "a2"), ROTATING, model.omega0
     )

@@ -137,20 +137,27 @@ def _experiment_identity(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     if isinstance(config.model, LorentzianModel):
+        constants = None
         report = memory_identity_single(traj, config.model.gamma, rates)
-        write_identity_csv(artifact("identity.csv"), report)
-        extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
     else:
         constants = derive_two_pseudomode_constants(config.model)
         extras["gamma_p1"] = f"{constants.gamma_p1:.17g}"
         extras["gamma_p2"] = f"{constants.gamma_p2:.17g}"
         extras["intermode_coupling"] = f"{constants.v:.17g}"
         report = memory_identity_double(traj, constants, rates)
-        write_identity_csv(artifact("identity.csv"), report)
-        extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
+    write_identity_csv(artifact("identity.csv"), report)
+    extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
+    if constants is not None:
         intermode = intermode_memory_identity(traj, constants)
         write_identity_csv(artifact("identity_intermode.csv"), intermode)
         extras["intermode_max_relative_residual"] = f"{intermode.max_relative_residual:.17g}"
+
+
+def _excited_extended_vector(config: RunConfig) -> np.ndarray:
+    """Pure state on the extended sector basis: emitter excited, modes empty."""
+    initial = np.zeros(3 if isinstance(config.model, LorentzianModel) else 4, dtype=complex)
+    initial[-1] = 1.0
+    return initial
 
 
 def _evolve_extended(config: RunConfig):
@@ -195,9 +202,7 @@ def _experiment_nmqj(config, artifact, extras) -> None:
 
 
 def _experiment_mcwf(config, artifact, extras) -> None:
-    dim = 3 if isinstance(config.model, LorentzianModel) else 4
-    initial = np.zeros(dim, dtype=complex)
-    initial[-1] = 1.0
+    initial = _excited_extended_vector(config)
     ensemble = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
     write_mcwf_csv(artifact("mcwf.csv"), ensemble)
 
@@ -206,9 +211,7 @@ def _experiment_compare(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     nmqj = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
-    dim = 3 if isinstance(config.model, LorentzianModel) else 4
-    initial = np.zeros(dim, dtype=complex)
-    initial[-1] = 1.0
+    initial = _excited_extended_vector(config)
     mcwf = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
     report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
     write_nmqj_csv(artifact("nmqj.csv"), nmqj)

@@ -1,7 +1,10 @@
 """Deterministic CSV writers for every exported artifact.
 
-All numbers are written with 17 significant digits so files round-trip to
-the exact doubles and identical runs produce byte-identical output.
+Every writer hands one column writer a header and a list of equal-length
+columns. Float columns are written with 17 significant digits, so files
+round-trip to the exact doubles and identical runs produce byte-identical
+output; integer and bool columns are written as plain integers. Complex
+arrays are exported as separate real and imaginary columns.
 """
 
 from __future__ import annotations
@@ -27,141 +30,104 @@ __all__ = [
 
 _MCWF_LABELS = {3: ("cg0", "cg1", "ce0"), 4: ("cg00", "cg10", "cg01", "ce00")}
 
+#: rows formatted and written per block
+_BLOCK_ROWS = 256
 
-def _fmt(value) -> str:
-    return f"{float(value):.17g}"
+
+def _cells(column) -> list[str]:
+    """Text of every entry: plain integers for integer and bool dtypes, else ``.17g``."""
+    values = np.asarray(column)
+    if values.dtype.kind in "biu":
+        return [str(int(v)) for v in values.tolist()]
+    return [f"{v:.17g}" for v in values.astype(float, copy=False).tolist()]
 
 
-def _write(path, header: str, rows, preamble: str | None = None) -> None:
+def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
+    """Write equal-length columns under ``header``, one row per entry.
+
+    Raises ``ValueError`` before the file is opened when the columns differ
+    in length.
+    """
+    lengths = {len(column) for column in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"cannot write {path}: columns differ in length {sorted(lengths)}")
+    n_rows = max(lengths, default=0)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if preamble:
             handle.write(preamble + "\n")
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        # a block of rows at a time keeps the formatted cells out of peak memory
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            cells = [_cells(column[start : start + _BLOCK_ROWS]) for column in columns]
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def _re_im(labels, values) -> tuple[str, list]:
+    """Header cells and real/imaginary columns of the complex columns ``values``."""
+    header = ",".join(f"re_{lab},im_{lab}" for lab in labels)
+    return header, [part for column in values for part in (column.real, column.imag)]
 
 
 def write_amplitude_csv(path, traj) -> None:
     """One row per grid point: t plus re/im of every amplitude component."""
-    header = "t," + ",".join(f"re_{lab},im_{lab}" for lab in traj.labels)
-    times = traj.grid.times
-
-    def rows():
-        for k in range(traj.grid.n_steps):
-            cells = [_fmt(times[k])]
-            for value in traj.states[k]:
-                cells.append(_fmt(value.real))
-                cells.append(_fmt(value.imag))
-            yield cells
-
-    _write(path, header, rows())
+    header, columns = _re_im(traj.labels, traj.states.T)
+    _write_columns(path, "t," + header, [traj.grid.times, *columns])
 
 
 def write_rates_csv(path, rates: RateTrajectory) -> None:
-    times = rates.grid.times
-
-    def rows():
-        for k in range(rates.grid.n_steps):
-            yield [_fmt(times[k]), _fmt(rates.s[k]), _fmt(rates.gamma[k]), str(int(rates.valid[k]))]
-
-    _write(path, "t,S,gamma,valid", rows())
+    _write_columns(path, "t,S,gamma,valid", [rates.grid.times, rates.s, rates.gamma, rates.valid])
 
 
 def write_identity_csv(path, report: MemoryIdentityReport) -> None:
-    times = report.grid.times
-
-    def rows():
-        for k in range(report.grid.n_steps):
-            yield [_fmt(times[k]), _fmt(report.lhs[k]), _fmt(report.rhs[k]), _fmt(report.residual[k])]
-
-    _write(path, "t,lhs,rhs,residual", rows())
+    columns = [report.grid.times, report.lhs, report.rhs, report.residual]
+    _write_columns(path, "t,lhs,rhs,residual", columns)
 
 
 def write_density_csv(path, densities: DensitySeries, times: np.ndarray) -> None:
     """Upper triangle in row-major order, dimension declared in a comment line."""
     dim = densities.dim
-    basis = ",".join(densities.basis)
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    header = "t," + ",".join(f"re_{i}{j},im_{i}{j}" for i, j in pairs)
-
-    def rows():
-        for k, rho in enumerate(densities.matrices):
-            cells = [_fmt(times[k])]
-            for i, j in pairs:
-                cells.append(_fmt(rho[i, j].real))
-                cells.append(_fmt(rho[i, j].imag))
-            yield cells
-
-    _write(path, header, rows(), preamble=f"# dim={dim}, basis={basis}")
-
-
-def _write_ensemble(path, ens, labels) -> None:
-    header = "t,n0,n1," + ",".join(f"re_{lab},im_{lab}" for lab in labels)
-    times = ens.grid.times
-
-    def rows():
-        for k in range(ens.grid.n_steps):
-            cells = [_fmt(times[k]), str(int(ens.n0[k])), str(int(ens.n1[k]))]
-            for value in ens.psi0[k]:
-                cells.append(_fmt(value.real))
-                cells.append(_fmt(value.imag))
-            yield cells
-
-    _write(path, header, rows())
+    header, columns = _re_im(
+        [f"{i}{j}" for i, j in pairs], [densities.matrices[:, i, j] for i, j in pairs]
+    )
+    preamble = f"# dim={dim}, basis={','.join(densities.basis)}"
+    _write_columns(path, "t," + header, [times, *columns], preamble)
 
 
 def write_nmqj_csv(path, ens: NmqjEnsemble) -> None:
-    _write_ensemble(path, ens, ("cg", "ce"))
+    header, columns = _re_im(("cg", "ce"), ens.psi0.T)
+    _write_columns(path, "t,n0,n1," + header, [ens.grid.times, ens.n0, ens.n1, *columns])
 
 
 def write_mcwf_csv(path, ens: McwfEnsemble) -> None:
-    _write_ensemble(path, ens, _MCWF_LABELS[ens.psi0.shape[1]])
+    header, columns = _re_im(_MCWF_LABELS[ens.psi0.shape[1]], ens.psi0.T)
+    _write_columns(path, "t,n0,n1," + header, [ens.grid.times, ens.n0, ens.n1, *columns])
 
 
 def write_comparison_csv(path, report: ComparisonReport) -> None:
-    times = report.grid.times
-
-    def rows():
-        for k in range(report.grid.n_steps):
-            yield [
-                _fmt(times[k]),
-                _fmt(report.pg_nmqj[k]),
-                _fmt(report.pg_mcwf[k]),
-                _fmt(report.pg_exact[k]),
-                _fmt(report.sigma[k]),
-                _fmt(report.z[k]),
-            ]
-
-    _write(path, "t,pg_nmqj,pg_mcwf,pg_exact,sigma,z", rows())
+    columns = [
+        report.grid.times,
+        report.pg_nmqj,
+        report.pg_mcwf,
+        report.pg_exact,
+        report.sigma,
+        report.z,
+    ]
+    _write_columns(path, "t,pg_nmqj,pg_mcwf,pg_exact,sigma,z", columns)
 
 
 def write_info_csv(path, series: InfoSeries) -> None:
-    times = series.grid.times
-
-    def rows():
-        for k in range(series.grid.n_steps):
-            yield [
-                _fmt(times[k]),
-                _fmt(series.entropy_atom[k]),
-                _fmt(series.entropy_modes[k]),
-                _fmt(series.entropy_joint[k]),
-                _fmt(series.mutual_information[k]),
-            ]
-
-    _write(path, "t,s_atom,s_pseudo,s_joint,mutual_info", rows())
+    columns = [
+        series.grid.times,
+        series.entropy_atom,
+        series.entropy_modes,
+        series.entropy_joint,
+        series.mutual_information,
+    ]
+    _write_columns(path, "t,s_atom,s_pseudo,s_joint,mutual_info", columns)
 
 
 def write_rate_curves_csv(path, times, gamma, compensated, gamma_pop, valid) -> None:
     """Decay rate and compensated mode drain side by side (preset export)."""
-
-    def rows():
-        for k in range(len(times)):
-            yield [
-                _fmt(times[k]),
-                _fmt(gamma[k]),
-                _fmt(compensated[k]),
-                _fmt(gamma_pop[k]),
-                str(int(valid[k])),
-            ]
-
-    _write(path, "t,gamma,compensated,gamma_c1sq,valid", rows())
+    columns = [times, gamma, compensated, gamma_pop, valid]
+    _write_columns(path, "t,gamma,compensated,gamma_c1sq,valid", columns)

@@ -77,13 +77,14 @@ def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
     return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """State operator on the emitter or emitter+mode sector basis.
 
     A physically valid instance is Hermitian with unit trace and
     non-negative spectrum; those properties are reported, not enforced, so
     integration noise and deliberately nonphysical inputs stay visible.
+    States compare by identity; compare ``matrix`` to compare entries.
     """
 
     matrix: np.ndarray
@@ -187,9 +188,9 @@ def _entries(rho: DensityMatrix | DensitySeries) -> np.ndarray:
     return rho.matrices if isinstance(rho, DensitySeries) else rho.matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """Hermitian generator assembled on one of the sector bases."""
+    """Hermitian generator assembled on one of the sector bases (compares by identity)."""
 
     matrix: np.ndarray
 
@@ -289,9 +290,6 @@ def evolve_atom_timelocal(
     rates: RateTrajectory,
     rho0: DensityMatrix,
     grid: TimeGrid,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> DensitySeries:
     """Integrate the emitter master equation with time-dependent coefficients.
 
@@ -324,7 +322,8 @@ def evolve_atom_timelocal(
     coh0 = rho0.matrix[1, 0]
     y0 = np.array([rho0.matrix[1, 1].real, coh0.real, coh0.imag])
     solution = solve_ivp(
-        rhs, (grid.t_start, grid.t_end), y0, method="DOP853", t_eval=times, rtol=rtol, atol=atol
+        rhs, (grid.t_start, grid.t_end), y0, method="DOP853", t_eval=times,
+        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     )
     if not solution.success:
         raise ToleranceNotMet(f"time-local integration failed: {solution.message}")
@@ -344,8 +343,6 @@ def _evolve_lindblad(
     channels: list[tuple[float, np.ndarray]],
     rho0: DensityMatrix,
     grid: TimeGrid,
-    rtol: float,
-    atol: float,
 ) -> DensitySeries:
     dim = hamiltonian.shape[0]
     number_ops = [(rate, op, op.T @ op) for rate, op in channels]
@@ -363,8 +360,8 @@ def _evolve_lindblad(
         rho0.matrix.ravel().astype(complex),
         method="DOP853",
         t_eval=grid.times,
-        rtol=rtol,
-        atol=atol,
+        rtol=DEFAULT_RTOL,
+        atol=DEFAULT_ATOL,
     )
     if not solution.success:
         raise ToleranceNotMet(f"dissipative integration failed: {solution.message}")
@@ -375,9 +372,6 @@ def evolve_lindblad_single(
     model: LorentzianModel,
     rho0: DensityMatrix,
     grid: TimeGrid,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> DensitySeries:
     """Evolve the emitter+mode state with mode leakage, rotating frame."""
     if rho0.dim != 3:
@@ -385,16 +379,13 @@ def evolve_lindblad_single(
             f"single-mode evolution acts on the 3-dimensional sector, got dim {rho0.dim}"
         )
     h = single_sector_hamiltonian(model).matrix
-    return _evolve_lindblad(h, [(model.gamma, mode_lowering(3))], rho0, grid, rtol, atol)
+    return _evolve_lindblad(h, [(model.gamma, mode_lowering(3))], rho0, grid)
 
 
 def evolve_lindblad_double(
     model: BandGapModel,
     rho0: DensityMatrix,
     grid: TimeGrid,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
 ) -> DensitySeries:
     """Evolve the emitter+two-mode state with both leakage channels."""
     if rho0.dim != 4:
@@ -407,7 +398,7 @@ def evolve_lindblad_double(
         (constants.gamma_p1, mode_lowering(4, 1)),
         (constants.gamma_p2, mode_lowering(4, 2)),
     ]
-    return _evolve_lindblad(h, channels, rho0, grid, rtol, atol)
+    return _evolve_lindblad(h, channels, rho0, grid)
 
 
 def partial_trace_pseudomodes(

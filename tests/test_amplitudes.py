@@ -64,13 +64,13 @@ class TestPropagateSingle:
         )
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(ToleranceNotMet, match="underflow"):
-            _integrate(np.eye(2, dtype=complex), np.array([1.0 + 0j, 0j]), grid, 1e-10, 1e-12)
+            _integrate(np.eye(2, dtype=complex), np.array([1.0 + 0j, 0j]), grid)
 
     def test_nonfinite_generator_rejected(self):
         bad = np.array([[np.inf, 0.0], [0.0, 0.0]], dtype=complex)
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="finite"):
-            _integrate(bad, np.array([1.0 + 0j, 0j]), grid, 1e-10, 1e-12)
+            _integrate(bad, np.array([1.0 + 0j, 0j]), grid)
 
 
 class TestPropagateDouble:

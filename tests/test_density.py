@@ -63,6 +63,16 @@ class TestDensityMatrix:
 
             HamiltonianSpec(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_states_and_hamiltonians_compare_by_identity(self, fig2_model):
+        # a dataclass-generated __eq__ over the ndarray field would raise
+        # numpy's ambiguous-truth ValueError, and __hash__ a TypeError
+        for make in (lambda: DensityMatrix.excited(2), lambda: single_sector_hamiltonian(fig2_model)):
+            first, second = make(), make()
+            assert first == first
+            assert first != second
+            assert hash(first) == hash(first)
+            assert len({first, second}) == 2
+
     def test_sector_hamiltonians(self, fig2_model, bandgap_model):
         h3 = single_sector_hamiltonian(fig2_model).matrix
         assert h3[1, 1] == fig2_model.detuning
