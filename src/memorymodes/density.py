@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .amplitudes import DEFAULT_ATOL, DEFAULT_RTOL, LAB, ROTATING, AmplitudeTrajectory
+from .amplitudes import LAB, ROTATING, AmplitudeTrajectory, _propagate_constant
 from .errors import GridMismatch, RateGapTooWide, SectorLeak, ToleranceNotMet
 from .models import (
     BandGapModel,
@@ -62,6 +62,9 @@ BASIS_LABELS = {
 
 #: longest run of invalid rate points the time-local solver will bridge
 MAX_BRIDGEABLE_GAP = 2
+#: tolerances of the time-local solve, the one route whose coefficients vary
+DEFAULT_RTOL = 1e-10
+DEFAULT_ATOL = 1e-12
 
 
 def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
@@ -344,28 +347,29 @@ def _evolve_lindblad(
     rho0: DensityMatrix,
     grid: TimeGrid,
 ) -> DensitySeries:
+    """Step the constant Liouvillian exactly in the real coordinates of rho.
+
+    They are the diagonal, then Re and Im of the upper triangle, so every state
+    is exactly Hermitian. ``basis`` has orthogonal columns: its scaled adjoint
+    is an exact left inverse.
+    """
+    if np.max(np.abs(rho0.matrix - rho0.matrix.conj().T)) > 1e-12:
+        raise ValueError("initial state must be Hermitian")
     dim = hamiltonian.shape[0]
-    number_ops = [(rate, op, op.T @ op) for rate, op in channels]
-
-    def rhs(_t, y):
-        rho = y.reshape(dim, dim)
-        drho = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-        for rate, op, num in number_ops:
-            drho = drho + rate * (op @ rho @ op.T - 0.5 * (num @ rho + rho @ num))
-        return drho.ravel()
-
-    solution = solve_ivp(
-        rhs,
-        (grid.t_start, grid.t_end),
-        rho0.matrix.ravel().astype(complex),
-        method="DOP853",
-        t_eval=grid.times,
-        rtol=DEFAULT_RTOL,
-        atol=DEFAULT_ATOL,
-    )
-    if not solution.success:
-        raise ToleranceNotMet(f"dissipative integration failed: {solution.message}")
-    return DensitySeries(solution.y.T.reshape(-1, dim, dim))
+    eye = np.eye(dim)
+    # row-major vec(A rho B) = kron(A, B.T) vec(rho); the jump operators are real
+    liouvillian = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
+    for rate, op in channels:
+        num = op.T @ op
+        liouvillian += rate * (np.kron(op, op) - 0.5 * (np.kron(num, eye) + np.kron(eye, num)))
+    rows, cols = np.triu_indices(dim, 1)
+    unit = np.eye(dim * dim)
+    upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
+    basis = np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
+    inverse = basis.conj().T / np.sum(np.abs(basis) ** 2, axis=0)[:, None]
+    generator = (inverse @ liouvillian @ basis).real
+    coords = _propagate_constant(generator, (inverse @ rho0.matrix.ravel()).real, grid)
+    return DensitySeries((coords @ basis.T).reshape(-1, dim, dim))
 
 
 def evolve_lindblad_single(

@@ -12,7 +12,7 @@ class NonPhysical(MemoryModesError):
 
 
 class ToleranceNotMet(MemoryModesError):
-    """The adaptive integrator could not reach the requested accuracy."""
+    """The time-local solve missed its tolerance, or a propagator exp(G*t) overflowed."""
 
 
 class IllConditioned(MemoryModesError):

@@ -7,7 +7,7 @@ terms of the directly coupled mode amplitude, and the mode populations obey
 exact balance identities that tie their compensated drain to the emitter
 decay rate. All derivatives here come from the ODE right-hand side evaluated
 at the stored states, never from finite differences, so the identities hold
-to rounding for any trajectory the integrator accepts.
+to rounding for any stored trajectory, however it was propagated.
 """
 
 from __future__ import annotations

@@ -265,9 +265,9 @@ def test_manifest_reports_state_invariants(preset, experiment, tmp_path):
         raw_config=parsed.raw,
     )
     entries = run(config).entries
-    assert float(entries["invariant.hermiticity"]) <= 1e-12
-    assert float(entries["invariant.trace"]) <= 1e-12
-    assert float(entries["invariant.min_eigenvalue"]) >= -1e-9
+    assert float(entries["invariant.hermiticity"]) == 0.0
+    assert float(entries["invariant.trace"]) <= 1e-14
+    assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
     assert (tmp_path / "out" / "manifest.txt").read_text().count("invariant.") == 3
 
 

@@ -232,7 +232,7 @@ class TestLindbladSingle:
     def test_matches_pure_state_reconstruction(self, fig2_model, fig2_traj, fig2_grid):
         out = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
         reference = extended_density_from_amplitudes(fig2_traj)
-        assert max_entry_diff(out, reference) < 1e-6
+        assert max_entry_diff(out, reference) < 1e-14
 
     def test_lossless_doublet_conserves_excitation(self):
         model = LorentzianModel(0.0, 0.3, 0.0, 0.9)
@@ -257,6 +257,12 @@ class TestLindbladSingle:
     def test_sector_leak(self, fig2_model, fig2_grid):
         with pytest.raises(SectorLeak):
             evolve_lindblad_single(fig2_model, DensityMatrix.excited(4), fig2_grid)
+
+    def test_non_hermitian_initial_state_rejected(self, fig2_model):
+        # the real coordinates the route steps hold only the Hermitian part
+        rho0 = DensityMatrix(np.array([[0, 0.1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_lindblad_single(fig2_model, rho0, TimeGrid(0.0, 1.0, 10))
 
 
 class TestLindbladDouble:
