@@ -9,6 +9,8 @@ arrays are exported as separate real and imaginary columns.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .density import DensitySeries
@@ -34,32 +36,31 @@ _MCWF_LABELS = {3: ("cg0", "cg1", "ce0"), 4: ("cg00", "cg10", "cg01", "ce00")}
 _BLOCK_ROWS = 256
 
 
-def _cells(column) -> list[str]:
-    """Text of every entry: plain integers for integer and bool dtypes, else ``.17g``."""
-    values = np.asarray(column)
-    if values.dtype.kind in "biu":
-        return [str(int(v)) for v in values.tolist()]
-    return [f"{v:.17g}" for v in values.astype(float, copy=False).tolist()]
-
-
 def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
     """Write equal-length columns under ``header``, one row per entry.
 
-    Raises ``ValueError`` before the file is opened when the columns differ
-    in length.
+    Each block of rows is one ``%`` on a row template repeated per row:
+    ``%d`` for integer and bool columns, ``%.17g`` for the rest. ``tolist``
+    hands it Python ints and floats, so integers stay exact. Raises
+    ``ValueError`` before the file is opened when the columns differ in
+    length.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
         raise ValueError(f"cannot write {path}: columns differ in length {sorted(lengths)}")
     n_rows = max(lengths, default=0)
+    columns = [np.asarray(column) for column in columns]
+    integral = [column.dtype.kind in "biu" for column in columns]
+    columns = [c if i else c.astype(float, copy=False) for c, i in zip(columns, integral)]
+    row = ",".join("%d" if i else "%.17g" for i in integral) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         if preamble:
             handle.write(preamble + "\n")
         handle.write(header + "\n")
         # a block of rows at a time keeps the formatted cells out of peak memory
         for start in range(0, n_rows, _BLOCK_ROWS):
-            cells = [_cells(column[start : start + _BLOCK_ROWS]) for column in columns]
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            block = [column[start : start + _BLOCK_ROWS].tolist() for column in columns]
+            handle.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def _re_im(labels, values) -> tuple[str, list]:
