@@ -120,10 +120,6 @@ def _propagate(config: RunConfig):
     return propagate_double(config.model, None, config.grid)
 
 
-def _exact_atom_series(config: RunConfig):
-    return atom_density_from_amplitudes(_propagate(config))
-
-
 def _experiment_amplitudes(config, artifact, extras) -> None:
     write_amplitude_csv(artifact("trajectory.csv"), _propagate(config))
 
@@ -180,6 +176,8 @@ def _experiment_evolve(config, artifact, extras) -> None:
     times = config.grid.times
     from_amplitudes = atom_density_from_amplitudes(traj)
     timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2), config.grid)
+    bridged = np.count_nonzero(~(rates.valid[:-1] & rates.valid[1:]))  # plain-trapezoid steps
+    extras["timelocal.bridged_intervals"] = str(bridged)
     extended = _evolve_extended(config)
     traced = partial_trace_pseudomodes(extended)
     write_density_csv(artifact("density_amplitude.csv"), from_amplitudes, times)

@@ -39,11 +39,10 @@ _BLOCK_ROWS = 256
 def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
     """Write equal-length columns under ``header``, one row per entry.
 
-    Each block of rows is one ``%`` on a row template repeated per row:
-    ``%d`` for integer and bool columns, ``%.17g`` for the rest. ``tolist``
-    hands it Python ints and floats, so integers stay exact. Raises
-    ``ValueError`` before the file is opened when the columns differ in
-    length.
+    Each block of rows is one ``%`` on a repeated row template: ``%d`` for
+    integer and bool columns (exact Python ints from ``tolist``), ``%.17g``
+    for the rest. Raises ``ValueError`` before the file is opened when the
+    columns differ in length.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:

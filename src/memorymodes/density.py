@@ -19,13 +19,12 @@ dim 4 -> (|g,0,0>, |g,1,0>, |g,0,1>, |e,0,0>).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .amplitudes import LAB, ROTATING, AmplitudeTrajectory, _propagate_constant
-from .errors import GridMismatch, RateGapTooWide, SectorLeak, ToleranceNotMet
+from .errors import GridMismatch, RateGapTooWide, SectorLeak
 from .models import (
     BandGapModel,
     LorentzianModel,
@@ -60,11 +59,8 @@ BASIS_LABELS = {
     4: ("g00", "g10", "g01", "e00"),
 }
 
-#: longest run of invalid rate points the time-local solver will bridge
+#: longest run of invalid rate points the time-local route will bridge
 MAX_BRIDGEABLE_GAP = 2
-#: tolerances of the time-local solve, the one route whose coefficients vary
-DEFAULT_RTOL = 1e-10
-DEFAULT_ATOL = 1e-12
 
 
 def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
@@ -117,7 +113,7 @@ class DensityMatrix:
 
     def invariant_defects(self) -> dict[str, float]:
         """Hermiticity gap, trace deviation, and smallest eigenvalue."""
-        return _invariant_defects(self.matrix)
+        return _invariant_defects(self.matrix, _spectrum(self.matrix))
 
     def excited_population(self) -> float:
         return float(self.matrix[-1, -1].real)
@@ -162,20 +158,29 @@ class DensitySeries:
     def __iter__(self):
         return (DensityMatrix(mat) for mat in self.matrices)
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of every Hermitized state, ``(n, d)``, computed once per series."""
+        return _spectrum(self.matrices)
+
     def invariant_defects(self) -> dict[str, float]:
         """Worst hermiticity gap, trace deviation and smallest eigenvalue."""
-        return _invariant_defects(self.matrices)
+        return _invariant_defects(self.matrices, self.eigenvalues)
 
     def ground_population(self) -> np.ndarray:
         """Sum of the emitter-ground diagonal entries at every point."""
         return _ground_population(self.matrices)
 
 
-def _invariant_defects(matrices: np.ndarray) -> dict[str, float]:
-    """Worst invariant defects of one matrix or a stack (last two axes)."""
+def _spectrum(matrices: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes)."""
+    return np.linalg.eigvalsh(0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj()))
+
+
+def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:
+    """Worst invariant defects of one matrix or a stack with its spectrum ``eigs``."""
     adjoint = np.swapaxes(matrices, -1, -2).conj()
     trace = np.trace(matrices, axis1=-2, axis2=-1)
-    eigs = np.linalg.eigvalsh(0.5 * (matrices + adjoint))
     return {
         "hermiticity": float(np.max(np.abs(matrices - adjoint))),
         "trace": float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag))),
@@ -266,27 +271,36 @@ def double_sector_hamiltonian(
     return HamiltonianSpec(h)
 
 
-def _bridge_invalid_rates(rates: RateTrajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Fill short invalid runs by linear interpolation, reject long ones."""
-    if rates.valid.all():
-        return np.asarray(rates.s, float), np.asarray(rates.gamma, float)
-    times = rates.grid.times
-    invalid = np.flatnonzero(~rates.valid)
-    runs = np.split(invalid, np.flatnonzero(np.diff(invalid) > 1) + 1)
-    for run in runs:
-        if len(run) > MAX_BRIDGEABLE_GAP:
-            raise RateGapTooWide(
-                f"{len(run)} consecutive invalid rate points starting at "
-                f"t={times[run[0]]:.6g}; only gaps shorter than 3 steps are bridged"
-            )
-        if run[0] == 0 or run[-1] == len(times) - 1:
-            raise RateGapTooWide("invalid rate points at the grid boundary cannot be bridged")
-    good = rates.valid
-    s = np.array(rates.s, dtype=float)
-    gamma = np.array(rates.gamma, dtype=float)
-    s[~good] = np.interp(times[~good], times[good], s[good])
-    gamma[~good] = np.interp(times[~good], times[good], gamma[good])
-    return s, gamma
+def _rate_increments(rates: RateTrajectory) -> np.ndarray:
+    """Per-step increments of K(t), the integral of gamma + i(S - 2*omega0).
+
+    Each step is the end-corrected trapezoid
+    dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}), O(dt^4), with the exact
+    slopes of the series. Invalid runs shorter than 3 points are bridged
+    linearly (``RateGapTooWide`` otherwise); an interval with an invalid end,
+    or without finite slopes, takes the plain trapezoid.
+    """
+    valid = rates.valid
+    rate = rates.gamma + 1j * (rates.s - 2.0 * rates.omega0)
+    if not valid.all():
+        times = rates.grid.times
+        invalid = np.flatnonzero(~valid)
+        for run in np.split(invalid, np.flatnonzero(np.diff(invalid) > 1) + 1):
+            if len(run) > MAX_BRIDGEABLE_GAP:
+                raise RateGapTooWide(
+                    f"{len(run)} consecutive invalid rate points starting at "
+                    f"t={times[run[0]]:.6g}; only gaps shorter than 3 steps are bridged"
+                )
+            if run[0] == 0 or run[-1] == len(times) - 1:
+                raise RateGapTooWide("invalid rate points at the grid boundary cannot be bridged")
+        rate = np.where(valid, rate, np.interp(times, times[valid], rate[valid]))
+    dt = rates.grid.dt
+    steps = 0.5 * dt * (rate[:-1] + rate[1:])
+    if rates.dgamma is not None and rates.ds is not None:
+        slope = np.where(valid, rates.dgamma + 1j * rates.ds, np.nan)
+        correction = dt * dt / 12.0 * (slope[:-1] - slope[1:])
+        steps = np.where(np.isfinite(correction), steps + correction, steps)
+    return steps
 
 
 def evolve_atom_timelocal(
@@ -294,50 +308,25 @@ def evolve_atom_timelocal(
     rho0: DensityMatrix,
     grid: TimeGrid,
 ) -> DensitySeries:
-    """Integrate the emitter master equation with time-dependent coefficients.
+    """Emitter master equation with time-dependent coefficients, in closed form.
 
-    The coefficient series are cubic-interpolated between grid points;
-    isolated invalid points are bridged linearly when the gap is shorter
-    than 3 steps (``RateGapTooWide`` otherwise). Populations and coherence
-    are integrated separately, so the trace equals one by construction.
-    Output is rotating-frame: the carrier contribution to the shift is
-    removed before integrating.
+    It decouples: rho_ee(t) = rho_ee(0) exp(-Re K) and rho_eg(t) =
+    rho_eg(0) exp(-K/2), with K summed from :func:`_rate_increments`. The
+    ground population is 1 - rho_ee, so the trace is one by construction.
+    Output is rotating-frame.
     """
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")
     if not np.array_equal(grid.times, rates.grid.times):
         raise GridMismatch("evolution grid must match the rate grid")
-    s_series, gamma_series = _bridge_invalid_rates(rates)
-    times = grid.times
-    shift = CubicSpline(times, s_series - 2.0 * rates.omega0)
-    decay = CubicSpline(times, gamma_series)
-
-    def rhs(t, y):
-        ee, re_coh, im_coh = y
-        g = decay(t)
-        s = shift(t)
-        return (
-            -g * ee,
-            0.5 * (s * im_coh - g * re_coh),
-            -0.5 * (s * re_coh + g * im_coh),
-        )
-
-    coh0 = rho0.matrix[1, 0]
-    y0 = np.array([rho0.matrix[1, 1].real, coh0.real, coh0.imag])
-    solution = solve_ivp(
-        rhs, (grid.t_start, grid.t_end), y0, method="DOP853", t_eval=times,
-        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-    )
-    if not solution.success:
-        raise ToleranceNotMet(f"time-local integration failed: {solution.message}")
-    ee, re_coh, im_coh = solution.y
-    out = np.zeros((len(times), 2, 2), dtype=complex)
+    exponent = np.concatenate([[0.0], np.cumsum(_rate_increments(rates))])
+    ee = rho0.matrix[1, 1].real * np.exp(-exponent.real)
+    coherence = rho0.matrix[1, 0] * np.exp(-0.5 * exponent)
+    out = np.empty((len(exponent), 2, 2), dtype=complex)
     out[:, 0, 0] = 1.0 - ee
     out[:, 1, 1] = ee
-    out[:, 1, 0].real = re_coh
-    out[:, 1, 0].imag = im_coh
-    out[:, 0, 1].real = re_coh
-    out[:, 0, 1].imag = -im_coh
+    out[:, 1, 0] = coherence
+    out[:, 0, 1] = coherence.conj()
     return DensitySeries(out)
 
 

@@ -1,8 +1,8 @@
 """Entropy and correlation diagnostics along density-matrix series.
 
-One kernel computes spectral entropies of a single matrix or of a whole
-``(n, d, d)`` stack with one batched ``eigvalsh``, so ``info_series`` and
-``von_neumann_entropy`` give the same bits at every point.
+One kernel computes spectral entropies from one batched ``eigvalsh`` of a
+matrix or a stack, so ``info_series`` and ``von_neumann_entropy`` give the
+same bits; a series' spectrum is computed once and shared with its checks.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, DensitySeries, partial_trace_atom, partial_trace_pseudomodes
+from .density import DensityMatrix, DensitySeries, _spectrum, partial_trace_atom, partial_trace_pseudomodes
 from .models import TimeGrid
 
 __all__ = [
@@ -30,9 +30,8 @@ def _as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def _entropies(matrices: np.ndarray) -> np.ndarray:
-    """-sum(p ln p) over the last two axes of one matrix or a stack."""
-    eigs = np.linalg.eigvalsh(0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj()))
+def _entropies(eigs: np.ndarray) -> np.ndarray:
+    """-sum(p ln p) over the last axis of the spectra of one matrix or a stack."""
     kept = eigs > EIGENVALUE_FLOOR
     terms = np.where(kept, eigs * np.log(np.where(kept, eigs, 1.0)), 0.0)
     # a state with no eigenvalue above the floor has entropy +0.0
@@ -46,7 +45,7 @@ def von_neumann_entropy(rho) -> float:
     ``EIGENVALUE_FLOOR`` count as zero, which guards against logarithms of
     tiny negatives produced by integration noise.
     """
-    return float(_entropies(_as_matrix(rho)))
+    return float(_entropies(_spectrum(_as_matrix(rho))))
 
 
 def mutual_information(rho_joint) -> float:
@@ -72,7 +71,7 @@ def info_series(densities: DensitySeries, grid: TimeGrid) -> InfoSeries:
     """Evaluate the entropy diagnostics at every point of a joint-state series."""
     if len(densities) != grid.n_steps:
         raise ValueError(f"expected {grid.n_steps} states, got {len(densities)}")
-    s_atom = _entropies(partial_trace_pseudomodes(densities).matrices)
-    s_modes = _entropies(partial_trace_atom(densities))
-    s_joint = _entropies(densities.matrices)
+    s_atom = _entropies(partial_trace_pseudomodes(densities).eigenvalues)
+    s_modes = _entropies(_spectrum(partial_trace_atom(densities)))
+    s_joint = _entropies(densities.eigenvalues)
     return InfoSeries(grid, s_atom, s_modes, s_joint, s_atom + s_modes - s_joint)

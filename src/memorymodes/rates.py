@@ -43,6 +43,7 @@ class RateTrajectory:
     2*omega0); ``gamma`` is frame-independent. ``valid`` is False where the
     excited population fell below ``VALIDITY_CUTOFF``: the coefficients are
     genuinely undefined there and hold NaN instead of extrapolated values.
+    ``dgamma``/``ds`` are their exact slopes (NaN where invalid) or None.
     """
 
     grid: TimeGrid
@@ -50,6 +51,8 @@ class RateTrajectory:
     gamma: np.ndarray
     valid: np.ndarray
     omega0: float = 0.0
+    dgamma: np.ndarray | None = None
+    ds: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -76,10 +79,22 @@ def _validity(c1: np.ndarray) -> np.ndarray:
     return valid
 
 
+def _rate_slopes(traj: AmplitudeTrajectory, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (gamma', s') = -2 (Re r', Im r'), NaN where invalid, with r = c1'/c1.
+
+    r' = (c1'' c1 - c1'^2) / c1^2, where c1'' = (G^2 x)_0 comes from the generator.
+    """
+    c1, derivs = traj.c1, traj.derivatives()
+    slope = np.full(c1.shape, complex(np.nan, np.nan))
+    np.divide(derivs @ traj.generator[0] * c1 - derivs[:, 0] ** 2, c1 * c1, out=slope, where=valid)
+    return -2.0 * slope.real, -2.0 * slope.imag
+
+
 def rates_from_amplitudes(traj: AmplitudeTrajectory) -> RateTrajectory:
     """Extract the decay rate -2 Re{c1'/c1} and shift -2 Im{c1'/c1}.
 
-    The derivative is evaluated from the trajectory generator. For a
+    The derivatives, and the slopes of both series, are evaluated from the
+    trajectory generator. For a
     rotating-frame trajectory the shift gets the carrier correction
     2*omega0 so the returned series is always the lab-frame one.
     """
@@ -93,7 +108,7 @@ def rates_from_amplitudes(traj: AmplitudeTrajectory) -> RateTrajectory:
     if traj.frame == ROTATING:
         s = s + 2.0 * traj.omega0
     s = np.where(valid, s, np.nan)
-    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0)
+    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
 
 
 def rates_pseudomode_form(traj: AmplitudeTrajectory, omega_coupling: float) -> RateTrajectory:
@@ -112,7 +127,7 @@ def rates_pseudomode_form(traj: AmplitudeTrajectory, omega_coupling: float) -> R
     np.divide(c1 * np.conj(mode), population, out=cross, where=valid)
     gamma = np.where(valid, 2.0 * omega_coupling * cross.imag, np.nan)
     s = np.where(valid, 2.0 * (traj.omega0 + omega_coupling * cross.real), np.nan)
-    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0)
+    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
 
 
 def _build_report(grid: TimeGrid, lhs, rhs, valid) -> MemoryIdentityReport:

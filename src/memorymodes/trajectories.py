@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.integrate import cumulative_trapezoid
 
 from .amplitudes import (
     AmplitudeState1,
@@ -29,7 +28,7 @@ from .amplitudes import (
     propagate_double,
     propagate_single,
 )
-from .density import DensitySeries
+from .density import DensitySeries, _rate_increments
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
 from .models import BandGapModel, LorentzianModel, TimeGrid, derive_two_pseudomode_constants
 from .rates import RateTrajectory
@@ -165,21 +164,19 @@ def run_nmqj(
     times = grid.times
     dt = grid.dt
     gamma = np.asarray(rates.gamma, dtype=float)
-    shift = np.asarray(rates.s, dtype=float) - 2.0 * rates.omega0
 
     # no-jump state: C_g frozen, C_e attenuated/rephased by the accumulated
-    # complex rate; exact up to the trapezoid quadrature of the series
-    half_decay = 0.5 * cumulative_trapezoid(gamma, times, initial=0.0)
-    half_phase = 0.5 * cumulative_trapezoid(shift, times, initial=0.0)
+    # complex rate, summed from the same increments as the time-local route
+    half = 0.5 * np.concatenate([[0.0], np.cumsum(_rate_increments(rates))])
     c_g, c_e = psi_init
     if c_g == 0:
-        excited = (c_e / abs(c_e)) * np.exp(-1j * half_phase)
+        excited = (c_e / abs(c_e)) * np.exp(-1j * half.imag)
         psi0 = np.column_stack([np.zeros_like(excited), excited])
         excited_pop = np.ones(len(times))
     else:
-        magnitude = abs(c_e) * np.exp(-half_decay)
+        magnitude = abs(c_e) * np.exp(-half.real)
         norm = np.hypot(abs(c_g), magnitude)
-        unnormalized = c_e * np.exp(-half_decay - 1j * half_phase)
+        unnormalized = c_e * np.exp(-half)
         psi0 = np.column_stack([np.full(len(times), c_g), unnormalized]) / norm[:, None]
         excited_pop = (magnitude / norm) ** 2
 

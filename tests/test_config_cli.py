@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +186,26 @@ class TestRun:
         assert not (tmp_path / "out" / "first.csv").exists()
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    def test_evolve_bridges_and_counts_invalid_rate_points(self, tmp_path, monkeypatch):
+        import memorymodes.cli as cli_module
+
+        extract = cli_module.rates_from_amplitudes
+
+        def damaged(traj):
+            rates = extract(traj)
+            for series in (rates.s, rates.gamma, rates.dgamma, rates.ds):
+                series[2000:2002] = np.nan
+            rates.valid[2000:2002] = False
+            return rates
+
+        intact = run(fig2_config("evolve", tmp_path / "intact")).entries
+        assert intact["timelocal.bridged_intervals"] == "0"
+        monkeypatch.setattr(cli_module, "rates_from_amplitudes", damaged)
+        entries = run(fig2_config("evolve", tmp_path / "out")).entries
+        # two invalid points touch three intervals, each integrated by the plain trapezoid
+        assert entries["timelocal.bridged_intervals"] == "3"
+        assert float(entries["max_diff_amplitude_timelocal"]) < 1e-8
+
     def test_stochastic_runs_need_members(self, tmp_path):
         with pytest.raises(ValueError, match="n_members"):
             fig2_config("nmqj", tmp_path, n_members=0)
@@ -251,6 +274,23 @@ class TestMain:
         code = main(["rates", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1
         assert capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_interpolate():
+    # a fresh interpreter, so modules imported by other tests do not count
+    code = (
+        "import sys, memorymodes.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.interpolate'))))"
+    )
+    path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])

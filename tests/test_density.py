@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memorymodes import (
+    AmplitudeState1,
     DensityMatrix,
     DensitySeries,
     GridMismatch,
@@ -19,6 +20,8 @@ from memorymodes import (
     extended_density_from_amplitudes,
     partial_trace_atom,
     partial_trace_pseudomodes,
+    propagate_single,
+    rates_from_amplitudes,
 )
 from memorymodes.density import double_sector_hamiltonian, single_sector_hamiltonian
 from conftest import max_entry_diff
@@ -90,9 +93,9 @@ class TestTimeLocal:
         rho0 = DensityMatrix(np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, 0.6]]))
         out = evolve_atom_timelocal(rates, rho0, grid)
         for rho in out[:: len(out) // 10]:
-            assert rho.matrix[1, 1].real == pytest.approx(0.6, abs=1e-12)
+            assert rho.matrix[1, 1].real == pytest.approx(0.6, abs=1e-15)
             # rotating frame: the carrier contribution is removed, coherence frozen
-            assert rho.matrix[1, 0] == pytest.approx(0.2 + 0.1j, abs=1e-10)
+            assert rho.matrix[1, 0] == pytest.approx(0.2 + 0.1j, abs=1e-15)
 
     def test_constant_rate_exponential_decay(self):
         grid = TimeGrid(0.0, 6.0, 400)
@@ -104,7 +107,29 @@ class TestTimeLocal:
     def test_matches_amplitude_route(self, fig2_rates, fig2_traj, fig2_grid):
         out = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), fig2_grid)
         reference = atom_density_from_amplitudes(fig2_traj)
-        assert max_entry_diff(out, reference) < 1e-6
+        assert max_entry_diff(out, reference) < 2e-12
+
+    def test_error_falls_at_fourth_order(self, fig2_model):
+        # end-corrected trapezoid: halving dt divides the error by about 16
+        errors = []
+        for n in (2000, 4000):
+            grid = TimeGrid(0.0, 10.0, n)
+            traj = propagate_single(fig2_model, None, grid)
+            out = evolve_atom_timelocal(
+                rates_from_amplitudes(traj), DensityMatrix.excited(2), grid
+            )
+            errors.append(np.max(np.abs(out.matrices - atom_density_from_amplitudes(traj).matrices)))
+        assert errors[0] / errors[1] >= 12.0
+
+    def test_superposition_coherence_matches_amplitudes(self, fig2_model, fig2_grid):
+        # the coherence carries the phase integral of the shift
+        c_g, c_e = 0.6, 0.8
+        traj = propagate_single(fig2_model, AmplitudeState1(c1=c_e), fig2_grid)
+        rho0 = DensityMatrix.from_pure([c_g, c_e])
+        out = evolve_atom_timelocal(rates_from_amplitudes(traj), rho0, fig2_grid)
+        reference = atom_density_from_amplitudes(traj, c_g)
+        assert np.max(np.abs(out.matrices[:, 1, 0])) > 0.05
+        assert np.max(np.abs(out.matrices - reference.matrices)) < 1e-12
 
     def test_trace_exact_by_construction(self, fig2_rates, fig2_grid):
         out = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), fig2_grid)
@@ -120,13 +145,15 @@ class TestTimeLocal:
             fig2_rates.gamma.copy(),
             fig2_rates.valid.copy(),
             fig2_rates.omega0,
+            fig2_rates.dgamma.copy(),
+            fig2_rates.ds.copy(),
         )
-        damaged.s[hole] = np.nan
-        damaged.gamma[hole] = np.nan
+        for series in (damaged.s, damaged.gamma, damaged.dgamma, damaged.ds):
+            series[hole] = np.nan
         damaged.valid[hole] = False
         out = evolve_atom_timelocal(damaged, DensityMatrix.excited(2), fig2_grid)
         reference = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), fig2_grid)
-        assert max_entry_diff(out, reference) < 1e-6
+        assert max_entry_diff(out, reference) < 1e-8
 
     def test_wide_gap_rejected(self, fig2_rates, fig2_grid):
         damaged = RateTrajectory(

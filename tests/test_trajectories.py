@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from memorymodes import (
+    AmplitudeState1,
     BandGapModel,
     DensityMatrix,
     GridMismatch,
@@ -57,6 +58,15 @@ class TestNmqj:
         ens = run_nmqj(fig2_rates, np.array([0.6, 0.8 + 0j]), 50, 7)
         norms = np.linalg.norm(ens.psi0, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-12
+
+    def test_no_jump_state_matches_amplitudes(self, fig2_model, fig2_grid):
+        # the no-jump state is the normalized (C_g, c1(t)) of the amplitude route
+        for c_g, c_e in ((0.0, 1.0), (0.6, 0.8)):
+            traj = propagate_single(fig2_model, AmplitudeState1(c1=c_e), fig2_grid)
+            ens = run_nmqj(rates_from_amplitudes(traj), np.array([c_g, c_e + 0j]), 10, 3)
+            exact = np.column_stack([np.full(fig2_grid.n_steps, c_g + 0j), traj.c1])
+            exact /= np.linalg.norm(exact, axis=1)[:, None]
+            assert np.max(np.abs(ens.psi0 - exact)) < 5e-13
 
     def test_markovian_exponential_decay(self):
         grid = TimeGrid(0.0, 5.0, 1000)
