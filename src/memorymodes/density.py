@@ -160,8 +160,10 @@ class DensitySeries:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of every Hermitized state, ``(n, d)``, computed once per series."""
-        return _spectrum(self.matrices)
+        """Read-only spectrum of every Hermitized state, ``(n, d)``, computed once."""
+        eigs = _spectrum(self.matrices)
+        eigs.setflags(write=False)
+        return eigs
 
     def invariant_defects(self) -> dict[str, float]:
         """Worst hermiticity gap, trace deviation and smallest eigenvalue."""
@@ -272,13 +274,12 @@ def double_sector_hamiltonian(
 
 
 def _rate_increments(rates: RateTrajectory) -> np.ndarray:
-    """Per-step increments of K(t), the integral of gamma + i(S - 2*omega0).
+    """Per-step increments of K(t), the integral of k = gamma + i(S - 2*omega0).
 
-    Each step is the end-corrected trapezoid
-    dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}), O(dt^4), with the exact
-    slopes of the series. Invalid runs shorter than 3 points are bridged
-    linearly (``RateGapTooWide`` otherwise); an interval with an invalid end,
-    or without finite slopes, takes the plain trapezoid.
+    Each is the end-corrected trapezoid dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}),
+    O(dt^4), with the exact slopes. Invalid runs shorter than 3 points are
+    bridged linearly (``RateGapTooWide`` otherwise); an interval with an
+    invalid end, or without finite slopes, takes the plain trapezoid.
     """
     valid = rates.valid
     rate = rates.gamma + 1j * (rates.s - 2.0 * rates.omega0)

@@ -12,7 +12,7 @@ class NonPhysical(MemoryModesError):
 
 
 class ToleranceNotMet(MemoryModesError):
-    """The time-local solve missed its tolerance, or a propagator exp(G*t) overflowed."""
+    """A propagator exp(G*t) is not finite (a growing generator overflowed)."""
 
 
 class IllConditioned(MemoryModesError):

@@ -208,6 +208,16 @@ class TestDensitySeries:
         source[0, 0, 0] = 1.0
         assert series.matrices[0, 0, 0] == 0.25
 
+    def test_spectrum_computed_once_and_read_only(self, monkeypatch):
+        series = DensitySeries(np.array([np.diag([0.25, 0.75]), np.diag([1.1, -0.1])]))
+        spectrum = series.eigenvalues
+        with pytest.raises(ValueError):
+            spectrum[0, 0] = 1.0
+        # the invariant checks reuse the kept spectrum instead of diagonalizing again
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        assert series.eigenvalues is spectrum
+        assert series.invariant_defects()["min_eigenvalue"] == spectrum.min() == -0.1
+
     def test_invariant_defects_report_worst_point(self):
         skewed = np.array([[0.5, 0.0], [0.1, 0.7]])
         negative = np.diag([1.1, -0.1])
