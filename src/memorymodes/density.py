@@ -311,10 +311,9 @@ def evolve_atom_timelocal(
 ) -> DensitySeries:
     """Emitter master equation with time-dependent coefficients, in closed form.
 
-    It decouples: rho_ee(t) = rho_ee(0) exp(-Re K) and rho_eg(t) =
-    rho_eg(0) exp(-K/2), with K summed from :func:`_rate_increments`. The
-    ground population is 1 - rho_ee, so the trace is one by construction.
-    Output is rotating-frame.
+    It decouples: rho_ee(t) = rho_ee(0) exp(-Re K) and rho_eg(t) = rho_eg(0) exp(-K/2),
+    with K summed from :func:`_rate_increments`. rho_gg = 1 - rho_ee, so the
+    trace is one by construction. Output is rotating-frame.
     """
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")

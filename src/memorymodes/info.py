@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, DensitySeries, _spectrum, partial_trace_atom, partial_trace_pseudomodes
+from .density import DensityMatrix, DensitySeries, _spectrum
+from .density import partial_trace_atom, partial_trace_pseudomodes
 from .models import TimeGrid
 
 __all__ = [
