@@ -1,6 +1,7 @@
-"""One-excitation amplitude dynamics of the single- and two-mode systems.
+"""One-excitation amplitude dynamics of an emitter and its pseudomode sector.
 
-The amplitude vectors obey small constant-coefficient linear ODE systems.
+The amplitude vector (c1, one amplitude per mode) obeys a small
+constant-coefficient linear ODE system built from a ``PseudomodeSector``.
 Propagation is exact up to rounding, by matrix exponentials on the uniform
 grid; an independent eigen-decomposition oracle provides the closed-form
 solution for cross-checking.
@@ -20,22 +21,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IllConditioned, ToleranceNotMet
-from .models import (
-    BandGapModel,
-    LorentzianModel,
-    TimeGrid,
-    TwoPseudomodeConstants,
-    derive_two_pseudomode_constants,
-)
+from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 
 __all__ = [
     "ROTATING",
     "LAB",
-    "AmplitudeState1",
-    "AmplitudeState2",
     "AmplitudeTrajectory",
-    "single_mode_generator",
-    "double_mode_generator",
+    "mode_generator",
+    "propagate_sector",
     "propagate_single",
     "propagate_double",
     "closed_form_oracle",
@@ -48,29 +41,6 @@ LAB = "lab"
 
 #: slack allowed on the unit-norm bound of initial amplitude vectors
 NORM_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class AmplitudeState1:
-    """Amplitudes (excited emitter, mode photon) in the one-excitation sector."""
-
-    c1: complex
-    b1: complex = 0j
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.c1, self.b1], dtype=complex)
-
-
-@dataclass(frozen=True)
-class AmplitudeState2:
-    """Amplitudes (excited emitter, storage mode, leaky mode)."""
-
-    c1: complex
-    a1: complex = 0j
-    a2: complex = 0j
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.c1, self.a1, self.a2], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -134,41 +104,17 @@ class AmplitudeTrajectory:
         )
 
 
-def single_mode_generator(model: LorentzianModel, frame: str = ROTATING) -> np.ndarray:
-    """Constant generator of the (c1, b1) system, d(psi)/dt = G psi."""
-    coeff = np.array(
-        [
-            [0.0, model.omega_coupling],
-            [model.omega_coupling, model.detuning - 0.5j * model.gamma],
-        ],
-        dtype=complex,
-    )
+def mode_generator(sector: PseudomodeSector, frame: str = ROTATING) -> np.ndarray:
+    """Constant generator of the (c1, modes...) system, d(psi)/dt = G psi."""
+    n = sector.n_modes + 1
+    coeff = np.zeros((n, n), dtype=complex)
+    coeff[0, 1:] = coeff[1:, 0] = sector.couplings
+    coeff[1:, 1:] = sector.intermode
+    for k, (frequency, leak) in enumerate(zip(sector.frequencies, sector.leak_rates), start=1):
+        coeff[k, k] = frequency - sector.omega0 - 0.5j * leak
     generator = -1j * coeff
     if frame == LAB:
-        generator = generator - 1j * model.omega0 * np.eye(2)
-    return generator
-
-
-def double_mode_generator(
-    model: BandGapModel,
-    constants: TwoPseudomodeConstants | None = None,
-    frame: str = ROTATING,
-) -> np.ndarray:
-    """Constant generator of the (c1, a1, a2) system, d(psi)/dt = G psi."""
-    if constants is None:
-        constants = derive_two_pseudomode_constants(model)
-    delta = model.detuning
-    coeff = np.array(
-        [
-            [0.0, 0.0, model.omega_coupling],
-            [0.0, delta - 0.5j * constants.gamma_p1, constants.v],
-            [model.omega_coupling, constants.v, delta - 0.5j * constants.gamma_p2],
-        ],
-        dtype=complex,
-    )
-    generator = -1j * coeff
-    if frame == LAB:
-        generator = generator - 1j * model.omega0 * np.eye(3)
+        generator = generator - 1j * sector.omega0 * np.eye(n)
     return generator
 
 
@@ -177,10 +123,7 @@ def _coerce_state(initial, dim: int) -> np.ndarray:
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
         return vec
-    if isinstance(initial, (AmplitudeState1, AmplitudeState2)):
-        vec = initial.as_vector()
-    else:
-        vec = np.asarray(initial, dtype=complex)
+    vec = np.asarray(initial, dtype=complex)
     if vec.shape != (dim,):
         raise ValueError(f"expected {dim} amplitudes, got shape {vec.shape}")
     norm = np.linalg.norm(vec)
@@ -210,39 +153,34 @@ def _propagate_constant(generator: np.ndarray, x0: np.ndarray, grid: TimeGrid) -
     return rows
 
 
-def propagate_single(
-    model: LorentzianModel,
+def propagate_sector(
+    sector: PseudomodeSector,
     initial=None,
     grid: TimeGrid | None = None,
 ) -> AmplitudeTrajectory:
-    """Propagate (c1, b1) on ``grid`` in the rotating frame.
+    """Propagate (c1, modes...) on ``grid`` in the rotating frame.
 
-    ``initial`` may be an :class:`AmplitudeState1`, a length-2 sequence, or
-    None for the default fully excited emitter with an empty mode.
+    ``initial`` is a sequence ordered (c1, then the modes in sector order),
+    or None for the fully excited emitter with empty modes.
     """
     if grid is None:
         raise TypeError("grid is required")
-    psi0 = _coerce_state(initial, 2)
-    generator = single_mode_generator(model)
-    states = _propagate_constant(generator, psi0, grid)
-    return AmplitudeTrajectory(grid, states, generator, ("c1", "b1"), ROTATING, model.omega0)
-
-
-def propagate_double(
-    model: BandGapModel,
-    initial=None,
-    grid: TimeGrid | None = None,
-) -> AmplitudeTrajectory:
-    """Propagate (c1, a1, a2) on ``grid`` in the rotating frame."""
-    if grid is None:
-        raise TypeError("grid is required")
-    psi0 = _coerce_state(initial, 3)
-    constants = derive_two_pseudomode_constants(model)
-    generator = double_mode_generator(model, constants)
+    psi0 = _coerce_state(initial, sector.n_modes + 1)
+    generator = mode_generator(sector)
     states = _propagate_constant(generator, psi0, grid)
     return AmplitudeTrajectory(
-        grid, states, generator, ("c1", "a1", "a2"), ROTATING, model.omega0
+        grid, states, generator, ("c1",) + sector.labels, ROTATING, sector.omega0
     )
+
+
+def propagate_single(model: LorentzianModel, initial=None, grid: TimeGrid | None = None):
+    """:func:`propagate_sector` on the (c1, b1) sector of a Lorentzian model."""
+    return propagate_sector(model.sector, initial, grid)
+
+
+def propagate_double(model: BandGapModel, initial=None, grid: TimeGrid | None = None):
+    """:func:`propagate_sector` on the (c1, a1, a2) sector of a band-gap model."""
+    return propagate_sector(model.sector, initial, grid)
 
 
 def closed_form_oracle(generator, initial, t, *, cond_limit: float = 1e6):

@@ -41,7 +41,7 @@ from .density import (
 )
 from .errors import MemoryModesError, NonPhysical, ParseError
 from .info import info_series
-from .models import BandGapModel, LorentzianModel, TimeGrid, derive_two_pseudomode_constants
+from .models import BandGapModel, LorentzianModel, TimeGrid
 from .rates import (
     intermode_memory_identity,
     memory_identity_double,
@@ -132,26 +132,26 @@ def _experiment_rates(config, artifact, extras) -> None:
 def _experiment_identity(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
+    sector = config.model.sector
+    if sector.n_modes == 2:
+        extras["gamma_p1"] = f"{sector.leak_rates[0]:.17g}"
+        extras["gamma_p2"] = f"{sector.leak_rates[1]:.17g}"
+        extras["intermode_coupling"] = f"{sector.intermode[0][1]:.17g}"
     if isinstance(config.model, LorentzianModel):
-        constants = None
-        report = memory_identity_single(traj, config.model.gamma, rates)
+        report = memory_identity_single(traj, config.model, rates)
     else:
-        constants = derive_two_pseudomode_constants(config.model)
-        extras["gamma_p1"] = f"{constants.gamma_p1:.17g}"
-        extras["gamma_p2"] = f"{constants.gamma_p2:.17g}"
-        extras["intermode_coupling"] = f"{constants.v:.17g}"
-        report = memory_identity_double(traj, constants, rates)
+        report = memory_identity_double(traj, config.model, rates)
     write_identity_csv(artifact("identity.csv"), report)
     extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
-    if constants is not None:
-        intermode = intermode_memory_identity(traj, constants)
+    if sector.n_modes == 2:
+        intermode = intermode_memory_identity(traj, sector)
         write_identity_csv(artifact("identity_intermode.csv"), intermode)
         extras["intermode_max_relative_residual"] = f"{intermode.max_relative_residual:.17g}"
 
 
 def _excited_extended_vector(config: RunConfig) -> np.ndarray:
     """Pure state on the extended sector basis: emitter excited, modes empty."""
-    initial = np.zeros(3 if isinstance(config.model, LorentzianModel) else 4, dtype=complex)
+    initial = np.zeros(config.model.sector.n_modes + 2, dtype=complex)
     initial[-1] = 1.0
     return initial
 
@@ -230,7 +230,7 @@ def _experiment_fig2(config, artifact, extras) -> None:
         raise ValueError("the fig2 preset runs on the single-peak model")
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
-    report = memory_identity_single(traj, config.model.gamma, rates)
+    report = memory_identity_single(traj, config.model, rates)
     write_rate_curves_csv(
         artifact("rates.csv"),
         config.grid.times,

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .density import DensitySeries
+from .density import BASIS_LABELS, DensitySeries
 from .info import InfoSeries
 from .rates import MemoryIdentityReport, RateTrajectory
 from .trajectories import ComparisonReport, McwfEnsemble, NmqjEnsemble
@@ -29,8 +29,6 @@ __all__ = [
     "write_info_csv",
     "write_rate_curves_csv",
 ]
-
-_MCWF_LABELS = {3: ("cg0", "cg1", "ce0"), 4: ("cg00", "cg10", "cg01", "ce00")}
 
 #: rows formatted and written per block
 _BLOCK_ROWS = 256
@@ -100,7 +98,8 @@ def write_nmqj_csv(path, ens: NmqjEnsemble) -> None:
 
 
 def write_mcwf_csv(path, ens: McwfEnsemble) -> None:
-    header, columns = _re_im(_MCWF_LABELS[ens.psi0.shape[1]], ens.psi0.T)
+    labels = ["c" + label for label in BASIS_LABELS[ens.psi0.shape[1]]]
+    header, columns = _re_im(labels, ens.psi0.T)
     _write_columns(path, "t,n0,n1," + header, [ens.grid.times, ens.n0, ens.n1, *columns])
 
 

@@ -11,8 +11,10 @@ A single state is a ``DensityMatrix``; a state per grid point is one
 whole series. Partial traces, populations and invariant checks act on the
 last two axes, so one implementation serves a single state and a series.
 
-Fixed basis orderings (vacuum first, excited emitter last):
-dim 2 -> (|g>, |e>); dim 3 -> (|g,0>, |g,1>, |e,0>);
+The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
+one excitation in each mode in sector order, then the excited emitter, so
+dim = n + 2 and dim 2 is the emitter alone. Labels for the supported
+dimensions: dim 2 -> (|g>, |e>); dim 3 -> (|g,0>, |g,1>, |e,0>);
 dim 4 -> (|g,0,0>, |g,1,0>, |g,0,1>, |e,0,0>).
 """
 
@@ -25,13 +27,7 @@ import numpy as np
 
 from .amplitudes import LAB, ROTATING, AmplitudeTrajectory, _propagate_constant
 from .errors import GridMismatch, RateGapTooWide, SectorLeak
-from .models import (
-    BandGapModel,
-    LorentzianModel,
-    TimeGrid,
-    TwoPseudomodeConstants,
-    derive_two_pseudomode_constants,
-)
+from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
@@ -41,9 +37,9 @@ __all__ = [
     "HamiltonianSpec",
     "mode_lowering",
     "emitter_lowering",
-    "single_sector_hamiltonian",
-    "double_sector_hamiltonian",
+    "sector_hamiltonian",
     "evolve_atom_timelocal",
+    "evolve_lindblad_sector",
     "evolve_lindblad_single",
     "evolve_lindblad_double",
     "partial_trace_pseudomodes",
@@ -219,19 +215,11 @@ class HamiltonianSpec:
 
 
 def mode_lowering(dim: int, which: int = 1) -> np.ndarray:
-    """Annihilation operator of mode ``which`` restricted to the sector basis."""
-    if dim == 3:
-        if which != 1:
-            raise ValueError("the 3-dimensional sector holds a single mode")
-        column = 1
-    elif dim == 4:
-        if which not in (1, 2):
-            raise ValueError(f"mode index must be 1 or 2, got {which}")
-        column = which
-    else:
-        raise ValueError(f"no mode in dimension {dim}")
+    """Annihilation operator of mode ``which`` (counted from 1) on the sector basis."""
+    if not 1 <= which <= dim - 2:
+        raise ValueError(f"no mode {which} in dimension {dim}")
     op = np.zeros((dim, dim))
-    op[0, column] = 1.0
+    op[0, which] = 1.0
     return op
 
 
@@ -242,34 +230,16 @@ def emitter_lowering(dim: int) -> np.ndarray:
     return op
 
 
-def single_sector_hamiltonian(model: LorentzianModel, frame: str = ROTATING) -> HamiltonianSpec:
-    """Emitter+mode Hamiltonian on the (g0, g1, e0) basis."""
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 2] = h[2, 1] = model.omega_coupling
+def sector_hamiltonian(sector: PseudomodeSector, frame: str = ROTATING) -> HamiltonianSpec:
+    """Emitter+modes Hamiltonian on the sector basis (vacuum, modes, excited)."""
+    dim = sector.n_modes + 2
+    h = np.zeros((dim, dim), dtype=complex)
+    h[1:-1, 1:-1] = sector.intermode
+    h[1:-1, -1] = h[-1, 1:-1] = sector.couplings
+    for k, frequency in enumerate(sector.frequencies, start=1):
+        h[k, k] = frequency if frame == LAB else frequency - sector.omega0
     if frame == LAB:
-        h[1, 1] = model.omega_c
-        h[2, 2] = model.omega0
-    else:
-        h[1, 1] = model.detuning
-    return HamiltonianSpec(h)
-
-
-def double_sector_hamiltonian(
-    model: BandGapModel,
-    constants: TwoPseudomodeConstants | None = None,
-    frame: str = ROTATING,
-) -> HamiltonianSpec:
-    """Emitter+two-mode Hamiltonian on the (g00, g10, g01, e00) basis."""
-    if constants is None:
-        constants = derive_two_pseudomode_constants(model)
-    h = np.zeros((4, 4), dtype=complex)
-    h[2, 3] = h[3, 2] = model.omega_coupling
-    h[1, 2] = h[2, 1] = constants.v
-    if frame == LAB:
-        h[1, 1] = h[2, 2] = model.omega_c
-        h[3, 3] = model.omega0
-    else:
-        h[1, 1] = h[2, 2] = model.detuning
+        h[-1, -1] = sector.omega0
     return HamiltonianSpec(h)
 
 
@@ -330,25 +300,31 @@ def evolve_atom_timelocal(
     return DensitySeries(out)
 
 
-def _evolve_lindblad(
-    hamiltonian: np.ndarray,
-    channels: list[tuple[float, np.ndarray]],
+def evolve_lindblad_sector(
+    sector: PseudomodeSector,
     rho0: DensityMatrix,
     grid: TimeGrid,
 ) -> DensitySeries:
-    """Step the constant Liouvillian exactly in the real coordinates of rho.
+    """Evolve the emitter+modes state with one leakage channel per mode, rotating frame.
 
-    They are the diagonal, then Re and Im of the upper triangle, so every state
-    is exactly Hermitian. ``basis`` has orthogonal columns: its scaled adjoint
-    is an exact left inverse.
+    The constant Liouvillian is stepped exactly in the real coordinates of rho:
+    the diagonal, then Re and Im of the upper triangle, so every state is
+    exactly Hermitian. ``basis`` has orthogonal columns: its scaled adjoint is
+    an exact left inverse. A mode with a zero leak rate keeps its channel.
     """
+    dim = sector.n_modes + 2
+    if rho0.dim != dim:
+        raise SectorLeak(
+            f"a {sector.n_modes}-mode sector acts on dimension {dim}, got dim {rho0.dim}"
+        )
     if np.max(np.abs(rho0.matrix - rho0.matrix.conj().T)) > 1e-12:
         raise ValueError("initial state must be Hermitian")
-    dim = hamiltonian.shape[0]
+    hamiltonian = sector_hamiltonian(sector).matrix
     eye = np.eye(dim)
     # row-major vec(A rho B) = kron(A, B.T) vec(rho); the jump operators are real
     liouvillian = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
-    for rate, op in channels:
+    for which, rate in enumerate(sector.leak_rates, start=1):
+        op = mode_lowering(dim, which)
         num = op.T @ op
         liouvillian += rate * (np.kron(op, op) - 0.5 * (np.kron(num, eye) + np.kron(eye, num)))
     rows, cols = np.triu_indices(dim, 1)
@@ -362,36 +338,17 @@ def _evolve_lindblad(
 
 
 def evolve_lindblad_single(
-    model: LorentzianModel,
-    rho0: DensityMatrix,
-    grid: TimeGrid,
+    model: LorentzianModel, rho0: DensityMatrix, grid: TimeGrid
 ) -> DensitySeries:
-    """Evolve the emitter+mode state with mode leakage, rotating frame."""
-    if rho0.dim != 3:
-        raise SectorLeak(
-            f"single-mode evolution acts on the 3-dimensional sector, got dim {rho0.dim}"
-        )
-    h = single_sector_hamiltonian(model).matrix
-    return _evolve_lindblad(h, [(model.gamma, mode_lowering(3))], rho0, grid)
+    """:func:`evolve_lindblad_sector` on the single-mode sector of a Lorentzian model."""
+    return evolve_lindblad_sector(model.sector, rho0, grid)
 
 
 def evolve_lindblad_double(
-    model: BandGapModel,
-    rho0: DensityMatrix,
-    grid: TimeGrid,
+    model: BandGapModel, rho0: DensityMatrix, grid: TimeGrid
 ) -> DensitySeries:
-    """Evolve the emitter+two-mode state with both leakage channels."""
-    if rho0.dim != 4:
-        raise SectorLeak(
-            f"two-mode evolution acts on the 4-dimensional sector, got dim {rho0.dim}"
-        )
-    constants = derive_two_pseudomode_constants(model)
-    h = double_sector_hamiltonian(model, constants).matrix
-    channels = [
-        (constants.gamma_p1, mode_lowering(4, 1)),
-        (constants.gamma_p2, mode_lowering(4, 2)),
-    ]
-    return _evolve_lindblad(h, channels, rho0, grid)
+    """:func:`evolve_lindblad_sector` on the two-mode sector of a band-gap model."""
+    return evolve_lindblad_sector(model.sector, rho0, grid)
 
 
 def partial_trace_pseudomodes(

@@ -1,4 +1,4 @@
-"""Reservoir models, spectral densities, and derived mode constants.
+"""Reservoir models, spectral densities, and their pseudomode sectors.
 
 All frequencies and rates are plain floats in one consistent unit system.
 The bundled presets use the weak-coupling decay rate of the emitter
@@ -19,10 +19,9 @@ __all__ = [
     "TimeGrid",
     "LorentzianModel",
     "BandGapModel",
-    "TwoPseudomodeConstants",
+    "PseudomodeSector",
     "lorentzian_density",
     "bandgap_density",
-    "derive_two_pseudomode_constants",
 ]
 
 
@@ -49,6 +48,43 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_steps)
+
+
+@dataclass(frozen=True)
+class PseudomodeSector:
+    """An emitter coupled to n damped modes, in the one-excitation sector.
+
+    Mode k has the lab-frame frequency ``frequencies[k]``, couples to the
+    emitter with ``couplings[k]`` and to mode j with ``intermode[k][j]``
+    (symmetric, zero diagonal), and leaks at ``leak_rates[k]``. ``labels``
+    name the mode amplitudes. Every layer builds its generator, Hamiltonian
+    and leakage channels from this one description. The sector basis is the
+    joint vacuum, one excitation in each mode in order, then the excited
+    emitter.
+    """
+
+    omega0: float
+    frequencies: tuple[float, ...]
+    couplings: tuple[float, ...]
+    intermode: tuple[tuple[float, ...], ...]
+    leak_rates: tuple[float, ...]
+    labels: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.labels)
+        intermode = np.asarray(self.intermode, dtype=float)
+        sizes = {len(self.frequencies), len(self.couplings), len(self.leak_rates)}
+        if n < 1 or sizes != {n} or intermode.shape != (n, n):
+            raise ValueError(
+                f"{n} mode labels need as many frequencies, couplings and leak rates "
+                "and an n x n intermode matrix"
+            )
+        if not np.array_equal(intermode, intermode.T) or np.any(np.diag(intermode) != 0.0):
+            raise ValueError("intermode couplings must be symmetric with a zero diagonal")
+
+    @property
+    def n_modes(self) -> int:
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -100,7 +136,19 @@ class LorentzianModel:
     @property
     def gamma_markov(self) -> float:
         """Weak-coupling (golden-rule) emitter decay rate 4*coupling**2/width."""
+        if self.gamma == 0:
+            raise NonPhysical(
+                "the weak-coupling decay rate 4*coupling**2/gamma diverges in the "
+                "lossless limit gamma = 0"
+            )
         return 4.0 * self.omega_coupling**2 / self.gamma
+
+    @property
+    def sector(self) -> PseudomodeSector:
+        """One mode at the peak center, leaking at the peak width."""
+        return PseudomodeSector(
+            self.omega0, (self.omega_c,), (self.omega_coupling,), ((0.0,),), (self.gamma,), ("b1",)
+        )
 
 
 @dataclass(frozen=True)
@@ -185,21 +233,38 @@ class BandGapModel:
         """True when the density vanishes exactly at the center frequency."""
         return self.w1 * self.gamma2 == self.w2 * self.gamma1
 
+    @property
+    def sector(self) -> PseudomodeSector:
+        """The storage mode a1 and the leaky mode a2, coupled to each other.
 
-@dataclass(frozen=True)
-class TwoPseudomodeConstants:
-    """Decay rates, intermode coupling, and poles of the two-mode reduction.
+        a1 decays at w1*gamma2 - w2*gamma1 and a2 at w1*gamma1 - w2*gamma2;
+        they couple with strength sqrt(w1*w2)*(gamma1-gamma2)/2, and only a2
+        couples to the emitter. A perfect gap makes the first rate exactly
+        zero, turning the storage mode lossless.
 
-    ``gamma_p1``/``gamma_p2`` are the decay rates of the storage and leaky
-    modes, ``v`` couples them, and ``pole1``/``pole2`` sit at
-    omega_c - i*rate/2 in the lower half plane.
-    """
-
-    gamma_p1: float
-    gamma_p2: float
-    v: float
-    pole1: complex
-    pole2: complex
+        Raises ``NonPhysical`` when either rate falls outside the valid
+        domain, unless the model was built with ``allow_nonphysical=True``.
+        """
+        gamma_p1 = self.w1 * self.gamma2 - self.w2 * self.gamma1
+        gamma_p2 = self.w1 * self.gamma1 - self.w2 * self.gamma2
+        if not self.allow_nonphysical:
+            if gamma_p1 < 0:
+                raise NonPhysical(
+                    f"w1*gamma2 - w2*gamma1 = {gamma_p1} < 0: no valid dissipative form"
+                )
+            if gamma_p2 <= 0:
+                raise NonPhysical(
+                    f"w1*gamma1 - w2*gamma2 = {gamma_p2} <= 0: no valid dissipative form"
+                )
+        v = float(np.sqrt(self.w1 * self.w2) * (self.gamma1 - self.gamma2) / 2.0)
+        return PseudomodeSector(
+            self.omega0,
+            (self.omega_c, self.omega_c),
+            (0.0, self.omega_coupling),
+            ((0.0, v), (v, 0.0)),
+            (gamma_p1, gamma_p2),
+            ("a1", "a2"),
+        )
 
 
 def lorentzian_density(weight: float, width: float, center: float, omega):
@@ -219,36 +284,4 @@ def bandgap_density(model: BandGapModel, omega):
     """Spectral density of the band-gap model: broad peak minus narrow dip."""
     return lorentzian_density(model.w1, model.gamma1, model.omega_c, omega) - lorentzian_density(
         model.w2, model.gamma2, model.omega_c, omega
-    )
-
-
-def derive_two_pseudomode_constants(model: BandGapModel) -> TwoPseudomodeConstants:
-    """Map band-gap spectral parameters onto the pair of coupled damped modes.
-
-    The storage mode decays at w1*gamma2 - w2*gamma1 and the leaky mode at
-    w1*gamma1 - w2*gamma2; the two are coupled with strength
-    sqrt(w1*w2)*(gamma1-gamma2)/2. A perfect gap makes the first rate
-    exactly zero, turning the storage mode lossless.
-
-    Raises ``NonPhysical`` when either rate falls outside the valid domain,
-    unless the model was built with ``allow_nonphysical=True``.
-    """
-    gamma_p1 = model.w1 * model.gamma2 - model.w2 * model.gamma1
-    gamma_p2 = model.w1 * model.gamma1 - model.w2 * model.gamma2
-    if not model.allow_nonphysical:
-        if gamma_p1 < 0:
-            raise NonPhysical(
-                f"w1*gamma2 - w2*gamma1 = {gamma_p1} < 0: no valid dissipative form"
-            )
-        if gamma_p2 <= 0:
-            raise NonPhysical(
-                f"w1*gamma1 - w2*gamma2 = {gamma_p2} <= 0: no valid dissipative form"
-            )
-    v = float(np.sqrt(model.w1 * model.w2) * (model.gamma1 - model.gamma2) / 2.0)
-    return TwoPseudomodeConstants(
-        gamma_p1=gamma_p1,
-        gamma_p2=gamma_p2,
-        v=v,
-        pole1=complex(model.omega_c, -0.5 * gamma_p1),
-        pole2=complex(model.omega_c, -0.5 * gamma_p2),
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .amplitudes import ROTATING, AmplitudeTrajectory
 from .errors import AllPointsInvalid
-from .models import TimeGrid, TwoPseudomodeConstants
+from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 
 __all__ = [
     "VALIDITY_CUTOFF",
@@ -26,6 +26,7 @@ __all__ = [
     "MemoryIdentityReport",
     "rates_from_amplitudes",
     "rates_pseudomode_form",
+    "memory_identity_sector",
     "memory_identity_single",
     "memory_identity_double",
     "intermode_memory_identity",
@@ -140,54 +141,60 @@ def _build_report(grid: TimeGrid, lhs, rhs, valid) -> MemoryIdentityReport:
     return MemoryIdentityReport(grid, lhs, rhs, residual, valid, max_rel)
 
 
-def memory_identity_single(
-    traj: AmplitudeTrajectory, gamma: float, rates: RateTrajectory
+def memory_identity_sector(
+    traj: AmplitudeTrajectory, sector: PseudomodeSector, rates: RateTrajectory
 ) -> MemoryIdentityReport:
-    """Compensated mode drain versus decay rate times excited population.
+    """Total compensated mode drain versus decay rate times excited population.
 
-    lhs: d|b1|^2/dt + gamma*|b1|^2 with the derivative taken from the ODE
-    right-hand side. rhs: rate(t)*|c1(t)|^2. The two are equal for the exact
-    dynamics; the report records the numerical defect. Points with invalid
-    rates are excluded from the residual maximum.
+    lhs: sum_k (d|b_k|^2/dt + rate_k*|b_k|^2) over the modes of ``sector``,
+    with the derivatives taken from the ODE right-hand side. rhs:
+    rate(t)*|c1(t)|^2. The two are equal for the exact dynamics; the report
+    records the numerical defect. Points with invalid rates are excluded from
+    the residual maximum.
     """
-    index = traj.labels.index("b1")
-    b1 = traj.states[:, index]
-    db1 = traj.derivatives()[:, index]
-    lhs = 2.0 * (db1 * np.conj(b1)).real + gamma * np.abs(b1) ** 2
-    rhs = rates.gamma * np.abs(traj.c1) ** 2
-    return _build_report(traj.grid, lhs, rhs, rates.valid)
-
-
-def memory_identity_double(
-    traj: AmplitudeTrajectory,
-    constants: TwoPseudomodeConstants,
-    rates: RateTrajectory,
-) -> MemoryIdentityReport:
-    """Two-mode generalization: total compensated drain of both modes."""
+    if traj.labels[1:] != sector.labels:
+        raise ValueError(f"trajectory modes {traj.labels[1:]} are not the sector's {sector.labels}")
     derivs = traj.derivatives()
     lhs = np.zeros(traj.grid.n_steps)
-    for label, rate in (("a1", constants.gamma_p1), ("a2", constants.gamma_p2)):
-        index = traj.labels.index(label)
+    for index, rate in enumerate(sector.leak_rates, start=1):
         amp = traj.states[:, index]
         lhs = lhs + 2.0 * (derivs[:, index] * np.conj(amp)).real + rate * np.abs(amp) ** 2
     rhs = rates.gamma * np.abs(traj.c1) ** 2
     return _build_report(traj.grid, lhs, rhs, rates.valid)
 
 
-def intermode_memory_identity(
-    traj: AmplitudeTrajectory, constants: TwoPseudomodeConstants
+def memory_identity_single(
+    traj: AmplitudeTrajectory, model: LorentzianModel, rates: RateTrajectory
 ) -> MemoryIdentityReport:
-    """Balance between the storage mode drain and the intermode exchange.
+    """:func:`memory_identity_sector` on the single-mode sector of a Lorentzian model."""
+    return memory_identity_sector(traj, model.sector, rates)
 
-    lhs: d|a1|^2/dt + gamma_p1*|a1|^2. rhs: 2*v*Im{a2 conj(a1)}, the factored
-    form that stays well defined at zeros of a2. Defined at every grid point.
+
+def memory_identity_double(
+    traj: AmplitudeTrajectory, model: BandGapModel, rates: RateTrajectory
+) -> MemoryIdentityReport:
+    """:func:`memory_identity_sector` on the two-mode sector of a band-gap model."""
+    return memory_identity_sector(traj, model.sector, rates)
+
+
+def intermode_memory_identity(
+    traj: AmplitudeTrajectory, sector: PseudomodeSector
+) -> MemoryIdentityReport:
+    """Balance between the first mode's drain and its exchange with the second.
+
+    For a two-mode sector whose first mode couples only to the second (the
+    band-gap pair): lhs d|a1|^2/dt + rate_1*|a1|^2, rhs 2*v*Im{a2 conj(a1)},
+    the factored form that stays well defined at zeros of a2. Defined at
+    every grid point.
     """
-    i1 = traj.labels.index("a1")
-    i2 = traj.labels.index("a2")
-    a1 = traj.states[:, i1]
-    a2 = traj.states[:, i2]
-    da1 = traj.derivatives()[:, i1]
-    lhs = 2.0 * (da1 * np.conj(a1)).real + constants.gamma_p1 * np.abs(a1) ** 2
-    rhs = 2.0 * constants.v * (a2 * np.conj(a1)).imag
+    if sector.n_modes != 2 or sector.couplings[0] != 0.0:
+        raise ValueError(
+            "the intermode identity needs two modes, the first uncoupled from the emitter"
+        )
+    a1 = traj.states[:, 1]
+    a2 = traj.states[:, 2]
+    da1 = traj.derivatives()[:, 1]
+    lhs = 2.0 * (da1 * np.conj(a1)).real + sector.leak_rates[0] * np.abs(a1) ** 2
+    rhs = 2.0 * sector.intermode[0][1] * (a2 * np.conj(a1)).imag
     valid = np.ones(traj.grid.n_steps, dtype=bool)
     return _build_report(traj.grid, lhs, rhs, valid)

@@ -22,15 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .amplitudes import (
-    AmplitudeState1,
-    AmplitudeState2,
-    propagate_double,
-    propagate_single,
-)
+from .amplitudes import propagate_sector
 from .density import DensitySeries, _rate_increments
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
-from .models import BandGapModel, LorentzianModel, TimeGrid, derive_two_pseudomode_constants
+from .models import BandGapModel, LorentzianModel, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
@@ -110,8 +105,6 @@ class ComparisonReport:
 
 
 def _coerce_unit_vector(initial, dim: int) -> np.ndarray:
-    if isinstance(initial, (AmplitudeState1, AmplitudeState2)):
-        raise TypeError("pass the state on the sector basis (vacuum, modes, excited)")
     vec = np.asarray(initial, dtype=complex)
     if vec.shape != (dim,):
         raise ValueError(f"expected a {dim}-component pure state, got shape {vec.shape}")
@@ -221,7 +214,7 @@ def run_mcwf_pseudomode(
     *,
     max_jump_probability: float = MAX_JUMP_PROBABILITY,
 ) -> McwfEnsemble:
-    """Monte Carlo wave-function sampling on the emitter+mode sector.
+    """Monte Carlo wave-function sampling on the emitter+mode sector ``model.sector``.
 
     The deterministic no-jump state comes from the amplitude propagator (the
     vacuum component is left invariant by the non-Hermitian drift). Each
@@ -232,23 +225,14 @@ def run_mcwf_pseudomode(
     """
     if n_members < 1:
         raise ValueError(f"need at least one member, got {n_members}")
-    single = isinstance(model, LorentzianModel)
-    dim = 3 if single else 4
+    sector = model.sector
+    dim = sector.n_modes + 2
     psi_init = _coerce_unit_vector(initial, dim)
     rng = _engine_generator(seed, MCWF_STREAM)
 
-    vacuum = psi_init[0]
-    if single:
-        traj = propagate_single(model, AmplitudeState1(c1=psi_init[2], b1=psi_init[1]), grid)
-        channel_rates = np.array([model.gamma])
-        mode_slice = slice(1, 2)
-    else:
-        traj = propagate_double(
-            model, AmplitudeState2(c1=psi_init[3], a1=psi_init[1], a2=psi_init[2]), grid
-        )
-        constants = derive_two_pseudomode_constants(model)
-        channel_rates = np.array([constants.gamma_p1, constants.gamma_p2])
-        mode_slice = slice(1, 3)
+    # the amplitude vector is (excited, modes) on the sector basis (vacuum, modes, excited)
+    traj = propagate_sector(sector, np.concatenate([psi_init[-1:], psi_init[1:-1]]), grid)
+    channel_rates = np.array(sector.leak_rates)
     if np.any(channel_rates < 0.0):
         raise NonPhysical(
             f"the MCWF unraveling needs non-negative mode leakage rates, got {channel_rates}"
@@ -256,12 +240,12 @@ def run_mcwf_pseudomode(
 
     n_points = grid.n_steps
     phi = np.empty((n_points, dim), dtype=complex)
-    phi[:, 0] = vacuum
-    phi[:, mode_slice] = traj.states[:, 1:]
-    phi[:, dim - 1] = traj.c1
+    phi[:, 0] = psi_init[0]
+    phi[:, 1:-1] = traj.states[:, 1:]
+    phi[:, -1] = traj.c1
     norms = np.linalg.norm(phi, axis=1)
     psi0 = phi / norms[:, None]
-    mode_pops = np.abs(psi0[:, mode_slice]) ** 2
+    mode_pops = np.abs(psi0[:, 1:-1]) ** 2
 
     dt = grid.dt
     p_channel = mode_pops * channel_rates * dt

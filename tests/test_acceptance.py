@@ -17,14 +17,13 @@ from memorymodes import (
     TimeGrid,
     atom_density_from_amplitudes,
     compare_unravelings,
-    derive_two_pseudomode_constants,
-    double_mode_generator,
     evolve_atom_timelocal,
     evolve_lindblad_double,
     evolve_lindblad_single,
     intermode_memory_identity,
     memory_identity_double,
     memory_identity_single,
+    mode_generator,
     partial_trace_pseudomodes,
     propagate_double,
     propagate_single,
@@ -96,7 +95,7 @@ def test_criterion_2_memory_identity():
     grid = TimeGrid(0.0, 10.0, 4000)
     traj = propagate_single(model, None, grid)
     rates = rates_from_amplitudes(traj)
-    identity = memory_identity_single(traj, model.gamma, rates)
+    identity = memory_identity_single(traj, model, rates)
     guard = np.abs(identity.rhs) > 1e-9 * model.gamma_markov
     keep = guard & identity.valid
     signs_match = bool(
@@ -156,14 +155,14 @@ def test_criterion_4_generalized_identities():
     for index in range(100):
         perfect = index % 10 == 0  # 10 perfect-gap sets
         model = random_perfect_gap(rng) if perfect else random_bandgap(rng)
-        constants = derive_two_pseudomode_constants(model)
+        sector = model.sector
         if perfect:
             n_perfect += 1
-            perfect_rates_zero &= constants.gamma_p1 == 0.0
+            perfect_rates_zero &= sector.leak_rates[0] == 0.0
         traj = propagate_double(model, None, grid)
         rates = rates_from_amplitudes(traj)
-        total = memory_identity_double(traj, constants, rates)
-        intermode = intermode_memory_identity(traj, constants)
+        total = memory_identity_double(traj, model, rates)
+        intermode = intermode_memory_identity(traj, sector)
         worst_total = max(worst_total, total.max_relative_residual)
         worst_intermode = max(worst_intermode, intermode.max_relative_residual)
     elapsed = time.perf_counter() - started
@@ -292,15 +291,14 @@ def test_criterion_7_markovian_limit():
 def test_criterion_8_perfect_gap_trapping():
     started = time.perf_counter()
     model = BandGapModel(**PERFECT_GAP_PARAMS)
-    constants = derive_two_pseudomode_constants(model)
-    rate_exactly_zero = constants.gamma_p1 == 0.0
+    rate_exactly_zero = model.sector.leak_rates[0] == 0.0
 
     grid = TimeGrid(0.0, 50.0, 4000)
     traj = propagate_double(model, None, grid)
     plateau = float(np.abs(traj.c1[-1]) ** 2)
 
     # independent eigen-oracle: project the initial state on the undamped mode
-    generator = double_mode_generator(model, constants)
+    generator = mode_generator(model.sector)
     evals, evecs = np.linalg.eig(generator)
     slowest = int(np.argmax(evals.real))
     coeffs = np.linalg.solve(evecs, np.array([1.0, 0.0, 0.0], dtype=complex))

@@ -4,21 +4,17 @@ import numpy as np
 import pytest
 
 from memorymodes import (
-    AmplitudeState1,
-    AmplitudeState2,
     BandGapModel,
     IllConditioned,
     LorentzianModel,
     TimeGrid,
     ToleranceNotMet,
     closed_form_oracle,
-    derive_two_pseudomode_constants,
-    double_mode_generator,
     expm_oracle,
+    mode_generator,
     norm_balance_residuals,
     propagate_double,
     propagate_single,
-    single_mode_generator,
 )
 from memorymodes.amplitudes import LAB, ROTATING, AmplitudeTrajectory, _propagate_constant
 from conftest import random_bandgap, random_lorentzian
@@ -78,7 +74,7 @@ class TestPropagateDouble:
         with pytest.warns():  # coupling 0 is deliberately inconsistent with the weights
             model = BandGapModel(0.0, 0.0, 1.0, 0.5, 2.0, 1.0, omega_coupling=0.0)
         grid = TimeGrid(0.0, 4.0, 200)
-        traj = propagate_double(model, AmplitudeState2(0.5, 0.5, 0.5), grid)
+        traj = propagate_double(model, [0.5, 0.5, 0.5], grid)
         assert np.allclose(traj.c1, 0.5, atol=1e-12)
         total_modes = np.abs(traj.component("a1")) ** 2 + np.abs(traj.component("a2")) ** 2
         assert np.all(np.diff(total_modes) <= 1e-12)
@@ -87,30 +83,27 @@ class TestPropagateDouble:
         # w2 = 0 switches the intermode coupling off; (c1, a2) then matches
         # the single-mode system with the leaky-mode width.
         model = BandGapModel(0.3, 0.8, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        constants = derive_two_pseudomode_constants(model)
-        assert constants.v == 0.0
+        assert model.sector.intermode[0][1] == 0.0
         grid = TimeGrid(0.0, 6.0, 400)
-        double = propagate_double(model, AmplitudeState2(1.0, 0.0, 0.0), grid)
-        single_model = LorentzianModel(0.3, 0.8, constants.gamma_p2, 0.9**0.5)
+        double = propagate_double(model, [1.0, 0.0, 0.0], grid)
+        single_model = LorentzianModel(0.3, 0.8, model.sector.leak_rates[1], 0.9**0.5)
         single = propagate_single(single_model, None, grid)
         assert np.max(np.abs(double.c1 - single.c1)) < 1e-9
         assert np.max(np.abs(double.component("a2") - single.component("b1"))) < 1e-9
 
     def test_v_zero_storage_mode_decays_independently(self):
         model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        constants = derive_two_pseudomode_constants(model)
         grid = TimeGrid(0.0, 6.0, 300)
-        traj = propagate_double(model, AmplitudeState2(0.8, 0.6, 0.0), grid)
-        expected = 0.6 * np.exp(-0.5 * constants.gamma_p1 * grid.times)
+        traj = propagate_double(model, [0.8, 0.6, 0.0], grid)
+        expected = 0.6 * np.exp(-0.5 * model.sector.leak_rates[0] * grid.times)
         assert np.max(np.abs(np.abs(traj.component("a1")) - expected)) < 1e-9
 
     def test_perfect_gap_population_trapping(self, perfect_gap_model):
-        constants = derive_two_pseudomode_constants(perfect_gap_model)
         grid = TimeGrid(0.0, 50.0, 2000)
         traj = propagate_double(perfect_gap_model, None, grid)
         # independent oracle: amplitude of the undamped eigenvector of the
         # generator, projected onto the initial state via left eigenvectors
-        generator = double_mode_generator(perfect_gap_model, constants)
+        generator = mode_generator(perfect_gap_model.sector)
         evals, evecs = np.linalg.eig(generator)
         slowest = int(np.argmax(evals.real))
         coeffs = np.linalg.solve(evecs, np.array([1.0, 0.0, 0.0], dtype=complex))
@@ -130,12 +123,12 @@ class TestOracle:
         model = LorentzianModel(0.0, 0.0, 0.0, 0.7)
         grid = TimeGrid(0.0, 8.0, 200)
         traj = propagate_single(model, None, grid)
-        oracle = closed_form_oracle(single_mode_generator(model), [1.0, 0.0], grid.times)
+        oracle = closed_form_oracle(mode_generator(model.sector), [1.0, 0.0], grid.times)
         assert np.max(np.abs(oracle - traj.states)) < 1e-14
 
     def test_reference_preset_cross_check(self, fig2_model, fig2_traj, fig2_grid):
         oracle = closed_form_oracle(
-            single_mode_generator(fig2_model), [1.0, 0.0], fig2_grid.times
+            mode_generator(fig2_model.sector), [1.0, 0.0], fig2_grid.times
         )
         assert np.max(np.abs(oracle - fig2_traj.states)) < 1e-14
 
@@ -146,12 +139,12 @@ class TestOracle:
             if k % 2 == 0:
                 model = random_lorentzian(rng)
                 traj = propagate_single(model, None, grid)
-                generator = single_mode_generator(model)
+                generator = mode_generator(model.sector)
                 initial = [1.0, 0.0]
             else:
                 model = random_bandgap(rng)
                 traj = propagate_double(model, None, grid)
-                generator = double_mode_generator(model)
+                generator = mode_generator(model.sector)
                 initial = [1.0, 0.0, 0.0]
             oracle = closed_form_oracle(generator, initial, grid.times)
             assert np.max(np.abs(oracle - traj.states)) < 2e-14
@@ -172,7 +165,7 @@ class TestOracle:
         model = LorentzianModel(0.0, 0.0, 4.0, 1.0)
         grid = TimeGrid(0.0, 3.0, 150)
         traj = propagate_single(model, None, grid)
-        generator = single_mode_generator(model)
+        generator = mode_generator(model.sector)
         with pytest.raises(IllConditioned):
             closed_form_oracle(generator, [1.0, 0.0], grid.times)
         states = expm_oracle(generator, [1.0, 0.0], grid.times)
@@ -185,10 +178,7 @@ class TestNormBalance:
         assert residuals.max() < 1e-6 * fig2_model.gamma_markov
 
     def test_double(self, bandgap_traj, bandgap_model):
-        constants = derive_two_pseudomode_constants(bandgap_model)
-        residuals = norm_balance_residuals(
-            bandgap_traj, [0.0, constants.gamma_p1, constants.gamma_p2]
-        )
+        residuals = norm_balance_residuals(bandgap_traj, [0.0, *bandgap_model.sector.leak_rates])
         assert residuals.max() < 1e-6
 
     def test_monotone_norm_on_random_draws(self):
@@ -212,7 +202,7 @@ class TestFrames:
         grid = TimeGrid(0.0, 4.0, 160)
         rotating = propagate_single(model, None, grid)
         lab_states = closed_form_oracle(
-            single_mode_generator(model, frame=LAB), [1.0, 0.0], grid.times
+            mode_generator(model.sector, frame=LAB), [1.0, 0.0], grid.times
         )
         assert np.max(np.abs(np.abs(lab_states) - np.abs(rotating.states))) < 1e-14
         cross_lab = lab_states[:, 0] * np.conj(lab_states[:, 1])
@@ -230,8 +220,11 @@ class TestFrames:
                 0.0,
             )
 
-    def test_state_containers(self):
-        one = AmplitudeState1(c1=0.6, b1=0.8j)
-        assert np.array_equal(one.as_vector(), np.array([0.6, 0.8j]))
-        two = AmplitudeState2(c1=1.0)
-        assert np.array_equal(two.as_vector(), np.array([1.0, 0.0, 0.0]))
+    def test_state_containers(self, fig2_model, bandgap_model, fig2_grid):
+        # plain sequences ordered (c1, modes in sector order); None is the excited emitter
+        one = propagate_single(fig2_model, [0.6, 0.8j], fig2_grid)
+        assert np.array_equal(one.states[0], np.array([0.6, 0.8j]))
+        assert one.labels == ("c1", "b1")
+        two = propagate_double(bandgap_model, None, fig2_grid)
+        assert np.array_equal(two.states[0], np.array([1.0, 0.0, 0.0]))
+        assert two.labels == ("c1", "a1", "a2")

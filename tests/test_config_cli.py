@@ -143,6 +143,18 @@ class TestRun:
         assert float(manifest.entries["max_relative_residual"]) < 1e-6
         assert (tmp_path / "out" / "identity_intermode.csv").exists()
 
+    def test_identity_intermode_follows_the_mode_count(self, tmp_path):
+        # w2 = 0 switches the intermode coupling off, but the pair keeps two modes
+        pair = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        grid = fig2_config("identity", tmp_path).grid
+        manifest = run(RunConfig("identity", pair, grid, tmp_path / "pair"))
+        assert manifest.entries["intermode_coupling"] == "0"
+        assert float(manifest.entries["gamma_p1"]) == 0.9 * 0.5
+        assert (tmp_path / "pair" / "identity_intermode.csv").exists()
+        single = run(fig2_config("identity", tmp_path / "single"))
+        assert "gamma_p1" not in single.entries
+        assert not (tmp_path / "single" / "identity_intermode.csv").exists()
+
     def test_compare_run_is_byte_reproducible(self, tmp_path):
         parsed = validate_config_text(
             FIG2_CONFIG_TEXT.replace("n_steps = 4000", "n_steps = 800").replace(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memorymodes import (
-    AmplitudeState1,
+    LAB,
     DensityMatrix,
     DensitySeries,
     GridMismatch,
@@ -23,7 +23,7 @@ from memorymodes import (
     propagate_single,
     rates_from_amplitudes,
 )
-from memorymodes.density import double_sector_hamiltonian, single_sector_hamiltonian
+from memorymodes.density import sector_hamiltonian
 from conftest import max_entry_diff
 
 
@@ -69,7 +69,8 @@ class TestDensityMatrix:
     def test_states_and_hamiltonians_compare_by_identity(self, fig2_model):
         # a dataclass-generated __eq__ over the ndarray field would raise
         # numpy's ambiguous-truth ValueError, and __hash__ a TypeError
-        for make in (lambda: DensityMatrix.excited(2), lambda: single_sector_hamiltonian(fig2_model)):
+        makers = (lambda: DensityMatrix.excited(2), lambda: sector_hamiltonian(fig2_model.sector))
+        for make in makers:
             first, second = make(), make()
             assert first == first
             assert first != second
@@ -77,12 +78,17 @@ class TestDensityMatrix:
             assert len({first, second}) == 2
 
     def test_sector_hamiltonians(self, fig2_model, bandgap_model):
-        h3 = single_sector_hamiltonian(fig2_model).matrix
+        h3 = sector_hamiltonian(fig2_model.sector).matrix
         assert h3[1, 1] == fig2_model.detuning
         assert h3[1, 2] == fig2_model.omega_coupling
-        h4 = double_sector_hamiltonian(bandgap_model).matrix
+        h4 = sector_hamiltonian(bandgap_model.sector).matrix
         assert h4[1, 1] == h4[2, 2] == bandgap_model.detuning
         assert h4[2, 3] == bandgap_model.omega_coupling
+        assert h4[1, 3] == 0.0
+        assert h4[1, 2] == h4[2, 1] == bandgap_model.sector.intermode[0][1]
+        lab = sector_hamiltonian(bandgap_model.sector, frame=LAB).matrix
+        assert lab[1, 1] == lab[2, 2] == bandgap_model.omega_c
+        assert lab[3, 3] == bandgap_model.omega0
 
 
 class TestTimeLocal:
@@ -124,7 +130,7 @@ class TestTimeLocal:
     def test_superposition_coherence_matches_amplitudes(self, fig2_model, fig2_grid):
         # the coherence carries the phase integral of the shift
         c_g, c_e = 0.6, 0.8
-        traj = propagate_single(fig2_model, AmplitudeState1(c1=c_e), fig2_grid)
+        traj = propagate_single(fig2_model, [c_e, 0.0], fig2_grid)
         rho0 = DensityMatrix.from_pure([c_g, c_e])
         out = evolve_atom_timelocal(rates_from_amplitudes(traj), rho0, fig2_grid)
         reference = atom_density_from_amplitudes(traj, c_g)
@@ -382,15 +388,11 @@ class TestPartialTrace:
 
 class TestLabFrame:
     def test_matches_lab_frame_amplitude_reconstruction(self):
-        from memorymodes import (
-            AmplitudeState1,
-            density_series_lab_frame,
-            propagate_single,
-        )
+        from memorymodes import density_series_lab_frame, propagate_single
 
         model = LorentzianModel(1.7, 1.7 + 0.9, 0.7, 0.5)
         grid = TimeGrid(0.0, 4.0, 160)
-        traj = propagate_single(model, AmplitudeState1(0.8, 0.0), grid)
+        traj = propagate_single(model, [0.8, 0.0], grid)
 
         rotating = atom_density_from_amplitudes(traj, vacuum_amplitude=0.6)
         dressed = density_series_lab_frame(rotating, model.omega0, grid.times)
@@ -405,11 +407,11 @@ class TestLabFrame:
         assert max_entry_diff(dressed_ext, direct_ext) < 1e-12
 
     def test_series_match_pointwise_reference(self):
-        from memorymodes import AmplitudeState1, density_series_lab_frame, propagate_single
+        from memorymodes import density_series_lab_frame, propagate_single
 
         model = LorentzianModel(1.7, 1.7 + 0.9, 0.7, 0.5)
         grid = TimeGrid(0.0, 4.0, 160)
-        traj = propagate_single(model, AmplitudeState1(0.8, 0.0), grid)
+        traj = propagate_single(model, [0.8, 0.0], grid)
         c0 = 0.6 + 0.0j
         atom, ext = [], []
         for row in traj.states:

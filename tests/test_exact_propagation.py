@@ -18,7 +18,7 @@ from memorymodes import (
     evolve_lindblad_double,
     evolve_lindblad_single,
     expm_oracle,
-    single_mode_generator,
+    mode_generator,
 )
 from memorymodes.amplitudes import _propagate_constant
 
@@ -41,7 +41,7 @@ def test_lindblad_states_are_structurally_exact(route, fig2_model, bandgap_model
     [
         np.array([[-0.5, 1.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -0.5]], dtype=complex),
         # exceptional point of the single-mode system: width 4x the coupling
-        single_mode_generator(LorentzianModel(0.0, 0.0, 4.0, 1.0)),
+        mode_generator(LorentzianModel(0.0, 0.0, 4.0, 1.0).sector),
     ],
     ids=["jordan_block", "critical_damping"],
 )

@@ -9,8 +9,8 @@ from memorymodes import (
     LorentzianModel,
     NonPhysical,
     TimeGrid,
+    PseudomodeSector,
     bandgap_density,
-    derive_two_pseudomode_constants,
     lorentzian_density,
 )
 from conftest import random_bandgap, random_perfect_gap
@@ -81,42 +81,58 @@ class TestBandgapDensity:
 class TestDeriveConstants:
     def test_plug_in(self):
         model = BandGapModel(0.0, 0.0, 2.0, 1.0, 4.0, 2.0, 1.0)
-        constants = derive_two_pseudomode_constants(model)
-        assert constants.gamma_p1 == 0.0
-        assert constants.gamma_p2 == 6.0
-        assert constants.v == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert constants.pole1 == complex(0.0, 0.0)
-        assert constants.pole2 == complex(0.0, -3.0)
+        sector = model.sector
+        assert sector.leak_rates == (0.0, 6.0)
+        assert sector.intermode[0][1] == sector.intermode[1][0]
+        assert sector.intermode[0][1] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert sector.frequencies == (0.0, 0.0)
+        assert sector.couplings == (0.0, 1.0)
+        assert sector.labels == ("a1", "a2")
 
     def test_perfect_gap_rate_exactly_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
             model = random_perfect_gap(rng)
             assert model.is_perfect_gap
-            assert derive_two_pseudomode_constants(model).gamma_p1 == 0.0
+            assert model.sector.leak_rates[0] == 0.0
 
     def test_w2_zero_decouples(self):
         model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        constants = derive_two_pseudomode_constants(model)
-        assert constants.gamma_p1 == 0.9 * 0.5
-        assert constants.gamma_p2 == 0.9 * 2.0
-        assert constants.v == 0.0
+        assert model.sector.leak_rates == (0.9 * 0.5, 0.9 * 2.0)
+        assert model.sector.intermode == ((0.0, 0.0), (0.0, 0.0))
 
     def test_rate_sum_identity(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             model = random_bandgap(rng)
-            constants = derive_two_pseudomode_constants(model)
+            gamma_p1, gamma_p2 = model.sector.leak_rates
             expected = (model.w1 - model.w2) * (model.gamma1 + model.gamma2)
-            assert constants.gamma_p1 + constants.gamma_p2 == pytest.approx(
+            assert gamma_p1 + gamma_p2 == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_deterministic(self):
         model = BandGapModel(0.1, 0.7, 1.3, 0.4, 2.7, 0.9, math.sqrt(0.9))
-        first = derive_two_pseudomode_constants(model)
-        second = derive_two_pseudomode_constants(model)
+        first = model.sector
+        second = model.sector
         assert first == second
+
+
+class TestSector:
+    def test_lorentzian_sector(self):
+        sector = LorentzianModel(0.1, 2.4, 0.6, 0.5).sector
+        assert sector == PseudomodeSector(0.1, (2.4,), (0.5,), ((0.0,),), (0.6,), ("b1",))
+        assert sector.n_modes == 1
+
+    def test_rejects_inconsistent_shapes(self):
+        with pytest.raises(ValueError, match="mode labels"):
+            PseudomodeSector(0.0, (1.0,), (0.5, 0.5), ((0.0,),), (0.1,), ("b1",))
+        with pytest.raises(ValueError, match="mode labels"):
+            PseudomodeSector(0.0, (), (), (), (), ())
+        with pytest.raises(ValueError, match="symmetric"):
+            PseudomodeSector(
+                0.0, (1.0, 1.0), (0.0, 0.5), ((0.0, 0.2), (0.3, 0.0)), (0.1, 0.2), ("a1", "a2")
+            )
 
 
 class TestValidation:
@@ -127,6 +143,11 @@ class TestValidation:
     def test_lorentzian_allows_lossless_limit(self):
         model = LorentzianModel(0.0, 0.0, 0.0, 1.0)
         assert model.pole == 0.0
+
+    def test_lossless_limit_has_no_markov_rate(self):
+        model = LorentzianModel(0, 0, 0, 1)
+        with pytest.raises(NonPhysical, match="lossless limit gamma = 0"):
+            model.gamma_markov
 
     def test_bandgap_rejects_negative_storage_rate(self):
         # w1*gamma2 < w2*gamma1
@@ -142,8 +163,7 @@ class TestValidation:
     def test_allow_nonphysical_escape_hatch(self):
         with pytest.warns(ConsistencyWarning):
             model = BandGapModel(0.0, 0.0, 1.0, 0.9, 4.0, 1.0, 0.3, allow_nonphysical=True)
-        constants = derive_two_pseudomode_constants(model)
-        assert constants.gamma_p1 < 0
+        assert model.sector.leak_rates[0] < 0
 
     def test_coupling_consistency_warning(self):
         with pytest.warns(ConsistencyWarning):
@@ -160,11 +180,10 @@ class TestValidation:
         rng = np.random.default_rng(15)
         for _ in range(20):
             model = random_perfect_gap(rng)
-            constants = derive_two_pseudomode_constants(model)
             assert model.is_perfect_gap
-            assert constants.gamma_p1 == 0.0
+            assert model.sector.leak_rates[0] == 0.0
             assert bandgap_density(model, model.omega_c) == 0.0
         for _ in range(20):
             model = random_bandgap(rng)
             if not model.is_perfect_gap:
-                assert derive_two_pseudomode_constants(model).gamma_p1 != 0.0
+                assert model.sector.leak_rates[0] != 0.0

@@ -5,12 +5,9 @@ import pytest
 
 from memorymodes import (
     AllPointsInvalid,
-    AmplitudeState1,
-    AmplitudeState2,
     BandGapModel,
     LorentzianModel,
     TimeGrid,
-    derive_two_pseudomode_constants,
     intermode_memory_identity,
     memory_identity_double,
     memory_identity_single,
@@ -27,7 +24,7 @@ class TestRateExtraction:
     def test_initial_values_with_empty_mode(self):
         model = LorentzianModel(0.7, 0.7 + 1.1, 0.9, 0.4)
         grid = TimeGrid(0.0, 5.0, 200)
-        for initial in (None, AmplitudeState1(c1=0.6 + 0.3j, b1=0.0)):
+        for initial in (None, [0.6 + 0.3j, 0.0]):
             traj = propagate_single(model, initial, grid)
             rates = rates_from_amplitudes(traj)
             assert rates.gamma[0] == 0.0
@@ -93,7 +90,7 @@ class TestRateExtraction:
     def test_all_points_invalid(self):
         model = LorentzianModel(0.0, 1.0, 1.0, 0.0)
         grid = TimeGrid(0.0, 1.0, 50)
-        traj = propagate_single(model, AmplitudeState1(c1=0.0, b1=1.0), grid)
+        traj = propagate_single(model, [0.0, 1.0], grid)
         with pytest.raises(AllPointsInvalid):
             rates_from_amplitudes(traj)
 
@@ -105,11 +102,11 @@ class TestRateExtraction:
 
 class TestMemoryIdentitySingle:
     def test_reference_preset_residual(self, fig2_traj, fig2_model, fig2_rates):
-        report = memory_identity_single(fig2_traj, fig2_model.gamma, fig2_rates)
+        report = memory_identity_single(fig2_traj, fig2_model, fig2_rates)
         assert report.max_relative_residual < 1e-6
 
     def test_sign_linkage(self, fig2_traj, fig2_model, fig2_rates):
-        report = memory_identity_single(fig2_traj, fig2_model.gamma, fig2_rates)
+        report = memory_identity_single(fig2_traj, fig2_model, fig2_rates)
         guard = np.abs(report.rhs) > 1e-9 * fig2_model.gamma_markov
         keep = guard & report.valid
         assert keep.any()
@@ -119,9 +116,9 @@ class TestMemoryIdentitySingle:
         # decoupled mode: drain and compensation cancel, both sides vanish
         model = LorentzianModel(0.0, 1.2, 0.8, 0.0)
         grid = TimeGrid(0.0, 5.0, 100)
-        traj = propagate_single(model, AmplitudeState1(c1=0.6, b1=0.8), grid)
+        traj = propagate_single(model, [0.6, 0.8], grid)
         rates = rates_from_amplitudes(traj)
-        report = memory_identity_single(traj, model.gamma, rates)
+        report = memory_identity_single(traj, model, rates)
         assert np.max(np.abs(report.lhs)) < 1e-14
         assert np.max(np.abs(report.rhs)) < 1e-14
         assert report.max_relative_residual < 1e-14
@@ -129,25 +126,23 @@ class TestMemoryIdentitySingle:
 
 class TestMemoryIdentityDouble:
     def test_reference_bandgap_residual(self, bandgap_traj, bandgap_model):
-        constants = derive_two_pseudomode_constants(bandgap_model)
         rates = rates_from_amplitudes(bandgap_traj)
-        report = memory_identity_double(bandgap_traj, constants, rates)
+        report = memory_identity_double(bandgap_traj, bandgap_model, rates)
         assert report.max_relative_residual < 1e-6
 
     def test_w2_zero_matches_single_system(self):
         # intermode coupling off and storage mode empty: the two-mode balance
         # collapses onto the single-mode one for the equivalent model
         model = BandGapModel(0.0, 0.8, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        constants = derive_two_pseudomode_constants(model)
         grid = TimeGrid(0.0, 6.0, 300)
         double = propagate_double(model, None, grid)
         rates_d = rates_from_amplitudes(double)
-        report_d = memory_identity_double(double, constants, rates_d)
+        report_d = memory_identity_double(double, model, rates_d)
 
-        single_model = LorentzianModel(0.0, 0.8, constants.gamma_p2, math.sqrt(0.9))
+        single_model = LorentzianModel(0.0, 0.8, model.sector.leak_rates[1], math.sqrt(0.9))
         single = propagate_single(single_model, None, grid)
         rates_s = rates_from_amplitudes(single)
-        report_s = memory_identity_single(single, single_model.gamma, rates_s)
+        report_s = memory_identity_single(single, single_model, rates_s)
 
         assert np.max(np.abs(report_d.lhs - report_s.lhs)) < 1e-9
         assert np.max(np.abs(report_d.rhs - report_s.rhs)) < 1e-9
@@ -157,35 +152,32 @@ class TestMemoryIdentityDouble:
         grid = TimeGrid(0.0, 5.0, 200)
         for _ in range(25):
             model = random_bandgap(rng)
-            constants = derive_two_pseudomode_constants(model)
             traj = propagate_double(model, None, grid)
             rates = rates_from_amplitudes(traj)
-            report = memory_identity_double(traj, constants, rates)
+            report = memory_identity_double(traj, model, rates)
             assert report.max_relative_residual < 1e-6
 
 
 class TestIntermodeIdentity:
     def test_reference_bandgap(self, bandgap_traj, bandgap_model):
-        constants = derive_two_pseudomode_constants(bandgap_model)
-        report = intermode_memory_identity(bandgap_traj, constants)
+        report = intermode_memory_identity(bandgap_traj, bandgap_model.sector)
         assert report.max_relative_residual < 1e-6
         assert report.valid.all()
 
     def test_v_zero_storage_is_pure_decay(self):
         model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        constants = derive_two_pseudomode_constants(model)
         grid = TimeGrid(0.0, 5.0, 150)
-        traj = propagate_double(model, AmplitudeState2(0.8, 0.6, 0.0), grid)
-        report = intermode_memory_identity(traj, constants)
+        traj = propagate_double(model, [0.8, 0.6, 0.0], grid)
+        report = intermode_memory_identity(traj, model.sector)
         assert np.max(np.abs(report.lhs)) < 1e-13
         assert np.max(np.abs(report.rhs)) == 0.0
 
     def test_perfect_gap_is_lossless_storage(self, perfect_gap_model):
-        constants = derive_two_pseudomode_constants(perfect_gap_model)
-        assert constants.gamma_p1 == 0.0
+        sector = perfect_gap_model.sector
+        assert sector.leak_rates[0] == 0.0
         grid = TimeGrid(0.0, 10.0, 500)
         traj = propagate_double(perfect_gap_model, None, grid)
-        report = intermode_memory_identity(traj, constants)
+        report = intermode_memory_identity(traj, sector)
         # with a vanishing storage rate the balance reduces to the bare drain
         index = traj.labels.index("a1")
         bare_drain = 2.0 * (traj.derivatives()[:, index] * np.conj(traj.states[:, index])).real

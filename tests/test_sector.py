@@ -1,0 +1,68 @@
+"""The n-mode sector path, on a sector the shipped presets do not reach.
+
+The ``fig2`` sector with an extra mode (detuned by 1.3, leaking at 0.7) that
+couples neither to the emitter nor to the ``fig2`` mode must leave the
+emitter, the coupled mode and the emitter marginal exactly as they are.
+"""
+
+import numpy as np
+import pytest
+
+from memorymodes import (
+    DensityMatrix,
+    PseudomodeSector,
+    TimeGrid,
+    evolve_lindblad_sector,
+    evolve_lindblad_single,
+    intermode_memory_identity,
+    memory_identity_sector,
+    memory_identity_single,
+    partial_trace_pseudomodes,
+    propagate_sector,
+    propagate_single,
+    rates_from_amplitudes,
+)
+
+
+def with_spectator_mode(sector: PseudomodeSector) -> PseudomodeSector:
+    """``sector`` (one mode) with an uncoupled mode put before it."""
+    return PseudomodeSector(
+        sector.omega0,
+        (sector.frequencies[0] + 1.3, sector.frequencies[0]),
+        (0.0, sector.couplings[0]),
+        ((0.0, 0.0), (0.0, 0.0)),
+        (0.7, sector.leak_rates[0]),
+        ("a1", "a2"),
+    )
+
+
+@pytest.mark.parametrize("n_steps", [2000, 4000, 16000])
+def test_uncoupled_mode_leaves_fig2_unchanged(fig2_model, n_steps):
+    grid = TimeGrid(0.0, 10.0, n_steps)
+    sector = with_spectator_mode(fig2_model.sector)
+    two = propagate_sector(sector, None, grid)
+    one = propagate_single(fig2_model, None, grid)
+    assert two.labels == ("c1", "a1", "a2")
+    assert np.max(np.abs(two.c1 - one.c1)) < 1e-14
+    assert np.max(np.abs(two.mode_amplitude - one.mode_amplitude)) < 1e-14
+
+    marginal_two = partial_trace_pseudomodes(
+        evolve_lindblad_sector(sector, DensityMatrix.excited(4), grid)
+    )
+    marginal_one = partial_trace_pseudomodes(
+        evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), grid)
+    )
+    assert np.max(np.abs(marginal_two.matrices - marginal_one.matrices)) < 1e-14
+
+    # the empty spectator mode adds nothing to the summed identity
+    lhs_two = memory_identity_sector(two, sector, rates_from_amplitudes(two)).lhs
+    lhs_one = memory_identity_single(one, fig2_model, rates_from_amplitudes(one)).lhs
+    assert np.max(np.abs(lhs_two - lhs_one)) < 1e-14
+
+
+def test_identities_reject_another_sector(fig2_model, fig2_traj, fig2_rates):
+    sector = with_spectator_mode(fig2_model.sector)
+    with pytest.raises(ValueError, match="not the sector"):
+        memory_identity_sector(fig2_traj, sector, fig2_rates)
+    with pytest.raises(ValueError, match="two modes"):
+        intermode_memory_identity(fig2_traj, fig2_model.sector)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from memorymodes import (
-    AmplitudeState1,
     BandGapModel,
     DensityMatrix,
     GridMismatch,
@@ -17,7 +16,6 @@ from memorymodes import (
     TimeGrid,
     atom_density_from_amplitudes,
     compare_unravelings,
-    derive_two_pseudomode_constants,
     ensemble_ground_population,
     evolve_lindblad_single,
     propagate_single,
@@ -62,7 +60,7 @@ class TestNmqj:
     def test_no_jump_state_matches_amplitudes(self, fig2_model, fig2_grid):
         # the no-jump state is the normalized (C_g, c1(t)) of the amplitude route
         for c_g, c_e in ((0.0, 1.0), (0.6, 0.8)):
-            traj = propagate_single(fig2_model, AmplitudeState1(c1=c_e), fig2_grid)
+            traj = propagate_single(fig2_model, [c_e, 0.0], fig2_grid)
             ens = run_nmqj(rates_from_amplitudes(traj), np.array([c_g, c_e + 0j]), 10, 3)
             exact = np.column_stack([np.full(fig2_grid.n_steps, c_g + 0j), traj.c1])
             exact /= np.linalg.norm(exact, axis=1)[:, None]
@@ -278,8 +276,7 @@ class TestMcwf:
         assert ens.jump_counts.shape == (fig2_grid.n_steps - 1, 2)
         assert np.all(ens.n0 + ens.n1 == n)
         # each channel's total matches its expected share of the jumps
-        constants = derive_two_pseudomode_constants(bandgap_model)
-        rates = np.array([constants.gamma_p1, constants.gamma_p2])
+        rates = np.array(bandgap_model.sector.leak_rates)
         per_member = np.abs(ens.psi0[:-1, 1:3]) ** 2 * rates * fig2_grid.dt
         expected = ens.n0[:-1] @ per_member
         variance = ens.n0[:-1] @ (per_member * (1 - per_member))
