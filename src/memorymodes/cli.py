@@ -24,10 +24,9 @@ from .csvio import (
     write_amplitude_csv,
     write_comparison_csv,
     write_density_csv,
+    write_ensemble_csv,
     write_identity_csv,
     write_info_csv,
-    write_mcwf_csv,
-    write_nmqj_csv,
     write_rate_curves_csv,
     write_rates_csv,
 )
@@ -175,7 +174,7 @@ def _experiment_evolve(config, artifact, extras) -> None:
     rates = rates_from_amplitudes(traj)
     times = config.grid.times
     from_amplitudes = atom_density_from_amplitudes(traj)
-    timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2), config.grid)
+    timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
     bridged = np.count_nonzero(~(rates.valid[:-1] & rates.valid[1:]))  # plain-trapezoid steps
     extras["timelocal.bridged_intervals"] = str(bridged)
     extended = _evolve_extended(config)
@@ -196,13 +195,13 @@ def _experiment_evolve(config, artifact, extras) -> None:
 def _experiment_nmqj(config, artifact, extras) -> None:
     rates = rates_from_amplitudes(_propagate(config))
     ensemble = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
-    write_nmqj_csv(artifact("nmqj.csv"), ensemble)
+    write_ensemble_csv(artifact("nmqj.csv"), ensemble)
 
 
 def _experiment_mcwf(config, artifact, extras) -> None:
     initial = _excited_extended_vector(config)
     ensemble = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
-    write_mcwf_csv(artifact("mcwf.csv"), ensemble)
+    write_ensemble_csv(artifact("mcwf.csv"), ensemble)
 
 
 def _experiment_compare(config, artifact, extras) -> None:
@@ -212,8 +211,8 @@ def _experiment_compare(config, artifact, extras) -> None:
     initial = _excited_extended_vector(config)
     mcwf = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
     report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
-    write_nmqj_csv(artifact("nmqj.csv"), nmqj)
-    write_mcwf_csv(artifact("mcwf.csv"), mcwf)
+    write_ensemble_csv(artifact("nmqj.csv"), nmqj)
+    write_ensemble_csv(artifact("mcwf.csv"), mcwf)
     write_comparison_csv(artifact("comparison.csv"), report)
     extras["max_z_score"] = f"{report.max_z_score:.17g}"
     extras["max_cross_z"] = f"{report.max_cross_z:.17g}"

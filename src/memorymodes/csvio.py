@@ -16,15 +16,14 @@ import numpy as np
 from .density import BASIS_LABELS, DensitySeries
 from .info import InfoSeries
 from .rates import MemoryIdentityReport, RateTrajectory
-from .trajectories import ComparisonReport, McwfEnsemble, NmqjEnsemble
+from .trajectories import ComparisonReport, Ensemble
 
 __all__ = [
     "write_amplitude_csv",
     "write_rates_csv",
     "write_identity_csv",
     "write_density_csv",
-    "write_nmqj_csv",
-    "write_mcwf_csv",
+    "write_ensemble_csv",
     "write_comparison_csv",
     "write_info_csv",
     "write_rate_curves_csv",
@@ -92,12 +91,8 @@ def write_density_csv(path, densities: DensitySeries, times: np.ndarray) -> None
     _write_columns(path, "t," + header, [times, *columns], preamble)
 
 
-def write_nmqj_csv(path, ens: NmqjEnsemble) -> None:
-    header, columns = _re_im(("cg", "ce"), ens.psi0.T)
-    _write_columns(path, "t,n0,n1," + header, [ens.grid.times, ens.n0, ens.n1, *columns])
-
-
-def write_mcwf_csv(path, ens: McwfEnsemble) -> None:
+def write_ensemble_csv(path, ens: Ensemble) -> None:
+    """Counts and the shared state, labelled on its basis: cg,ce on the emitter alone."""
     labels = ["c" + label for label in BASIS_LABELS[ens.psi0.shape[1]]]
     header, columns = _re_im(labels, ens.psi0.T)
     _write_columns(path, "t,n0,n1," + header, [ens.grid.times, ens.n0, ens.n1, *columns])

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .amplitudes import LAB, ROTATING, AmplitudeTrajectory, _propagate_constant
-from .errors import GridMismatch, RateGapTooWide, SectorLeak
+from .errors import RateGapTooWide, SectorLeak
 from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 from .rates import RateTrajectory
 
@@ -36,7 +36,6 @@ __all__ = [
     "DensitySeries",
     "HamiltonianSpec",
     "mode_lowering",
-    "emitter_lowering",
     "sector_hamiltonian",
     "evolve_atom_timelocal",
     "evolve_lindblad_sector",
@@ -223,13 +222,6 @@ def mode_lowering(dim: int, which: int = 1) -> np.ndarray:
     return op
 
 
-def emitter_lowering(dim: int) -> np.ndarray:
-    """|g, vacuum><e, vacuum| restricted to the sector basis."""
-    op = np.zeros((dim, dim))
-    op[0, dim - 1] = 1.0
-    return op
-
-
 def sector_hamiltonian(sector: PseudomodeSector, frame: str = ROTATING) -> HamiltonianSpec:
     """Emitter+modes Hamiltonian on the sector basis (vacuum, modes, excited)."""
     dim = sector.n_modes + 2
@@ -249,7 +241,7 @@ def _rate_increments(rates: RateTrajectory) -> np.ndarray:
     Each is the end-corrected trapezoid dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}),
     O(dt^4), with the exact slopes. Invalid runs shorter than 3 points are
     bridged linearly (``RateGapTooWide`` otherwise); an interval with an
-    invalid end, or without finite slopes, takes the plain trapezoid.
+    invalid end, or a NaN slope, takes the plain trapezoid.
     """
     valid = rates.valid
     rate = rates.gamma + 1j * (rates.s - 2.0 * rates.omega0)
@@ -267,28 +259,20 @@ def _rate_increments(rates: RateTrajectory) -> np.ndarray:
         rate = np.where(valid, rate, np.interp(times, times[valid], rate[valid]))
     dt = rates.grid.dt
     steps = 0.5 * dt * (rate[:-1] + rate[1:])
-    if rates.dgamma is not None and rates.ds is not None:
-        slope = np.where(valid, rates.dgamma + 1j * rates.ds, np.nan)
-        correction = dt * dt / 12.0 * (slope[:-1] - slope[1:])
-        steps = np.where(np.isfinite(correction), steps + correction, steps)
-    return steps
+    slope = np.where(valid, rates.dgamma + 1j * rates.ds, np.nan)
+    correction = dt * dt / 12.0 * (slope[:-1] - slope[1:])
+    return np.where(np.isfinite(correction), steps + correction, steps)
 
 
-def evolve_atom_timelocal(
-    rates: RateTrajectory,
-    rho0: DensityMatrix,
-    grid: TimeGrid,
-) -> DensitySeries:
+def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> DensitySeries:
     """Emitter master equation with time-dependent coefficients, in closed form.
 
     It decouples: rho_ee(t) = rho_ee(0) exp(-Re K) and rho_eg(t) = rho_eg(0) exp(-K/2),
     with K summed from :func:`_rate_increments`. rho_gg = 1 - rho_ee, so the
-    trace is one by construction. Output is rotating-frame.
+    trace is one by construction. Output is rotating-frame, on ``rates.grid``.
     """
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")
-    if not np.array_equal(grid.times, rates.grid.times):
-        raise GridMismatch("evolution grid must match the rate grid")
     exponent = np.concatenate([[0.0], np.cumsum(_rate_increments(rates))])
     ee = rho0.matrix[1, 1].real * np.exp(-exponent.real)
     coherence = rho0.matrix[1, 0] * np.exp(-0.5 * exponent)
@@ -429,6 +413,19 @@ def atom_density_from_amplitudes(
     return DensitySeries(out)
 
 
+def _extended_vectors(traj: AmplitudeTrajectory, vacuum_amplitude: complex) -> np.ndarray:
+    """phi(t) on the sector basis (vacuum, modes, excited) of an amplitude solution.
+
+    The amplitude vector is (excited, modes); the vacuum amplitude is frozen.
+    """
+    states = traj.states
+    phi = np.empty((len(states), states.shape[1] + 1), dtype=complex)
+    phi[:, 0] = vacuum_amplitude
+    phi[:, 1:-1] = states[:, 1:]
+    phi[:, -1] = states[:, 0]
+    return phi
+
+
 def extended_density_from_amplitudes(
     traj: AmplitudeTrajectory, vacuum_amplitude: complex = 0.0
 ) -> DensitySeries:
@@ -437,12 +434,7 @@ def extended_density_from_amplitudes(
     Each state is |phi(t)><phi(t)| plus the lost norm parked in the joint
     vacuum, with phi ordered on the sector basis (vacuum, modes, excited).
     """
-    states = traj.states
-    dim = len(traj.labels) + 1
-    phi = np.empty((len(states), dim), dtype=complex)
-    phi[:, 0] = complex(vacuum_amplitude)
-    phi[:, 1 : dim - 1] = states[:, 1:]
-    phi[:, dim - 1] = states[:, 0]
+    phi = _extended_vectors(traj, vacuum_amplitude)
     rho = phi[:, :, None] * phi[:, None, :].conj()
     # a batched matmul rounds each norm as np.vdot(phi, phi) does
     rho[:, 0, 0] += 1.0 - (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real

@@ -44,16 +44,16 @@ class RateTrajectory:
     2*omega0); ``gamma`` is frame-independent. ``valid`` is False where the
     excited population fell below ``VALIDITY_CUTOFF``: the coefficients are
     genuinely undefined there and hold NaN instead of extrapolated values.
-    ``dgamma``/``ds`` are their exact slopes (NaN where invalid) or None.
+    ``dgamma``/``ds`` are their exact slopes, NaN where invalid or unknown.
     """
 
     grid: TimeGrid
     s: np.ndarray
     gamma: np.ndarray
     valid: np.ndarray
-    omega0: float = 0.0
-    dgamma: np.ndarray | None = None
-    ds: np.ndarray | None = None
+    omega0: float
+    dgamma: np.ndarray
+    ds: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Stochastic pure-state unravelings of the exact evolutions.
 
-Two engines share the same bookkeeping. The first runs on the emitter alone,
-driven by the extracted coefficient series: while the decay rate is
+Two engines fill the same ``Ensemble`` record. The first runs on the emitter
+alone, driven by the extracted coefficient series: while the decay rate is
 non-negative members fall to the ground state, and during negative-rate
 intervals ground members jump *back* into the deterministically evolving
 state, restoring previously destroyed superpositions. The second is a
@@ -9,10 +9,12 @@ standard Monte Carlo wave-function process on the emitter+mode sector whose
 constant leakage rates never reverse.
 
 Because every not-yet-jumped member shares one deterministic pure state,
-each engine tracks (counts, shared state) instead of individual walkers. The
-members that move in one step are then one binomial draw (one multinomial
-draw across the MCWF channels) from the engine's own Philox stream, keyed by
-(seed, engine), so a run is a single sequential loop and repeats bit for bit.
+an ensemble is a count ``n0`` of members in that shared state, the rest in
+the ground state, and the net jumps per step and channel. The members that
+move in one step are one binomial draw (one multinomial draw across the MCWF
+channels) from the engine's own Philox stream, keyed by (seed, engine), so a
+run is a single sequential loop and repeats bit for bit. The same ground
+population, emitter marginal and comparison then serve both engines.
 """
 
 from __future__ import annotations
@@ -23,15 +25,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .amplitudes import propagate_sector
-from .density import DensitySeries, _rate_increments
+from .density import DensitySeries, _extended_vectors, _rate_increments
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
 from .models import BandGapModel, LorentzianModel, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
     "MAX_JUMP_PROBABILITY",
-    "NmqjEnsemble",
-    "McwfEnsemble",
+    "Ensemble",
     "ComparisonReport",
     "run_nmqj",
     "run_mcwf_pseudomode",
@@ -49,40 +50,27 @@ MCWF_STREAM = 0x4D435746
 
 
 @dataclass(frozen=True)
-class NmqjEnsemble:
-    """Jump/reverse-jump ensemble on the emitter.
+class Ensemble:
+    """Jump ensemble of either unraveling, held as counts around one shared state.
 
-    ``n0[k]`` members share the normalized deterministic state ``psi0[k]``
-    (components C_g, C_e, rotating frame) and ``n1[k]`` sit in the ground
-    state; ``n0 + n1 == n_members`` at every step.
+    ``n0[k]`` members share the normalized no-jump state ``psi0[k]``: (C_g, C_e)
+    on the emitter, or the sector basis (vacuum, modes, excited) for the MCWF
+    engine. The other ``n1[k]`` members sit in the (joint) ground state.
+    ``jump_counts[k, c]`` is the net number of members that left the shared
+    state on step k through channel c, so ``n0[k+1] == n0[k] - jump_counts[k].sum()``;
+    the emitter engine has one channel, negative on reverse-jump steps.
     """
 
     grid: TimeGrid
     n_members: int
     n0: np.ndarray
-    n1: np.ndarray
     psi0: np.ndarray
     seed: int
-    dt: float
-
-
-@dataclass(frozen=True)
-class McwfEnsemble:
-    """Monte Carlo wave-function ensemble on the emitter+mode sector.
-
-    ``psi0[k]`` is the shared normalized no-jump state on the sector basis
-    (vacuum, modes, excited); jumped members occupy the joint ground state.
-    ``jump_counts[k]`` records the jumps taken on step k per channel.
-    """
-
-    grid: TimeGrid
-    n_members: int
-    n0: np.ndarray
-    n1: np.ndarray
-    psi0: np.ndarray
-    seed: int
-    dt: float
     jump_counts: np.ndarray
+
+    @property
+    def n1(self) -> np.ndarray:
+        return self.n_members - self.n0
 
 
 @dataclass(frozen=True)
@@ -121,15 +109,7 @@ def _engine_generator(seed: int, stream: int) -> Generator:
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
-def run_nmqj(
-    rates: RateTrajectory,
-    initial,
-    n_members: int,
-    seed: int,
-    grid: TimeGrid | None = None,
-    *,
-    max_jump_probability: float = MAX_JUMP_PROBABILITY,
-) -> NmqjEnsemble:
+def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensemble:
     """Sample the emitter unraveling driven by a signed decay-rate series.
 
     Per step the shared state drifts under the non-Hermitian generator
@@ -138,11 +118,9 @@ def run_nmqj(
     probability rate*dt*|C_e|^2; for rate < 0 each of the ``n1`` ground
     members returns to the *current* shared state with probability
     (n0/n1)*|rate|*dt*|C_e|^2 (zero when n1 = 0, as no source members exist).
+    The ensemble lives on ``rates.grid``.
     """
-    if grid is None:
-        grid = rates.grid
-    elif not np.array_equal(grid.times, rates.grid.times):
-        raise GridMismatch("ensemble grid must match the rate grid")
+    grid = rates.grid
     if n_members < 1:
         raise ValueError(f"need at least one member, got {n_members}")
     if not rates.valid.all():
@@ -176,11 +154,11 @@ def run_nmqj(
     direct = gamma >= 0.0
     p_direct = np.where(direct, gamma, 0.0) * dt * excited_pop
     worst = p_direct[:-1].max(initial=0.0)
-    if worst > max_jump_probability:
+    if worst > MAX_JUMP_PROBABILITY:
         k = int(np.argmax(p_direct[:-1]))
         raise StepTooLarge(
             f"jump probability {worst:.3g} at t={times[k]:.6g} exceeds "
-            f"{max_jump_probability}; refine the grid"
+            f"{MAX_JUMP_PROBABILITY}; refine the grid"
         )
 
     n_points = len(times)
@@ -193,16 +171,15 @@ def run_nmqj(
             cur0 -= int(rng.binomial(cur0, p_direct[k]))
         elif cur1 > 0:
             p_reverse = (cur0 / cur1) * (-gamma[k]) * dt * excited_pop[k]
-            if p_reverse > max_jump_probability:
+            if p_reverse > MAX_JUMP_PROBABILITY:
                 raise StepTooLarge(
                     f"reverse-jump probability {p_reverse:.3g} at t={times[k]:.6g} "
-                    f"exceeds {max_jump_probability}; refine the grid or enlarge "
+                    f"exceeds {MAX_JUMP_PROBABILITY}; refine the grid or enlarge "
                     "the ensemble"
                 )
             cur0 += int(rng.binomial(cur1, p_reverse))
     n0[-1] = cur0
-    n1 = n_members - n0
-    return NmqjEnsemble(grid, n_members, n0, n1, psi0, seed, dt)
+    return Ensemble(grid, n_members, n0, psi0, seed, -np.diff(n0)[:, None])
 
 
 def run_mcwf_pseudomode(
@@ -211,9 +188,7 @@ def run_mcwf_pseudomode(
     n_members: int,
     seed: int,
     grid: TimeGrid,
-    *,
-    max_jump_probability: float = MAX_JUMP_PROBABILITY,
-) -> McwfEnsemble:
+) -> Ensemble:
     """Monte Carlo wave-function sampling on the emitter+mode sector ``model.sector``.
 
     The deterministic no-jump state comes from the amplitude propagator (the
@@ -239,23 +214,19 @@ def run_mcwf_pseudomode(
         )
 
     n_points = grid.n_steps
-    phi = np.empty((n_points, dim), dtype=complex)
-    phi[:, 0] = psi_init[0]
-    phi[:, 1:-1] = traj.states[:, 1:]
-    phi[:, -1] = traj.c1
+    phi = _extended_vectors(traj, psi_init[0])
     norms = np.linalg.norm(phi, axis=1)
     psi0 = phi / norms[:, None]
     mode_pops = np.abs(psi0[:, 1:-1]) ** 2
 
-    dt = grid.dt
-    p_channel = mode_pops * channel_rates * dt
+    p_channel = mode_pops * channel_rates * grid.dt
     p_total = p_channel.sum(axis=1)
     worst = p_total[:-1].max(initial=0.0)
-    if worst > max_jump_probability:
+    if worst > MAX_JUMP_PROBABILITY:
         k = int(np.argmax(p_total[:-1]))
         raise StepTooLarge(
             f"total jump probability {worst:.3g} at t={grid.times[k]:.6g} exceeds "
-            f"{max_jump_probability}; refine the grid"
+            f"{MAX_JUMP_PROBABILITY}; refine the grid"
         )
     # per step: one probability per channel, then staying in the no-jump state
     p_outcome = np.column_stack([p_channel, 1.0 - p_total])
@@ -268,12 +239,11 @@ def run_mcwf_pseudomode(
         jump_counts[k] = rng.multinomial(cur0, p_outcome[k])[:-1]
         cur0 -= int(jump_counts[k].sum())
     n0[-1] = cur0
-    n1 = n_members - n0
-    return McwfEnsemble(grid, n_members, n0, n1, psi0, seed, dt, jump_counts)
+    return Ensemble(grid, n_members, n0, psi0, seed, jump_counts)
 
 
-def traced_ensemble_atom_state(ens: McwfEnsemble) -> DensitySeries:
-    """Emitter marginal of the ensemble state at every step.
+def traced_ensemble_atom_state(ens: Ensemble) -> DensitySeries:
+    """Emitter marginal of the ensemble state at every step, for either engine.
 
     Mixes the mode-traced shared state with the jumped fraction:
     (n0/N) Tr_modes |psi0><psi0| + (n1/N) |g><g|.
@@ -291,7 +261,7 @@ def traced_ensemble_atom_state(ens: McwfEnsemble) -> DensitySeries:
     return DensitySeries(out)
 
 
-def ensemble_ground_population(ens: NmqjEnsemble | McwfEnsemble) -> np.ndarray:
+def ensemble_ground_population(ens: Ensemble) -> np.ndarray:
     """Ground population series n1/N + (n0/N)*(emitter-ground weight of psi0)."""
     ground_weight = np.sum(np.abs(ens.psi0[:, :-1]) ** 2, axis=1)
     n = ens.n_members
@@ -306,9 +276,7 @@ def _z_scores(diff: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def compare_unravelings(
-    a: NmqjEnsemble, b: McwfEnsemble, exact: DensitySeries
-) -> ComparisonReport:
+def compare_unravelings(a: Ensemble, b: Ensemble, exact: DensitySeries) -> ComparisonReport:
     """Check both unravelings' ground populations against an exact series.
 
     The exact ground population is the emitter-ground diagonal sum, so an

@@ -192,7 +192,7 @@ def test_criterion_5_route_equivalence():
         traj = (propagate_single if single else propagate_double)(model, None, grid)
         rates = rates_from_amplitudes(traj)
         from_amplitudes = atom_density_from_amplitudes(traj)
-        timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2), grid)
+        timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
         if single:
             extended = evolve_lindblad_single(model, DensityMatrix.excited(3), grid)
         else:

@@ -17,10 +17,9 @@ from memorymodes import (
     AmplitudeTrajectory,
     ComparisonReport,
     DensitySeries,
+    Ensemble,
     InfoSeries,
-    McwfEnsemble,
     MemoryIdentityReport,
-    NmqjEnsemble,
     RateTrajectory,
     TimeGrid,
 )
@@ -29,10 +28,9 @@ from memorymodes.csvio import (
     write_amplitude_csv,
     write_comparison_csv,
     write_density_csv,
+    write_ensemble_csv,
     write_identity_csv,
     write_info_csv,
-    write_mcwf_csv,
-    write_nmqj_csv,
     write_rate_curves_csv,
     write_rates_csv,
 )
@@ -78,7 +76,8 @@ def case_amplitude(path):
 
 
 def case_rates(path):
-    write_rates_csv(path, RateTrajectory(GRID, floats(0), floats(1), VALID))
+    slopes = np.full(GRID.n_steps, np.nan)
+    write_rates_csv(path, RateTrajectory(GRID, floats(0), floats(1), VALID, 0.0, slopes, slopes))
     return {"t": TIMES, "S": floats(0), "gamma": floats(1), "valid": VALID}
 
 
@@ -105,16 +104,17 @@ def case_density(path):
 
 def case_nmqj(path):
     psi0 = complexes(2, shift=1)
-    write_nmqj_csv(path, NmqjEnsemble(GRID, 10, COUNTS, COUNTS[::-1], psi0, 1, GRID.dt))
-    return {"t": TIMES, "n0": COUNTS, "n1": COUNTS[::-1], **re_im(("cg", "ce"), psi0)}
+    jumps = np.zeros((GRID.n_steps - 1, 1), dtype=np.int64)
+    write_ensemble_csv(path, Ensemble(GRID, 10, COUNTS, psi0, 1, jumps))
+    return {"t": TIMES, "n0": COUNTS, "n1": 10 - COUNTS, **re_im(("cg", "ce"), psi0)}
 
 
 def case_mcwf(path):
     psi0 = complexes(4, shift=2)
-    jumps = np.zeros((GRID.n_steps, 2), dtype=np.int64)
-    write_mcwf_csv(path, McwfEnsemble(GRID, 10, COUNTS, COUNTS[::-1], psi0, 1, GRID.dt, jumps))
+    jumps = np.zeros((GRID.n_steps - 1, 2), dtype=np.int64)
+    write_ensemble_csv(path, Ensemble(GRID, 10, COUNTS, psi0, 1, jumps))
     labels = ("cg00", "cg10", "cg01", "ce00")
-    return {"t": TIMES, "n0": COUNTS, "n1": COUNTS[::-1], **re_im(labels, psi0)}
+    return {"t": TIMES, "n0": COUNTS, "n1": 10 - COUNTS, **re_im(labels, psi0)}
 
 
 def case_comparison(path):

@@ -7,7 +7,6 @@ from memorymodes import (
     LAB,
     DensityMatrix,
     DensitySeries,
-    GridMismatch,
     LorentzianModel,
     RateGapTooWide,
     RateTrajectory,
@@ -35,6 +34,8 @@ def constant_rates(grid, gamma_value, s_value=0.0, omega0=0.0):
         np.full(n, float(gamma_value)),
         np.ones(n, dtype=bool),
         omega0,
+        np.zeros(n),
+        np.zeros(n),
     )
 
 
@@ -97,7 +98,7 @@ class TestTimeLocal:
         omega0 = 0.9
         rates = constant_rates(grid, 0.0, s_value=2 * omega0, omega0=omega0)
         rho0 = DensityMatrix(np.array([[0.4, 0.2 - 0.1j], [0.2 + 0.1j, 0.6]]))
-        out = evolve_atom_timelocal(rates, rho0, grid)
+        out = evolve_atom_timelocal(rates, rho0)
         for rho in out[:: len(out) // 10]:
             assert rho.matrix[1, 1].real == pytest.approx(0.6, abs=1e-15)
             # rotating frame: the carrier contribution is removed, coherence frozen
@@ -106,12 +107,12 @@ class TestTimeLocal:
     def test_constant_rate_exponential_decay(self):
         grid = TimeGrid(0.0, 6.0, 400)
         rates = constant_rates(grid, 1.0)
-        out = evolve_atom_timelocal(rates, DensityMatrix.excited(2), grid)
+        out = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
         excited = np.array([rho.matrix[1, 1].real for rho in out])
         assert np.max(np.abs(excited - np.exp(-grid.times))) < 1e-9
 
-    def test_matches_amplitude_route(self, fig2_rates, fig2_traj, fig2_grid):
-        out = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), fig2_grid)
+    def test_matches_amplitude_route(self, fig2_rates, fig2_traj):
+        out = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2))
         reference = atom_density_from_amplitudes(fig2_traj)
         assert max_entry_diff(out, reference) < 2e-12
 
@@ -121,9 +122,7 @@ class TestTimeLocal:
         for n in (2000, 4000):
             grid = TimeGrid(0.0, 10.0, n)
             traj = propagate_single(fig2_model, None, grid)
-            out = evolve_atom_timelocal(
-                rates_from_amplitudes(traj), DensityMatrix.excited(2), grid
-            )
+            out = evolve_atom_timelocal(rates_from_amplitudes(traj), DensityMatrix.excited(2))
             errors.append(np.max(np.abs(out.matrices - atom_density_from_amplitudes(traj).matrices)))
         assert errors[0] / errors[1] >= 12.0
 
@@ -132,18 +131,18 @@ class TestTimeLocal:
         c_g, c_e = 0.6, 0.8
         traj = propagate_single(fig2_model, [c_e, 0.0], fig2_grid)
         rho0 = DensityMatrix.from_pure([c_g, c_e])
-        out = evolve_atom_timelocal(rates_from_amplitudes(traj), rho0, fig2_grid)
+        out = evolve_atom_timelocal(rates_from_amplitudes(traj), rho0)
         reference = atom_density_from_amplitudes(traj, c_g)
         assert np.max(np.abs(out.matrices[:, 1, 0])) > 0.05
         assert np.max(np.abs(out.matrices - reference.matrices)) < 1e-12
 
-    def test_trace_exact_by_construction(self, fig2_rates, fig2_grid):
-        out = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), fig2_grid)
+    def test_trace_exact_by_construction(self, fig2_rates):
+        out = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2))
         for rho in out[::500]:
             # one rounding op away from 1, no integration drift
             assert abs(complex(np.trace(rho.matrix)) - 1.0) < 1e-15
 
-    def test_bridges_short_gaps(self, fig2_rates, fig2_grid):
+    def test_bridges_short_gaps(self, fig2_rates):
         hole = slice(2000, 2002)
         damaged = RateTrajectory(
             fig2_rates.grid,
@@ -157,38 +156,37 @@ class TestTimeLocal:
         for series in (damaged.s, damaged.gamma, damaged.dgamma, damaged.ds):
             series[hole] = np.nan
         damaged.valid[hole] = False
-        out = evolve_atom_timelocal(damaged, DensityMatrix.excited(2), fig2_grid)
-        reference = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), fig2_grid)
+        out = evolve_atom_timelocal(damaged, DensityMatrix.excited(2))
+        reference = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2))
         assert max_entry_diff(out, reference) < 1e-8
 
-    def test_wide_gap_rejected(self, fig2_rates, fig2_grid):
+    def test_wide_gap_rejected(self, fig2_rates):
         damaged = RateTrajectory(
             fig2_rates.grid,
             fig2_rates.s.copy(),
             fig2_rates.gamma.copy(),
             fig2_rates.valid.copy(),
             fig2_rates.omega0,
+            fig2_rates.dgamma,
+            fig2_rates.ds,
         )
         damaged.valid[1000:1003] = False
         with pytest.raises(RateGapTooWide):
-            evolve_atom_timelocal(damaged, DensityMatrix.excited(2), fig2_grid)
+            evolve_atom_timelocal(damaged, DensityMatrix.excited(2))
 
-    def test_boundary_gap_rejected(self, fig2_rates, fig2_grid):
+    def test_boundary_gap_rejected(self, fig2_rates):
         damaged = RateTrajectory(
             fig2_rates.grid,
             fig2_rates.s.copy(),
             fig2_rates.gamma.copy(),
             fig2_rates.valid.copy(),
             fig2_rates.omega0,
+            fig2_rates.dgamma,
+            fig2_rates.ds,
         )
         damaged.valid[0] = False
         with pytest.raises(RateGapTooWide):
-            evolve_atom_timelocal(damaged, DensityMatrix.excited(2), fig2_grid)
-
-    def test_grid_mismatch(self, fig2_rates):
-        other = TimeGrid(0.0, 10.0, 1234)
-        with pytest.raises(GridMismatch):
-            evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2), other)
+            evolve_atom_timelocal(damaged, DensityMatrix.excited(2))
 
 
 class TestDensitySeries:

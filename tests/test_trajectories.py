@@ -6,10 +6,10 @@ import pytest
 from memorymodes import (
     BandGapModel,
     DensityMatrix,
+    Ensemble,
     GridMismatch,
     InvalidRates,
     LorentzianModel,
-    McwfEnsemble,
     NonPhysical,
     RateTrajectory,
     StepTooLarge,
@@ -36,6 +36,8 @@ def constant_rates(grid, gamma_value, s_value=0.0):
         np.full(n, float(gamma_value)),
         np.ones(n, dtype=bool),
         0.0,
+        np.zeros(n),
+        np.zeros(n),
     )
 
 
@@ -92,6 +94,16 @@ class TestNmqj:
         # members only return during negative-rate steps
         assert not (gained & ~negative).any()
 
+    def test_jump_counts_balance_the_shared_count(self, fig2_rates):
+        ens = run_nmqj(fig2_rates, EXCITED_ATOM, 50_000, 17)
+        assert ens.jump_counts.shape == (fig2_rates.grid.n_steps - 1, 1)
+        assert np.array_equal(ens.n0[1:], ens.n0[:-1] - ens.jump_counts.sum(axis=1))
+        # one signed channel: negative exactly on the steps with reverse jumps
+        counts = ens.jump_counts[:, 0]
+        reverse_steps = (fig2_rates.gamma[:-1] < 0) & (counts != 0)
+        assert reverse_steps.any()
+        assert np.array_equal(counts < 0, reverse_steps)
+
     def test_shared_state_independent_of_jump_history(self, fig2_rates):
         a = run_nmqj(fig2_rates, np.array([0.6, 0.8 + 0j]), 200, 1)
         b = run_nmqj(fig2_rates, np.array([0.6, 0.8 + 0j]), 200, 999)
@@ -124,14 +136,12 @@ class TestNmqj:
             fig2_rates.gamma.copy(),
             fig2_rates.valid.copy(),
             fig2_rates.omega0,
+            fig2_rates.dgamma,
+            fig2_rates.ds,
         )
         damaged.valid[100] = False
         with pytest.raises(InvalidRates):
             run_nmqj(damaged, EXCITED_ATOM, 10, 1)
-
-    def test_grid_mismatch(self, fig2_rates):
-        with pytest.raises(GridMismatch):
-            run_nmqj(fig2_rates, EXCITED_ATOM, 10, 1, grid=TimeGrid(0.0, 10.0, 999))
 
     def test_superposition_start_reproduces_coherence(self, fig2_model):
         # the shift acts as a pure phase on C_e, so the reconstructed
@@ -147,7 +157,7 @@ class TestNmqj:
         rho0 = DensityMatrix(
             np.array([[c_g**2, c_g * c_e], [c_g * c_e, c_e**2]], dtype=complex)
         )
-        exact = evolve_atom_timelocal(rates, rho0, grid)
+        exact = evolve_atom_timelocal(rates, rho0)
         ground = np.zeros((2, 2), dtype=complex)
         ground[0, 0] = 1.0
         worst = 0.0
@@ -231,6 +241,13 @@ class TestMcwf:
         variance = np.sum(ens.n0[:-1] * per_member * (1 - per_member))
         total = ens.jump_counts.sum()
         assert abs(total - expected) / math.sqrt(variance) < 5.0
+
+    def test_jump_counts_balance_the_shared_count(self, fig2_model, fig2_grid):
+        initial = np.array([0.0, 0.0, 1.0 + 0j])
+        ens = run_mcwf_pseudomode(fig2_model, initial, 20_000, 41, fig2_grid)
+        assert np.array_equal(ens.n0[1:], ens.n0[:-1] - ens.jump_counts.sum(axis=1))
+        assert ens.jump_counts.sum() > 0
+        assert ens.jump_counts.min() >= 0  # constant leak rates never reverse
 
     def test_seed_determinism(self, fig2_model, fig2_grid):
         initial = np.array([0.0, 0.0, 1.0 + 0j])
@@ -317,16 +334,14 @@ class TestTracedEnsemble:
     def test_unjumped_excited(self):
         grid = TimeGrid(0.0, 1.0, 2)
         psi0 = np.tile(np.array([0.0, 0.0, 1.0 + 0j]), (2, 1))
-        ens = McwfEnsemble(grid, 10, np.array([10, 10]), np.array([0, 0]), psi0, 0, grid.dt,
-                           np.zeros((1, 1), dtype=np.int64))
+        ens = Ensemble(grid, 10, np.array([10, 10]), psi0, 0, np.zeros((1, 1), dtype=np.int64))
         out = traced_ensemble_atom_state(ens)
         assert np.array_equal(out[0].matrix, np.diag([0.0, 1.0]).astype(complex))
 
     def test_fully_jumped(self):
         grid = TimeGrid(0.0, 1.0, 2)
         psi0 = np.tile(np.array([0.0, 0.0, 1.0 + 0j]), (2, 1))
-        ens = McwfEnsemble(grid, 10, np.array([0, 0]), np.array([10, 10]), psi0, 0, grid.dt,
-                           np.zeros((1, 1), dtype=np.int64))
+        ens = Ensemble(grid, 10, np.array([0, 0]), psi0, 0, np.zeros((1, 1), dtype=np.int64))
         out = traced_ensemble_atom_state(ens)
         assert np.array_equal(out[0].matrix, np.diag([1.0, 0.0]).astype(complex))
 
@@ -334,12 +349,18 @@ class TestTracedEnsemble:
         grid = TimeGrid(0.0, 1.0, 2)
         psi = np.array([0.3 + 0.1j, 0.5 - 0.2j, 0.6 + 0.3j])
         psi = psi / np.linalg.norm(psi)
-        ens = McwfEnsemble(grid, 1000, np.array([700, 700]), np.array([300, 300]),
-                           np.tile(psi, (2, 1)), 0, grid.dt, np.zeros((1, 1), dtype=np.int64))
+        ens = Ensemble(grid, 1000, np.array([700, 700]), np.tile(psi, (2, 1)), 0,
+                       np.zeros((1, 1), dtype=np.int64))
         out = traced_ensemble_atom_state(ens)
         expected = 0.3 + 0.7 * (abs(psi[0]) ** 2 + abs(psi[1]) ** 2)
         assert out[0].ground_population() == pytest.approx(expected, abs=1e-14)
         assert ensemble_ground_population(ens)[0] == pytest.approx(expected, abs=1e-14)
+
+    def test_nmqj_ground_population_matches_ensemble_formula(self, fig2_rates):
+        ens = run_nmqj(fig2_rates, np.array([0.6, 0.8 + 0j]), 2000, 3)
+        traced = traced_ensemble_atom_state(ens).ground_population()
+        pg = ensemble_ground_population(ens)
+        assert np.array_equal(traced.view(np.int64), pg.view(np.int64))
 
     def test_matches_partial_trace_of_ensemble_density(self, fig2_model, fig2_grid):
         from memorymodes import partial_trace_pseudomodes
