@@ -8,8 +8,6 @@ space, and stochastic trajectory unravelings of both.
 """
 
 from .amplitudes import (
-    LAB,
-    ROTATING,
     AmplitudeTrajectory,
     closed_form_oracle,
     expm_oracle,
@@ -72,7 +70,6 @@ from .trajectories import (
     ComparisonReport,
     Ensemble,
     compare_unravelings,
-    ensemble_ground_population,
     run_mcwf_pseudomode,
     run_nmqj,
     traced_ensemble_atom_state,
@@ -95,7 +92,6 @@ __all__ = [
     "IllConditioned",
     "InfoSeries",
     "InvalidRates",
-    "LAB",
     "LorentzianModel",
     "MemoryIdentityReport",
     "MemoryModesError",
@@ -105,7 +101,6 @@ __all__ = [
     "PseudomodeSector",
     "RateGapTooWide",
     "RateTrajectory",
-    "ROTATING",
     "SectorLeak",
     "StepTooLarge",
     "TimeGrid",
@@ -115,7 +110,6 @@ __all__ = [
     "closed_form_oracle",
     "compare_unravelings",
     "density_series_lab_frame",
-    "ensemble_ground_population",
     "evolve_atom_timelocal",
     "evolve_lindblad_double",
     "evolve_lindblad_sector",

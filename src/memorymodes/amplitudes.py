@@ -8,8 +8,9 @@ solution for cross-checking.
 
 Everything is computed in the frame rotating at the emitter frequency, which
 removes the fast common carrier so step sizes are set by the coupling, the
-detuning and the decay rates alone. The carrier can be restored exactly from
-the stored frequency and frame tag.
+detuning and the decay rates alone. Restoring the carrier is an output step:
+``AmplitudeTrajectory.lab_states`` multiplies the stored states by
+exp(-i*omega0*t).
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .errors import IllConditioned, ToleranceNotMet
 from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 
 __all__ = [
-    "ROTATING",
-    "LAB",
     "AmplitudeTrajectory",
     "mode_generator",
     "propagate_sector",
@@ -35,9 +34,6 @@ __all__ = [
     "expm_oracle",
     "norm_balance_residuals",
 ]
-
-ROTATING = "rotating"
-LAB = "lab"
 
 #: slack allowed on the unit-norm bound of initial amplitude vectors
 NORM_SLACK = 1e-9
@@ -50,15 +46,13 @@ class AmplitudeTrajectory:
     ``states[k]`` is the amplitude vector at ``grid.times[k]``, ordered as in
     ``labels``. ``generator`` is the constant matrix G with d(psi)/dt = G psi,
     kept so exact time derivatives can be evaluated without finite
-    differencing. ``frame`` records whether the common carrier phase at
-    ``omega0`` has been removed ("rotating") or retained ("lab").
+    differencing. Both are in the frame rotating at ``omega0``.
     """
 
     grid: TimeGrid
     states: np.ndarray
     generator: np.ndarray
     labels: tuple[str, ...]
-    frame: str
     omega0: float
 
     def __post_init__(self) -> None:
@@ -69,19 +63,12 @@ class AmplitudeTrajectory:
                 f"states shape {states.shape} does not match grid length "
                 f"{self.grid.n_steps} and {n} components"
             )
-        if self.frame not in (ROTATING, LAB):
-            raise ValueError(f"unknown frame tag {self.frame!r}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "generator", np.asarray(self.generator, dtype=complex))
 
     @property
     def c1(self) -> np.ndarray:
         return self.states[:, 0]
-
-    @property
-    def mode_amplitude(self) -> np.ndarray:
-        """Amplitude of the mode the emitter couples to directly."""
-        return self.states[:, -1]
 
     def component(self, label: str) -> np.ndarray:
         return self.states[:, self.labels.index(label)]
@@ -93,29 +80,20 @@ class AmplitudeTrajectory:
     def populations(self) -> np.ndarray:
         return np.abs(self.states) ** 2
 
-    def lab_frame(self) -> "AmplitudeTrajectory":
-        """Restore the carrier phase exp(-i*omega0*t) on every component."""
-        if self.frame == LAB:
-            return self
-        phase = np.exp(-1j * self.omega0 * self.grid.times)
-        generator = self.generator - 1j * self.omega0 * np.eye(len(self.labels))
-        return AmplitudeTrajectory(
-            self.grid, self.states * phase[:, None], generator, self.labels, LAB, self.omega0
-        )
+    def lab_states(self) -> np.ndarray:
+        """The states with the carrier phase exp(-i*omega0*t) restored on every component."""
+        return self.states * np.exp(-1j * self.omega0 * self.grid.times)[:, None]
 
 
-def mode_generator(sector: PseudomodeSector, frame: str = ROTATING) -> np.ndarray:
-    """Constant generator of the (c1, modes...) system, d(psi)/dt = G psi."""
+def mode_generator(sector: PseudomodeSector) -> np.ndarray:
+    """Constant generator of the (c1, modes...) system, d(psi)/dt = G psi, rotating at omega0."""
     n = sector.n_modes + 1
     coeff = np.zeros((n, n), dtype=complex)
     coeff[0, 1:] = coeff[1:, 0] = sector.couplings
     coeff[1:, 1:] = sector.intermode
     for k, (frequency, leak) in enumerate(zip(sector.frequencies, sector.leak_rates), start=1):
         coeff[k, k] = frequency - sector.omega0 - 0.5j * leak
-    generator = -1j * coeff
-    if frame == LAB:
-        generator = generator - 1j * sector.omega0 * np.eye(n)
-    return generator
+    return -1j * coeff
 
 
 def _coerce_state(initial, dim: int) -> np.ndarray:
@@ -153,32 +131,24 @@ def _propagate_constant(generator: np.ndarray, x0: np.ndarray, grid: TimeGrid) -
     return rows
 
 
-def propagate_sector(
-    sector: PseudomodeSector,
-    initial=None,
-    grid: TimeGrid | None = None,
-) -> AmplitudeTrajectory:
+def propagate_sector(sector: PseudomodeSector, initial, grid: TimeGrid) -> AmplitudeTrajectory:
     """Propagate (c1, modes...) on ``grid`` in the rotating frame.
 
     ``initial`` is a sequence ordered (c1, then the modes in sector order),
     or None for the fully excited emitter with empty modes.
     """
-    if grid is None:
-        raise TypeError("grid is required")
     psi0 = _coerce_state(initial, sector.n_modes + 1)
     generator = mode_generator(sector)
     states = _propagate_constant(generator, psi0, grid)
-    return AmplitudeTrajectory(
-        grid, states, generator, ("c1",) + sector.labels, ROTATING, sector.omega0
-    )
+    return AmplitudeTrajectory(grid, states, generator, ("c1",) + sector.labels, sector.omega0)
 
 
-def propagate_single(model: LorentzianModel, initial=None, grid: TimeGrid | None = None):
+def propagate_single(model: LorentzianModel, initial, grid: TimeGrid):
     """:func:`propagate_sector` on the (c1, b1) sector of a Lorentzian model."""
     return propagate_sector(model.sector, initial, grid)
 
 
-def propagate_double(model: BandGapModel, initial=None, grid: TimeGrid | None = None):
+def propagate_double(model: BandGapModel, initial, grid: TimeGrid):
     """:func:`propagate_sector` on the (c1, a1, a2) sector of a band-gap model."""
     return propagate_sector(model.sector, initial, grid)
 

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import LAB, ROTATING, AmplitudeTrajectory, _propagate_constant
+from .amplitudes import AmplitudeTrajectory, _propagate_constant
 from .errors import RateGapTooWide, SectorLeak
 from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 from .rates import RateTrajectory
@@ -193,6 +193,20 @@ def _entries(rho: DensityMatrix | DensitySeries) -> np.ndarray:
     return rho.matrices if isinstance(rho, DensitySeries) else rho.matrix
 
 
+def _emitter_entries(ground, excited, coherence) -> np.ndarray:
+    """Emitter matrices on (|g>, |e>) with rho_eg = ``coherence`` at [1, 0].
+
+    The three entries share their leading axes, which become the leading axes
+    of the ``(..., 2, 2)`` result.
+    """
+    out = np.empty(np.shape(coherence) + (2, 2), dtype=complex)
+    out[..., 0, 0] = ground
+    out[..., 0, 1] = np.conj(coherence)
+    out[..., 1, 0] = coherence
+    out[..., 1, 1] = excited
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
     """Hermitian generator assembled on one of the sector bases (compares by identity)."""
@@ -222,26 +236,25 @@ def mode_lowering(dim: int, which: int = 1) -> np.ndarray:
     return op
 
 
-def sector_hamiltonian(sector: PseudomodeSector, frame: str = ROTATING) -> HamiltonianSpec:
-    """Emitter+modes Hamiltonian on the sector basis (vacuum, modes, excited)."""
+def sector_hamiltonian(sector: PseudomodeSector) -> HamiltonianSpec:
+    """Rotating-frame emitter+modes Hamiltonian on the sector basis (vacuum, modes, excited)."""
     dim = sector.n_modes + 2
     h = np.zeros((dim, dim), dtype=complex)
     h[1:-1, 1:-1] = sector.intermode
     h[1:-1, -1] = h[-1, 1:-1] = sector.couplings
     for k, frequency in enumerate(sector.frequencies, start=1):
-        h[k, k] = frequency if frame == LAB else frequency - sector.omega0
-    if frame == LAB:
-        h[-1, -1] = sector.omega0
+        h[k, k] = frequency - sector.omega0
     return HamiltonianSpec(h)
 
 
-def _rate_increments(rates: RateTrajectory) -> np.ndarray:
-    """Per-step increments of K(t), the integral of k = gamma + i(S - 2*omega0).
+def _rate_integral(rates: RateTrajectory) -> np.ndarray:
+    """K(t) on the grid, the integral from t_0 of k = gamma + i(S - 2*omega0).
 
-    Each is the end-corrected trapezoid dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}),
-    O(dt^4), with the exact slopes. Invalid runs shorter than 3 points are
-    bridged linearly (``RateGapTooWide`` otherwise); an interval with an
-    invalid end, or a NaN slope, takes the plain trapezoid.
+    It sums per-step increments, each the end-corrected trapezoid
+    dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}), O(dt^4), with the exact
+    slopes. Invalid runs shorter than 3 points are bridged linearly
+    (``RateGapTooWide`` otherwise); an interval with an invalid end, or a NaN
+    slope, takes the plain trapezoid.
     """
     valid = rates.valid
     rate = rates.gamma + 1j * (rates.s - 2.0 * rates.omega0)
@@ -261,27 +274,23 @@ def _rate_increments(rates: RateTrajectory) -> np.ndarray:
     steps = 0.5 * dt * (rate[:-1] + rate[1:])
     slope = np.where(valid, rates.dgamma + 1j * rates.ds, np.nan)
     correction = dt * dt / 12.0 * (slope[:-1] - slope[1:])
-    return np.where(np.isfinite(correction), steps + correction, steps)
+    increments = np.where(np.isfinite(correction), steps + correction, steps)
+    return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> DensitySeries:
     """Emitter master equation with time-dependent coefficients, in closed form.
 
     It decouples: rho_ee(t) = rho_ee(0) exp(-Re K) and rho_eg(t) = rho_eg(0) exp(-K/2),
-    with K summed from :func:`_rate_increments`. rho_gg = 1 - rho_ee, so the
-    trace is one by construction. Output is rotating-frame, on ``rates.grid``.
+    with K from :func:`_rate_integral`. rho_gg = 1 - rho_ee, so the trace is
+    one by construction. Output is rotating-frame, on ``rates.grid``.
     """
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")
-    exponent = np.concatenate([[0.0], np.cumsum(_rate_increments(rates))])
+    exponent = _rate_integral(rates)
     ee = rho0.matrix[1, 1].real * np.exp(-exponent.real)
     coherence = rho0.matrix[1, 0] * np.exp(-0.5 * exponent)
-    out = np.empty((len(exponent), 2, 2), dtype=complex)
-    out[:, 0, 0] = 1.0 - ee
-    out[:, 1, 1] = ee
-    out[:, 1, 0] = coherence
-    out[:, 0, 1] = coherence.conj()
-    return DensitySeries(out)
+    return DensitySeries(_emitter_entries(1.0 - ee, ee, coherence))
 
 
 def evolve_lindblad_sector(
@@ -348,12 +357,8 @@ def partial_trace_pseudomodes(
         raise ValueError("state is already emitter-only")
     m = _entries(rho)
     last = rho.dim - 1
-    out = np.empty(m.shape[:-2] + (2, 2), dtype=complex)
-    out[..., 0, 0] = np.trace(m[..., :last, :last], axis1=-2, axis2=-1)
-    out[..., 0, 1] = m[..., last, 0].conj()
-    out[..., 1, 0] = m[..., last, 0]
-    out[..., 1, 1] = m[..., last, last]
-    return type(rho)(out)
+    ground = np.trace(m[..., :last, :last], axis1=-2, axis2=-1)
+    return type(rho)(_emitter_entries(ground, m[..., last, last], m[..., last, 0]))
 
 
 def partial_trace_atom(rho: DensityMatrix | DensitySeries) -> np.ndarray:
@@ -405,12 +410,7 @@ def atom_density_from_amplitudes(
     # differ in the last bit
     ee = np.float_power(np.hypot(c1.real, c1.imag), 2.0)
     coh = c1 * np.conj(complex(vacuum_amplitude))
-    out = np.zeros((len(c1), 2, 2), dtype=complex)
-    out[:, 0, 0] = 1.0 - ee
-    out[:, 0, 1] = coh.conj()
-    out[:, 1, 0] = coh
-    out[:, 1, 1] = ee
-    return DensitySeries(out)
+    return DensitySeries(_emitter_entries(1.0 - ee, ee, coh))
 
 
 def _extended_vectors(traj: AmplitudeTrajectory, vacuum_amplitude: complex) -> np.ndarray:

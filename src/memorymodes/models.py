@@ -240,22 +240,12 @@ class BandGapModel:
         a1 decays at w1*gamma2 - w2*gamma1 and a2 at w1*gamma1 - w2*gamma2;
         they couple with strength sqrt(w1*w2)*(gamma1-gamma2)/2, and only a2
         couples to the emitter. A perfect gap makes the first rate exactly
-        zero, turning the storage mode lossless.
-
-        Raises ``NonPhysical`` when either rate falls outside the valid
-        domain, unless the model was built with ``allow_nonphysical=True``.
+        zero, turning the storage mode lossless. Construction already refused
+        rates outside the valid domain unless the model was built with
+        ``allow_nonphysical=True``; such a model yields its rates as they are.
         """
         gamma_p1 = self.w1 * self.gamma2 - self.w2 * self.gamma1
         gamma_p2 = self.w1 * self.gamma1 - self.w2 * self.gamma2
-        if not self.allow_nonphysical:
-            if gamma_p1 < 0:
-                raise NonPhysical(
-                    f"w1*gamma2 - w2*gamma1 = {gamma_p1} < 0: no valid dissipative form"
-                )
-            if gamma_p2 <= 0:
-                raise NonPhysical(
-                    f"w1*gamma1 - w2*gamma2 = {gamma_p2} <= 0: no valid dissipative form"
-                )
         v = float(np.sqrt(self.w1 * self.w2) * (self.gamma1 - self.gamma2) / 2.0)
         return PseudomodeSector(
             self.omega0,

@@ -3,11 +3,13 @@
 The exact emitter evolution is governed by two time-dependent coefficients:
 a frequency shift and a decay rate, both defined through the logarithmic
 derivative of the excited amplitude. The same coefficients can be written in
-terms of the directly coupled mode amplitude, and the mode populations obey
-exact balance identities that tie their compensated drain to the emitter
-decay rate. All derivatives here come from the ODE right-hand side evaluated
-at the stored states, never from finite differences, so the identities hold
-to rounding for any stored trajectory, however it was propagated.
+terms of the mode amplitudes weighted by their emitter couplings, and the
+mode populations obey exact balance identities that tie their compensated
+drain to the emitter decay rate. Trajectories are rotating-frame; the shift
+is returned in the lab frame by adding the carrier term 2*omega0. All
+derivatives here come from the ODE right-hand side evaluated at the stored
+states, never from finite differences, so the identities hold to rounding
+for any stored trajectory, however it was propagated.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import ROTATING, AmplitudeTrajectory
+from .amplitudes import AmplitudeTrajectory
 from .errors import AllPointsInvalid
 from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
 
@@ -73,6 +75,11 @@ class MemoryIdentityReport:
     max_relative_residual: float
 
 
+def _check_sector(traj: AmplitudeTrajectory, sector: PseudomodeSector) -> None:
+    if traj.labels[1:] != sector.labels:
+        raise ValueError(f"trajectory modes {traj.labels[1:]} are not the sector's {sector.labels}")
+
+
 def _validity(c1: np.ndarray) -> np.ndarray:
     valid = np.abs(c1) ** 2 >= VALIDITY_CUTOFF
     if not valid.any():
@@ -92,12 +99,11 @@ def _rate_slopes(traj: AmplitudeTrajectory, valid: np.ndarray) -> tuple[np.ndarr
 
 
 def rates_from_amplitudes(traj: AmplitudeTrajectory) -> RateTrajectory:
-    """Extract the decay rate -2 Re{c1'/c1} and shift -2 Im{c1'/c1}.
+    """Extract the decay rate -2 Re{c1'/c1} and shift -2 Im{c1'/c1} + 2*omega0.
 
     The derivatives, and the slopes of both series, are evaluated from the
-    trajectory generator. For a
-    rotating-frame trajectory the shift gets the carrier correction
-    2*omega0 so the returned series is always the lab-frame one.
+    trajectory generator. The carrier term 2*omega0 turns the rotating-frame
+    shift into the lab-frame one.
     """
     c1 = traj.c1
     dc1 = traj.derivatives()[:, 0]
@@ -105,29 +111,26 @@ def rates_from_amplitudes(traj: AmplitudeTrajectory) -> RateTrajectory:
     ratio = np.full(c1.shape, complex(np.nan, np.nan))
     np.divide(dc1, c1, out=ratio, where=valid)
     gamma = np.where(valid, -2.0 * ratio.real, np.nan)
-    s = -2.0 * ratio.imag
-    if traj.frame == ROTATING:
-        s = s + 2.0 * traj.omega0
-    s = np.where(valid, s, np.nan)
+    s = np.where(valid, -2.0 * ratio.imag + 2.0 * traj.omega0, np.nan)
     return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
 
 
-def rates_pseudomode_form(traj: AmplitudeTrajectory, omega_coupling: float) -> RateTrajectory:
-    """Coefficients re-expressed through the directly coupled mode amplitude.
+def rates_pseudomode_form(traj: AmplitudeTrajectory, sector: PseudomodeSector) -> RateTrajectory:
+    """Coefficients re-expressed through the mode amplitudes of ``sector``.
 
-    shift = 2*[omega0 + coupling*Re{c1 conj(mode)}/|c1|^2] and
-    rate = 2*coupling*Im{c1 conj(mode)}/|c1|^2; both agree with
-    :func:`rates_from_amplitudes` pointwise because the cross products are
-    frame invariant.
+    With X = sum_k g_k c1 conj(b_k)/|c1|^2 over the emitter couplings g_k,
+    shift = 2*(omega0 + Re X) and rate = 2*Im X; both agree with
+    :func:`rates_from_amplitudes` pointwise because c1' = -i sum_k g_k b_k.
     """
+    _check_sector(traj, sector)
     c1 = traj.c1
-    mode = traj.mode_amplitude
     valid = _validity(c1)
     population = np.abs(c1) ** 2
     cross = np.full(c1.shape, complex(np.nan, np.nan))
-    np.divide(c1 * np.conj(mode), population, out=cross, where=valid)
-    gamma = np.where(valid, 2.0 * omega_coupling * cross.imag, np.nan)
-    s = np.where(valid, 2.0 * (traj.omega0 + omega_coupling * cross.real), np.nan)
+    coupled = np.conj(traj.states[:, 1:]) @ np.asarray(sector.couplings, dtype=float)
+    np.divide(c1 * coupled, population, out=cross, where=valid)
+    gamma = np.where(valid, 2.0 * cross.imag, np.nan)
+    s = np.where(valid, 2.0 * (traj.omega0 + cross.real), np.nan)
     return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
 
 
@@ -152,8 +155,7 @@ def memory_identity_sector(
     records the numerical defect. Points with invalid rates are excluded from
     the residual maximum.
     """
-    if traj.labels[1:] != sector.labels:
-        raise ValueError(f"trajectory modes {traj.labels[1:]} are not the sector's {sector.labels}")
+    _check_sector(traj, sector)
     derivs = traj.derivatives()
     lhs = np.zeros(traj.grid.n_steps)
     for index, rate in enumerate(sector.leak_rates, start=1):

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .amplitudes import propagate_sector
-from .density import DensitySeries, _extended_vectors, _rate_increments
+from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
 from .models import BandGapModel, LorentzianModel, TimeGrid
 from .rates import RateTrajectory
@@ -37,7 +37,6 @@ __all__ = [
     "run_nmqj",
     "run_mcwf_pseudomode",
     "traced_ensemble_atom_state",
-    "ensemble_ground_population",
     "compare_unravelings",
 ]
 
@@ -137,8 +136,8 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     gamma = np.asarray(rates.gamma, dtype=float)
 
     # no-jump state: C_g frozen, C_e attenuated/rephased by the accumulated
-    # complex rate, summed from the same increments as the time-local route
-    half = 0.5 * np.concatenate([[0.0], np.cumsum(_rate_increments(rates))])
+    # complex rate, the same integral K as the time-local route
+    half = 0.5 * _rate_integral(rates)
     c_g, c_e = psi_init
     if c_g == 0:
         excited = (c_e / abs(c_e)) * np.exp(-1j * half.imag)
@@ -252,20 +251,13 @@ def traced_ensemble_atom_state(ens: Ensemble) -> DensitySeries:
     excited = psi[:, -1]
     w0 = ens.n0 / ens.n_members
     w1 = ens.n1 / ens.n_members
-    eg = w0 * excited * np.conj(psi[:, 0])
-    out = np.empty((len(psi), 2, 2), dtype=complex)
-    out[:, 0, 0] = w0 * np.sum(np.abs(psi[:, :-1]) ** 2, axis=1) + w1
-    out[:, 0, 1] = np.conj(eg)
-    out[:, 1, 0] = eg
-    out[:, 1, 1] = w0 * np.float_power(np.hypot(excited.real, excited.imag), 2.0)
-    return DensitySeries(out)
-
-
-def ensemble_ground_population(ens: Ensemble) -> np.ndarray:
-    """Ground population series n1/N + (n0/N)*(emitter-ground weight of psi0)."""
-    ground_weight = np.sum(np.abs(ens.psi0[:, :-1]) ** 2, axis=1)
-    n = ens.n_members
-    return ens.n1 / n + (ens.n0 / n) * ground_weight
+    return DensitySeries(
+        _emitter_entries(
+            w0 * np.sum(np.abs(psi[:, :-1]) ** 2, axis=1) + w1,
+            w0 * np.float_power(np.hypot(excited.real, excited.imag), 2.0),
+            w0 * excited * np.conj(psi[:, 0]),
+        )
+    )
 
 
 def _z_scores(diff: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -295,8 +287,8 @@ def compare_unravelings(a: Ensemble, b: Ensemble, exact: DensitySeries) -> Compa
     variance = np.clip(p_exact * (1.0 - p_exact), 0.0, None)
     sigma_a = np.sqrt(variance / a.n_members)
     sigma_b = np.sqrt(variance / b.n_members)
-    pg_a = ensemble_ground_population(a)
-    pg_b = ensemble_ground_population(b)
+    pg_a = traced_ensemble_atom_state(a).ground_population()
+    pg_b = traced_ensemble_atom_state(b).ground_population()
     z_a = _z_scores(np.abs(pg_a - p_exact), sigma_a)
     z_b = _z_scores(np.abs(pg_b - p_exact), sigma_b)
     z = np.maximum(z_a, z_b)

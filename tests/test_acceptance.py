@@ -62,7 +62,7 @@ def test_criterion_1_coefficient_equivalence():
         nonlocal worst_shift, worst_rate
         traj = propagate_single(model, None, grid)
         direct = rates_from_amplitudes(traj)
-        mode_form = rates_pseudomode_form(traj, model.omega_coupling)
+        mode_form = rates_pseudomode_form(traj, model.sector)
         scale = model.gamma_markov
         valid = direct.valid
         worst_shift = max(

@@ -23,7 +23,6 @@ from memorymodes import (
     RateTrajectory,
     TimeGrid,
 )
-from memorymodes.amplitudes import ROTATING
 from memorymodes.csvio import (
     write_amplitude_csv,
     write_comparison_csv,
@@ -70,7 +69,7 @@ def re_im(labels, values) -> dict[str, np.ndarray]:
 
 def case_amplitude(path):
     states = complexes(2)
-    traj = AmplitudeTrajectory(GRID, states, np.eye(2), ("c1", "b1"), ROTATING, 0.0)
+    traj = AmplitudeTrajectory(GRID, states, np.eye(2), ("c1", "b1"), 0.0)
     write_amplitude_csv(path, traj)
     return {"t": TIMES, **re_im(("c1", "b1"), states)}
 

@@ -29,7 +29,7 @@ class TestRateExtraction:
             rates = rates_from_amplitudes(traj)
             assert rates.gamma[0] == 0.0
             assert rates.s[0] == pytest.approx(2 * model.omega0, abs=1e-14)
-            mode_form = rates_pseudomode_form(traj, model.omega_coupling)
+            mode_form = rates_pseudomode_form(traj, model.sector)
             assert mode_form.gamma[0] == 0.0
             assert mode_form.s[0] == 2 * model.omega0
 
@@ -41,13 +41,13 @@ class TestRateExtraction:
         assert np.allclose(rates.s, 2 * 0.6, atol=1e-13)
 
     def test_two_forms_agree_single(self, fig2_traj, fig2_model, fig2_rates):
-        mode_form = rates_pseudomode_form(fig2_traj, fig2_model.omega_coupling)
+        mode_form = rates_pseudomode_form(fig2_traj, fig2_model.sector)
         assert np.nanmax(np.abs(mode_form.s - fig2_rates.s)) < 1e-6
         assert np.nanmax(np.abs(mode_form.gamma - fig2_rates.gamma)) < 1e-6
 
     def test_two_forms_agree_double(self, bandgap_traj, bandgap_model):
         direct = rates_from_amplitudes(bandgap_traj)
-        mode_form = rates_pseudomode_form(bandgap_traj, bandgap_model.omega_coupling)
+        mode_form = rates_pseudomode_form(bandgap_traj, bandgap_model.sector)
         assert np.nanmax(np.abs(mode_form.s - direct.s)) < 1e-6
         assert np.nanmax(np.abs(mode_form.gamma - direct.gamma)) < 1e-6
 
@@ -58,7 +58,7 @@ class TestRateExtraction:
             model = random_lorentzian(rng)
             traj = propagate_single(model, None, grid)
             direct = rates_from_amplitudes(traj)
-            mode_form = rates_pseudomode_form(traj, model.omega_coupling)
+            mode_form = rates_pseudomode_form(traj, model.sector)
             tol = 1e-6 * max(model.gamma_markov, 1.0)
             valid = direct.valid
             assert np.max(np.abs(mode_form.s[valid] - direct.s[valid])) < tol
@@ -69,7 +69,7 @@ class TestRateExtraction:
         grid = TimeGrid(0.0, 0.5, 2000)
         traj = propagate_single(model, None, grid)
         rates = rates_from_amplitudes(traj)
-        mode_form = rates_pseudomode_form(traj, model.omega_coupling)
+        mode_form = rates_pseudomode_form(traj, model.sector)
         late = grid.times > 10.0 / model.gamma
         for series in (rates.gamma, mode_form.gamma):
             deviation = np.abs(series[late] / model.gamma_markov - 1.0)
@@ -93,11 +93,6 @@ class TestRateExtraction:
         traj = propagate_single(model, [0.0, 1.0], grid)
         with pytest.raises(AllPointsInvalid):
             rates_from_amplitudes(traj)
-
-    def test_lab_frame_gives_same_series(self, fig2_traj, fig2_rates):
-        lab = rates_from_amplitudes(fig2_traj.lab_frame())
-        assert np.nanmax(np.abs(lab.gamma - fig2_rates.gamma)) < 1e-9
-        assert np.nanmax(np.abs(lab.s - fig2_rates.s)) < 1e-9
 
 
 class TestMemoryIdentitySingle:

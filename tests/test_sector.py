@@ -21,6 +21,7 @@ from memorymodes import (
     propagate_sector,
     propagate_single,
     rates_from_amplitudes,
+    rates_pseudomode_form,
 )
 
 
@@ -44,7 +45,7 @@ def test_uncoupled_mode_leaves_fig2_unchanged(fig2_model, n_steps):
     one = propagate_single(fig2_model, None, grid)
     assert two.labels == ("c1", "a1", "a2")
     assert np.max(np.abs(two.c1 - one.c1)) < 1e-14
-    assert np.max(np.abs(two.mode_amplitude - one.mode_amplitude)) < 1e-14
+    assert np.max(np.abs(two.component("a2") - one.component("b1"))) < 1e-14
 
     marginal_two = partial_trace_pseudomodes(
         evolve_lindblad_sector(sector, DensityMatrix.excited(4), grid)
@@ -60,9 +61,25 @@ def test_uncoupled_mode_leaves_fig2_unchanged(fig2_model, n_steps):
     assert np.max(np.abs(lhs_two - lhs_one)) < 1e-14
 
 
+def test_rate_forms_agree_with_two_coupled_modes():
+    # both modes couple to the emitter, so the pseudomode form must sum over them
+    sector = PseudomodeSector(
+        0.4, (1.9, -0.7), (0.35, 0.5), ((0.0, 0.0), (0.0, 0.0)), (0.6, 1.1), ("b1", "b2")
+    )
+    traj = propagate_sector(sector, None, TimeGrid(0.0, 8.0, 2000))
+    direct = rates_from_amplitudes(traj)
+    mode_form = rates_pseudomode_form(traj, sector)
+    assert np.array_equal(mode_form.valid, direct.valid)
+    valid = direct.valid
+    assert np.max(np.abs(mode_form.gamma[valid] - direct.gamma[valid])) < 1e-12
+    assert np.max(np.abs(mode_form.s[valid] - direct.s[valid])) < 1e-12
+
+
 def test_identities_reject_another_sector(fig2_model, fig2_traj, fig2_rates):
     sector = with_spectator_mode(fig2_model.sector)
     with pytest.raises(ValueError, match="not the sector"):
         memory_identity_sector(fig2_traj, sector, fig2_rates)
+    with pytest.raises(ValueError, match="not the sector"):
+        rates_pseudomode_form(fig2_traj, sector)
     with pytest.raises(ValueError, match="two modes"):
         intermode_memory_identity(fig2_traj, fig2_model.sector)

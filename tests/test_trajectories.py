@@ -16,7 +16,6 @@ from memorymodes import (
     TimeGrid,
     atom_density_from_amplitudes,
     compare_unravelings,
-    ensemble_ground_population,
     evolve_lindblad_single,
     propagate_single,
     rates_from_amplitudes,
@@ -279,7 +278,7 @@ class TestMcwf:
         )
         assert worst < 5.0
         # ground-population formula with every emitter-ground weight active
-        pg = ensemble_ground_population(ens)
+        pg = traced.ground_population()
         manual = ens.n1 / n + (ens.n0 / n) * (
             np.abs(ens.psi0[:, 0]) ** 2 + np.abs(ens.psi0[:, 1]) ** 2
         )
@@ -354,13 +353,6 @@ class TestTracedEnsemble:
         out = traced_ensemble_atom_state(ens)
         expected = 0.3 + 0.7 * (abs(psi[0]) ** 2 + abs(psi[1]) ** 2)
         assert out[0].ground_population() == pytest.approx(expected, abs=1e-14)
-        assert ensemble_ground_population(ens)[0] == pytest.approx(expected, abs=1e-14)
-
-    def test_nmqj_ground_population_matches_ensemble_formula(self, fig2_rates):
-        ens = run_nmqj(fig2_rates, np.array([0.6, 0.8 + 0j]), 2000, 3)
-        traced = traced_ensemble_atom_state(ens).ground_population()
-        pg = ensemble_ground_population(ens)
-        assert np.array_equal(traced.view(np.int64), pg.view(np.int64))
 
     def test_matches_partial_trace_of_ensemble_density(self, fig2_model, fig2_grid):
         from memorymodes import partial_trace_pseudomodes
