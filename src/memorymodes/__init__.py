@@ -21,7 +21,6 @@ from .config import ModelConfig, validate_config, validate_config_text
 from .density import (
     DensityMatrix,
     DensitySeries,
-    HamiltonianSpec,
     atom_density_from_amplitudes,
     density_series_lab_frame,
     evolve_atom_timelocal,
@@ -88,7 +87,6 @@ __all__ = [
     "DensitySeries",
     "Ensemble",
     "GridMismatch",
-    "HamiltonianSpec",
     "IllConditioned",
     "InfoSeries",
     "InvalidRates",

@@ -4,7 +4,9 @@ The amplitude vector (c1, one amplitude per mode) obeys a small
 constant-coefficient linear ODE system built from a ``PseudomodeSector``.
 Propagation is exact up to rounding, by matrix exponentials on the uniform
 grid; an independent eigen-decomposition oracle provides the closed-form
-solution for cross-checking.
+solution for cross-checking. A trajectory carries the sector it was
+propagated in: its labels, carrier frequency, generator and leak rates are
+all read from that one description.
 
 Everything is computed in the frame rotating at the emitter frequency, which
 removes the fast common carrier so step sizes are set by the coupling, the
@@ -16,7 +18,7 @@ exp(-i*omega0*t).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -41,30 +43,40 @@ NORM_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class AmplitudeTrajectory:
-    """Grid-sampled amplitude vectors plus the generator that produced them.
+    """Grid-sampled amplitude vectors of one pseudomode sector.
 
     ``states[k]`` is the amplitude vector at ``grid.times[k]``, ordered as in
-    ``labels``. ``generator`` is the constant matrix G with d(psi)/dt = G psi,
-    kept so exact time derivatives can be evaluated without finite
-    differencing. Both are in the frame rotating at ``omega0``.
+    ``labels``: c1, then the modes of ``sector`` in order. ``generator`` is
+    the constant matrix G with d(psi)/dt = G psi, so exact time derivatives
+    can be evaluated without finite differencing. Both are in the frame
+    rotating at ``omega0``.
     """
 
     grid: TimeGrid
     states: np.ndarray
-    generator: np.ndarray
-    labels: tuple[str, ...]
-    omega0: float
+    sector: PseudomodeSector
 
     def __post_init__(self) -> None:
         states = np.asarray(self.states, dtype=complex)
-        n = len(self.labels)
+        n = self.sector.n_modes + 1
         if states.shape != (self.grid.n_steps, n):
             raise ValueError(
                 f"states shape {states.shape} does not match grid length "
                 f"{self.grid.n_steps} and {n} components"
             )
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "generator", np.asarray(self.generator, dtype=complex))
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return ("c1",) + self.sector.labels
+
+    @property
+    def omega0(self) -> float:
+        return self.sector.omega0
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        return mode_generator(self.sector)
 
     @property
     def c1(self) -> np.ndarray:
@@ -138,9 +150,8 @@ def propagate_sector(sector: PseudomodeSector, initial, grid: TimeGrid) -> Ampli
     or None for the fully excited emitter with empty modes.
     """
     psi0 = _coerce_state(initial, sector.n_modes + 1)
-    generator = mode_generator(sector)
-    states = _propagate_constant(generator, psi0, grid)
-    return AmplitudeTrajectory(grid, states, generator, ("c1",) + sector.labels, sector.omega0)
+    states = _propagate_constant(mode_generator(sector), psi0, grid)
+    return AmplitudeTrajectory(grid, states, sector)
 
 
 def propagate_single(model: LorentzianModel, initial, grid: TimeGrid):
@@ -189,19 +200,16 @@ def expm_oracle(generator, initial, t):
     return out[0] if np.ndim(t) == 0 else out
 
 
-def norm_balance_residuals(traj: AmplitudeTrajectory, decay_rates: Sequence[float]) -> np.ndarray:
+def norm_balance_residuals(traj: AmplitudeTrajectory) -> np.ndarray:
     """Per-interval defect of the norm balance.
 
-    The total one-excitation norm can only drain through the damped
-    components: d(sum |psi_i|^2)/dt = -sum_i rate_i |psi_i|^2. Returns
-    |(n_{k+1}-n_k)/dt + trapezoid(drain)| for every grid interval, where
-    ``decay_rates[i]`` pairs with component i of the trajectory.
+    The total one-excitation norm can only drain through the leaking modes:
+    d(sum |psi_i|^2)/dt = -sum_k rate_k |b_k|^2. Returns
+    |(n_{k+1}-n_k)/dt + trapezoid(drain)| for every grid interval, with the
+    leak rates of the trajectory's sector.
     """
-    rates = np.asarray(decay_rates, dtype=float)
-    if rates.shape != (len(traj.labels),):
-        raise ValueError(f"expected {len(traj.labels)} decay rates, got {rates.shape}")
     populations = traj.populations()
     total = populations.sum(axis=1)
-    drain = populations @ rates
+    drain = populations @ np.array([0.0, *traj.sector.leak_rates])
     dt = traj.grid.dt
     return np.abs(np.diff(total) / dt + 0.5 * (drain[1:] + drain[:-1]))

@@ -51,18 +51,6 @@ from .trajectories import compare_unravelings, run_mcwf_pseudomode, run_nmqj
 
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
 
-EXPERIMENTS = (
-    "amplitudes",
-    "rates",
-    "identity",
-    "evolve",
-    "nmqj",
-    "mcwf",
-    "compare",
-    "info",
-    "fig2",
-)
-
 _STOCHASTIC = ("nmqj", "mcwf", "compare")
 
 # Detuned strong-coupling reference preset: width 0.6, coupling sqrt(0.15),
@@ -95,8 +83,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.experiment in _STOCHASTIC and self.n_members < 1:
-            raise ValueError(f"stochastic experiments need n_members >= 1, got {self.n_members}")
+        if self.experiment in _STOCHASTIC and not 1 <= self.n_members < 2**63:
+            raise ValueError(f"stochastic runs need 1 <= n_members < 2**63, got {self.n_members}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit an unsigned 64-bit value, got {self.seed}")
 
@@ -137,13 +125,13 @@ def _experiment_identity(config, artifact, extras) -> None:
         extras["gamma_p2"] = f"{sector.leak_rates[1]:.17g}"
         extras["intermode_coupling"] = f"{sector.intermode[0][1]:.17g}"
     if isinstance(config.model, LorentzianModel):
-        report = memory_identity_single(traj, config.model, rates)
+        report = memory_identity_single(traj, rates)
     else:
-        report = memory_identity_double(traj, config.model, rates)
+        report = memory_identity_double(traj, rates)
     write_identity_csv(artifact("identity.csv"), report)
     extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
     if sector.n_modes == 2:
-        intermode = intermode_memory_identity(traj, sector)
+        intermode = intermode_memory_identity(traj)
         write_identity_csv(artifact("identity_intermode.csv"), intermode)
         extras["intermode_max_relative_residual"] = f"{intermode.max_relative_residual:.17g}"
 
@@ -229,7 +217,7 @@ def _experiment_fig2(config, artifact, extras) -> None:
         raise ValueError("the fig2 preset runs on the single-peak model")
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
-    report = memory_identity_single(traj, config.model, rates)
+    report = memory_identity_single(traj, rates)
     write_rate_curves_csv(
         artifact("rates.csv"),
         config.grid.times,
@@ -253,6 +241,8 @@ _RUNNERS = {
     "info": _experiment_info,
     "fig2": _experiment_fig2,
 }
+
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(config: RunConfig) -> RunManifest:

@@ -34,8 +34,6 @@ __all__ = [
     "BASIS_LABELS",
     "DensityMatrix",
     "DensitySeries",
-    "HamiltonianSpec",
-    "mode_lowering",
     "sector_hamiltonian",
     "evolve_atom_timelocal",
     "evolve_lindblad_sector",
@@ -207,44 +205,19 @@ def _emitter_entries(ground, excited, coherence) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class HamiltonianSpec:
-    """Hermitian generator assembled on one of the sector bases (compares by identity)."""
+def sector_hamiltonian(sector: PseudomodeSector) -> np.ndarray:
+    """Rotating-frame emitter+modes Hamiltonian on the sector basis (vacuum, modes, excited).
 
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in BASIS_LABELS:
-            raise ValueError(f"unsupported Hamiltonian shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise ValueError("Hamiltonian must be Hermitian")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def mode_lowering(dim: int, which: int = 1) -> np.ndarray:
-    """Annihilation operator of mode ``which`` (counted from 1) on the sector basis."""
-    if not 1 <= which <= dim - 2:
-        raise ValueError(f"no mode {which} in dimension {dim}")
-    op = np.zeros((dim, dim))
-    op[0, which] = 1.0
-    return op
-
-
-def sector_hamiltonian(sector: PseudomodeSector) -> HamiltonianSpec:
-    """Rotating-frame emitter+modes Hamiltonian on the sector basis (vacuum, modes, excited)."""
+    Hermitian by construction: the sector holds finite real numbers and a
+    symmetric intermode matrix.
+    """
     dim = sector.n_modes + 2
     h = np.zeros((dim, dim), dtype=complex)
     h[1:-1, 1:-1] = sector.intermode
     h[1:-1, -1] = h[-1, 1:-1] = sector.couplings
     for k, frequency in enumerate(sector.frequencies, start=1):
         h[k, k] = frequency - sector.omega0
-    return HamiltonianSpec(h)
+    return h
 
 
 def _rate_integral(rates: RateTrajectory) -> np.ndarray:
@@ -312,12 +285,13 @@ def evolve_lindblad_sector(
         )
     if np.max(np.abs(rho0.matrix - rho0.matrix.conj().T)) > 1e-12:
         raise ValueError("initial state must be Hermitian")
-    hamiltonian = sector_hamiltonian(sector).matrix
+    hamiltonian = sector_hamiltonian(sector)
     eye = np.eye(dim)
     # row-major vec(A rho B) = kron(A, B.T) vec(rho); the jump operators are real
     liouvillian = -1j * (np.kron(hamiltonian, eye) - np.kron(eye, hamiltonian.T))
     for which, rate in enumerate(sector.leak_rates, start=1):
-        op = mode_lowering(dim, which)
+        op = np.zeros((dim, dim))
+        op[0, which] = 1.0  # lowers mode ``which`` to the joint vacuum
         num = op.T @ op
         liouvillian += rate * (np.kron(op, op) - 0.5 * (np.kron(num, eye) + np.kron(eye, num)))
     rows, cols = np.triu_indices(dim, 1)

@@ -34,12 +34,11 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        if not self.t_end > self.t_start:
-            raise ValueError(
-                f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
-            )
-        if self.n_steps < 2:
-            raise ValueError(f"n_steps must be at least 2, got {self.n_steps}")
+        # a NaN, infinite or overflowing span fails the comparison
+        if not 0.0 < self.t_end - self.t_start < np.inf:
+            raise ValueError(f"need finite t_start < t_end, got [{self.t_start}, {self.t_end}]")
+        if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 2:
+            raise ValueError(f"n_steps must be an integer of at least 2, got {self.n_steps!r}")
 
     @property
     def dt(self) -> float:
@@ -57,10 +56,11 @@ class PseudomodeSector:
     Mode k has the lab-frame frequency ``frequencies[k]``, couples to the
     emitter with ``couplings[k]`` and to mode j with ``intermode[k][j]``
     (symmetric, zero diagonal), and leaks at ``leak_rates[k]``. ``labels``
-    name the mode amplitudes. Every layer builds its generator, Hamiltonian
-    and leakage channels from this one description. The sector basis is the
-    joint vacuum, one excitation in each mode in order, then the excited
-    emitter.
+    name the mode amplitudes. Every entry must be a finite real number
+    (``NonPhysical`` otherwise). Every layer builds its generator,
+    Hamiltonian and leakage channels from this one description. The sector
+    basis is the joint vacuum, one excitation in each mode in order, then
+    the excited emitter.
     """
 
     omega0: float
@@ -71,6 +71,10 @@ class PseudomodeSector:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "frequencies", "couplings", "intermode", "leak_rates"):
+            values = np.asarray(getattr(self, name))
+            if values.dtype.kind not in "iuf" or not np.all(np.isfinite(values)):
+                raise NonPhysical(f"{name} must be finite and real, got {getattr(self, name)}")
         n = len(self.labels)
         intermode = np.asarray(self.intermode, dtype=float)
         sizes = {len(self.frequencies), len(self.couplings), len(self.leak_rates)}

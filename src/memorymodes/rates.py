@@ -5,7 +5,8 @@ a frequency shift and a decay rate, both defined through the logarithmic
 derivative of the excited amplitude. The same coefficients can be written in
 terms of the mode amplitudes weighted by their emitter couplings, and the
 mode populations obey exact balance identities that tie their compensated
-drain to the emitter decay rate. Trajectories are rotating-frame; the shift
+drain to the emitter decay rate. Couplings and leak rates are read from the
+sector each trajectory carries. Trajectories are rotating-frame; the shift
 is returned in the lab frame by adding the carrier term 2*omega0. All
 derivatives here come from the ODE right-hand side evaluated at the stored
 states, never from finite differences, so the identities hold to rounding
@@ -20,7 +21,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeTrajectory
 from .errors import AllPointsInvalid
-from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
+from .models import TimeGrid
 
 __all__ = [
     "VALIDITY_CUTOFF",
@@ -75,11 +76,6 @@ class MemoryIdentityReport:
     max_relative_residual: float
 
 
-def _check_sector(traj: AmplitudeTrajectory, sector: PseudomodeSector) -> None:
-    if traj.labels[1:] != sector.labels:
-        raise ValueError(f"trajectory modes {traj.labels[1:]} are not the sector's {sector.labels}")
-
-
 def _validity(c1: np.ndarray) -> np.ndarray:
     valid = np.abs(c1) ** 2 >= VALIDITY_CUTOFF
     if not valid.any():
@@ -115,19 +111,18 @@ def rates_from_amplitudes(traj: AmplitudeTrajectory) -> RateTrajectory:
     return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
 
 
-def rates_pseudomode_form(traj: AmplitudeTrajectory, sector: PseudomodeSector) -> RateTrajectory:
-    """Coefficients re-expressed through the mode amplitudes of ``sector``.
+def rates_pseudomode_form(traj: AmplitudeTrajectory) -> RateTrajectory:
+    """Coefficients re-expressed through the mode amplitudes of the trajectory's sector.
 
     With X = sum_k g_k c1 conj(b_k)/|c1|^2 over the emitter couplings g_k,
     shift = 2*(omega0 + Re X) and rate = 2*Im X; both agree with
     :func:`rates_from_amplitudes` pointwise because c1' = -i sum_k g_k b_k.
     """
-    _check_sector(traj, sector)
     c1 = traj.c1
     valid = _validity(c1)
     population = np.abs(c1) ** 2
     cross = np.full(c1.shape, complex(np.nan, np.nan))
-    coupled = np.conj(traj.states[:, 1:]) @ np.asarray(sector.couplings, dtype=float)
+    coupled = np.conj(traj.states[:, 1:]) @ np.asarray(traj.sector.couplings, dtype=float)
     np.divide(c1 * coupled, population, out=cross, where=valid)
     gamma = np.where(valid, 2.0 * cross.imag, np.nan)
     s = np.where(valid, 2.0 * (traj.omega0 + cross.real), np.nan)
@@ -145,43 +140,31 @@ def _build_report(grid: TimeGrid, lhs, rhs, valid) -> MemoryIdentityReport:
 
 
 def memory_identity_sector(
-    traj: AmplitudeTrajectory, sector: PseudomodeSector, rates: RateTrajectory
+    traj: AmplitudeTrajectory, rates: RateTrajectory
 ) -> MemoryIdentityReport:
     """Total compensated mode drain versus decay rate times excited population.
 
-    lhs: sum_k (d|b_k|^2/dt + rate_k*|b_k|^2) over the modes of ``sector``,
-    with the derivatives taken from the ODE right-hand side. rhs:
-    rate(t)*|c1(t)|^2. The two are equal for the exact dynamics; the report
-    records the numerical defect. Points with invalid rates are excluded from
-    the residual maximum.
+    lhs: sum_k (d|b_k|^2/dt + rate_k*|b_k|^2) over the modes of the
+    trajectory's sector, with the derivatives taken from the ODE right-hand
+    side. rhs: rate(t)*|c1(t)|^2. The two are equal for the exact dynamics;
+    the report records the numerical defect. Points with invalid rates are
+    excluded from the residual maximum.
     """
-    _check_sector(traj, sector)
     derivs = traj.derivatives()
     lhs = np.zeros(traj.grid.n_steps)
-    for index, rate in enumerate(sector.leak_rates, start=1):
+    for index, rate in enumerate(traj.sector.leak_rates, start=1):
         amp = traj.states[:, index]
         lhs = lhs + 2.0 * (derivs[:, index] * np.conj(amp)).real + rate * np.abs(amp) ** 2
     rhs = rates.gamma * np.abs(traj.c1) ** 2
     return _build_report(traj.grid, lhs, rhs, rates.valid)
 
 
-def memory_identity_single(
-    traj: AmplitudeTrajectory, model: LorentzianModel, rates: RateTrajectory
-) -> MemoryIdentityReport:
-    """:func:`memory_identity_sector` on the single-mode sector of a Lorentzian model."""
-    return memory_identity_sector(traj, model.sector, rates)
+# perfbench/tracing.py times the identity by patching these two names on
+# memorymodes.cli (ROADMAP item 1); they go once it maps memory_identity_sector
+memory_identity_single = memory_identity_double = memory_identity_sector
 
 
-def memory_identity_double(
-    traj: AmplitudeTrajectory, model: BandGapModel, rates: RateTrajectory
-) -> MemoryIdentityReport:
-    """:func:`memory_identity_sector` on the two-mode sector of a band-gap model."""
-    return memory_identity_sector(traj, model.sector, rates)
-
-
-def intermode_memory_identity(
-    traj: AmplitudeTrajectory, sector: PseudomodeSector
-) -> MemoryIdentityReport:
+def intermode_memory_identity(traj: AmplitudeTrajectory) -> MemoryIdentityReport:
     """Balance between the first mode's drain and its exchange with the second.
 
     For a two-mode sector whose first mode couples only to the second (the
@@ -189,6 +172,7 @@ def intermode_memory_identity(
     the factored form that stays well defined at zeros of a2. Defined at
     every grid point.
     """
+    sector = traj.sector
     if sector.n_modes != 2 or sector.couplings[0] != 0.0:
         raise ValueError(
             "the intermode identity needs two modes, the first uncoupled from the emitter"

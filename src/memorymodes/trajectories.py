@@ -120,8 +120,8 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     The ensemble lives on ``rates.grid``.
     """
     grid = rates.grid
-    if n_members < 1:
-        raise ValueError(f"need at least one member, got {n_members}")
+    if not 1 <= n_members < 2**63:  # the counts are int64
+        raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
     if not rates.valid.all():
         first = int(np.flatnonzero(~rates.valid)[0])
         raise InvalidRates(
@@ -197,8 +197,8 @@ def run_mcwf_pseudomode(
     bookkeeping; the rates are non-negative constants so no reverse jumps
     ever occur.
     """
-    if n_members < 1:
-        raise ValueError(f"need at least one member, got {n_members}")
+    if not 1 <= n_members < 2**63:  # the counts are int64
+        raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
     sector = model.sector
     dim = sector.n_modes + 2
     psi_init = _coerce_unit_vector(initial, dim)

@@ -62,7 +62,7 @@ def test_criterion_1_coefficient_equivalence():
         nonlocal worst_shift, worst_rate
         traj = propagate_single(model, None, grid)
         direct = rates_from_amplitudes(traj)
-        mode_form = rates_pseudomode_form(traj, model.sector)
+        mode_form = rates_pseudomode_form(traj)
         scale = model.gamma_markov
         valid = direct.valid
         worst_shift = max(
@@ -95,7 +95,7 @@ def test_criterion_2_memory_identity():
     grid = TimeGrid(0.0, 10.0, 4000)
     traj = propagate_single(model, None, grid)
     rates = rates_from_amplitudes(traj)
-    identity = memory_identity_single(traj, model, rates)
+    identity = memory_identity_single(traj, rates)
     guard = np.abs(identity.rhs) > 1e-9 * model.gamma_markov
     keep = guard & identity.valid
     signs_match = bool(
@@ -161,8 +161,8 @@ def test_criterion_4_generalized_identities():
             perfect_rates_zero &= sector.leak_rates[0] == 0.0
         traj = propagate_double(model, None, grid)
         rates = rates_from_amplitudes(traj)
-        total = memory_identity_double(traj, model, rates)
-        intermode = intermode_memory_identity(traj, sector)
+        total = memory_identity_double(traj, rates)
+        intermode = intermode_memory_identity(traj)
         worst_total = max(worst_total, total.max_relative_residual)
         worst_intermode = max(worst_intermode, intermode.max_relative_residual)
     elapsed = time.perf_counter() - started

@@ -7,6 +7,7 @@ from memorymodes import (
     BandGapModel,
     IllConditioned,
     LorentzianModel,
+    PseudomodeSector,
     TimeGrid,
     ToleranceNotMet,
     closed_form_oracle,
@@ -174,11 +175,11 @@ class TestOracle:
 
 class TestNormBalance:
     def test_single(self, fig2_traj, fig2_model):
-        residuals = norm_balance_residuals(fig2_traj, [0.0, fig2_model.gamma])
+        residuals = norm_balance_residuals(fig2_traj)
         assert residuals.max() < 1e-6 * fig2_model.gamma_markov
 
-    def test_double(self, bandgap_traj, bandgap_model):
-        residuals = norm_balance_residuals(bandgap_traj, [0.0, *bandgap_model.sector.leak_rates])
+    def test_double(self, bandgap_traj):
+        residuals = norm_balance_residuals(bandgap_traj)
         assert residuals.max() < 1e-6
 
     def test_monotone_norm_on_random_draws(self):
@@ -217,9 +218,7 @@ class TestFrames:
             AmplitudeTrajectory(
                 fig2_grid,
                 np.zeros((3, 2), dtype=complex),
-                np.eye(2, dtype=complex),
-                ("c1", "b1"),
-                0.0,
+                PseudomodeSector(0.0, (0.0,), (0.0,), ((0.0,),), (0.0,), ("b1",)),
             )
 
     def test_state_containers(self, fig2_model, bandgap_model, fig2_grid):

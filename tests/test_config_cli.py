@@ -282,6 +282,16 @@ class TestMain:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment", ["nmqj", "mcwf"])
+    def test_ensemble_size_outside_int64_rejected(self, experiment, tmp_path, capsys):
+        config = tmp_path / "fig2.cfg"
+        config.write_text(FIG2_CONFIG_TEXT)
+        out = tmp_path / "out"
+        code = main([experiment, "--config", str(config), "--out", str(out), "--n", str(2**63)])
+        assert code == 1
+        assert "n_members" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_missing_file_reports_error(self, tmp_path, capsys):
         code = main(["rates", "--config", str(tmp_path / "nope.cfg")])
         assert code == 1

@@ -20,6 +20,7 @@ from memorymodes import (
     Ensemble,
     InfoSeries,
     MemoryIdentityReport,
+    PseudomodeSector,
     RateTrajectory,
     TimeGrid,
 )
@@ -69,7 +70,8 @@ def re_im(labels, values) -> dict[str, np.ndarray]:
 
 def case_amplitude(path):
     states = complexes(2)
-    traj = AmplitudeTrajectory(GRID, states, np.eye(2), ("c1", "b1"), 0.0)
+    sector = PseudomodeSector(0.0, (0.0,), (0.0,), ((0.0,),), (0.0,), ("b1",))
+    traj = AmplitudeTrajectory(GRID, states, sector)
     write_amplitude_csv(path, traj)
     return {"t": TIMES, **re_im(("c1", "b1"), states)}
 

@@ -28,6 +28,14 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1)
 
+    def test_rejects_infinite_bounds(self):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(0.0, math.inf, 10)
+
+    def test_rejects_fractional_step_count(self):
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(0.0, 1.0, 2.5)
+
 
 class TestLorentzianDensity:
     def test_peak_value(self):
@@ -133,6 +141,12 @@ class TestSector:
             PseudomodeSector(
                 0.0, (1.0, 1.0), (0.0, 0.5), ((0.0, 0.2), (0.3, 0.0)), (0.1, 0.2), ("a1", "a2")
             )
+
+    def test_rejects_non_real_entries(self):
+        with pytest.raises(NonPhysical, match="couplings"):
+            PseudomodeSector(0.0, (1.0,), (0.3j,), ((0.0,),), (0.1,), ("b1",))
+        with pytest.raises(NonPhysical, match="frequencies"):
+            PseudomodeSector(0.0, (math.nan,), (0.3,), ((0.0,),), (0.1,), ("b1",))
 
 
 class TestValidation:

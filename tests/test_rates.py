@@ -29,7 +29,7 @@ class TestRateExtraction:
             rates = rates_from_amplitudes(traj)
             assert rates.gamma[0] == 0.0
             assert rates.s[0] == pytest.approx(2 * model.omega0, abs=1e-14)
-            mode_form = rates_pseudomode_form(traj, model.sector)
+            mode_form = rates_pseudomode_form(traj)
             assert mode_form.gamma[0] == 0.0
             assert mode_form.s[0] == 2 * model.omega0
 
@@ -41,13 +41,13 @@ class TestRateExtraction:
         assert np.allclose(rates.s, 2 * 0.6, atol=1e-13)
 
     def test_two_forms_agree_single(self, fig2_traj, fig2_model, fig2_rates):
-        mode_form = rates_pseudomode_form(fig2_traj, fig2_model.sector)
+        mode_form = rates_pseudomode_form(fig2_traj)
         assert np.nanmax(np.abs(mode_form.s - fig2_rates.s)) < 1e-6
         assert np.nanmax(np.abs(mode_form.gamma - fig2_rates.gamma)) < 1e-6
 
     def test_two_forms_agree_double(self, bandgap_traj, bandgap_model):
         direct = rates_from_amplitudes(bandgap_traj)
-        mode_form = rates_pseudomode_form(bandgap_traj, bandgap_model.sector)
+        mode_form = rates_pseudomode_form(bandgap_traj)
         assert np.nanmax(np.abs(mode_form.s - direct.s)) < 1e-6
         assert np.nanmax(np.abs(mode_form.gamma - direct.gamma)) < 1e-6
 
@@ -58,7 +58,7 @@ class TestRateExtraction:
             model = random_lorentzian(rng)
             traj = propagate_single(model, None, grid)
             direct = rates_from_amplitudes(traj)
-            mode_form = rates_pseudomode_form(traj, model.sector)
+            mode_form = rates_pseudomode_form(traj)
             tol = 1e-6 * max(model.gamma_markov, 1.0)
             valid = direct.valid
             assert np.max(np.abs(mode_form.s[valid] - direct.s[valid])) < tol
@@ -69,7 +69,7 @@ class TestRateExtraction:
         grid = TimeGrid(0.0, 0.5, 2000)
         traj = propagate_single(model, None, grid)
         rates = rates_from_amplitudes(traj)
-        mode_form = rates_pseudomode_form(traj, model.sector)
+        mode_form = rates_pseudomode_form(traj)
         late = grid.times > 10.0 / model.gamma
         for series in (rates.gamma, mode_form.gamma):
             deviation = np.abs(series[late] / model.gamma_markov - 1.0)
@@ -97,11 +97,11 @@ class TestRateExtraction:
 
 class TestMemoryIdentitySingle:
     def test_reference_preset_residual(self, fig2_traj, fig2_model, fig2_rates):
-        report = memory_identity_single(fig2_traj, fig2_model, fig2_rates)
+        report = memory_identity_single(fig2_traj, fig2_rates)
         assert report.max_relative_residual < 1e-6
 
     def test_sign_linkage(self, fig2_traj, fig2_model, fig2_rates):
-        report = memory_identity_single(fig2_traj, fig2_model, fig2_rates)
+        report = memory_identity_single(fig2_traj, fig2_rates)
         guard = np.abs(report.rhs) > 1e-9 * fig2_model.gamma_markov
         keep = guard & report.valid
         assert keep.any()
@@ -113,7 +113,7 @@ class TestMemoryIdentitySingle:
         grid = TimeGrid(0.0, 5.0, 100)
         traj = propagate_single(model, [0.6, 0.8], grid)
         rates = rates_from_amplitudes(traj)
-        report = memory_identity_single(traj, model, rates)
+        report = memory_identity_single(traj, rates)
         assert np.max(np.abs(report.lhs)) < 1e-14
         assert np.max(np.abs(report.rhs)) < 1e-14
         assert report.max_relative_residual < 1e-14
@@ -122,7 +122,7 @@ class TestMemoryIdentitySingle:
 class TestMemoryIdentityDouble:
     def test_reference_bandgap_residual(self, bandgap_traj, bandgap_model):
         rates = rates_from_amplitudes(bandgap_traj)
-        report = memory_identity_double(bandgap_traj, bandgap_model, rates)
+        report = memory_identity_double(bandgap_traj, rates)
         assert report.max_relative_residual < 1e-6
 
     def test_w2_zero_matches_single_system(self):
@@ -132,12 +132,12 @@ class TestMemoryIdentityDouble:
         grid = TimeGrid(0.0, 6.0, 300)
         double = propagate_double(model, None, grid)
         rates_d = rates_from_amplitudes(double)
-        report_d = memory_identity_double(double, model, rates_d)
+        report_d = memory_identity_double(double, rates_d)
 
         single_model = LorentzianModel(0.0, 0.8, model.sector.leak_rates[1], math.sqrt(0.9))
         single = propagate_single(single_model, None, grid)
         rates_s = rates_from_amplitudes(single)
-        report_s = memory_identity_single(single, single_model, rates_s)
+        report_s = memory_identity_single(single, rates_s)
 
         assert np.max(np.abs(report_d.lhs - report_s.lhs)) < 1e-9
         assert np.max(np.abs(report_d.rhs - report_s.rhs)) < 1e-9
@@ -149,13 +149,13 @@ class TestMemoryIdentityDouble:
             model = random_bandgap(rng)
             traj = propagate_double(model, None, grid)
             rates = rates_from_amplitudes(traj)
-            report = memory_identity_double(traj, model, rates)
+            report = memory_identity_double(traj, rates)
             assert report.max_relative_residual < 1e-6
 
 
 class TestIntermodeIdentity:
     def test_reference_bandgap(self, bandgap_traj, bandgap_model):
-        report = intermode_memory_identity(bandgap_traj, bandgap_model.sector)
+        report = intermode_memory_identity(bandgap_traj)
         assert report.max_relative_residual < 1e-6
         assert report.valid.all()
 
@@ -163,7 +163,7 @@ class TestIntermodeIdentity:
         model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
         grid = TimeGrid(0.0, 5.0, 150)
         traj = propagate_double(model, [0.8, 0.6, 0.0], grid)
-        report = intermode_memory_identity(traj, model.sector)
+        report = intermode_memory_identity(traj)
         assert np.max(np.abs(report.lhs)) < 1e-13
         assert np.max(np.abs(report.rhs)) == 0.0
 
@@ -172,7 +172,7 @@ class TestIntermodeIdentity:
         assert sector.leak_rates[0] == 0.0
         grid = TimeGrid(0.0, 10.0, 500)
         traj = propagate_double(perfect_gap_model, None, grid)
-        report = intermode_memory_identity(traj, sector)
+        report = intermode_memory_identity(traj)
         # with a vanishing storage rate the balance reduces to the bare drain
         index = traj.labels.index("a1")
         bare_drain = 2.0 * (traj.derivatives()[:, index] * np.conj(traj.states[:, index])).real

@@ -56,8 +56,8 @@ def test_uncoupled_mode_leaves_fig2_unchanged(fig2_model, n_steps):
     assert np.max(np.abs(marginal_two.matrices - marginal_one.matrices)) < 1e-14
 
     # the empty spectator mode adds nothing to the summed identity
-    lhs_two = memory_identity_sector(two, sector, rates_from_amplitudes(two)).lhs
-    lhs_one = memory_identity_single(one, fig2_model, rates_from_amplitudes(one)).lhs
+    lhs_two = memory_identity_sector(two, rates_from_amplitudes(two)).lhs
+    lhs_one = memory_identity_single(one, rates_from_amplitudes(one)).lhs
     assert np.max(np.abs(lhs_two - lhs_one)) < 1e-14
 
 
@@ -68,18 +68,13 @@ def test_rate_forms_agree_with_two_coupled_modes():
     )
     traj = propagate_sector(sector, None, TimeGrid(0.0, 8.0, 2000))
     direct = rates_from_amplitudes(traj)
-    mode_form = rates_pseudomode_form(traj, sector)
+    mode_form = rates_pseudomode_form(traj)
     assert np.array_equal(mode_form.valid, direct.valid)
     valid = direct.valid
     assert np.max(np.abs(mode_form.gamma[valid] - direct.gamma[valid])) < 1e-12
     assert np.max(np.abs(mode_form.s[valid] - direct.s[valid])) < 1e-12
 
 
-def test_identities_reject_another_sector(fig2_model, fig2_traj, fig2_rates):
-    sector = with_spectator_mode(fig2_model.sector)
-    with pytest.raises(ValueError, match="not the sector"):
-        memory_identity_sector(fig2_traj, sector, fig2_rates)
-    with pytest.raises(ValueError, match="not the sector"):
-        rates_pseudomode_form(fig2_traj, sector)
+def test_identities_reject_another_sector(fig2_traj):
     with pytest.raises(ValueError, match="two modes"):
-        intermode_memory_identity(fig2_traj, fig2_model.sector)
+        intermode_memory_identity(fig2_traj)

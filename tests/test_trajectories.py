@@ -329,6 +329,13 @@ def test_seed_outside_u64_rejected(seed, fig2_model, fig2_rates, fig2_grid):
         run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10, seed, fig2_grid)
 
 
+def test_ensemble_size_outside_int64_rejected(fig2_model, fig2_rates, fig2_grid):
+    with pytest.raises(ValueError, match="n_members"):
+        run_nmqj(fig2_rates, EXCITED_ATOM, 2**63, 1)
+    with pytest.raises(ValueError, match="n_members"):
+        run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 2**63, 1, fig2_grid)
+
+
 class TestTracedEnsemble:
     def test_unjumped_excited(self):
         grid = TimeGrid(0.0, 1.0, 2)
