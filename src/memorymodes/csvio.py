@@ -5,11 +5,31 @@ columns. Float columns are written with 17 significant digits, so files
 round-trip to the exact doubles and identical runs produce byte-identical
 output; integer and bool columns are written as plain integers. Complex
 arrays are exported as separate real and imaginary columns.
+
+The bytes of every cell equal Python's ``'%.17g' % v`` for floats and
+``'%d' % v`` for integers, but numpy formats a block of about 4096 cells at
+a time instead of Python formatting each cell. A finite nonzero double x is
+written from X = floor(log10|x|) and the 17-digit integer
+D = round(|x| * 10**(16 - X)). The product is formed as a double-double,
+from Dekker's exact splitting and a table of 10**k as correctly rounded
+(hi, lo) pairs, so it is known to about 1e-14. That proves D and X, and the
+cell takes this path, only when:
+
+- the unrounded product lies in [1e16, 1e17), so X is the exponent;
+- its fraction is more than 1e-6 away from one half, so the rounding is
+  certain (Python rounds exact ties to even);
+- 1e-280 <= |x| < 1e300, so no step overflows or loses bits.
+
+Every other float cell (near-ties, NaN, infinities, subnormals and values
+out of that range), and every integer of 17 or more digits, is formatted
+by Python itself: the fast path never guesses. Zeros take the fast path.
+Each cell is then laid out in a fixed row of bytes (sign, a "0.000"
+prefix, digits, point, digits, exponent) from which a mask table keeps
+the bytes that ``%g`` would print, and one ``np.compress`` per block
+joins the kept bytes.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -29,17 +49,233 @@ __all__ = [
     "write_rate_curves_csv",
 ]
 
-#: rows formatted and written per block
-_BLOCK_ROWS = 256
+#: cells formatted per block: bounds the scratch arrays, and so peak memory
+_BLOCK_CELLS = 4096
+
+#: decimal exponents X whose scale 10**(16 - X) the table holds: every |x| in
+#: [1e-280, 1e300) has its X inside, and no split of a scale overflows
+_X_MIN, _X_MAX = -282, 300
+#: cells whose scaled fraction is this close to one half go to Python
+_TIE_MARGIN = 1e-6
+#: Dekker's splitting constant for doubles, 2**27 + 1
+_SPLITTER = 134217729.0
+
+# One cell is a row of _WIDTH bytes, of which a mask keeps the ones it shows:
+# the separator before it, the sign, a "0.000" prefix, the 17 digits, a point,
+# digits 1-16 again after the point, and "e" with the exponent's sign and
+# three digits. The digits and the exponent land on 4-byte boundaries.
+_WIDTH = 48
+_SEPARATOR, _SIGN, _PREFIX, _DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 0, 1, 2, 7, 24, 25, 41, 44
+_TEMPLATE = np.frombuffer(b",-0.000" + bytes(17) + b"." + bytes(16) + b"e" + bytes(6), np.uint8)
+#: mask classes: 0-20 fixed notation at X = -4..16 (X = 16 is also the integer
+#: form), then scientific notation at X in (-100, -4), <= -100, [17, 100), >= 100
+_CLASSES = 25
+
+
+def _split(a):
+    """Dekker's split of doubles into 26-bit halves whose products are exact."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scale_table() -> np.ndarray:
+    """Rows hi, lo, high(hi), low(hi) of 10**(16 - X) over X in [_X_MIN, _X_MAX].
+
+    ``hi`` is the correctly rounded power and ``lo`` the correctly rounded
+    rest, both from exact integers: CPython rounds int-to-float conversion
+    and int / int correctly.
+    """
+    rows = []
+    for exponent in range(_X_MIN, _X_MAX + 1):
+        k = 16 - exponent
+        if k >= 0:
+            power = 10**k
+            hi = float(power)
+            lo = float(power - int(hi))
+        else:
+            power = 10**-k
+            hi = 1 / power
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * power) / (den * power)
+        rows.append((hi, lo))
+    hi, lo = np.array(rows).T
+    return np.array([hi, lo, *_split(hi)])
+
+
+def _ascii_digits(values, width: int) -> np.ndarray:
+    """Rows of ``width`` ASCII digits of non-negative integers, zero-padded."""
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    return (48 + np.asarray(values)[:, None] // powers % 10).astype(np.uint8)
+
+
+def _mask_table() -> np.ndarray:
+    """Kept bytes of a cell, one row per (negative, class, p).
+
+    p is the last nonzero digit, or in the integer form (class 20) the first.
+    """
+    neg, cls, p = (a[..., None] for a in np.ix_(range(2), range(_CLASSES), range(17)))
+    exponent = cls - 4
+    fixed = cls <= 20
+    integer = cls == 20
+    below_one = exponent < 0
+    # digits before the point: X + 1 in fixed notation, one in scientific notation
+    split = np.where(fixed, exponent + 1, 1)
+    first = np.where(integer, p, 0)
+    last = np.where(integer, 16, p)
+    j = np.arange(_WIDTH)
+    keep = np.zeros((2, _CLASSES, 17, _WIDTH), bool)
+    keep |= (j == _SEPARATOR) | ((j == _SIGN) & (neg == 1))
+    keep |= (j >= _PREFIX) & (j < _PREFIX + 1 - exponent) & fixed & below_one
+    # below one all digits follow the prefix, up to the last nonzero one
+    end = np.where(fixed & below_one, last + 1, split)
+    keep |= (j >= _DIGITS + first) & (j < _DIGITS + end)
+    fraction = ~(fixed & below_one) & (last >= split)
+    keep |= (j == _POINT) & fraction
+    keep |= (j >= _FRACTION - 1 + split) & (j < _FRACTION + last) & fraction
+    scientific = ~fixed
+    hundreds = (cls == 22) | (cls == 24)
+    keep |= ((j == _E) | (j == _EXPONENT) | (j >= _EXPONENT + 2)) & scientific
+    keep |= (j == _EXPONENT + 1) & hundreds
+    return keep.reshape(-1, _WIDTH)
+
+
+_SCALE = _scale_table()
+#: "0000" to "9999", four ASCII digits per entry
+_QUADS = _ascii_digits(np.arange(10000), 4).view(np.uint32)[:, 0]
+_MASKS = _mask_table()
+
+
+def _exponent_tables():
+    """Mask class and exponent bytes (sign and three digits) over X in [_X_MIN, _X_MAX]."""
+    exponent = np.arange(_X_MIN, _X_MAX + 1)
+    cls = np.select(
+        [exponent <= -100, exponent < -4, exponent <= 16, exponent < 100],
+        [22, 21, exponent + 4, 23],
+        24,
+    )
+    signs = np.where(exponent < 0, 45, 43).astype(np.uint8)[:, None]
+    chars = np.hstack([signs, _ascii_digits(np.abs(exponent), 3)])
+    return cls, chars.view(np.uint32)[:, 0]
+
+
+_CLASS, _EXPONENT_CHARS = _exponent_tables()
+
+
+def _float_parts(x: np.ndarray):
+    """Sign, 17-digit integer D and exponent X of doubles, and where they are proven.
+
+    For a finite nonzero x, D = round(|x| * 10**(16 - X)) with X the
+    exponent of |x| rounded to 17 digits, so x reads D[0].D[1:]e X. The
+    product is a double-double, exact to about 1e-14 in units of D. Zeros
+    are D = 0 at X = 16 (the integer form); other unproven cells are left
+    for Python to format.
+    """
+    magnitude = np.abs(x)
+    exact = (magnitude >= 1e-280) & (magnitude < 1e300)
+    a = np.where(exact, magnitude, 1.0)
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo, hi_high, hi_low = np.take(_SCALE, exponent - _X_MIN, axis=1)
+    product = a * hi
+    a_high, a_low = _split(a)
+    error = ((a_high * hi_high - product) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    rest = error + a * lo
+    # renormalize, so the fraction of the sum is in ``rest`` alone
+    total = product + rest
+    rest = rest - (total - product)
+    whole = np.floor(rest)
+    fraction = rest - whole
+    digits = total.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    # the unrounded product must lie in [1e16, 1e17) for X to be the exponent
+    exact &= (total > 1e16) | ((total == 1e16) & (rest >= 0.0))
+    exact &= (digits < 10**17) & (np.abs(fraction - 0.5) >= _TIE_MARGIN)
+    zero = magnitude == 0.0
+    digits = np.where(zero, 0, digits)
+    exponent = np.where(zero, 16, exponent)
+    return np.signbit(x), digits, exponent, exact | zero
+
+
+def _int_parts(values: np.ndarray):
+    """Sign, magnitude D in the integer form X = 16, and which cells fit 17 digits."""
+    fits = (values > -(10**17)) & (values < 10**17)
+    return values < 0, np.abs(np.where(fits, values, 0).astype(np.int64)), 16, fits
+
+
+def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
+    """Fill ``rows`` with the bytes of each cell and return the mask of those it shows.
+
+    A cell is ``'%.17g'`` of D[0].D[1:]e X, or ``'%d'`` of D in the integer
+    form (X = 16, D < 10**16). ``rows`` holds _TEMPLATE and the separators.
+    """
+    n = digits.size
+    lead, rest = np.divmod(digits, 10**16)
+    high, low = np.divmod(rest, 10**8)
+    quads = np.empty((n, 4), np.int64)
+    np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
+    np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
+    tail = np.take(_QUADS, quads)
+    words = rows.view(np.uint32)
+    words[:, _DIGITS // 4 + 1 : _POINT // 4] = tail
+    tail = tail.view(np.uint8)
+    rows[:, _DIGITS] = lead + 48
+    rows[:, _FRACTION : _FRACTION + 16] = tail
+    index = exponent - _X_MIN
+    words[:, _EXPONENT // 4] = np.take(_EXPONENT_CHARS, index)
+
+    # digits 1-16 that are not "0", one byte each in two little-endian words
+    nonzero = tail != 48
+    halves = nonzero.view("<u8").astype(float)
+    # the highest set bit of the 128-bit pair gives the last nonzero digit (0 if none)
+    last = ((np.frexp(halves[:, 1] * 2.0**64 + halves[:, 0])[1] - 1) >> 3) + 1
+    cls = np.take(_CLASS, index)
+    # the integer form keeps digits from the first nonzero one, D = 0 only its last
+    p = np.where(cls == 20, np.where(digits == 0, 16, 0), last)
+    small = np.flatnonzero((lead == 0) & (digits != 0))
+    p[small] = 1 + nonzero[small].argmax(axis=1)
+    state = (negative * _CLASSES + cls) * 17 + p
+    return np.take(_MASKS, state, axis=0)
+
+
+def _format_block(block, integral) -> np.ndarray:
+    """The CSV bytes of the rows of ``block``, equal-length column slices.
+
+    Cell rows run in row-major order; each row's first cell starts with a
+    newline and every other cell with a comma. The block's first separator
+    is dropped and its last newline is left to the caller.
+    """
+    n_rows, n_columns = len(block[0]), len(block)
+    cells = np.zeros((n_rows, n_columns))
+    for j, (column, is_int) in enumerate(zip(block, integral)):
+        if not is_int:
+            cells[:, j] = column
+    negative, digits, exponent, exact = _float_parts(cells)
+    for j, (column, is_int) in enumerate(zip(block, integral)):
+        if is_int:
+            negative[:, j], digits[:, j], exponent[:, j], exact[:, j] = _int_parts(column)
+    rows = np.tile(_TEMPLATE, (cells.size, 1))
+    rows.reshape(n_rows, n_columns, _WIDTH)[:, 0, _SEPARATOR] = 10
+    mask = _cell_rows(rows, negative.ravel(), digits.ravel(), exponent.ravel())
+    mask[0, _SEPARATOR] = False
+    unproven = np.flatnonzero(~exact)
+    if unproven.size:
+        i, j = np.divmod(unproven, n_columns)
+        text = [
+            ("%d" if integral[j] else "%.17g") % block[j][i].item()
+            for i, j in zip(i.tolist(), j.tolist())
+        ]
+        chars = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
+        rows[unproven, 1:] = chars
+        mask[unproven, 1:] = chars != 0
+    return np.compress(mask.ravel(), rows.ravel())
 
 
 def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
     """Write equal-length columns under ``header``, one row per entry.
 
-    Each block of rows is one ``%`` on a repeated row template: ``%d`` for
-    integer and bool columns (exact Python ints from ``tolist``), ``%.17g``
-    for the rest. Raises ``ValueError`` before the file is opened when the
-    columns differ in length.
+    Integer and bool columns are written as ``'%d'`` writes them, the rest
+    as ``'%.17g'`` writes their doubles; the module docstring says how.
+    Raises ``ValueError`` before the file is opened when the columns differ
+    in length.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) > 1:
@@ -48,15 +284,15 @@ def _write_columns(path, header: str, columns, preamble: str | None = None) -> N
     columns = [np.asarray(column) for column in columns]
     integral = [column.dtype.kind in "biu" for column in columns]
     columns = [c if i else c.astype(float, copy=False) for c, i in zip(columns, integral)]
-    row = ",".join("%d" if i else "%.17g" for i in integral) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    # one formatting call per block of about _BLOCK_CELLS cells
+    block = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    with open(path, "wb") as handle:
         if preamble:
-            handle.write(preamble + "\n")
-        handle.write(header + "\n")
-        # a block of rows at a time keeps the formatted cells out of peak memory
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            block = [column[start : start + _BLOCK_ROWS].tolist() for column in columns]
-            handle.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
+            handle.write(f"{preamble}\n".encode())
+        handle.write(f"{header}\n".encode())
+        for start in range(0, n_rows, block):
+            handle.write(_format_block([c[start : start + block] for c in columns], integral))
+            handle.write(b"\n")
 
 
 def _re_im(labels, values) -> tuple[str, list]:

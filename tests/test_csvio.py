@@ -25,6 +25,7 @@ from memorymodes import (
     TimeGrid,
 )
 from memorymodes.csvio import (
+    _write_columns,
     write_amplitude_csv,
     write_comparison_csv,
     write_density_csv,
@@ -202,3 +203,81 @@ def test_unequal_columns_rejected_before_writing(write, tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write(path)
     assert not path.exists()
+
+
+def oracle_floats() -> np.ndarray:
+    """About 1.1e6 doubles covering every branch of the float formatter."""
+    rng = np.random.default_rng(20081013)
+    # random bit patterns: every exponent, both signs, NaNs, infinities and subnormals
+    patterns = rng.integers(0, 2**64, 400_000, dtype=np.uint64, endpoint=False).view(float)
+    uniform = rng.random(600_000)
+    # the double nearest each power of ten and its neighbours, where log10 misleads
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    below, above, near_powers = powers, powers, [powers]
+    for _ in range(3):
+        below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+        near_powers += [below, above]
+    near_powers = np.concatenate(near_powers)
+    # the %g switches: below 1e-4 and from 1e17 on, scientific notation
+    edges = np.array([1e-5, 1e-4, 1e15, 1e16, 1e17, 99999999999999999.0, 9.99999999999999995e-5])
+    ulps = np.arange(-200, 201)
+    switches = (edges[:, None] * (1.0 + ulps * 2.0**-53)).ravel()
+    # exact ties: odd m * 2**-n with 18 significant digits, the last one a 5
+    ties = [
+        m * 2.0**-n
+        for n in range(20, 80)
+        for m in range(1, 4001, 2)
+        if len(str(m * 5**n)) == 18
+    ]
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e-280,
+                1e300, 0.1, 0.5, 1.0, 100.0, 123456789012345678.0]
+    subnormals = rng.integers(1, 2**52, 1000).view(float)
+    values = np.concatenate([patterns, uniform, -uniform[:10_000], near_powers, -near_powers,
+                             switches, ties, np.negative(ties), specials, subnormals])
+    assert len(ties) > 1000
+    return values
+
+
+ORACLE_INTS = np.array(
+    [0, 1, -1, 9, 10, -10, 10**16 - 1, 10**16, -(10**16), 10**17 - 1, 10**17, 2**53 + 1,
+     2**62, -(2**62), 2**63 - 1, -(2**63), -(2**63) + 1, 123456789, -987654321012345678],
+    dtype=np.int64,
+)
+
+
+def test_cells_equal_python_formatting(tmp_path):
+    values = oracle_floats()
+    n_columns = 8
+    values = values[: len(values) - len(values) % n_columns]
+    assert len(values) >= 1_000_000
+    path = tmp_path / "floats.csv"
+    _write_columns(path, "h", list(values.reshape(-1, n_columns).T))
+    text = path.read_text(encoding="ascii")
+    row = ",".join(["%.17g"] * n_columns) + "\n"
+    expected = "h\n" + row * (len(values) // n_columns) % tuple(values.tolist())
+    if text != expected:
+        cells = text[2:].replace("\n", ",").split(",")
+        pairs = zip(expected[2:].replace("\n", ",").split(","), cells)
+        mismatched = [pair for pair in pairs if pair[0] != pair[1]]
+        pytest.fail(f"{len(mismatched)} cells differ (expected, written): {mismatched[:5]}")
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.bool_])
+def test_integer_cells_equal_python_formatting(dtype, tmp_path):
+    rng = np.random.default_rng(7)
+    if dtype is np.bool_:
+        ints = rng.integers(0, 2, 5000).astype(bool)
+    else:
+        info = np.iinfo(dtype)
+        picked = ORACLE_INTS[(ORACLE_INTS >= info.min) & (ORACLE_INTS <= info.max)].astype(dtype)
+        magnitudes = 10 ** rng.integers(0, len(str(info.max)), 5000).astype(float)
+        spread = (rng.random(5000) * magnitudes).astype(dtype)
+        ints = np.concatenate([picked, spread, np.array([info.min, info.max], dtype=dtype)])
+    floats = np.linspace(-1.0, 1.0, len(ints))
+    path = tmp_path / "ints.csv"
+    _write_columns(path, "a,b,c", [ints, floats, ints[::-1]])
+    expected = "".join(
+        "%d,%.17g,%d\n" % row for row in zip(ints.tolist(), floats.tolist(), ints[::-1].tolist())
+    )
+    assert path.read_text(encoding="ascii") == "a,b,c\n" + expected
