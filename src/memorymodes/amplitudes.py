@@ -108,14 +108,23 @@ def mode_generator(sector: PseudomodeSector) -> np.ndarray:
     return -1j * coeff
 
 
+def _coerce_vector(initial, dim: int, what: str) -> np.ndarray:
+    """``initial`` as a complex vector of ``dim`` finite entries, else ``ValueError``."""
+    vec = np.asarray(initial, dtype=complex)
+    if vec.shape != (dim,):
+        raise ValueError(f"expected {what}, got shape {vec.shape}")
+    # a NaN entry would pass every norm bound, since NaN comparisons are False
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"expected {what} with finite entries, got {vec}")
+    return vec
+
+
 def _coerce_state(initial, dim: int) -> np.ndarray:
     if initial is None:
         vec = np.zeros(dim, dtype=complex)
         vec[0] = 1.0
         return vec
-    vec = np.asarray(initial, dtype=complex)
-    if vec.shape != (dim,):
-        raise ValueError(f"expected {dim} amplitudes, got shape {vec.shape}")
+    vec = _coerce_vector(initial, dim, f"{dim} amplitudes")
     norm = np.linalg.norm(vec)
     if norm > 1.0 + NORM_SLACK:
         raise ValueError(f"initial amplitude norm {norm} exceeds 1")

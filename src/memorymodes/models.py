@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 
+def _check_real(fields) -> None:
+    """Raise ``NonPhysical`` unless every model parameter is a finite real number."""
+    values = np.asarray(fields)
+    if values.dtype.kind not in "iuf" or not np.all(np.isfinite(values)):
+        raise NonPhysical(f"parameters must be finite and real, got {fields}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform grid of ``n_steps`` points spanning [t_start, t_end]."""
@@ -113,12 +120,10 @@ class LorentzianModel:
     omega_coupling: float
 
     def __post_init__(self) -> None:
+        _check_real((self.omega0, self.omega_c, self.gamma, self.omega_coupling))
         problems = []
-        fields = (self.omega0, self.omega_c, self.gamma, self.omega_coupling)
-        if not all(np.isfinite(fields)):
-            problems.append(f"parameters must be finite, got {fields}")
         # gamma = 0 is the lossless limit (undamped mode, pole on the real axis)
-        if not problems and not self.gamma >= 0:
+        if not self.gamma >= 0:
             problems.append(f"mode decay rate must satisfy gamma >= 0, got gamma={self.gamma}")
         if self.omega_coupling < 0:
             problems.append(
@@ -177,7 +182,6 @@ class BandGapModel:
     allow_nonphysical: bool = False
 
     def __post_init__(self) -> None:
-        problems = []
         fields = (
             self.omega0,
             self.omega_c,
@@ -187,8 +191,8 @@ class BandGapModel:
             self.gamma2,
             self.omega_coupling,
         )
-        if not all(np.isfinite(fields)):
-            raise NonPhysical(f"parameters must be finite, got {fields}")
+        _check_real(fields)
+        problems = []
         if not (self.gamma1 > self.gamma2 > 0):
             problems.append(
                 "widths must satisfy gamma1 > gamma2 > 0, got "

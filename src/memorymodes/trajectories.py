@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .amplitudes import propagate_sector
+from .amplitudes import _coerce_vector, propagate_sector
 from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
 from .models import BandGapModel, LorentzianModel, TimeGrid
@@ -92,9 +92,7 @@ class ComparisonReport:
 
 
 def _coerce_unit_vector(initial, dim: int) -> np.ndarray:
-    vec = np.asarray(initial, dtype=complex)
-    if vec.shape != (dim,):
-        raise ValueError(f"expected a {dim}-component pure state, got shape {vec.shape}")
+    vec = _coerce_vector(initial, dim, f"a {dim}-component pure state")
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"pure state must be normalized, got norm {norm}")

@@ -51,6 +51,13 @@ class TestPropagateSingle:
         with pytest.raises(ValueError, match="norm"):
             propagate_single(model, [1.2, 0.0], grid)
 
+    @pytest.mark.parametrize("initial", [[np.nan, 0.0], [0.0, complex(0.0, np.inf)]])
+    def test_initial_non_finite_rejected(self, initial):
+        # a NaN norm passes the norm bound, and the trajectory came out NaN
+        model = LorentzianModel(0.0, 2.4, 0.6, 0.4)
+        with pytest.raises(ValueError, match="finite"):
+            propagate_single(model, initial, TimeGrid(0.0, 1.0, 50))
+
     @pytest.mark.parametrize(
         "rate, grid",
         [(800.0, TimeGrid(0.0, 1.0, 2)), (500.0, TimeGrid(0.0, 4.0, 5))],

@@ -174,6 +174,20 @@ class TestValidation:
         with pytest.raises(NonPhysical, match="w1 > w2"):
             BandGapModel(0.0, 0.0, 0.5, 1.0, 2.0, 1.0, 0.5)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_lorentzian_rejects_non_real_parameters(self, position):
+        fields = [0.0, 2.4, 0.6, 0.3]
+        fields[position] = 0.3j
+        with pytest.raises(NonPhysical, match="finite and real"):
+            LorentzianModel(*fields)
+
+    @pytest.mark.parametrize("position", range(7))
+    def test_bandgap_rejects_non_real_parameters(self, position):
+        fields = [0.2, 1.1, 0.4, 0.1, 2.0, 0.8, 0.5]
+        fields[position] = complex(fields[position], 0.1)
+        with pytest.raises(NonPhysical, match="finite and real"):
+            BandGapModel(*fields)
+
     def test_allow_nonphysical_escape_hatch(self):
         with pytest.warns(ConsistencyWarning):
             model = BandGapModel(0.0, 0.0, 1.0, 0.9, 4.0, 1.0, 0.3, allow_nonphysical=True)

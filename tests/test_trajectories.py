@@ -336,6 +336,14 @@ def test_ensemble_size_outside_int64_rejected(fig2_model, fig2_rates, fig2_grid)
         run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 2**63, 1, fig2_grid)
 
 
+def test_non_finite_initial_state_rejected(fig2_model, fig2_rates, fig2_grid):
+    # a NaN norm passes the normalization bound; the samplers then failed in numpy
+    with pytest.raises(ValueError, match="finite"):
+        run_nmqj(fig2_rates, np.array([np.nan, 1.0]), 10, 1)
+    with pytest.raises(ValueError, match="finite"):
+        run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, np.nan]), 10, 1, fig2_grid)
+
+
 class TestTracedEnsemble:
     def test_unjumped_excited(self):
         grid = TimeGrid(0.0, 1.0, 2)
