@@ -67,9 +67,10 @@ _SPLITTER = 134217729.0
 _WIDTH = 48
 _SEPARATOR, _SIGN, _PREFIX, _DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 0, 1, 2, 7, 24, 25, 41, 44
 _TEMPLATE = np.frombuffer(b",-0.000" + bytes(17) + b"." + bytes(16) + b"e" + bytes(6), np.uint8)
-#: mask classes: 0-20 fixed notation at X = -4..16 (X = 16 is also the integer
-#: form), then scientific notation at X in (-100, -4), <= -100, [17, 100), >= 100
-_CLASSES = 25
+#: mask classes: 0-20 fixed notation at X = -4..16, of which the last is also
+#: the integer form, then scientific notation at X in (-100, -4), <= -100,
+#: [17, 100) and >= 100
+_CLASSES, _INTEGER = 25, 20
 
 
 def _split(a):
@@ -112,12 +113,12 @@ def _ascii_digits(values, width: int) -> np.ndarray:
 def _mask_table() -> np.ndarray:
     """Kept bytes of a cell, one row per (negative, class, p).
 
-    p is the last nonzero digit, or in the integer form (class 20) the first.
+    p is the last nonzero digit, or in the integer form the first.
     """
     neg, cls, p = (a[..., None] for a in np.ix_(range(2), range(_CLASSES), range(17)))
     exponent = cls - 4
-    fixed = cls <= 20
-    integer = cls == 20
+    fixed = cls <= _INTEGER
+    integer = cls == _INTEGER
     below_one = exponent < 0
     # digits before the point: X + 1 in fixed notation, one in scientific notation
     split = np.where(fixed, exponent + 1, 1)
@@ -140,9 +141,15 @@ def _mask_table() -> np.ndarray:
     return keep.reshape(-1, _WIDTH)
 
 
+def _digit_quads() -> np.ndarray:
+    """The strings "0000" to "9999", four ASCII bytes per entry, joined from pairs."""
+    pairs = _ascii_digits(np.arange(100), 2)
+    quads = np.hstack([np.repeat(pairs, 100, axis=0), np.tile(pairs, (100, 1))])
+    return quads.view(np.uint32)[:, 0]
+
+
 _SCALE = _scale_table()
-#: "0000" to "9999", four ASCII digits per entry
-_QUADS = _ascii_digits(np.arange(10000), 4).view(np.uint32)[:, 0]
+_QUADS = _digit_quads()
 _MASKS = _mask_table()
 
 
@@ -174,7 +181,7 @@ def _float_parts(x: np.ndarray):
     magnitude = np.abs(x)
     exact = (magnitude >= 1e-280) & (magnitude < 1e300)
     a = np.where(exact, magnitude, 1.0)
-    exponent = np.floor(np.log10(a)).astype(np.int64)
+    exponent = np.floor(np.log10(a)).astype(np.int32)
     hi, lo, hi_high, hi_low = np.take(_SCALE, exponent - _X_MIN, axis=1)
     product = a * hi
     a_high, a_low = _split(a)
@@ -210,7 +217,7 @@ def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
     n = digits.size
     lead, rest = np.divmod(digits, 10**16)
     high, low = np.divmod(rest, 10**8)
-    quads = np.empty((n, 4), np.int64)
+    quads = np.empty((n, 4), np.int32)
     np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
     np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
     tail = np.take(_QUADS, quads)
@@ -229,7 +236,7 @@ def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
     last = ((np.frexp(halves[:, 1] * 2.0**64 + halves[:, 0])[1] - 1) >> 3) + 1
     cls = np.take(_CLASS, index)
     # the integer form keeps digits from the first nonzero one, D = 0 only its last
-    p = np.where(cls == 20, np.where(digits == 0, 16, 0), last)
+    p = np.where(cls == _INTEGER, np.where(digits == 0, 16, 0), last)
     small = np.flatnonzero((lead == 0) & (digits != 0))
     p[small] = 1 + nonzero[small].argmax(axis=1)
     state = (negative * _CLASSES + cls) * 17 + p
@@ -258,10 +265,10 @@ def _format_block(block, integral) -> np.ndarray:
     mask[0, _SEPARATOR] = False
     unproven = np.flatnonzero(~exact)
     if unproven.size:
-        i, j = np.divmod(unproven, n_columns)
+        row_of, column_of = np.divmod(unproven, n_columns)
         text = [
             ("%d" if integral[j] else "%.17g") % block[j][i].item()
-            for i, j in zip(i.tolist(), j.tolist())
+            for i, j in zip(row_of.tolist(), column_of.tolist())
         ]
         chars = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
         rows[unproven, 1:] = chars

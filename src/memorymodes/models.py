@@ -25,11 +25,11 @@ __all__ = [
 ]
 
 
-def _check_real(fields) -> None:
-    """Raise ``NonPhysical`` unless every model parameter is a finite real number."""
-    values = np.asarray(fields)
-    if values.dtype.kind not in "iuf" or not np.all(np.isfinite(values)):
-        raise NonPhysical(f"parameters must be finite and real, got {fields}")
+def _check_real(values, name: str) -> None:
+    """Raise ``NonPhysical`` unless every entry of ``values`` is a finite real number."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf" or not np.all(np.isfinite(array)):
+        raise NonPhysical(f"{name} must be finite and real, got {values}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,7 @@ class PseudomodeSector:
 
     def __post_init__(self) -> None:
         for name in ("omega0", "frequencies", "couplings", "intermode", "leak_rates"):
-            values = np.asarray(getattr(self, name))
-            if values.dtype.kind not in "iuf" or not np.all(np.isfinite(values)):
-                raise NonPhysical(f"{name} must be finite and real, got {getattr(self, name)}")
+            _check_real(getattr(self, name), name)
         n = len(self.labels)
         intermode = np.asarray(self.intermode, dtype=float)
         sizes = {len(self.frequencies), len(self.couplings), len(self.leak_rates)}
@@ -120,7 +118,7 @@ class LorentzianModel:
     omega_coupling: float
 
     def __post_init__(self) -> None:
-        _check_real((self.omega0, self.omega_c, self.gamma, self.omega_coupling))
+        _check_real((self.omega0, self.omega_c, self.gamma, self.omega_coupling), "parameters")
         problems = []
         # gamma = 0 is the lossless limit (undamped mode, pole on the real axis)
         if not self.gamma >= 0:
@@ -191,7 +189,7 @@ class BandGapModel:
             self.gamma2,
             self.omega_coupling,
         )
-        _check_real(fields)
+        _check_real(fields, "parameters")
         problems = []
         if not (self.gamma1 > self.gamma2 > 0):
             problems.append(
