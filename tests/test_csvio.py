@@ -3,7 +3,9 @@
 Each writer is fed small hand-built arrays holding -0.0, NaN, -inf and
 subnormals. Reading a float cell back with ``float()`` must give the input
 bits, integer and bool columns must be plain integers, and only density
-files start with the ``# dim=..., basis=...`` line.
+files start with the ``# dim=..., basis=...`` line. The column writer's cells
+are also compared with Python's own ``'%.17g'`` and ``'%d'`` over about a
+million values chosen to reach every branch of the numpy formatter.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def test_unequal_columns_rejected_before_writing(write, tmp_path):
 
 
 def oracle_floats() -> np.ndarray:
-    """About 1.1e6 doubles covering every branch of the float formatter."""
+    """About 1.03e6 doubles covering every branch of the float formatter."""
     rng = np.random.default_rng(20081013)
     # random bit patterns: every exponent, both signs, NaNs, infinities and subnormals
     patterns = rng.integers(0, 2**64, 400_000, dtype=np.uint64, endpoint=False).view(float)
