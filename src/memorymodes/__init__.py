@@ -47,14 +47,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .info import InfoSeries, info_series, mutual_information, von_neumann_entropy
-from .models import (
-    BandGapModel,
-    LorentzianModel,
-    PseudomodeSector,
-    TimeGrid,
-    bandgap_density,
-    lorentzian_density,
-)
+from .models import BandGapModel, LorentzianModel, PseudomodeSector, Reservoir, TimeGrid
 from .rates import (
     MemoryIdentityReport,
     RateTrajectory,
@@ -99,12 +92,12 @@ __all__ = [
     "PseudomodeSector",
     "RateGapTooWide",
     "RateTrajectory",
+    "Reservoir",
     "SectorLeak",
     "StepTooLarge",
     "TimeGrid",
     "ToleranceNotMet",
     "atom_density_from_amplitudes",
-    "bandgap_density",
     "closed_form_oracle",
     "compare_unravelings",
     "density_series_lab_frame",
@@ -116,7 +109,6 @@ __all__ = [
     "extended_density_from_amplitudes",
     "info_series",
     "intermode_memory_identity",
-    "lorentzian_density",
     "memory_identity_double",
     "memory_identity_sector",
     "memory_identity_single",

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IllConditioned, ToleranceNotMet
-from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
+from .models import PseudomodeSector, Reservoir, TimeGrid
 
 __all__ = [
     "AmplitudeTrajectory",
@@ -163,13 +163,13 @@ def propagate_sector(sector: PseudomodeSector, initial, grid: TimeGrid) -> Ampli
     return AmplitudeTrajectory(grid, states, sector)
 
 
-def propagate_single(model: LorentzianModel, initial, grid: TimeGrid):
-    """:func:`propagate_sector` on the (c1, b1) sector of a Lorentzian model."""
+def propagate_single(model: Reservoir, initial, grid: TimeGrid):
+    """:func:`propagate_sector` on ``model.sector``, for a one-mode sector."""
     return propagate_sector(model.sector, initial, grid)
 
 
-def propagate_double(model: BandGapModel, initial, grid: TimeGrid):
-    """:func:`propagate_sector` on the (c1, a1, a2) sector of a band-gap model."""
+def propagate_double(model: Reservoir, initial, grid: TimeGrid):
+    """:func:`propagate_sector` on ``model.sector``, for a two-mode sector."""
     return propagate_sector(model.sector, initial, grid)
 
 

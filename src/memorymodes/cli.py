@@ -40,14 +40,14 @@ from .density import (
 )
 from .errors import MemoryModesError, NonPhysical, ParseError
 from .info import info_series
-from .models import BandGapModel, LorentzianModel, TimeGrid
+from .models import Reservoir, TimeGrid
 from .rates import (
     intermode_memory_identity,
     memory_identity_double,
     memory_identity_single,
     rates_from_amplitudes,
 )
-from .trajectories import compare_unravelings, run_mcwf_pseudomode, run_nmqj
+from .trajectories import _check_seed, compare_unravelings, run_mcwf_pseudomode, run_nmqj
 
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
 
@@ -73,7 +73,7 @@ class RunConfig:
     """Everything one experiment run needs, validated before execution."""
 
     experiment: str
-    model: LorentzianModel | BandGapModel
+    model: Reservoir
     grid: TimeGrid
     out_dir: Path
     n_members: int = 10_000
@@ -85,8 +85,7 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.experiment in _STOCHASTIC and not 1 <= self.n_members < 2**63:
             raise ValueError(f"stochastic runs need 1 <= n_members < 2**63, got {self.n_members}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must fit an unsigned 64-bit value, got {self.seed}")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -102,7 +101,7 @@ class RunManifest:
 
 
 def _propagate(config: RunConfig):
-    if isinstance(config.model, LorentzianModel):
+    if config.model.sector.n_modes == 1:
         return propagate_single(config.model, None, config.grid)
     return propagate_double(config.model, None, config.grid)
 
@@ -124,7 +123,7 @@ def _experiment_identity(config, artifact, extras) -> None:
         extras["gamma_p1"] = f"{sector.leak_rates[0]:.17g}"
         extras["gamma_p2"] = f"{sector.leak_rates[1]:.17g}"
         extras["intermode_coupling"] = f"{sector.intermode[0][1]:.17g}"
-    if isinstance(config.model, LorentzianModel):
+    if sector.n_modes == 1:
         report = memory_identity_single(traj, rates)
     else:
         report = memory_identity_double(traj, rates)
@@ -144,7 +143,7 @@ def _excited_extended_vector(config: RunConfig) -> np.ndarray:
 
 
 def _evolve_extended(config: RunConfig):
-    if isinstance(config.model, LorentzianModel):
+    if config.model.sector.n_modes == 1:
         return evolve_lindblad_single(config.model, DensityMatrix.excited(3), config.grid)
     return evolve_lindblad_double(config.model, DensityMatrix.excited(4), config.grid)
 
@@ -213,8 +212,8 @@ def _experiment_info(config, artifact, extras) -> None:
 
 
 def _experiment_fig2(config, artifact, extras) -> None:
-    if not isinstance(config.model, LorentzianModel):
-        raise ValueError("the fig2 preset runs on the single-peak model")
+    if config.model.sector.n_modes != 1:
+        raise ValueError("the fig2 preset runs on a one-mode reservoir")
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     report = memory_identity_single(traj, rates)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NonPhysical, ParseError
-from .models import BandGapModel, LorentzianModel, TimeGrid
+from .models import BandGapModel, LorentzianModel, Reservoir, TimeGrid
 
 __all__ = ["ModelConfig", "validate_config", "validate_config_text"]
 
@@ -27,7 +27,7 @@ _KNOWN_KEYS = {"model", "t_start", *_COMMON_KEYS, *_MODEL_KEYS["lorentzian"], *_
 class ModelConfig:
     """Validated model and grid portion of a run configuration."""
 
-    model: LorentzianModel | BandGapModel
+    model: Reservoir
     grid: TimeGrid
     raw: dict
 
@@ -105,24 +105,11 @@ def validate_config_text(
 
     grid = TimeGrid(t_start=t_start, t_end=values["t_end"], n_steps=values["n_steps"])
     try:
+        params = {key: values[key] for key in ("omega0", "omega_c") + _MODEL_KEYS[model_kind]}
         if model_kind == "lorentzian":
-            model = LorentzianModel(
-                omega0=values["omega0"],
-                omega_c=values["omega_c"],
-                gamma=values["gamma"],
-                omega_coupling=values["omega_coupling"],
-            )
+            model = LorentzianModel(**params)
         else:
-            model = BandGapModel(
-                omega0=values["omega0"],
-                omega_c=values["omega_c"],
-                w1=values["w1"],
-                w2=values["w2"],
-                gamma1=values["gamma1"],
-                gamma2=values["gamma2"],
-                omega_coupling=values["omega_coupling"],
-                allow_nonphysical=allow_nonphysical,
-            )
+            model = BandGapModel(**params, allow_nonphysical=allow_nonphysical)
     except NonPhysical as exc:
         raise NonPhysical(f"{source}: {exc}") from None
     raw = {key: entries[key][0] for key in entries}

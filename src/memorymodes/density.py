@@ -27,7 +27,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeTrajectory, _propagate_constant
 from .errors import RateGapTooWide, SectorLeak
-from .models import BandGapModel, LorentzianModel, PseudomodeSector, TimeGrid
+from .models import PseudomodeSector, Reservoir, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
@@ -304,17 +304,13 @@ def evolve_lindblad_sector(
     return DensitySeries((coords @ basis.T).reshape(-1, dim, dim))
 
 
-def evolve_lindblad_single(
-    model: LorentzianModel, rho0: DensityMatrix, grid: TimeGrid
-) -> DensitySeries:
-    """:func:`evolve_lindblad_sector` on the single-mode sector of a Lorentzian model."""
+def evolve_lindblad_single(model: Reservoir, rho0: DensityMatrix, grid: TimeGrid) -> DensitySeries:
+    """:func:`evolve_lindblad_sector` on ``model.sector``, for a one-mode sector."""
     return evolve_lindblad_sector(model.sector, rho0, grid)
 
 
-def evolve_lindblad_double(
-    model: BandGapModel, rho0: DensityMatrix, grid: TimeGrid
-) -> DensitySeries:
-    """:func:`evolve_lindblad_sector` on the two-mode sector of a band-gap model."""
+def evolve_lindblad_double(model: Reservoir, rho0: DensityMatrix, grid: TimeGrid) -> DensitySeries:
+    """:func:`evolve_lindblad_sector` on ``model.sector``, for a two-mode sector."""
     return evolve_lindblad_sector(model.sector, rho0, grid)
 
 

@@ -1,4 +1,4 @@
-"""Reservoir models, spectral densities, and their pseudomode sectors.
+"""The reservoir of Lorentzian peaks: its density, its kernel and its pseudomode sector.
 
 All frequencies and rates are plain floats in one consistent unit system.
 The bundled presets use the weak-coupling decay rate of the emitter
@@ -8,8 +8,9 @@ are of order one and times are measured in inverse decay rates.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,11 +18,10 @@ from .errors import ConsistencyWarning, NonPhysical
 
 __all__ = [
     "TimeGrid",
+    "PseudomodeSector",
+    "Reservoir",
     "LorentzianModel",
     "BandGapModel",
-    "PseudomodeSector",
-    "lorentzian_density",
-    "bandgap_density",
 ]
 
 
@@ -41,9 +41,11 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self) -> None:
-        # a NaN, infinite or overflowing span fails the comparison
-        if not 0.0 < self.t_end - self.t_start < np.inf:
-            raise ValueError(f"need finite t_start < t_end, got [{self.t_start}, {self.t_end}]")
+        # a NaN, infinite or overflowing span fails the comparison; a complex
+        # or string bound fails the kind check before it could raise TypeError
+        bounds = np.asarray((self.t_start, self.t_end))
+        if bounds.dtype.kind not in "iuf" or not 0.0 < self.t_end - self.t_start < np.inf:
+            raise ValueError(f"need finite real t_start < t_end, got [{self.t_start!r}, {self.t_end!r}]")
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer of at least 2, got {self.n_steps!r}")
 
@@ -96,188 +98,187 @@ class PseudomodeSector:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class LorentzianModel:
-    """Single-peak reservoir: the emitter couples to one damped mode.
 
-    Attributes
-    ----------
-    omega0:
-        Emitter transition frequency.
-    omega_c:
-        Center frequency of the reservoir peak (the mode frequency).
-    gamma:
-        Full width of the peak, equal to the decay rate of the mode.
-    omega_coupling:
-        Emitter-mode coupling strength.
+@dataclass(frozen=True)
+class Reservoir:
+    """An emitter at ``omega0`` coupled to a reservoir of Lorentzian peaks.
+
+    Each peak is ``(w, gamma, c)``: a signed weight, a full width and a
+    center. The spectral density :meth:`density`, the memory kernel
+    :meth:`kernel` and the pseudomode sector ``sector`` all derive from the
+    peaks. The weights enter the dynamics only as ``w / sum(w)``;
+    ``omega_coupling**2`` is the kernel at zero delay.
+
+    The sector rule (Garraway, PRA 55, 2290 (1997); Dalton, Barnett &
+    Garraway, PRA 64, 053813 (2001)):
+
+    - a positive peak with no dip at its center is one mode ``b<k>`` at
+      ``c``, leaking at ``gamma``, coupled to the emitter with
+      ``omega_coupling * sqrt(w / sum(w))`` and to no other mode;
+    - a dip (``w <= 0``) pairs with the one positive peak at its center,
+      which must be heavier and wider. With ``(w1, gamma1)`` the peak,
+      ``(w2, gamma2) = (-w, gamma)`` the dip and ``W = w1 - w2``, the pair
+      is the storage mode ``a<k>``, leaking at ``(w1*gamma2 - w2*gamma1)/W``,
+      and the leaky mode ``a<k+1>``, leaking at ``(w1*gamma1 - w2*gamma2)/W``,
+      coupled to each other with ``sqrt(w1*w2)*(gamma1 - gamma2)/(2*W)``.
+      Only the leaky mode couples to the emitter, with
+      ``omega_coupling * sqrt(W / sum(w))``. A perfect gap
+      (``w1*gamma2 == w2*gamma1``) makes the storage mode lossless;
+    - any other arrangement has no dissipative sector with real couplings
+      and raises ``NonPhysical``.
+
+    So the sector's kernel is :meth:`kernel`, and its mode matrix has the
+    density's poles ``c - omega0 - i*gamma/2`` as eigenvalues.
+    ``allow_nonphysical=True`` skips only the sign checks on a pair's
+    derived rates, for exploring where the dissipative description breaks
+    down; the sector then has those rates as they are.
     """
 
     omega0: float
-    omega_c: float
-    gamma: float
     omega_coupling: float
-
-    def __post_init__(self) -> None:
-        _check_real((self.omega0, self.omega_c, self.gamma, self.omega_coupling), "parameters")
-        problems = []
-        # gamma = 0 is the lossless limit (undamped mode, pole on the real axis)
-        if not self.gamma >= 0:
-            problems.append(f"mode decay rate must satisfy gamma >= 0, got gamma={self.gamma}")
-        if self.omega_coupling < 0:
-            problems.append(
-                f"coupling must satisfy omega_coupling >= 0, got {self.omega_coupling}"
-            )
-        if problems:
-            raise NonPhysical("; ".join(problems))
-
-    @property
-    def detuning(self) -> float:
-        """Mode-emitter detuning omega_c - omega0."""
-        return self.omega_c - self.omega0
-
-    @property
-    def pole(self) -> complex:
-        """Resonance pole omega_c - i*gamma/2 in the lower half plane."""
-        return complex(self.omega_c, -0.5 * self.gamma)
-
-    @property
-    def gamma_markov(self) -> float:
-        """Weak-coupling (golden-rule) emitter decay rate 4*coupling**2/width."""
-        if self.gamma == 0:
-            raise NonPhysical(
-                "the weak-coupling decay rate 4*coupling**2/gamma diverges in the "
-                "lossless limit gamma = 0"
-            )
-        return 4.0 * self.omega_coupling**2 / self.gamma
-
-    @property
-    def sector(self) -> PseudomodeSector:
-        """One mode at the peak center, leaking at the peak width."""
-        return PseudomodeSector(
-            self.omega0, (self.omega_c,), (self.omega_coupling,), ((0.0,),), (self.gamma,), ("b1",)
-        )
-
-
-@dataclass(frozen=True)
-class BandGapModel:
-    """Band-gap reservoir: a broad positive peak minus a narrower dip.
-
-    The dip carves out a low-density region around ``omega_c``. The
-    equivalent mode picture is two coupled damped modes; when the gap is
-    perfect (w1/gamma1 == w2/gamma2) the first mode stops leaking entirely.
-
-    ``allow_nonphysical=True`` skips the sign checks on the derived decay
-    rates, for exploring where the dissipative description breaks down.
-    """
-
-    omega0: float
-    omega_c: float
-    w1: float
-    w2: float
-    gamma1: float
-    gamma2: float
-    omega_coupling: float
+    peaks: tuple[tuple[float, float, float], ...]
     allow_nonphysical: bool = False
+    sector: PseudomodeSector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        fields = (
-            self.omega0,
-            self.omega_c,
-            self.w1,
-            self.w2,
-            self.gamma1,
-            self.gamma2,
-            self.omega_coupling,
-        )
-        _check_real(fields, "parameters")
+        _check_real((self.omega0, self.omega_coupling), "parameters")
+        _check_real(self.peaks, "peaks")
+        peaks = np.asarray(self.peaks, dtype=float)
+        if peaks.ndim != 2 or peaks.shape[1] != 3 or len(peaks) == 0:
+            raise ValueError(f"peaks must be (weight, width, center) triples, got {self.peaks}")
+        object.__setattr__(self, "peaks", tuple(map(tuple, peaks.tolist())))
+        object.__setattr__(self, "sector", self._pseudomode_sector())
+
+    def _pseudomode_sector(self) -> PseudomodeSector:
+        """The sector that the rule of the class docstring builds from the peaks."""
         problems = []
-        if not (self.gamma1 > self.gamma2 > 0):
-            problems.append(
-                "widths must satisfy gamma1 > gamma2 > 0, got "
-                f"gamma1={self.gamma1}, gamma2={self.gamma2}"
-            )
-        if not (self.w1 > self.w2 >= 0):
-            problems.append(
-                f"weights must satisfy w1 > w2 >= 0, got w1={self.w1}, w2={self.w2}"
-            )
         if self.omega_coupling < 0:
-            problems.append(
-                f"coupling must satisfy omega_coupling >= 0, got {self.omega_coupling}"
-            )
-        if not problems and not self.allow_nonphysical:
-            # for gamma1 > gamma2 > 0 these two signs are equivalent to the
-            # density w1*L(gamma1) - w2*L(gamma2) being non-negative everywhere
-            rate1 = self.w1 * self.gamma2 - self.w2 * self.gamma1
-            rate2 = self.w1 * self.gamma1 - self.w2 * self.gamma2
-            if rate1 < 0:
+            problems.append(f"coupling must satisfy omega_coupling >= 0, got {self.omega_coupling}")
+        # each positive peak, mapped to the dip it pairs with (None: a lone peak)
+        partners = {k: None for k, (w, _, _) in enumerate(self.peaks) if w > 0}
+        for j, (w, _, center) in enumerate(self.peaks):
+            if w > 0:
+                continue
+            at_center = [k for k in partners if self.peaks[k][2] == center]
+            if len(at_center) != 1 or partners[at_center[0]] is not None:
                 problems.append(
-                    f"w1*gamma2 - w2*gamma1 = {rate1} < 0: the density goes negative "
-                    "and no valid dissipative mode pair exists"
+                    f"the dip at {center} needs exactly one positive peak of its own at its center"
                 )
-            if rate2 <= 0:
+            else:
+                partners[at_center[0]] = j
+        total = sum(w for w, _, _ in self.peaks)
+        frequencies, shares, leak_rates, labels, pairs = [], [], [], [], []
+        for k, j in partners.items():
+            w1, gamma1, center = self.peaks[k]
+            n = len(labels)
+            if j is None:
+                # gamma = 0 is the lossless limit (undamped mode, pole on the real axis)
+                if not gamma1 >= 0:
+                    problems.append(f"mode decay rate must satisfy gamma >= 0, got gamma={gamma1}")
+                frequencies.append(center)
+                shares.append(w1)
+                leak_rates.append(gamma1)
+                labels.append(f"b{n + 1}")
+                continue
+            w2, gamma2 = -self.peaks[j][0], self.peaks[j][1]
+            rate1, rate2 = w1 * gamma2 - w2 * gamma1, w1 * gamma1 - w2 * gamma2
+            if not gamma1 > gamma2 > 0:
                 problems.append(
-                    f"w1*gamma1 - w2*gamma2 = {rate2} <= 0: the leaky mode would not decay"
+                    "widths must satisfy gamma1 > gamma2 > 0, got "
+                    f"gamma1={gamma1}, gamma2={gamma2}"
                 )
+            if not w1 > w2:
+                problems.append(f"weights must satisfy w1 > w2 >= 0, got w1={w1}, w2={w2}")
+                continue
+            if gamma1 > gamma2 > 0 and not self.allow_nonphysical:
+                # for gamma1 > gamma2 > 0 these two signs are equivalent to the
+                # pair's density w1*L(gamma1) - w2*L(gamma2) being non-negative
+                if rate1 < 0:
+                    problems.append(
+                        f"w1*gamma2 - w2*gamma1 = {rate1} < 0: the density goes negative "
+                        "and no valid dissipative mode pair exists"
+                    )
+                if rate2 <= 0:
+                    problems.append(
+                        f"w1*gamma1 - w2*gamma2 = {rate2} <= 0: the leaky mode would not decay"
+                    )
+            weight = w1 - w2
+            frequencies += [center, center]
+            shares += [0.0, weight]
+            leak_rates += [rate1 / weight, rate2 / weight]
+            labels += [f"a{n + 1}", f"a{n + 2}"]
+            pairs.append((n, math.sqrt(w1 * w2) * (gamma1 - gamma2) / (2.0 * weight)))
         if problems:
             raise NonPhysical("; ".join(problems))
-        total_weight = self.w1 - self.w2
-        if total_weight > 0 and abs(self.omega_coupling**2 - total_weight) > 0.01 * total_weight:
-            warnings.warn(
-                f"omega_coupling**2 = {self.omega_coupling**2:.6g} differs from the "
-                f"integrated spectral weight w1 - w2 = {total_weight:.6g} by more "
-                "than 1%; proceeding with the given coupling",
-                ConsistencyWarning,
-                stacklevel=2,
-            )
 
-    @property
-    def detuning(self) -> float:
-        return self.omega_c - self.omega0
-
-    @property
-    def is_perfect_gap(self) -> bool:
-        """True when the density vanishes exactly at the center frequency."""
-        return self.w1 * self.gamma2 == self.w2 * self.gamma1
-
-    @property
-    def sector(self) -> PseudomodeSector:
-        """The storage mode a1 and the leaky mode a2, coupled to each other.
-
-        a1 decays at w1*gamma2 - w2*gamma1 and a2 at w1*gamma1 - w2*gamma2;
-        they couple with strength sqrt(w1*w2)*(gamma1-gamma2)/2, and only a2
-        couples to the emitter. A perfect gap makes the first rate exactly
-        zero, turning the storage mode lossless. Construction already refused
-        rates outside the valid domain unless the model was built with
-        ``allow_nonphysical=True``; such a model yields its rates as they are.
-        """
-        gamma_p1 = self.w1 * self.gamma2 - self.w2 * self.gamma1
-        gamma_p2 = self.w1 * self.gamma1 - self.w2 * self.gamma2
-        v = float(np.sqrt(self.w1 * self.w2) * (self.gamma1 - self.gamma2) / 2.0)
+        intermode = np.zeros((len(labels), len(labels)))
+        for n, v in pairs:
+            intermode[n, n + 1] = intermode[n + 1, n] = v
         return PseudomodeSector(
             self.omega0,
-            (self.omega_c, self.omega_c),
-            (0.0, self.omega_coupling),
-            ((0.0, v), (v, 0.0)),
-            (gamma_p1, gamma_p2),
-            ("a1", "a2"),
+            tuple(frequencies),
+            tuple(self.omega_coupling * math.sqrt(share / total) for share in shares),
+            tuple(map(tuple, intermode.tolist())),
+            tuple(leak_rates),
+            tuple(labels),
         )
 
+    def density(self, omega):
+        """Spectral density sum_j w_j*gamma_j / ((omega - c_j)**2 + (gamma_j/2)**2).
 
-def lorentzian_density(weight: float, width: float, center: float, omega):
-    """Lorentzian line shape weight*width / ((omega-center)**2 + (width/2)**2).
+        A peak reaches 4*w/gamma at its center and integrates to 2*pi*w.
+        """
+        om = np.asarray(omega, dtype=float)
+        out = sum(w * gamma / ((om - c) ** 2 + (0.5 * gamma) ** 2) for w, gamma, c in self.peaks)
+        return float(out) if out.ndim == 0 else out
 
-    The peak value is 4*weight/width at omega = center and the integral over
-    all frequencies is 2*pi*weight.
+    def kernel(self, tau):
+        """Memory kernel at delay ``tau >= 0`` in the frame rotating at ``omega0``.
+
+        (omega_coupling**2/sum w) * sum_j w_j exp(-gamma_j*tau/2 - i*(c_j - omega0)*tau),
+        which is omega_coupling**2/(2*pi*sum w) times the Fourier transform
+        of :meth:`density`.
+        """
+        weights, widths, centers = np.array(self.peaks).T
+        exponents = np.multiply.outer(
+            np.asarray(tau, dtype=float), -0.5 * widths - 1j * (centers - self.omega0)
+        )
+        out = self.omega_coupling**2 / weights.sum() * (np.exp(exponents) @ weights)
+        return complex(out) if out.ndim == 0 else out
+
+
+def LorentzianModel(omega0, omega_c, gamma, omega_coupling) -> Reservoir:
+    """One peak of width ``gamma`` at ``omega_c``, the ``model = lorentzian`` config kind.
+
+    Its sector is one mode ``b1`` at the peak, leaking at ``gamma`` and
+    coupled to the emitter with ``omega_coupling``.
     """
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
-    om = np.asarray(omega, dtype=float)
-    out = weight * width / ((om - center) ** 2 + (0.5 * width) ** 2)
-    return float(out) if out.ndim == 0 else out
+    return Reservoir(omega0, omega_coupling, ((1.0, gamma, omega_c),))
 
 
-def bandgap_density(model: BandGapModel, omega):
-    """Spectral density of the band-gap model: broad peak minus narrow dip."""
-    return lorentzian_density(model.w1, model.gamma1, model.omega_c, omega) - lorentzian_density(
-        model.w2, model.gamma2, model.omega_c, omega
+def BandGapModel(
+    omega0, omega_c, w1, w2, gamma1, gamma2, omega_coupling, allow_nonphysical=False
+) -> Reservoir:
+    """A broad peak ``(w1, gamma1)`` minus a narrower dip ``(w2, gamma2)`` at ``omega_c``.
+
+    The ``model = bandgap`` config kind: the dip carves out a low-density
+    region around ``omega_c``, and its sector is the storage mode ``a1`` and
+    the leaky mode ``a2``. The weights are physical here, so a
+    ``ConsistencyWarning`` is issued when ``omega_coupling**2`` differs from
+    the integrated weight ``w1 - w2`` by more than 1%.
+    """
+    reservoir = Reservoir(
+        omega0, omega_coupling, ((w1, gamma1, omega_c), (-w2, gamma2, omega_c)), allow_nonphysical
     )
+    if not w2 >= 0:  # a negative w2 would be a second positive peak, not a dip
+        raise NonPhysical(f"weights must satisfy w1 > w2 >= 0, got w1={w1}, w2={w2}")
+    total_weight = w1 - w2
+    if abs(omega_coupling**2 - total_weight) > 0.01 * total_weight:
+        warnings.warn(
+            f"omega_coupling**2 = {omega_coupling**2:.6g} differs from the "
+            f"integrated spectral weight w1 - w2 = {total_weight:.6g} by more "
+            "than 1%; proceeding with the given coupling",
+            ConsistencyWarning,
+            stacklevel=2,
+        )
+    return reservoir

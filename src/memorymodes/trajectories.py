@@ -27,7 +27,7 @@ from numpy.random import Generator, Philox
 from .amplitudes import _coerce_vector, propagate_sector
 from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
-from .models import BandGapModel, LorentzianModel, TimeGrid
+from .models import Reservoir, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
@@ -99,10 +99,16 @@ def _coerce_unit_vector(initial, dim: int) -> np.ndarray:
     return vec
 
 
+def _check_seed(seed) -> None:
+    """Raise ``ValueError`` unless ``seed`` is an integer that fits an unsigned 64-bit key."""
+    # the uint64 key would truncate a fractional seed to another run's stream
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 def _engine_generator(seed: int, stream: int) -> Generator:
     """The random stream of one engine run, keyed by (seed, engine stream id)."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit an unsigned 64-bit value, got {seed}")
+    _check_seed(seed)
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
@@ -180,7 +186,7 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
 
 
 def run_mcwf_pseudomode(
-    model: LorentzianModel | BandGapModel,
+    model: Reservoir,
     initial,
     n_members: int,
     seed: int,

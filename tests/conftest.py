@@ -74,7 +74,12 @@ def perfect_gap_model():
     return BandGapModel(**PERFECT_GAP_PARAMS)
 
 
-def random_lorentzian(rng) -> LorentzianModel:
+def gamma_markov(model) -> float:
+    """Weak-coupling (golden-rule) decay rate 4*coupling**2/width of a one-peak reservoir."""
+    return 4.0 * model.omega_coupling**2 / model.peaks[0][1]
+
+
+def random_lorentzian(rng):
     omega0 = float(rng.uniform(0.0, 2.0))
     return LorentzianModel(
         omega0=omega0,
@@ -84,7 +89,7 @@ def random_lorentzian(rng) -> LorentzianModel:
     )
 
 
-def random_bandgap(rng) -> BandGapModel:
+def random_bandgap(rng):
     gamma2 = float(rng.uniform(0.3, 1.2))
     mult = float(rng.uniform(1.5, 4.0))
     gamma1 = gamma2 * mult
@@ -110,7 +115,7 @@ _DYADIC_WIDTHS = (0.5, 0.75, 1.0, 1.25, 1.5)
 _DYADIC_MULTIPLIERS = (2.0, 2.5, 3.0, 4.0)
 
 
-def random_perfect_gap(rng) -> BandGapModel:
+def random_perfect_gap(rng):
     ratio = float(rng.choice(_DYADIC_RATIOS))
     gamma2 = float(rng.choice(_DYADIC_WIDTHS))
     gamma1 = gamma2 * float(rng.choice(_DYADIC_MULTIPLIERS))
@@ -132,3 +137,9 @@ def max_entry_diff(series_a, series_b) -> float:
     return max(
         float(np.max(np.abs(a.matrix - b.matrix))) for a, b in zip(series_a, series_b)
     )
+
+
+def pytest_configure(config):
+    # set here, not in pyproject.toml: perfbench/tests run without src on the
+    # path, where pytest could not import the warning class
+    config.addinivalue_line("filterwarnings", "error::memorymodes.errors.ConsistencyWarning")

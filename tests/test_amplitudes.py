@@ -18,7 +18,7 @@ from memorymodes import (
     propagate_single,
 )
 from memorymodes.amplitudes import AmplitudeTrajectory, _propagate_constant
-from conftest import random_bandgap, random_lorentzian
+from conftest import gamma_markov, random_bandgap, random_lorentzian
 
 
 class TestPropagateSingle:
@@ -183,7 +183,7 @@ class TestOracle:
 class TestNormBalance:
     def test_single(self, fig2_traj, fig2_model):
         residuals = norm_balance_residuals(fig2_traj)
-        assert residuals.max() < 1e-6 * fig2_model.gamma_markov
+        assert residuals.max() < 1e-6 * gamma_markov(fig2_model)
 
     def test_double(self, bandgap_traj):
         residuals = norm_balance_residuals(bandgap_traj)

@@ -9,13 +9,13 @@ import pytest
 
 from memorymodes import (
     BandGapModel,
-    LorentzianModel,
     NonPhysical,
     ParseError,
     validate_config,
     validate_config_text,
 )
 from memorymodes.cli import EXPERIMENTS, FIG2_CONFIG_TEXT, RunConfig, main, run
+from conftest import gamma_markov
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,24 +49,24 @@ class TestConfigParsing:
     def test_repo_preset_parses_to_reference_parameters(self):
         parsed = validate_config(REPO_ROOT / "configs" / "fig2.cfg")
         model = parsed.model
-        assert isinstance(model, LorentzianModel)
-        assert model.gamma == 0.6
+        assert model.sector.labels == ("b1",)
+        assert model.peaks[0][1] == 0.6
         assert model.omega_coupling == math.sqrt(0.15)
-        assert model.omega_c - model.omega0 == 4 * model.gamma
-        assert model.gamma_markov == pytest.approx(1.0, rel=1e-15)
+        assert model.peaks[0][2] - model.omega0 == 4 * model.peaks[0][1]
+        assert gamma_markov(model) == pytest.approx(1.0, rel=1e-15)
         assert parsed.grid.t_end == 10.0
         assert parsed.grid.n_steps == 4000
 
     def test_repo_bandgap_presets_parse(self):
         bandgap = validate_config(REPO_ROOT / "configs" / "bandgap.cfg")
-        assert isinstance(bandgap.model, BandGapModel)
+        assert bandgap.model.sector.labels == ("a1", "a2")
         perfect = validate_config(REPO_ROOT / "configs" / "perfect_gap.cfg")
-        assert perfect.model.is_perfect_gap
+        assert perfect.model.density(perfect.model.peaks[0][2]) == 0.0
 
     def test_comments_and_blank_lines(self):
         text = "# leading comment\n\nmodel = lorentzian # trailing\nomega0 = 0\nomega_c = 1\ngamma = 1\nomega_coupling = 0.5\nt_end = 2\nn_steps = 10\n"
         parsed = validate_config_text(text)
-        assert parsed.model.omega_c == 1.0
+        assert parsed.model.peaks[0][2] == 1.0
 
     def test_missing_key_named(self):
         text = FIG2_CONFIG_TEXT.replace("omega_coupling = 0.3872983346207417\n", "")
@@ -149,7 +149,7 @@ class TestRun:
         grid = fig2_config("identity", tmp_path).grid
         manifest = run(RunConfig("identity", pair, grid, tmp_path / "pair"))
         assert manifest.entries["intermode_coupling"] == "0"
-        assert float(manifest.entries["gamma_p1"]) == 0.9 * 0.5
+        assert float(manifest.entries["gamma_p1"]) == 0.5
         assert (tmp_path / "pair" / "identity_intermode.csv").exists()
         single = run(fig2_config("identity", tmp_path / "single"))
         assert "gamma_p1" not in single.entries
@@ -281,6 +281,11 @@ class TestMain:
         code = main(["fig2", "--out", str(tmp_path / "out"), "--seed", "-1"])
         assert code == 1
         assert "seed" in capsys.readouterr().err
+
+    def test_fractional_seed_rejected(self, tmp_path):
+        # a uint64 key would truncate 1.5 to seed 1's stream and record 1.5
+        with pytest.raises(ValueError, match="seed"):
+            fig2_config("nmqj", tmp_path / "out", seed=1.5)
 
     @pytest.mark.parametrize("experiment", ["nmqj", "mcwf"])
     def test_ensemble_size_outside_int64_rejected(self, experiment, tmp_path, capsys):

@@ -72,10 +72,10 @@ class TestDensityMatrix:
 
     def test_sector_hamiltonians(self, fig2_model, bandgap_model):
         h3 = sector_hamiltonian(fig2_model.sector)
-        assert h3[1, 1] == fig2_model.detuning
+        assert h3[1, 1] == fig2_model.peaks[0][2] - fig2_model.omega0
         assert h3[1, 2] == fig2_model.omega_coupling
         h4 = sector_hamiltonian(bandgap_model.sector)
-        assert h4[1, 1] == h4[2, 2] == bandgap_model.detuning
+        assert h4[1, 1] == h4[2, 2] == bandgap_model.peaks[0][2] - bandgap_model.omega0
         assert h4[2, 3] == bandgap_model.omega_coupling
         assert h4[1, 3] == 0.0
         assert h4[1, 2] == h4[2, 1] == bandgap_model.sector.intermode[0][1]

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from memorymodes import (
     BandGapModel,
@@ -10,10 +12,19 @@ from memorymodes import (
     NonPhysical,
     TimeGrid,
     PseudomodeSector,
-    bandgap_density,
-    lorentzian_density,
+    Reservoir,
+    mode_generator,
+    propagate_sector,
+    validate_config,
 )
-from conftest import random_bandgap, random_perfect_gap
+from conftest import random_bandgap, random_lorentzian, random_perfect_gap
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def lorentzian_density(weight, width, center, omega):
+    """The density of one peak, read from a single-peak reservoir."""
+    return Reservoir(0.0, 1.0, ((weight, width, center),)).density(omega)
 
 
 class TestTimeGrid:
@@ -35,6 +46,11 @@ class TestTimeGrid:
     def test_rejects_fractional_step_count(self):
         with pytest.raises(ValueError, match="integer"):
             TimeGrid(0.0, 1.0, 2.5)
+
+    @pytest.mark.parametrize("t_end", [1j, "1"])
+    def test_rejects_non_real_bounds(self, t_end):
+        with pytest.raises(ValueError, match="real"):
+            TimeGrid(0.0, t_end, 10)
 
 
 class TestLorentzianDensity:
@@ -58,31 +74,30 @@ class TestLorentzianDensity:
 class TestBandgapDensity:
     def test_perfect_gap_vanishes_at_center(self):
         model = BandGapModel(0.0, 0.0, 2.0, 1.0, 4.0, 2.0, math.sqrt(1.0))
-        assert bandgap_density(model, 0.0) == 0.0
+        assert model.density(0.0) == 0.0
 
     def test_w2_zero_reduces_to_lorentzian(self):
         model = BandGapModel(0.0, 1.0, 0.8, 0.0, 2.0, 1.0, math.sqrt(0.8))
         omegas = np.linspace(-4, 6, 101)
-        assert np.array_equal(
-            bandgap_density(model, omegas), lorentzian_density(0.8, 2.0, 1.0, omegas)
-        )
+        assert np.array_equal(model.density(omegas), lorentzian_density(0.8, 2.0, 1.0, omegas))
 
     def test_additivity_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             model = random_bandgap(rng)
+            (w1, gamma1, omega_c), (dip, gamma2, _) = model.peaks
             omega = float(rng.uniform(-5, 5))
-            expected = lorentzian_density(
-                model.w1, model.gamma1, model.omega_c, omega
-            ) - lorentzian_density(model.w2, model.gamma2, model.omega_c, omega)
-            assert bandgap_density(model, omega) == expected
+            expected = lorentzian_density(w1, gamma1, omega_c, omega) - lorentzian_density(
+                -dip, gamma2, omega_c, omega
+            )
+            assert model.density(omega) == expected
 
     def test_non_negative_for_valid_models(self):
         rng = np.random.default_rng(12)
         omegas = np.linspace(-30, 30, 4001)
         for _ in range(25):
             model = random_bandgap(rng)
-            values = bandgap_density(model, model.omega_c + omegas)
+            values = model.density(model.peaks[0][2] + omegas)
             assert values.min() >= -1e-15
 
 
@@ -101,12 +116,12 @@ class TestDeriveConstants:
         rng = np.random.default_rng(13)
         for _ in range(30):
             model = random_perfect_gap(rng)
-            assert model.is_perfect_gap
+            assert model.density(model.peaks[0][2]) == 0.0
             assert model.sector.leak_rates[0] == 0.0
 
     def test_w2_zero_decouples(self):
         model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        assert model.sector.leak_rates == (0.9 * 0.5, 0.9 * 2.0)
+        assert model.sector.leak_rates == (0.5, 2.0)
         assert model.sector.intermode == ((0.0, 0.0), (0.0, 0.0))
 
     def test_rate_sum_identity(self):
@@ -114,7 +129,8 @@ class TestDeriveConstants:
         for _ in range(100):
             model = random_bandgap(rng)
             gamma_p1, gamma_p2 = model.sector.leak_rates
-            expected = (model.w1 - model.w2) * (model.gamma1 + model.gamma2)
+            (_, gamma1, _), (_, gamma2, _) = model.peaks
+            expected = gamma1 + gamma2
             assert gamma_p1 + gamma_p2 == pytest.approx(
                 expected, rel=1e-12
             )
@@ -156,12 +172,7 @@ class TestValidation:
 
     def test_lorentzian_allows_lossless_limit(self):
         model = LorentzianModel(0.0, 0.0, 0.0, 1.0)
-        assert model.pole == 0.0
-
-    def test_lossless_limit_has_no_markov_rate(self):
-        model = LorentzianModel(0, 0, 0, 1)
-        with pytest.raises(NonPhysical, match="lossless limit gamma = 0"):
-            model.gamma_markov
+        assert model.sector.leak_rates == (0.0,)
 
     def test_bandgap_rejects_negative_storage_rate(self):
         # w1*gamma2 < w2*gamma1
@@ -173,6 +184,11 @@ class TestValidation:
             BandGapModel(0.0, 0.0, 1.0, 0.5, 1.0, 2.0, 0.5)
         with pytest.raises(NonPhysical, match="w1 > w2"):
             BandGapModel(0.0, 0.0, 0.5, 1.0, 2.0, 1.0, 0.5)
+
+    def test_bandgap_rejects_negative_dip_weight(self):
+        # a negative w2 would make the dip a second positive peak
+        with pytest.raises(NonPhysical, match="w1 > w2 >= 0"):
+            BandGapModel(0.0, 0.0, 0.5, -0.1, 2.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("position", range(4))
     def test_lorentzian_rejects_non_real_parameters(self, position):
@@ -208,10 +224,90 @@ class TestValidation:
         rng = np.random.default_rng(15)
         for _ in range(20):
             model = random_perfect_gap(rng)
-            assert model.is_perfect_gap
             assert model.sector.leak_rates[0] == 0.0
-            assert bandgap_density(model, model.omega_c) == 0.0
+            assert model.density(model.peaks[0][2]) == 0.0
         for _ in range(20):
             model = random_bandgap(rng)
-            if not model.is_perfect_gap:
+            (w1, gamma1, _), (dip, gamma2, _) = model.peaks
+            if w1 * gamma2 != -dip * gamma1:
                 assert model.sector.leak_rates[0] != 0.0
+
+
+def rule_cases():
+    """Reservoirs of every arrangement the sector rule accepts."""
+    rng = np.random.default_rng(16)
+    presets = ("fig2", "bandgap", "perfect_gap")
+    cases = [validate_config(CONFIG_DIR / f"{name}.cfg").model for name in presets]
+    for build in (random_lorentzian, random_bandgap, random_perfect_gap):
+        cases += [build(rng) for _ in range(10)]
+    # two lone peaks, one on each side of the emitter
+    cases.append(Reservoir(0.3, 0.8, ((0.7, 0.5, -1.0), (0.2, 1.5, 2.0))))
+    # a band-gap pair next to a lone peak
+    cases.append(Reservoir(0.0, 0.6, ((0.6, 2.0, 0.4), (-0.1, 0.5, 0.4), (0.3, 0.9, -1.5))))
+    return cases
+
+
+RULE_CASES = rule_cases()
+
+
+class TestReservoir:
+    """The sector that the rule builds reproduces the reservoir it stands for."""
+
+    @pytest.mark.parametrize("reservoir", RULE_CASES)
+    def test_sector_kernel_is_the_reservoir_kernel(self, reservoir):
+        sector = reservoir.sector
+        modes = mode_generator(sector)[1:, 1:]  # -i M, M the mode matrix
+        g = np.array(sector.couplings)
+        taus = np.linspace(0.0, 10.0, 41)
+        from_sector = np.array([g @ expm(modes * tau) @ g for tau in taus])
+        assert np.max(np.abs(from_sector - reservoir.kernel(taus))) < 1e-13
+        assert reservoir.kernel(0.0) == pytest.approx(reservoir.omega_coupling**2, rel=1e-15)
+
+    @pytest.mark.parametrize("reservoir", RULE_CASES)
+    def test_mode_matrix_eigenvalues_are_the_density_poles(self, reservoir):
+        eigenvalues = list(np.linalg.eigvals(1j * mode_generator(reservoir.sector)[1:, 1:]))
+        for _, gamma, center in reservoir.peaks:
+            pole = center - reservoir.omega0 - 0.5j * gamma
+            nearest = min(eigenvalues, key=lambda value: abs(value - pole))
+            assert abs(nearest - pole) < 1e-12
+            eigenvalues.remove(nearest)
+        assert eigenvalues == []
+
+    def test_w2_zero_band_gap_is_the_lorentzian_of_width_gamma1(self):
+        grid = TimeGrid(0.0, 10.0, 2000)
+        pair = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        single = LorentzianModel(0.0, 0.5, 2.0, math.sqrt(0.9))
+        c1_pair = propagate_sector(pair.sector, None, grid).c1
+        c1_single = propagate_sector(single.sector, None, grid).c1
+        assert np.max(np.abs(c1_pair - c1_single)) < 1e-14
+
+    @pytest.mark.parametrize("reservoir", RULE_CASES[:3] + RULE_CASES[-2:])
+    def test_kernel_is_the_fourier_transform_of_the_density(self, reservoir):
+        # trapezoid on omega0 + [-L, L]: the 1/omega**2 tails beyond L add about
+        # sum|w|*gamma/(L**2*tau), which limits the accuracy (1e-7 at L = 2000)
+        omegas = np.linspace(-2000.0, 2000.0, 400_001) + reservoir.omega0
+        density = reservoir.density(omegas)
+        total = sum(w for w, _, _ in reservoir.peaks)
+        for tau in (0.5, 1.0, 2.0, 5.0):
+            integrand = density * np.exp(-1j * (omegas - reservoir.omega0) * tau)
+            transform = np.trapezoid(integrand, omegas)
+            expected = reservoir.omega_coupling**2 / (2 * np.pi * total) * transform
+            assert abs(reservoir.kernel(tau) - expected) < 1e-6
+
+    @pytest.mark.parametrize("allow_nonphysical", [False, True])
+    @pytest.mark.parametrize(
+        "peaks",
+        [
+            ((-0.2, 1.0, 0.0),),  # a dip alone
+            ((0.5, 2.0, 0.0), (-0.1, 1.0, 0.3)),  # a dip off its peak's center
+            ((0.5, 2.0, 0.0), (0.3, 1.5, 0.0), (-0.1, 1.0, 0.0)),  # two peaks at the dip
+            ((0.5, 2.0, 0.0), (-0.1, 1.0, 0.0), (-0.05, 0.5, 0.0)),  # two dips on one peak
+            ((0.5, 2.0, 0.0), (-0.6, 1.0, 0.0)),  # a dip heavier than its peak
+            ((0.5, 1.0, 0.0), (-0.1, 2.0, 0.0)),  # a dip wider than its peak
+            ((0.5, 1.0, 0.0), (-0.1, 0.0, 0.0)),  # a dip of zero width
+            ((0.5, -1.0, 0.0),),  # a peak of negative width
+        ],
+    )
+    def test_refused_arrangements(self, peaks, allow_nonphysical):
+        with pytest.raises(NonPhysical):
+            Reservoir(0.0, 0.5, peaks, allow_nonphysical)

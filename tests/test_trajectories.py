@@ -235,7 +235,7 @@ class TestMcwf:
         n = 20_000
         ens = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), n, 41, grid)
         mode_pop = np.abs(ens.psi0[:-1, 1]) ** 2
-        per_member = fig2_model.gamma * grid.dt * mode_pop
+        per_member = fig2_model.peaks[0][1] * grid.dt * mode_pop
         expected = np.sum(ens.n0[:-1] * per_member)
         variance = np.sum(ens.n0[:-1] * per_member * (1 - per_member))
         total = ens.jump_counts.sum()
@@ -321,7 +321,7 @@ class TestMcwf:
             run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 0.5]), 10, 1, fig2_grid)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
 def test_seed_outside_u64_rejected(seed, fig2_model, fig2_rates, fig2_grid):
     with pytest.raises(ValueError, match="seed"):
         run_nmqj(fig2_rates, EXCITED_ATOM, 10, seed)
