@@ -228,6 +228,8 @@ class Reservoir:
 
         A peak reaches 4*w/gamma at its center and integrates to 2*pi*w.
         """
+        if any(gamma == 0 for _, gamma, _ in self.peaks):
+            raise ValueError("a lossless peak (gamma = 0) is a delta function, not a density")
         om = np.asarray(omega, dtype=float)
         out = sum(w * gamma / ((om - c) ** 2 + (0.5 * gamma) ** 2) for w, gamma, c in self.peaks)
         return float(out) if out.ndim == 0 else out

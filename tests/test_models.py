@@ -17,7 +17,13 @@ from memorymodes import (
     propagate_sector,
     validate_config,
 )
-from conftest import random_bandgap, random_lorentzian, random_perfect_gap
+from conftest import (
+    BANDGAP_PARAMS,
+    PERFECT_GAP_PARAMS,
+    random_bandgap,
+    random_lorentzian,
+    random_perfect_gap,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -234,16 +240,21 @@ class TestValidation:
 
 
 def rule_cases():
-    """Reservoirs of every arrangement the sector rule accepts."""
-    rng = np.random.default_rng(16)
+    """Reservoirs of every arrangement the sector rule accepts; the first five have finite widths."""
     presets = ("fig2", "bandgap", "perfect_gap")
     cases = [validate_config(CONFIG_DIR / f"{name}.cfg").model for name in presets]
-    for build in (random_lorentzian, random_bandgap, random_perfect_gap):
-        cases += [build(rng) for _ in range(10)]
     # two lone peaks, one on each side of the emitter
     cases.append(Reservoir(0.3, 0.8, ((0.7, 0.5, -1.0), (0.2, 1.5, 2.0))))
     # a band-gap pair next to a lone peak
     cases.append(Reservoir(0.0, 0.6, ((0.6, 2.0, 0.4), (-0.1, 0.5, 0.4), (0.3, 0.9, -1.5))))
+    rng = np.random.default_rng(16)
+    for build in (random_lorentzian, random_bandgap, random_perfect_gap):
+        cases += [build(rng) for _ in range(10)]
+    cases += [BandGapModel(**BANDGAP_PARAMS), BandGapModel(**PERFECT_GAP_PARAMS)]
+    cases.append(LorentzianModel(0.0, 0.3, 0.0, 1.0))  # lossless
+    cases.append(BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9)))  # w2 = 0
+    # negative storage rate, the density's poles still in the lower half plane
+    cases.append(BandGapModel(0.0, 0.0, 1.0, 0.9, 4.0, 1.0, math.sqrt(0.1), allow_nonphysical=True))
     return cases
 
 
@@ -281,7 +292,7 @@ class TestReservoir:
         c1_single = propagate_sector(single.sector, None, grid).c1
         assert np.max(np.abs(c1_pair - c1_single)) < 1e-14
 
-    @pytest.mark.parametrize("reservoir", RULE_CASES[:3] + RULE_CASES[-2:])
+    @pytest.mark.parametrize("reservoir", RULE_CASES[:5])
     def test_kernel_is_the_fourier_transform_of_the_density(self, reservoir):
         # trapezoid on omega0 + [-L, L]: the 1/omega**2 tails beyond L add about
         # sum|w|*gamma/(L**2*tau), which limits the accuracy (1e-7 at L = 2000)
@@ -290,9 +301,16 @@ class TestReservoir:
         total = sum(w for w, _, _ in reservoir.peaks)
         for tau in (0.5, 1.0, 2.0, 5.0):
             integrand = density * np.exp(-1j * (omegas - reservoir.omega0) * tau)
-            transform = np.trapezoid(integrand, omegas)
+            step = omegas[1] - omegas[0]
+            transform = step * (integrand.sum() - 0.5 * (integrand[0] + integrand[-1]))
             expected = reservoir.omega_coupling**2 / (2 * np.pi * total) * transform
             assert abs(reservoir.kernel(tau) - expected) < 1e-6
+
+    def test_lossless_peak_has_no_pointwise_density(self):
+        model = LorentzianModel(0.0, 0.0, 0.0, 1.0)
+        with pytest.raises(ValueError, match="lossless"):
+            model.density(0.0)
+        assert model.kernel(2.0) == 1.0
 
     @pytest.mark.parametrize("allow_nonphysical", [False, True])
     @pytest.mark.parametrize(
