@@ -45,7 +45,9 @@ class TimeGrid:
         # or string bound fails the kind check before it could raise TypeError
         bounds = np.asarray((self.t_start, self.t_end))
         if bounds.dtype.kind not in "iuf" or not 0.0 < self.t_end - self.t_start < np.inf:
-            raise ValueError(f"need finite real t_start < t_end, got [{self.t_start!r}, {self.t_end!r}]")
+            raise ValueError(
+                f"need finite real t_start < t_end, got [{self.t_start!r}, {self.t_end!r}]"
+            )
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer of at least 2, got {self.n_steps!r}")
 

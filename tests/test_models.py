@@ -240,7 +240,7 @@ class TestValidation:
 
 
 def rule_cases():
-    """Reservoirs of every arrangement the sector rule accepts; the first five have finite widths."""
+    """Reservoirs of every arrangement the sector rule accepts, lossless peaks after the fifth."""
     presets = ("fig2", "bandgap", "perfect_gap")
     cases = [validate_config(CONFIG_DIR / f"{name}.cfg").model for name in presets]
     # two lone peaks, one on each side of the emitter
