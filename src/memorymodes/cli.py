@@ -119,7 +119,9 @@ def _experiment_identity(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     sector = config.model.sector
-    if sector.n_modes == 2:
+    # the band-gap pair: a storage mode fed only through the leaky one
+    pair = sector.n_modes == 2 and sector.couplings[0] == 0.0
+    if pair:
         extras["gamma_p1"] = f"{sector.leak_rates[0]:.17g}"
         extras["gamma_p2"] = f"{sector.leak_rates[1]:.17g}"
         extras["intermode_coupling"] = f"{sector.intermode[0][1]:.17g}"
@@ -129,7 +131,7 @@ def _experiment_identity(config, artifact, extras) -> None:
         report = memory_identity_double(traj, rates)
     write_identity_csv(artifact("identity.csv"), report)
     extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
-    if sector.n_modes == 2:
+    if pair:
         intermode = intermode_memory_identity(traj)
         write_identity_csv(artifact("identity_intermode.csv"), intermode)
         extras["intermode_max_relative_residual"] = f"{intermode.max_relative_residual:.17g}"

@@ -10,11 +10,15 @@ constant leakage rates never reverse.
 
 Because every not-yet-jumped member shares one deterministic pure state,
 an ensemble is a count ``n0`` of members in that shared state, the rest in
-the ground state, and the net jumps per step and channel. The members that
-move in one step are one binomial draw (one multinomial draw across the MCWF
-channels) from the engine's own Philox stream, keyed by (seed, engine), so a
-run is a single sequential loop and repeats bit for bit. The same ground
-population, emitter marginal and comparison then serve both engines.
+the ground state, and the net jumps per step and channel. Each run draws
+from the engine's own Philox stream, keyed by (seed, engine), and repeats bit
+for bit. Over a pure-death stretch (a run of steps without reverse jumps;
+the whole MCWF run) the members leave independently, so the counts of every
+step and channel of the stretch are one multinomial draw, which numpy makes
+as the binomial draws of one draw per step, up to rounding. A reverse-jump
+step draws its returning members alone, as its probability depends on the
+counts. The same ground population, emitter marginal and comparison then
+serve both engines.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ MAX_JUMP_PROBABILITY = 0.1
 # stream ids keep the two engines statistically independent under one seed
 NMQJ_STREAM = 0x4E4D514A
 MCWF_STREAM = 0x4D435746
+
+_LOG_2 = float(np.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,44 @@ def _engine_generator(seed: int, stream: int) -> Generator:
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
 
+def _death_counts(rng: Generator, n0: int, p: np.ndarray) -> np.ndarray:
+    """Per-step, per-channel departures of ``n0`` members over a pure-death stretch.
+
+    ``p[j, c]`` is the probability that a member still in the shared state
+    at step j leaves it through channel c during that step. With no returns
+    the members leave independently, so the counts over the stretch are one
+    multinomial over the (step, channel) cells plus a survived cell, cell
+    (j, c) with probability S_j*p[j, c], where S_j is the survival to step j.
+    numpy draws the cells in order as binomials of the members left, with the
+    same n and, up to rounding, the same conditional p as one draw per step.
+    The stretch is cut where its own survival falls below 1/2, so the running
+    remainder numpy subtracts the cells from stays at 1/2 or more.
+    """
+    n_steps = len(p)
+    counts = np.zeros(p.shape, dtype=np.int64)
+    step_p = p.sum(axis=1)
+    # minus the log-survival to each step boundary; non-decreasing
+    decay = -np.concatenate([[0.0], np.cumsum(np.log1p(-step_p))])
+    start = 0
+    while start < n_steps and n0 > 0:
+        end = min(int(np.searchsorted(decay, decay[start] + _LOG_2, side="right")), n_steps)
+        survival = np.cumprod(np.concatenate([[1.0], 1.0 - step_p[start:end]]))
+        cells = np.append(survival[:-1, None] * p[start:end], survival[-1])
+        drawn = rng.multinomial(n0, cells)[:-1].reshape(end - start, -1)
+        counts[start:end] = drawn
+        n0 -= int(drawn.sum())
+        start = end
+    return counts
+
+
+def _shared_counts(n_members: int, jump_counts: np.ndarray) -> np.ndarray:
+    """Members in the shared state at every grid point, from the net jumps per step."""
+    n0 = np.empty(len(jump_counts) + 1, dtype=np.int64)
+    n0[0] = n_members
+    np.subtract(n_members, np.cumsum(jump_counts.sum(axis=1)), out=n0[1:])
+    return n0
+
+
 def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensemble:
     """Sample the emitter unraveling driven by a signed decay-rate series.
 
@@ -121,7 +165,9 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     probability rate*dt*|C_e|^2; for rate < 0 each of the ``n1`` ground
     members returns to the *current* shared state with probability
     (n0/n1)*|rate|*dt*|C_e|^2 (zero when n1 = 0, as no source members exist).
-    The ensemble lives on ``rates.grid``.
+    Each maximal run of rate >= 0 steps is one pure-death stretch, sampled in
+    one multinomial draw; reverse-jump steps are drawn one at a time. The
+    ensemble lives on ``rates.grid``.
     """
     grid = rates.grid
     if not 1 <= n_members < 2**63:  # the counts are int64
@@ -164,15 +210,20 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
             f"{MAX_JUMP_PROBABILITY}; refine the grid"
         )
 
-    n_points = len(times)
-    n0 = np.empty(n_points, dtype=np.int64)
+    n_steps = len(times) - 1
+    jumps = np.zeros((n_steps, 1), dtype=np.int64)
     cur0 = n_members
-    for k in range(n_points - 1):
-        n0[k] = cur0
-        cur1 = n_members - cur0
-        if direct[k]:
-            cur0 -= int(rng.binomial(cur0, p_direct[k]))
-        elif cur1 > 0:
+    # maximal runs of one rate sign: a death stretch, or reverse steps one by one
+    edges = [0, *(np.flatnonzero(direct[1:n_steps] != direct[: n_steps - 1]) + 1), n_steps]
+    for start, end in zip(edges[:-1], edges[1:]):
+        if direct[start]:
+            jumps[start:end] = _death_counts(rng, cur0, p_direct[start:end, None])
+            cur0 -= int(jumps[start:end].sum())
+            continue
+        for k in range(start, end):
+            cur1 = n_members - cur0
+            if cur1 == 0:
+                continue
             p_reverse = (cur0 / cur1) * (-gamma[k]) * dt * excited_pop[k]
             if p_reverse > MAX_JUMP_PROBABILITY:
                 raise StepTooLarge(
@@ -180,9 +231,10 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
                     f"exceeds {MAX_JUMP_PROBABILITY}; refine the grid or enlarge "
                     "the ensemble"
                 )
-            cur0 += int(rng.binomial(cur1, p_reverse))
-    n0[-1] = cur0
-    return Ensemble(grid, n_members, n0, psi0, seed, -np.diff(n0)[:, None])
+            back = int(rng.binomial(cur1, p_reverse))
+            jumps[k] = -back
+            cur0 += back
+    return Ensemble(grid, n_members, _shared_counts(n_members, jumps), psi0, seed, jumps)
 
 
 def run_mcwf_pseudomode(
@@ -199,7 +251,7 @@ def run_mcwf_pseudomode(
     remaining member jumps to the joint ground state with probability
     sum_i rate_i*dt*(mode-i population), resolved per channel for the
     bookkeeping; the rates are non-negative constants so no reverse jumps
-    ever occur.
+    ever occur, and the whole run is one pure-death stretch.
     """
     if not 1 <= n_members < 2**63:  # the counts are int64
         raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
@@ -216,7 +268,6 @@ def run_mcwf_pseudomode(
             f"the MCWF unraveling needs non-negative mode leakage rates, got {channel_rates}"
         )
 
-    n_points = grid.n_steps
     phi = _extended_vectors(traj, psi_init[0])
     norms = np.linalg.norm(phi, axis=1)
     psi0 = phi / norms[:, None]
@@ -231,18 +282,8 @@ def run_mcwf_pseudomode(
             f"total jump probability {worst:.3g} at t={grid.times[k]:.6g} exceeds "
             f"{MAX_JUMP_PROBABILITY}; refine the grid"
         )
-    # per step: one probability per channel, then staying in the no-jump state
-    p_outcome = np.column_stack([p_channel, 1.0 - p_total])
-
-    n0 = np.empty(n_points, dtype=np.int64)
-    jump_counts = np.zeros((n_points - 1, len(channel_rates)), dtype=np.int64)
-    cur0 = n_members
-    for k in range(n_points - 1):
-        n0[k] = cur0
-        jump_counts[k] = rng.multinomial(cur0, p_outcome[k])[:-1]
-        cur0 -= int(jump_counts[k].sum())
-    n0[-1] = cur0
-    return Ensemble(grid, n_members, n0, psi0, seed, jump_counts)
+    jump_counts = _death_counts(rng, n_members, p_channel[:-1])
+    return Ensemble(grid, n_members, _shared_counts(n_members, jump_counts), psi0, seed, jump_counts)
 
 
 def traced_ensemble_atom_state(ens: Ensemble) -> DensitySeries:

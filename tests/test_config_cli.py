@@ -11,6 +11,8 @@ from memorymodes import (
     BandGapModel,
     NonPhysical,
     ParseError,
+    Reservoir,
+    TimeGrid,
     validate_config,
     validate_config_text,
 )
@@ -154,6 +156,17 @@ class TestRun:
         single = run(fig2_config("identity", tmp_path / "single"))
         assert "gamma_p1" not in single.entries
         assert not (tmp_path / "single" / "identity_intermode.csv").exists()
+
+    def test_identity_of_two_lone_peaks_has_no_intermode_balance(self, tmp_path):
+        # two modes, both coupled to the emitter: not the band-gap pair
+        lone = Reservoir(0.0, 0.6, ((0.5, 1.0, -1.0), (0.5, 1.0, 1.0)))
+        out = tmp_path / "lone"
+        manifest = run(RunConfig("identity", lone, TimeGrid(0.0, 5.0, 200), out))
+        assert (out / "manifest.txt").exists()
+        assert not list(out.glob("*.partial"))
+        assert sorted(p.name for p in out.iterdir()) == ["identity.csv", "manifest.txt"]
+        assert "gamma_p1" not in manifest.entries
+        assert float(manifest.entries["max_relative_residual"]) < 1e-6
 
     def test_compare_run_is_byte_reproducible(self, tmp_path):
         parsed = validate_config_text(

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +18,22 @@ from memorymodes import (
     atom_density_from_amplitudes,
     compare_unravelings,
     evolve_lindblad_single,
+    propagate_sector,
     propagate_single,
     rates_from_amplitudes,
     run_mcwf_pseudomode,
     run_nmqj,
     traced_ensemble_atom_state,
+    validate_config,
 )
+from memorymodes.trajectories import (
+    MAX_JUMP_PROBABILITY,
+    MCWF_STREAM,
+    NMQJ_STREAM,
+    _engine_generator,
+)
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 EXCITED_ATOM = np.array([0.0, 1.0 + 0.0j])
 
@@ -449,3 +460,176 @@ class TestCompare:
         mcwf = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10, 1, other)
         with pytest.raises(GridMismatch):
             compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
+
+
+# The per-step loops the samplers ran before each pure-death stretch became one
+# multinomial draw: one binomial per emitter step, one multinomial per MCWF
+# step. The stretch sampler must reproduce their draws exactly.
+
+
+def reference_nmqj(rates, n_members, seed):
+    """Per-step emitter sampling from an excited start; returns (n0, jump_counts)."""
+    rng = _engine_generator(seed, NMQJ_STREAM)
+    times = rates.grid.times
+    dt = rates.grid.dt
+    gamma = np.asarray(rates.gamma, dtype=float)
+    excited_pop = np.ones(len(times))  # the shared state stays excited
+    direct = gamma >= 0.0
+    p_direct = np.where(direct, gamma, 0.0) * dt * excited_pop
+    worst = p_direct[:-1].max(initial=0.0)
+    if worst > MAX_JUMP_PROBABILITY:
+        k = int(np.argmax(p_direct[:-1]))
+        raise StepTooLarge(
+            f"jump probability {worst:.3g} at t={times[k]:.6g} exceeds "
+            f"{MAX_JUMP_PROBABILITY}; refine the grid"
+        )
+    n0 = np.empty(len(times), dtype=np.int64)
+    cur0 = n_members
+    for k in range(len(times) - 1):
+        n0[k] = cur0
+        cur1 = n_members - cur0
+        if direct[k]:
+            cur0 -= int(rng.binomial(cur0, p_direct[k]))
+        elif cur1 > 0:
+            p_reverse = (cur0 / cur1) * (-gamma[k]) * dt * excited_pop[k]
+            if p_reverse > MAX_JUMP_PROBABILITY:
+                raise StepTooLarge(
+                    f"reverse-jump probability {p_reverse:.3g} at t={times[k]:.6g} "
+                    f"exceeds {MAX_JUMP_PROBABILITY}; refine the grid or enlarge "
+                    "the ensemble"
+                )
+            cur0 += int(rng.binomial(cur1, p_reverse))
+    n0[-1] = cur0
+    return n0, -np.diff(n0)[:, None]
+
+
+def reference_mcwf(ens, model):
+    """Per-step MCWF sampling of the shared states ``ens.psi0``; returns (n0, jump_counts)."""
+    rng = _engine_generator(ens.seed, MCWF_STREAM)
+    channel_rates = np.array(model.sector.leak_rates)
+    mode_pops = np.abs(ens.psi0[:, 1:-1]) ** 2
+    p_channel = mode_pops * channel_rates * ens.grid.dt
+    p_total = p_channel.sum(axis=1)
+    p_outcome = np.column_stack([p_channel, 1.0 - p_total])
+    n_points = ens.grid.n_steps
+    n0 = np.empty(n_points, dtype=np.int64)
+    jump_counts = np.zeros((n_points - 1, len(channel_rates)), dtype=np.int64)
+    cur0 = ens.n_members
+    for k in range(n_points - 1):
+        n0[k] = cur0
+        jump_counts[k] = rng.multinomial(cur0, p_outcome[k])[:-1]
+        cur0 -= int(jump_counts[k].sum())
+    n0[-1] = cur0
+    return n0, jump_counts
+
+
+def assert_same_draws(ens, reference):
+    n0, jump_counts = reference
+    assert np.array_equal(ens.n0, n0)
+    assert np.array_equal(ens.jump_counts, jump_counts)
+
+
+def assert_same_nmqj(rates, n_members, seed):
+    """The sampler and the reference draw the same counts or refuse at the same step."""
+    try:
+        reference = reference_nmqj(rates, n_members, seed)
+    except StepTooLarge as refused:
+        with pytest.raises(StepTooLarge) as sampled:
+            run_nmqj(rates, EXCITED_ATOM, n_members, seed)
+        assert str(sampled.value) == str(refused)
+        return None
+    ens = run_nmqj(rates, EXCITED_ATOM, n_members, seed)
+    assert_same_draws(ens, reference)
+    return ens
+
+
+def excited_sector_state(model):
+    initial = np.zeros(model.sector.n_modes + 2, dtype=complex)
+    initial[-1] = 1.0
+    return initial
+
+
+@pytest.fixture(scope="module")
+def preset_inputs():
+    """Reservoir and extracted rates of each shipped preset, per grid size."""
+    inputs = {}
+    for preset in ("fig2", "bandgap", "perfect_gap"):
+        parsed = validate_config(CONFIG_DIR / f"{preset}.cfg")
+        for n_points in (1000, 4000, 16000):
+            grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_points)
+            traj = propagate_sector(parsed.model.sector, None, grid)
+            inputs[preset, n_points] = (parsed.model, grid, rates_from_amplitudes(traj))
+    return inputs
+
+
+# fewer seeds on the finer grids keep the per-step references quick
+ORACLE_SEEDS = {1000: range(10), 4000: (10, 11), 16000: (12,)}
+
+
+class TestStretchSamplerOracle:
+    @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+    @pytest.mark.parametrize("n_points", [1000, 4000, 16000])
+    def test_presets_draw_what_the_per_step_loops_draw(self, preset_inputs, preset, n_points):
+        model, grid, rates = preset_inputs[preset, n_points]
+        initial = excited_sector_state(model)
+        for n_members in (1, 10**3, 10**5, 10**9):
+            for seed in ORACLE_SEEDS[n_points]:
+                assert_same_nmqj(rates, n_members, seed)
+                ens = run_mcwf_pseudomode(model, initial, n_members, seed, grid)
+                assert_same_draws(ens, reference_mcwf(ens, model))
+
+    def test_lossless_mode(self):
+        model = LorentzianModel(0.0, 0.0, 0.0, 0.9)
+        grid = TimeGrid(0.0, 6.0, 400)
+        ens = run_mcwf_pseudomode(model, np.array([0.0, 0.0, 1.0 + 0j]), 10**5, 3, grid)
+        assert_same_draws(ens, reference_mcwf(ens, model))
+        assert not ens.jump_counts.any()
+        assert not assert_same_nmqj(constant_rates(grid, 0.0), 10**5, 3).jump_counts.any()
+
+    def test_single_member_leaves_inside_a_stretch(self, fig2_model):
+        grid = TimeGrid(0.0, 10.0, 1000)
+        initial = np.array([0.0, 0.0, 1.0 + 0j])
+        emptied = 0
+        for seed in range(10):
+            ens = run_mcwf_pseudomode(fig2_model, initial, 1, seed, grid)
+            assert_same_draws(ens, reference_mcwf(ens, fig2_model))
+            emptied += ens.n0[-1] == 0
+        assert emptied > 0
+
+    def test_nmqj_starting_with_reverse_steps(self):
+        # the rate is negative on the first steps, with no ground members to return yet
+        grid = TimeGrid(0.0, 10.0, 2000)
+        rates = constant_rates(grid, 0.0)
+        rates.gamma[:] = 0.8 * np.sin(3.0 * grid.times - 0.5) + 0.3
+        assert rates.gamma[0] < 0.0
+        reverse_draws = 0
+        for seed in range(5):
+            ens = assert_same_nmqj(rates, 10**4, seed)
+            reverse_draws += (ens.jump_counts < 0).sum()
+        assert reverse_draws > 0
+
+    def test_two_point_grid(self, fig2_model):
+        grid = TimeGrid(0.0, 0.05, 2)
+        rates = rates_from_amplitudes(propagate_single(fig2_model, None, grid))
+        assert assert_same_nmqj(rates, 10**9, 7).jump_counts.shape == (1, 1)
+        ens = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10**9, 7, grid)
+        assert_same_draws(ens, reference_mcwf(ens, fig2_model))
+
+    def test_mcwf_through_many_halvings(self):
+        # the no-jump probability falls to about 1e-13, so the 1e9 members
+        # run through some thirty half-survival stretches before the last leaves
+        model = validate_config(CONFIG_DIR / "bandgap.cfg").model
+        grid = TimeGrid(0.0, 200.0, 40_000)
+        ens = run_mcwf_pseudomode(model, excited_sector_state(model), 10**9, 11, grid)
+        assert_same_draws(ens, reference_mcwf(ens, model))
+        assert ens.n0[-1] == 0
+
+    def test_reverse_step_too_large_at_the_same_step(self):
+        # a few early deaths leave n0/n1 large when the rate turns negative
+        grid = TimeGrid(0.0, 1.0, 101)
+        rates = constant_rates(grid, 1.0)
+        rates.gamma[20:] = -1.0
+        for seed in range(3):
+            with pytest.raises(StepTooLarge, match="reverse-jump"):
+                run_nmqj(rates, EXCITED_ATOM, 1000, seed)
+            assert assert_same_nmqj(rates, 1000, seed) is None
