@@ -150,10 +150,7 @@ def _death_counts(rng: Generator, n0: int, p: np.ndarray) -> np.ndarray:
 
 def _shared_counts(n_members: int, jump_counts: np.ndarray) -> np.ndarray:
     """Members in the shared state at every grid point, from the net jumps per step."""
-    n0 = np.empty(len(jump_counts) + 1, dtype=np.int64)
-    n0[0] = n_members
-    np.subtract(n_members, np.cumsum(jump_counts.sum(axis=1)), out=n0[1:])
-    return n0
+    return n_members - np.concatenate([[0], np.cumsum(jump_counts.sum(axis=1))])
 
 
 def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensemble:
@@ -283,7 +280,8 @@ def run_mcwf_pseudomode(
             f"{MAX_JUMP_PROBABILITY}; refine the grid"
         )
     jump_counts = _death_counts(rng, n_members, p_channel[:-1])
-    return Ensemble(grid, n_members, _shared_counts(n_members, jump_counts), psi0, seed, jump_counts)
+    n0 = _shared_counts(n_members, jump_counts)
+    return Ensemble(grid, n_members, n0, psi0, seed, jump_counts)
 
 
 def traced_ensemble_atom_state(ens: Ensemble) -> DensitySeries:

@@ -30,6 +30,7 @@ from memorymodes.trajectories import (
     MAX_JUMP_PROBABILITY,
     MCWF_STREAM,
     NMQJ_STREAM,
+    _death_counts,
     _engine_generator,
 )
 
@@ -503,17 +504,21 @@ def reference_nmqj(rates, n_members, seed):
     return n0, -np.diff(n0)[:, None]
 
 
+def mcwf_channel_probabilities(ens, model):
+    """Per-step, per-channel jump probabilities of the MCWF shared states ``ens.psi0``."""
+    mode_pops = np.abs(ens.psi0[:, 1:-1]) ** 2
+    return mode_pops * np.array(model.sector.leak_rates) * ens.grid.dt
+
+
 def reference_mcwf(ens, model):
     """Per-step MCWF sampling of the shared states ``ens.psi0``; returns (n0, jump_counts)."""
     rng = _engine_generator(ens.seed, MCWF_STREAM)
-    channel_rates = np.array(model.sector.leak_rates)
-    mode_pops = np.abs(ens.psi0[:, 1:-1]) ** 2
-    p_channel = mode_pops * channel_rates * ens.grid.dt
+    p_channel = mcwf_channel_probabilities(ens, model)
     p_total = p_channel.sum(axis=1)
     p_outcome = np.column_stack([p_channel, 1.0 - p_total])
     n_points = ens.grid.n_steps
     n0 = np.empty(n_points, dtype=np.int64)
-    jump_counts = np.zeros((n_points - 1, len(channel_rates)), dtype=np.int64)
+    jump_counts = np.zeros((n_points - 1, p_channel.shape[1]), dtype=np.int64)
     cur0 = ens.n_members
     for k in range(n_points - 1):
         n0[k] = cur0
@@ -623,6 +628,23 @@ class TestStretchSamplerOracle:
         ens = run_mcwf_pseudomode(model, excited_sector_state(model), 10**9, 11, grid)
         assert_same_draws(ens, reference_mcwf(ens, model))
         assert ens.n0[-1] == 0
+
+        class RecordingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+                self.survived = []
+
+            def multinomial(self, n, pvals):
+                self.survived.append(pvals[-1])
+                return self.rng.multinomial(n, pvals)
+
+        # each stretch ends once its survival is below 1/2, so every draw keeps
+        # a survived cell of at least 1/2 times one step's no-jump probability
+        rng = RecordingGenerator(_engine_generator(11, MCWF_STREAM))
+        p_channel = mcwf_channel_probabilities(ens, model)[:-1]
+        assert np.array_equal(_death_counts(rng, 10**9, p_channel), ens.jump_counts)
+        assert len(rng.survived) >= 30
+        assert min(rng.survived) > 0.5 * (1.0 - MAX_JUMP_PROBABILITY) * (1.0 - 1e-12)
 
     def test_reverse_step_too_large_at_the_same_step(self):
         # a few early deaths leave n0/n1 large when the rate turns negative
