@@ -10,6 +10,7 @@ completed run.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -95,9 +96,15 @@ class RunManifest:
     entries: dict
 
     def write(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        """Write the manifest to a temporary file, then rename it to ``path``.
+
+        A reader sees no manifest or a complete one, never a partial file.
+        """
+        temporary = path.with_name(path.name + ".tmp")
+        with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
             for key, value in self.entries.items():
                 handle.write(f"{key} = {value}\n")
+        os.replace(temporary, path)
 
 
 def _propagate(config: RunConfig):
@@ -250,6 +257,8 @@ def run(config: RunConfig) -> RunManifest:
     """Execute one experiment, writing CSV artifacts and a manifest."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's manifest would mark this run complete if it failed
+    (out / "manifest.txt").unlink(missing_ok=True)
     started = time.perf_counter()
     written: list[Path] = []
     extras: dict = {}

@@ -31,6 +31,8 @@ joins the kept bytes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .density import BASIS_LABELS, DensitySeries
@@ -49,9 +51,6 @@ __all__ = [
     "write_rate_curves_csv",
 ]
 
-#: cells formatted per block: bounds the scratch arrays, and so peak memory
-_BLOCK_CELLS = 4096
-
 #: decimal exponents X whose scale 10**(16 - X) the table holds: every |x| in
 #: [1e-280, 1e300) has its X inside, and no split of a scale overflows
 _X_MIN, _X_MAX = -282, 300
@@ -67,6 +66,12 @@ _SPLITTER = 134217729.0
 _WIDTH = 48
 _SEPARATOR, _SIGN, _PREFIX, _DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 0, 1, 2, 7, 24, 25, 41, 44
 _TEMPLATE = np.frombuffer(b",-0.000" + bytes(17) + b"." + bytes(16) + b"e" + bytes(6), np.uint8)
+#: a cell of a zero column: separator, sign and "0", the sign kept where it is set
+_ZERO = np.frombuffer(b",-0", np.uint8)
+_ZERO_KEEP = np.array([True, False, True])
+#: template bytes formatted per block, 4096 cells of _WIDTH: bounds the
+#: scratch arrays, and so peak memory
+_BLOCK_BYTES = 4096 * _WIDTH
 #: mask classes: 0-20 fixed notation at X = -4..16, of which the last is also
 #: the integer form, then scientific notation at X in (-100, -4), <= -100,
 #: [17, 100) and >= 100
@@ -243,12 +248,11 @@ def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
     return np.take(_MASKS, state, axis=0)
 
 
-def _format_block(block, integral) -> np.ndarray:
-    """The CSV bytes of the rows of ``block``, equal-length column slices.
+def _cells(block, integral):
+    """Byte rows and masks of the cells of ``block``, equal-length column slices.
 
-    Cell rows run in row-major order; each row's first cell starts with a
-    newline and every other cell with a comma. The block's first separator
-    is dropped and its last newline is left to the caller.
+    One 48-byte row per cell, in row-major order, each cell's separator a
+    comma; the caller joins the kept bytes.
     """
     n_rows, n_columns = len(block[0]), len(block)
     cells = np.zeros((n_rows, n_columns))
@@ -260,9 +264,7 @@ def _format_block(block, integral) -> np.ndarray:
         if is_int:
             negative[:, j], digits[:, j], exponent[:, j], exact[:, j] = _int_parts(column)
     rows = np.tile(_TEMPLATE, (cells.size, 1))
-    rows.reshape(n_rows, n_columns, _WIDTH)[:, 0, _SEPARATOR] = 10
     mask = _cell_rows(rows, negative.ravel(), digits.ravel(), exponent.ravel())
-    mask[0, _SEPARATOR] = False
     unproven = np.flatnonzero(~exact)
     if unproven.size:
         row_of, column_of = np.divmod(unproven, n_columns)
@@ -273,6 +275,57 @@ def _format_block(block, integral) -> np.ndarray:
         chars = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
         rows[unproven, 1:] = chars
         mask[unproven, 1:] = chars != 0
+    return rows, mask
+
+
+def _with_zero_cells(block, integral, zero):
+    """Byte rows and masks of the rows of ``block``, one row of bytes per CSV row.
+
+    Cells of the columns flagged in ``zero`` hold no nonzero value: each is
+    the 3 bytes ",-0", the sign kept where it is set. The other cells are
+    the 48-byte rows of ``_cells``, copied in between.
+    """
+    n_rows = len(block[0])
+    formatted = [j for j, is_zero in enumerate(zero) if not is_zero]
+    if formatted:
+        rows, mask = _cells([block[j] for j in formatted], [integral[j] for j in formatted])
+        rows, mask = rows.reshape(n_rows, -1), mask.reshape(n_rows, -1)
+    width = sum(_ZERO.size if is_zero else _WIDTH for is_zero in zero)
+    data = np.empty((n_rows, width), np.uint8)
+    keep = np.empty(data.shape, bool)
+    start = taken = 0
+    for is_zero, run in itertools.groupby(zip(zero, block), lambda pair: pair[0]):
+        run = [column for _, column in run]
+        if is_zero:
+            stop = start + _ZERO.size * len(run)
+            data[:, start:stop] = np.tile(_ZERO, len(run))
+            keep[:, start:stop] = np.tile(_ZERO_KEEP, len(run))
+            for k, column in enumerate(run):
+                keep[:, start + _ZERO.size * k + 1] = np.signbit(column)
+        else:
+            stop = start + _WIDTH * len(run)
+            data[:, start:stop] = rows[:, taken : taken + stop - start]
+            keep[:, start:stop] = mask[:, taken : taken + stop - start]
+            taken += stop - start
+        start = stop
+    return data, keep
+
+
+def _format_block(block, integral, zero) -> np.ndarray:
+    """The CSV bytes of the rows of ``block``, equal-length column slices.
+
+    The columns flagged in ``zero`` hold no nonzero value. Cells run in
+    row-major order; each row's first cell starts with a newline and every
+    other cell with a comma. The block's first separator is dropped and its
+    last newline is left to the caller.
+    """
+    if any(zero):
+        rows, mask = _with_zero_cells(block, integral, zero)
+        rows[:, _SEPARATOR] = 10
+    else:
+        rows, mask = _cells(block, integral)
+        rows.reshape(len(block[0]), len(block), _WIDTH)[:, 0, _SEPARATOR] = 10
+    mask[0, _SEPARATOR] = False
     return np.compress(mask.ravel(), rows.ravel())
 
 
@@ -291,14 +344,18 @@ def _write_columns(path, header: str, columns, preamble: str | None = None) -> N
     columns = [np.asarray(column) for column in columns]
     integral = [column.dtype.kind in "biu" for column in columns]
     columns = [c if i else c.astype(float, copy=False) for c, i in zip(columns, integral)]
-    # one formatting call per block of about _BLOCK_CELLS cells
-    block = max(1, _BLOCK_CELLS // max(len(columns), 1))
+    # a float column with no nonzero cell is written from its sign bits alone;
+    # count_nonzero, unlike any, does not warn on NaN
+    zero = [not i and np.count_nonzero(c) == 0 for c, i in zip(columns, integral)]
+    # one formatting call per block of about _BLOCK_BYTES template bytes
+    width = sum(_ZERO.size if is_zero else _WIDTH for is_zero in zero)
+    block = max(1, _BLOCK_BYTES // max(width, 1))
     with open(path, "wb") as handle:
         if preamble:
             handle.write(f"{preamble}\n".encode())
         handle.write(f"{header}\n".encode())
         for start in range(0, n_rows, block):
-            handle.write(_format_block([c[start : start + block] for c in columns], integral))
+            handle.write(_format_block([c[start : start + block] for c in columns], integral, zero))
             handle.write(b"\n")
 
 
