@@ -60,7 +60,8 @@ def run_all(repo: Path, n_steps: list[int], seed: int, n_members: int, work: Pat
                 out = work / key.replace("/", "_")
                 argv = [experiment, "--config", str(config), "--out", str(out)]
                 argv += ["--seed", str(seed), "--n", str(n_members)]
-                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                quiet = io.StringIO()
+                with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
                     code = cli.main(argv)
                 files = sorted(out.iterdir()) if out.exists() else []
                 results[key] = {"exit": code, "artifacts": {p.name: digest(p) for p in files}}

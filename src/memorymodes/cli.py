@@ -3,8 +3,8 @@
 Every experiment composes library operations, writes its CSV artifacts into
 the output directory, and finishes with a flat key-value manifest naming all
 of them. On failure the already-written files are renamed with a
-``.partial`` suffix and no manifest appears, so manifest presence marks a
-completed run.
+``.partial`` suffix and no manifest appears, not even an earlier run's, so
+manifest presence marks a completed run.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ output; integer and bool columns are written as plain integers. Complex
 arrays are exported as separate real and imaginary columns.
 
 The bytes of every cell equal Python's ``'%.17g' % v`` for floats and
-``'%d' % v`` for integers, but numpy formats a block of about 4096 cells at
-a time instead of Python formatting each cell. A finite nonzero double x is
+``'%d' % v`` for integers, but numpy formats a block of rows at a time
+instead of Python formatting each cell. A finite nonzero double x is
 written from X = floor(log10|x|) and the 17-digit integer
 D = round(|x| * 10**(16 - X)). The product is formed as a double-double,
 from Dekker's exact splitting and a table of 10**k as correctly rounded
@@ -23,10 +23,19 @@ cell takes this path, only when:
 Every other float cell (near-ties, NaN, infinities, subnormals and values
 out of that range), and every integer of 17 or more digits, is formatted
 by Python itself: the fast path never guesses. Zeros take the fast path.
-Each cell is then laid out in a fixed row of bytes (sign, a "0.000"
-prefix, digits, point, digits, exponent) from which a mask table keeps
-the bytes that ``%g`` would print, and one ``np.compress`` per block
+Each cell is then laid out in a fixed 48-byte row (separator, sign, a
+"0.000" prefix, digits, point, digits, exponent) from which a mask table
+keeps the bytes that ``%g`` would print, and one ``np.compress`` per block
 joins the kept bytes.
+
+A float column with no nonzero cell (in the pseudomode sector, every
+vacuum/one-excitation coherence and the imaginary part of every
+population) skips the digits: each of its cells is a 3-byte row
+(separator, sign, "0") whose mask keeps the sign only where the sign bit
+is set, so it reads "0" or "-0". Such rows are laid out between the
+48-byte rows of the other columns. Each float column is tested once per
+file. A block holds as many rows as fit 4096 * 48 template bytes: 4096
+cells when no column is zero, more rows when some are.
 """
 
 from __future__ import annotations
@@ -278,18 +287,21 @@ def _cells(block, integral):
     return rows, mask
 
 
-def _with_zero_cells(block, integral, zero):
-    """Byte rows and masks of the rows of ``block``, one row of bytes per CSV row.
+def _row_bytes(block, integral, zero):
+    """Byte rows and masks of ``block``, one row of bytes per CSV row.
 
     Cells of the columns flagged in ``zero`` hold no nonzero value: each is
     the 3 bytes ",-0", the sign kept where it is set. The other cells are
-    the 48-byte rows of ``_cells``, copied in between.
+    the 48-byte rows of ``_cells``, copied in between; with no zero column
+    they are returned as they are.
     """
     n_rows = len(block[0])
     formatted = [j for j, is_zero in enumerate(zero) if not is_zero]
     if formatted:
         rows, mask = _cells([block[j] for j in formatted], [integral[j] for j in formatted])
         rows, mask = rows.reshape(n_rows, -1), mask.reshape(n_rows, -1)
+        if len(formatted) == len(block):
+            return rows, mask
     width = sum(_ZERO.size if is_zero else _WIDTH for is_zero in zero)
     data = np.empty((n_rows, width), np.uint8)
     keep = np.empty(data.shape, bool)
@@ -314,17 +326,13 @@ def _with_zero_cells(block, integral, zero):
 def _format_block(block, integral, zero) -> np.ndarray:
     """The CSV bytes of the rows of ``block``, equal-length column slices.
 
-    The columns flagged in ``zero`` hold no nonzero value. Cells run in
-    row-major order; each row's first cell starts with a newline and every
-    other cell with a comma. The block's first separator is dropped and its
-    last newline is left to the caller.
+    The columns flagged in ``zero`` hold no nonzero value. Each row's first
+    cell starts with a newline and every other cell with a comma. The
+    block's first separator is dropped and its last newline is left to the
+    caller.
     """
-    if any(zero):
-        rows, mask = _with_zero_cells(block, integral, zero)
-        rows[:, _SEPARATOR] = 10
-    else:
-        rows, mask = _cells(block, integral)
-        rows.reshape(len(block[0]), len(block), _WIDTH)[:, 0, _SEPARATOR] = 10
+    rows, mask = _row_bytes(block, integral, zero)
+    rows[:, _SEPARATOR] = 10
     mask[0, _SEPARATOR] = False
     return np.compress(mask.ravel(), rows.ravel())
 
@@ -345,7 +353,7 @@ def _write_columns(path, header: str, columns, preamble: str | None = None) -> N
     integral = [column.dtype.kind in "biu" for column in columns]
     columns = [c if i else c.astype(float, copy=False) for c, i in zip(columns, integral)]
     # a float column with no nonzero cell is written from its sign bits alone;
-    # count_nonzero, unlike any, does not warn on NaN
+    # count_nonzero, unlike np.any, raises no warning on any NaN bit pattern
     zero = [not i and np.count_nonzero(c) == 0 for c, i in zip(columns, integral)]
     # one formatting call per block of about _BLOCK_BYTES template bytes
     width = sum(_ZERO.size if is_zero else _WIDTH for is_zero in zero)

@@ -211,6 +211,20 @@ class TestRun:
         assert not (tmp_path / "out" / "first.csv").exists()
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
+    def test_failed_rerun_leaves_no_earlier_manifest(self, tmp_path, capsys):
+        preset = REPO_ROOT / "configs" / "perfect_gap.cfg"
+        coarse = tmp_path / "coarse.cfg"
+        text = preset.read_text(encoding="utf-8").replace("n_steps = 4000", "n_steps = 1000")
+        coarse.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["nmqj", "--config", str(preset), "--out", str(out)]) == 0
+        # the manifest is renamed into place, so no temporary file remains
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.txt", "nmqj.csv"]
+        # at 1000 points the first-order jump probability passes its bound
+        assert main(["nmqj", "--config", str(coarse), "--out", str(out)]) == 4
+        assert "exceeds" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
     def test_evolve_bridges_and_counts_invalid_rate_points(self, tmp_path, monkeypatch):
         import memorymodes.cli as cli_module
 

@@ -5,7 +5,9 @@ subnormals. Reading a float cell back with ``float()`` must give the input
 bits, integer and bool columns must be plain integers, and only density
 files start with the ``# dim=..., basis=...`` line. The column writer's cells
 are also compared with Python's own ``'%.17g'`` and ``'%d'`` over about a
-million values chosen to reach every branch of the numpy formatter.
+million values chosen to reach every branch of the numpy formatter, and
+files with columns of signed zeros, which skip that formatter, in every
+position and on both sides of a block edge.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from memorymodes import (
     TimeGrid,
 )
 from memorymodes.csvio import (
+    _BLOCK_BYTES,
+    _WIDTH,
+    _ZERO,
     _write_columns,
     write_amplitude_csv,
     write_comparison_csv,
@@ -283,3 +288,76 @@ def test_integer_cells_equal_python_formatting(dtype, tmp_path):
         "%d,%.17g,%d\n" % row for row in zip(ints.tolist(), floats.tolist(), ints[::-1].tolist())
     )
     assert path.read_text(encoding="ascii") == "a,b,c\n" + expected
+
+
+#: columns with no nonzero cell, written from their sign bits alone
+ZERO_KINDS = {
+    "plus": lambda n: np.zeros(n),
+    "minus": lambda n: np.full(n, -0.0),
+    "mixed": lambda n: np.where(np.arange(n) % 3 == 1, -0.0, 0.0),
+}
+
+
+def assert_python_text(path, header: str, columns) -> None:
+    """The file holds what ``'%d'`` and ``'%.17g'`` write, cell by cell."""
+    expected = [header]
+    for row in zip(*(column.tolist() for column in columns)):
+        expected.append(",".join(("%d" if isinstance(v, int) else "%.17g") % v for v in row))
+    lines = path.read_text(encoding="ascii").split("\n")
+    if lines != expected + [""]:
+        differ = [(i, *pair) for i, pair in enumerate(zip(expected, lines)) if pair[0] != pair[1]]
+        pytest.fail(
+            f"{len(lines)} lines for {len(expected) + 1} expected; "
+            f"first differing (line, expected, written): {differ[:3]}"
+        )
+
+
+def block_rows(n_zero: int, n_formatted: int) -> int:
+    """Rows per formatting block: the byte budget over one row's template bytes."""
+    return _BLOCK_BYTES // (n_zero * _ZERO.size + n_formatted * _WIDTH)
+
+
+def mixed_columns(n: int, kind: str, position: int) -> list[np.ndarray]:
+    """A zero column at ``position`` among times, integers, NaN and +-inf, and 17-digit floats."""
+    others = [
+        np.linspace(0.0, 1.0, n),
+        np.arange(n, dtype=np.int64) - 2,
+        np.resize(SPECIAL, n),
+        np.resize([np.inf, -np.inf, np.nan], n),
+        np.resize([1.0 / 3.0, -2.0 / 3.0, 1e-7], n),
+    ]
+    return others[:position] + [ZERO_KINDS[kind](n)] + others[position:]
+
+
+@pytest.mark.parametrize("position", [0, 3, 5], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", ZERO_KINDS)
+def test_zero_column_cells_equal_python_formatting(kind, position, tmp_path):
+    columns = mixed_columns(50, kind, position)
+    path = tmp_path / "zero.csv"
+    _write_columns(path, "a,b,c,d,e,f", columns)
+    assert_python_text(path, "a,b,c,d,e,f", columns)
+
+
+def test_neighbouring_zero_columns_equal_python_formatting(tmp_path):
+    n = 40
+    zeros = [ZERO_KINDS[kind](n) for kind in ("minus", "plus", "mixed")]
+    # integer and bool columns of zeros are formatted as integers, with no sign
+    ints = [np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool)]
+    columns = [*zeros, np.linspace(-1.0, 1.0, n), *zeros[::-1], *ints, *zeros]
+    path = tmp_path / "zero.csv"
+    _write_columns(path, "h", columns)
+    assert_python_text(path, "h", columns)
+
+
+@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["one-row", "block-1", "block", "block+1"])
+@pytest.mark.parametrize("layout", ["all-zero", "mixed"])
+def test_zero_columns_across_block_edges(layout, offset, tmp_path):
+    if layout == "all-zero":
+        rows = 1 if offset is None else block_rows(4, 0) + offset
+        columns = [ZERO_KINDS[kind](rows) for kind in ("plus", "mixed", "minus", "mixed")]
+    else:
+        rows = 1 if offset is None else block_rows(2, 5) + offset
+        columns = mixed_columns(rows, "mixed", 2) + [ZERO_KINDS["minus"](rows)]
+    path = tmp_path / "zero.csv"
+    _write_columns(path, "h", columns)
+    assert_python_text(path, "h", columns)
