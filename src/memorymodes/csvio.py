@@ -77,7 +77,6 @@ _SEPARATOR, _SIGN, _PREFIX, _DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 0, 1, 2,
 _TEMPLATE = np.frombuffer(b",-0.000" + bytes(17) + b"." + bytes(16) + b"e" + bytes(6), np.uint8)
 #: a cell of a zero column: separator, sign and "0", the sign kept where it is set
 _ZERO = np.frombuffer(b",-0", np.uint8)
-_ZERO_KEEP = np.array([True, False, True])
 #: template bytes formatted per block, 4096 cells of _WIDTH: bounds the
 #: scratch arrays, and so peak memory
 _BLOCK_BYTES = 4096 * _WIDTH
@@ -311,7 +310,7 @@ def _row_bytes(block, integral, zero):
         if is_zero:
             stop = start + _ZERO.size * len(run)
             data[:, start:stop] = np.tile(_ZERO, len(run))
-            keep[:, start:stop] = np.tile(_ZERO_KEEP, len(run))
+            keep[:, start:stop] = True
             for k, column in enumerate(run):
                 keep[:, start + _ZERO.size * k + 1] = np.signbit(column)
         else:
