@@ -2,9 +2,9 @@
 
 Every experiment composes library operations, writes its CSV artifacts into
 the output directory, and finishes with a flat key-value manifest naming all
-of them. On failure the already-written files are renamed with a
-``.partial`` suffix and no manifest appears, not even an earlier run's, so
-manifest presence marks a completed run.
+of them. A run first removes an earlier run's listed artifacts and manifest.
+On failure the already-written files are renamed with a ``.partial`` suffix
+and no manifest appears, so manifest presence marks a completed run.
 """
 
 from __future__ import annotations
@@ -144,13 +144,6 @@ def _experiment_identity(config, artifact, extras) -> None:
         extras["intermode_max_relative_residual"] = f"{intermode.max_relative_residual:.17g}"
 
 
-def _excited_extended_vector(config: RunConfig) -> np.ndarray:
-    """Pure state on the extended sector basis: emitter excited, modes empty."""
-    initial = np.zeros(config.model.sector.n_modes + 2, dtype=complex)
-    initial[-1] = 1.0
-    return initial
-
-
 def _evolve_extended(config: RunConfig):
     if config.model.sector.n_modes == 1:
         return evolve_lindblad_single(config.model, DensityMatrix.excited(3), config.grid)
@@ -195,8 +188,7 @@ def _experiment_nmqj(config, artifact, extras) -> None:
 
 
 def _experiment_mcwf(config, artifact, extras) -> None:
-    initial = _excited_extended_vector(config)
-    ensemble = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
+    ensemble = run_mcwf_pseudomode(_propagate(config), config.n_members, config.seed)
     write_ensemble_csv(artifact("mcwf.csv"), ensemble)
 
 
@@ -204,8 +196,7 @@ def _experiment_compare(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     nmqj = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
-    initial = _excited_extended_vector(config)
-    mcwf = run_mcwf_pseudomode(config.model, initial, config.n_members, config.seed, config.grid)
+    mcwf = run_mcwf_pseudomode(traj, config.n_members, config.seed)
     report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
     write_ensemble_csv(artifact("nmqj.csv"), nmqj)
     write_ensemble_csv(artifact("mcwf.csv"), mcwf)
@@ -226,14 +217,7 @@ def _experiment_fig2(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     report = memory_identity_single(traj, rates)
-    write_rate_curves_csv(
-        artifact("rates.csv"),
-        config.grid.times,
-        rates.gamma,
-        report.lhs,
-        report.rhs,
-        rates.valid,
-    )
+    write_rate_curves_csv(artifact("rates.csv"), rates, report)
     extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
     extras["min_gamma"] = f"{np.nanmin(rates.gamma):.17g}"
 
@@ -253,12 +237,26 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+def _remove_earlier_run(out: Path) -> None:
+    """Delete the plain file names an earlier manifest lists in ``out``, then the manifest."""
+    manifest = out / "manifest.txt"
+    if not manifest.exists():
+        return
+    for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
+        if line.startswith("artifacts = "):
+            for name in line.removeprefix("artifacts = ").split(","):
+                if name not in ("", "..") and Path(name).name == name:
+                    (out / name).unlink(missing_ok=True)
+    manifest.unlink()
+
+
 def run(config: RunConfig) -> RunManifest:
     """Execute one experiment, writing CSV artifacts and a manifest."""
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    # an earlier run's manifest would mark this run complete if it failed
-    (out / "manifest.txt").unlink(missing_ok=True)
+    # an earlier run's manifest would mark this run complete if it failed,
+    # and its artifacts would stand beside this run's under plain names
+    _remove_earlier_run(out)
     started = time.perf_counter()
     written: list[Path] = []
     extras: dict = {}

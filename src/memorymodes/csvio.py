@@ -428,7 +428,7 @@ def write_info_csv(path, series: InfoSeries) -> None:
     _write_columns(path, "t,s_atom,s_pseudo,s_joint,mutual_info", columns)
 
 
-def write_rate_curves_csv(path, times, gamma, compensated, gamma_pop, valid) -> None:
-    """Decay rate and compensated mode drain side by side (preset export)."""
-    columns = [times, gamma, compensated, gamma_pop, valid]
+def write_rate_curves_csv(path, rates: RateTrajectory, report: MemoryIdentityReport) -> None:
+    """The rates' gamma beside their memory identity's two sides (preset export)."""
+    columns = [rates.grid.times, rates.gamma, report.lhs, report.rhs, rates.valid]
     _write_columns(path, "t,gamma,compensated,gamma_c1sq,valid", columns)

@@ -1,12 +1,12 @@
 """Stochastic pure-state unravelings of the exact evolutions.
 
-Two engines fill the same ``Ensemble`` record. The first runs on the emitter
-alone, driven by the extracted coefficient series: while the decay rate is
-non-negative members fall to the ground state, and during negative-rate
-intervals ground members jump *back* into the deterministically evolving
+Two engines fill the same ``Ensemble`` record, each unraveling the record it
+is given. The first runs on the emitter alone, driven by a ``RateTrajectory``:
+while the decay rate is non-negative members fall to the ground state, and
+during negative-rate intervals ground members jump *back* into the shared
 state, restoring previously destroyed superpositions. The second is a
-standard Monte Carlo wave-function process on the emitter+mode sector whose
-constant leakage rates never reverse.
+standard Monte Carlo wave-function process on an ``AmplitudeTrajectory`` of
+the emitter+mode sector, whose constant leakage rates never reverse.
 
 Because every not-yet-jumped member shares one deterministic pure state,
 an ensemble is a count ``n0`` of members in that shared state, the rest in
@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .amplitudes import _coerce_vector, propagate_sector
+from .amplitudes import AmplitudeTrajectory, _coerce_vector
 from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
 from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
-from .models import Reservoir, TimeGrid
+from .models import TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
@@ -59,8 +59,9 @@ class Ensemble:
     """Jump ensemble of either unraveling, held as counts around one shared state.
 
     ``n0[k]`` members share the normalized no-jump state ``psi0[k]``: (C_g, C_e)
-    on the emitter, or the sector basis (vacuum, modes, excited) for the MCWF
-    engine. The other ``n1[k]`` members sit in the (joint) ground state.
+    on the emitter, or the MCWF engine's amplitude solution on the sector basis
+    (vacuum, modes, excited). The other ``n1[k]`` members sit in the (joint)
+    ground state.
     ``jump_counts[k, c]`` is the net number of members that left the shared
     state on step k through channel c, so ``n0[k+1] == n0[k] - jump_counts[k].sum()``;
     the emitter engine has one channel, negative on reverse-jump steps.
@@ -95,14 +96,6 @@ class ComparisonReport:
     z: np.ndarray
     max_z_score: float
     max_cross_z: float
-
-
-def _coerce_unit_vector(initial, dim: int) -> np.ndarray:
-    vec = _coerce_vector(initial, dim, f"a {dim}-component pure state")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"pure state must be normalized, got norm {norm}")
-    return vec
 
 
 def _check_seed(seed) -> None:
@@ -175,7 +168,10 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
             f"rate series is invalid at t={grid.times[first]:.6g}; "
             "the unraveling needs finite coefficients on the whole grid"
         )
-    psi_init = _coerce_unit_vector(initial, 2)
+    psi_init = _coerce_vector(initial, 2, "a 2-component pure state")
+    norm = np.linalg.norm(psi_init)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"pure state must be normalized, got norm {norm}")
     rng = _engine_generator(seed, NMQJ_STREAM)
 
     times = grid.times
@@ -235,38 +231,36 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
 
 
 def run_mcwf_pseudomode(
-    model: Reservoir,
-    initial,
-    n_members: int,
-    seed: int,
-    grid: TimeGrid,
+    traj: AmplitudeTrajectory, n_members: int, seed: int, vacuum_amplitude: complex = 0.0
 ) -> Ensemble:
-    """Monte Carlo wave-function sampling on the emitter+mode sector ``model.sector``.
+    """Monte Carlo wave-function sampling of the amplitude solution ``traj``.
 
-    The deterministic no-jump state comes from the amplitude propagator (the
-    vacuum component is left invariant by the non-Hermitian drift). Each
-    remaining member jumps to the joint ground state with probability
-    sum_i rate_i*dt*(mode-i population), resolved per channel for the
-    bookkeeping; the rates are non-negative constants so no reverse jumps
-    ever occur, and the whole run is one pure-death stretch.
+    The no-jump state is ``traj`` normalized on the sector basis (vacuum, modes,
+    excited), with the frozen ``vacuum_amplitude`` the drift leaves invariant;
+    the joint state must start with unit norm. Each remaining member jumps to
+    the joint ground state with probability sum_i rate_i*dt*(mode-i
+    population), resolved per channel; the leak rates of ``traj.sector`` are
+    non-negative constants, so the whole run on ``traj.grid`` is one
+    pure-death stretch.
     """
     if not 1 <= n_members < 2**63:  # the counts are int64
         raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
-    sector = model.sector
-    dim = sector.n_modes + 2
-    psi_init = _coerce_unit_vector(initial, dim)
+    grid = traj.grid
+    phi = _extended_vectors(traj, vacuum_amplitude)
+    # a NaN entry would pass every norm bound, since NaN comparisons are False
+    if not np.all(np.isfinite(phi)):
+        raise ValueError(f"vacuum amplitude {vacuum_amplitude} and trajectory must be finite")
+    norms = np.linalg.norm(phi, axis=1)
+    if abs(norms[0] - 1.0) > 1e-9:
+        raise ValueError(f"pure state must be normalized, got norm {norms[0]}")
     rng = _engine_generator(seed, MCWF_STREAM)
 
-    # the amplitude vector is (excited, modes) on the sector basis (vacuum, modes, excited)
-    traj = propagate_sector(sector, np.concatenate([psi_init[-1:], psi_init[1:-1]]), grid)
-    channel_rates = np.array(sector.leak_rates)
+    channel_rates = np.array(traj.sector.leak_rates)
     if np.any(channel_rates < 0.0):
         raise NonPhysical(
             f"the MCWF unraveling needs non-negative mode leakage rates, got {channel_rates}"
         )
 
-    phi = _extended_vectors(traj, psi_init[0])
-    norms = np.linalg.norm(phi, axis=1)
     psi0 = phi / norms[:, None]
     mode_pops = np.abs(psi0[:, 1:-1]) ** 2
 

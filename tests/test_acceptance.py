@@ -237,7 +237,7 @@ def test_criterion_6_unraveling_convergence():
         z_nmqj = float(np.max(np.where(sigma > 0, err / sigma, 0.0)))
     max_err = float(err.max())
 
-    mcwf = run_mcwf_pseudomode(model, np.array([0.0, 0.0, 1.0 + 0j]), n, 2025, grid)
+    mcwf = run_mcwf_pseudomode(traj, n, 2025)
     lindblad = evolve_lindblad_single(model, DensityMatrix.excited(3), grid)
     vacuum = np.zeros((3, 3))
     vacuum[0, 0] = 1.0

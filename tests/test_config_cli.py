@@ -225,6 +225,51 @@ class TestRun:
         assert "exceeds" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
 
+    def test_rerun_removes_the_earlier_runs_artifacts(self, tmp_path, capsys):
+        preset = REPO_ROOT / "configs" / "perfect_gap.cfg"
+        coarse = tmp_path / "coarse.cfg"
+        text = preset.read_text(encoding="utf-8").replace("n_steps = 4000", "n_steps = 1000")
+        coarse.write_text(text, encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["nmqj", "--config", str(preset), "--out", str(out)]) == 0
+        # the refused rerun writes nothing, yet the first run's nmqj.csv goes
+        assert main(["nmqj", "--config", str(coarse), "--out", str(out)]) == 4
+        assert list(out.iterdir()) == []
+        assert main(["info", "--config", str(preset), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.iterdir()) == ["info.csv", "manifest.txt"]
+
+    def test_rerun_removes_only_plain_names_inside_the_directory(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        kept = [tmp_path / "outside.csv", out / "sub" / "inner.csv", out / "unlisted.csv"]
+        for path in kept:
+            path.write_text("t\n", encoding="utf-8")
+        (out / "listed.csv").write_text("t\n", encoding="utf-8")
+        listed = "listed.csv,../outside.csv,sub/inner.csv,..,,"
+        (out / "manifest.txt").write_text(f"artifacts = {listed}\n", encoding="utf-8")
+        run(fig2_config("rates", out))
+        assert all(path.exists() for path in kept)
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.txt", "rates.csv", "sub", "unlisted.csv"
+        ]
+
+    def test_compare_propagates_the_amplitudes_once(self, tmp_path, monkeypatch):
+        import memorymodes.amplitudes as amplitudes
+
+        propagate = amplitudes._propagate_constant
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return propagate(*args)
+
+        monkeypatch.setattr(amplitudes, "_propagate_constant", counted)
+        preset = REPO_ROOT / "configs" / "fig2.cfg"
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(preset), "--out", str(out), "--n", "1000"]) == 0
+        # nmqj, mcwf and the exact reference all read the one amplitude solution
+        assert len(calls) == 1
+
     def test_evolve_bridges_and_counts_invalid_rate_points(self, tmp_path, monkeypatch):
         import memorymodes.cli as cli_module
 

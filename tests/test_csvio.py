@@ -138,9 +138,18 @@ def case_info(path):
     return dict(zip(("t", "s_atom", "s_pseudo", "s_joint", "mutual_info"), [TIMES, *values]))
 
 
+def rate_curve_records(times, gamma, compensated, gamma_pop):
+    """Rates and their memory identity holding the given curves."""
+    slopes = np.full(len(times), np.nan)
+    rates = RateTrajectory(GRID, times, gamma, VALID, 0.0, slopes, slopes)
+    report = MemoryIdentityReport(GRID, compensated, gamma_pop, times, VALID, 0.0)
+    return rates, report
+
+
 def case_rate_curves(path):
-    values = [floats(k) for k in range(4)]
-    write_rate_curves_csv(path, *values, VALID)
+    # the time column comes from the grid, so it carries no special value
+    values = [TIMES, *(floats(k) for k in range(1, 4))]
+    write_rate_curves_csv(path, *rate_curve_records(*values))
     names = ("t", "gamma", "compensated", "gamma_c1sq", "valid")
     return dict(zip(names, [*values, VALID]))
 
@@ -200,7 +209,9 @@ def density_series(n: int) -> DensitySeries:
             id="density-short-times",
         ),
         pytest.param(
-            lambda path: write_rate_curves_csv(path, TIMES, TIMES[:-1], TIMES, TIMES, VALID),
+            lambda path: write_rate_curves_csv(
+                path, *rate_curve_records(TIMES, TIMES[:-1], TIMES, TIMES)
+            ),
             id="rate-curves-short-gamma",
         ),
     ],

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from memorymodes import (
+    AmplitudeTrajectory,
     BandGapModel,
     DensityMatrix,
     Ensemble,
@@ -18,6 +19,7 @@ from memorymodes import (
     atom_density_from_amplitudes,
     compare_unravelings,
     evolve_lindblad_single,
+    propagate_double,
     propagate_sector,
     propagate_single,
     rates_from_amplitudes,
@@ -207,9 +209,8 @@ class TestNmqj:
 class TestMcwf:
     def test_ground_state_is_stationary(self, fig2_model):
         grid = TimeGrid(0.0, 4.0, 100)
-        ens = run_mcwf_pseudomode(
-            fig2_model, np.array([1.0 + 0j, 0.0, 0.0]), 400, 29, grid
-        )
+        traj = propagate_single(fig2_model, [0.0, 0.0], grid)
+        ens = run_mcwf_pseudomode(traj, 400, 29, vacuum_amplitude=1.0)
         assert np.all(ens.n1 == 0)
         assert np.array_equal(ens.jump_counts, np.zeros_like(ens.jump_counts))
         assert np.max(np.abs(ens.psi0 - ens.psi0[0])) < 1e-12
@@ -217,16 +218,14 @@ class TestMcwf:
     def test_lossless_mode_never_jumps(self):
         model = LorentzianModel(0.0, 0.0, 0.0, 0.9)
         grid = TimeGrid(0.0, 6.0, 400)
-        ens = run_mcwf_pseudomode(model, np.array([0.0, 0.0, 1.0 + 0j]), 500, 31, grid)
+        ens = run_mcwf_pseudomode(propagate_single(model, None, grid), 500, 31)
         assert np.all(ens.n1 == 0)
         expected = np.cos(0.9 * grid.times) ** 2
         assert np.max(np.abs(np.abs(ens.psi0[:, 2]) ** 2 - expected)) < 1e-8
 
-    def test_matches_dissipative_solution_entrywise(self, fig2_model, fig2_grid):
+    def test_matches_dissipative_solution_entrywise(self, fig2_model, fig2_traj, fig2_grid):
         n = 20_000
-        ens = run_mcwf_pseudomode(
-            fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), n, 37, fig2_grid
-        )
+        ens = run_mcwf_pseudomode(fig2_traj, n, 37)
         exact = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
         vacuum = np.zeros((3, 3))
         vacuum[0, 0] = 1.0
@@ -245,7 +244,7 @@ class TestMcwf:
     def test_jump_rate_bookkeeping(self, fig2_model):
         grid = TimeGrid(0.0, 10.0, 2000)
         n = 20_000
-        ens = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), n, 41, grid)
+        ens = run_mcwf_pseudomode(propagate_single(fig2_model, None, grid), n, 41)
         mode_pop = np.abs(ens.psi0[:-1, 1]) ** 2
         per_member = fig2_model.peaks[0][1] * grid.dt * mode_pop
         expected = np.sum(ens.n0[:-1] * per_member)
@@ -253,20 +252,18 @@ class TestMcwf:
         total = ens.jump_counts.sum()
         assert abs(total - expected) / math.sqrt(variance) < 5.0
 
-    def test_jump_counts_balance_the_shared_count(self, fig2_model, fig2_grid):
-        initial = np.array([0.0, 0.0, 1.0 + 0j])
-        ens = run_mcwf_pseudomode(fig2_model, initial, 20_000, 41, fig2_grid)
+    def test_jump_counts_balance_the_shared_count(self, fig2_traj):
+        ens = run_mcwf_pseudomode(fig2_traj, 20_000, 41)
         assert np.array_equal(ens.n0[1:], ens.n0[:-1] - ens.jump_counts.sum(axis=1))
         assert ens.jump_counts.sum() > 0
         assert ens.jump_counts.min() >= 0  # constant leak rates never reverse
 
-    def test_seed_determinism(self, fig2_model, fig2_grid):
-        initial = np.array([0.0, 0.0, 1.0 + 0j])
-        base = run_mcwf_pseudomode(fig2_model, initial, 30_000, 43, fig2_grid)
-        again = run_mcwf_pseudomode(fig2_model, initial, 30_000, 43, fig2_grid)
+    def test_seed_determinism(self, fig2_traj):
+        base = run_mcwf_pseudomode(fig2_traj, 30_000, 43)
+        again = run_mcwf_pseudomode(fig2_traj, 30_000, 43)
         assert np.array_equal(base.n0, again.n0)
         assert np.array_equal(base.jump_counts, again.jump_counts)
-        other = run_mcwf_pseudomode(fig2_model, initial, 30_000, 44, fig2_grid)
+        other = run_mcwf_pseudomode(fig2_traj, 30_000, 44)
         assert not np.array_equal(base.n0, other.n0)
 
     def test_superposition_with_vacuum_component(self, fig2_model):
@@ -276,11 +273,9 @@ class TestMcwf:
         c_vac = 0.6
         initial = np.array([c_vac, 0.0, 0.8 + 0.0j])
         n = 40_000
-        ens = run_mcwf_pseudomode(fig2_model, initial, n, 73, grid)
+        traj = propagate_single(fig2_model, np.array([0.8 + 0.0j, 0.0]), grid)
+        ens = run_mcwf_pseudomode(traj, n, 73, vacuum_amplitude=c_vac)
         assert np.allclose(ens.psi0[0], initial / np.linalg.norm(initial), atol=1e-12)
-        traj = propagate_single(
-            fig2_model, np.array([0.8 + 0.0j, 0.0]), grid
-        )
         exact = atom_density_from_amplitudes(traj, vacuum_amplitude=c_vac)
         traced = traced_ensemble_atom_state(ens)
         sigma_floor = 1.0 / math.sqrt(n)
@@ -296,10 +291,9 @@ class TestMcwf:
         )
         assert np.array_equal(pg, manual)
 
-    def test_two_mode_channels(self, bandgap_model, fig2_grid):
-        initial = np.array([0.0, 0.0, 0.0, 1.0 + 0j])
+    def test_two_mode_channels(self, bandgap_model, bandgap_traj, fig2_grid):
         n = 5000
-        ens = run_mcwf_pseudomode(bandgap_model, initial, n, 47, fig2_grid)
+        ens = run_mcwf_pseudomode(bandgap_traj, n, 47)
         assert ens.psi0.shape == (fig2_grid.n_steps, 4)
         assert ens.jump_counts.shape == (fig2_grid.n_steps - 1, 2)
         assert np.all(ens.n0 + ens.n1 == n)
@@ -320,40 +314,46 @@ class TestMcwf:
         )
         grid = TimeGrid(0.0, 1.0, 100)
         with pytest.raises(NonPhysical):
-            run_mcwf_pseudomode(model, np.array([0.0, 0.0, 0.0, 1.0 + 0j]), 10, 1, grid)
+            run_mcwf_pseudomode(propagate_double(model, None, grid), 10, 1)
 
     def test_step_too_large(self):
         model = LorentzianModel(0.0, 0.0, 5.0, 2.0)
         grid = TimeGrid(0.0, 1.0, 12)
         with pytest.raises(StepTooLarge):
-            run_mcwf_pseudomode(model, np.array([0.0, 0.0, 1.0 + 0j]), 10, 1, grid)
+            run_mcwf_pseudomode(propagate_single(model, None, grid), 10, 1)
 
     def test_rejects_unnormalized_state(self, fig2_model, fig2_grid):
         with pytest.raises(ValueError, match="normalized"):
-            run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 0.5]), 10, 1, fig2_grid)
+            run_mcwf_pseudomode(propagate_single(fig2_model, [0.5, 0.0], fig2_grid), 10, 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
-def test_seed_outside_u64_rejected(seed, fig2_model, fig2_rates, fig2_grid):
+def test_seed_outside_u64_rejected(seed, fig2_traj, fig2_rates):
     with pytest.raises(ValueError, match="seed"):
         run_nmqj(fig2_rates, EXCITED_ATOM, 10, seed)
     with pytest.raises(ValueError, match="seed"):
-        run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10, seed, fig2_grid)
+        run_mcwf_pseudomode(fig2_traj, 10, seed)
 
 
-def test_ensemble_size_outside_int64_rejected(fig2_model, fig2_rates, fig2_grid):
+def test_ensemble_size_outside_int64_rejected(fig2_traj, fig2_rates):
     with pytest.raises(ValueError, match="n_members"):
         run_nmqj(fig2_rates, EXCITED_ATOM, 2**63, 1)
     with pytest.raises(ValueError, match="n_members"):
-        run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 2**63, 1, fig2_grid)
+        run_mcwf_pseudomode(fig2_traj, 2**63, 1)
 
 
-def test_non_finite_initial_state_rejected(fig2_model, fig2_rates, fig2_grid):
+def test_non_finite_initial_state_rejected(fig2_traj, fig2_rates):
     # a NaN norm passes the normalization bound; the samplers then failed in numpy
     with pytest.raises(ValueError, match="finite"):
         run_nmqj(fig2_rates, np.array([np.nan, 1.0]), 10, 1)
     with pytest.raises(ValueError, match="finite"):
-        run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, np.nan]), 10, 1, fig2_grid)
+        run_mcwf_pseudomode(fig2_traj, 10, 1, vacuum_amplitude=np.nan)
+    # a trajectory built by hand is checked too, at every point
+    states = fig2_traj.states.copy()
+    states[-1, 1] = np.inf
+    damaged = AmplitudeTrajectory(fig2_traj.grid, states, fig2_traj.sector)
+    with pytest.raises(ValueError, match="finite"):
+        run_mcwf_pseudomode(damaged, 10, 1)
 
 
 class TestTracedEnsemble:
@@ -381,12 +381,10 @@ class TestTracedEnsemble:
         expected = 0.3 + 0.7 * (abs(psi[0]) ** 2 + abs(psi[1]) ** 2)
         assert out[0].ground_population() == pytest.approx(expected, abs=1e-14)
 
-    def test_matches_partial_trace_of_ensemble_density(self, fig2_model, fig2_grid):
+    def test_matches_partial_trace_of_ensemble_density(self, fig2_traj):
         from memorymodes import partial_trace_pseudomodes
 
-        ens = run_mcwf_pseudomode(
-            fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 500, 53, fig2_grid
-        )
+        ens = run_mcwf_pseudomode(fig2_traj, 500, 53)
         traced = traced_ensemble_atom_state(ens)
         for k in (0, 1000, 3999):
             share = np.outer(ens.psi0[k], ens.psi0[k].conj())
@@ -396,8 +394,8 @@ class TestTracedEnsemble:
             assert np.max(np.abs(direct.matrix - traced[k].matrix)) < 1e-12
 
     def test_matches_pointwise_reference(self, bandgap_model, fig2_grid):
-        initial = np.array([0.3, 0.0, 0.0, math.sqrt(0.91) + 0j])
-        ens = run_mcwf_pseudomode(bandgap_model, initial, 500, 5, fig2_grid)
+        traj = propagate_double(bandgap_model, [math.sqrt(0.91), 0.0, 0.0], fig2_grid)
+        ens = run_mcwf_pseudomode(traj, 500, 5, vacuum_amplitude=0.3)
         reference = []
         for psi, n0, n1 in zip(ens.psi0, ens.n0, ens.n1):
             w0, w1 = n0 / 500, n1 / 500
@@ -417,16 +415,14 @@ class TestCompare:
         traj = propagate_single(model, None, grid)
         rates = rates_from_amplitudes(traj)
         nmqj = run_nmqj(rates, EXCITED_ATOM, 50, 3)
-        mcwf = run_mcwf_pseudomode(model, np.array([0.0, 0.0, 1.0 + 0j]), 50, 3, grid)
+        mcwf = run_mcwf_pseudomode(traj, 50, 3)
         report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
         assert report.max_z_score == 0.0
         assert report.max_cross_z == 0.0
 
-    def test_reference_preset(self, fig2_model, fig2_rates, fig2_traj, fig2_grid):
+    def test_reference_preset(self, fig2_rates, fig2_traj):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 10_000, 59)
-        mcwf = run_mcwf_pseudomode(
-            fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10_000, 61, fig2_grid
-        )
+        mcwf = run_mcwf_pseudomode(fig2_traj, 10_000, 61)
         report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
         assert report.max_z_score < 5.0
         assert report.max_cross_z < 5.0
@@ -438,7 +434,7 @@ class TestCompare:
         # [0, 0] of an extended state is the joint-vacuum population only; the
         # reference must sum the whole emitter-ground diagonal
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1000, 1)
-        mcwf = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 1000, 1, fig2_grid)
+        mcwf = run_mcwf_pseudomode(fig2_traj, 1000, 1)
         extended = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
         atom = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
         joint = compare_unravelings(nmqj, mcwf, extended)
@@ -446,19 +442,17 @@ class TestCompare:
         assert abs(joint.max_cross_z - atom.max_cross_z) < 1e-6
         assert np.max(np.abs(joint.pg_exact - atom.pg_exact)) < 1e-6
 
-    def test_single_member_edge_case(self, fig2_model, fig2_rates, fig2_traj, fig2_grid):
+    def test_single_member_edge_case(self, fig2_rates, fig2_traj):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1, 67)
-        mcwf = run_mcwf_pseudomode(
-            fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 1, 67, fig2_grid
-        )
+        mcwf = run_mcwf_pseudomode(fig2_traj, 1, 67)
         report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
         assert np.all(np.isfinite(report.sigma))
         assert report.max_z_score >= 0.0
 
-    def test_grid_mismatch(self, fig2_model, fig2_rates, fig2_traj, fig2_grid):
+    def test_grid_mismatch(self, fig2_model, fig2_rates, fig2_traj):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 10, 1)
         other = TimeGrid(0.0, 5.0, 100)
-        mcwf = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10, 1, other)
+        mcwf = run_mcwf_pseudomode(propagate_single(fig2_model, None, other), 10, 1)
         with pytest.raises(GridMismatch):
             compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
 
@@ -548,22 +542,16 @@ def assert_same_nmqj(rates, n_members, seed):
     return ens
 
 
-def excited_sector_state(model):
-    initial = np.zeros(model.sector.n_modes + 2, dtype=complex)
-    initial[-1] = 1.0
-    return initial
-
-
 @pytest.fixture(scope="module")
 def preset_inputs():
-    """Reservoir and extracted rates of each shipped preset, per grid size."""
+    """Reservoir, amplitudes and extracted rates of each shipped preset, per grid size."""
     inputs = {}
     for preset in ("fig2", "bandgap", "perfect_gap"):
         parsed = validate_config(CONFIG_DIR / f"{preset}.cfg")
         for n_points in (1000, 4000, 16000):
             grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_points)
             traj = propagate_sector(parsed.model.sector, None, grid)
-            inputs[preset, n_points] = (parsed.model, grid, rates_from_amplitudes(traj))
+            inputs[preset, n_points] = (parsed.model, traj, rates_from_amplitudes(traj))
     return inputs
 
 
@@ -575,28 +563,26 @@ class TestStretchSamplerOracle:
     @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
     @pytest.mark.parametrize("n_points", [1000, 4000, 16000])
     def test_presets_draw_what_the_per_step_loops_draw(self, preset_inputs, preset, n_points):
-        model, grid, rates = preset_inputs[preset, n_points]
-        initial = excited_sector_state(model)
+        model, traj, rates = preset_inputs[preset, n_points]
         for n_members in (1, 10**3, 10**5, 10**9):
             for seed in ORACLE_SEEDS[n_points]:
                 assert_same_nmqj(rates, n_members, seed)
-                ens = run_mcwf_pseudomode(model, initial, n_members, seed, grid)
+                ens = run_mcwf_pseudomode(traj, n_members, seed)
                 assert_same_draws(ens, reference_mcwf(ens, model))
 
     def test_lossless_mode(self):
         model = LorentzianModel(0.0, 0.0, 0.0, 0.9)
         grid = TimeGrid(0.0, 6.0, 400)
-        ens = run_mcwf_pseudomode(model, np.array([0.0, 0.0, 1.0 + 0j]), 10**5, 3, grid)
+        ens = run_mcwf_pseudomode(propagate_single(model, None, grid), 10**5, 3)
         assert_same_draws(ens, reference_mcwf(ens, model))
         assert not ens.jump_counts.any()
         assert not assert_same_nmqj(constant_rates(grid, 0.0), 10**5, 3).jump_counts.any()
 
     def test_single_member_leaves_inside_a_stretch(self, fig2_model):
-        grid = TimeGrid(0.0, 10.0, 1000)
-        initial = np.array([0.0, 0.0, 1.0 + 0j])
+        traj = propagate_single(fig2_model, None, TimeGrid(0.0, 10.0, 1000))
         emptied = 0
         for seed in range(10):
-            ens = run_mcwf_pseudomode(fig2_model, initial, 1, seed, grid)
+            ens = run_mcwf_pseudomode(traj, 1, seed)
             assert_same_draws(ens, reference_mcwf(ens, fig2_model))
             emptied += ens.n0[-1] == 0
         assert emptied > 0
@@ -614,18 +600,17 @@ class TestStretchSamplerOracle:
         assert reverse_draws > 0
 
     def test_two_point_grid(self, fig2_model):
-        grid = TimeGrid(0.0, 0.05, 2)
-        rates = rates_from_amplitudes(propagate_single(fig2_model, None, grid))
-        assert assert_same_nmqj(rates, 10**9, 7).jump_counts.shape == (1, 1)
-        ens = run_mcwf_pseudomode(fig2_model, np.array([0.0, 0.0, 1.0 + 0j]), 10**9, 7, grid)
+        traj = propagate_single(fig2_model, None, TimeGrid(0.0, 0.05, 2))
+        assert assert_same_nmqj(rates_from_amplitudes(traj), 10**9, 7).jump_counts.shape == (1, 1)
+        ens = run_mcwf_pseudomode(traj, 10**9, 7)
         assert_same_draws(ens, reference_mcwf(ens, fig2_model))
 
     def test_mcwf_through_many_halvings(self):
         # the no-jump probability falls to about 1e-13, so the 1e9 members
         # run through some thirty half-survival stretches before the last leaves
         model = validate_config(CONFIG_DIR / "bandgap.cfg").model
-        grid = TimeGrid(0.0, 200.0, 40_000)
-        ens = run_mcwf_pseudomode(model, excited_sector_state(model), 10**9, 11, grid)
+        traj = propagate_sector(model.sector, None, TimeGrid(0.0, 200.0, 40_000))
+        ens = run_mcwf_pseudomode(traj, 10**9, 11)
         assert_same_draws(ens, reference_mcwf(ens, model))
         assert ens.n0[-1] == 0
 
