@@ -47,7 +47,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .info import InfoSeries, info_series, mutual_information, von_neumann_entropy
-from .models import BandGapModel, LorentzianModel, PseudomodeSector, Reservoir, TimeGrid
+from .models import PseudomodeSector, Reservoir, TimeGrid
 from .rates import (
     MemoryIdentityReport,
     RateTrajectory,
@@ -73,7 +73,6 @@ __all__ = [
     "__version__",
     "AllPointsInvalid",
     "AmplitudeTrajectory",
-    "BandGapModel",
     "ComparisonReport",
     "ConsistencyWarning",
     "DensityMatrix",
@@ -83,7 +82,6 @@ __all__ = [
     "IllConditioned",
     "InfoSeries",
     "InvalidRates",
-    "LorentzianModel",
     "MemoryIdentityReport",
     "MemoryModesError",
     "ModelConfig",

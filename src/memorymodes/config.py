@@ -1,4 +1,4 @@
-"""Flat key-value run configuration: parsing, validation, model assembly.
+"""Flat key-value run configuration: parsing, validation, reservoir assembly.
 
 Format: UTF-8 text, one ``key = value`` per line, ``#`` starts a comment.
 All numeric values share the preset unit system (see models module).
@@ -7,11 +7,12 @@ All numeric values share the preset unit system (see models module).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NonPhysical, ParseError
-from .models import BandGapModel, LorentzianModel, Reservoir, TimeGrid
+from .errors import ConsistencyWarning, NonPhysical, ParseError
+from .models import Reservoir, TimeGrid
 
 __all__ = ["ModelConfig", "validate_config", "validate_config_text"]
 
@@ -97,23 +98,51 @@ def validate_config_text(
     if "n_steps" in values and values["n_steps"] < 2:
         problems.append(f"n_steps must be at least 2, got {values['n_steps']}")
     t_start = values.get("t_start", 0.0)
-    if "t_end" in values and not values["t_end"] > t_start:
-        problems.append(f"t_end must exceed t_start, got t_end={values['t_end']}")
+    if "t_end" in values:
+        if not values["t_end"] > t_start:
+            problems.append(f"t_end must exceed t_start, got t_end={values['t_end']}")
+        elif not math.isfinite(values["t_end"] - t_start):
+            problems.append(
+                f"t_end - t_start must be finite, got t_start={t_start}, t_end={values['t_end']}"
+            )
 
     if problems:
         raise ParseError([f"{source}: {p}" for p in problems])
 
     grid = TimeGrid(t_start=t_start, t_end=values["t_end"], n_steps=values["n_steps"])
     try:
-        params = {key: values[key] for key in ("omega0", "omega_c") + _MODEL_KEYS[model_kind]}
-        if model_kind == "lorentzian":
-            model = LorentzianModel(**params)
-        else:
-            model = BandGapModel(**params, allow_nonphysical=allow_nonphysical)
+        model = _reservoir(model_kind, values, allow_nonphysical)
     except NonPhysical as exc:
         raise NonPhysical(f"{source}: {exc}") from None
     raw = {key: entries[key][0] for key in entries}
     return ModelConfig(model=model, grid=grid, raw=raw)
+
+
+def _reservoir(kind: str, values: dict, allow_nonphysical: bool) -> Reservoir:
+    """The reservoir of one config kind: a peak at ``omega_c``, for ``bandgap`` minus a dip.
+
+    Band-gap weights are physical, so ``w2 >= 0`` is checked and ``omega_coupling**2``
+    is compared with the integrated weight ``w1 - w2`` here.
+    """
+    omega0, omega_c, coupling = values["omega0"], values["omega_c"], values["omega_coupling"]
+    if kind == "lorentzian":
+        peaks = ((1.0, values["gamma"], omega_c),)
+        return Reservoir(omega0, coupling, peaks, allow_nonphysical)
+    w1, w2 = values["w1"], values["w2"]
+    peaks = ((w1, values["gamma1"], omega_c), (-w2, values["gamma2"], omega_c))
+    reservoir = Reservoir(omega0, coupling, peaks, allow_nonphysical)
+    if not w2 >= 0:  # a negative w2 would be a second positive peak, not a dip
+        raise NonPhysical(f"weights must satisfy w1 > w2 >= 0, got w1={w1}, w2={w2}")
+    total_weight = w1 - w2
+    if abs(coupling**2 - total_weight) > 0.01 * total_weight:
+        warnings.warn(
+            f"omega_coupling**2 = {coupling**2:.6g} differs from the "
+            f"integrated spectral weight w1 - w2 = {total_weight:.6g} by more "
+            "than 1%; proceeding with the given coupling",
+            ConsistencyWarning,
+            stacklevel=3,
+        )
+    return reservoir
 
 
 def validate_config(path, *, allow_nonphysical: bool = False) -> ModelConfig:

@@ -44,7 +44,7 @@ import itertools
 
 import numpy as np
 
-from .density import BASIS_LABELS, DensitySeries
+from .density import DensitySeries, basis_labels
 from .info import InfoSeries
 from .rates import MemoryIdentityReport, RateTrajectory
 from .trajectories import ComparisonReport, Ensemble
@@ -400,7 +400,7 @@ def write_density_csv(path, densities: DensitySeries, times: np.ndarray) -> None
 
 def write_ensemble_csv(path, ens: Ensemble) -> None:
     """Counts and the shared state, labelled on its basis: cg,ce on the emitter alone."""
-    labels = ["c" + label for label in BASIS_LABELS[ens.psi0.shape[1]]]
+    labels = ["c" + label for label in basis_labels(ens.psi0.shape[1])]
     header, columns = _re_im(labels, ens.psi0.T)
     _write_columns(path, "t,n0,n1," + header, [ens.grid.times, ens.n0, ens.n1, *columns])
 

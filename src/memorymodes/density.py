@@ -13,9 +13,11 @@ last two axes, so one implementation serves a single state and a series.
 
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
-dim = n + 2 and dim 2 is the emitter alone. Labels for the supported
-dimensions: dim 2 -> (|g>, |e>); dim 3 -> (|g,0>, |g,1>, |e,0>);
-dim 4 -> (|g,0,0>, |g,1,0>, |g,0,1>, |e,0,0>).
+dim = n + 2 and dim 2 is the emitter alone. The labels of
+:func:`basis_labels` name the emitter level, then the occupation of each
+mode: ``g0…0``, ``g`` with a ``1`` in mode k's position for each k, then
+``e0…0``. So dim 2 is (g, e), dim 3 is (g0, g1, e0) and dim 4 is
+(g00, g10, g01, e00).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .models import PseudomodeSector, Reservoir, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
-    "BASIS_LABELS",
+    "basis_labels",
     "DensityMatrix",
     "DensitySeries",
     "sector_hamiltonian",
@@ -46,23 +48,25 @@ __all__ = [
     "extended_density_from_amplitudes",
 ]
 
-BASIS_LABELS = {
-    2: ("g", "e"),
-    3: ("g0", "g1", "e0"),
-    4: ("g00", "g10", "g01", "e00"),
-}
+
+def basis_labels(dim: int) -> tuple[str, ...]:
+    """Labels of the sector basis of dimension ``dim``, as the module docstring spells them."""
+    empty = "0" * (dim - 2)
+    one_each = (f"g{empty[:k]}1{empty[k + 1:]}" for k in range(dim - 2))
+    return ("g" + empty, *one_each, "e" + empty)
+
 
 #: longest run of invalid rate points the time-local route will bridge
 MAX_BRIDGEABLE_GAP = 2
 
 
 def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
-    """Read-only complex copy with square trailing axes of a sector dimension."""
+    """Read-only complex copy with square trailing axes of a sector dimension (at least 2)."""
     mat = np.array(matrices, dtype=complex, order="C")
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
         raise ValueError(f"expected {expected}, got shape {mat.shape}")
-    if mat.shape[-1] not in BASIS_LABELS:
-        raise ValueError(f"unsupported dimension {mat.shape[-1]}; expected 2, 3 or 4")
+    if mat.shape[-1] < 2:
+        raise ValueError(f"unsupported dimension {mat.shape[-1]}; expected at least 2")
     if not np.all(np.isfinite(mat.view(float))):
         raise ValueError("matrix entries must be finite")
     mat.setflags(write=False)
@@ -90,7 +94,7 @@ class DensityMatrix:
 
     @property
     def basis(self) -> tuple[str, ...]:
-        return BASIS_LABELS[self.dim]
+        return basis_labels(self.dim)
 
     @classmethod
     def from_pure(cls, vector) -> "DensityMatrix":
@@ -138,7 +142,7 @@ class DensitySeries:
 
     @property
     def basis(self) -> tuple[str, ...]:
-        return BASIS_LABELS[self.dim]
+        return basis_labels(self.dim)
 
     def __len__(self) -> int:
         return self.matrices.shape[0]

@@ -9,20 +9,13 @@ are of order one and times are measured in inverse decay rates.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyWarning, NonPhysical
+from .errors import NonPhysical
 
-__all__ = [
-    "TimeGrid",
-    "PseudomodeSector",
-    "Reservoir",
-    "LorentzianModel",
-    "BandGapModel",
-]
+__all__ = ["TimeGrid", "PseudomodeSector", "Reservoir"]
 
 
 def _check_real(values, name: str) -> None:
@@ -94,11 +87,19 @@ class PseudomodeSector:
             )
         if not np.array_equal(intermode, intermode.T) or np.any(np.diag(intermode) != 0.0):
             raise ValueError("intermode couplings must be symmetric with a zero diagonal")
+        # the generator holds frequency - omega0 and the rates 2*omega0
+        with np.errstate(over="ignore"):
+            detunings = np.asarray(self.frequencies, dtype=float) - self.omega0
+            carrier = 2.0 * np.float64(self.omega0)
+        if not (np.all(np.isfinite(detunings)) and np.isfinite(carrier)):
+            raise NonPhysical(
+                "frequency - omega0 and 2*omega0 must be finite, got "
+                f"omega0={self.omega0}, frequencies={self.frequencies}"
+            )
 
     @property
     def n_modes(self) -> int:
         return len(self.labels)
-
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,8 @@ class Reservoir:
                 leak_rates.append(gamma1)
                 labels.append(f"b{n + 1}")
                 continue
-            w2, gamma2 = -self.peaks[j][0], self.peaks[j][1]
+            # abs, not minus: a dip of weight 0.0 has w2 = +0.0, so its coupling is +0.0
+            w2, gamma2 = abs(self.peaks[j][0]), self.peaks[j][1]
             rate1, rate2 = w1 * gamma2 - w2 * gamma1, w1 * gamma1 - w2 * gamma2
             if not gamma1 > gamma2 > 0:
                 problems.append(
@@ -249,40 +251,3 @@ class Reservoir:
         )
         out = self.omega_coupling**2 / weights.sum() * (np.exp(exponents) @ weights)
         return complex(out) if out.ndim == 0 else out
-
-
-def LorentzianModel(omega0, omega_c, gamma, omega_coupling) -> Reservoir:
-    """One peak of width ``gamma`` at ``omega_c``, the ``model = lorentzian`` config kind.
-
-    Its sector is one mode ``b1`` at the peak, leaking at ``gamma`` and
-    coupled to the emitter with ``omega_coupling``.
-    """
-    return Reservoir(omega0, omega_coupling, ((1.0, gamma, omega_c),))
-
-
-def BandGapModel(
-    omega0, omega_c, w1, w2, gamma1, gamma2, omega_coupling, allow_nonphysical=False
-) -> Reservoir:
-    """A broad peak ``(w1, gamma1)`` minus a narrower dip ``(w2, gamma2)`` at ``omega_c``.
-
-    The ``model = bandgap`` config kind: the dip carves out a low-density
-    region around ``omega_c``, and its sector is the storage mode ``a1`` and
-    the leaky mode ``a2``. The weights are physical here, so a
-    ``ConsistencyWarning`` is issued when ``omega_coupling**2`` differs from
-    the integrated weight ``w1 - w2`` by more than 1%.
-    """
-    reservoir = Reservoir(
-        omega0, omega_coupling, ((w1, gamma1, omega_c), (-w2, gamma2, omega_c)), allow_nonphysical
-    )
-    if not w2 >= 0:  # a negative w2 would be a second positive peak, not a dip
-        raise NonPhysical(f"weights must satisfy w1 > w2 >= 0, got w1={w1}, w2={w2}")
-    total_weight = w1 - w2
-    if abs(omega_coupling**2 - total_weight) > 0.01 * total_weight:
-        warnings.warn(
-            f"omega_coupling**2 = {omega_coupling**2:.6g} differs from the "
-            f"integrated spectral weight w1 - w2 = {total_weight:.6g} by more "
-            "than 1%; proceeding with the given coupling",
-            ConsistencyWarning,
-            stacklevel=2,
-        )
-    return reservoir

@@ -3,45 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from memorymodes import (
-    BandGapModel,
-    LorentzianModel,
-    TimeGrid,
-    propagate_double,
-    propagate_single,
-    rates_from_amplitudes,
-)
+from memorymodes import Reservoir, TimeGrid, propagate_sector, rates_from_amplitudes
+
+# Reservoir arguments; a peak is (weight, width, center), a dip has a negative weight.
 
 # Reference preset: width 0.6, coupling sqrt(0.15), detuning 4*width, in units
 # of the weak-coupling decay rate (so gamma_markov == 1).
-FIG2_PARAMS = dict(omega0=0.0, omega_c=2.4, gamma=0.6, omega_coupling=math.sqrt(0.15))
+FIG2_PARAMS = dict(omega0=0.0, omega_coupling=math.sqrt(0.15), peaks=((1.0, 0.6, 2.4),))
 
-# Tame band-gap set: excited population stays above 0.07 so the extracted
-# rates are smooth on the default grid.
+# Tame band-gap set (w1 = 0.4, w2 = 0.1, gamma1 = 2.0, gamma2 = 0.8 at 0.5):
+# excited population stays above 0.07 so the extracted rates are smooth on the
+# default grid.
 BANDGAP_PARAMS = dict(
-    omega0=0.0,
-    omega_c=0.5,
-    w1=0.4,
-    w2=0.1,
-    gamma1=2.0,
-    gamma2=0.8,
-    omega_coupling=math.sqrt(0.3),
+    omega0=0.0, omega_coupling=math.sqrt(0.3), peaks=((0.4, 2.0, 0.5), (-0.1, 0.8, 0.5))
 )
 
 PERFECT_GAP_PARAMS = dict(
-    omega0=0.0,
-    omega_c=0.0,
-    w1=1.0,
-    w2=0.5,
-    gamma1=2.0,
-    gamma2=1.0,
-    omega_coupling=math.sqrt(0.5),
+    omega0=0.0, omega_coupling=math.sqrt(0.5), peaks=((1.0, 2.0, 0.0), (-0.5, 1.0, 0.0))
 )
 
 
 @pytest.fixture(scope="session")
 def fig2_model():
-    return LorentzianModel(**FIG2_PARAMS)
+    return Reservoir(**FIG2_PARAMS)
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +35,7 @@ def fig2_grid():
 
 @pytest.fixture(scope="session")
 def fig2_traj(fig2_model, fig2_grid):
-    return propagate_single(fig2_model, None, fig2_grid)
+    return propagate_sector(fig2_model.sector, None, fig2_grid)
 
 
 @pytest.fixture(scope="session")
@@ -61,17 +45,17 @@ def fig2_rates(fig2_traj):
 
 @pytest.fixture(scope="session")
 def bandgap_model():
-    return BandGapModel(**BANDGAP_PARAMS)
+    return Reservoir(**BANDGAP_PARAMS)
 
 
 @pytest.fixture(scope="session")
 def bandgap_traj(bandgap_model, fig2_grid):
-    return propagate_double(bandgap_model, None, fig2_grid)
+    return propagate_sector(bandgap_model.sector, None, fig2_grid)
 
 
 @pytest.fixture(scope="session")
 def perfect_gap_model():
-    return BandGapModel(**PERFECT_GAP_PARAMS)
+    return Reservoir(**PERFECT_GAP_PARAMS)
 
 
 def gamma_markov(model) -> float:
@@ -81,12 +65,9 @@ def gamma_markov(model) -> float:
 
 def random_lorentzian(rng):
     omega0 = float(rng.uniform(0.0, 2.0))
-    return LorentzianModel(
-        omega0=omega0,
-        omega_c=omega0 + float(rng.uniform(-3.0, 3.0)),
-        gamma=float(rng.uniform(0.2, 3.0)),
-        omega_coupling=float(rng.uniform(0.1, 1.0)),
-    )
+    omega_c = omega0 + float(rng.uniform(-3.0, 3.0))
+    gamma = float(rng.uniform(0.2, 3.0))
+    return Reservoir(omega0, float(rng.uniform(0.1, 1.0)), ((1.0, gamma, omega_c),))
 
 
 def random_bandgap(rng):
@@ -96,15 +77,8 @@ def random_bandgap(rng):
     w2 = float(rng.uniform(0.05, 0.5))
     w1 = w2 * mult * float(rng.uniform(1.01, 2.0))
     omega0 = float(rng.uniform(0.0, 1.0))
-    return BandGapModel(
-        omega0=omega0,
-        omega_c=omega0 + float(rng.uniform(-2.0, 2.0)),
-        w1=w1,
-        w2=w2,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        omega_coupling=math.sqrt(w1 - w2),
-    )
+    omega_c = omega0 + float(rng.uniform(-2.0, 2.0))
+    return Reservoir(omega0, math.sqrt(w1 - w2), ((w1, gamma1, omega_c), (-w2, gamma2, omega_c)))
 
 
 # Dyadic building blocks with few significand bits: every cross product
@@ -122,21 +96,16 @@ def random_perfect_gap(rng):
     w1 = ratio * gamma1
     w2 = ratio * gamma2
     omega0 = float(rng.uniform(0.0, 1.0))
-    return BandGapModel(
-        omega0=omega0,
-        omega_c=omega0 + float(rng.uniform(-1.0, 1.0)),
-        w1=w1,
-        w2=w2,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        omega_coupling=math.sqrt(w1 - w2),
-    )
+    omega_c = omega0 + float(rng.uniform(-1.0, 1.0))
+    return Reservoir(omega0, math.sqrt(w1 - w2), ((w1, gamma1, omega_c), (-w2, gamma2, omega_c)))
 
 
 def max_entry_diff(series_a, series_b) -> float:
-    return max(
-        float(np.max(np.abs(a.matrix - b.matrix))) for a, b in zip(series_a, series_b)
-    )
+    """Largest entry difference of two equally long sequences of states."""
+    assert len(series_a) == len(series_b), f"{len(series_a)} states against {len(series_b)}"
+    stack_a = np.array([rho.matrix for rho in series_a])
+    stack_b = np.array([rho.matrix for rho in series_b])
+    return float(np.max(np.abs(stack_a - stack_b)))
 
 
 def pytest_configure(config):

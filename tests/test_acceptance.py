@@ -13,20 +13,17 @@ import pytest
 
 from memorymodes import (
     DensityMatrix,
-    LorentzianModel,
+    Reservoir,
     TimeGrid,
     atom_density_from_amplitudes,
     compare_unravelings,
     evolve_atom_timelocal,
-    evolve_lindblad_double,
-    evolve_lindblad_single,
+    evolve_lindblad_sector,
     intermode_memory_identity,
-    memory_identity_double,
-    memory_identity_single,
+    memory_identity_sector,
     mode_generator,
     partial_trace_pseudomodes,
-    propagate_double,
-    propagate_single,
+    propagate_sector,
     rates_from_amplitudes,
     rates_pseudomode_form,
     run_mcwf_pseudomode,
@@ -45,7 +42,6 @@ from conftest import (
     random_lorentzian,
     random_perfect_gap,
 )
-from memorymodes import BandGapModel
 
 EXCITED_ATOM = np.array([0.0, 1.0 + 0.0j])
 
@@ -61,7 +57,7 @@ def test_criterion_1_coefficient_equivalence():
 
     def check(model, grid):
         nonlocal worst_shift, worst_rate
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         direct = rates_from_amplitudes(traj)
         mode_form = rates_pseudomode_form(traj)
         scale = gamma_markov(model)
@@ -74,7 +70,7 @@ def test_criterion_1_coefficient_equivalence():
             float(np.max(np.abs(mode_form.gamma[valid] - direct.gamma[valid]))) / scale,
         )
 
-    check(LorentzianModel(**FIG2_PARAMS), TimeGrid(0.0, 10.0, 4000))
+    check(Reservoir(**FIG2_PARAMS), TimeGrid(0.0, 10.0, 4000))
     rng = np.random.default_rng(101)
     for _ in range(100):
         check(random_lorentzian(rng), TimeGrid(0.0, 5.0, 400))
@@ -92,11 +88,11 @@ def test_criterion_1_coefficient_equivalence():
 
 def test_criterion_2_memory_identity():
     started = time.perf_counter()
-    model = LorentzianModel(**FIG2_PARAMS)
+    model = Reservoir(**FIG2_PARAMS)
     grid = TimeGrid(0.0, 10.0, 4000)
-    traj = propagate_single(model, None, grid)
+    traj = propagate_sector(model.sector, None, grid)
     rates = rates_from_amplitudes(traj)
-    identity = memory_identity_single(traj, rates)
+    identity = memory_identity_sector(traj, rates)
     guard = np.abs(identity.rhs) > 1e-9 * gamma_markov(model)
     keep = guard & identity.valid
     signs_match = bool(
@@ -160,9 +156,9 @@ def test_criterion_4_generalized_identities():
         if perfect:
             n_perfect += 1
             perfect_rates_zero &= sector.leak_rates[0] == 0.0
-        traj = propagate_double(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
-        total = memory_identity_double(traj, rates)
+        total = memory_identity_sector(traj, rates)
         intermode = intermode_memory_identity(traj)
         worst_total = max(worst_total, total.max_relative_residual)
         worst_intermode = max(worst_intermode, intermode.max_relative_residual)
@@ -189,23 +185,18 @@ def test_criterion_5_route_equivalence():
     grid = TimeGrid(0.0, 10.0, 4000)
     worst = 0.0
 
-    def three_routes(model, single):
-        traj = (propagate_single if single else propagate_double)(model, None, grid)
+    def three_routes(model):
+        traj = propagate_sector(model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
         from_amplitudes = atom_density_from_amplitudes(traj)
         timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
-        if single:
-            extended = evolve_lindblad_single(model, DensityMatrix.excited(3), grid)
-        else:
-            extended = evolve_lindblad_double(model, DensityMatrix.excited(4), grid)
+        excited = DensityMatrix.excited(model.sector.n_modes + 2)
+        extended = evolve_lindblad_sector(model.sector, excited, grid)
         traced = [partial_trace_pseudomodes(rho) for rho in extended]
         return from_amplitudes, timelocal, traced
 
-    for model, single in (
-        (LorentzianModel(**FIG2_PARAMS), True),
-        (BandGapModel(**BANDGAP_PARAMS), False),
-    ):
-        routes = three_routes(model, single)
+    for model in (Reservoir(**FIG2_PARAMS), Reservoir(**BANDGAP_PARAMS)):
+        routes = three_routes(model)
         for i in range(3):
             for j in range(i + 1, 3):
                 worst = max(worst, max_entry_diff(routes[i], routes[j]))
@@ -223,9 +214,9 @@ def test_criterion_5_route_equivalence():
 def test_criterion_6_unraveling_convergence():
     started = time.perf_counter()
     n = 100_000
-    model = LorentzianModel(**FIG2_PARAMS)
+    model = Reservoir(**FIG2_PARAMS)
     grid = TimeGrid(0.0, 10.0, 4000)
-    traj = propagate_single(model, None, grid)
+    traj = propagate_sector(model.sector, None, grid)
     rates = rates_from_amplitudes(traj)
 
     nmqj = run_nmqj(rates, EXCITED_ATOM, n, 2024)
@@ -238,7 +229,7 @@ def test_criterion_6_unraveling_convergence():
     max_err = float(err.max())
 
     mcwf = run_mcwf_pseudomode(traj, n, 2025)
-    lindblad = evolve_lindblad_single(model, DensityMatrix.excited(3), grid)
+    lindblad = evolve_lindblad_sector(model.sector, DensityMatrix.excited(3), grid)
     vacuum = np.zeros((3, 3))
     vacuum[0, 0] = 1.0
     z_mcwf = 0.0
@@ -273,9 +264,9 @@ def test_criterion_6_unraveling_convergence():
 
 def test_criterion_7_markovian_limit():
     started = time.perf_counter()
-    model = LorentzianModel(omega0=0.0, omega_c=0.0, gamma=100.0, omega_coupling=1.0)
+    model = Reservoir(0.0, 1.0, ((1.0, 100.0, 0.0),))
     grid = TimeGrid(0.0, 0.5, 2000)
-    rates = rates_from_amplitudes(propagate_single(model, None, grid))
+    rates = rates_from_amplitudes(propagate_sector(model.sector, None, grid))
     late = grid.times > 10.0 / model.peaks[0][1]
     deviation = float(np.max(np.abs(rates.gamma[late] / gamma_markov(model) - 1.0)))
     elapsed = time.perf_counter() - started
@@ -291,11 +282,11 @@ def test_criterion_7_markovian_limit():
 
 def test_criterion_8_perfect_gap_trapping():
     started = time.perf_counter()
-    model = BandGapModel(**PERFECT_GAP_PARAMS)
+    model = Reservoir(**PERFECT_GAP_PARAMS)
     rate_exactly_zero = model.sector.leak_rates[0] == 0.0
 
     grid = TimeGrid(0.0, 50.0, 4000)
-    traj = propagate_double(model, None, grid)
+    traj = propagate_sector(model.sector, None, grid)
     plateau = float(np.abs(traj.c1[-1]) ** 2)
 
     # independent eigen-oracle: project the initial state on the undamped mode
@@ -320,9 +311,9 @@ def test_criterion_8_perfect_gap_trapping():
 
 def test_criterion_9_entropy_rate_linkage():
     started = time.perf_counter()
-    model = LorentzianModel(**FIG2_PARAMS)
+    model = Reservoir(**FIG2_PARAMS)
     grid = TimeGrid(0.0, 10.0, 4000)
-    traj = propagate_single(model, None, grid)
+    traj = propagate_sector(model.sector, None, grid)
     rates = rates_from_amplitudes(traj)
     entropy = np.array(
         [von_neumann_entropy(rho) for rho in atom_density_from_amplitudes(traj)]

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from memorymodes import (
-    BandGapModel,
     IllConditioned,
-    LorentzianModel,
     PseudomodeSector,
+    Reservoir,
     TimeGrid,
     ToleranceNotMet,
     closed_form_oracle,
     expm_oracle,
     mode_generator,
     norm_balance_residuals,
-    propagate_double,
-    propagate_single,
+    propagate_sector,
 )
 from memorymodes.amplitudes import AmplitudeTrajectory, _propagate_constant
 from conftest import gamma_markov, random_bandgap, random_lorentzian
@@ -23,17 +21,17 @@ from conftest import gamma_markov, random_bandgap, random_lorentzian
 
 class TestPropagateSingle:
     def test_decoupled_atom_is_stationary(self):
-        model = LorentzianModel(0.0, 1.0, 1.0, 0.0)
+        model = Reservoir(0.0, 0.0, ((1.0, 1.0, 1.0),))
         grid = TimeGrid(0.0, 5.0, 100)
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         assert np.allclose(traj.c1, 1.0, atol=1e-12)
         assert np.allclose(traj.component("b1"), 0.0, atol=1e-12)
 
     def test_lossless_resonant_rabi(self):
         omega = 0.8
-        model = LorentzianModel(0.0, 0.0, 0.0, omega)
+        model = Reservoir(0.0, omega, ((1.0, 0.0, 0.0),))
         grid = TimeGrid(0.0, 12.0, 600)
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         expected = np.cos(omega * grid.times) ** 2
         assert np.max(np.abs(np.abs(traj.c1) ** 2 - expected)) < 1e-9
 
@@ -46,17 +44,17 @@ class TestPropagateSingle:
         assert np.all(np.diff(total) <= 1e-12)
 
     def test_initial_norm_checked(self):
-        model = LorentzianModel(0.0, 1.0, 1.0, 0.5)
+        model = Reservoir(0.0, 0.5, ((1.0, 1.0, 1.0),))
         grid = TimeGrid(0.0, 1.0, 10)
         with pytest.raises(ValueError, match="norm"):
-            propagate_single(model, [1.2, 0.0], grid)
+            propagate_sector(model.sector, [1.2, 0.0], grid)
 
     @pytest.mark.parametrize("initial", [[np.nan, 0.0], [0.0, complex(0.0, np.inf)]])
     def test_initial_non_finite_rejected(self, initial):
         # a NaN norm passes the norm bound, and the trajectory came out NaN
-        model = LorentzianModel(0.0, 2.4, 0.6, 0.4)
+        model = Reservoir(0.0, 0.4, ((1.0, 0.6, 2.4),))
         with pytest.raises(ValueError, match="finite"):
-            propagate_single(model, initial, TimeGrid(0.0, 1.0, 50))
+            propagate_sector(model.sector, initial, TimeGrid(0.0, 1.0, 50))
 
     @pytest.mark.parametrize(
         "rate, grid",
@@ -79,10 +77,9 @@ class TestPropagateSingle:
 
 class TestPropagateDouble:
     def test_decoupled_atom(self):
-        with pytest.warns():  # coupling 0 is deliberately inconsistent with the weights
-            model = BandGapModel(0.0, 0.0, 1.0, 0.5, 2.0, 1.0, omega_coupling=0.0)
+        model = Reservoir(0.0, 0.0, ((1.0, 2.0, 0.0), (-0.5, 1.0, 0.0)))
         grid = TimeGrid(0.0, 4.0, 200)
-        traj = propagate_double(model, [0.5, 0.5, 0.5], grid)
+        traj = propagate_sector(model.sector, [0.5, 0.5, 0.5], grid)
         assert np.allclose(traj.c1, 0.5, atol=1e-12)
         total_modes = np.abs(traj.component("a1")) ** 2 + np.abs(traj.component("a2")) ** 2
         assert np.all(np.diff(total_modes) <= 1e-12)
@@ -90,25 +87,25 @@ class TestPropagateDouble:
     def test_v_zero_reduces_to_single(self):
         # w2 = 0 switches the intermode coupling off; (c1, a2) then matches
         # the single-mode system with the leaky-mode width.
-        model = BandGapModel(0.3, 0.8, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        model = Reservoir(0.3, math.sqrt(0.9), ((0.9, 2.0, 0.8), (0.0, 0.5, 0.8)))
         assert model.sector.intermode[0][1] == 0.0
         grid = TimeGrid(0.0, 6.0, 400)
-        double = propagate_double(model, [1.0, 0.0, 0.0], grid)
-        single_model = LorentzianModel(0.3, 0.8, model.sector.leak_rates[1], 0.9**0.5)
-        single = propagate_single(single_model, None, grid)
+        double = propagate_sector(model.sector, [1.0, 0.0, 0.0], grid)
+        single_model = Reservoir(0.3, 0.9**0.5, ((1.0, model.sector.leak_rates[1], 0.8),))
+        single = propagate_sector(single_model.sector, None, grid)
         assert np.max(np.abs(double.c1 - single.c1)) < 1e-9
         assert np.max(np.abs(double.component("a2") - single.component("b1"))) < 1e-9
 
     def test_v_zero_storage_mode_decays_independently(self):
-        model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
         grid = TimeGrid(0.0, 6.0, 300)
-        traj = propagate_double(model, [0.8, 0.6, 0.0], grid)
+        traj = propagate_sector(model.sector, [0.8, 0.6, 0.0], grid)
         expected = 0.6 * np.exp(-0.5 * model.sector.leak_rates[0] * grid.times)
         assert np.max(np.abs(np.abs(traj.component("a1")) - expected)) < 1e-9
 
     def test_perfect_gap_population_trapping(self, perfect_gap_model):
         grid = TimeGrid(0.0, 50.0, 2000)
-        traj = propagate_double(perfect_gap_model, None, grid)
+        traj = propagate_sector(perfect_gap_model.sector, None, grid)
         # independent oracle: amplitude of the undamped eigenvector of the
         # generator, projected onto the initial state via left eigenvectors
         generator = mode_generator(perfect_gap_model.sector)
@@ -128,9 +125,9 @@ class TestOracle:
         assert out[0] == pytest.approx(0.6 * np.exp(-6.0j), rel=1e-12)
 
     def test_rabi_matches_propagator(self):
-        model = LorentzianModel(0.0, 0.0, 0.0, 0.7)
+        model = Reservoir(0.0, 0.7, ((1.0, 0.0, 0.0),))
         grid = TimeGrid(0.0, 8.0, 200)
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         oracle = closed_form_oracle(mode_generator(model.sector), [1.0, 0.0], grid.times)
         assert np.max(np.abs(oracle - traj.states)) < 1e-14
 
@@ -146,12 +143,12 @@ class TestOracle:
         for k in range(100):
             if k % 2 == 0:
                 model = random_lorentzian(rng)
-                traj = propagate_single(model, None, grid)
+                traj = propagate_sector(model.sector, None, grid)
                 generator = mode_generator(model.sector)
                 initial = [1.0, 0.0]
             else:
                 model = random_bandgap(rng)
-                traj = propagate_double(model, None, grid)
+                traj = propagate_sector(model.sector, None, grid)
                 generator = mode_generator(model.sector)
                 initial = [1.0, 0.0, 0.0]
             oracle = closed_form_oracle(generator, initial, grid.times)
@@ -170,9 +167,9 @@ class TestOracle:
 
     def test_critical_damping_fallback_agrees_with_integrator(self):
         # exceptional point: width = 4*coupling at resonance
-        model = LorentzianModel(0.0, 0.0, 4.0, 1.0)
+        model = Reservoir(0.0, 1.0, ((1.0, 4.0, 0.0),))
         grid = TimeGrid(0.0, 3.0, 150)
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         generator = mode_generator(model.sector)
         with pytest.raises(IllConditioned):
             closed_form_oracle(generator, [1.0, 0.0], grid.times)
@@ -193,7 +190,7 @@ class TestNormBalance:
         rng = np.random.default_rng(22)
         grid = TimeGrid(0.0, 4.0, 200)
         for _ in range(20):
-            traj = propagate_single(random_lorentzian(rng), None, grid)
+            traj = propagate_sector(random_lorentzian(rng).sector, None, grid)
             total = traj.populations().sum(axis=1)
             assert np.all(np.diff(total) <= 1e-10)
 
@@ -201,17 +198,17 @@ class TestNormBalance:
 class TestFrames:
     def test_lab_frame_round_trip(self):
         # restoring the carrier only rephases: every modulus is kept
-        model = LorentzianModel(1.3, 1.3 + 0.9, 0.7, 0.5)
-        traj = propagate_single(model, None, TimeGrid(0.0, 4.0, 160))
+        model = Reservoir(1.3, 0.5, ((1.0, 0.7, 1.3 + 0.9),))
+        traj = propagate_sector(model.sector, None, TimeGrid(0.0, 4.0, 160))
         lab = traj.lab_states()
         assert lab.shape == traj.states.shape
         assert np.max(np.abs(np.abs(lab) - np.abs(traj.states))) < 1e-15
 
     def test_frame_invariance_of_observables(self):
         # lab-frame propagation done independently through the lab generator
-        model = LorentzianModel(1.3, 1.3 + 0.9, 0.7, 0.5)
+        model = Reservoir(1.3, 0.5, ((1.0, 0.7, 1.3 + 0.9),))
         grid = TimeGrid(0.0, 4.0, 160)
-        rotating = propagate_single(model, None, grid)
+        rotating = propagate_sector(model.sector, None, grid)
         lab_generator = mode_generator(model.sector) - 1j * model.omega0 * np.eye(2)
         lab_states = closed_form_oracle(lab_generator, [1.0, 0.0], grid.times)
         assert np.max(np.abs(lab_states - rotating.lab_states())) < 1e-14
@@ -230,9 +227,9 @@ class TestFrames:
 
     def test_state_containers(self, fig2_model, bandgap_model, fig2_grid):
         # plain sequences ordered (c1, modes in sector order); None is the excited emitter
-        one = propagate_single(fig2_model, [0.6, 0.8j], fig2_grid)
+        one = propagate_sector(fig2_model.sector, [0.6, 0.8j], fig2_grid)
         assert np.array_equal(one.states[0], np.array([0.6, 0.8j]))
         assert one.labels == ("c1", "b1")
-        two = propagate_double(bandgap_model, None, fig2_grid)
+        two = propagate_sector(bandgap_model.sector, None, fig2_grid)
         assert np.array_equal(two.states[0], np.array([1.0, 0.0, 0.0]))
         assert two.labels == ("c1", "a1", "a2")

@@ -2,17 +2,18 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from memorymodes import (
-    BandGapModel,
     NonPhysical,
     ParseError,
     Reservoir,
     TimeGrid,
+    propagate_sector,
     validate_config,
     validate_config_text,
 )
@@ -147,7 +148,7 @@ class TestRun:
 
     def test_identity_intermode_follows_the_mode_count(self, tmp_path):
         # w2 = 0 switches the intermode coupling off, but the pair keeps two modes
-        pair = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        pair = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
         grid = fig2_config("identity", tmp_path).grid
         manifest = run(RunConfig("identity", pair, grid, tmp_path / "pair"))
         assert manifest.entries["intermode_coupling"] == "0"
@@ -320,6 +321,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "omega0" in err
 
+    def test_grid_span_overflow_is_a_config_error(self, tmp_path, capsys):
+        # both bounds are finite, their difference is not
+        bad = tmp_path / "bad.cfg"
+        text = FIG2_CONFIG_TEXT.replace("t_end = 10.0", "t_start = -1e308\nt_end = 1e308")
+        bad.write_text(text.replace("n_steps = 4000", "n_steps = 1"))
+        code = main(["rates", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "t_end - t_start must be finite" in err
+        assert "n_steps must be at least 2" in err
+
+    @pytest.mark.parametrize("experiment", ["rates", "evolve"])
+    @pytest.mark.parametrize("omega_c", ["-1e308", "1e308"])
+    def test_carrier_overflow_is_nonphysical(self, tmp_path, capsys, omega_c, experiment):
+        # omega_c - omega0 or 2*omega0 overflows; no numpy warning on the way
+        bad = tmp_path / "bad.cfg"
+        text = FIG2_CONFIG_TEXT.replace("omega0 = 0.0", "omega0 = 1e308")
+        bad.write_text(text.replace("omega_c = 2.4", f"omega_c = {omega_c}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "2*omega0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
     def test_nonphysical_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
@@ -376,10 +402,13 @@ class TestMain:
 
 
 def test_cli_import_leaves_out_scipy_integrate_and_interpolate():
-    # a fresh interpreter, so modules imported by other tests do not count
+    # every public scipy subpackage but linalg (integrate, interpolate, stats,
+    # ...) stays out of the CLI's start-up; a fresh interpreter, so modules
+    # imported by other tests do not count
     code = (
-        "import sys, memorymodes.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.interpolate'))))"
+        "import sys, memorymodes.cli; print(sorted("
+        "name for name, module in sys.modules.items() if name.startswith('scipy.') "
+        "and name.count('.') == 1 and not name[6:].startswith('_') and hasattr(module, '__path__')))"
     )
     path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     result = subprocess.run(
@@ -389,7 +418,7 @@ def test_cli_import_leaves_out_scipy_integrate_and_interpolate():
         text=True,
         check=True,
     )
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip() == "['scipy.linalg']"
 
 
 @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
@@ -481,8 +510,6 @@ class TestCsvFormats:
         data = np.genfromtxt(
             tmp_path / "out" / "trajectory.csv", delimiter=",", names=True
         )
-        from memorymodes import propagate_single
-
-        traj = propagate_single(config.model, None, config.grid)
+        traj = propagate_sector(config.model.sector, None, config.grid)
         assert np.array_equal(data["re_c1"], traj.c1.real)
         assert np.array_equal(data["im_b1"], traj.component("b1").imag)

@@ -7,19 +7,18 @@ import pytest
 from memorymodes import (
     DensityMatrix,
     DensitySeries,
-    LorentzianModel,
     RateGapTooWide,
     RateTrajectory,
+    Reservoir,
     SectorLeak,
     TimeGrid,
     atom_density_from_amplitudes,
     evolve_atom_timelocal,
-    evolve_lindblad_double,
-    evolve_lindblad_single,
+    evolve_lindblad_sector,
     extended_density_from_amplitudes,
     partial_trace_atom,
     partial_trace_pseudomodes,
-    propagate_single,
+    propagate_sector,
     rates_from_amplitudes,
 )
 from memorymodes.density import sector_hamiltonian
@@ -47,8 +46,8 @@ class TestDensityMatrix:
         assert rho.ground_population() == pytest.approx(0.36)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.zeros((5, 5)))
+        with pytest.raises(ValueError, match="dimension 1"):
+            DensityMatrix(np.ones((1, 1)))
         with pytest.raises(ValueError):
             DensityMatrix(np.zeros((2, 3)))
         with pytest.raises(ValueError):
@@ -110,7 +109,7 @@ class TestTimeLocal:
         errors = []
         for n in (2000, 4000):
             grid = TimeGrid(0.0, 10.0, n)
-            traj = propagate_single(fig2_model, None, grid)
+            traj = propagate_sector(fig2_model.sector, None, grid)
             out = evolve_atom_timelocal(rates_from_amplitudes(traj), DensityMatrix.excited(2))
             errors.append(np.max(np.abs(out.matrices - atom_density_from_amplitudes(traj).matrices)))
         assert errors[0] / errors[1] >= 12.0
@@ -118,7 +117,7 @@ class TestTimeLocal:
     def test_superposition_coherence_matches_amplitudes(self, fig2_model, fig2_grid):
         # the coherence carries the phase integral of the shift
         c_g, c_e = 0.6, 0.8
-        traj = propagate_single(fig2_model, [c_e, 0.0], fig2_grid)
+        traj = propagate_sector(fig2_model.sector, [c_e, 0.0], fig2_grid)
         rho0 = DensityMatrix.from_pure([c_g, c_e])
         out = evolve_atom_timelocal(rates_from_amplitudes(traj), rho0)
         reference = atom_density_from_amplitudes(traj, c_g)
@@ -184,8 +183,8 @@ class TestDensitySeries:
             DensitySeries(np.eye(2))
         with pytest.raises(ValueError):
             DensitySeries(np.zeros((3, 2, 3)))
-        with pytest.raises(ValueError):
-            DensitySeries(np.zeros((3, 5, 5)))
+        with pytest.raises(ValueError, match="dimension 1"):
+            DensitySeries(np.ones((3, 1, 1)))
         with pytest.raises(ValueError):
             DensitySeries(np.zeros((0, 2, 2)))
         stack = np.zeros((3, 2, 2))
@@ -221,7 +220,7 @@ class TestDensitySeries:
         assert defects["min_eigenvalue"] == pytest.approx(-0.1, abs=1e-15)
 
     def test_slicing_indexing_and_iteration(self, fig2_model, fig2_grid):
-        series = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        series = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         assert isinstance(series, DensitySeries)
         assert len(series) == fig2_grid.n_steps
         part = series[10:400:7]
@@ -235,7 +234,8 @@ class TestDensitySeries:
         assert np.array_equal(np.array([rho.matrix for rho in states]), part.matrices)
 
     def test_batched_kernels_match_pointwise(self, bandgap_model, fig2_grid):
-        series = evolve_lindblad_double(bandgap_model, DensityMatrix.excited(4), fig2_grid)[::37]
+        excited = DensityMatrix.excited(4)
+        series = evolve_lindblad_sector(bandgap_model.sector, excited, fig2_grid)[::37]
         traced = partial_trace_pseudomodes(series)
         modes = partial_trace_atom(series)
         assert isinstance(traced, DensitySeries)
@@ -256,23 +256,23 @@ class TestLindbladSingle:
     def test_ground_state_stationary(self, fig2_model):
         grid = TimeGrid(0.0, 5.0, 200)
         rho0 = DensityMatrix.from_pure([1.0, 0.0, 0.0])
-        out = evolve_lindblad_single(fig2_model, rho0, grid)
+        out = evolve_lindblad_sector(fig2_model.sector, rho0, grid)
         assert max_entry_diff(out, [rho0] * len(out)) < 1e-12
 
     def test_matches_pure_state_reconstruction(self, fig2_model, fig2_traj, fig2_grid):
-        out = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        out = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         reference = extended_density_from_amplitudes(fig2_traj)
         assert max_entry_diff(out, reference) < 1e-14
 
     def test_lossless_doublet_conserves_excitation(self):
-        model = LorentzianModel(0.0, 0.3, 0.0, 0.9)
+        model = Reservoir(0.0, 0.9, ((1.0, 0.0, 0.3),))
         grid = TimeGrid(0.0, 6.0, 300)
-        out = evolve_lindblad_single(model, DensityMatrix.excited(3), grid)
+        out = evolve_lindblad_sector(model.sector, DensityMatrix.excited(3), grid)
         doublet = np.array([rho.matrix[1, 1].real + rho.matrix[2, 2].real for rho in out])
         assert np.max(np.abs(doublet - 1.0)) < 1e-10
 
     def test_invariants_along_evolution(self, fig2_model, fig2_grid):
-        out = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        out = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         for rho in out[::200]:
             defects = rho.invariant_defects()
             assert defects["hermiticity"] < 1e-12
@@ -280,41 +280,39 @@ class TestLindbladSingle:
             assert defects["min_eigenvalue"] > -1e-9
 
     def test_monotone_excited_sector_loss(self, fig2_model, fig2_grid):
-        out = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        out = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         sector = np.array([1.0 - rho.matrix[0, 0].real for rho in out])
         assert np.all(np.diff(sector) <= 1e-12)
 
     def test_sector_leak(self, fig2_model, fig2_grid):
         with pytest.raises(SectorLeak):
-            evolve_lindblad_single(fig2_model, DensityMatrix.excited(4), fig2_grid)
+            evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(4), fig2_grid)
 
     def test_non_hermitian_initial_state_rejected(self, fig2_model):
         # the real coordinates the route steps hold only the Hermitian part
         rho0 = DensityMatrix(np.array([[0, 0.1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex))
         with pytest.raises(ValueError, match="Hermitian"):
-            evolve_lindblad_single(fig2_model, rho0, TimeGrid(0.0, 1.0, 10))
+            evolve_lindblad_sector(fig2_model.sector, rho0, TimeGrid(0.0, 1.0, 10))
 
 
 class TestLindbladDouble:
     def test_ground_state_stationary(self, bandgap_model):
         grid = TimeGrid(0.0, 4.0, 150)
         rho0 = DensityMatrix.from_pure([1.0, 0.0, 0.0, 0.0])
-        out = evolve_lindblad_double(bandgap_model, rho0, grid)
+        out = evolve_lindblad_sector(bandgap_model.sector, rho0, grid)
         assert max_entry_diff(out, [rho0] * len(out)) < 1e-12
 
     def test_matches_amplitude_population(self, bandgap_model, bandgap_traj, fig2_grid):
-        out = evolve_lindblad_double(bandgap_model, DensityMatrix.excited(4), fig2_grid)
+        out = evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(4), fig2_grid)
         excited = np.array([rho.matrix[3, 3].real for rho in out])
         assert np.max(np.abs(excited - np.abs(bandgap_traj.c1) ** 2)) < 1e-6
         sector = np.array([1.0 - rho.matrix[0, 0].real for rho in out])
         assert np.all(np.diff(sector) <= 1e-12)
 
     def test_perfect_gap_plateau(self, perfect_gap_model):
-        from memorymodes import propagate_double
-
         grid = TimeGrid(0.0, 50.0, 1500)
-        out = evolve_lindblad_double(perfect_gap_model, DensityMatrix.excited(4), grid)
-        traj = propagate_double(perfect_gap_model, None, grid)
+        out = evolve_lindblad_sector(perfect_gap_model.sector, DensityMatrix.excited(4), grid)
+        traj = propagate_sector(perfect_gap_model.sector, None, grid)
         assert out[-1].matrix[3, 3].real == pytest.approx(
             np.abs(traj.c1[-1]) ** 2, abs=1e-7
         )
@@ -322,7 +320,7 @@ class TestLindbladDouble:
 
     def test_sector_leak(self, bandgap_model, fig2_grid):
         with pytest.raises(SectorLeak):
-            evolve_lindblad_double(bandgap_model, DensityMatrix.excited(3), fig2_grid)
+            evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(3), fig2_grid)
 
 
 class TestPartialTrace:
@@ -359,7 +357,7 @@ class TestPartialTrace:
         assert np.trace(modes).real == pytest.approx(1.0)
 
     def test_trace_consistency(self, fig2_model, fig2_grid):
-        out = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        out = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         for rho in out[::800]:
             reduced = partial_trace_pseudomodes(rho)
             assert np.trace(reduced.matrix).real == pytest.approx(1.0, abs=1e-9)
@@ -375,11 +373,11 @@ class TestPartialTrace:
 
 class TestLabFrame:
     def test_matches_lab_frame_amplitude_reconstruction(self):
-        from memorymodes import density_series_lab_frame, propagate_single
+        from memorymodes import density_series_lab_frame
 
-        model = LorentzianModel(1.7, 1.7 + 0.9, 0.7, 0.5)
+        model = Reservoir(1.7, 0.5, ((1.0, 0.7, 1.7 + 0.9),))
         grid = TimeGrid(0.0, 4.0, 160)
-        traj = propagate_single(model, [0.8, 0.0], grid)
+        traj = propagate_sector(model.sector, [0.8, 0.0], grid)
         # the reconstructions read only the states, here the lab-frame ones
         lab = dataclasses.replace(traj, states=traj.lab_states())
 
@@ -394,11 +392,11 @@ class TestLabFrame:
         assert max_entry_diff(dressed_ext, direct_ext) < 1e-12
 
     def test_series_match_pointwise_reference(self):
-        from memorymodes import density_series_lab_frame, propagate_single
+        from memorymodes import density_series_lab_frame
 
-        model = LorentzianModel(1.7, 1.7 + 0.9, 0.7, 0.5)
+        model = Reservoir(1.7, 0.5, ((1.0, 0.7, 1.7 + 0.9),))
         grid = TimeGrid(0.0, 4.0, 160)
-        traj = propagate_single(model, [0.8, 0.0], grid)
+        traj = propagate_sector(model.sector, [0.8, 0.0], grid)
         c0 = 0.6 + 0.0j
         atom, ext = [], []
         for row in traj.states:
@@ -423,7 +421,7 @@ class TestLabFrame:
     def test_populations_unchanged(self, fig2_model, fig2_grid):
         from memorymodes import density_series_lab_frame
 
-        out = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        out = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         dressed = density_series_lab_frame(out[:100], 2.3, fig2_grid.times[:100])
         for a, b in zip(out[:100:7], dressed[::7]):
             assert np.array_equal(np.diag(a.matrix), np.diag(b.matrix))

@@ -13,10 +13,9 @@ import pytest
 
 from memorymodes import (
     DensityMatrix,
-    LorentzianModel,
+    Reservoir,
     TimeGrid,
-    evolve_lindblad_double,
-    evolve_lindblad_single,
+    evolve_lindblad_sector,
     expm_oracle,
     mode_generator,
 )
@@ -26,9 +25,9 @@ from memorymodes.amplitudes import _propagate_constant
 @pytest.mark.parametrize("route", ["single", "double"])
 def test_lindblad_states_are_structurally_exact(route, fig2_model, bandgap_model, fig2_grid):
     if route == "single":
-        series = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        series = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
     else:
-        series = evolve_lindblad_double(bandgap_model, DensityMatrix.excited(4), fig2_grid)
+        series = evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(4), fig2_grid)
     matrices = series.matrices
     assert series.invariant_defects()["hermiticity"] == 0.0
     assert np.all(np.diagonal(matrices, axis1=1, axis2=2).imag == 0.0)
@@ -41,7 +40,7 @@ def test_lindblad_states_are_structurally_exact(route, fig2_model, bandgap_model
     [
         np.array([[-0.5, 1.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -0.5]], dtype=complex),
         # exceptional point of the single-mode system: width 4x the coupling
-        mode_generator(LorentzianModel(0.0, 0.0, 4.0, 1.0).sector),
+        mode_generator(Reservoir(0.0, 1.0, ((1.0, 4.0, 0.0),)).sector),
     ],
     ids=["jordan_block", "critical_damping"],
 )

@@ -8,13 +8,12 @@ from memorymodes import (
     DensitySeries,
     TimeGrid,
     atom_density_from_amplitudes,
-    evolve_lindblad_double,
-    evolve_lindblad_single,
+    evolve_lindblad_sector,
     info_series,
     mutual_information,
     partial_trace_atom,
     partial_trace_pseudomodes,
-    propagate_single,
+    propagate_sector,
     von_neumann_entropy,
 )
 
@@ -94,7 +93,7 @@ class TestMutualInformation:
 
 class TestInfoSeries:
     def test_combination_identity(self, fig2_model, fig2_grid):
-        joint = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         series = info_series(joint, fig2_grid)
         recombined = series.entropy_atom + series.entropy_modes - series.entropy_joint
         assert np.array_equal(series.mutual_information, recombined)
@@ -102,13 +101,13 @@ class TestInfoSeries:
         assert series.entropy_atom.max() <= LN2 + 1e-9
 
     def test_rejects_series_of_wrong_length(self, fig2_model, fig2_grid):
-        joint = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         with pytest.raises(ValueError, match="states"):
             info_series(joint[1:], fig2_grid)
 
     def test_batched_entropies_match_single_state(self, bandgap_model):
         grid = TimeGrid(0.0, 10.0, 800)
-        joint = evolve_lindblad_double(bandgap_model, DensityMatrix.excited(4), grid)
+        joint = evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(4), grid)
         series = info_series(joint, grid)
         modes = partial_trace_atom(joint)
         atom = partial_trace_pseudomodes(joint)
@@ -141,8 +140,8 @@ class TestInfoSeries:
         # plot-scale sampling: ~100 points per beat period; at much denser
         # grids the flat minima reveal a small systematic offset
         grid = TimeGrid(0.0, 10.0, 400)
-        traj = propagate_single(fig2_model, None, grid)
-        joint = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), grid)
+        traj = propagate_sector(fig2_model.sector, None, grid)
+        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), grid)
         series = info_series(joint, grid)
         mode_pop = np.abs(traj.component("b1")) ** 2
 

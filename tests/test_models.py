@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,16 +7,15 @@ import pytest
 from scipy.linalg import expm
 
 from memorymodes import (
-    BandGapModel,
     ConsistencyWarning,
-    LorentzianModel,
     NonPhysical,
-    TimeGrid,
     PseudomodeSector,
     Reservoir,
+    TimeGrid,
     mode_generator,
     propagate_sector,
     validate_config,
+    validate_config_text,
 )
 from conftest import (
     BANDGAP_PARAMS,
@@ -26,6 +26,16 @@ from conftest import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+def bandgap_config(w1, w2, gamma1, gamma2, omega_coupling, **options):
+    """The reservoir that a ``model = bandgap`` config centered at omega0 = omega_c = 0 builds."""
+    text = (
+        f"model = bandgap\nomega0 = 0.0\nomega_c = 0.0\nw1 = {w1!r}\nw2 = {w2!r}\n"
+        f"gamma1 = {gamma1!r}\ngamma2 = {gamma2!r}\nomega_coupling = {omega_coupling!r}\n"
+        "t_end = 1.0\nn_steps = 2\n"
+    )
+    return validate_config_text(text, **options).model
 
 
 def lorentzian_density(weight, width, center, omega):
@@ -79,11 +89,11 @@ class TestLorentzianDensity:
 
 class TestBandgapDensity:
     def test_perfect_gap_vanishes_at_center(self):
-        model = BandGapModel(0.0, 0.0, 2.0, 1.0, 4.0, 2.0, math.sqrt(1.0))
+        model = Reservoir(0.0, math.sqrt(1.0), ((2.0, 4.0, 0.0), (-1.0, 2.0, 0.0)))
         assert model.density(0.0) == 0.0
 
     def test_w2_zero_reduces_to_lorentzian(self):
-        model = BandGapModel(0.0, 1.0, 0.8, 0.0, 2.0, 1.0, math.sqrt(0.8))
+        model = Reservoir(0.0, math.sqrt(0.8), ((0.8, 2.0, 1.0), (0.0, 1.0, 1.0)))
         omegas = np.linspace(-4, 6, 101)
         assert np.array_equal(model.density(omegas), lorentzian_density(0.8, 2.0, 1.0, omegas))
 
@@ -109,7 +119,7 @@ class TestBandgapDensity:
 
 class TestDeriveConstants:
     def test_plug_in(self):
-        model = BandGapModel(0.0, 0.0, 2.0, 1.0, 4.0, 2.0, 1.0)
+        model = Reservoir(0.0, 1.0, ((2.0, 4.0, 0.0), (-1.0, 2.0, 0.0)))
         sector = model.sector
         assert sector.leak_rates == (0.0, 6.0)
         assert sector.intermode[0][1] == sector.intermode[1][0]
@@ -126,7 +136,7 @@ class TestDeriveConstants:
             assert model.sector.leak_rates[0] == 0.0
 
     def test_w2_zero_decouples(self):
-        model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
         assert model.sector.leak_rates == (0.5, 2.0)
         assert model.sector.intermode == ((0.0, 0.0), (0.0, 0.0))
 
@@ -142,7 +152,7 @@ class TestDeriveConstants:
             )
 
     def test_deterministic(self):
-        model = BandGapModel(0.1, 0.7, 1.3, 0.4, 2.7, 0.9, math.sqrt(0.9))
+        model = Reservoir(0.1, math.sqrt(0.9), ((1.3, 2.7, 0.7), (-0.4, 0.9, 0.7)))
         first = model.sector
         second = model.sector
         assert first == second
@@ -150,7 +160,7 @@ class TestDeriveConstants:
 
 class TestSector:
     def test_lorentzian_sector(self):
-        sector = LorentzianModel(0.1, 2.4, 0.6, 0.5).sector
+        sector = Reservoir(0.1, 0.5, ((1.0, 0.6, 2.4),)).sector
         assert sector == PseudomodeSector(0.1, (2.4,), (0.5,), ((0.0,),), (0.6,), ("b1",))
         assert sector.n_modes == 1
 
@@ -164,6 +174,16 @@ class TestSector:
                 0.0, (1.0, 1.0), (0.0, 0.5), ((0.0, 0.2), (0.3, 0.0)), (0.1, 0.2), ("a1", "a2")
             )
 
+    @pytest.mark.parametrize("frequency", [-1e308, 1e308])
+    def test_rejects_overflowing_carrier(self, frequency):
+        # frequency - omega0 or 2*omega0 overflows, without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonPhysical, match="2\\*omega0 must be finite"):
+                PseudomodeSector(
+                    np.float64(1e308), (np.float64(frequency),), (0.3,), ((0.0,),), (0.1,), ("b1",)
+                )
+
     def test_rejects_non_real_entries(self):
         with pytest.raises(NonPhysical, match="couplings"):
             PseudomodeSector(0.0, (1.0,), (0.3j,), ((0.0,),), (0.1,), ("b1",))
@@ -174,57 +194,61 @@ class TestSector:
 class TestValidation:
     def test_lorentzian_rejects_negative_width(self):
         with pytest.raises(NonPhysical):
-            LorentzianModel(0.0, 0.0, -0.5, 1.0)
+            Reservoir(0.0, 1.0, ((1.0, -0.5, 0.0),))
 
     def test_lorentzian_allows_lossless_limit(self):
-        model = LorentzianModel(0.0, 0.0, 0.0, 1.0)
+        model = Reservoir(0.0, 1.0, ((1.0, 0.0, 0.0),))
         assert model.sector.leak_rates == (0.0,)
 
     def test_bandgap_rejects_negative_storage_rate(self):
         # w1*gamma2 < w2*gamma1
         with pytest.raises(NonPhysical, match="w1\\*gamma2"):
-            BandGapModel(0.0, 0.0, 1.0, 0.9, 4.0, 1.0, 0.3)
+            Reservoir(0.0, 0.3, ((1.0, 4.0, 0.0), (-0.9, 1.0, 0.0)))
 
     def test_bandgap_ordering_checks(self):
         with pytest.raises(NonPhysical, match="gamma1 > gamma2"):
-            BandGapModel(0.0, 0.0, 1.0, 0.5, 1.0, 2.0, 0.5)
+            Reservoir(0.0, 0.5, ((1.0, 1.0, 0.0), (-0.5, 2.0, 0.0)))
         with pytest.raises(NonPhysical, match="w1 > w2"):
-            BandGapModel(0.0, 0.0, 0.5, 1.0, 2.0, 1.0, 0.5)
+            Reservoir(0.0, 0.5, ((0.5, 2.0, 0.0), (-1.0, 1.0, 0.0)))
 
     def test_bandgap_rejects_negative_dip_weight(self):
-        # a negative w2 would make the dip a second positive peak
+        # a negative w2 would make the dip a second positive peak, which a
+        # reservoir accepts; the band-gap config kind does not
+        Reservoir(0.0, 0.5, ((0.5, 2.0, 0.0), (0.1, 1.0, 0.0)))
         with pytest.raises(NonPhysical, match="w1 > w2 >= 0"):
-            BandGapModel(0.0, 0.0, 0.5, -0.1, 2.0, 1.0, 0.5)
+            bandgap_config(0.5, -0.1, 2.0, 1.0, 0.5)
 
     @pytest.mark.parametrize("position", range(4))
     def test_lorentzian_rejects_non_real_parameters(self, position):
+        # omega0, omega_c, gamma, omega_coupling
         fields = [0.0, 2.4, 0.6, 0.3]
         fields[position] = 0.3j
+        omega0, omega_c, gamma, omega_coupling = fields
         with pytest.raises(NonPhysical, match="finite and real"):
-            LorentzianModel(*fields)
+            Reservoir(omega0, omega_coupling, ((1.0, gamma, omega_c),))
 
     @pytest.mark.parametrize("position", range(7))
     def test_bandgap_rejects_non_real_parameters(self, position):
+        # omega0, omega_c, w1, w2, gamma1, gamma2, omega_coupling
         fields = [0.2, 1.1, 0.4, 0.1, 2.0, 0.8, 0.5]
         fields[position] = complex(fields[position], 0.1)
+        omega0, omega_c, w1, w2, gamma1, gamma2, omega_coupling = fields
         with pytest.raises(NonPhysical, match="finite and real"):
-            BandGapModel(*fields)
+            Reservoir(omega0, omega_coupling, ((w1, gamma1, omega_c), (-w2, gamma2, omega_c)))
 
     def test_allow_nonphysical_escape_hatch(self):
         with pytest.warns(ConsistencyWarning):
-            model = BandGapModel(0.0, 0.0, 1.0, 0.9, 4.0, 1.0, 0.3, allow_nonphysical=True)
+            model = bandgap_config(1.0, 0.9, 4.0, 1.0, 0.3, allow_nonphysical=True)
         assert model.sector.leak_rates[0] < 0
 
     def test_coupling_consistency_warning(self):
-        with pytest.warns(ConsistencyWarning):
-            BandGapModel(0.0, 0.0, 1.0, 0.5, 2.0, 1.0, omega_coupling=1.0)
+        with pytest.warns(ConsistencyWarning, match="w1 - w2 = 0.5 by more than 1%"):
+            bandgap_config(1.0, 0.5, 2.0, 1.0, 1.0)
 
     def test_consistent_coupling_is_silent(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            BandGapModel(0.0, 0.0, 1.0, 0.5, 2.0, 1.0, omega_coupling=math.sqrt(0.5))
+            bandgap_config(1.0, 0.5, 2.0, 1.0, math.sqrt(0.5))
 
     def test_perfect_gap_equivalence(self):
         rng = np.random.default_rng(15)
@@ -250,11 +274,13 @@ def rule_cases():
     rng = np.random.default_rng(16)
     for build in (random_lorentzian, random_bandgap, random_perfect_gap):
         cases += [build(rng) for _ in range(10)]
-    cases += [BandGapModel(**BANDGAP_PARAMS), BandGapModel(**PERFECT_GAP_PARAMS)]
-    cases.append(LorentzianModel(0.0, 0.3, 0.0, 1.0))  # lossless
-    cases.append(BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9)))  # w2 = 0
+    cases += [Reservoir(**BANDGAP_PARAMS), Reservoir(**PERFECT_GAP_PARAMS)]
+    cases.append(Reservoir(0.0, 1.0, ((1.0, 0.0, 0.3),)))  # lossless
+    cases.append(Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5))))  # w2 = 0
     # negative storage rate, the density's poles still in the lower half plane
-    cases.append(BandGapModel(0.0, 0.0, 1.0, 0.9, 4.0, 1.0, math.sqrt(0.1), allow_nonphysical=True))
+    cases.append(
+        Reservoir(0.0, math.sqrt(0.1), ((1.0, 4.0, 0.0), (-0.9, 1.0, 0.0)), allow_nonphysical=True)
+    )
     return cases
 
 
@@ -286,8 +312,8 @@ class TestReservoir:
 
     def test_w2_zero_band_gap_is_the_lorentzian_of_width_gamma1(self):
         grid = TimeGrid(0.0, 10.0, 2000)
-        pair = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
-        single = LorentzianModel(0.0, 0.5, 2.0, math.sqrt(0.9))
+        pair = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
+        single = Reservoir(0.0, math.sqrt(0.9), ((1.0, 2.0, 0.5),))
         c1_pair = propagate_sector(pair.sector, None, grid).c1
         c1_single = propagate_sector(single.sector, None, grid).c1
         assert np.max(np.abs(c1_pair - c1_single)) < 1e-14
@@ -307,7 +333,7 @@ class TestReservoir:
             assert abs(reservoir.kernel(tau) - expected) < 1e-6
 
     def test_lossless_peak_has_no_pointwise_density(self):
-        model = LorentzianModel(0.0, 0.0, 0.0, 1.0)
+        model = Reservoir(0.0, 1.0, ((1.0, 0.0, 0.0),))
         with pytest.raises(ValueError, match="lossless"):
             model.density(0.0)
         assert model.kernel(2.0) == 1.0

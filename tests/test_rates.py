@@ -5,14 +5,11 @@ import pytest
 
 from memorymodes import (
     AllPointsInvalid,
-    BandGapModel,
-    LorentzianModel,
+    Reservoir,
     TimeGrid,
     intermode_memory_identity,
-    memory_identity_double,
-    memory_identity_single,
-    propagate_double,
-    propagate_single,
+    memory_identity_sector,
+    propagate_sector,
     rates_from_amplitudes,
     rates_pseudomode_form,
 )
@@ -22,10 +19,10 @@ from conftest import gamma_markov, random_bandgap, random_lorentzian
 
 class TestRateExtraction:
     def test_initial_values_with_empty_mode(self):
-        model = LorentzianModel(0.7, 0.7 + 1.1, 0.9, 0.4)
+        model = Reservoir(0.7, 0.4, ((1.0, 0.9, 0.7 + 1.1),))
         grid = TimeGrid(0.0, 5.0, 200)
         for initial in (None, [0.6 + 0.3j, 0.0]):
-            traj = propagate_single(model, initial, grid)
+            traj = propagate_sector(model.sector, initial, grid)
             rates = rates_from_amplitudes(traj)
             assert rates.gamma[0] == 0.0
             assert rates.s[0] == pytest.approx(2 * model.omega0, abs=1e-14)
@@ -34,9 +31,9 @@ class TestRateExtraction:
             assert mode_form.s[0] == 2 * model.omega0
 
     def test_decoupled_atom_free_evolution(self):
-        model = LorentzianModel(0.6, 1.4, 1.0, 0.0)
+        model = Reservoir(0.6, 0.0, ((1.0, 1.0, 1.4),))
         grid = TimeGrid(0.0, 4.0, 100)
-        rates = rates_from_amplitudes(propagate_single(model, None, grid))
+        rates = rates_from_amplitudes(propagate_sector(model.sector, None, grid))
         assert np.allclose(rates.gamma, 0.0, atol=1e-13)
         assert np.allclose(rates.s, 2 * 0.6, atol=1e-13)
 
@@ -56,7 +53,7 @@ class TestRateExtraction:
         grid = TimeGrid(0.0, 5.0, 150)
         for _ in range(30):
             model = random_lorentzian(rng)
-            traj = propagate_single(model, None, grid)
+            traj = propagate_sector(model.sector, None, grid)
             direct = rates_from_amplitudes(traj)
             mode_form = rates_pseudomode_form(traj)
             tol = 1e-6 * max(gamma_markov(model), 1.0)
@@ -65,9 +62,9 @@ class TestRateExtraction:
             assert np.max(np.abs(mode_form.gamma[valid] - direct.gamma[valid])) < tol
 
     def test_markovian_limit(self):
-        model = LorentzianModel(0.0, 0.0, 100.0, 1.0)
+        model = Reservoir(0.0, 1.0, ((1.0, 100.0, 0.0),))
         grid = TimeGrid(0.0, 0.5, 2000)
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
         mode_form = rates_pseudomode_form(traj)
         late = grid.times > 10.0 / model.peaks[0][1]
@@ -77,9 +74,9 @@ class TestRateExtraction:
 
     def test_invalid_points_flagged_not_clipped(self):
         # lossless resonant oscillation passes through zeros of c1
-        model = LorentzianModel(0.0, 0.0, 0.0, 1.0)
+        model = Reservoir(0.0, 1.0, ((1.0, 0.0, 0.0),))
         grid = TimeGrid(0.0, math.pi, 201)  # c1 = cos(t), zero at pi/2
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
         invalid = ~rates.valid
         assert invalid.any()
@@ -88,20 +85,20 @@ class TestRateExtraction:
         assert np.all(np.isfinite(rates.gamma[rates.valid]))
 
     def test_all_points_invalid(self):
-        model = LorentzianModel(0.0, 1.0, 1.0, 0.0)
+        model = Reservoir(0.0, 0.0, ((1.0, 1.0, 1.0),))
         grid = TimeGrid(0.0, 1.0, 50)
-        traj = propagate_single(model, [0.0, 1.0], grid)
+        traj = propagate_sector(model.sector, [0.0, 1.0], grid)
         with pytest.raises(AllPointsInvalid):
             rates_from_amplitudes(traj)
 
 
 class TestMemoryIdentitySingle:
     def test_reference_preset_residual(self, fig2_traj, fig2_model, fig2_rates):
-        report = memory_identity_single(fig2_traj, fig2_rates)
+        report = memory_identity_sector(fig2_traj, fig2_rates)
         assert report.max_relative_residual < 1e-6
 
     def test_sign_linkage(self, fig2_traj, fig2_model, fig2_rates):
-        report = memory_identity_single(fig2_traj, fig2_rates)
+        report = memory_identity_sector(fig2_traj, fig2_rates)
         guard = np.abs(report.rhs) > 1e-9 * gamma_markov(fig2_model)
         keep = guard & report.valid
         assert keep.any()
@@ -109,11 +106,11 @@ class TestMemoryIdentitySingle:
 
     def test_pure_mode_decay_cancels_exactly(self):
         # decoupled mode: drain and compensation cancel, both sides vanish
-        model = LorentzianModel(0.0, 1.2, 0.8, 0.0)
+        model = Reservoir(0.0, 0.0, ((1.0, 0.8, 1.2),))
         grid = TimeGrid(0.0, 5.0, 100)
-        traj = propagate_single(model, [0.6, 0.8], grid)
+        traj = propagate_sector(model.sector, [0.6, 0.8], grid)
         rates = rates_from_amplitudes(traj)
-        report = memory_identity_single(traj, rates)
+        report = memory_identity_sector(traj, rates)
         assert np.max(np.abs(report.lhs)) < 1e-14
         assert np.max(np.abs(report.rhs)) < 1e-14
         assert report.max_relative_residual < 1e-14
@@ -122,22 +119,22 @@ class TestMemoryIdentitySingle:
 class TestMemoryIdentityDouble:
     def test_reference_bandgap_residual(self, bandgap_traj, bandgap_model):
         rates = rates_from_amplitudes(bandgap_traj)
-        report = memory_identity_double(bandgap_traj, rates)
+        report = memory_identity_sector(bandgap_traj, rates)
         assert report.max_relative_residual < 1e-6
 
     def test_w2_zero_matches_single_system(self):
         # intermode coupling off and storage mode empty: the two-mode balance
         # collapses onto the single-mode one for the equivalent model
-        model = BandGapModel(0.0, 0.8, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.8), (0.0, 0.5, 0.8)))
         grid = TimeGrid(0.0, 6.0, 300)
-        double = propagate_double(model, None, grid)
+        double = propagate_sector(model.sector, None, grid)
         rates_d = rates_from_amplitudes(double)
-        report_d = memory_identity_double(double, rates_d)
+        report_d = memory_identity_sector(double, rates_d)
 
-        single_model = LorentzianModel(0.0, 0.8, model.sector.leak_rates[1], math.sqrt(0.9))
-        single = propagate_single(single_model, None, grid)
+        single_model = Reservoir(0.0, math.sqrt(0.9), ((1.0, model.sector.leak_rates[1], 0.8),))
+        single = propagate_sector(single_model.sector, None, grid)
         rates_s = rates_from_amplitudes(single)
-        report_s = memory_identity_single(single, rates_s)
+        report_s = memory_identity_sector(single, rates_s)
 
         assert np.max(np.abs(report_d.lhs - report_s.lhs)) < 1e-9
         assert np.max(np.abs(report_d.rhs - report_s.rhs)) < 1e-9
@@ -147,9 +144,9 @@ class TestMemoryIdentityDouble:
         grid = TimeGrid(0.0, 5.0, 200)
         for _ in range(25):
             model = random_bandgap(rng)
-            traj = propagate_double(model, None, grid)
+            traj = propagate_sector(model.sector, None, grid)
             rates = rates_from_amplitudes(traj)
-            report = memory_identity_double(traj, rates)
+            report = memory_identity_sector(traj, rates)
             assert report.max_relative_residual < 1e-6
 
 
@@ -160,9 +157,9 @@ class TestIntermodeIdentity:
         assert report.valid.all()
 
     def test_v_zero_storage_is_pure_decay(self):
-        model = BandGapModel(0.0, 0.5, 0.9, 0.0, 2.0, 0.5, math.sqrt(0.9))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
         grid = TimeGrid(0.0, 5.0, 150)
-        traj = propagate_double(model, [0.8, 0.6, 0.0], grid)
+        traj = propagate_sector(model.sector, [0.8, 0.6, 0.0], grid)
         report = intermode_memory_identity(traj)
         assert np.max(np.abs(report.lhs)) < 1e-13
         assert np.max(np.abs(report.rhs)) == 0.0
@@ -171,7 +168,7 @@ class TestIntermodeIdentity:
         sector = perfect_gap_model.sector
         assert sector.leak_rates[0] == 0.0
         grid = TimeGrid(0.0, 10.0, 500)
-        traj = propagate_double(perfect_gap_model, None, grid)
+        traj = propagate_sector(perfect_gap_model.sector, None, grid)
         report = intermode_memory_identity(traj)
         # with a vanishing storage rate the balance reduces to the bare drain
         index = traj.labels.index("a1")

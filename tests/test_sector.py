@@ -1,28 +1,31 @@
-"""The n-mode sector path, on a sector the shipped presets do not reach.
+"""The n-mode sector path, on sectors the shipped presets do not reach.
 
 The ``fig2`` sector with an extra mode (detuned by 1.3, leaking at 0.7) that
 couples neither to the emitter nor to the ``fig2`` mode must leave the
 emitter, the coupled mode and the emitter marginal exactly as they are.
+Reservoirs of 3 and 10 lone peaks run through every density layer.
 """
 
 import numpy as np
 import pytest
 
+import memorymodes
 from memorymodes import (
     DensityMatrix,
     PseudomodeSector,
+    Reservoir,
     TimeGrid,
     evolve_lindblad_sector,
-    evolve_lindblad_single,
+    extended_density_from_amplitudes,
+    info_series,
     intermode_memory_identity,
     memory_identity_sector,
-    memory_identity_single,
     partial_trace_pseudomodes,
     propagate_sector,
-    propagate_single,
     rates_from_amplitudes,
     rates_pseudomode_form,
 )
+from memorymodes.csvio import write_density_csv
 
 
 def with_spectator_mode(sector: PseudomodeSector) -> PseudomodeSector:
@@ -42,7 +45,7 @@ def test_uncoupled_mode_leaves_fig2_unchanged(fig2_model, n_steps):
     grid = TimeGrid(0.0, 10.0, n_steps)
     sector = with_spectator_mode(fig2_model.sector)
     two = propagate_sector(sector, None, grid)
-    one = propagate_single(fig2_model, None, grid)
+    one = propagate_sector(fig2_model.sector, None, grid)
     assert two.labels == ("c1", "a1", "a2")
     assert np.max(np.abs(two.c1 - one.c1)) < 1e-14
     assert np.max(np.abs(two.component("a2") - one.component("b1"))) < 1e-14
@@ -51,13 +54,13 @@ def test_uncoupled_mode_leaves_fig2_unchanged(fig2_model, n_steps):
         evolve_lindblad_sector(sector, DensityMatrix.excited(4), grid)
     )
     marginal_one = partial_trace_pseudomodes(
-        evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), grid)
+        evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), grid)
     )
     assert np.max(np.abs(marginal_two.matrices - marginal_one.matrices)) < 1e-14
 
     # the empty spectator mode adds nothing to the summed identity
     lhs_two = memory_identity_sector(two, rates_from_amplitudes(two)).lhs
-    lhs_one = memory_identity_single(one, rates_from_amplitudes(one)).lhs
+    lhs_one = memory_identity_sector(one, rates_from_amplitudes(one)).lhs
     assert np.max(np.abs(lhs_two - lhs_one)) < 1e-14
 
 
@@ -78,3 +81,55 @@ def test_rate_forms_agree_with_two_coupled_modes():
 def test_identities_reject_another_sector(fig2_traj):
     with pytest.raises(ValueError, match="two modes"):
         intermode_memory_identity(fig2_traj)
+
+
+@pytest.mark.parametrize("n_peaks", [3, 10])
+def test_many_lone_peaks_run_through_every_density_layer(n_peaks, tmp_path):
+    # peaks spread over [-2, 2] around the emitter, each of its own width and weight
+    peaks = tuple(
+        (1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / (n_peaks - 1)) for k in range(n_peaks)
+    )
+    reservoir = Reservoir(0.0, 0.8, peaks)
+    dim = n_peaks + 2
+    grid = TimeGrid(0.0, 10.0, 4000)
+    traj = propagate_sector(reservoir.sector, None, grid)
+    lindblad = evolve_lindblad_sector(reservoir.sector, DensityMatrix.excited(dim), grid)
+    assert lindblad.dim == dim
+    reconstructed = extended_density_from_amplitudes(traj)
+    assert np.max(np.abs(lindblad.matrices - reconstructed.matrices)) <= 1e-14
+
+    series = info_series(lindblad, grid)
+    assert np.all(np.isfinite(series.mutual_information))
+    assert series.mutual_information.min() > -1e-12
+
+    write_density_csv(tmp_path / "rho.csv", lindblad, grid.times)
+    first = (tmp_path / "rho.csv").read_text().split("\n", 1)[0]
+    empty = "0" * n_peaks
+    assert first.startswith(f"# dim={dim}, basis=g{empty},g1{empty[1:]},")
+    assert first.endswith(f",g{empty[1:]}1,e{empty}")
+    assert len(first.split("basis=")[1].split(",")) == dim
+    if n_peaks == 3:
+        assert first == "# dim=5, basis=g000,g100,g010,g001,e000"
+
+
+@pytest.mark.parametrize("modes", ["single", "double"])
+@pytest.mark.parametrize("layer", ["propagate", "evolve_lindblad", "memory_identity"])
+def test_per_count_names_give_the_sector_results(layer, modes, fig2_model, bandgap_model):
+    # perfbench/tracing.py times the layers through these six names
+    model = fig2_model if modes == "single" else bandgap_model
+    per_count = getattr(memorymodes, f"{layer}_{modes}")
+    grid = TimeGrid(0.0, 10.0, 400)
+    traj = propagate_sector(model.sector, None, grid)
+    if layer == "propagate":
+        pinned, expected = per_count(model, None, grid).states, traj.states
+    elif layer == "evolve_lindblad":
+        rho0 = DensityMatrix.excited(model.sector.n_modes + 2)
+        pinned = per_count(model, rho0, grid).matrices
+        expected = evolve_lindblad_sector(model.sector, rho0, grid).matrices
+    else:
+        rates = rates_from_amplitudes(traj)
+        pinned, expected = (
+            np.array([report.lhs, report.rhs])
+            for report in (per_count(traj, rates), memory_identity_sector(traj, rates))
+        )
+    assert np.array_equal(pinned, expected)

@@ -6,22 +6,19 @@ import pytest
 
 from memorymodes import (
     AmplitudeTrajectory,
-    BandGapModel,
     DensityMatrix,
     Ensemble,
     GridMismatch,
     InvalidRates,
-    LorentzianModel,
     NonPhysical,
     RateTrajectory,
+    Reservoir,
     StepTooLarge,
     TimeGrid,
     atom_density_from_amplitudes,
     compare_unravelings,
-    evolve_lindblad_single,
-    propagate_double,
+    evolve_lindblad_sector,
     propagate_sector,
-    propagate_single,
     rates_from_amplitudes,
     run_mcwf_pseudomode,
     run_nmqj,
@@ -75,7 +72,7 @@ class TestNmqj:
     def test_no_jump_state_matches_amplitudes(self, fig2_model, fig2_grid):
         # the no-jump state is the normalized (C_g, c1(t)) of the amplitude route
         for c_g, c_e in ((0.0, 1.0), (0.6, 0.8)):
-            traj = propagate_single(fig2_model, [c_e, 0.0], fig2_grid)
+            traj = propagate_sector(fig2_model.sector, [c_e, 0.0], fig2_grid)
             ens = run_nmqj(rates_from_amplitudes(traj), np.array([c_g, c_e + 0j]), 10, 3)
             exact = np.column_stack([np.full(fig2_grid.n_steps, c_g + 0j), traj.c1])
             exact /= np.linalg.norm(exact, axis=1)[:, None]
@@ -162,7 +159,7 @@ class TestNmqj:
         from memorymodes import evolve_atom_timelocal
 
         grid = TimeGrid(0.0, 6.0, 1200)
-        traj = propagate_single(fig2_model, None, grid)
+        traj = propagate_sector(fig2_model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
         c_g, c_e = 0.6, 0.8
         n = 40_000
@@ -189,7 +186,7 @@ class TestNmqj:
 
     def test_statistical_soundness_over_seeds(self, fig2_model):
         grid = TimeGrid(0.0, 6.0, 1200)
-        traj = propagate_single(fig2_model, None, grid)
+        traj = propagate_sector(fig2_model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
         exact = 1.0 - np.abs(traj.c1) ** 2
         sigma_unit = np.sqrt(np.clip(exact * (1 - exact), 0.0, None))
@@ -209,16 +206,16 @@ class TestNmqj:
 class TestMcwf:
     def test_ground_state_is_stationary(self, fig2_model):
         grid = TimeGrid(0.0, 4.0, 100)
-        traj = propagate_single(fig2_model, [0.0, 0.0], grid)
+        traj = propagate_sector(fig2_model.sector, [0.0, 0.0], grid)
         ens = run_mcwf_pseudomode(traj, 400, 29, vacuum_amplitude=1.0)
         assert np.all(ens.n1 == 0)
         assert np.array_equal(ens.jump_counts, np.zeros_like(ens.jump_counts))
         assert np.max(np.abs(ens.psi0 - ens.psi0[0])) < 1e-12
 
     def test_lossless_mode_never_jumps(self):
-        model = LorentzianModel(0.0, 0.0, 0.0, 0.9)
+        model = Reservoir(0.0, 0.9, ((1.0, 0.0, 0.0),))
         grid = TimeGrid(0.0, 6.0, 400)
-        ens = run_mcwf_pseudomode(propagate_single(model, None, grid), 500, 31)
+        ens = run_mcwf_pseudomode(propagate_sector(model.sector, None, grid), 500, 31)
         assert np.all(ens.n1 == 0)
         expected = np.cos(0.9 * grid.times) ** 2
         assert np.max(np.abs(np.abs(ens.psi0[:, 2]) ** 2 - expected)) < 1e-8
@@ -226,7 +223,7 @@ class TestMcwf:
     def test_matches_dissipative_solution_entrywise(self, fig2_model, fig2_traj, fig2_grid):
         n = 20_000
         ens = run_mcwf_pseudomode(fig2_traj, n, 37)
-        exact = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        exact = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         vacuum = np.zeros((3, 3))
         vacuum[0, 0] = 1.0
         worst = 0.0
@@ -244,7 +241,7 @@ class TestMcwf:
     def test_jump_rate_bookkeeping(self, fig2_model):
         grid = TimeGrid(0.0, 10.0, 2000)
         n = 20_000
-        ens = run_mcwf_pseudomode(propagate_single(fig2_model, None, grid), n, 41)
+        ens = run_mcwf_pseudomode(propagate_sector(fig2_model.sector, None, grid), n, 41)
         mode_pop = np.abs(ens.psi0[:-1, 1]) ** 2
         per_member = fig2_model.peaks[0][1] * grid.dt * mode_pop
         expected = np.sum(ens.n0[:-1] * per_member)
@@ -273,7 +270,7 @@ class TestMcwf:
         c_vac = 0.6
         initial = np.array([c_vac, 0.0, 0.8 + 0.0j])
         n = 40_000
-        traj = propagate_single(fig2_model, np.array([0.8 + 0.0j, 0.0]), grid)
+        traj = propagate_sector(fig2_model.sector, np.array([0.8 + 0.0j, 0.0]), grid)
         ens = run_mcwf_pseudomode(traj, n, 73, vacuum_amplitude=c_vac)
         assert np.allclose(ens.psi0[0], initial / np.linalg.norm(initial), atol=1e-12)
         exact = atom_density_from_amplitudes(traj, vacuum_amplitude=c_vac)
@@ -308,23 +305,20 @@ class TestMcwf:
 
     def test_negative_leakage_rate_rejected(self):
         # a storage mode with negative rate has no jump unraveling
-        model = BandGapModel(
-            omega0=0.0, omega_c=0.5, w1=0.4, w2=0.39, gamma1=2.0, gamma2=0.2,
-            omega_coupling=0.1, allow_nonphysical=True,
-        )
+        model = Reservoir(0.0, 0.1, ((0.4, 2.0, 0.5), (-0.39, 0.2, 0.5)), allow_nonphysical=True)
         grid = TimeGrid(0.0, 1.0, 100)
         with pytest.raises(NonPhysical):
-            run_mcwf_pseudomode(propagate_double(model, None, grid), 10, 1)
+            run_mcwf_pseudomode(propagate_sector(model.sector, None, grid), 10, 1)
 
     def test_step_too_large(self):
-        model = LorentzianModel(0.0, 0.0, 5.0, 2.0)
+        model = Reservoir(0.0, 2.0, ((1.0, 5.0, 0.0),))
         grid = TimeGrid(0.0, 1.0, 12)
         with pytest.raises(StepTooLarge):
-            run_mcwf_pseudomode(propagate_single(model, None, grid), 10, 1)
+            run_mcwf_pseudomode(propagate_sector(model.sector, None, grid), 10, 1)
 
     def test_rejects_unnormalized_state(self, fig2_model, fig2_grid):
         with pytest.raises(ValueError, match="normalized"):
-            run_mcwf_pseudomode(propagate_single(fig2_model, [0.5, 0.0], fig2_grid), 10, 1)
+            run_mcwf_pseudomode(propagate_sector(fig2_model.sector, [0.5, 0.0], fig2_grid), 10, 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
@@ -394,7 +388,7 @@ class TestTracedEnsemble:
             assert np.max(np.abs(direct.matrix - traced[k].matrix)) < 1e-12
 
     def test_matches_pointwise_reference(self, bandgap_model, fig2_grid):
-        traj = propagate_double(bandgap_model, [math.sqrt(0.91), 0.0, 0.0], fig2_grid)
+        traj = propagate_sector(bandgap_model.sector, [math.sqrt(0.91), 0.0, 0.0], fig2_grid)
         ens = run_mcwf_pseudomode(traj, 500, 5, vacuum_amplitude=0.3)
         reference = []
         for psi, n0, n1 in zip(ens.psi0, ens.n0, ens.n1):
@@ -410,9 +404,9 @@ class TestTracedEnsemble:
 class TestCompare:
     def test_degenerate_decoupled_case_scores_zero(self):
         # atom decoupled from the mode: no jumps anywhere, all series agree
-        model = LorentzianModel(0.0, 1.0, 0.8, 0.0)
+        model = Reservoir(0.0, 0.0, ((1.0, 0.8, 1.0),))
         grid = TimeGrid(0.0, 3.0, 120)
-        traj = propagate_single(model, None, grid)
+        traj = propagate_sector(model.sector, None, grid)
         rates = rates_from_amplitudes(traj)
         nmqj = run_nmqj(rates, EXCITED_ATOM, 50, 3)
         mcwf = run_mcwf_pseudomode(traj, 50, 3)
@@ -435,7 +429,7 @@ class TestCompare:
         # reference must sum the whole emitter-ground diagonal
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1000, 1)
         mcwf = run_mcwf_pseudomode(fig2_traj, 1000, 1)
-        extended = evolve_lindblad_single(fig2_model, DensityMatrix.excited(3), fig2_grid)
+        extended = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
         atom = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
         joint = compare_unravelings(nmqj, mcwf, extended)
         assert abs(joint.max_z_score - atom.max_z_score) < 1e-6
@@ -452,7 +446,7 @@ class TestCompare:
     def test_grid_mismatch(self, fig2_model, fig2_rates, fig2_traj):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 10, 1)
         other = TimeGrid(0.0, 5.0, 100)
-        mcwf = run_mcwf_pseudomode(propagate_single(fig2_model, None, other), 10, 1)
+        mcwf = run_mcwf_pseudomode(propagate_sector(fig2_model.sector, None, other), 10, 1)
         with pytest.raises(GridMismatch):
             compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
 
@@ -571,15 +565,15 @@ class TestStretchSamplerOracle:
                 assert_same_draws(ens, reference_mcwf(ens, model))
 
     def test_lossless_mode(self):
-        model = LorentzianModel(0.0, 0.0, 0.0, 0.9)
+        model = Reservoir(0.0, 0.9, ((1.0, 0.0, 0.0),))
         grid = TimeGrid(0.0, 6.0, 400)
-        ens = run_mcwf_pseudomode(propagate_single(model, None, grid), 10**5, 3)
+        ens = run_mcwf_pseudomode(propagate_sector(model.sector, None, grid), 10**5, 3)
         assert_same_draws(ens, reference_mcwf(ens, model))
         assert not ens.jump_counts.any()
         assert not assert_same_nmqj(constant_rates(grid, 0.0), 10**5, 3).jump_counts.any()
 
     def test_single_member_leaves_inside_a_stretch(self, fig2_model):
-        traj = propagate_single(fig2_model, None, TimeGrid(0.0, 10.0, 1000))
+        traj = propagate_sector(fig2_model.sector, None, TimeGrid(0.0, 10.0, 1000))
         emptied = 0
         for seed in range(10):
             ens = run_mcwf_pseudomode(traj, 1, seed)
@@ -600,7 +594,7 @@ class TestStretchSamplerOracle:
         assert reverse_draws > 0
 
     def test_two_point_grid(self, fig2_model):
-        traj = propagate_single(fig2_model, None, TimeGrid(0.0, 0.05, 2))
+        traj = propagate_sector(fig2_model.sector, None, TimeGrid(0.0, 0.05, 2))
         assert assert_same_nmqj(rates_from_amplitudes(traj), 10**9, 7).jump_counts.shape == (1, 1)
         ens = run_mcwf_pseudomode(traj, 10**9, 7)
         assert_same_draws(ens, reference_mcwf(ens, fig2_model))
