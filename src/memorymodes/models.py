@@ -183,8 +183,7 @@ class Reservoir:
                 leak_rates.append(gamma1)
                 labels.append(f"b{n + 1}")
                 continue
-            # abs, not minus: a dip of weight 0.0 has w2 = +0.0, so its coupling is +0.0
-            w2, gamma2 = abs(self.peaks[j][0]), self.peaks[j][1]
+            w2, gamma2 = -self.peaks[j][0], self.peaks[j][1]
             rate1, rate2 = w1 * gamma2 - w2 * gamma1, w1 * gamma1 - w2 * gamma2
             if not gamma1 > gamma2 > 0:
                 problems.append(

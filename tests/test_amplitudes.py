@@ -87,7 +87,7 @@ class TestPropagateDouble:
     def test_v_zero_reduces_to_single(self):
         # w2 = 0 switches the intermode coupling off; (c1, a2) then matches
         # the single-mode system with the leaky-mode width.
-        model = Reservoir(0.3, math.sqrt(0.9), ((0.9, 2.0, 0.8), (0.0, 0.5, 0.8)))
+        model = Reservoir(0.3, math.sqrt(0.9), ((0.9, 2.0, 0.8), (-0.0, 0.5, 0.8)))
         assert model.sector.intermode[0][1] == 0.0
         grid = TimeGrid(0.0, 6.0, 400)
         double = propagate_sector(model.sector, [1.0, 0.0, 0.0], grid)
@@ -97,7 +97,7 @@ class TestPropagateDouble:
         assert np.max(np.abs(double.component("a2") - single.component("b1"))) < 1e-9
 
     def test_v_zero_storage_mode_decays_independently(self):
-        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (-0.0, 0.5, 0.5)))
         grid = TimeGrid(0.0, 6.0, 300)
         traj = propagate_sector(model.sector, [0.8, 0.6, 0.0], grid)
         expected = 0.6 * np.exp(-0.5 * model.sector.leak_rates[0] * grid.times)

@@ -93,7 +93,7 @@ class TestBandgapDensity:
         assert model.density(0.0) == 0.0
 
     def test_w2_zero_reduces_to_lorentzian(self):
-        model = Reservoir(0.0, math.sqrt(0.8), ((0.8, 2.0, 1.0), (0.0, 1.0, 1.0)))
+        model = Reservoir(0.0, math.sqrt(0.8), ((0.8, 2.0, 1.0), (-0.0, 1.0, 1.0)))
         omegas = np.linspace(-4, 6, 101)
         assert np.array_equal(model.density(omegas), lorentzian_density(0.8, 2.0, 1.0, omegas))
 
@@ -136,7 +136,7 @@ class TestDeriveConstants:
             assert model.sector.leak_rates[0] == 0.0
 
     def test_w2_zero_decouples(self):
-        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (-0.0, 0.5, 0.5)))
         assert model.sector.leak_rates == (0.5, 2.0)
         assert model.sector.intermode == ((0.0, 0.0), (0.0, 0.0))
 
@@ -276,7 +276,7 @@ def rule_cases():
         cases += [build(rng) for _ in range(10)]
     cases += [Reservoir(**BANDGAP_PARAMS), Reservoir(**PERFECT_GAP_PARAMS)]
     cases.append(Reservoir(0.0, 1.0, ((1.0, 0.0, 0.3),)))  # lossless
-    cases.append(Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5))))  # w2 = 0
+    cases.append(Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (-0.0, 0.5, 0.5))))  # w2 = 0
     # negative storage rate, the density's poles still in the lower half plane
     cases.append(
         Reservoir(0.0, math.sqrt(0.1), ((1.0, 4.0, 0.0), (-0.9, 1.0, 0.0)), allow_nonphysical=True)
@@ -312,7 +312,7 @@ class TestReservoir:
 
     def test_w2_zero_band_gap_is_the_lorentzian_of_width_gamma1(self):
         grid = TimeGrid(0.0, 10.0, 2000)
-        pair = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
+        pair = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (-0.0, 0.5, 0.5)))
         single = Reservoir(0.0, math.sqrt(0.9), ((1.0, 2.0, 0.5),))
         c1_pair = propagate_sector(pair.sector, None, grid).c1
         c1_single = propagate_sector(single.sector, None, grid).c1

@@ -125,7 +125,7 @@ class TestMemoryIdentityDouble:
     def test_w2_zero_matches_single_system(self):
         # intermode coupling off and storage mode empty: the two-mode balance
         # collapses onto the single-mode one for the equivalent model
-        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.8), (0.0, 0.5, 0.8)))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.8), (-0.0, 0.5, 0.8)))
         grid = TimeGrid(0.0, 6.0, 300)
         double = propagate_sector(model.sector, None, grid)
         rates_d = rates_from_amplitudes(double)
@@ -157,7 +157,7 @@ class TestIntermodeIdentity:
         assert report.valid.all()
 
     def test_v_zero_storage_is_pure_decay(self):
-        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (0.0, 0.5, 0.5)))
+        model = Reservoir(0.0, math.sqrt(0.9), ((0.9, 2.0, 0.5), (-0.0, 0.5, 0.5)))
         grid = TimeGrid(0.0, 5.0, 150)
         traj = propagate_sector(model.sector, [0.8, 0.6, 0.0], grid)
         report = intermode_memory_identity(traj)
