@@ -95,6 +95,7 @@ def validate_config_text(
             kind = "an integer" if key == "n_steps" else "a finite number"
             problems.append(f"line {lineno}: {key} must be {kind}, got {raw_value!r}")
 
+    grid_problems = len(problems)
     if "n_steps" in values and values["n_steps"] < 2:
         problems.append(f"n_steps must be at least 2, got {values['n_steps']}")
     t_start = values.get("t_start", 0.0)
@@ -105,11 +106,15 @@ def validate_config_text(
             problems.append(
                 f"t_end - t_start must be finite, got t_start={t_start}, t_end={values['t_end']}"
             )
+    if len(problems) == grid_problems and {"t_end", "n_steps"} <= values.keys():
+        try:
+            grid = TimeGrid(t_start=t_start, t_end=values["t_end"], n_steps=values["n_steps"])
+        except ValueError as exc:  # a step too small to advance the times
+            problems.append(str(exc))
 
     if problems:
         raise ParseError([f"{source}: {p}" for p in problems])
 
-    grid = TimeGrid(t_start=t_start, t_end=values["t_end"], n_steps=values["n_steps"])
     try:
         model = _reservoir(model_kind, values, allow_nonphysical)
     except NonPhysical as exc:

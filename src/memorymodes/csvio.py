@@ -227,12 +227,16 @@ def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
     A cell is ``'%.17g'`` of D[0].D[1:]e X, or ``'%d'`` of D in the integer
     form (X = 16, D < 10**16). ``rows`` holds _TEMPLATE and the separators.
     """
-    n = digits.size
-    lead, rest = np.divmod(digits, 10**16)
-    high, low = np.divmod(rest, 10**8)
-    quads = np.empty((n, 4), np.int32)
-    np.divmod(high, 10**4, out=(quads[:, 0], quads[:, 1]))
-    np.divmod(low, 10**4, out=(quads[:, 2], quads[:, 3]))
+    # numpy divides by a scalar with libdivide for //, not for divmod
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    quads = np.empty((digits.size, 4), np.int32)
+    quads[:, 0] = high // 10**4
+    quads[:, 1] = high - quads[:, 0] * 10**4
+    quads[:, 2] = low // 10**4
+    quads[:, 3] = low - quads[:, 2] * 10**4
     tail = np.take(_QUADS, quads)
     words = rows.view(np.uint32)
     words[:, _DIGITS // 4 + 1 : _POINT // 4] = tail
@@ -333,7 +337,9 @@ def _format_block(block, integral, zero) -> np.ndarray:
     rows, mask = _row_bytes(block, integral, zero)
     rows[:, _SEPARATOR] = 10
     mask[0, _SEPARATOR] = False
-    return np.compress(mask.ravel(), rows.ravel())
+    # a 1-D boolean subscript copies the kept bytes in one pass; np.compress
+    # would first build an int64 index of them, 8 bytes per byte written
+    return rows.ravel()[mask.ravel()]
 
 
 def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:

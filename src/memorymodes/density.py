@@ -171,9 +171,37 @@ class DensitySeries:
         return _ground_population(self.matrices)
 
 
+#: ``?heevd`` rescales a matrix whose largest entry lies outside about
+#: [1e-146, 1e146]; a diagonal stack takes the shortcut only well inside
+_UNSCALED = (1e-140, 1e140)
+#: ``dlasrt`` sorts up to 20 values by insertion, which keeps ties in order
+_MAX_SORTED_DIM = 20
+
+
 def _spectrum(matrices: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes)."""
-    return np.linalg.eigvalsh(0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj()))
+    """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes).
+
+    When every off-diagonal entry of the Hermitized stack is exactly zero,
+    its real diagonal, stably sorted, is returned without ``eigvalsh``. The
+    emitter states of runs that start in |e> are such stacks. On them
+    LAPACK's ``?heevd`` applies zero reflectors (``?hetd2``), splits the
+    tridiagonal matrix into 1x1 blocks (``dsterf``) and sorts them by
+    insertion (``dlasrt``), so it returns the same bits, unless it rescales:
+    a matrix with its largest entry outside ``_UNSCALED`` (no density
+    matrix is), a non-finite entry or a dimension above ``_MAX_SORTED_DIM``
+    still goes to ``eigvalsh``.
+    """
+    hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
+    diagonal = np.diagonal(hermitized, axis1=-2, axis2=-1)
+    if hermitized.shape[-1] <= _MAX_SORTED_DIM and np.count_nonzero(
+        hermitized
+    ) == np.count_nonzero(diagonal):
+        values = diagonal.real
+        largest = np.abs(values).max(axis=-1, initial=0.0)
+        low, high = _UNSCALED
+        if np.all((largest == 0.0) | ((largest >= low) & (largest <= high))):
+            return np.sort(values, axis=-1, kind="stable")
+    return np.linalg.eigvalsh(hermitized)
 
 
 def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:

@@ -43,6 +43,14 @@ class TimeGrid:
             )
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer of at least 2, got {self.n_steps!r}")
+        # a step below the spacing of the floats near t_start repeats times,
+        # and a subnormal one overshoots t_end; the first step, t_start + dt,
+        # is checked with the rest
+        if not np.all(np.diff(self.times) > 0):
+            raise ValueError(
+                f"the step dt = {self.dt!r} is too small for the floats of "
+                f"[{self.t_start!r}, {self.t_end!r}]: the times do not increase strictly"
+            )
 
     @property
     def dt(self) -> float:

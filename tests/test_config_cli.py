@@ -88,6 +88,14 @@ class TestConfigParsing:
         assert "n_steps must be at least 2" in message
         assert "line 2" in message
 
+    def test_grid_step_listed_beside_other_problems(self):
+        text = FIG2_CONFIG_TEXT.replace("t_end = 10.0", "t_end = 1e-320") + "bogus = 1\n"
+        with pytest.raises(ParseError) as excinfo:
+            validate_config_text(text)
+        message = str(excinfo.value)
+        assert "unknown key 'bogus'" in message
+        assert "the step dt = 5e-324 is too small for the floats of [0.0, 1e-320]" in message
+
     def test_nonphysical_names_inequality(self):
         text = BANDGAP_TEXT.replace("w2 = 0.1", "w2 = 0.39").replace(
             "gamma2 = 0.8", "gamma2 = 0.2"
@@ -332,6 +340,22 @@ class TestMain:
         assert "t_end - t_start must be finite" in err
         assert "n_steps must be at least 2" in err
 
+    @pytest.mark.parametrize(
+        "t_start, t_end, n_steps",
+        [("0.0", "1e-320", 4000), ("1e10", "10000000000.001", 100000)],
+    )
+    def test_grid_step_too_small_is_a_config_error(self, tmp_path, capsys, t_start, t_end, n_steps):
+        # a subnormal step overshoots t_end; a step below the spacing near 1e10 repeats times
+        bad = tmp_path / "bad.cfg"
+        text = FIG2_CONFIG_TEXT.replace("t_end = 10.0", f"t_start = {t_start}\nt_end = {t_end}")
+        bad.write_text(text.replace("n_steps = 4000", f"n_steps = {n_steps}\nspeed = 1"))
+        code = main(["rates", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "the times do not increase strictly" in err
+        assert "unknown key 'speed'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment", ["rates", "evolve"])
     @pytest.mark.parametrize("omega_c", ["-1e308", "1e308"])
     def test_carrier_overflow_is_nonphysical(self, tmp_path, capsys, omega_c, experiment):
@@ -444,6 +468,21 @@ def test_manifest_reports_state_invariants(preset, experiment, tmp_path):
     assert float(entries["invariant.trace"]) <= 1e-14
     assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
     assert (tmp_path / "out" / "manifest.txt").read_text().count("invariant.") == 3
+
+
+@pytest.mark.parametrize(
+    "preset, experiment, calls",
+    [("fig2", "evolve", 1), ("bandgap", "evolve", 1), ("fig2", "info", 1), ("bandgap", "info", 2)],
+)
+def test_diagonal_spectra_skip_eigvalsh(preset, experiment, calls, tmp_path, capsys, monkeypatch):
+    # every emitter series of a run from |e>, and fig2's mode marginal, is diagonal;
+    # the extended series and the two-mode marginal are not
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
+    config = REPO_ROOT / "configs" / f"{preset}.cfg"
+    assert main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == calls
 
 
 class TestCsvFormats:

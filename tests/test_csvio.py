@@ -13,6 +13,7 @@ position and on both sides of a block edge.
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from memorymodes import (
     RateTrajectory,
     TimeGrid,
 )
+from memorymodes import csvio
 from memorymodes.csvio import (
     _BLOCK_BYTES,
     _WIDTH,
@@ -372,3 +374,23 @@ def test_zero_columns_across_block_edges(layout, offset, tmp_path):
     path = tmp_path / "zero.csv"
     _write_columns(path, "h", columns)
     assert_python_text(path, "h", columns)
+
+
+def test_block_join_allocates_its_output_and_no_index(monkeypatch):
+    # one full block of 17-digit cells, its byte rows and mask built beforehand
+    n_columns = 4
+    rng = np.random.default_rng(17)
+    block = list(rng.standard_normal((n_columns, _BLOCK_BYTES // (_WIDTH * n_columns))))
+    flags = [False] * n_columns
+    rows, mask = csvio._row_bytes(block, flags, flags)
+    monkeypatch.setattr(csvio, "_row_bytes", lambda *args: (rows, mask))
+    tracemalloc.start()
+    try:
+        joined = csvio._format_block(block, flags, flags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert joined.nbytes == np.count_nonzero(mask)
+    # measured: the output plus 576 bytes of numpy's own; an int64 index of the
+    # kept bytes, as np.compress builds, would add 8 bytes per byte written
+    assert peak <= joined.nbytes + 4096

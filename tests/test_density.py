@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from memorymodes import (
     partial_trace_pseudomodes,
     propagate_sector,
     rates_from_amplitudes,
+    validate_config,
 )
-from memorymodes.density import sector_hamiltonian
+from memorymodes.density import _spectrum, sector_hamiltonian
 from conftest import max_entry_diff
 
 
@@ -426,3 +428,90 @@ class TestLabFrame:
         for a, b in zip(out[:100:7], dressed[::7]):
             assert np.array_equal(np.diag(a.matrix), np.diag(b.matrix))
             assert np.max(np.abs(np.abs(a.matrix) - np.abs(b.matrix))) < 1e-15
+
+
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def assert_spectrum_is_eigvalsh(matrices):
+    """``_spectrum`` equals ``eigvalsh`` of the Hermitized stack bit for bit, signed zeros too."""
+    hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
+    expected = np.linalg.eigvalsh(hermitized)
+    got = _spectrum(matrices)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+class TestSpectrumOracle:
+    """The diagonal shortcut of ``_spectrum`` returns what LAPACK returns."""
+
+    @pytest.mark.parametrize("n_steps", [2000, 16000])
+    @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+    def test_preset_series(self, preset, n_steps):
+        parsed = validate_config(REPO_CONFIGS / f"{preset}.cfg")
+        grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
+        sector = parsed.model.sector
+        traj = propagate_sector(sector, None, grid)
+        extended = evolve_lindblad_sector(sector, DensityMatrix.excited(sector.n_modes + 2), grid)
+        series = {
+            "amplitude": atom_density_from_amplitudes(traj).matrices,
+            "timelocal": evolve_atom_timelocal(
+                rates_from_amplitudes(traj), DensityMatrix.excited(2)
+            ).matrices,
+            "traced": partial_trace_pseudomodes(extended).matrices,
+            "modes": partial_trace_atom(extended),
+            "extended": extended.matrices,
+        }
+        for matrices in series.values():
+            assert_spectrum_is_eigvalsh(matrices)
+        # the emitter series of a run from |e> take the shortcut
+        for name in ("amplitude", "timelocal", "traced"):
+            assert np.count_nonzero(series[name][:, 0, 1]) == 0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_random_diagonal_stacks(self, dim):
+        rng = np.random.default_rng(1700 + dim)
+        n = 4000
+        values = rng.choice([-1.0, 1.0], (n, dim)) * 10.0 ** rng.uniform(-300, 0, (n, dim))
+        kind = rng.integers(0, 4, (n, dim))
+        # ties with the first entry, and zeros of both signs
+        values = np.where(kind == 1, values[:, :1], values)
+        values = np.where(kind == 2, rng.choice([-0.0, 0.0], (n, dim)), values)
+        matrices = np.zeros((n, dim, dim), complex)
+        index = np.arange(dim)
+        matrices[:, index, index] = values + 1j * rng.uniform(-1, 1, (n, dim))
+        assert_spectrum_is_eigvalsh(matrices)
+        # anti-Hermitian off-diagonal entries vanish from the Hermitized stack
+        upper = np.triu_indices(dim, 1)
+        skew = rng.uniform(-1, 1, (n, len(upper[0]))) + 1j * rng.uniform(-1, 1, (n, len(upper[0])))
+        matrices[:, upper[0], upper[1]] = skew
+        matrices[:, upper[1], upper[0]] = -skew.conj()
+        assert_spectrum_is_eigvalsh(matrices)
+        assert_spectrum_is_eigvalsh(matrices[0])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150, 1e300])
+    def test_stacks_that_lapack_rescales(self, scale):
+        # eigvalsh returns other bits than the sorted diagonal here
+        rng = np.random.default_rng(1717)
+        values = scale * rng.uniform(0.1, 1.0, (500, 3))
+        matrices = np.zeros((500, 3, 3), complex)
+        matrices[:, range(3), range(3)] = values
+        assert not np.array_equal(np.linalg.eigvalsh(matrices), np.sort(values, axis=-1))
+        assert_spectrum_is_eigvalsh(matrices)
+
+    @pytest.mark.parametrize("dim", [20, 21, 25])
+    def test_signed_zero_ties_beside_the_sort_limit(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            assert_spectrum_is_eigvalsh(np.diag(rng.choice([-0.0, 0.0, 0.5], dim)).astype(complex))
+
+    def test_superposition_start_reaches_eigvalsh(self, fig2_model, monkeypatch):
+        grid = TimeGrid(0.0, 4.0, 400)
+        traj = propagate_sector(fig2_model.sector, [0.8, 0.0], grid)
+        series = atom_density_from_amplitudes(traj, vacuum_amplitude=0.6)
+        expected = np.linalg.eigvalsh(series.matrices)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        assert np.array_equal(series.eigenvalues.view(np.int64), expected.view(np.int64))
+        assert len(calls) == 1

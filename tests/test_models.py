@@ -68,6 +68,17 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match="real"):
             TimeGrid(0.0, t_end, 10)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 1e-320, 4000), (1e10, 1e10 + 1e-3, 100000)])
+    def test_rejects_steps_too_small_for_the_floats(self, bounds):
+        # dt = 5e-324 overshoots t_end before the last point; near 1e10 most steps repeat a time
+        with pytest.raises(ValueError, match="do not increase strictly"):
+            TimeGrid(*bounds)
+
+    def test_accepts_small_steps_that_advance(self):
+        # near 1e10 the floats are 1.9e-6 apart, and this step is 2.5e-6
+        assert np.all(np.diff(TimeGrid(1e10, 1e10 + 1e-2, 4000).times) > 0)
+        assert np.all(np.diff(TimeGrid(0.0, 1e-300, 4000).times) > 0)
+
 
 class TestLorentzianDensity:
     def test_peak_value(self):
