@@ -25,8 +25,8 @@ out of that range), and every integer of 17 or more digits, is formatted
 by Python itself: the fast path never guesses. Zeros take the fast path.
 Each cell is then laid out in a fixed 48-byte row (separator, sign, a
 "0.000" prefix, digits, point, digits, exponent) from which a mask table
-keeps the bytes that ``%g`` would print, and one ``np.compress`` per block
-joins the kept bytes.
+keeps the bytes that ``%g`` would print, and one 1-D boolean subscript per
+block joins the kept bytes without building an index of them.
 
 A float column with no nonzero cell (in the pseudomode sector, every
 vacuum/one-excitation coherence and the imaginary part of every

@@ -186,21 +186,22 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
     emitter states of runs that start in |e> are such stacks. On them
     LAPACK's ``?heevd`` applies zero reflectors (``?hetd2``), splits the
     tridiagonal matrix into 1x1 blocks (``dsterf``) and sorts them by
-    insertion (``dlasrt``), so it returns the same bits, unless it rescales:
-    a matrix with its largest entry outside ``_UNSCALED`` (no density
-    matrix is), a non-finite entry or a dimension above ``_MAX_SORTED_DIM``
-    still goes to ``eigvalsh``.
+    insertion (``dlasrt``), so it returns the same bits unless it rescales.
+    So a stack with a matrix whose largest entry lies outside ``_UNSCALED``
+    (a density matrix has trace one, so its largest entry is at least 1/d)
+    or is not finite, or with a dimension above ``_MAX_SORTED_DIM``, still
+    goes to ``eigvalsh``.
     """
     hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
     diagonal = np.diagonal(hermitized, axis1=-2, axis2=-1)
-    if hermitized.shape[-1] <= _MAX_SORTED_DIM and np.count_nonzero(
-        hermitized
-    ) == np.count_nonzero(diagonal):
-        values = diagonal.real
-        largest = np.abs(values).max(axis=-1, initial=0.0)
+    diagonal_only = np.count_nonzero(hermitized) == np.count_nonzero(diagonal)
+    if diagonal_only and hermitized.shape[-1] <= _MAX_SORTED_DIM:
+        values = np.sort(diagonal.real, axis=-1, kind="stable")
+        # the largest magnitude is at one end of a sorted row, a NaN at the last
+        largest = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
         low, high = _UNSCALED
         if np.all((largest == 0.0) | ((largest >= low) & (largest <= high))):
-            return np.sort(values, axis=-1, kind="stable")
+            return values
     return np.linalg.eigvalsh(hermitized)
 
 

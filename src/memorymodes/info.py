@@ -1,8 +1,11 @@
 """Entropy and correlation diagnostics along density-matrix series.
 
-One kernel computes spectral entropies from one batched ``eigvalsh`` of a
-matrix or a stack, so ``info_series`` and ``von_neumann_entropy`` give the
-same bits; a series' spectrum is computed once and shared with its checks.
+One kernel computes spectral entropies from the spectrum of a matrix or a
+stack, so ``info_series`` and ``von_neumann_entropy`` give the same bits; a
+series' spectrum is computed once and shared with its checks. An exactly
+diagonal stack (the emitter marginal of a run from |e>) is sorted instead of
+diagonalized, with the bits of ``eigvalsh``; any other takes one batched
+``eigvalsh``.
 """
 
 from __future__ import annotations

@@ -27,7 +27,11 @@ def _check_real(values, name: str) -> None:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid of ``n_steps`` points spanning [t_start, t_end]."""
+    """Uniform grid of ``n_steps`` points spanning [t_start, t_end].
+
+    Its times must increase strictly, so the step must be large enough for
+    the floats of the span; ``ValueError`` otherwise.
+    """
 
     t_start: float
     t_end: float
@@ -44,8 +48,7 @@ class TimeGrid:
         if not isinstance(self.n_steps, (int, np.integer)) or self.n_steps < 2:
             raise ValueError(f"n_steps must be an integer of at least 2, got {self.n_steps!r}")
         # a step below the spacing of the floats near t_start repeats times,
-        # and a subnormal one overshoots t_end; the first step, t_start + dt,
-        # is checked with the rest
+        # and a subnormal one overshoots t_end before the last point
         if not np.all(np.diff(self.times) > 0):
             raise ValueError(
                 f"the step dt = {self.dt!r} is too small for the floats of "

@@ -433,11 +433,19 @@ class TestLabFrame:
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def assert_spectrum_is_eigvalsh(matrices):
-    """``_spectrum`` equals ``eigvalsh`` of the Hermitized stack bit for bit, signed zeros too."""
+def assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut: bool):
+    """``_spectrum`` equals ``eigvalsh`` of the Hermitized stack bit for bit, signed zeros too.
+
+    ``shortcut`` says whether it must get there without calling ``eigvalsh``.
+    """
     hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
     expected = np.linalg.eigvalsh(hermitized)
-    got = _spectrum(matrices)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        got = _spectrum(matrices)
+    assert len(calls) == (0 if shortcut else 1)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -447,29 +455,27 @@ class TestSpectrumOracle:
 
     @pytest.mark.parametrize("n_steps", [2000, 16000])
     @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
-    def test_preset_series(self, preset, n_steps):
+    def test_preset_series(self, preset, n_steps, monkeypatch):
         parsed = validate_config(REPO_CONFIGS / f"{preset}.cfg")
         grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
         sector = parsed.model.sector
         traj = propagate_sector(sector, None, grid)
         extended = evolve_lindblad_sector(sector, DensityMatrix.excited(sector.n_modes + 2), grid)
-        series = {
-            "amplitude": atom_density_from_amplitudes(traj).matrices,
-            "timelocal": evolve_atom_timelocal(
-                rates_from_amplitudes(traj), DensityMatrix.excited(2)
-            ).matrices,
-            "traced": partial_trace_pseudomodes(extended).matrices,
-            "modes": partial_trace_atom(extended),
-            "extended": extended.matrices,
-        }
-        for matrices in series.values():
-            assert_spectrum_is_eigvalsh(matrices)
-        # the emitter series of a run from |e> take the shortcut
-        for name in ("amplitude", "timelocal", "traced"):
-            assert np.count_nonzero(series[name][:, 0, 1]) == 0
+        timelocal = evolve_atom_timelocal(rates_from_amplitudes(traj), DensityMatrix.excited(2))
+        # every emitter series of a run from |e> is diagonal, and one mode's marginal
+        diagonal = [
+            atom_density_from_amplitudes(traj).matrices,
+            timelocal.matrices,
+            partial_trace_pseudomodes(extended).matrices,
+        ]
+        mode_marginal = partial_trace_atom(extended)
+        for matrices in diagonal:
+            assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=True)
+        assert_spectrum_is_eigvalsh(mode_marginal, monkeypatch, shortcut=sector.n_modes == 1)
+        assert_spectrum_is_eigvalsh(extended.matrices, monkeypatch, shortcut=False)
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
-    def test_random_diagonal_stacks(self, dim):
+    def test_random_diagonal_stacks(self, dim, monkeypatch):
         rng = np.random.default_rng(1700 + dim)
         n = 4000
         values = rng.choice([-1.0, 1.0], (n, dim)) * 10.0 ** rng.uniform(-300, 0, (n, dim))
@@ -477,41 +483,44 @@ class TestSpectrumOracle:
         # ties with the first entry, and zeros of both signs
         values = np.where(kind == 1, values[:, :1], values)
         values = np.where(kind == 2, rng.choice([-0.0, 0.0], (n, dim)), values)
+        # a largest entry that LAPACK does not rescale, or none at all
+        values[:, -1] = rng.uniform(1e-3, 1.0, n)
+        values[:3] = [-0.0] * dim, [0.0] * dim, [0.5] * dim
         matrices = np.zeros((n, dim, dim), complex)
         index = np.arange(dim)
         matrices[:, index, index] = values + 1j * rng.uniform(-1, 1, (n, dim))
-        assert_spectrum_is_eigvalsh(matrices)
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=True)
         # anti-Hermitian off-diagonal entries vanish from the Hermitized stack
         upper = np.triu_indices(dim, 1)
         skew = rng.uniform(-1, 1, (n, len(upper[0]))) + 1j * rng.uniform(-1, 1, (n, len(upper[0])))
         matrices[:, upper[0], upper[1]] = skew
         matrices[:, upper[1], upper[0]] = -skew.conj()
-        assert_spectrum_is_eigvalsh(matrices)
-        assert_spectrum_is_eigvalsh(matrices[0])
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=True)
+        assert_spectrum_is_eigvalsh(matrices[3], monkeypatch, shortcut=True)
+        # one nonzero off-diagonal pair sends the whole stack to eigvalsh
+        matrices[-1, 0, -1] = matrices[-1, -1, 0] = 1e-300
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=False)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150, 1e300])
-    def test_stacks_that_lapack_rescales(self, scale):
-        # eigvalsh returns other bits than the sorted diagonal here
+    def test_stacks_that_lapack_rescales(self, scale, monkeypatch):
+        # here eigvalsh returns other bits than the sorted diagonal
         rng = np.random.default_rng(1717)
         values = scale * rng.uniform(0.1, 1.0, (500, 3))
         matrices = np.zeros((500, 3, 3), complex)
         matrices[:, range(3), range(3)] = values
         assert not np.array_equal(np.linalg.eigvalsh(matrices), np.sort(values, axis=-1))
-        assert_spectrum_is_eigvalsh(matrices)
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=False)
 
     @pytest.mark.parametrize("dim", [20, 21, 25])
-    def test_signed_zero_ties_beside_the_sort_limit(self, dim):
+    def test_signed_zero_ties_beside_the_sort_limit(self, dim, monkeypatch):
+        # above 20 values dlasrt sorts by quicksort, which can swap -0.0 and 0.0
         rng = np.random.default_rng(dim)
-        for _ in range(20):
-            assert_spectrum_is_eigvalsh(np.diag(rng.choice([-0.0, 0.0, 0.5], dim)).astype(complex))
+        matrices = np.zeros((20, dim, dim), complex)
+        matrices[:, range(dim), range(dim)] = rng.choice([-0.0, 0.0, 0.5], (20, dim))
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=dim <= 20)
 
     def test_superposition_start_reaches_eigvalsh(self, fig2_model, monkeypatch):
         grid = TimeGrid(0.0, 4.0, 400)
         traj = propagate_sector(fig2_model.sector, [0.8, 0.0], grid)
         series = atom_density_from_amplitudes(traj, vacuum_amplitude=0.6)
-        expected = np.linalg.eigvalsh(series.matrices)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-        assert np.array_equal(series.eigenvalues.view(np.int64), expected.view(np.int64))
-        assert len(calls) == 1
+        assert_spectrum_is_eigvalsh(series.matrices, monkeypatch, shortcut=False)
