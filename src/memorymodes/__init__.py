@@ -41,7 +41,6 @@ from .errors import (
     MemoryModesError,
     NonPhysical,
     ParseError,
-    RateGapTooWide,
     SectorLeak,
     StepTooLarge,
     ToleranceNotMet,
@@ -88,7 +87,6 @@ __all__ = [
     "NonPhysical",
     "ParseError",
     "PseudomodeSector",
-    "RateGapTooWide",
     "RateTrajectory",
     "Reservoir",
     "SectorLeak",

@@ -164,8 +164,6 @@ def _experiment_evolve(config, artifact, extras) -> None:
     times = config.grid.times
     from_amplitudes = atom_density_from_amplitudes(traj)
     timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
-    bridged = np.count_nonzero(~(rates.valid[:-1] & rates.valid[1:]))  # plain-trapezoid steps
-    extras["timelocal.bridged_intervals"] = str(bridged)
     extended = _evolve_extended(config)
     traced = partial_trace_pseudomodes(extended)
     write_density_csv(artifact("density_amplitude.csv"), from_amplitudes, times)
@@ -336,7 +334,7 @@ def main(argv=None) -> int:
     except MemoryModesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"wrote {out_dir / 'manifest.txt'}")

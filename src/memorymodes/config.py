@@ -111,6 +111,8 @@ def validate_config_text(
             grid = TimeGrid(t_start=t_start, t_end=values["t_end"], n_steps=values["n_steps"])
         except ValueError as exc:  # a step too small to advance the times
             problems.append(str(exc))
+        except MemoryError as exc:
+            problems.append(f"n_steps = {values['n_steps']} is too large to allocate: {exc}")
 
     if problems:
         raise ParseError([f"{source}: {p}" for p in problems])

@@ -23,10 +23,6 @@ class SectorLeak(MemoryModesError):
     """Initial state has support outside the representable excitation sector."""
 
 
-class RateGapTooWide(MemoryModesError):
-    """Invalid rate points cannot be bridged by interpolation."""
-
-
 class AllPointsInvalid(MemoryModesError):
     """The excited amplitude vanishes on the whole grid; no rates defined."""
 
@@ -36,7 +32,11 @@ class StepTooLarge(MemoryModesError):
 
 
 class InvalidRates(MemoryModesError):
-    """The unraveling needs rate values at points flagged invalid."""
+    """The rate series cannot be integrated: a point is invalid or a step is unresolved.
+
+    Both happen near a zero of the excited amplitude, where no time-local
+    generator exists; the time-local route and the jump unraveling refuse.
+    """
 
 
 class GridMismatch(MemoryModesError):

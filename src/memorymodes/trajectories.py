@@ -30,7 +30,7 @@ from numpy.random import Generator, Philox
 
 from .amplitudes import AmplitudeTrajectory, _coerce_vector
 from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
-from .errors import GridMismatch, InvalidRates, NonPhysical, StepTooLarge
+from .errors import GridMismatch, NonPhysical, StepTooLarge
 from .models import TimeGrid
 from .rates import RateTrajectory
 
@@ -157,17 +157,13 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     (n0/n1)*|rate|*dt*|C_e|^2 (zero when n1 = 0, as no source members exist).
     Each maximal run of rate >= 0 steps is one pure-death stretch, sampled in
     one multinomial draw; reverse-jump steps are drawn one at a time. The
-    ensemble lives on ``rates.grid``.
+    ensemble lives on ``rates.grid``. The no-jump state integrates the rate
+    series as the time-local route does, so the same ``InvalidRates`` refuses
+    an invalid rate point or an unresolved step (see ``density._rate_integral``).
     """
     grid = rates.grid
     if not 1 <= n_members < 2**63:  # the counts are int64
         raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
-    if not rates.valid.all():
-        first = int(np.flatnonzero(~rates.valid)[0])
-        raise InvalidRates(
-            f"rate series is invalid at t={grid.times[first]:.6g}; "
-            "the unraveling needs finite coefficients on the whole grid"
-        )
     psi_init = _coerce_vector(initial, 2, "a 2-component pure state")
     norm = np.linalg.norm(psi_init)
     if abs(norm - 1.0) > 1e-9:

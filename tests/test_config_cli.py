@@ -271,7 +271,7 @@ class TestRun:
         # nmqj, mcwf and the exact reference all read the one amplitude solution
         assert len(calls) == 1
 
-    def test_evolve_bridges_and_counts_invalid_rate_points(self, tmp_path, monkeypatch):
+    def test_evolve_refuses_damaged_rates(self, tmp_path, monkeypatch, capsys):
         import memorymodes.cli as cli_module
 
         extract = cli_module.rates_from_amplitudes
@@ -283,13 +283,12 @@ class TestRun:
             rates.valid[2000:2002] = False
             return rates
 
-        intact = run(fig2_config("evolve", tmp_path / "intact")).entries
-        assert intact["timelocal.bridged_intervals"] == "0"
         monkeypatch.setattr(cli_module, "rates_from_amplitudes", damaged)
-        entries = run(fig2_config("evolve", tmp_path / "out")).entries
-        # two invalid points touch three intervals, each integrated by the plain trapezoid
-        assert entries["timelocal.bridged_intervals"] == "3"
-        assert float(entries["max_diff_amplitude_timelocal"]) < 1e-8
+        out = tmp_path / "out"
+        preset = REPO_ROOT / "configs" / "fig2.cfg"
+        assert main(["evolve", "--config", str(preset), "--out", str(out)]) == 4
+        assert "rate series is invalid at t=" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
 
     def test_stochastic_runs_need_members(self, tmp_path):
         with pytest.raises(ValueError, match="n_members"):
@@ -347,6 +346,26 @@ class TestMain:
         assert "is too small for the floats of" in err
         assert "unknown key 'speed'" in err
         assert not (tmp_path / "out").exists()
+
+    def test_grid_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys):
+        # 10**18 points ask for 6.9 EiB, which fails at once and allocates nothing
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(FIG2_CONFIG_TEXT.replace("n_steps = 4000", "n_steps = 1000000000000000000"))
+        code = main(["rates", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "n_steps = 1000000000000000000 is too large to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_during_a_run_is_an_error_exit(self, tmp_path, monkeypatch, capsys):
+        import memorymodes.cli as cli_module
+
+        def exhausted(config, artifact, extras):
+            raise MemoryError("Unable to allocate the grid")
+
+        monkeypatch.setitem(cli_module._RUNNERS, "fig2", exhausted)
+        assert main(["fig2", "--out", str(tmp_path / "out")]) == 1
+        assert "error: Unable to allocate the grid" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("experiment", ["rates", "evolve"])
     @pytest.mark.parametrize("omega_c", ["-1e308", "1e308"])

@@ -8,7 +8,7 @@ import pytest
 from memorymodes import (
     DensityMatrix,
     DensitySeries,
-    RateGapTooWide,
+    InvalidRates,
     RateTrajectory,
     Reservoir,
     SectorLeak,
@@ -21,6 +21,7 @@ from memorymodes import (
     partial_trace_pseudomodes,
     propagate_sector,
     rates_from_amplitudes,
+    run_nmqj,
     validate_config,
 )
 from memorymodes.density import _spectrum, sector_hamiltonian
@@ -132,50 +133,35 @@ class TestTimeLocal:
             # one rounding op away from 1, no integration drift
             assert abs(complex(np.trace(rho.matrix)) - 1.0) < 1e-15
 
-    def test_bridges_short_gaps(self, fig2_rates):
-        hole = slice(2000, 2002)
-        damaged = RateTrajectory(
-            fig2_rates.grid,
-            fig2_rates.s.copy(),
-            fig2_rates.gamma.copy(),
-            fig2_rates.valid.copy(),
-            fig2_rates.omega0,
-            fig2_rates.dgamma.copy(),
-            fig2_rates.ds.copy(),
+    @pytest.mark.parametrize(
+        "invalid",
+        [slice(100, 101), slice(2000, 2002), slice(1000, 1003), slice(0, 1)],
+        ids=["one_interior", "two_interior", "three_interior", "boundary"],
+    )
+    def test_invalid_points_refused_by_both_routes(self, fig2_rates, invalid):
+        damaged = dataclasses.replace(
+            fig2_rates,
+            **{
+                name: getattr(fig2_rates, name).copy()
+                for name in ("s", "gamma", "valid", "dgamma", "ds")
+            },
         )
         for series in (damaged.s, damaged.gamma, damaged.dgamma, damaged.ds):
-            series[hole] = np.nan
-        damaged.valid[hole] = False
-        out = evolve_atom_timelocal(damaged, DensityMatrix.excited(2))
-        reference = evolve_atom_timelocal(fig2_rates, DensityMatrix.excited(2))
-        assert max_entry_diff(out, reference) < 1e-8
-
-    def test_wide_gap_rejected(self, fig2_rates):
-        damaged = RateTrajectory(
-            fig2_rates.grid,
-            fig2_rates.s.copy(),
-            fig2_rates.gamma.copy(),
-            fig2_rates.valid.copy(),
-            fig2_rates.omega0,
-            fig2_rates.dgamma,
-            fig2_rates.ds,
-        )
-        damaged.valid[1000:1003] = False
-        with pytest.raises(RateGapTooWide):
+            series[invalid] = np.nan
+        damaged.valid[invalid] = False
+        first = f"t={damaged.grid.times[invalid.start]:.6g}"
+        with pytest.raises(InvalidRates, match=first):
             evolve_atom_timelocal(damaged, DensityMatrix.excited(2))
+        with pytest.raises(InvalidRates, match=first):
+            run_nmqj(damaged, np.array([0.0, 1.0 + 0.0j]), 10, 1)
 
-    def test_boundary_gap_rejected(self, fig2_rates):
-        damaged = RateTrajectory(
-            fig2_rates.grid,
-            fig2_rates.s.copy(),
-            fig2_rates.gamma.copy(),
-            fig2_rates.valid.copy(),
-            fig2_rates.omega0,
-            fig2_rates.dgamma,
-            fig2_rates.ds,
-        )
-        damaged.valid[0] = False
-        with pytest.raises(RateGapTooWide):
+    def test_unresolved_step_refused(self, fig2_rates):
+        # a NaN slope at a valid point leaves the step's end correction unknown
+        dgamma = fig2_rates.dgamma.copy()
+        dgamma[1500] = np.nan
+        damaged = dataclasses.replace(fig2_rates, dgamma=dgamma)
+        before = f"t={damaged.grid.times[1499]:.6g}"
+        with pytest.raises(InvalidRates, match=f"step from {before} to"):
             evolve_atom_timelocal(damaged, DensityMatrix.excited(2))
 
 

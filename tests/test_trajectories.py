@@ -9,7 +9,6 @@ from memorymodes import (
     DensityMatrix,
     Ensemble,
     GridMismatch,
-    InvalidRates,
     NonPhysical,
     RateTrajectory,
     Reservoir,
@@ -138,20 +137,6 @@ class TestNmqj:
         grid = TimeGrid(0.0, 1.0, 20)
         with pytest.raises(StepTooLarge):
             run_nmqj(constant_rates(grid, 10.0), EXCITED_ATOM, 10, 1)
-
-    def test_invalid_rates_rejected(self, fig2_rates):
-        damaged = RateTrajectory(
-            fig2_rates.grid,
-            fig2_rates.s.copy(),
-            fig2_rates.gamma.copy(),
-            fig2_rates.valid.copy(),
-            fig2_rates.omega0,
-            fig2_rates.dgamma,
-            fig2_rates.ds,
-        )
-        damaged.valid[100] = False
-        with pytest.raises(InvalidRates):
-            run_nmqj(damaged, EXCITED_ATOM, 10, 1)
 
     def test_superposition_start_reproduces_coherence(self, fig2_model):
         # the shift acts as a pure phase on C_e, so the reconstructed
