@@ -4,7 +4,8 @@ Every experiment composes library operations, writes its CSV artifacts into
 the output directory, and finishes with a flat key-value manifest naming all
 of them. A run first removes an earlier run's listed artifacts and manifest.
 On failure the already-written files are renamed with a ``.partial`` suffix
-and no manifest appears, so manifest presence marks a completed run.
+and no manifest appears, so manifest presence marks a completed run; a later
+run removes the ``.partial`` file of each artifact it writes.
 """
 
 from __future__ import annotations
@@ -235,6 +236,11 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
+def _plain(name: str) -> bool:
+    """Whether ``name`` is a file name in the output directory itself."""
+    return name not in ("", "..") and Path(name).name == name
+
+
 def _remove_earlier_run(out: Path) -> None:
     """Delete the plain file names an earlier manifest lists in ``out``, then the manifest."""
     manifest = out / "manifest.txt"
@@ -243,7 +249,7 @@ def _remove_earlier_run(out: Path) -> None:
     for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
         if line.startswith("artifacts = "):
             for name in line.removeprefix("artifacts = ").split(","):
-                if name not in ("", "..") and Path(name).name == name:
+                if _plain(name):
                     (out / name).unlink(missing_ok=True)
     manifest.unlink()
 
@@ -261,6 +267,9 @@ def run(config: RunConfig) -> RunManifest:
 
     def artifact(name: str) -> Path:
         path = out / name
+        # a failed earlier run left this artifact as <name>.partial
+        if _plain(name):
+            path.with_name(name + ".partial").unlink(missing_ok=True)
         written.append(path)
         return path
 

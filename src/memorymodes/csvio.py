@@ -20,27 +20,33 @@ cell takes this path, only when:
   certain (Python rounds exact ties to even);
 - 1e-280 <= |x| < 1e300, so no step overflows or loses bits.
 
-Every other float cell (near-ties, NaN, infinities, subnormals and values
-out of that range), and every integer of 17 or more digits, is formatted
-by Python itself: the fast path never guesses. Zeros take the fast path.
-Each cell is then laid out in a fixed 48-byte row (separator, sign, a
-"0.000" prefix, digits, point, digits, exponent) from which a mask table
-keeps the bytes that ``%g`` would print, and one 1-D boolean subscript per
-block joins the kept bytes without building an index of them.
+An integer below 2**53 in magnitude is a double, and ``'%.17g'`` writes it
+as ``'%d'`` does, so integer cells take the same path. Every other float
+cell (near-ties, NaN, infinities, subnormals and values out of that range),
+and every integer of 2**53 or more, is formatted by Python itself: the fast
+path never guesses. Zeros take the fast path as D = 0 at X = 0. Each cell
+is then laid out in a fixed 48-byte row (a head of separator, sign and,
+below one, "0." and zeros, ending where the 17 digits start; a point;
+digits 1-16 again; the exponent) from which a mask table keeps the bytes
+that ``%g`` would print, and one 1-D boolean subscript per block joins the
+kept bytes without building an index of them.
 
-A float column with no nonzero cell (in the pseudomode sector, every
-vacuum/one-excitation coherence and the imaginary part of every
-population) skips the digits: each of its cells is a 3-byte row
-(separator, sign, "0") whose mask keeps the sign only where the sign bit
-is set, so it reads "0" or "-0". Such rows are laid out between the
-48-byte rows of the other columns. Each float column is tested once per
-file. A block holds as many rows as fit 4096 * 48 template bytes: 4096
-cells when no column is zero, more rows when some are.
+A float column with no nonzero cell, other than the first column (in the
+pseudomode sector, every vacuum/one-excitation coherence and the imaginary
+part of every population), skips the digits: each of its cells is ",0" or
+",-0", and where its signs vary ",-0" with the sign kept only where the
+sign bit is set. These bytes follow the 48 bytes of the formatted cell
+before them, in a row that every formatted cell of the file widens to hold
+the longest such run.
+
+What does not depend on the cells is built once per file (``_Layout``):
+the split of the columns and the byte rows and masks with every constant
+byte in place, so a block pays only for its cells. A block holds as many
+rows as fit 16384 * 48 bytes of cell rows: 16384 cells when no column is
+zero, fewer and wider rows when some are.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -63,27 +69,30 @@ __all__ = [
 #: decimal exponents X whose scale 10**(16 - X) the table holds: every |x| in
 #: [1e-280, 1e300) has its X inside, and no split of a scale overflows
 _X_MIN, _X_MAX = -282, 300
+_N_X = _X_MAX - _X_MIN + 1
 #: cells whose scaled fraction is this close to one half go to Python
 _TIE_MARGIN = 1e-6
 #: Dekker's splitting constant for doubles, 2**27 + 1
 _SPLITTER = 134217729.0
+#: integers this large or larger may not be doubles; Python writes them
+_EXACT_INT = 2.0**53
 
 # One cell is a row of _WIDTH bytes, of which a mask keeps the ones it shows:
-# the separator before it, the sign, a "0.000" prefix, the 17 digits, a point,
-# digits 1-16 again after the point, and "e" with the exponent's sign and
-# three digits. The digits and the exponent land on 4-byte boundaries.
+# the head (separator, sign, and below one "0." and zeros) ending where the
+# 17 digits start, a point, digits 1-16 again after the point, and the
+# exponent: one word of "e", its sign and two digits, or "e" before a word of
+# its sign and three digits. Head, digits and exponent are written as whole
+# words, and the kept bytes of a cell form one to three runs, which is what
+# the join's time grows with.
 _WIDTH = 48
-_SEPARATOR, _SIGN, _PREFIX, _DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 0, 1, 2, 7, 24, 25, 41, 44
-_TEMPLATE = np.frombuffer(b",-0.000" + bytes(17) + b"." + bytes(16) + b"e" + bytes(6), np.uint8)
-#: a cell of a zero column: separator, sign and "0", the sign kept where it is set
-_ZERO = np.frombuffer(b",-0", np.uint8)
-#: template bytes formatted per block, 4096 cells of _WIDTH: bounds the
-#: scratch arrays, and so peak memory
-_BLOCK_BYTES = 4096 * _WIDTH
-#: mask classes: 0-20 fixed notation at X = -4..16, of which the last is also
-#: the integer form, then scientific notation at X in (-100, -4), <= -100,
-#: [17, 100) and >= 100
-_CLASSES, _INTEGER = 25, 20
+_DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 7, 24, 25, 43, 44
+_TEMPLATE = np.frombuffer(bytes(24) + b"." + bytes(18) + b"e" + bytes(4), np.uint8)
+#: template bytes formatted per block, 16384 cells of _WIDTH: bounds the
+#: scratch arrays, and so peak memory (about 4 MiB on the widest file)
+_BLOCK_BYTES = 16384 * _WIDTH
+#: mask classes: 0-20 fixed notation at X = -4..16, then scientific notation
+#: at X in (-100, -4), <= -100, [17, 100) and >= 100
+_CLASSES, _FIXED = 25, 20
 
 
 def _split(a):
@@ -124,33 +133,21 @@ def _ascii_digits(values, width: int) -> np.ndarray:
 
 
 def _mask_table() -> np.ndarray:
-    """Kept bytes of a cell, one row per (negative, class, p).
-
-    p is the last nonzero digit, or in the integer form the first.
-    """
+    """Kept bytes of a cell, one row per (negative, class, p), p its last nonzero digit."""
     neg, cls, p = (a[..., None] for a in np.ix_(range(2), range(_CLASSES), range(17)))
     exponent = cls - 4
-    fixed = cls <= _INTEGER
-    integer = cls == _INTEGER
-    below_one = exponent < 0
+    fixed = cls <= _FIXED
+    below_one = fixed & (exponent < 0)
     # digits before the point: X + 1 in fixed notation, one in scientific notation
     split = np.where(fixed, exponent + 1, 1)
-    first = np.where(integer, p, 0)
-    last = np.where(integer, 16, p)
+    head = 1 + neg + np.where(below_one, 1 - exponent, 0)
     j = np.arange(_WIDTH)
-    keep = np.zeros((2, _CLASSES, 17, _WIDTH), bool)
-    keep |= (j == _SEPARATOR) | ((j == _SIGN) & (neg == 1))
-    keep |= (j >= _PREFIX) & (j < _PREFIX + 1 - exponent) & fixed & below_one
-    # below one all digits follow the prefix, up to the last nonzero one
-    end = np.where(fixed & below_one, last + 1, split)
-    keep |= (j >= _DIGITS + first) & (j < _DIGITS + end)
-    fraction = ~(fixed & below_one) & (last >= split)
-    keep |= (j == _POINT) & fraction
-    keep |= (j >= _FRACTION - 1 + split) & (j < _FRACTION + last) & fraction
-    scientific = ~fixed
+    # below one all digits follow the head, up to the last nonzero one
+    keep = (j >= _DIGITS - head) & (j < _DIGITS + np.where(below_one, p + 1, split))
+    fraction = ~below_one & (p >= split)
+    keep |= ((j == _POINT) | (j >= _FRACTION - 1 + split) & (j < _FRACTION + p)) & fraction
     hundreds = (cls == 22) | (cls == 24)
-    keep |= ((j == _E) | (j == _EXPONENT) | (j >= _EXPONENT + 2)) & scientific
-    keep |= (j == _EXPONENT + 1) & hundreds
+    keep |= (j >= np.where(hundreds, _E, _EXPONENT)) & ~fixed
     return keep.reshape(-1, _WIDTH)
 
 
@@ -161,13 +158,13 @@ def _digit_quads() -> np.ndarray:
     return quads.view(np.uint32)[:, 0]
 
 
-_SCALE = _scale_table()
-_QUADS = _digit_quads()
-_MASKS = _mask_table()
-
-
 def _exponent_tables():
-    """Mask class and exponent bytes (sign and three digits) over X in [_X_MIN, _X_MAX]."""
+    """Tables over X in [_X_MIN, _X_MAX], negative cells after the others.
+
+    The exponent word of each X; the first row of _MASKS of each sign and X;
+    and the head word of each sign and X, for cells after a comma and then
+    for a row's first cell, after a newline.
+    """
     exponent = np.arange(_X_MIN, _X_MAX + 1)
     cls = np.select(
         [exponent <= -100, exponent < -4, exponent <= 16, exponent < 100],
@@ -175,11 +172,26 @@ def _exponent_tables():
         24,
     )
     signs = np.where(exponent < 0, 45, 43).astype(np.uint8)[:, None]
-    chars = np.hstack([signs, _ascii_digits(np.abs(exponent), 3)])
-    return cls, chars.view(np.uint32)[:, 0]
+    digits = _ascii_digits(np.abs(exponent), 3)
+    two = np.hstack([np.full_like(signs, ord("e")), signs, digits[:, 1:]])
+    chars = np.where(np.abs(exponent)[:, None] < 100, two, np.hstack([signs, digits]))
+    first_row = np.concatenate([cls, _CLASSES + cls]) * 17
+    # heads by separator, sign and zeros after "0.", right-aligned in 8 bytes
+    heads = np.zeros((2, 2, 5, 8), np.uint8)
+    for first, separator in enumerate(",\n"):
+        for neg, sign in enumerate(("", "-")):
+            for zeros in range(5):
+                head = (separator + sign + ("0." + "0" * (zeros - 1) if zeros else "")).encode()
+                heads[first, neg, zeros, _DIGITS - len(head) : _DIGITS] = list(head)
+    zeros = np.where((exponent < 0) & (exponent >= -4), -exponent, 0)
+    head_words = heads.view(np.uint64)[..., 0][:, :, zeros].ravel()
+    return chars.copy().view(np.uint32)[:, 0], first_row, head_words
 
 
-_CLASS, _EXPONENT_CHARS = _exponent_tables()
+_SCALE = _scale_table()
+_QUADS = _digit_quads()
+_MASKS = _mask_table()
+_EXPONENT_CHARS, _FIRST_ROW, _HEADS = _exponent_tables()
 
 
 def _float_parts(x: np.ndarray):
@@ -188,14 +200,13 @@ def _float_parts(x: np.ndarray):
     For a finite nonzero x, D = round(|x| * 10**(16 - X)) with X the
     exponent of |x| rounded to 17 digits, so x reads D[0].D[1:]e X. The
     product is a double-double, exact to about 1e-14 in units of D. Zeros
-    are D = 0 at X = 16 (the integer form); other unproven cells are left
-    for Python to format.
+    are D = 0 at X = 0; other unproven cells are left for Python to format.
     """
     magnitude = np.abs(x)
     exact = (magnitude >= 1e-280) & (magnitude < 1e300)
     a = np.where(exact, magnitude, 1.0)
     exponent = np.floor(np.log10(a)).astype(np.int32)
-    hi, lo, hi_high, hi_low = np.take(_SCALE, exponent - _X_MIN, axis=1)
+    hi, lo, hi_high, hi_low = _SCALE.take(exponent - _X_MIN, axis=1, mode="clip")
     product = a * hi
     a_high, a_low = _split(a)
     error = ((a_high * hi_high - product) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
@@ -204,29 +215,26 @@ def _float_parts(x: np.ndarray):
     total = product + rest
     rest = rest - (total - product)
     whole = np.floor(rest)
-    fraction = rest - whole
-    digits = total.astype(np.int64) + whole.astype(np.int64) + (fraction > 0.5)
+    half = rest - whole - 0.5
+    # total is an integer from 2**53 on, so this is the product's floor there,
+    # and below 2**53 it is below 1e16
+    floor = total.astype(np.int64) + whole.astype(np.int64)
+    digits = floor + (half > 0.0)
     # the unrounded product must lie in [1e16, 1e17) for X to be the exponent
-    exact &= (total > 1e16) | ((total == 1e16) & (rest >= 0.0))
-    exact &= (digits < 10**17) & (np.abs(fraction - 0.5) >= _TIE_MARGIN)
+    exact &= (floor >= 10**16) & (digits < 10**17) & (np.abs(half) >= _TIE_MARGIN)
     zero = magnitude == 0.0
-    digits = np.where(zero, 0, digits)
-    exponent = np.where(zero, 16, exponent)
+    np.copyto(digits, 0, where=zero)
     return np.signbit(x), digits, exponent, exact | zero
 
 
-def _int_parts(values: np.ndarray):
-    """Sign, magnitude D in the integer form X = 16, and which cells fit 17 digits."""
-    fits = (values > -(10**17)) & (values < 10**17)
-    return values < 0, np.abs(np.where(fits, values, 0).astype(np.int64)), 16, fits
+def _cell_rows(rows, mask, negative, digits, exponent, first) -> None:
+    """Fill ``rows`` with the bytes of each cell and ``mask`` with those it shows.
 
-
-def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
-    """Fill ``rows`` with the bytes of each cell and return the mask of those it shows.
-
-    A cell is ``'%.17g'`` of D[0].D[1:]e X, or ``'%d'`` of D in the integer
-    form (X = 16, D < 10**16). ``rows`` holds _TEMPLATE and the separators.
+    The cells are ``'%.17g'`` of D[0].D[1:]e X, the parts given per (row,
+    column); ``first`` is the offset of _HEADS per column, whose heads start
+    with a newline for the row's first cell. ``rows`` holds _TEMPLATE.
     """
+    digits = digits.ravel()
     # numpy divides by a scalar with libdivide for //, not for divmod
     lead = digits // 10**16
     rest = digits - lead * 10**16
@@ -237,109 +245,116 @@ def _cell_rows(rows, negative, digits, exponent) -> np.ndarray:
     quads[:, 1] = high - quads[:, 0] * 10**4
     quads[:, 2] = low // 10**4
     quads[:, 3] = low - quads[:, 2] * 10**4
-    tail = np.take(_QUADS, quads)
+    tail = _QUADS.take(quads, mode="clip")
+    index = exponent - _X_MIN
+    signed = negative * _N_X + index
+    rows.view(np.uint64)[:, 0] = _HEADS.take(signed + first, mode="clip").ravel()
+    rows[:, _DIGITS] = lead + 48
     words = rows.view(np.uint32)
     words[:, _DIGITS // 4 + 1 : _POINT // 4] = tail
     tail = tail.view(np.uint8)
-    rows[:, _DIGITS] = lead + 48
     rows[:, _FRACTION : _FRACTION + 16] = tail
-    index = exponent - _X_MIN
-    words[:, _EXPONENT // 4] = np.take(_EXPONENT_CHARS, index)
-
+    words[:, _EXPONENT // 4] = _EXPONENT_CHARS.take(index, mode="clip").ravel()
     # digits 1-16 that are not "0", one byte each in two little-endian words
-    nonzero = tail != 48
-    halves = nonzero.view("<u8").astype(float)
+    halves = (tail != 48).view("<u8").astype(float)
     # the highest set bit of the 128-bit pair gives the last nonzero digit (0 if none)
     last = ((np.frexp(halves[:, 1] * 2.0**64 + halves[:, 0])[1] - 1) >> 3) + 1
-    cls = np.take(_CLASS, index)
-    # the integer form keeps digits from the first nonzero one, D = 0 only its last
-    p = np.where(cls == _INTEGER, np.where(digits == 0, 16, 0), last)
-    small = np.flatnonzero((lead == 0) & (digits != 0))
-    p[small] = 1 + nonzero[small].argmax(axis=1)
-    state = (negative * _CLASSES + cls) * 17 + p
-    return np.take(_MASKS, state, axis=0)
+    state = _FIRST_ROW.take(signed, mode="clip").ravel() + last
+    _MASKS.take(state, axis=0, out=mask, mode="clip")
 
 
-def _cells(block, integral):
-    """Byte rows and masks of the cells of ``block``, equal-length column slices.
+class _Layout:
+    """The constants and buffers of one file, built once and shared by its blocks.
 
-    One 48-byte row per cell, in row-major order, each cell's separator a
-    comma; the caller joins the kept bytes.
+    Every column but those skipped as zero is formatted: the first, every
+    integer column and every float column with a nonzero cell. ``cells``
+    holds one row of bytes per formatted cell, the 48 bytes of its template
+    and after them the 2- or 3-byte cells (",0" or ",-0") of the zero columns
+    up to the next formatted one; ``mask`` the bytes each row shows. The
+    zero cells and their masks are written once, but for the sign of a zero
+    column whose signs vary, which each block writes.
     """
-    n_rows, n_columns = len(block[0]), len(block)
-    cells = np.zeros((n_rows, n_columns))
-    for j, (column, is_int) in enumerate(zip(block, integral)):
-        if not is_int:
-            cells[:, j] = column
-    negative, digits, exponent, exact = _float_parts(cells)
-    for j, (column, is_int) in enumerate(zip(block, integral)):
-        if is_int:
-            negative[:, j], digits[:, j], exponent[:, j], exact[:, j] = _int_parts(column)
-    rows = np.tile(_TEMPLATE, (cells.size, 1))
-    mask = _cell_rows(rows, negative.ravel(), digits.ravel(), exponent.ravel())
+
+    def __init__(self, columns, n_rows: int):
+        self.columns, self.integral, zero_runs, self.signs = [], [], [], []
+        for j, column in enumerate(columns):
+            is_int = column.dtype.kind in "biu"
+            column = column if is_int else column.astype(float, copy=False)
+            # a float column with no nonzero cell is written from its sign bits
+            # alone; count_nonzero, unlike np.any, raises no warning on any NaN
+            if j == 0 or is_int or np.count_nonzero(column):
+                self.columns.append(column)
+                self.integral.append(is_int)
+                zero_runs.append([])
+            else:
+                signs = np.signbit(column)
+                varies = signs.any() and not signs.all()
+                zero_runs[-1].append((b",-0" if signs[0] or varies else b",0", varies, signs))
+        # integer columns that reach 2**53 have cells that are not doubles
+        self.wide = [
+            k
+            for k, (c, is_int) in enumerate(zip(self.columns, self.integral))
+            if is_int and c.size and max(-int(c.min()), int(c.max())) >= _EXACT_INT
+        ]
+        n_formatted = len(self.columns)
+        # 8-byte aligned rows, so a cell's head is one word
+        zone = max(sum(len(text) for text, _, _ in run) for run in zero_runs)
+        width = _WIDTH + -(-zone // 8) * 8
+        self.rows = max(1, min(n_rows, _BLOCK_BYTES // (n_formatted * width)))
+        self.values = np.empty((self.rows, n_formatted))
+        cells = np.zeros((self.rows, n_formatted, width), np.uint8)
+        mask = np.zeros(cells.shape, bool)
+        cells[:, :, :_WIDTH] = _TEMPLATE
+        for k, run in enumerate(zero_runs):
+            at = _WIDTH
+            for text, varies, signs in run:
+                cells[:, k, at : at + len(text)] = list(text)
+                mask[:, k, at : at + len(text)] = True
+                if varies:
+                    self.signs.append((k, at + 1, signs))
+                at += len(text)
+        self.cells = cells.reshape(-1, width)
+        self.mask = mask.reshape(-1, width)
+        self.first = np.zeros(n_formatted, np.int64)
+        self.first[0] = 2 * _N_X
+        self.separators = np.full(n_formatted, ord(","), np.uint8)
+        self.separators[0] = ord("\n")
+
+
+def _format_block(layout: _Layout, start: int, stop: int) -> np.ndarray:
+    """The CSV bytes of rows ``start`` to ``stop``, each starting with a newline."""
+    n_rows = stop - start
+    n_formatted = len(layout.columns)
+    values = layout.values[:n_rows]
+    for k, column in enumerate(layout.columns):
+        values[:, k] = column[start:stop]
+    negative, digits, exponent, exact = _float_parts(values)
+    for k in layout.wide:
+        exact[:, k] &= np.abs(values[:, k]) < _EXACT_INT
+    cells = layout.cells[: n_rows * n_formatted]
+    mask = layout.mask[: n_rows * n_formatted]
+    rows, shown = cells[:, :_WIDTH], mask[:, :_WIDTH]
+    _cell_rows(rows, shown, negative, digits, exponent, layout.first)
     unproven = np.flatnonzero(~exact)
     if unproven.size:
-        row_of, column_of = np.divmod(unproven, n_columns)
+        row_of, column_of = np.divmod(unproven, n_formatted)
         text = [
-            ("%d" if integral[j] else "%.17g") % block[j][i].item()
-            for i, j in zip(row_of.tolist(), column_of.tolist())
+            ("%d" if layout.integral[k] else "%.17g") % layout.columns[k][start + i].item()
+            for i, k in zip(row_of.tolist(), column_of.tolist())
         ]
         chars = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
+        rows[unproven, 0] = layout.separators[column_of]
         rows[unproven, 1:] = chars
-        mask[unproven, 1:] = chars != 0
-    return rows, mask
-
-
-def _row_bytes(block, integral, zero):
-    """Byte rows and masks of ``block``, one row of bytes per CSV row.
-
-    Cells of the columns flagged in ``zero`` hold no nonzero value: each is
-    the 3 bytes ",-0", the sign kept where it is set. The other cells are
-    the 48-byte rows of ``_cells``, copied in between; with no zero column
-    they are returned as they are.
-    """
-    n_rows = len(block[0])
-    formatted = [j for j, is_zero in enumerate(zero) if not is_zero]
-    if formatted:
-        rows, mask = _cells([block[j] for j in formatted], [integral[j] for j in formatted])
-        rows, mask = rows.reshape(n_rows, -1), mask.reshape(n_rows, -1)
-        if len(formatted) == len(block):
-            return rows, mask
-    width = sum(_ZERO.size if is_zero else _WIDTH for is_zero in zero)
-    data = np.empty((n_rows, width), np.uint8)
-    keep = np.empty(data.shape, bool)
-    start = taken = 0
-    for is_zero, run in itertools.groupby(zip(zero, block), lambda pair: pair[0]):
-        run = [column for _, column in run]
-        if is_zero:
-            stop = start + _ZERO.size * len(run)
-            data[:, start:stop] = np.tile(_ZERO, len(run))
-            keep[:, start:stop] = True
-            for k, column in enumerate(run):
-                keep[:, start + _ZERO.size * k + 1] = np.signbit(column)
-        else:
-            stop = start + _WIDTH * len(run)
-            data[:, start:stop] = rows[:, taken : taken + stop - start]
-            keep[:, start:stop] = mask[:, taken : taken + stop - start]
-            taken += stop - start
-        start = stop
-    return data, keep
-
-
-def _format_block(block, integral, zero) -> np.ndarray:
-    """The CSV bytes of the rows of ``block``, equal-length column slices.
-
-    The columns flagged in ``zero`` hold no nonzero value. Each row's first
-    cell starts with a newline and every other cell with a comma. The
-    block's first separator is dropped and its last newline is left to the
-    caller.
-    """
-    rows, mask = _row_bytes(block, integral, zero)
-    rows[:, _SEPARATOR] = 10
-    mask[0, _SEPARATOR] = False
+        shown[unproven, 0] = True
+        shown[unproven, 1:] = chars != 0
+    for k, position, signs in layout.signs:
+        mask[k::n_formatted, position] = signs[start:stop]
     # a 1-D boolean subscript copies the kept bytes in one pass; np.compress
     # would first build an int64 index of them, 8 bytes per byte written
-    return rows.ravel()[mask.ravel()]
+    joined = cells.ravel()[mask.ravel()]
+    if unproven.size:
+        rows[unproven] = _TEMPLATE
+    return joined
 
 
 def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
@@ -354,22 +369,16 @@ def _write_columns(path, header: str, columns, preamble: str | None = None) -> N
     if len(lengths) > 1:
         raise ValueError(f"cannot write {path}: columns differ in length {sorted(lengths)}")
     n_rows = max(lengths, default=0)
-    columns = [np.asarray(column) for column in columns]
-    integral = [column.dtype.kind in "biu" for column in columns]
-    columns = [c if i else c.astype(float, copy=False) for c, i in zip(columns, integral)]
-    # a float column with no nonzero cell is written from its sign bits alone;
-    # count_nonzero, unlike np.any, raises no warning on any NaN bit pattern
-    zero = [not i and np.count_nonzero(c) == 0 for c, i in zip(columns, integral)]
-    # one formatting call per block of about _BLOCK_BYTES template bytes
-    width = sum(_ZERO.size if is_zero else _WIDTH for is_zero in zero)
-    block = max(1, _BLOCK_BYTES // max(width, 1))
+    layout = _Layout([np.asarray(column) for column in columns], n_rows) if n_rows else None
     with open(path, "wb") as handle:
         if preamble:
             handle.write(f"{preamble}\n".encode())
-        handle.write(f"{header}\n".encode())
-        for start in range(0, n_rows, block):
-            handle.write(_format_block([c[start : start + block] for c in columns], integral, zero))
-            handle.write(b"\n")
+        # every row starts with its newline, so the file's last one comes after
+        handle.write(header.encode())
+        if layout:
+            for start in range(0, n_rows, layout.rows):
+                handle.write(_format_block(layout, start, min(start + layout.rows, n_rows)))
+        handle.write(b"\n")
 
 
 def _re_im(labels, values) -> tuple[str, list]:

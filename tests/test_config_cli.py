@@ -254,6 +254,25 @@ class TestRun:
             "manifest.txt", "rates.csv", "sub", "unlisted.csv"
         ]
 
+    def test_rerun_removes_the_failed_runs_partial_files(self, tmp_path, monkeypatch, capsys):
+        import memorymodes.cli as cli_module
+
+        def full_disk(path, report):
+            raise OSError("no space left on device")
+
+        preset = REPO_ROOT / "configs" / "fig2.cfg"
+        out = tmp_path / "out"
+        argv = ["compare", "--config", str(preset), "--out", str(out), "--n", "1000"]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli_module, "write_comparison_csv", full_disk)
+            assert main(argv) == 1
+        assert "no space left" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["mcwf.csv.partial", "nmqj.csv.partial"]
+        assert main(argv) == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "comparison.csv", "manifest.txt", "mcwf.csv", "nmqj.csv"
+        ]
+
     def test_compare_propagates_the_amplitudes_once(self, tmp_path, monkeypatch):
         import memorymodes.amplitudes as amplitudes
 

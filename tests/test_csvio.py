@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ import pytest
 from memorymodes import (
     AmplitudeTrajectory,
     ComparisonReport,
+    DensityMatrix,
     DensitySeries,
     Ensemble,
     InfoSeries,
@@ -28,12 +30,11 @@ from memorymodes import (
     PseudomodeSector,
     RateTrajectory,
     TimeGrid,
+    evolve_lindblad_double,
 )
 from memorymodes import csvio
+from memorymodes.config import validate_config_text
 from memorymodes.csvio import (
-    _BLOCK_BYTES,
-    _WIDTH,
-    _ZERO,
     _write_columns,
     write_amplitude_csv,
     write_comparison_csv,
@@ -45,6 +46,7 @@ from memorymodes.csvio import (
     write_rates_csv,
 )
 
+REPO_ROOT = Path(__file__).resolve().parent.parent
 GRID = TimeGrid(0.0, 1.0, 7)
 TIMES = GRID.times
 #: -0.0, NaN, the smallest subnormal, a 17-digit value, a subnormal, a huge value, -inf
@@ -325,9 +327,9 @@ def assert_python_text(path, header: str, columns) -> None:
         )
 
 
-def block_rows(n_zero: int, n_formatted: int) -> int:
-    """Rows per formatting block: the byte budget over one row's template bytes."""
-    return _BLOCK_BYTES // (n_zero * _ZERO.size + n_formatted * _WIDTH)
+def block_rows(columns) -> int:
+    """Rows per formatting block of a file of ``columns``, however long."""
+    return csvio._Layout(columns, 10**9).rows
 
 
 def mixed_columns(n: int, kind: str, position: int) -> list[np.ndarray]:
@@ -366,31 +368,82 @@ def test_neighbouring_zero_columns_equal_python_formatting(tmp_path):
 @pytest.mark.parametrize("layout", ["all-zero", "mixed"])
 def test_zero_columns_across_block_edges(layout, offset, tmp_path):
     if layout == "all-zero":
-        rows = 1 if offset is None else block_rows(4, 0) + offset
-        columns = [ZERO_KINDS[kind](rows) for kind in ("plus", "mixed", "minus", "mixed")]
+        make = lambda n: [ZERO_KINDS[kind](n) for kind in ("plus", "mixed", "minus", "mixed")]
     else:
-        rows = 1 if offset is None else block_rows(2, 5) + offset
-        columns = mixed_columns(rows, "mixed", 2) + [ZERO_KINDS["minus"](rows)]
+        make = lambda n: mixed_columns(n, "mixed", 2) + [ZERO_KINDS["minus"](n)]
+    columns = make(1 if offset is None else block_rows(make(50)) + offset)
     path = tmp_path / "zero.csv"
     _write_columns(path, "h", columns)
     assert_python_text(path, "h", columns)
 
 
 def test_block_join_allocates_its_output_and_no_index(monkeypatch):
-    # one full block of 17-digit cells, its byte rows and mask built beforehand
-    n_columns = 4
+    # one full block of 17-digit cells, its byte rows and masks filled by a first pass
     rng = np.random.default_rng(17)
-    block = list(rng.standard_normal((n_columns, _BLOCK_BYTES // (_WIDTH * n_columns))))
-    flags = [False] * n_columns
-    rows, mask = csvio._row_bytes(block, flags, flags)
-    monkeypatch.setattr(csvio, "_row_bytes", lambda *args: (rows, mask))
+    columns = list(rng.standard_normal((4, block_rows(list(np.ones((4, 1)))))))
+    layout = csvio._Layout(columns, len(columns[0]))
+    first = csvio._format_block(layout, 0, layout.rows)
+    parts = csvio._float_parts(layout.values)
+    monkeypatch.setattr(csvio, "_float_parts", lambda values: parts)
+    monkeypatch.setattr(csvio, "_cell_rows", lambda *args: None)
     tracemalloc.start()
     try:
-        joined = csvio._format_block(block, flags, flags)
+        joined = csvio._format_block(layout, 0, layout.rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert joined.nbytes == np.count_nonzero(mask)
-    # measured: the output plus 576 bytes of numpy's own; an int64 index of the
-    # kept bytes, as np.compress builds, would add 8 bytes per byte written
+    assert np.array_equal(joined, first)
+    assert joined.nbytes == np.count_nonzero(layout.mask)
+    # measured: the output plus 1417 bytes; an int64 index of the kept bytes,
+    # as np.compress builds, would add 8 bytes per byte written
     assert peak <= joined.nbytes + 4096
+
+
+def test_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
+    # exact ties at 17 digits, odd m * 2**-n with 18 significant digits, which Python formats
+    ties = [m * 2.0**-n for n in range(20, 30) for m in range(1, 200, 2) if len(str(m * 5**n)) == 18]
+    big_ints = np.array([0, -7, 2**53 - 1, 2**53, 2**53 + 1, 2**62, -(2**62)], dtype=np.int64)
+
+    def make(n):
+        return [
+            np.linspace(0.0, 1.0, n),
+            ZERO_KINDS["plus"](n),
+            big_ints[np.arange(n) % len(big_ints)],
+            ZERO_KINDS["minus"](n),
+            ZERO_KINDS["mixed"](n),
+            np.resize(SPECIAL, n),
+            np.resize([ties[0], 0.1, ties[1], -ties[2], 1.0 / 3.0], n),
+            ZERO_KINDS["mixed"](n),
+        ]
+
+    layout = csvio._Layout(make(50), 10**9)
+    row_bytes = layout.cells.shape[1] * len(layout.columns)
+    default = layout.rows
+    columns = make(default + 3)
+    written = []
+    for rows in (1, 7, default, default + 3):
+        monkeypatch.setattr(csvio, "_BLOCK_BYTES", rows * row_bytes)
+        assert block_rows(columns) == rows
+        path = tmp_path / f"{rows}.csv"
+        _write_columns(path, "h", columns)
+        written.append(path.read_bytes())
+    assert all(text == written[0] for text in written)
+    assert_python_text(path, "h", columns)
+
+
+def test_widest_file_scratch_is_bounded(tmp_path):
+    text = (REPO_ROOT / "configs" / "bandgap.cfg").read_text(encoding="utf-8")
+    parsed = validate_config_text(re.sub(r"(?m)^n_steps\s*=.*$", "n_steps = 16000", text))
+    extended = evolve_lindblad_double(parsed.model, DensityMatrix.excited(4), parsed.grid)
+    path = tmp_path / "density_extended.csv"
+    tracemalloc.start()
+    try:
+        write_density_csv(path, extended, parsed.grid.times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 21 columns, of which 10 are zero and ride in the rows of the 11 others,
+    # 72 bytes each; _BLOCK_BYTES = 16384 * 48 makes a block 992 rows. Measured
+    # (numpy 2.4): 3.44 MiB, mostly the block's cell rows and masks and the
+    # temporaries of its 10 912 formatted cells
+    assert peak <= 4 * 2**20
