@@ -42,8 +42,9 @@ the longest such run.
 What does not depend on the cells is built once per file (``_Layout``):
 the split of the columns and the byte rows and masks with every constant
 byte in place, so a block pays only for its cells. A block holds as many
-rows as fit 16384 * 48 bytes of cell rows: 16384 cells when no column is
-zero, fewer and wider rows when some are.
+rows as fit 4096 * 48 template bytes, counting 48 per formatted cell and
+2 or 3 per zero cell: 4096 cells when no column is zero, more rows when
+some are.
 """
 
 from __future__ import annotations
@@ -87,9 +88,12 @@ _EXACT_INT = 2.0**53
 _WIDTH = 48
 _DIGITS, _POINT, _FRACTION, _E, _EXPONENT = 7, 24, 25, 43, 44
 _TEMPLATE = np.frombuffer(bytes(24) + b"." + bytes(18) + b"e" + bytes(4), np.uint8)
-#: template bytes formatted per block, 16384 cells of _WIDTH: bounds the
-#: scratch arrays, and so peak memory (about 4 MiB on the widest file)
-_BLOCK_BYTES = 16384 * _WIDTH
+#: template bytes formatted per block, 4096 cells of _WIDTH: bounds the
+#: scratch arrays, and so peak memory (about 1 MiB on the widest file). Larger
+#: blocks ran faster only where the allocator kept the freed scratch; where it
+#: returned it to the system, 16384 cells raised the page faults of a
+#: perfbench `shipped` pass from about 400 to 21 000 and peak RSS by 3 MB
+_BLOCK_BYTES = 4096 * _WIDTH
 #: mask classes: 0-20 fixed notation at X = -4..16, then scientific notation
 #: at X in (-100, -4), <= -100, [17, 100) and >= 100
 _CLASSES, _FIXED = 25, 20
@@ -194,6 +198,18 @@ _MASKS = _mask_table()
 _EXPONENT_CHARS, _FIRST_ROW, _HEADS = _exponent_tables()
 
 
+def _scaled(a, exponent):
+    """a * 10**(16 - X) as a double-double: the rounded product and its remainder."""
+    hi, lo, hi_high, hi_low = _SCALE.take(exponent - _X_MIN, axis=1, mode="clip")
+    product = a * hi
+    a_high, a_low = _split(a)
+    error = ((a_high * hi_high - product) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    rest = error + a * lo
+    # renormalize, so the fraction of the sum is in the remainder alone
+    total = product + rest
+    return total, rest - (total - product)
+
+
 def _float_parts(x: np.ndarray):
     """Sign, 17-digit integer D and exponent X of doubles, and where they are proven.
 
@@ -203,17 +219,11 @@ def _float_parts(x: np.ndarray):
     are D = 0 at X = 0; other unproven cells are left for Python to format.
     """
     magnitude = np.abs(x)
+    zero = magnitude == 0.0
     exact = (magnitude >= 1e-280) & (magnitude < 1e300)
     a = np.where(exact, magnitude, 1.0)
     exponent = np.floor(np.log10(a)).astype(np.int32)
-    hi, lo, hi_high, hi_low = _SCALE.take(exponent - _X_MIN, axis=1, mode="clip")
-    product = a * hi
-    a_high, a_low = _split(a)
-    error = ((a_high * hi_high - product) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
-    rest = error + a * lo
-    # renormalize, so the fraction of the sum is in ``rest`` alone
-    total = product + rest
-    rest = rest - (total - product)
+    total, rest = _scaled(a, exponent)
     whole = np.floor(rest)
     half = rest - whole - 0.5
     # total is an integer from 2**53 on, so this is the product's floor there,
@@ -222,19 +232,13 @@ def _float_parts(x: np.ndarray):
     digits = floor + (half > 0.0)
     # the unrounded product must lie in [1e16, 1e17) for X to be the exponent
     exact &= (floor >= 10**16) & (digits < 10**17) & (np.abs(half) >= _TIE_MARGIN)
-    zero = magnitude == 0.0
     np.copyto(digits, 0, where=zero)
     return np.signbit(x), digits, exponent, exact | zero
 
 
-def _cell_rows(rows, mask, negative, digits, exponent, first) -> None:
-    """Fill ``rows`` with the bytes of each cell and ``mask`` with those it shows.
-
-    The cells are ``'%.17g'`` of D[0].D[1:]e X, the parts given per (row,
-    column); ``first`` is the offset of _HEADS per column, whose heads start
-    with a newline for the row's first cell. ``rows`` holds _TEMPLATE.
-    """
-    digits = digits.ravel()
+def _write_digits(rows, digits):
+    """Write the 17 digits of each D into ``rows``, and digits 1-16 again after
+    the point; return the place of the last nonzero one of those (0 if none)."""
     # numpy divides by a scalar with libdivide for //, not for divmod
     lead = digits // 10**16
     rest = digits - lead * 10**16
@@ -246,19 +250,29 @@ def _cell_rows(rows, mask, negative, digits, exponent, first) -> None:
     quads[:, 2] = low // 10**4
     quads[:, 3] = low - quads[:, 2] * 10**4
     tail = _QUADS.take(quads, mode="clip")
-    index = exponent - _X_MIN
-    signed = negative * _N_X + index
-    rows.view(np.uint64)[:, 0] = _HEADS.take(signed + first, mode="clip").ravel()
     rows[:, _DIGITS] = lead + 48
-    words = rows.view(np.uint32)
-    words[:, _DIGITS // 4 + 1 : _POINT // 4] = tail
+    rows.view(np.uint32)[:, _DIGITS // 4 + 1 : _POINT // 4] = tail
     tail = tail.view(np.uint8)
     rows[:, _FRACTION : _FRACTION + 16] = tail
-    words[:, _EXPONENT // 4] = _EXPONENT_CHARS.take(index, mode="clip").ravel()
     # digits 1-16 that are not "0", one byte each in two little-endian words
     halves = (tail != 48).view("<u8").astype(float)
-    # the highest set bit of the 128-bit pair gives the last nonzero digit (0 if none)
-    last = ((np.frexp(halves[:, 1] * 2.0**64 + halves[:, 0])[1] - 1) >> 3) + 1
+    # the highest set bit of the 128-bit pair gives the last nonzero digit
+    return ((np.frexp(halves[:, 1] * 2.0**64 + halves[:, 0])[1] - 1) >> 3) + 1
+
+
+def _cell_rows(rows, mask, negative, digits, exponent, first) -> None:
+    """Fill ``rows`` with the bytes of each cell and ``mask`` with those it shows.
+
+    The cells are ``'%.17g'`` of D[0].D[1:]e X, the parts given per (row,
+    column); ``first`` is the offset of _HEADS per column, whose heads start
+    with a newline for the row's first cell. ``rows`` holds _TEMPLATE.
+    """
+    index = exponent - _X_MIN
+    signed = negative * _N_X + index
+    # the head word's last byte is the leading digit's, written after it
+    rows.view(np.uint64)[:, 0] = _HEADS.take(signed + first, mode="clip").ravel()
+    last = _write_digits(rows, digits.ravel())
+    rows.view(np.uint32)[:, _EXPONENT // 4] = _EXPONENT_CHARS.take(index, mode="clip").ravel()
     state = _FIRST_ROW.take(signed, mode="clip").ravel() + last
     _MASKS.take(state, axis=0, out=mask, mode="clip")
 
@@ -297,10 +311,10 @@ class _Layout:
             if is_int and c.size and max(-int(c.min()), int(c.max())) >= _EXACT_INT
         ]
         n_formatted = len(self.columns)
+        zones = [sum(len(text) for text, _, _ in run) for run in zero_runs]
+        self.rows = max(1, min(n_rows, _BLOCK_BYTES // (n_formatted * _WIDTH + sum(zones))))
         # 8-byte aligned rows, so a cell's head is one word
-        zone = max(sum(len(text) for text, _, _ in run) for run in zero_runs)
-        width = _WIDTH + -(-zone // 8) * 8
-        self.rows = max(1, min(n_rows, _BLOCK_BYTES // (n_formatted * width)))
+        width = _WIDTH + -(-max(zones) // 8) * 8
         self.values = np.empty((self.rows, n_formatted))
         cells = np.zeros((self.rows, n_formatted, width), np.uint8)
         mask = np.zeros(cells.shape, bool)

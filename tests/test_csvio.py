@@ -7,7 +7,9 @@ files start with the ``# dim=..., basis=...`` line. The column writer's cells
 are also compared with Python's own ``'%.17g'`` and ``'%d'`` over about a
 million values chosen to reach every branch of the numpy formatter, and
 files with columns of signed zeros, which skip that formatter, in every
-position and on both sides of a block edge.
+position and on both sides of a block edge. A file's bytes must not depend
+on how many rows a block holds, and writing the widest file has a bound on
+its scratch memory.
 """
 
 from __future__ import annotations
@@ -416,9 +418,9 @@ def test_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
             ZERO_KINDS["mixed"](n),
         ]
 
-    layout = csvio._Layout(make(50), 10**9)
-    row_bytes = layout.cells.shape[1] * len(layout.columns)
-    default = layout.rows
+    # template bytes of a row: 48 per formatted cell, ",0" and three ",-0"
+    row_bytes = 4 * 48 + 2 + 3 * 3
+    default = block_rows(make(50))
     columns = make(default + 3)
     written = []
     for rows in (1, 7, default, default + 3):
@@ -442,8 +444,9 @@ def test_widest_file_scratch_is_bounded(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 21 columns, of which 10 are zero and ride in the rows of the 11 others,
-    # 72 bytes each; _BLOCK_BYTES = 16384 * 48 makes a block 992 rows. Measured
-    # (numpy 2.4): 3.44 MiB, mostly the block's cell rows and masks and the
-    # temporaries of its 10 912 formatted cells
-    assert peak <= 4 * 2**20
+    # 21 columns, of which 10 are zero and ride in the 64-byte rows of the 11
+    # others; _BLOCK_BYTES = 4096 * 48 makes a block 358 rows. Measured (numpy
+    # 2.4): 1146 KiB, of which 523 KiB are the block's cell rows and masks and
+    # most of the rest the temporaries of its 3938 formatted cells. Blocks of
+    # 16 384 cells would take 4.1 MiB
+    assert peak <= 1.5 * 2**20
