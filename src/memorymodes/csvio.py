@@ -189,7 +189,7 @@ def _exponent_tables():
                 heads[first, neg, zeros, _DIGITS - len(head) : _DIGITS] = list(head)
     zeros = np.where((exponent < 0) & (exponent >= -4), -exponent, 0)
     head_words = heads.view(np.uint64)[..., 0][:, :, zeros].ravel()
-    return chars.copy().view(np.uint32)[:, 0], first_row, head_words
+    return chars.view(np.uint32)[:, 0], first_row, head_words
 
 
 _SCALE = _scale_table()
@@ -286,7 +286,8 @@ class _Layout:
     and after them the 2- or 3-byte cells (",0" or ",-0") of the zero columns
     up to the next formatted one; ``mask`` the bytes each row shows. The
     zero cells and their masks are written once, but for the sign of a zero
-    column whose signs vary, which each block writes.
+    column whose signs vary, which each block writes. ``first`` and
+    ``separators`` give the first column the newline that starts each row.
     """
 
     def __init__(self, columns, n_rows: int):
@@ -308,7 +309,7 @@ class _Layout:
         self.wide = [
             k
             for k, (c, is_int) in enumerate(zip(self.columns, self.integral))
-            if is_int and c.size and max(-int(c.min()), int(c.max())) >= _EXACT_INT
+            if is_int and max(-int(c.min()), int(c.max())) >= _EXACT_INT
         ]
         n_formatted = len(self.columns)
         zones = [sum(len(text) for text, _, _ in run) for run in zero_runs]
@@ -389,7 +390,7 @@ def _write_columns(path, header: str, columns, preamble: str | None = None) -> N
             handle.write(f"{preamble}\n".encode())
         # every row starts with its newline, so the file's last one comes after
         handle.write(header.encode())
-        if layout:
+        if layout is not None:
             for start in range(0, n_rows, layout.rows):
                 handle.write(_format_block(layout, start, min(start + layout.rows, n_rows)))
         handle.write(b"\n")
