@@ -10,6 +10,10 @@ A single state is a ``DensityMatrix``; a state per grid point is one
 ``DensitySeries``, a read-only ``(n, d, d)`` stack validated once for the
 whole series. Partial traces, populations and invariant checks act on the
 last two axes, so one implementation serves a single state and a series.
+Whole-series operations (validation, spectra, invariant checks, the
+Lindblad fill, the carrier phase) run over chunks of ``_CHUNK_BYTES`` of
+matrices, so their scratch stays fixed while the series grows; the stacks
+the library builds become series without a copy.
 
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
@@ -62,17 +66,38 @@ def basis_labels(dim: int) -> tuple[str, ...]:
 MAX_END_CORRECTION = 1e-3
 
 
-def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
-    """Read-only complex copy with square trailing axes of a sector dimension (at least 2)."""
-    mat = np.array(matrices, dtype=complex, order="C")
+#: bytes of complex matrices per chunk of a whole-series operation
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunk_rows(dim: int) -> int:
+    """Complex ``(dim, dim)`` matrices in ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * dim * dim))
+
+
+def _chunks(n: int, dim: int) -> list[slice]:
+    """Consecutive slices of ``range(n)`` of ``_chunk_rows(dim)`` matrices, the last shorter."""
+    rows = _chunk_rows(dim)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _checked(mat: np.ndarray, ndim: int, expected: str) -> np.ndarray:
+    """``mat``, a C-ordered complex array, made read-only once its shape and entries pass."""
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
         raise ValueError(f"expected {expected}, got shape {mat.shape}")
-    if mat.shape[-1] < 2:
-        raise ValueError(f"unsupported dimension {mat.shape[-1]}; expected at least 2")
-    if not np.all(np.isfinite(mat.view(float))):
+    dim = mat.shape[-1]
+    if dim < 2:
+        raise ValueError(f"unsupported dimension {dim}; expected at least 2")
+    stack = mat.reshape(-1, dim, dim)
+    if not all(np.isfinite(stack[rows].view(float)).all() for rows in _chunks(len(stack), dim)):
         raise ValueError("matrix entries must be finite")
     mat.setflags(write=False)
     return mat
+
+
+def _validated(matrices, ndim: int, expected: str) -> np.ndarray:
+    """Read-only complex copy with square trailing axes of a sector dimension (at least 2)."""
+    return _checked(np.array(matrices, dtype=complex, order="C"), ndim, expected)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +147,9 @@ class DensityMatrix:
         return float(_ground_population(self.matrix))
 
 
+_STACK = "a non-empty (n, d, d) stack"
+
+
 @dataclass(frozen=True, eq=False)
 class DensitySeries:
     """One state per grid point, held as a read-only ``(n, d, d)`` stack.
@@ -135,8 +163,16 @@ class DensitySeries:
     matrices: np.ndarray
 
     def __post_init__(self) -> None:
-        stack = _validated(self.matrices, 3, "a non-empty (n, d, d) stack")
+        stack = _validated(self.matrices, 3, _STACK)
         object.__setattr__(self, "matrices", stack)
+
+    @classmethod
+    def _adopt(cls, stack: np.ndarray) -> "DensitySeries":
+        """Series on ``stack`` itself: a C-ordered complex stack the library has just
+        built and holds nowhere else, checked like any stack and made read-only."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "matrices", _checked(stack, 3, _STACK))
+        return series
 
     @property
     def dim(self) -> int:
@@ -183,37 +219,57 @@ _MAX_SORTED_DIM = 20
 def _spectrum(matrices: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes).
 
-    When every off-diagonal entry of the Hermitized stack is exactly zero,
+    The stack is taken chunk by chunk (``_chunks``), each chunk Hermitized in
+    place in one scratch: a^H + a, then halved, rounds like 0.5 (a + a^H).
+    When every off-diagonal entry of a Hermitized chunk is exactly zero,
     its real diagonal, stably sorted, is returned without ``eigvalsh``. The
     emitter states of runs that start in |e> are such stacks. On them
     LAPACK's ``?heevd`` applies zero reflectors (``?hetd2``), splits the
     tridiagonal matrix into 1x1 blocks (``dsterf``) and sorts them by
     insertion (``dlasrt``), so it returns the same bits unless it rescales.
-    So a stack with a matrix whose largest entry lies outside ``_UNSCALED``
+    So a chunk with a matrix whose largest entry lies outside ``_UNSCALED``
     (a density matrix has trace one, so its largest entry is at least 1/d)
     or is not finite, or with a dimension above ``_MAX_SORTED_DIM``, still
-    goes to ``eigvalsh``.
+    goes to ``eigvalsh``, which works matrix by matrix.
     """
-    hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
-    diagonal = np.diagonal(hermitized, axis1=-2, axis2=-1)
-    diagonal_only = np.count_nonzero(hermitized) == np.count_nonzero(diagonal)
-    if diagonal_only and hermitized.shape[-1] <= _MAX_SORTED_DIM:
-        values = np.sort(diagonal.real, axis=-1, kind="stable")
-        # the largest magnitude is at one end of a sorted row, a NaN at the last
-        largest = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
-        low, high = _UNSCALED
-        if np.all((largest == 0.0) | ((largest >= low) & (largest <= high))):
-            return values
-    return np.linalg.eigvalsh(hermitized)
+    dim = matrices.shape[-1]
+    stack = matrices.reshape(-1, dim, dim)
+    chunks = _chunks(len(stack), dim)
+    scratch = np.empty((chunks[0].stop, dim, dim), dtype=complex)
+    values = np.empty(stack.shape[:-1])
+    low, high = _UNSCALED
+    for rows in chunks:
+        hermitized = scratch[: rows.stop - rows.start]
+        np.conjugate(np.swapaxes(stack[rows], -1, -2), out=hermitized)
+        hermitized += stack[rows]
+        hermitized *= 0.5
+        out = values[rows]
+        diagonal = np.diagonal(hermitized, axis1=-2, axis2=-1)
+        if dim <= _MAX_SORTED_DIM and np.count_nonzero(hermitized) == np.count_nonzero(diagonal):
+            out[...] = diagonal.real
+            out.sort(axis=-1, kind="stable")
+            # the largest magnitude is at one end of a sorted row, a NaN at the last
+            largest = np.maximum(np.abs(out[:, :1]), np.abs(out[:, -1:]))
+            if np.all((largest == 0.0) | ((largest >= low) & (largest <= high))):
+                continue
+        out[...] = np.linalg.eigvalsh(hermitized)
+    return values.reshape(matrices.shape[:-1])
 
 
 def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:
     """Worst invariant defects of one matrix or a stack with its spectrum ``eigs``."""
-    adjoint = np.swapaxes(matrices, -1, -2).conj()
-    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    dim = matrices.shape[-1]
+    stack = matrices.reshape(-1, dim, dim)
+    gaps, traces = [], []
+    for rows in _chunks(len(stack), dim):
+        chunk = stack[rows]
+        gaps.append(np.max(np.abs(chunk - np.swapaxes(chunk, -1, -2).conj())))
+        trace = np.trace(chunk, axis1=-2, axis2=-1)
+        traces.append(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
+    # finite entries give no NaN, so the builtin max is the worst chunk's
     return {
-        "hermiticity": float(np.max(np.abs(matrices - adjoint))),
-        "trace": float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag))),
+        "hermiticity": float(max(gaps)),
+        "trace": float(max(traces)),
         "min_eigenvalue": float(eigs.min()),
     }
 
@@ -301,7 +357,7 @@ def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> Density
     exponent = _rate_integral(rates)
     ee = rho0.matrix[1, 1].real * np.exp(-exponent.real)
     coherence = rho0.matrix[1, 0] * np.exp(-0.5 * exponent)
-    return DensitySeries(_emitter_entries(1.0 - ee, ee, coherence))
+    return DensitySeries._adopt(_emitter_entries(1.0 - ee, ee, coherence))
 
 
 def evolve_lindblad_sector(
@@ -315,6 +371,8 @@ def evolve_lindblad_sector(
     the diagonal, then Re and Im of the upper triangle, so every state is
     exactly Hermitian. ``basis`` has orthogonal columns: its scaled adjoint is
     an exact left inverse. A mode with a zero leak rate keeps its channel.
+    The states are filled chunk by chunk from the coordinates, with the bits
+    of one product of the whole stack.
     """
     dim = sector.n_modes + 2
     if rho0.dim != dim:
@@ -339,7 +397,11 @@ def evolve_lindblad_sector(
     inverse = basis.conj().T / np.sum(np.abs(basis) ** 2, axis=0)[:, None]
     generator = (inverse @ liouvillian @ basis).real
     coords = _propagate_constant(generator, (inverse @ rho0.matrix.ravel()).real, grid)
-    return DensitySeries((coords @ basis.T).reshape(-1, dim, dim))
+    stack = np.empty((len(coords), dim, dim), dtype=complex)
+    flat = stack.reshape(len(coords), dim * dim)
+    for rows in _chunks(len(coords), dim):
+        np.matmul(coords[rows], basis.T, out=flat[rows])
+    return DensitySeries._adopt(stack)
 
 
 def evolve_lindblad_single(model: Reservoir, rho0: DensityMatrix, grid: TimeGrid) -> DensitySeries:
@@ -363,10 +425,15 @@ def partial_trace_pseudomodes(
     """
     if rho.dim == 2:
         raise ValueError("state is already emitter-only")
-    m = _entries(rho)
-    last = rho.dim - 1
+    traced = _traced_entries(_entries(rho))
+    return DensitySeries._adopt(traced) if isinstance(rho, DensitySeries) else DensityMatrix(traced)
+
+
+def _traced_entries(m: np.ndarray) -> np.ndarray:
+    """Emitter entries of extended-sector matrices ``m`` (last two axes)."""
+    last = m.shape[-1] - 1
     ground = np.trace(m[..., :last, :last], axis1=-2, axis2=-1)
-    return type(rho)(_emitter_entries(ground, m[..., last, last], m[..., last, 0]))
+    return _emitter_entries(ground, m[..., last, last], m[..., last, 0])
 
 
 def partial_trace_atom(rho: DensityMatrix | DensitySeries) -> np.ndarray:
@@ -376,8 +443,12 @@ def partial_trace_atom(rho: DensityMatrix | DensitySeries) -> np.ndarray:
     """
     if rho.dim == 2:
         raise ValueError("state carries no mode factor")
-    m = _entries(rho)
-    last = rho.dim - 1
+    return _mode_entries(_entries(rho))
+
+
+def _mode_entries(m: np.ndarray) -> np.ndarray:
+    """Mode-marginal entries of extended-sector matrices ``m`` (last two axes)."""
+    last = m.shape[-1] - 1
     out = np.array(m[..., :last, :last])
     out[..., 0, 0] += m[..., last, last]
     return out
@@ -400,8 +471,11 @@ def density_series_lab_frame(
     excitation[0] = 0.0
     # single exp per entry keeps the diagonal exactly one
     gaps = excitation[:, None] - excitation[None, :]
-    phase = np.exp(-1j * omega0 * times[:, None, None] * gaps)
-    return DensitySeries(densities.matrices * phase)
+    dressed = np.empty_like(densities.matrices)
+    for rows in _chunks(len(densities), densities.dim):
+        phase = np.exp(-1j * omega0 * times[rows, None, None] * gaps)
+        np.multiply(densities.matrices[rows], phase, out=dressed[rows])
+    return DensitySeries._adopt(dressed)
 
 
 def atom_density_from_amplitudes(
@@ -418,7 +492,7 @@ def atom_density_from_amplitudes(
     # differ in the last bit
     ee = np.float_power(np.hypot(c1.real, c1.imag), 2.0)
     coh = c1 * np.conj(complex(vacuum_amplitude))
-    return DensitySeries(_emitter_entries(1.0 - ee, ee, coh))
+    return DensitySeries._adopt(_emitter_entries(1.0 - ee, ee, coh))
 
 
 def _extended_vectors(traj: AmplitudeTrajectory, vacuum_amplitude: complex) -> np.ndarray:
@@ -446,4 +520,4 @@ def extended_density_from_amplitudes(
     rho = phi[:, :, None] * phi[:, None, :].conj()
     # a batched matmul rounds each norm as np.vdot(phi, phi) does
     rho[:, 0, 0] += 1.0 - (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
-    return DensitySeries(rho)
+    return DensitySeries._adopt(rho)

@@ -5,7 +5,8 @@ stack, so ``info_series`` and ``von_neumann_entropy`` give the same bits; a
 series' spectrum is computed once and shared with its checks. An exactly
 diagonal stack (the emitter marginal of a run from |e>) is sorted instead of
 diagonalized, with the bits of ``eigvalsh``; any other takes one batched
-``eigvalsh``.
+``eigvalsh`` per chunk. ``info_series`` takes the marginals chunk by chunk,
+so its scratch stays fixed while the series grows.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, DensitySeries, _spectrum
-from .density import partial_trace_atom, partial_trace_pseudomodes
+from .density import DensityMatrix, DensitySeries, _chunks, _mode_entries, _spectrum
+from .density import _traced_entries, partial_trace_atom, partial_trace_pseudomodes
 from .models import TimeGrid
 
 __all__ = [
@@ -75,7 +76,13 @@ def info_series(densities: DensitySeries, grid: TimeGrid) -> InfoSeries:
     """Evaluate the entropy diagnostics at every point of a joint-state series."""
     if len(densities) != grid.n_steps:
         raise ValueError(f"expected {grid.n_steps} states, got {len(densities)}")
-    s_atom = _entropies(partial_trace_pseudomodes(densities).eigenvalues)
-    s_modes = _entropies(_spectrum(partial_trace_atom(densities)))
-    s_joint = _entropies(densities.eigenvalues)
-    return InfoSeries(grid, s_atom, s_modes, s_joint, s_atom + s_modes - s_joint)
+    joint = densities.eigenvalues
+    s_atom, s_modes, s_joint = (np.empty(len(densities)) for _ in range(3))
+    for rows in _chunks(len(densities), densities.dim):
+        chunk = densities.matrices[rows]
+        s_atom[rows] = _entropies(_spectrum(_traced_entries(chunk)))
+        s_modes[rows] = _entropies(_spectrum(_mode_entries(chunk)))
+        s_joint[rows] = _entropies(joint[rows])
+    mutual = s_atom + s_modes
+    mutual -= s_joint
+    return InfoSeries(grid, s_atom, s_modes, s_joint, mutual)

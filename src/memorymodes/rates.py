@@ -83,12 +83,15 @@ def _validity(c1: np.ndarray) -> np.ndarray:
     return valid
 
 
-def _rate_slopes(traj: AmplitudeTrajectory, valid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rate_slopes(
+    traj: AmplitudeTrajectory, derivs: np.ndarray, valid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact (gamma', s') = -2 (Re r', Im r'), NaN where invalid, with r = c1'/c1.
 
-    r' = (c1'' c1 - c1'^2) / c1^2, where c1'' = (G^2 x)_0 comes from the generator.
+    r' = (c1'' c1 - c1'^2) / c1^2, where c1'' = (G^2 x)_0 comes from the generator
+    and ``derivs`` are the trajectory's derivatives.
     """
-    c1, derivs = traj.c1, traj.derivatives()
+    c1 = traj.c1
     slope = np.full(c1.shape, complex(np.nan, np.nan))
     np.divide(derivs @ traj.generator[0] * c1 - derivs[:, 0] ** 2, c1 * c1, out=slope, where=valid)
     return -2.0 * slope.real, -2.0 * slope.imag
@@ -102,13 +105,14 @@ def rates_from_amplitudes(traj: AmplitudeTrajectory) -> RateTrajectory:
     shift into the lab-frame one.
     """
     c1 = traj.c1
-    dc1 = traj.derivatives()[:, 0]
+    derivs = traj.derivatives()
     valid = _validity(c1)
     ratio = np.full(c1.shape, complex(np.nan, np.nan))
-    np.divide(dc1, c1, out=ratio, where=valid)
+    np.divide(derivs[:, 0], c1, out=ratio, where=valid)
     gamma = np.where(valid, -2.0 * ratio.real, np.nan)
     s = np.where(valid, -2.0 * ratio.imag + 2.0 * traj.omega0, np.nan)
-    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
+    slopes = _rate_slopes(traj, derivs, valid)
+    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *slopes)
 
 
 def rates_pseudomode_form(traj: AmplitudeTrajectory) -> RateTrajectory:
@@ -126,7 +130,8 @@ def rates_pseudomode_form(traj: AmplitudeTrajectory) -> RateTrajectory:
     np.divide(c1 * coupled, population, out=cross, where=valid)
     gamma = np.where(valid, 2.0 * cross.imag, np.nan)
     s = np.where(valid, 2.0 * (traj.omega0 + cross.real), np.nan)
-    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *_rate_slopes(traj, valid))
+    slopes = _rate_slopes(traj, traj.derivatives(), valid)
+    return RateTrajectory(traj.grid, s, gamma, valid, traj.omega0, *slopes)
 
 
 def _build_report(grid: TimeGrid, lhs, rhs, valid) -> MemoryIdentityReport:

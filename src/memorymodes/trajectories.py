@@ -284,7 +284,7 @@ def traced_ensemble_atom_state(ens: Ensemble) -> DensitySeries:
     excited = psi[:, -1]
     w0 = ens.n0 / ens.n_members
     w1 = ens.n1 / ens.n_members
-    return DensitySeries(
+    return DensitySeries._adopt(
         _emitter_entries(
             w0 * np.sum(np.abs(psi[:, :-1]) ** 2, axis=1) + w1,
             w0 * np.float_power(np.hypot(excited.real, excited.imag), 2.0),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from memorymodes import (
     evolve_atom_timelocal,
     evolve_lindblad_sector,
     extended_density_from_amplitudes,
+    info_series,
     partial_trace_atom,
     partial_trace_pseudomodes,
     propagate_sector,
@@ -24,7 +26,8 @@ from memorymodes import (
     run_nmqj,
     validate_config,
 )
-from memorymodes.density import _spectrum, sector_hamiltonian
+from memorymodes import density
+from memorymodes.density import _UNSCALED, _chunk_rows, _chunks, _spectrum, sector_hamiltonian
 from conftest import max_entry_diff
 
 
@@ -419,19 +422,25 @@ class TestLabFrame:
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut: bool):
+def chunk_count(matrices) -> int:
+    """Number of chunks ``_spectrum`` splits one matrix or a stack into."""
+    return len(_chunks(math.prod(matrices.shape[:-2]), matrices.shape[-1]))
+
+
+def assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls: int):
     """``_spectrum`` equals ``eigvalsh`` of the Hermitized stack bit for bit, signed zeros too.
 
-    ``shortcut`` says whether it must get there without calling ``eigvalsh``.
+    ``calls`` is the number of chunks that must get there through ``eigvalsh``,
+    one call each; the others must take the diagonal shortcut.
     """
     hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
     expected = np.linalg.eigvalsh(hermitized)
-    calls = []
+    made = []
     eigvalsh = np.linalg.eigvalsh
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        patch.setattr(np.linalg, "eigvalsh", lambda a: made.append(a) or eigvalsh(a))
         got = _spectrum(matrices)
-    assert len(calls) == (0 if shortcut else 1)
+    assert len(made) == calls
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -456,9 +465,11 @@ class TestSpectrumOracle:
         ]
         mode_marginal = partial_trace_atom(extended)
         for matrices in diagonal:
-            assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=True)
-        assert_spectrum_is_eigvalsh(mode_marginal, monkeypatch, shortcut=sector.n_modes == 1)
-        assert_spectrum_is_eigvalsh(extended.matrices, monkeypatch, shortcut=False)
+            assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=0)
+        modes_calls = 0 if sector.n_modes == 1 else chunk_count(mode_marginal)
+        assert_spectrum_is_eigvalsh(mode_marginal, monkeypatch, calls=modes_calls)
+        joint = extended.matrices
+        assert_spectrum_is_eigvalsh(joint, monkeypatch, calls=chunk_count(joint))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_random_diagonal_stacks(self, dim, monkeypatch):
@@ -475,17 +486,17 @@ class TestSpectrumOracle:
         matrices = np.zeros((n, dim, dim), complex)
         index = np.arange(dim)
         matrices[:, index, index] = values + 1j * rng.uniform(-1, 1, (n, dim))
-        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=True)
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=0)
         # anti-Hermitian off-diagonal entries vanish from the Hermitized stack
         upper = np.triu_indices(dim, 1)
         skew = rng.uniform(-1, 1, (n, len(upper[0]))) + 1j * rng.uniform(-1, 1, (n, len(upper[0])))
         matrices[:, upper[0], upper[1]] = skew
         matrices[:, upper[1], upper[0]] = -skew.conj()
-        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=True)
-        assert_spectrum_is_eigvalsh(matrices[3], monkeypatch, shortcut=True)
-        # one nonzero off-diagonal pair sends the whole stack to eigvalsh
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=0)
+        assert_spectrum_is_eigvalsh(matrices[3], monkeypatch, calls=0)
+        # one nonzero off-diagonal pair sends its chunk, the last, to eigvalsh
         matrices[-1, 0, -1] = matrices[-1, -1, 0] = 1e-300
-        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=False)
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=1)
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150, 1e300])
     def test_stacks_that_lapack_rescales(self, scale, monkeypatch):
@@ -495,7 +506,7 @@ class TestSpectrumOracle:
         matrices = np.zeros((500, 3, 3), complex)
         matrices[:, range(3), range(3)] = values
         assert not np.array_equal(np.linalg.eigvalsh(matrices), np.sort(values, axis=-1))
-        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=False)
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
 
     @pytest.mark.parametrize("dim", [20, 21, 25])
     def test_signed_zero_ties_beside_the_sort_limit(self, dim, monkeypatch):
@@ -503,10 +514,113 @@ class TestSpectrumOracle:
         rng = np.random.default_rng(dim)
         matrices = np.zeros((20, dim, dim), complex)
         matrices[:, range(dim), range(dim)] = rng.choice([-0.0, 0.0, 0.5], (20, dim))
-        assert_spectrum_is_eigvalsh(matrices, monkeypatch, shortcut=dim <= 20)
+        calls = 0 if dim <= 20 else chunk_count(matrices)
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=calls)
 
     def test_superposition_start_reaches_eigvalsh(self, fig2_model, monkeypatch):
         grid = TimeGrid(0.0, 4.0, 400)
         traj = propagate_sector(fig2_model.sector, [0.8, 0.0], grid)
         series = atom_density_from_amplitudes(traj, vacuum_amplitude=0.6)
-        assert_spectrum_is_eigvalsh(series.matrices, monkeypatch, shortcut=False)
+        matrices = series.matrices
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
+
+
+def edge_stack(n: int, dim: int = 3) -> np.ndarray:
+    """``n`` diagonal matrices whose largest entries lie on the edges of ``_UNSCALED``, except
+    the last: off-diagonal entries, a largest entry outside, and the stack's worst
+    hermiticity gap and trace defect."""
+    rng = np.random.default_rng(n)
+    low, high = _UNSCALED
+    inner = [0.0, -0.0, low, -low, np.nextafter(low, 0.0), -np.nextafter(low, 0.0), 0.5, high]
+    values = rng.choice(inner, (n, dim))
+    values[:, -1] = rng.choice([low, -low, high, -high, 0.5], n)
+    values[: n // 3 : 7] = rng.choice([0.0, -0.0], (len(values[: n // 3 : 7]), dim))
+    matrices = np.zeros((n, dim, dim), complex)
+    index = np.arange(dim)
+    matrices[:, index, index] = values + 1j * rng.uniform(-1, 1, (n, dim))
+    # anti-Hermitian off-diagonal pairs vanish from the Hermitized matrices
+    skew = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
+    matrices[:, 0, 1], matrices[:, 1, 0] = skew, -skew.conj()
+    matrices[-1, 0, -1] = matrices[-1, -1, 0] = 0.25
+    matrices[-1, 1, 0] += 8.0
+    matrices[-1, 1, 1] = np.nextafter(high, np.inf)
+    matrices[-1, 0, 0] = 4.0 * high
+    return matrices
+
+
+class TestChunkEdges:
+    """Chunked whole-series operations give the bits of one pass over the whole stack."""
+
+    ROWS = _chunk_rows(3)
+
+    @pytest.mark.parametrize("n", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1])
+    def test_spectrum_and_invariants(self, n, monkeypatch):
+        matrices = edge_stack(n)
+        assert chunk_count(matrices) == (1 if n <= self.ROWS else 2 if n == self.ROWS + 1 else 3)
+        # every chunk takes the shortcut but the last, which holds the one non-diagonal matrix
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=1)
+        series = DensitySeries(matrices)
+        trace = np.trace(matrices, axis1=-2, axis2=-1)
+        assert series.invariant_defects() == {
+            "hermiticity": float(np.max(np.abs(matrices - np.swapaxes(matrices, -1, -2).conj()))),
+            "trace": float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag))),
+            "min_eigenvalue": float(series.eigenvalues.min()),
+        }
+
+    @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap", "four_lone_peaks"])
+    def test_lindblad_fill_is_one_product(self, preset, monkeypatch):
+        if preset == "four_lone_peaks":
+            peaks = tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / 3) for k in range(4))
+            sector = Reservoir(0.0, 0.8, peaks).sector
+        else:
+            sector = validate_config(REPO_CONFIGS / f"{preset}.cfg").model.sector
+        dim = sector.n_modes + 2
+        grid = TimeGrid(0.0, 10.0, _chunk_rows(dim) + 1)
+        coords = []
+        propagate = density._propagate_constant
+
+        def keep(*args):
+            coords.append(propagate(*args))
+            return coords[-1]
+
+        monkeypatch.setattr(density, "_propagate_constant", keep)
+        got = evolve_lindblad_sector(sector, DensityMatrix.excited(dim), grid).matrices
+        # the coordinates' basis: the diagonal, then Re and Im of the upper triangle
+        rows, cols = np.triu_indices(dim, 1)
+        unit = np.eye(dim * dim)
+        upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
+        basis = np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
+        expected = (coords[0] @ basis.T).reshape(-1, dim, dim)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def test_series_scratch_is_bounded():
+    """Invariant checks and entropies hold a fixed scratch beyond what they keep.
+
+    Under tracemalloc, the peak of each call minus what is still allocated when it
+    returns (its results, the cached spectrum) must stay under 4 MiB and grow by at
+    most 0.5 MiB from 16 000 to 64 000 points of ``bandgap``.
+    """
+    parsed = validate_config(REPO_CONFIGS / "bandgap.cfg")
+    calls = {
+        "invariant_defects": lambda series, grid: series.invariant_defects(),
+        "info_series": info_series,
+    }
+    scratch = {}
+    for n_steps in (16_000, 64_000):
+        grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
+        for name, call in calls.items():
+            # a new series each time, so that each call computes the spectrum
+            series = evolve_lindblad_sector(parsed.model.sector, DensityMatrix.excited(4), grid)
+            tracemalloc.start()
+            try:
+                kept = call(series, grid)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept
+            scratch[name, n_steps] = (peak - current) / 2**20
+    for name in calls:
+        small, large = scratch[name, 16_000], scratch[name, 64_000]
+        assert small < 4.0 and large < 4.0, (name, small, large)
+        assert abs(large - small) <= 0.5, (name, small, large)
