@@ -13,9 +13,7 @@ from .amplitudes import (
     expm_oracle,
     mode_generator,
     norm_balance_residuals,
-    propagate_double,
     propagate_sector,
-    propagate_single,
 )
 from .config import ModelConfig, validate_config, validate_config_text
 from .density import (
@@ -24,9 +22,7 @@ from .density import (
     atom_density_from_amplitudes,
     density_series_lab_frame,
     evolve_atom_timelocal,
-    evolve_lindblad_double,
     evolve_lindblad_sector,
-    evolve_lindblad_single,
     extended_density_from_amplitudes,
     partial_trace_atom,
     partial_trace_pseudomodes,
@@ -51,9 +47,7 @@ from .rates import (
     MemoryIdentityReport,
     RateTrajectory,
     intermode_memory_identity,
-    memory_identity_double,
     memory_identity_sector,
-    memory_identity_single,
     rates_from_amplitudes,
     rates_pseudomode_form,
 )
@@ -98,24 +92,18 @@ __all__ = [
     "compare_unravelings",
     "density_series_lab_frame",
     "evolve_atom_timelocal",
-    "evolve_lindblad_double",
     "evolve_lindblad_sector",
-    "evolve_lindblad_single",
     "expm_oracle",
     "extended_density_from_amplitudes",
     "info_series",
     "intermode_memory_identity",
-    "memory_identity_double",
     "memory_identity_sector",
-    "memory_identity_single",
     "mode_generator",
     "mutual_information",
     "norm_balance_residuals",
     "partial_trace_atom",
     "partial_trace_pseudomodes",
-    "propagate_double",
     "propagate_sector",
-    "propagate_single",
     "rates_from_amplitudes",
     "rates_pseudomode_form",
     "run_mcwf_pseudomode",

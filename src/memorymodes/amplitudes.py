@@ -24,14 +24,12 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import IllConditioned, ToleranceNotMet
-from .models import PseudomodeSector, Reservoir, TimeGrid
+from .models import PseudomodeSector, TimeGrid
 
 __all__ = [
     "AmplitudeTrajectory",
     "mode_generator",
     "propagate_sector",
-    "propagate_single",
-    "propagate_double",
     "closed_form_oracle",
     "expm_oracle",
     "norm_balance_residuals",
@@ -161,16 +159,6 @@ def propagate_sector(sector: PseudomodeSector, initial, grid: TimeGrid) -> Ampli
     psi0 = _coerce_state(initial, sector.n_modes + 1)
     states = _propagate_constant(mode_generator(sector), psi0, grid)
     return AmplitudeTrajectory(grid, states, sector)
-
-
-def propagate_single(model: Reservoir, initial, grid: TimeGrid):
-    """:func:`propagate_sector` on ``model.sector``, for a one-mode sector."""
-    return propagate_sector(model.sector, initial, grid)
-
-
-def propagate_double(model: Reservoir, initial, grid: TimeGrid):
-    """:func:`propagate_sector` on ``model.sector``, for a two-mode sector."""
-    return propagate_sector(model.sector, initial, grid)
 
 
 def closed_form_oracle(generator, initial, t, *, cond_limit: float = 1e6):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .amplitudes import propagate_double, propagate_single
+from .amplitudes import propagate_sector
 from .config import validate_config, validate_config_text
 from .csvio import (
     write_amplitude_csv,
@@ -36,24 +36,24 @@ from .density import (
     DensityMatrix,
     atom_density_from_amplitudes,
     evolve_atom_timelocal,
-    evolve_lindblad_double,
-    evolve_lindblad_single,
+    evolve_lindblad_sector,
     partial_trace_pseudomodes,
 )
 from .errors import MemoryModesError, NonPhysical, ParseError
 from .info import info_series
 from .models import Reservoir, TimeGrid
-from .rates import (
-    intermode_memory_identity,
-    memory_identity_double,
-    memory_identity_single,
-    rates_from_amplitudes,
-)
+from .rates import intermode_memory_identity, memory_identity_sector, rates_from_amplitudes
 from .trajectories import _check_seed, compare_unravelings, run_mcwf_pseudomode, run_nmqj
 
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
 
 _STOCHASTIC = ("nmqj", "mcwf", "compare")
+
+# perfbench/tracing.py times these three layers by patching these names on
+# this module; they go with its remap to the sector names (ROADMAP item 1)
+propagate_single = propagate_sector
+evolve_lindblad_single = evolve_lindblad_sector
+memory_identity_single = memory_identity_sector
 
 # Detuned strong-coupling reference preset: width 0.6, coupling sqrt(0.15),
 # mode detuned by four widths, in units of the weak-coupling decay rate.
@@ -109,9 +109,7 @@ class RunManifest:
 
 
 def _propagate(config: RunConfig):
-    if config.model.sector.n_modes == 1:
-        return propagate_single(config.model, None, config.grid)
-    return propagate_double(config.model, None, config.grid)
+    return propagate_single(config.model.sector, None, config.grid)
 
 
 def _experiment_amplitudes(config, artifact, extras) -> None:
@@ -133,10 +131,7 @@ def _experiment_identity(config, artifact, extras) -> None:
         extras["gamma_p1"] = f"{sector.leak_rates[0]:.17g}"
         extras["gamma_p2"] = f"{sector.leak_rates[1]:.17g}"
         extras["intermode_coupling"] = f"{sector.intermode[0][1]:.17g}"
-    if sector.n_modes == 1:
-        report = memory_identity_single(traj, rates)
-    else:
-        report = memory_identity_double(traj, rates)
+    report = memory_identity_single(traj, rates)
     write_identity_csv(artifact("identity.csv"), report)
     extras["max_relative_residual"] = f"{report.max_relative_residual:.17g}"
     if pair:
@@ -146,9 +141,8 @@ def _experiment_identity(config, artifact, extras) -> None:
 
 
 def _evolve_extended(config: RunConfig):
-    if config.model.sector.n_modes == 1:
-        return evolve_lindblad_single(config.model, DensityMatrix.excited(3), config.grid)
-    return evolve_lindblad_double(config.model, DensityMatrix.excited(4), config.grid)
+    sector = config.model.sector
+    return evolve_lindblad_single(sector, DensityMatrix.excited(sector.n_modes + 2), config.grid)
 
 
 def _record_invariants(extras: dict, *series) -> None:

@@ -158,8 +158,15 @@ def validate_config(path, *, allow_nonphysical: bool = False) -> ModelConfig:
     Every violation is collected before failing: syntax and schema problems
     raise ``ParseError`` listing all of them with line numbers, and a
     syntactically sound file with invalid physics raises ``NonPhysical``
-    naming the violated inequality.
+    naming the violated inequality. A file that is not UTF-8 raises
+    ``ParseError`` naming the first byte that does not decode.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start} ({exc.reason})"
+        ) from None
     return validate_config_text(text, source=str(path), allow_nonphysical=allow_nonphysical)

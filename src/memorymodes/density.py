@@ -33,7 +33,7 @@ import numpy as np
 
 from .amplitudes import AmplitudeTrajectory, _propagate_constant
 from .errors import InvalidRates, SectorLeak
-from .models import PseudomodeSector, Reservoir, TimeGrid
+from .models import PseudomodeSector, TimeGrid
 from .rates import RateTrajectory
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "sector_hamiltonian",
     "evolve_atom_timelocal",
     "evolve_lindblad_sector",
-    "evolve_lindblad_single",
-    "evolve_lindblad_double",
     "partial_trace_pseudomodes",
     "partial_trace_atom",
     "density_series_lab_frame",
@@ -402,16 +400,6 @@ def evolve_lindblad_sector(
     for rows in _chunks(len(coords), dim):
         np.matmul(coords[rows], basis.T, out=flat[rows])
     return DensitySeries._adopt(stack)
-
-
-def evolve_lindblad_single(model: Reservoir, rho0: DensityMatrix, grid: TimeGrid) -> DensitySeries:
-    """:func:`evolve_lindblad_sector` on ``model.sector``, for a one-mode sector."""
-    return evolve_lindblad_sector(model.sector, rho0, grid)
-
-
-def evolve_lindblad_double(model: Reservoir, rho0: DensityMatrix, grid: TimeGrid) -> DensitySeries:
-    """:func:`evolve_lindblad_sector` on ``model.sector``, for a two-mode sector."""
-    return evolve_lindblad_sector(model.sector, rho0, grid)
 
 
 def partial_trace_pseudomodes(

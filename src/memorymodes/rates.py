@@ -30,8 +30,6 @@ __all__ = [
     "rates_from_amplitudes",
     "rates_pseudomode_form",
     "memory_identity_sector",
-    "memory_identity_single",
-    "memory_identity_double",
     "intermode_memory_identity",
 ]
 
@@ -162,11 +160,6 @@ def memory_identity_sector(
         lhs = lhs + 2.0 * (derivs[:, index] * np.conj(amp)).real + rate * np.abs(amp) ** 2
     rhs = rates.gamma * np.abs(traj.c1) ** 2
     return _build_report(traj.grid, lhs, rhs, rates.valid)
-
-
-# perfbench/tracing.py times the identity by patching these two names on
-# memorymodes.cli (ROADMAP item 1); they go once it maps memory_identity_sector
-memory_identity_single = memory_identity_double = memory_identity_sector
 
 
 def intermode_memory_identity(traj: AmplitudeTrajectory) -> MemoryIdentityReport:

@@ -339,6 +339,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error" in err and "omega0" in err
 
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        # the offset counts bytes of the file, past a long comment
+        head = "# " + "x" * 10_000 + "\n" + FIG2_CONFIG_TEXT.replace("omega0 = 0.0", "omega0 = 0.0 # ")
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(head.encode("utf-8").replace(b"0.0 # ", b"0.0 # \xff"))
+        out = tmp_path / "out"
+        code = main(["rates", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        offset = bad.read_bytes().index(b"\xff")
+        assert offset > 10_000
+        expected = f"config error: {bad}: not UTF-8 text: byte 0xff at offset {offset} (invalid start byte)\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_grid_span_overflow_is_a_config_error(self, tmp_path, capsys):
         # both bounds are finite, their difference is not
         bad = tmp_path / "bad.cfg"
@@ -498,6 +512,29 @@ def test_manifest_reports_state_invariants(preset, experiment, tmp_path):
     assert float(entries["invariant.trace"]) <= 1e-14
     assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
     assert (tmp_path / "out" / "manifest.txt").read_text().count("invariant.") == 3
+
+
+THREE_LONE_PEAKS = Reservoir(0.0, 0.8, ((1.0, 0.5, -2.0), (1.1, 0.7, 0.0), (1.2, 0.9, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "experiment", ["amplitudes", "rates", "identity", "evolve", "info", "nmqj", "mcwf", "compare"]
+)
+def test_every_experiment_runs_on_three_modes(experiment, tmp_path):
+    # compare's z-score is not gated: the first-order jump probabilities bias
+    # both samplers (ROADMAP item 3), and it reads 7.0 at N=1000 already
+    out = tmp_path / "out"
+    entries = run(RunConfig(experiment, THREE_LONE_PEAKS, TimeGrid(0.0, 10.0, 4000), out)).entries
+    assert sorted(p.name for p in out.iterdir()) == sorted(entries["artifacts"].split(",") + ["manifest.txt"])
+    if experiment == "identity":
+        assert float(entries["max_relative_residual"]) < 1e-6
+    if experiment == "evolve":
+        assert float(entries["max_diff_amplitude_traced"]) < 1e-14
+        assert float(entries["max_diff_amplitude_timelocal"]) < 2e-11
+        first = (out / "density_extended.csv").read_text().split("\n", 1)[0]
+        assert first == "# dim=5, basis=g000,g100,g010,g001,e000"
+    if experiment in ("evolve", "info"):
+        assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from memorymodes import (
     PseudomodeSector,
     RateTrajectory,
     TimeGrid,
-    evolve_lindblad_double,
+    evolve_lindblad_sector,
 )
 from memorymodes import csvio
 from memorymodes.config import validate_config_text
@@ -436,7 +436,7 @@ def test_bytes_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
 def test_widest_file_scratch_is_bounded(tmp_path):
     text = (REPO_ROOT / "configs" / "bandgap.cfg").read_text(encoding="utf-8")
     parsed = validate_config_text(re.sub(r"(?m)^n_steps\s*=.*$", "n_steps = 16000", text))
-    extended = evolve_lindblad_double(parsed.model, DensityMatrix.excited(4), parsed.grid)
+    extended = evolve_lindblad_sector(parsed.model.sector, DensityMatrix.excited(4), parsed.grid)
     path = tmp_path / "density_extended.csv"
     tracemalloc.start()
     try:

@@ -9,7 +9,6 @@ Reservoirs of 3 and 10 lone peaks run through every density layer.
 import numpy as np
 import pytest
 
-import memorymodes
 from memorymodes import (
     DensityMatrix,
     PseudomodeSector,
@@ -110,26 +109,3 @@ def test_many_lone_peaks_run_through_every_density_layer(n_peaks, tmp_path):
     assert len(first.split("basis=")[1].split(",")) == dim
     if n_peaks == 3:
         assert first == "# dim=5, basis=g000,g100,g010,g001,e000"
-
-
-@pytest.mark.parametrize("modes", ["single", "double"])
-@pytest.mark.parametrize("layer", ["propagate", "evolve_lindblad", "memory_identity"])
-def test_per_count_names_give_the_sector_results(layer, modes, fig2_model, bandgap_model):
-    # perfbench/tracing.py times the layers through these six names
-    model = fig2_model if modes == "single" else bandgap_model
-    per_count = getattr(memorymodes, f"{layer}_{modes}")
-    grid = TimeGrid(0.0, 10.0, 400)
-    traj = propagate_sector(model.sector, None, grid)
-    if layer == "propagate":
-        pinned, expected = per_count(model, None, grid).states, traj.states
-    elif layer == "evolve_lindblad":
-        rho0 = DensityMatrix.excited(model.sector.n_modes + 2)
-        pinned = per_count(model, rho0, grid).matrices
-        expected = evolve_lindblad_sector(model.sector, rho0, grid).matrices
-    else:
-        rates = rates_from_amplitudes(traj)
-        pinned, expected = (
-            np.array([report.lhs, report.rhs])
-            for report in (per_count(traj, rates), memory_identity_sector(traj, rates))
-        )
-    assert np.array_equal(pinned, expected)
