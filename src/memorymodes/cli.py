@@ -43,7 +43,8 @@ from .errors import MemoryModesError, NonPhysical, ParseError
 from .info import info_series
 from .models import Reservoir, TimeGrid
 from .rates import intermode_memory_identity, memory_identity_sector, rates_from_amplitudes
-from .trajectories import _check_seed, compare_unravelings, run_mcwf_pseudomode, run_nmqj
+from .trajectories import _check_members, _check_seed, compare_unravelings
+from .trajectories import run_mcwf_pseudomode, run_nmqj
 
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
 
@@ -85,8 +86,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.experiment in _STOCHASTIC and not 1 <= self.n_members < 2**63:
-            raise ValueError(f"stochastic runs need 1 <= n_members < 2**63, got {self.n_members}")
+        if self.experiment in _STOCHASTIC:
+            _check_members(self.n_members)
         _check_seed(self.seed)
 
 
@@ -236,15 +237,19 @@ def _plain(name: str) -> bool:
 
 
 def _remove_earlier_run(out: Path) -> None:
-    """Delete the plain file names an earlier manifest lists in ``out``, then the manifest."""
+    """Delete the regular files an earlier manifest lists in ``out``, then the manifest.
+
+    A listed directory or the manifest's own name is skipped, so a bad list fails no run.
+    """
     manifest = out / "manifest.txt"
     if not manifest.exists():
         return
     for line in manifest.read_text(encoding="utf-8", errors="replace").splitlines():
         if line.startswith("artifacts = "):
             for name in line.removeprefix("artifacts = ").split(","):
-                if _plain(name):
-                    (out / name).unlink(missing_ok=True)
+                path = out / name
+                if _plain(name) and name != manifest.name and path.is_file():
+                    path.unlink()
     manifest.unlink()
 
 

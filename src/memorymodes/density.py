@@ -342,6 +342,13 @@ def _rate_integral(rates: RateTrajectory) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(increments)])
 
 
+def _check_hermitian(rho0: DensityMatrix) -> None:
+    """Raise ``ValueError`` unless an initial state is Hermitian to 1e-12."""
+    # each route keeps only part of the state: one triangle, or its Hermitian part
+    if np.max(np.abs(rho0.matrix - rho0.matrix.conj().T)) > 1e-12:
+        raise ValueError("initial state must be Hermitian")
+
+
 def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> DensitySeries:
     """Emitter master equation with time-dependent coefficients, in closed form.
 
@@ -352,6 +359,7 @@ def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> Density
     """
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")
+    _check_hermitian(rho0)
     exponent = _rate_integral(rates)
     ee = rho0.matrix[1, 1].real * np.exp(-exponent.real)
     coherence = rho0.matrix[1, 0] * np.exp(-0.5 * exponent)
@@ -377,8 +385,7 @@ def evolve_lindblad_sector(
         raise SectorLeak(
             f"a {sector.n_modes}-mode sector acts on dimension {dim}, got dim {rho0.dim}"
         )
-    if np.max(np.abs(rho0.matrix - rho0.matrix.conj().T)) > 1e-12:
-        raise ValueError("initial state must be Hermitian")
+    _check_hermitian(rho0)
     hamiltonian = sector_hamiltonian(sector)
     eye = np.eye(dim)
     # row-major vec(A rho B) = kron(A, B.T) vec(rho); the jump operators are real

@@ -76,6 +76,8 @@ def info_series(densities: DensitySeries, grid: TimeGrid) -> InfoSeries:
     """Evaluate the entropy diagnostics at every point of a joint-state series."""
     if len(densities) != grid.n_steps:
         raise ValueError(f"expected {grid.n_steps} states, got {len(densities)}")
+    if densities.dim == 2:
+        raise ValueError("state is already emitter-only")
     joint = densities.eigenvalues
     s_atom, s_modes, s_joint = (np.empty(len(densities)) for _ in range(3))
     for rows in _chunks(len(densities), densities.dim):

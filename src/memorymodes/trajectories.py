@@ -10,15 +10,14 @@ the emitter+mode sector, whose constant leakage rates never reverse.
 
 Because every not-yet-jumped member shares one deterministic pure state,
 an ensemble is a count ``n0`` of members in that shared state, the rest in
-the ground state, and the net jumps per step and channel. Each run draws
-from the engine's own Philox stream, keyed by (seed, engine), and repeats bit
-for bit. Over a pure-death stretch (a run of steps without reverse jumps;
-the whole MCWF run) the members leave independently, so the counts of every
-step and channel of the stretch are one multinomial draw, which numpy makes
-as the binomial draws of one draw per step, up to rounding. A reverse-jump
-step draws its returning members alone, as its probability depends on the
-counts. The same ground population, emitter marginal and comparison then
-serve both engines.
+the ground state, and the net jumps per step and channel. An engine builds
+only its no-jump state and step probabilities; both draw through one
+sampler, ``_unravel``, from the engine's own Philox stream, keyed by (seed,
+engine), and repeat bit for bit. Over a pure-death stretch (a run of direct
+steps; the whole MCWF run) the members leave independently, so the counts of
+a stretch are one multinomial draw, which numpy makes as the binomial draws
+of one draw per step, up to rounding. A reverse-jump step draws its returning
+members alone, as its probability depends on the counts.
 """
 
 from __future__ import annotations
@@ -105,6 +104,13 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
+def _check_members(n_members) -> None:
+    """Raise ``ValueError`` unless ``n_members`` is an integer size the int64 counts hold."""
+    # a fractional size would make fractional counts
+    if not isinstance(n_members, (int, np.integer)) or not 1 <= n_members < 2**63:
+        raise ValueError(f"n_members must be an integer in [1, 2**63), got {n_members!r}")
+
+
 def _engine_generator(seed: int, stream: int) -> Generator:
     """The random stream of one engine run, keyed by (seed, engine stream id)."""
     _check_seed(seed)
@@ -141,9 +147,48 @@ def _death_counts(rng: Generator, n0: int, p: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _shared_counts(n_members: int, jump_counts: np.ndarray) -> np.ndarray:
-    """Members in the shared state at every grid point, from the net jumps per step."""
-    return n_members - np.concatenate([[0], np.cumsum(jump_counts.sum(axis=1))])
+def _unravel(rng, grid: TimeGrid, n_members, p, direct, reverse, psi0, seed) -> Ensemble:
+    """Draw the jumps of either engine into its ``Ensemble``: the one sampler of both.
+
+    On a direct step k (``direct[k]``) a shared member leaves through channel c
+    with probability ``p[k, c]``; a maximal run of direct steps is one
+    pure-death stretch. On a reverse step each of the ``n1`` ground members
+    returns with probability (n0/n1)*reverse[k], counted negative on channel
+    0, with no draw while n1 = 0, as no source members exist.
+    """
+    step_p = p.sum(axis=1)
+    worst = step_p.max(initial=0.0)
+    if worst > MAX_JUMP_PROBABILITY:
+        k = int(np.argmax(step_p))
+        raise StepTooLarge(
+            f"jump probability {worst:.3g} at t={grid.times[k]:.6g} exceeds "
+            f"{MAX_JUMP_PROBABILITY}; refine the grid"
+        )
+    jumps = np.zeros(p.shape, dtype=np.int64)
+    cur0 = n_members
+    # maximal runs of one step kind: a death stretch, or reverse steps one by one
+    edges = [0, *(np.flatnonzero(direct[1:] != direct[:-1]) + 1), len(p)]
+    for start, end in zip(edges[:-1], edges[1:]):
+        if direct[start]:
+            jumps[start:end] = _death_counts(rng, cur0, p[start:end])
+            cur0 -= int(jumps[start:end].sum())
+            continue
+        for k in range(start, end):
+            cur1 = n_members - cur0
+            if cur1 == 0:
+                continue
+            p_reverse = (cur0 / cur1) * reverse[k]
+            if p_reverse > MAX_JUMP_PROBABILITY:
+                raise StepTooLarge(
+                    f"reverse-jump probability {p_reverse:.3g} at t={grid.times[k]:.6g} "
+                    f"exceeds {MAX_JUMP_PROBABILITY}; refine the grid or enlarge "
+                    "the ensemble"
+                )
+            back = int(rng.binomial(cur1, p_reverse))
+            jumps[k, 0] = -back
+            cur0 += back
+    n0 = n_members - np.concatenate([[0], np.cumsum(jumps.sum(axis=1))])
+    return Ensemble(grid, n_members, n0, psi0, seed, jumps)
 
 
 def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensemble:
@@ -154,25 +199,22 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     For rate >= 0 each of the ``n0`` members falls to the ground state with
     probability rate*dt*|C_e|^2; for rate < 0 each of the ``n1`` ground
     members returns to the *current* shared state with probability
-    (n0/n1)*|rate|*dt*|C_e|^2 (zero when n1 = 0, as no source members exist).
-    Each maximal run of rate >= 0 steps is one pure-death stretch, sampled in
-    one multinomial draw; reverse-jump steps are drawn one at a time. The
-    ensemble lives on ``rates.grid``. The no-jump state integrates the rate
-    series as the time-local route does, so the same ``InvalidRates`` refuses
-    an invalid rate point or an unresolved step (see ``density._rate_integral``).
+    (n0/n1)*|rate|*dt*|C_e|^2. The engine builds the no-jump state and these
+    probabilities, with rate >= 0 as the direct-step mask; ``_unravel``, the
+    sampler of both unravelings, draws the jumps on ``rates.grid``. The no-jump
+    state integrates the rate series as the time-local route does, so the same
+    ``InvalidRates`` refuses an invalid rate point or an unresolved step (see
+    ``density._rate_integral``).
     """
-    grid = rates.grid
-    if not 1 <= n_members < 2**63:  # the counts are int64
-        raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
+    _check_members(n_members)
     psi_init = _coerce_vector(initial, 2, "a 2-component pure state")
     norm = np.linalg.norm(psi_init)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"pure state must be normalized, got norm {norm}")
     rng = _engine_generator(seed, NMQJ_STREAM)
 
-    times = grid.times
-    dt = grid.dt
-    gamma = np.asarray(rates.gamma, dtype=float)
+    grid = rates.grid
+    gamma = np.asarray(rates.gamma, dtype=float)[:-1]
 
     # no-jump state: C_g frozen, C_e attenuated/rephased by the accumulated
     # complex rate, the same integral K as the time-local route
@@ -181,49 +223,18 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     if c_g == 0:
         excited = (c_e / abs(c_e)) * np.exp(-1j * half.imag)
         psi0 = np.column_stack([np.zeros_like(excited), excited])
-        excited_pop = np.ones(len(times))
+        excited_pop = np.ones(grid.n_steps)
     else:
         magnitude = abs(c_e) * np.exp(-half.real)
         norm = np.hypot(abs(c_g), magnitude)
         unnormalized = c_e * np.exp(-half)
-        psi0 = np.column_stack([np.full(len(times), c_g), unnormalized]) / norm[:, None]
+        psi0 = np.column_stack([np.full(grid.n_steps, c_g), unnormalized]) / norm[:, None]
         excited_pop = (magnitude / norm) ** 2
 
     direct = gamma >= 0.0
-    p_direct = np.where(direct, gamma, 0.0) * dt * excited_pop
-    worst = p_direct[:-1].max(initial=0.0)
-    if worst > MAX_JUMP_PROBABILITY:
-        k = int(np.argmax(p_direct[:-1]))
-        raise StepTooLarge(
-            f"jump probability {worst:.3g} at t={times[k]:.6g} exceeds "
-            f"{MAX_JUMP_PROBABILITY}; refine the grid"
-        )
-
-    n_steps = len(times) - 1
-    jumps = np.zeros((n_steps, 1), dtype=np.int64)
-    cur0 = n_members
-    # maximal runs of one rate sign: a death stretch, or reverse steps one by one
-    edges = [0, *(np.flatnonzero(direct[1:n_steps] != direct[: n_steps - 1]) + 1), n_steps]
-    for start, end in zip(edges[:-1], edges[1:]):
-        if direct[start]:
-            jumps[start:end] = _death_counts(rng, cur0, p_direct[start:end, None])
-            cur0 -= int(jumps[start:end].sum())
-            continue
-        for k in range(start, end):
-            cur1 = n_members - cur0
-            if cur1 == 0:
-                continue
-            p_reverse = (cur0 / cur1) * (-gamma[k]) * dt * excited_pop[k]
-            if p_reverse > MAX_JUMP_PROBABILITY:
-                raise StepTooLarge(
-                    f"reverse-jump probability {p_reverse:.3g} at t={times[k]:.6g} "
-                    f"exceeds {MAX_JUMP_PROBABILITY}; refine the grid or enlarge "
-                    "the ensemble"
-                )
-            back = int(rng.binomial(cur1, p_reverse))
-            jumps[k] = -back
-            cur0 += back
-    return Ensemble(grid, n_members, _shared_counts(n_members, jumps), psi0, seed, jumps)
+    p = np.where(direct, gamma, 0.0) * grid.dt * excited_pop[:-1]
+    reverse = np.abs(gamma) * grid.dt * excited_pop[:-1]
+    return _unravel(rng, grid, n_members, p[:, None], direct, reverse, psi0, seed)
 
 
 def run_mcwf_pseudomode(
@@ -235,12 +246,12 @@ def run_mcwf_pseudomode(
     excited), with the frozen ``vacuum_amplitude`` the drift leaves invariant;
     the joint state must start with unit norm. Each remaining member jumps to
     the joint ground state with probability sum_i rate_i*dt*(mode-i
-    population), resolved per channel; the leak rates of ``traj.sector`` are
-    non-negative constants, so the whole run on ``traj.grid`` is one
+    population), resolved per channel. The leak rates of ``traj.sector`` are
+    non-negative constants, so every step on ``traj.grid`` is direct and
+    ``_unravel``, the sampler of both unravelings, draws the run as one
     pure-death stretch.
     """
-    if not 1 <= n_members < 2**63:  # the counts are int64
-        raise ValueError(f"need 1 <= n_members < 2**63, got {n_members}")
+    _check_members(n_members)
     grid = traj.grid
     phi = _extended_vectors(traj, vacuum_amplitude)
     # a NaN entry would pass every norm bound, since NaN comparisons are False
@@ -258,20 +269,8 @@ def run_mcwf_pseudomode(
         )
 
     psi0 = phi / norms[:, None]
-    mode_pops = np.abs(psi0[:, 1:-1]) ** 2
-
-    p_channel = mode_pops * channel_rates * grid.dt
-    p_total = p_channel.sum(axis=1)
-    worst = p_total[:-1].max(initial=0.0)
-    if worst > MAX_JUMP_PROBABILITY:
-        k = int(np.argmax(p_total[:-1]))
-        raise StepTooLarge(
-            f"total jump probability {worst:.3g} at t={grid.times[k]:.6g} exceeds "
-            f"{MAX_JUMP_PROBABILITY}; refine the grid"
-        )
-    jump_counts = _death_counts(rng, n_members, p_channel[:-1])
-    n0 = _shared_counts(n_members, jump_counts)
-    return Ensemble(grid, n_members, n0, psi0, seed, jump_counts)
+    p = np.abs(psi0[:-1, 1:-1]) ** 2 * channel_rates * grid.dt
+    return _unravel(rng, grid, n_members, p, np.ones(len(p), dtype=bool), None, psi0, seed)
 
 
 def traced_ensemble_atom_state(ens: Ensemble) -> DensitySeries:

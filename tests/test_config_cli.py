@@ -254,6 +254,19 @@ class TestRun:
             "manifest.txt", "rates.csv", "sub", "unlisted.csv"
         ]
 
+    @pytest.mark.parametrize("listed", ["manifest.txt", "sub"])
+    def test_rerun_survives_a_listed_manifest_or_directory(self, listed, tmp_path, capsys):
+        # deleting such a name would fail the run and keep the manifest for every later one
+        out = tmp_path / "out"
+        (out / "sub").mkdir(parents=True)
+        (out / "listed.csv").write_text("t\n", encoding="utf-8")
+        (out / "manifest.txt").write_text(f"artifacts = {listed},listed.csv\n", encoding="utf-8")
+        argv = ["rates", "--config", str(REPO_ROOT / "configs" / "fig2.cfg"), "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert "Errno" not in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.txt", "rates.csv", "sub"]
+
     def test_rerun_removes_the_failed_runs_partial_files(self, tmp_path, monkeypatch, capsys):
         import memorymodes.cli as cli_module
 
@@ -452,6 +465,12 @@ class TestMain:
         # a uint64 key would truncate 1.5 to seed 1's stream and record 1.5
         with pytest.raises(ValueError, match="seed"):
             fig2_config("nmqj", tmp_path / "out", seed=1.5)
+
+    @pytest.mark.parametrize("n_members", [1.5, 3.0])
+    def test_fractional_ensemble_size_rejected(self, n_members, tmp_path):
+        # the engines would count members in float64, 1.5 of them in the shared state
+        with pytest.raises(ValueError, match="n_members"):
+            fig2_config("nmqj", tmp_path / "out", n_members=n_members)
 
     @pytest.mark.parametrize("experiment", ["nmqj", "mcwf"])
     def test_ensemble_size_outside_int64_rejected(self, experiment, tmp_path, capsys):

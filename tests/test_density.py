@@ -98,6 +98,12 @@ class TestTimeLocal:
             # rotating frame: the carrier contribution is removed, coherence frozen
             assert rho.matrix[1, 0] == pytest.approx(0.2 + 0.1j, abs=1e-15)
 
+    def test_non_hermitian_initial_state_rejected(self, fig2_rates):
+        # the route reads rho_eg alone, so it would start from 0.1 where rho_ge is 0.3
+        rho0 = DensityMatrix(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
+        with pytest.raises(ValueError, match="Hermitian"):
+            evolve_atom_timelocal(fig2_rates, rho0)
+
     def test_constant_rate_exponential_decay(self):
         grid = TimeGrid(0.0, 6.0, 400)
         rates = constant_rates(grid, 1.0)

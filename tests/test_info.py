@@ -105,6 +105,11 @@ class TestInfoSeries:
         with pytest.raises(ValueError, match="states"):
             info_series(joint[1:], fig2_grid)
 
+    def test_rejects_emitter_only_series(self, fig2_traj, fig2_grid):
+        # it would read mode entropy -0 and mutual information 0 at every point
+        with pytest.raises(ValueError, match="emitter-only"):
+            info_series(atom_density_from_amplitudes(fig2_traj), fig2_grid)
+
     def test_batched_entropies_match_single_state(self, bandgap_model):
         grid = TimeGrid(0.0, 10.0, 800)
         joint = evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(4), grid)

@@ -321,6 +321,15 @@ def test_ensemble_size_outside_int64_rejected(fig2_traj, fig2_rates):
         run_mcwf_pseudomode(fig2_traj, 2**63, 1)
 
 
+@pytest.mark.parametrize("n_members", [1.5, 3.0])
+def test_fractional_ensemble_size_rejected(n_members, fig2_traj, fig2_rates):
+    # the engines would count in float64: n0 = 1.5 at every point for 1.5
+    with pytest.raises(ValueError, match="n_members"):
+        run_nmqj(fig2_rates, EXCITED_ATOM, n_members, 1)
+    with pytest.raises(ValueError, match="n_members"):
+        run_mcwf_pseudomode(fig2_traj, n_members, 1)
+
+
 def test_non_finite_initial_state_rejected(fig2_traj, fig2_rates):
     # a NaN norm passes the normalization bound; the samplers then failed in numpy
     with pytest.raises(ValueError, match="finite"):
