@@ -13,7 +13,7 @@ changed decides which differences are intended:
 - only manifest entries changed: ``manifest.txt`` digests may differ, while
   every exit code and every CSV (and ``.partial``) digest must be equal;
 - anything else changed (a CSV ``sha256``, a file list, an exit code, the
-  numpy or scipy version): every difference is intended.
+  numpy version): every difference is intended.
 
 Every difference is printed. The exit status is 1 when one is not intended.
 """

@@ -10,7 +10,6 @@ space, and stochastic trajectory unravelings of both.
 from .amplitudes import (
     AmplitudeTrajectory,
     closed_form_oracle,
-    expm_oracle,
     mode_generator,
     norm_balance_residuals,
     propagate_sector,
@@ -93,7 +92,6 @@ __all__ = [
     "density_series_lab_frame",
     "evolve_atom_timelocal",
     "evolve_lindblad_sector",
-    "expm_oracle",
     "extended_density_from_amplitudes",
     "info_series",
     "intermode_memory_identity",

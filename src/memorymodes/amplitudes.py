@@ -3,10 +3,11 @@
 The amplitude vector (c1, one amplitude per mode) obeys a small
 constant-coefficient linear ODE system built from a ``PseudomodeSector``.
 Propagation is exact up to rounding, by matrix exponentials on the uniform
-grid; an independent eigen-decomposition oracle provides the closed-form
-solution for cross-checking. A trajectory carries the sector it was
-propagated in: its labels, carrier frequency, generator and leak rates are
-all read from that one description.
+grid (:func:`expm`, a numpy Padé-13 scaling and squaring that takes the
+whole doubling ladder in one call); an independent eigen-decomposition
+oracle provides the closed-form solution for cross-checking. A trajectory
+carries the sector it was propagated in: its labels, carrier frequency,
+generator and leak rates are all read from that one description.
 
 Everything is computed in the frame rotating at the emitter frequency, which
 removes the fast common carrier so step sizes are set by the coupling, the
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import IllConditioned, ToleranceNotMet
 from .models import PseudomodeSector, TimeGrid
@@ -31,12 +31,22 @@ __all__ = [
     "mode_generator",
     "propagate_sector",
     "closed_form_oracle",
-    "expm_oracle",
     "norm_balance_residuals",
 ]
 
 #: slack allowed on the unit-norm bound of initial amplitude vectors
 NORM_SLACK = 1e-9
+
+#: coefficients b_0..b_13 of the degree-13 Padé approximant to exp
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+#: largest scaled norm at which the Padé-13 backward error stays below 2**-53
+_THETA13 = 5.371920351148152
+#: 1/|c_27|, the leading coefficient of the Padé-13 backward error series
+_C27_RECIP = 113250775606021113483283660800000000.0
 
 
 @dataclass(frozen=True)
@@ -129,24 +139,88 @@ def _coerce_state(initial, dim: int) -> np.ndarray:
     return vec
 
 
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """The 1-norm (largest column sum) of each matrix in the stack ``a``."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def expm(a) -> np.ndarray:
+    """exp of every matrix in the stack ``a`` of shape (..., n, n).
+
+    Scaling and squaring around the degree-13 Padé approximant, with the
+    scaling of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009):
+    each matrix gets its own s from the norms of its powers, which scales a
+    non-normal matrix less than its norm would, plus the correction that
+    raises s where evaluating the approximant would lose digits. The norms
+    are computed exactly, not estimated. A stack of diagonal matrices
+    is exponentiated entry by entry. An overflowing exponential comes out
+    with inf or NaN entries and no warning; the caller checks.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    diagonal = np.eye(n, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if np.any(stack[:, ~diagonal]):
+            out = _scaled_pade13(stack)
+        else:
+            out = np.zeros_like(stack)
+            out[:, diagonal] = np.exp(stack[:, diagonal])
+    return out.reshape(a.shape)
+
+
+def _scaled_pade13(stack: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the 3-d ``stack`` by Padé-13 with its own scaling 2**s."""
+    a2 = stack @ stack
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    a8 = a4 @ a4
+    d6, d8, d10 = (_norm1(p) ** (1 / k) for p, k in ((a6, 6), (a8, 8), (a8 @ a2, 10)))
+    # eta_5 of the paper, capped by the norm, which bounds it also where a power overflowed
+    eta = np.fmin(np.fmin(np.maximum(d6, d8), np.maximum(d8, d10)), _norm1(stack))
+    s = np.fmax(np.ceil(np.log2(eta / _THETA13)), 0)
+    b = stack * (2.0**-s)[:, None, None]
+    alpha = _norm1(np.linalg.matrix_power(np.abs(b), 27)) / (_norm1(b) * _C27_RECIP)
+    s = s + np.fmax(np.ceil(np.log2(alpha * 2.0**53) / 26), 0)
+    # a power of two scales exactly, so these are the powers of the scaled matrix
+    scale = (2.0**-s)[:, None, None]
+    b, b2, b4, b6 = stack * scale, a2 * scale**2, a4 * scale**4, a6 * scale**6
+    c = _PADE13
+    eye = np.eye(stack.shape[-1])
+    u = b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2) + c[7] * b6 + c[5] * b4 + c[3] * b2
+    u = b @ (u + c[1] * eye)
+    v = b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2) + c[6] * b6 + c[4] * b4 + c[2] * b2
+    v += c[0] * eye
+    # (V - U)^-1 (V + U), written so that it keeps the digits the plain form loses near I
+    out = eye + 2 * np.linalg.solve(v - u, u)
+    s = s.astype(int)
+    for done in range(s.max()):
+        todo = s > done
+        square = out[todo]
+        out[todo] = square @ square
+    return out
+
+
 def _propagate_constant(generator: np.ndarray, x0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Rows exp(G*(t_k - t_0)) @ x0 on the uniform ``grid``, filled by doubling.
 
-    Rows [m, 2m) are rows [0, m) times exp(G*m*dt).T, each from its own
-    ``expm``: squaring the previous one would double its rounding error.
+    Rows [m, 2m) are rows [0, m) times exp(G*m*dt).T. The propagators of
+    every length m = 1, 2, 4, ... come from one :func:`expm` of the stack
+    G*m*dt, each with its own scaling: squaring the previous one would double
+    its rounding error.
     """
     if not np.all(np.isfinite(generator)):
         raise ValueError("generator entries must be finite")
     rows = np.empty((grid.n_steps, len(x0)), dtype=np.result_type(generator, x0))
     rows[0] = x0
-    m = 1
-    while m < len(rows):
-        # expm overflows to inf with only a RuntimeWarning
-        propagator = expm(generator * (m * grid.dt))
-        if not np.all(np.isfinite(propagator)):
-            raise ToleranceNotMet(f"propagator exp(G*t) at t={m * grid.dt:g} is not finite")
+    lengths = 2 ** np.arange((len(rows) - 1).bit_length())
+    propagators = expm(generator * (lengths * grid.dt)[:, None, None])
+    finite = np.isfinite(propagators).all(axis=(-2, -1))
+    if not finite.all():
+        t = lengths[np.argmin(finite)] * grid.dt
+        raise ToleranceNotMet(f"propagator exp(G*t) at t={t:g} is not finite")
+    for m, propagator in zip(lengths, propagators):
         rows[m : 2 * m] = rows[: min(m, len(rows) - m)] @ propagator.T
-        m *= 2
     return rows
 
 
@@ -167,8 +241,8 @@ def closed_form_oracle(generator, initial, t, *, cond_limit: float = 1e6):
     Independent of the step propagator. ``t`` may be a scalar (returns one
     amplitude vector) or an array (returns one vector per row). Raises
     ``IllConditioned`` when the eigenvector matrix condition number exceeds
-    ``cond_limit`` (degenerate poles); callers should then fall back to
-    :func:`expm_oracle`. The error is about cond*eps; at an exceptional point
+    ``cond_limit`` (degenerate poles); callers should then fall back to a
+    dense matrix exponential. The error is about cond*eps; at an exceptional point
     cond is near 1/sqrt(eps) (6.7e7 to 2.3e8), well above the default.
     """
     gen = np.asarray(generator, dtype=complex)
@@ -181,19 +255,6 @@ def closed_form_oracle(generator, initial, t, *, cond_limit: float = 1e6):
     coeff = np.linalg.solve(evecs, np.asarray(initial, dtype=complex))
     times = np.atleast_1d(np.asarray(t, dtype=float))
     out = (evecs @ (np.exp(np.outer(evals, times)) * coeff[:, None])).T
-    return out[0] if np.ndim(t) == 0 else out
-
-
-def expm_oracle(generator, initial, t):
-    """Dense matrix-exponential solution by scaling and squaring.
-
-    Slower than :func:`closed_form_oracle` but valid for defective
-    generators (exceptional points).
-    """
-    gen = np.asarray(generator, dtype=complex)
-    vec = np.asarray(initial, dtype=complex)
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.stack([expm(gen * tk) @ vec for tk in times])
     return out[0] if np.ndim(t) == 0 else out
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from memorymodes import Reservoir, TimeGrid, propagate_sector, rates_from_amplitudes
 
@@ -106,6 +107,21 @@ def max_entry_diff(series_a, series_b) -> float:
     stack_a = np.array([rho.matrix for rho in series_a])
     stack_b = np.array([rho.matrix for rho in series_b])
     return float(np.max(np.abs(stack_a - stack_b)))
+
+
+def expm_oracle(generator, initial, t):
+    """exp(G t) @ initial by ``scipy.linalg.expm``, one call per time.
+
+    An implementation independent of the library's propagator, and valid for
+    defective generators (exceptional points), where the eigen-decomposition
+    oracle refuses. ``t`` may be a scalar or an array, as for
+    ``closed_form_oracle``.
+    """
+    gen = np.asarray(generator, dtype=complex)
+    vec = np.asarray(initial, dtype=complex)
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.stack([expm(gen * tk) @ vec for tk in times])
+    return out[0] if np.ndim(t) == 0 else out
 
 
 def pytest_configure(config):

@@ -10,13 +10,12 @@ from memorymodes import (
     TimeGrid,
     ToleranceNotMet,
     closed_form_oracle,
-    expm_oracle,
     mode_generator,
     norm_balance_residuals,
     propagate_sector,
 )
 from memorymodes.amplitudes import AmplitudeTrajectory, _propagate_constant
-from conftest import gamma_markov, random_bandgap, random_lorentzian
+from conftest import expm_oracle, gamma_markov, random_bandgap, random_lorentzian
 
 
 class TestPropagateSingle:
@@ -61,7 +60,6 @@ class TestPropagateSingle:
         [(800.0, TimeGrid(0.0, 1.0, 2)), (500.0, TimeGrid(0.0, 4.0, 5))],
         ids=["step_overflows", "power_overflows"],
     )
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # expm warns as it overflows
     def test_overflowing_propagator_raises_tolerance_error(self, rate, grid):
         # a finite generator whose exp(G*dt), or a later exp(G*m*dt), overflows
         generator = np.diag([rate, 0.0]).astype(complex)

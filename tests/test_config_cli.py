@@ -488,31 +488,61 @@ class TestMain:
         assert capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_integrate_and_interpolate():
-    # the CLI's start-up loads no public scipy subpackage (integrate, interpolate,
-    # stats, ...) beyond those scipy.linalg loads by itself, which differ between
-    # scipy versions; a fresh interpreter, so modules imported by other tests do not count
-    code = (
-        "import sys\n"
-        "def public():\n"
-        "    return ' '.join(sorted(name for name, module in sys.modules.items() if name.startswith('scipy.') "
-        "and name.count('.') == 1 and not name[6:].startswith('_') and hasattr(module, '__path__')))\n"
-        "import scipy.linalg\n"
-        "print(public())\n"
-        "import memorymodes.cli\n"
-        "print(public())\n"
-    )
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with the package on its path."""
     path = os.pathsep.join([str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-    result = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
     )
-    with_linalg, with_cli = (line.split() for line in result.stdout.splitlines())
-    assert with_cli == with_linalg
-    assert not {"scipy.integrate", "scipy.interpolate", "scipy.stats"} & set(with_cli)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    code = (
+        "import sys\n"
+        "import memorymodes.cli\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')))\n"
+    )
+    result = _python(code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
+# a finder first in line that refuses every scipy module, then the CLI on sys.argv
+_WITHOUT_SCIPY = """\
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was not blocked")
+from memorymodes.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("experiment", ["evolve", "compare"])
+def test_experiment_runs_with_scipy_blocked(experiment, tmp_path):
+    config = tmp_path / "fig2.cfg"
+    config.write_text(FIG2_CONFIG_TEXT.replace("n_steps = 4000", "n_steps = 400"))
+    out = tmp_path / "out"
+    result = _python(_WITHOUT_SCIPY, experiment, "--config", str(config), "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert (out / "manifest.txt").exists()
 
 
 @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])

@@ -5,21 +5,34 @@ state they return is exactly Hermitian with an exactly real diagonal, and the
 coherences between the joint vacuum and the one-excitation states, which an
 excited start never creates, stay exactly zero. Defective generators, which
 the eigen-decomposition oracle cannot handle, are checked against
-``expm_oracle``.
+``expm_oracle`` (``scipy.linalg.expm``). The matrix exponential itself is
+checked against ``mpmath.expm`` at 40 digits on the arguments G*m*dt of the
+doubling fill.
 """
 
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from memorymodes import (
     DensityMatrix,
     Reservoir,
     TimeGrid,
+    ToleranceNotMet,
     evolve_lindblad_sector,
-    expm_oracle,
     mode_generator,
+    validate_config,
 )
-from memorymodes.amplitudes import _propagate_constant
+from memorymodes import density
+from memorymodes.amplitudes import _norm1, _propagate_constant, expm
+from conftest import expm_oracle
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+#: 10 lone peaks, wider the further out they sit; 11 amplitudes
+TEN_PEAKS = Reservoir(0.0, 0.8, tuple((1.0, 0.5 + 0.05 * k, k - 4.5) for k in range(10)))
 
 
 @pytest.mark.parametrize("route", ["single", "double"])
@@ -50,3 +63,75 @@ def test_defective_generator_matches_expm_oracle(generator):
     x0[-1] = 1.0
     rows = _propagate_constant(generator, x0, grid)
     assert np.max(np.abs(rows - expm_oracle(generator, x0, grid.times))) < 1e-14
+
+
+def ladder(generator, grid):
+    """The arguments G*m*dt of the doubling fill on ``grid``: m = 1, 2, 4, ... below its length."""
+    lengths = 2 ** np.arange((grid.n_steps - 1).bit_length())
+    return generator * (lengths * grid.dt)[:, None, None]
+
+
+def exact_expm(stack):
+    """exp of each matrix in ``stack`` by ``mpmath.expm`` at 40 digits, rounded to complex."""
+    with mpmath.workdps(40):
+        return np.array(
+            [np.array(mpmath.expm(mpmath.matrix(m.tolist())).tolist(), dtype=complex) for m in stack]
+        )
+
+
+def relative_errors(approx, exact):
+    return _norm1(approx - exact) / _norm1(exact)
+
+
+@pytest.mark.parametrize("n_steps", [4000, 16000])
+@pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+def test_expm_is_exact_on_the_doubling_ladder(preset, n_steps):
+    parsed = validate_config(CONFIG_DIR / f"{preset}.cfg")
+    grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
+    stack = ladder(mode_generator(parsed.model.sector), grid)
+    assert relative_errors(expm(stack), exact_expm(stack)).max() < 2e-15
+
+
+def test_expm_is_exact_on_a_liouvillian_ladder(fig2_model, fig2_grid, monkeypatch):
+    # the real coordinate generator that the Lindblad route hands to the propagator
+    seen = []
+
+    def spy(generator, x0, grid):
+        seen.append(generator)
+        return _propagate_constant(generator, x0, grid)
+
+    monkeypatch.setattr(density, "_propagate_constant", spy)
+    evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
+    (generator,) = seen
+    assert generator.dtype == float and generator.shape == (9, 9)
+    stack = ladder(generator, fig2_grid)
+    assert relative_errors(expm(stack), exact_expm(stack)).max() < 2e-15
+
+
+def test_expm_error_on_ten_peaks_is_near_scipys():
+    stack = ladder(mode_generator(TEN_PEAKS.sector), TimeGrid(0.0, 10.0, 4000))
+    exact = exact_expm(stack)
+    ours = relative_errors(expm(stack), exact)
+    theirs = relative_errors(np.stack([scipy.linalg.expm(m) for m in stack]), exact)
+    assert ours.max() <= 4 * theirs.max()
+
+
+def test_expm_of_zero_is_the_identity():
+    assert np.array_equal(expm(np.zeros((3, 4, 4), dtype=complex)), np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+
+def test_expm_of_a_diagonal_is_exp_of_its_entries():
+    entries = np.array([-50.0, -1.0, 0.0, 0.5 + 3.0j, 2.0 - 1.0j, 1e-9j])
+    got = np.diagonal(expm(np.diag(entries)))
+    with mpmath.workdps(40):
+        exact = np.array([complex(mpmath.exp(mpmath.mpc(z.real, z.imag))) for z in entries])
+    ulp = np.spacing(np.maximum(np.abs(exact.real), np.abs(exact.imag)))
+    assert np.all(np.abs(got.real - exact.real) <= ulp)
+    assert np.all(np.abs(got.imag - exact.imag) <= ulp)
+
+
+def test_overflowing_coupled_propagator_raises_tolerance_error():
+    # the Padé route, not the diagonal one: the generator has a coupling
+    generator = np.array([[800.0, 1.0], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(ToleranceNotMet, match="not finite"):
+        _propagate_constant(generator, np.array([1.0 + 0j, 0j]), TimeGrid(0.0, 1.0, 2))

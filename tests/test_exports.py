@@ -24,3 +24,9 @@ def test_submodule_all_resolves_without_duplicates(name):
     assert len(exported) == len(set(exported)), sorted(n for n in exported if exported.count(n) > 1)
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, missing
+
+
+def test_package_exports_49_names_and_no_scipy_oracle():
+    # expm_oracle, built on scipy, is a test helper (tests/conftest.py), not a library name
+    assert len(memorymodes.__all__) == 49
+    assert "expm_oracle" not in memorymodes.__all__
