@@ -11,9 +11,9 @@ every run it records the exit code, the peak of the memory traced during the
 run above what was traced before it (``peak_mib``) and what its results still
 hold when it returns (``retained_mib``), in MiB. One more run per ``--modes
 K`` and step count, ``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir
-of K lone Lorentzian peaks spread over [-2, 2] around the emitter, built here,
-through the path of the ``info`` experiment, which the CLI runs on one or two
-modes only: the Lindblad series from |e> on (K+2)^2 entries per point, its
+of K lone Lorentzian peaks spread over [-2, 2] around the emitter, built here
+as no config kind lists peaks, through the path of the ``info`` experiment:
+the Lindblad series from |e> on (K+2)^2 entries per point, its
 invariant defects and its ``info_series``, all three kept. The output is one
 JSON object keyed ``<preset>/<n_steps>/<experiment>``. tracemalloc sees what
 Python and numpy allocate, not LAPACK's workspace, so the peaks are lower

@@ -90,6 +90,13 @@ class AmplitudeTrajectory:
     def c1(self) -> np.ndarray:
         return self.states[:, 0]
 
+    @property
+    def vacuum(self) -> float:
+        """The joint-vacuum amplitude sqrt(1 - |states[0]|^2), frozen by the drift, real as the
+        global phase is free; ``ValueError`` unless ``propagate_sector`` takes ``states[0]``."""
+        norm = np.linalg.norm(_coerce_state(self.states[0], len(self.labels)))
+        return float(np.sqrt(max(0.0, 1.0 - norm**2)))
+
     def component(self, label: str) -> np.ndarray:
         return self.states[:, self.labels.index(label)]
 
@@ -129,9 +136,7 @@ def _coerce_vector(initial, dim: int, what: str) -> np.ndarray:
 
 def _coerce_state(initial, dim: int) -> np.ndarray:
     if initial is None:
-        vec = np.zeros(dim, dtype=complex)
-        vec[0] = 1.0
-        return vec
+        return np.eye(1, dim, dtype=complex)[0]
     vec = _coerce_vector(initial, dim, f"{dim} amplitudes")
     norm = np.linalg.norm(vec)
     if norm > 1.0 + NORM_SLACK:

@@ -42,7 +42,8 @@ from .density import (
 from .errors import MemoryModesError, NonPhysical, ParseError
 from .info import info_series
 from .models import Reservoir, TimeGrid
-from .rates import intermode_memory_identity, memory_identity_sector, rates_from_amplitudes
+from .rates import _band_gap_pair, intermode_memory_identity, memory_identity_sector
+from .rates import rates_from_amplitudes
 from .trajectories import _check_members, _check_seed, compare_unravelings
 from .trajectories import run_mcwf_pseudomode, run_nmqj
 
@@ -126,8 +127,7 @@ def _experiment_identity(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
     sector = config.model.sector
-    # the band-gap pair: a storage mode fed only through the leaky one
-    pair = sector.n_modes == 2 and sector.couplings[0] == 0.0
+    pair = _band_gap_pair(sector)
     if pair:
         extras["gamma_p1"] = f"{sector.leak_rates[0]:.17g}"
         extras["gamma_p2"] = f"{sector.leak_rates[1]:.17g}"
@@ -176,8 +176,9 @@ def _experiment_evolve(config, artifact, extras) -> None:
 
 
 def _experiment_nmqj(config, artifact, extras) -> None:
-    rates = rates_from_amplitudes(_propagate(config))
-    ensemble = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
+    traj = _propagate(config)
+    rates = rates_from_amplitudes(traj)
+    ensemble = run_nmqj(rates, [traj.vacuum, traj.c1[0]], config.n_members, config.seed)
     write_ensemble_csv(artifact("nmqj.csv"), ensemble)
 
 
@@ -189,7 +190,7 @@ def _experiment_mcwf(config, artifact, extras) -> None:
 def _experiment_compare(config, artifact, extras) -> None:
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
-    nmqj = run_nmqj(rates, np.array([0.0, 1.0 + 0.0j]), config.n_members, config.seed)
+    nmqj = run_nmqj(rates, [traj.vacuum, traj.c1[0]], config.n_members, config.seed)
     mcwf = run_mcwf_pseudomode(traj, config.n_members, config.seed)
     report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
     write_ensemble_csv(artifact("nmqj.csv"), nmqj)

@@ -367,9 +367,7 @@ def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> Density
 
 
 def evolve_lindblad_sector(
-    sector: PseudomodeSector,
-    rho0: DensityMatrix,
-    grid: TimeGrid,
+    sector: PseudomodeSector, rho0: DensityMatrix, grid: TimeGrid
 ) -> DensitySeries:
     """Evolve the emitter+modes state with one leakage channel per mode, rotating frame.
 
@@ -409,9 +407,7 @@ def evolve_lindblad_sector(
     return DensitySeries._adopt(stack)
 
 
-def partial_trace_pseudomodes(
-    rho: DensityMatrix | DensitySeries,
-) -> DensityMatrix | DensitySeries:
+def partial_trace_pseudomodes(rho: DensityMatrix | DensitySeries) -> DensityMatrix | DensitySeries:
     """Reduce an extended-sector state (or series) to the emitter alone.
 
     The ground population collects every emitter-ground diagonal entry; the
@@ -462,8 +458,7 @@ def density_series_lab_frame(
     times = np.asarray(times, dtype=float)
     if len(densities) != len(times):
         raise ValueError(f"{len(densities)} states for {len(times)} time points")
-    excitation = np.ones(densities.dim)
-    excitation[0] = 0.0
+    excitation = (np.arange(densities.dim) > 0).astype(float)
     # single exp per entry keeps the diagonal exactly one
     gaps = excitation[:, None] - excitation[None, :]
     dressed = np.empty_like(densities.matrices)
@@ -473,45 +468,42 @@ def density_series_lab_frame(
     return DensitySeries._adopt(dressed)
 
 
-def atom_density_from_amplitudes(
-    traj: AmplitudeTrajectory, vacuum_amplitude: complex = 0.0
-) -> DensitySeries:
+def atom_density_from_amplitudes(traj: AmplitudeTrajectory) -> DensitySeries:
     """Emitter state series reconstructed from a pure amplitude solution.
 
-    Valid when the initial joint state was pure with vacuum component
-    ``vacuum_amplitude`` and unit total norm: the norm lost by the amplitude
-    vector accumulates in the ground population.
+    The joint state is pure with unit norm and vacuum component
+    ``traj.vacuum``: the norm lost by the amplitude vector accumulates in the
+    ground population.
     """
     c1 = traj.c1
     # hypot then pow rounds like the scalar abs(c1) ** 2; np.abs(c1) ** 2 can
     # differ in the last bit
     ee = np.float_power(np.hypot(c1.real, c1.imag), 2.0)
-    coh = c1 * np.conj(complex(vacuum_amplitude))
+    coh = c1 * np.conj(complex(traj.vacuum))
     return DensitySeries._adopt(_emitter_entries(1.0 - ee, ee, coh))
 
 
-def _extended_vectors(traj: AmplitudeTrajectory, vacuum_amplitude: complex) -> np.ndarray:
+def _extended_vectors(traj: AmplitudeTrajectory) -> np.ndarray:
     """phi(t) on the sector basis (vacuum, modes, excited) of an amplitude solution.
 
-    The amplitude vector is (excited, modes); the vacuum amplitude is frozen.
+    The amplitude vector is (excited, modes); the vacuum amplitude
+    ``traj.vacuum`` is frozen.
     """
     states = traj.states
     phi = np.empty((len(states), states.shape[1] + 1), dtype=complex)
-    phi[:, 0] = vacuum_amplitude
+    phi[:, 0] = traj.vacuum
     phi[:, 1:-1] = states[:, 1:]
     phi[:, -1] = states[:, 0]
     return phi
 
 
-def extended_density_from_amplitudes(
-    traj: AmplitudeTrajectory, vacuum_amplitude: complex = 0.0
-) -> DensitySeries:
+def extended_density_from_amplitudes(traj: AmplitudeTrajectory) -> DensitySeries:
     """Extended-sector state series reconstructed from a pure amplitude solution.
 
     Each state is |phi(t)><phi(t)| plus the lost norm parked in the joint
     vacuum, with phi ordered on the sector basis (vacuum, modes, excited).
     """
-    phi = _extended_vectors(traj, vacuum_amplitude)
+    phi = _extended_vectors(traj)
     rho = phi[:, :, None] * phi[:, None, :].conj()
     # a batched matmul rounds each norm as np.vdot(phi, phi) does
     rho[:, 0, 0] += 1.0 - (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real

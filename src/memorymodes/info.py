@@ -31,10 +31,6 @@ __all__ = [
 EIGENVALUE_FLOOR = 1e-12
 
 
-def _as_matrix(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 def _entropies(eigs: np.ndarray) -> np.ndarray:
     """-sum(p ln p) over the last axis of the spectra of one matrix or a stack."""
     kept = eigs > EIGENVALUE_FLOOR
@@ -50,7 +46,8 @@ def von_neumann_entropy(rho) -> float:
     ``EIGENVALUE_FLOOR`` count as zero, which guards against logarithms of
     tiny negatives produced by integration noise.
     """
-    return float(_entropies(_spectrum(_as_matrix(rho))))
+    matrix = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    return float(_entropies(_spectrum(matrix)))
 
 
 def mutual_information(rho_joint) -> float:

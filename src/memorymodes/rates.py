@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import AmplitudeTrajectory
-from .errors import AllPointsInvalid
-from .models import TimeGrid
+from .errors import AllPointsInvalid, GridMismatch
+from .models import PseudomodeSector, TimeGrid
 
 __all__ = [
     "VALIDITY_CUTOFF",
@@ -151,8 +151,10 @@ def memory_identity_sector(
     trajectory's sector, with the derivatives taken from the ODE right-hand
     side. rhs: rate(t)*|c1(t)|^2. The two are equal for the exact dynamics;
     the report records the numerical defect. Points with invalid rates are
-    excluded from the residual maximum.
+    excluded from the residual maximum; both share one grid, else ``GridMismatch``.
     """
+    if rates.grid != traj.grid:
+        raise GridMismatch(f"rates on {rates.grid} for a trajectory on {traj.grid}")
     derivs = traj.derivatives()
     lhs = np.zeros(traj.grid.n_steps)
     for index, rate in enumerate(traj.sector.leak_rates, start=1):
@@ -160,6 +162,11 @@ def memory_identity_sector(
         lhs = lhs + 2.0 * (derivs[:, index] * np.conj(amp)).real + rate * np.abs(amp) ** 2
     rhs = rates.gamma * np.abs(traj.c1) ** 2
     return _build_report(traj.grid, lhs, rhs, rates.valid)
+
+
+def _band_gap_pair(sector: PseudomodeSector) -> bool:
+    """Whether ``sector`` is the band-gap pair: a storage mode fed only through the leaky one."""
+    return sector.n_modes == 2 and sector.couplings[0] == 0.0
 
 
 def intermode_memory_identity(traj: AmplitudeTrajectory) -> MemoryIdentityReport:
@@ -171,7 +178,7 @@ def intermode_memory_identity(traj: AmplitudeTrajectory) -> MemoryIdentityReport
     every grid point.
     """
     sector = traj.sector
-    if sector.n_modes != 2 or sector.couplings[0] != 0.0:
+    if not _band_gap_pair(sector):
         raise ValueError(
             "the intermode identity needs two modes, the first uncoupled from the emitter"
         )
@@ -180,5 +187,4 @@ def intermode_memory_identity(traj: AmplitudeTrajectory) -> MemoryIdentityReport
     da1 = traj.derivatives()[:, 1]
     lhs = 2.0 * (da1 * np.conj(a1)).real + sector.leak_rates[0] * np.abs(a1) ** 2
     rhs = 2.0 * sector.intermode[0][1] * (a2 * np.conj(a1)).imag
-    valid = np.ones(traj.grid.n_steps, dtype=bool)
-    return _build_report(traj.grid, lhs, rhs, valid)
+    return _build_report(traj.grid, lhs, rhs, np.ones(traj.grid.n_steps, dtype=bool))

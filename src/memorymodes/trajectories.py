@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .amplitudes import AmplitudeTrajectory, _coerce_vector
+from .amplitudes import NORM_SLACK, AmplitudeTrajectory, _coerce_vector
 from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
 from .errors import GridMismatch, NonPhysical, StepTooLarge
 from .models import TimeGrid
@@ -99,15 +99,18 @@ class ComparisonReport:
 
 def _check_seed(seed) -> None:
     """Raise ``ValueError`` unless ``seed`` is an integer that fits an unsigned 64-bit key."""
-    # the uint64 key would truncate a fractional seed to another run's stream
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    # the uint64 key would truncate a fractional seed to another run's stream,
+    # and a bool is an int but no seed
+    integral = isinstance(seed, (int, np.integer)) and not isinstance(seed, bool)
+    if not integral or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def _check_members(n_members) -> None:
     """Raise ``ValueError`` unless ``n_members`` is an integer size the int64 counts hold."""
-    # a fractional size would make fractional counts
-    if not isinstance(n_members, (int, np.integer)) or not 1 <= n_members < 2**63:
+    # a fractional size would make fractional counts, and True would run one member
+    integral = isinstance(n_members, (int, np.integer)) and not isinstance(n_members, bool)
+    if not integral or not 1 <= n_members < 2**63:
         raise ValueError(f"n_members must be an integer in [1, 2**63), got {n_members!r}")
 
 
@@ -209,7 +212,7 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     _check_members(n_members)
     psi_init = _coerce_vector(initial, 2, "a 2-component pure state")
     norm = np.linalg.norm(psi_init)
-    if abs(norm - 1.0) > 1e-9:
+    if abs(norm - 1.0) > NORM_SLACK:
         raise ValueError(f"pure state must be normalized, got norm {norm}")
     rng = _engine_generator(seed, NMQJ_STREAM)
 
@@ -237,29 +240,23 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     return _unravel(rng, grid, n_members, p[:, None], direct, reverse, psi0, seed)
 
 
-def run_mcwf_pseudomode(
-    traj: AmplitudeTrajectory, n_members: int, seed: int, vacuum_amplitude: complex = 0.0
-) -> Ensemble:
+def run_mcwf_pseudomode(traj: AmplitudeTrajectory, n_members: int, seed: int) -> Ensemble:
     """Monte Carlo wave-function sampling of the amplitude solution ``traj``.
 
     The no-jump state is ``traj`` normalized on the sector basis (vacuum, modes,
-    excited), with the frozen ``vacuum_amplitude`` the drift leaves invariant;
-    the joint state must start with unit norm. Each remaining member jumps to
-    the joint ground state with probability sum_i rate_i*dt*(mode-i
-    population), resolved per channel. The leak rates of ``traj.sector`` are
-    non-negative constants, so every step on ``traj.grid`` is direct and
-    ``_unravel``, the sampler of both unravelings, draws the run as one
-    pure-death stretch.
+    excited), with the frozen ``traj.vacuum`` that makes the joint state start
+    with unit norm. Each remaining member jumps to the joint ground state with
+    probability sum_i rate_i*dt*(mode-i population), resolved per channel. The
+    leak rates of ``traj.sector`` are non-negative constants, so every step on
+    ``traj.grid`` is direct and ``_unravel``, the sampler of both unravelings,
+    draws the run as one pure-death stretch.
     """
     _check_members(n_members)
     grid = traj.grid
-    phi = _extended_vectors(traj, vacuum_amplitude)
-    # a NaN entry would pass every norm bound, since NaN comparisons are False
+    phi = _extended_vectors(traj)
+    # a NaN entry would pass the probability bound, since NaN comparisons are False
     if not np.all(np.isfinite(phi)):
-        raise ValueError(f"vacuum amplitude {vacuum_amplitude} and trajectory must be finite")
-    norms = np.linalg.norm(phi, axis=1)
-    if abs(norms[0] - 1.0) > 1e-9:
-        raise ValueError(f"pure state must be normalized, got norm {norms[0]}")
+        raise ValueError("the trajectory must be finite")
     rng = _engine_generator(seed, MCWF_STREAM)
 
     channel_rates = np.array(traj.sector.leak_rates)
@@ -268,7 +265,7 @@ def run_mcwf_pseudomode(
             f"the MCWF unraveling needs non-negative mode leakage rates, got {channel_rates}"
         )
 
-    psi0 = phi / norms[:, None]
+    psi0 = phi / np.linalg.norm(phi, axis=1)[:, None]
     p = np.abs(psi0[:-1, 1:-1]) ** 2 * channel_rates * grid.dt
     return _unravel(rng, grid, n_members, p, np.ones(len(p), dtype=bool), None, psi0, seed)
 

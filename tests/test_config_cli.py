@@ -462,13 +462,16 @@ class TestMain:
         assert "seed" in capsys.readouterr().err
 
     def test_fractional_seed_rejected(self, tmp_path):
-        # a uint64 key would truncate 1.5 to seed 1's stream and record 1.5
-        with pytest.raises(ValueError, match="seed"):
-            fig2_config("nmqj", tmp_path / "out", seed=1.5)
+        # a uint64 key would truncate 1.5 to seed 1's stream and record 1.5;
+        # a bool would run as seed 0 or 1 and record False or True
+        for seed in (1.5, True, False):
+            with pytest.raises(ValueError, match="seed"):
+                fig2_config("nmqj", tmp_path / "out", seed=seed)
 
-    @pytest.mark.parametrize("n_members", [1.5, 3.0])
+    @pytest.mark.parametrize("n_members", [1.5, 3.0, True, False])
     def test_fractional_ensemble_size_rejected(self, n_members, tmp_path):
-        # the engines would count members in float64, 1.5 of them in the shared state
+        # the engines would count members in float64, 1.5 of them in the shared
+        # state; True would run one member and record True
         with pytest.raises(ValueError, match="n_members"):
             fig2_config("nmqj", tmp_path / "out", n_members=n_members)
 

@@ -5,6 +5,7 @@ import pytest
 
 from memorymodes import (
     AllPointsInvalid,
+    GridMismatch,
     Reservoir,
     TimeGrid,
     intermode_memory_identity,
@@ -114,6 +115,15 @@ class TestMemoryIdentitySingle:
         assert np.max(np.abs(report.lhs)) < 1e-14
         assert np.max(np.abs(report.rhs)) < 1e-14
         assert report.max_relative_residual < 1e-14
+
+    def test_rates_from_another_grid_rejected(self, fig2_model):
+        traj = propagate_sector(fig2_model.sector, None, TimeGrid(0.0, 10.0, 400))
+        # fewer points failed in numpy broadcasting; half the span gave a
+        # residual of 1.35 with no error
+        for other in (TimeGrid(0.0, 10.0, 300), TimeGrid(0.0, 5.0, 400)):
+            rates = rates_from_amplitudes(propagate_sector(fig2_model.sector, None, other))
+            with pytest.raises(GridMismatch):
+                memory_identity_sector(traj, rates)
 
 
 class TestMemoryIdentityDouble:

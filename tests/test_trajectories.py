@@ -17,6 +17,8 @@ from memorymodes import (
     atom_density_from_amplitudes,
     compare_unravelings,
     evolve_lindblad_sector,
+    extended_density_from_amplitudes,
+    partial_trace_pseudomodes,
     propagate_sector,
     rates_from_amplitudes,
     run_mcwf_pseudomode,
@@ -24,6 +26,7 @@ from memorymodes import (
     traced_ensemble_atom_state,
     validate_config,
 )
+from memorymodes.amplitudes import NORM_SLACK
 from memorymodes.trajectories import (
     MAX_JUMP_PROBABILITY,
     MCWF_STREAM,
@@ -35,6 +38,13 @@ from memorymodes.trajectories import (
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 EXCITED_ATOM = np.array([0.0, 1.0 + 0.0j])
+
+
+def with_state(traj, k, i, value):
+    """``traj`` with amplitude i of state k set to ``value``, built by hand."""
+    states = traj.states.copy()
+    states[k, i] = value
+    return AmplitudeTrajectory(traj.grid, states, traj.sector)
 
 
 def constant_rates(grid, gamma_value, s_value=0.0):
@@ -192,7 +202,7 @@ class TestMcwf:
     def test_ground_state_is_stationary(self, fig2_model):
         grid = TimeGrid(0.0, 4.0, 100)
         traj = propagate_sector(fig2_model.sector, [0.0, 0.0], grid)
-        ens = run_mcwf_pseudomode(traj, 400, 29, vacuum_amplitude=1.0)
+        ens = run_mcwf_pseudomode(traj, 400, 29)
         assert np.all(ens.n1 == 0)
         assert np.array_equal(ens.jump_counts, np.zeros_like(ens.jump_counts))
         assert np.max(np.abs(ens.psi0 - ens.psi0[0])) < 1e-12
@@ -252,13 +262,13 @@ class TestMcwf:
         # nonzero joint-vacuum amplitude: the no-jump state keeps it frozen
         # and the traced ensemble must match the exact emitter evolution
         grid = TimeGrid(0.0, 6.0, 1200)
-        c_vac = 0.6
+        c_vac = math.sqrt(1.0 - 0.8**2)
         initial = np.array([c_vac, 0.0, 0.8 + 0.0j])
         n = 40_000
         traj = propagate_sector(fig2_model.sector, np.array([0.8 + 0.0j, 0.0]), grid)
-        ens = run_mcwf_pseudomode(traj, n, 73, vacuum_amplitude=c_vac)
+        ens = run_mcwf_pseudomode(traj, n, 73)
         assert np.allclose(ens.psi0[0], initial / np.linalg.norm(initial), atol=1e-12)
-        exact = atom_density_from_amplitudes(traj, vacuum_amplitude=c_vac)
+        exact = atom_density_from_amplitudes(traj)
         traced = traced_ensemble_atom_state(ens)
         sigma_floor = 1.0 / math.sqrt(n)
         worst = max(
@@ -301,12 +311,15 @@ class TestMcwf:
         with pytest.raises(StepTooLarge):
             run_mcwf_pseudomode(propagate_sector(model.sector, None, grid), 10, 1)
 
-    def test_rejects_unnormalized_state(self, fig2_model, fig2_grid):
-        with pytest.raises(ValueError, match="normalized"):
-            run_mcwf_pseudomode(propagate_sector(fig2_model.sector, [0.5, 0.0], fig2_grid), 10, 1)
+    def test_rejects_unnormalized_state(self, fig2_traj):
+        # a first state of norm above 1 leaves no vacuum amplitude for unit norm
+        over = with_state(fig2_traj, 0, 1, np.sqrt(4.0 * NORM_SLACK))
+        assert np.linalg.norm(over.states[0]) > 1.0 + NORM_SLACK
+        with pytest.raises(ValueError, match="norm"):
+            run_mcwf_pseudomode(over, 10, 1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
 def test_seed_outside_u64_rejected(seed, fig2_traj, fig2_rates):
     with pytest.raises(ValueError, match="seed"):
         run_nmqj(fig2_rates, EXCITED_ATOM, 10, seed)
@@ -321,9 +334,10 @@ def test_ensemble_size_outside_int64_rejected(fig2_traj, fig2_rates):
         run_mcwf_pseudomode(fig2_traj, 2**63, 1)
 
 
-@pytest.mark.parametrize("n_members", [1.5, 3.0])
+@pytest.mark.parametrize("n_members", [1.5, 3.0, True, False])
 def test_fractional_ensemble_size_rejected(n_members, fig2_traj, fig2_rates):
-    # the engines would count in float64: n0 = 1.5 at every point for 1.5
+    # the engines would count in float64: n0 = 1.5 at every point for 1.5;
+    # True would run one member
     with pytest.raises(ValueError, match="n_members"):
         run_nmqj(fig2_rates, EXCITED_ATOM, n_members, 1)
     with pytest.raises(ValueError, match="n_members"):
@@ -335,13 +349,10 @@ def test_non_finite_initial_state_rejected(fig2_traj, fig2_rates):
     with pytest.raises(ValueError, match="finite"):
         run_nmqj(fig2_rates, np.array([np.nan, 1.0]), 10, 1)
     with pytest.raises(ValueError, match="finite"):
-        run_mcwf_pseudomode(fig2_traj, 10, 1, vacuum_amplitude=np.nan)
+        run_mcwf_pseudomode(with_state(fig2_traj, 0, 0, np.nan), 10, 1)
     # a trajectory built by hand is checked too, at every point
-    states = fig2_traj.states.copy()
-    states[-1, 1] = np.inf
-    damaged = AmplitudeTrajectory(fig2_traj.grid, states, fig2_traj.sector)
     with pytest.raises(ValueError, match="finite"):
-        run_mcwf_pseudomode(damaged, 10, 1)
+        run_mcwf_pseudomode(with_state(fig2_traj, -1, 1, np.inf), 10, 1)
 
 
 class TestTracedEnsemble:
@@ -370,8 +381,6 @@ class TestTracedEnsemble:
         assert out[0].ground_population() == pytest.approx(expected, abs=1e-14)
 
     def test_matches_partial_trace_of_ensemble_density(self, fig2_traj):
-        from memorymodes import partial_trace_pseudomodes
-
         ens = run_mcwf_pseudomode(fig2_traj, 500, 53)
         traced = traced_ensemble_atom_state(ens)
         for k in (0, 1000, 3999):
@@ -383,7 +392,7 @@ class TestTracedEnsemble:
 
     def test_matches_pointwise_reference(self, bandgap_model, fig2_grid):
         traj = propagate_sector(bandgap_model.sector, [math.sqrt(0.91), 0.0, 0.0], fig2_grid)
-        ens = run_mcwf_pseudomode(traj, 500, 5, vacuum_amplitude=0.3)
+        ens = run_mcwf_pseudomode(traj, 500, 5)
         reference = []
         for psi, n0, n1 in zip(ens.psi0, ens.n0, ens.n1):
             w0, w1 = n0 / 500, n1 / 500
@@ -393,6 +402,27 @@ class TestTracedEnsemble:
             reference.append([[gg, np.conj(eg)], [eg, ee]])
         traced = traced_ensemble_atom_state(ens).matrices
         assert np.array_equal(traced.view(float), np.array(reference, complex).view(float))
+
+
+@pytest.mark.parametrize("preset", ["fig2", "bandgap"])
+def test_every_consumer_reads_one_joint_state(preset, request, fig2_grid):
+    # emitter amplitude 0.8: the joint state starts in the superposition
+    # psi0 = (vacuum, 0.8) on (g, e), and no consumer takes a second copy of it
+    sector = request.getfixturevalue(f"{preset}_model").sector
+    traj = propagate_sector(sector, [0.8] + [0.0] * sector.n_modes, fig2_grid)
+    psi0 = [traj.vacuum, traj.c1[0]]
+    start = DensityMatrix.from_pure(psi0).matrix
+    atom = atom_density_from_amplitudes(traj)
+    # pure, with rho_eg(0) = 0.48 rather than a mixture with rho_eg(0) = 0
+    assert np.max(np.abs(atom[0].matrix - start)) < 1e-15
+    traced = partial_trace_pseudomodes(extended_density_from_amplitudes(traj))
+    assert np.max(np.abs(traced.matrices - atom.matrices)) < 1e-15
+    # both engines start every member in psi0, and the compare run starts both so
+    mcwf = run_mcwf_pseudomode(traj, 1000, 7)
+    nmqj = run_nmqj(rates_from_amplitudes(traj), psi0, 1000, 7)
+    for ens in (mcwf, nmqj):
+        first = traced_ensemble_atom_state(ens)[0].matrix
+        assert np.array_equal(first.view(float), start.view(float))
 
 
 class TestCompare:
