@@ -192,7 +192,7 @@ def _experiment_compare(config, artifact, extras) -> None:
     rates = rates_from_amplitudes(traj)
     nmqj = run_nmqj(rates, [traj.vacuum, traj.c1[0]], config.n_members, config.seed)
     mcwf = run_mcwf_pseudomode(traj, config.n_members, config.seed)
-    report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
+    report = compare_unravelings(nmqj, mcwf, traj)
     write_ensemble_csv(artifact("nmqj.csv"), nmqj)
     write_ensemble_csv(artifact("mcwf.csv"), mcwf)
     write_comparison_csv(artifact("comparison.csv"), report)

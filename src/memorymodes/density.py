@@ -13,7 +13,9 @@ last two axes, so one implementation serves a single state and a series.
 Whole-series operations (validation, spectra, invariant checks, the
 Lindblad fill, the carrier phase) run over chunks of ``_CHUNK_BYTES`` of
 matrices, so their scratch stays fixed while the series grows; the stacks
-the library builds become series without a copy.
+the library builds become series without a copy. A spectrum calls LAPACK
+only where it must (``_spectrum``): a diagonal stack is sorted, and a 2x2
+matrix, or a 3x3 one whose vacuum couples to nothing, takes a closed form.
 
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
@@ -208,7 +210,7 @@ class DensitySeries:
 
 
 #: ``?heevd`` rescales a matrix whose largest entry lies outside about
-#: [1e-146, 1e146]; a diagonal stack takes the shortcut only well inside
+#: [1e-146, 1e146]; the shortcuts of ``_spectrum`` act only well inside
 _UNSCALED = (1e-140, 1e140)
 #: ``dlasrt`` sorts up to 20 values by insertion, which keeps ties in order
 _MAX_SORTED_DIM = 20
@@ -219,16 +221,30 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
 
     The stack is taken chunk by chunk (``_chunks``), each chunk Hermitized in
     place in one scratch: a^H + a, then halved, rounds like 0.5 (a + a^H).
-    When every off-diagonal entry of a Hermitized chunk is exactly zero,
-    its real diagonal, stably sorted, is returned without ``eigvalsh``. The
-    emitter states of runs that start in |e> are such stacks. On them
-    LAPACK's ``?heevd`` applies zero reflectors (``?hetd2``), splits the
-    tridiagonal matrix into 1x1 blocks (``dsterf``) and sorts them by
-    insertion (``dlasrt``), so it returns the same bits unless it rescales.
-    So a chunk with a matrix whose largest entry lies outside ``_UNSCALED``
-    (a density matrix has trace one, so its largest entry is at least 1/d)
-    or is not finite, or with a dimension above ``_MAX_SORTED_DIM``, still
-    goes to ``eigvalsh``, which works matrix by matrix.
+    A chunk, or each matrix of it, takes the first of these routes that
+    applies. Only the closed form gives other bits than ``eigvalsh``, and it
+    is chosen matrix by matrix, so a matrix of a series gets the bits it gets
+    alone.
+
+    - Diagonal, for a whole chunk of dimension at most ``_MAX_SORTED_DIM``:
+      every off-diagonal entry is exactly zero, and the largest entry of each
+      matrix is zero or inside ``_UNSCALED``. Its real diagonal, stably
+      sorted, is the spectrum. The emitter states of runs that start in |e>
+      are such stacks. On them LAPACK's ``?heevd`` applies zero reflectors
+      (``?hetd2``), splits the tridiagonal matrix into 1x1 blocks
+      (``dsterf``) and sorts them by insertion (``dlasrt``), so it returns
+      the same bits; it would rescale a matrix with a larger or smaller
+      largest entry (a density matrix has trace one, so its largest entry is
+      at least 1/d).
+    - Closed form, for each matrix of dimension 2 or 3: every nonzero real and
+      imaginary part lies inside ``_UNSCALED``, and at dimension 3 every
+      off-diagonal entry of row 0 is exactly zero, as in the joint state of a
+      one-mode run from |e> and the mode marginal of a two-mode one, whose
+      vacuum couples to nothing. Entry [0, 0] is then an eigenvalue, and the
+      2x2 block that remains, like a 2x2 matrix, takes the closed form of
+      :func:`_closed_form`.
+    - Otherwise ``eigvalsh``, which works matrix by matrix: a larger matrix,
+      one that is not finite, or one with an entry LAPACK could rescale.
     """
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
@@ -250,8 +266,60 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
             largest = np.maximum(np.abs(out[:, :1]), np.abs(out[:, -1:]))
             if np.all((largest == 0.0) | ((largest >= low) & (largest <= high))):
                 continue
-        out[...] = np.linalg.eigvalsh(hermitized)
+        if dim > 3:
+            out[...] = np.linalg.eigvalsh(hermitized)
+            continue
+        parts = np.abs(hermitized.view(float)).reshape(len(out), -1)
+        # a NaN fails the comparisons
+        closed = np.all((parts == 0.0) | ((parts >= low) & (parts <= high)), axis=1)
+        if dim == 3:
+            closed &= ~np.any(hermitized[:, 0, 1:], axis=1)
+        if closed.all():
+            out[...] = _closed_form(hermitized)
+            continue
+        out[~closed] = np.linalg.eigvalsh(hermitized[~closed])
+        if closed.any():
+            out[closed] = _closed_form(hermitized[closed])
     return values.reshape(matrices.shape[:-1])
+
+
+def _closed_form(hermitized: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian 2x2 matrices, or of 3x3 ones
+    whose row 0 is zero off the diagonal, ``(n, d)``.
+
+    The trailing 2x2 block gets LAPACK's ``dlae2``, vectorized, on the
+    diagonal a, c and the coupling |b|: rt1 = (sm +- hypot(a - c, 2|b|))/2
+    takes the sign of sm = a + c, so it does not cancel, and
+    rt2 = (acmx/rt1) acmn - (|b|/rt1) |b|, where acmx and acmn are the
+    diagonal entries of larger and smaller magnitude; at sm = 0 they are
+    +-hypot/2. A block with b = 0 keeps its diagonal, stably sorted, the bits
+    of ``eigvalsh``. Entry [0, 0] of a 3x3 matrix is merged in by a stable
+    sort. Every nonzero part must lie within ``_UNSCALED``, so nothing
+    overflows or underflows. On the presets' blocks the error against mpmath
+    is at most 5.6e-16 of the block's largest |entry|, where ``eigvalsh``
+    reads up to 1.2e-15.
+    """
+    split = hermitized.shape[-1] - 2
+    a = hermitized[:, split, split].real
+    c = hermitized[:, -1, -1].real
+    b = np.abs(hermitized[:, -1, split])
+    sm = a + c
+    rt = np.hypot(a - c, 2.0 * b)
+    rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+    larger = np.abs(a) > np.abs(c)
+    acmx, acmn = np.where(larger, a, c), np.where(larger, c, a)
+    # rt1 is zero only on a zero block, whose b is zero
+    pivot = np.where(rt1 == 0.0, 1.0, rt1)
+    rt2 = np.where(sm == 0.0, -rt1, (acmx / pivot) * acmn - (b / pivot) * b)
+    swap = c < a
+    coupled = b != 0.0
+    out = np.empty(hermitized.shape[:-1])
+    out[:, split] = np.where(coupled, np.minimum(rt1, rt2), np.where(swap, c, a))
+    out[:, -1] = np.where(coupled, np.maximum(rt1, rt2), np.where(swap, a, c))
+    if split:
+        out[:, 0] = hermitized[:, 0, 0].real
+        out.sort(axis=-1, kind="stable")
+    return out
 
 
 def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:

@@ -1,12 +1,15 @@
 """Entropy and correlation diagnostics along density-matrix series.
 
 One kernel computes spectral entropies from the spectrum of a matrix or a
-stack, so ``info_series`` and ``von_neumann_entropy`` give the same bits; a
-series' spectrum is computed once and shared with its checks. An exactly
-diagonal stack (the emitter marginal of a run from |e>) is sorted instead of
-diagonalized, with the bits of ``eigvalsh``; any other takes one batched
-``eigvalsh`` per chunk. ``info_series`` takes the marginals chunk by chunk,
-so its scratch stays fixed while the series grows.
+stack, and each matrix takes its own spectrum route, so ``info_series``
+and ``von_neumann_entropy`` give the same bits; a series' spectrum is
+computed once and shared with its checks. Of a run from |e> only states
+of dimension 4 or more call LAPACK (``density._spectrum``): the
+emitter marginal is diagonal and is sorted, with the bits of ``eigvalsh``;
+a 3x3 joint state or mode marginal splits off its decoupled vacuum, and
+the 2x2 block that remains takes a closed form, which differs from
+``eigvalsh`` at rounding level. ``info_series`` takes the
+marginals chunk by chunk, so its scratch stays fixed while the series grows.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ def von_neumann_entropy(rho) -> float:
 
     The matrix is Hermitized before diagonalizing and eigenvalues below
     ``EIGENVALUE_FLOOR`` count as zero, which guards against logarithms of
-    tiny negatives produced by integration noise.
+    tiny negatives produced by integration noise. An array is checked as
+    ``DensityMatrix`` checks it, with the same ``ValueError``.
     """
-    matrix = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    matrix = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)).matrix
     return float(_entropies(_spectrum(matrix)))
 
 

@@ -23,15 +23,24 @@ members alone, as its probability depends on the counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .amplitudes import NORM_SLACK, AmplitudeTrajectory, _coerce_vector
-from .density import DensitySeries, _emitter_entries, _extended_vectors, _rate_integral
+from .density import (
+    DensitySeries,
+    _emitter_entries,
+    _extended_vectors,
+    _rate_integral,
+    atom_density_from_amplitudes,
+)
 from .errors import GridMismatch, NonPhysical, StepTooLarge
 from .models import TimeGrid
 from .rates import RateTrajectory
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 __all__ = [
     "MAX_JUMP_PROBABILITY",
@@ -115,7 +124,13 @@ def _check_members(n_members) -> None:
 
 
 def _engine_generator(seed: int, stream: int) -> Generator:
-    """The random stream of one engine run, keyed by (seed, engine stream id)."""
+    """The random stream of one engine run, keyed by (seed, engine stream id).
+
+    ``numpy.random`` is imported here, at the first draw, so that the runs
+    that draw nothing do not pay for loading it.
+    """
+    from numpy.random import Generator, Philox
+
     _check_seed(seed)
     return Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
 
@@ -297,22 +312,21 @@ def _z_scores(diff: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return out
 
 
-def compare_unravelings(a: Ensemble, b: Ensemble, exact: DensitySeries) -> ComparisonReport:
-    """Check both unravelings' ground populations against an exact series.
+def compare_unravelings(a: Ensemble, b: Ensemble, traj: AmplitudeTrajectory) -> ComparisonReport:
+    """Check both unravelings' ground populations against the exact solution ``traj``.
 
-    The exact ground population is the emitter-ground diagonal sum, so an
-    emitter series and an extended-sector series give the same reference.
+    The exact ground population is that of ``atom_density_from_amplitudes(traj)``.
+    ``GridMismatch`` refuses ensembles on two grids and a ``traj`` on
+    another grid than theirs.
     The binomial standard error uses the exact probability, so degenerate
     points (p = 0 or 1) produce zero sigma and a zero score whenever the
     observation agrees exactly.
     """
     if not np.array_equal(a.grid.times, b.grid.times):
         raise GridMismatch("ensembles were sampled on different grids")
-    if len(exact) != a.grid.n_steps:
-        raise GridMismatch(
-            f"reference series has {len(exact)} states for {a.grid.n_steps} grid points"
-        )
-    p_exact = exact.ground_population()
+    if not np.array_equal(traj.grid.times, a.grid.times):
+        raise GridMismatch("the exact trajectory is on another grid than the ensembles")
+    p_exact = atom_density_from_amplitudes(traj).ground_population()
     variance = np.clip(p_exact * (1.0 - p_exact), 0.0, None)
     sigma_a = np.sqrt(variance / a.n_members)
     sigma_b = np.sqrt(variance / b.n_members)

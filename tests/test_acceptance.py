@@ -243,7 +243,7 @@ def test_criterion_6_unraveling_convergence():
             scores = np.where(scale > 0, gap / scale, np.where(gap > 1e-9, np.inf, 0.0))
         z_mcwf = max(z_mcwf, float(np.max(scores)))
 
-    cross = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
+    cross = compare_unravelings(nmqj, mcwf, traj)
     elapsed = time.perf_counter() - started
     ok = (
         max_err < 0.01

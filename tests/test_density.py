@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -438,24 +439,68 @@ def assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls: int):
     """``_spectrum`` equals ``eigvalsh`` of the Hermitized stack bit for bit, signed zeros too.
 
     ``calls`` is the number of chunks that must get there through ``eigvalsh``,
-    one call each; the others must take the diagonal shortcut.
+    one call each; the others must take a shortcut.
     """
     hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
     expected = np.linalg.eigvalsh(hermitized)
+    got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+def spectrum_counting_eigvalsh(matrices, monkeypatch, calls: int) -> np.ndarray:
+    """``_spectrum(matrices)``, which must call ``eigvalsh`` ``calls`` times."""
     made = []
     eigvalsh = np.linalg.eigvalsh
     with monkeypatch.context() as patch:
         patch.setattr(np.linalg, "eigvalsh", lambda a: made.append(a) or eigvalsh(a))
         got = _spectrum(matrices)
     assert len(made) == calls
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    return got
+
+
+#: bound on |closed form - exact| / max|entry| of the 2x2 block, the worst the
+#: presets read: 5.6004e-16, bandgap's mode marginal at 4000 points (eigvalsh
+#: reads 1.0e-15 there). Near a rank-one block, rt1 ~ a + c ~ 2|b|, and the
+#: roundings of a + c, |b| = hypot(Re b, Im b), the hypot and the final sum
+#: add up to about 1.3 ulp of rt1.
+CLOSED_FORM_ERROR = 5.61e-16
+
+
+def closed_form_errors(got: np.ndarray, hermitized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Worst |got - exact| of each spectrum, exact at 50 digits, of Hermitian 2x2 matrices
+    or of 3x3 ones whose row 0 is zero off the diagonal; and the largest |entry| of each
+    2x2 block."""
+    split = hermitized.shape[-1] - 2
+    blocks = hermitized[:, split:, split:]
+    vacuum = hermitized[:, 0, 0].real.tolist()
+    a, c = blocks[:, 0, 0].real.tolist(), blocks[:, 1, 1].real.tolist()
+    re, im = blocks[:, 1, 0].real.tolist(), blocks[:, 1, 0].imag.tolist()
+    mpf = mpmath.mpf
+    errors = []
+    with mpmath.workdps(50):
+        for k, row in enumerate(got.tolist()):
+            mean = (mpf(a[k]) + c[k]) / 2
+            half_gap = mpmath.sqrt(((mpf(a[k]) - c[k]) / 2) ** 2 + mpf(re[k]) ** 2 + mpf(im[k]) ** 2)
+            exact = sorted([mpf(vacuum[k])] * split + [mean - half_gap, mean + half_gap])
+            errors.append(float(max(abs(g - e) for g, e in zip(row, exact))))
+    return np.array(errors), np.max(np.abs(blocks), axis=(-2, -1))
+
+
+def assert_spectrum_is_closed_form(matrices, monkeypatch):
+    """``_spectrum`` calls no ``eigvalsh`` and is within ``CLOSED_FORM_ERROR`` of mpmath;
+    a block with no nonzero entry gives exact zeros."""
+    got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=0)
+    hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
+    errors, scales = closed_form_errors(got, hermitized)
+    assert np.all(errors <= CLOSED_FORM_ERROR * scales), np.max(errors / np.where(scales, scales, 1))
 
 
 class TestSpectrumOracle:
-    """The diagonal shortcut of ``_spectrum`` returns what LAPACK returns."""
+    """Each shortcut of ``_spectrum`` returns what LAPACK returns, except the 2x2
+    closed form, which is held to mpmath."""
 
-    @pytest.mark.parametrize("n_steps", [2000, 16000])
+    @pytest.mark.parametrize("n_steps", [1000, 2000, 4000, 16000])
     @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
     def test_preset_series(self, preset, n_steps, monkeypatch):
         parsed = validate_config(REPO_CONFIGS / f"{preset}.cfg")
@@ -470,13 +515,17 @@ class TestSpectrumOracle:
             timelocal.matrices,
             partial_trace_pseudomodes(extended).matrices,
         ]
-        mode_marginal = partial_trace_atom(extended)
         for matrices in diagonal:
             assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=0)
-        modes_calls = 0 if sector.n_modes == 1 else chunk_count(mode_marginal)
-        assert_spectrum_is_eigvalsh(mode_marginal, monkeypatch, calls=modes_calls)
-        joint = extended.matrices
-        assert_spectrum_is_eigvalsh(joint, monkeypatch, calls=chunk_count(joint))
+        mode_marginal, joint = partial_trace_atom(extended), extended.matrices
+        # the vacuum couples to nothing: a 3x3 matrix splits into [0, 0] and a 2x2
+        # block, a larger one goes to eigvalsh whole
+        if sector.n_modes == 1:
+            assert_spectrum_is_eigvalsh(mode_marginal, monkeypatch, calls=0)
+            assert_spectrum_is_closed_form(joint, monkeypatch)
+        else:
+            assert_spectrum_is_closed_form(mode_marginal, monkeypatch)
+            assert_spectrum_is_eigvalsh(joint, monkeypatch, calls=chunk_count(joint))
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_random_diagonal_stacks(self, dim, monkeypatch):
@@ -527,9 +576,81 @@ class TestSpectrumOracle:
     def test_superposition_start_reaches_eigvalsh(self, fig2_model, monkeypatch):
         grid = TimeGrid(0.0, 4.0, 400)
         traj = propagate_sector(fig2_model.sector, [0.8, 0.0], grid)
-        series = atom_density_from_amplitudes(traj)
-        matrices = series.matrices
+        # the vacuum is coupled, so the joint states do not split
+        joint = extended_density_from_amplitudes(traj).matrices
+        assert_spectrum_is_eigvalsh(joint, monkeypatch, calls=chunk_count(joint))
+        # the emitter states carry a coherence: 2x2 blocks that are not diagonal
+        assert_spectrum_is_closed_form(atom_density_from_amplitudes(traj).matrices, monkeypatch)
+
+    def test_closed_form_on_hand_made_blocks(self, monkeypatch):
+        low, high = _UNSCALED
+        rng = np.random.default_rng(1725)
+        n = 600
+        a, c = rng.uniform(-1.0, 1.0, (2, n))
+        b = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+        b[::3] = 1j * b[::3].imag  # purely imaginary couplings
+        special = [
+            (0.0, 0.0, 0.0),  # the zero block
+            (0.3, 0.3, 0.0),  # multiples of the identity
+            (-2.5, -2.5, 0.0),
+            (-0.7, -0.2, 0.1 + 0.3j),  # sm < 0
+            (0.4, -0.4, 0.2 - 0.1j),  # sm == 0
+            (0.0, 0.0, 0.5j),
+            (-0.6, -0.6, 1e-9j),  # sm < 0, a == c
+            (low, 3.0 * low, 2j * low),  # the edges of _UNSCALED
+            (low, -low, low * (1.0 + 1.0j)),
+            (high, -0.5 * high, 0.5 * high * (1.0 + 1.0j)),
+            (high, high, high),
+            (-high, 0.25, 1j * high),
+        ]
+        head = len(special)
+        a[:head], c[:head], b[:head] = zip(*special)
+        blocks = np.zeros((n, 2, 2), complex)
+        blocks[:, 0, 0], blocks[:, 1, 1] = a, c
+        blocks[:, 1, 0], blocks[:, 0, 1] = b, b.conj()
+        assert_spectrum_is_closed_form(blocks, monkeypatch)
+        got = _spectrum(blocks)
+        assert np.array_equal(got[0].view(np.int64), np.zeros(2).view(np.int64))  # +0.0 twice
+        assert np.array_equal(got[1:3], [[0.3, 0.3], [-2.5, -2.5]])
+        assert np.all(got[:, 0] <= got[:, 1])
+
+    @pytest.mark.parametrize("dim", [4, 5, 8, 12])
+    def test_split_blocks_keep_the_bits_of_eigvalsh(self, dim, monkeypatch):
+        # an uncoupled [0, 0] beside a block of 3x3 or more, ties and signed zeros too
+        rng = np.random.default_rng(1800 + dim)
+        n = 5000
+        half = rng.normal(size=(n, dim - 1, dim - 1)) + 1j * rng.normal(size=(n, dim - 1, dim - 1))
+        trailing = (half + np.swapaxes(half, -1, -2).conj()) / (4.0 * dim)
+        trailing[:50] = 0.0
+        vacuum = rng.uniform(-1.0, 1.0, n)
+        vacuum[:100:2] = rng.choice([0.0, -0.0], 50)
+        ties = slice(100, 200)
+        vacuum[ties] = np.linalg.eigvalsh(trailing[ties])[np.arange(100), rng.integers(0, dim - 1, 100)]
+        matrices = np.zeros((n, dim, dim), complex)
+        matrices[:, 0, 0], matrices[:, 1:, 1:] = vacuum, trailing
+        # an anti-Hermitian row 0 vanishes from the Hermitized matrices
+        skew = rng.normal(size=(n, dim - 1)) + 1j * rng.normal(size=(n, dim - 1))
+        matrices[:, 0, 1:], matrices[:, 1:, 0] = skew, -skew.conj()
         assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize(
+        "entry", [np.nextafter(_UNSCALED[0], 0.0), np.nextafter(_UNSCALED[1], np.inf), 1e-300]
+    )
+    def test_coupled_matrix_beside_the_edges_keeps_eigvalsh(self, dim, entry, monkeypatch):
+        # only the matrix with a part LAPACK could rescale reaches eigvalsh; its
+        # neighbours keep the closed form they take alone
+        rng = np.random.default_rng(1900 + dim)
+        matrices = np.zeros((300, dim, dim), complex)
+        matrices[:, -2:, -2:] = rng.uniform(0.1, 1.0, (300, 2, 2))
+        matrices[:, -1, -2] = matrices[:, -2, -1] = rng.uniform(0.1, 1.0, 300)
+        matrices[:, dim - 2 :, dim - 2 :] += np.eye(2)
+        matrices[-1, -1, -2], matrices[-1, -2, -1] = 1j * entry, -1j * entry
+        got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=1)
+        assert_spectrum_is_eigvalsh(matrices[-1:], monkeypatch, calls=1)
+        assert np.array_equal(got[-1:].view(np.int64), _spectrum(matrices[-1:]).view(np.int64))
+        assert_spectrum_is_closed_form(matrices[:-1], monkeypatch)
+        assert np.array_equal(got[:-1].view(np.int64), _spectrum(matrices[:-1]).view(np.int64))
 
 
 def edge_stack(n: int, dim: int = 3) -> np.ndarray:

@@ -65,6 +65,30 @@ class TestEntropy:
             mutual_information(rho), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[np.nan, 0.0], [0.0, 1.0]], "finite"),
+            ([[0.5, np.inf], [np.inf, 0.5]], "finite"),
+            ([[1.0]], "dimension 1"),
+            (np.zeros((0, 0)), "square matrix"),
+        ],
+        ids=["nan", "inf", "one_by_one", "empty"],
+    )
+    def test_raw_arrays_are_checked_like_states(self, entries, message):
+        # unchecked, these read 0.0, 0.0 with a warning, -0.0 and a reshape error
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(entries)
+        with pytest.raises(ValueError, match=message):
+            von_neumann_entropy(entries)
+
+    def test_raw_array_gives_the_bits_of_its_state(self):
+        rng = np.random.default_rng(43)
+        for dim in (2, 3, 4):
+            rho = random_sector_state(rng, dim)
+            raw = von_neumann_entropy(rho.matrix.tolist())
+            assert raw == von_neumann_entropy(rho)
+
 
 class TestMutualInformation:
     def test_product_state_is_zero(self):
@@ -124,6 +148,19 @@ class TestInfoSeries:
         assert np.signbit(series.entropy_joint[0]) == np.signbit(
             von_neumann_entropy(DensityMatrix.excited(4))
         )
+
+    def test_one_coupled_state_leaves_its_neighbours_bits(self, fig2_model, fig2_grid):
+        # state 100 couples the vacuum, so it alone reaches eigvalsh; every other
+        # state keeps the closed form it takes on its own
+        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
+        matrices = joint.matrices.copy()
+        matrices[100, 0, 2] = matrices[100, 2, 0] = 1e-3
+        coupled = DensitySeries(matrices)
+        series = info_series(coupled, fig2_grid)
+        for k in range(fig2_grid.n_steps):
+            assert von_neumann_entropy(coupled[k]) == series.entropy_joint[k]
+            assert coupled[k].invariant_defects()["min_eigenvalue"] == coupled.eigenvalues[k, 0]
+        assert np.array_equal(coupled.eigenvalues[101:], joint.eigenvalues[101:])
 
     def test_no_eigenvalue_above_floor_gives_positive_zero(self):
         series = DensitySeries(np.zeros((2, 2, 2)))

@@ -434,14 +434,14 @@ class TestCompare:
         rates = rates_from_amplitudes(traj)
         nmqj = run_nmqj(rates, EXCITED_ATOM, 50, 3)
         mcwf = run_mcwf_pseudomode(traj, 50, 3)
-        report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(traj))
+        report = compare_unravelings(nmqj, mcwf, traj)
         assert report.max_z_score == 0.0
         assert report.max_cross_z == 0.0
 
     def test_reference_preset(self, fig2_rates, fig2_traj):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 10_000, 59)
         mcwf = run_mcwf_pseudomode(fig2_traj, 10_000, 61)
-        report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
+        report = compare_unravelings(nmqj, mcwf, fig2_traj)
         assert report.max_z_score < 5.0
         assert report.max_cross_z < 5.0
         assert np.all(report.sigma[report.pg_exact * (1 - report.pg_exact) > 0] > 0)
@@ -450,20 +450,18 @@ class TestCompare:
         self, fig2_model, fig2_rates, fig2_traj, fig2_grid
     ):
         # [0, 0] of an extended state is the joint-vacuum population only; the
-        # reference must sum the whole emitter-ground diagonal
+        # exact emitter ground population is the whole emitter-ground diagonal
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1000, 1)
         mcwf = run_mcwf_pseudomode(fig2_traj, 1000, 1)
         extended = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
-        atom = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
-        joint = compare_unravelings(nmqj, mcwf, extended)
-        assert abs(joint.max_z_score - atom.max_z_score) < 1e-6
-        assert abs(joint.max_cross_z - atom.max_cross_z) < 1e-6
-        assert np.max(np.abs(joint.pg_exact - atom.pg_exact)) < 1e-6
+        report = compare_unravelings(nmqj, mcwf, fig2_traj)
+        assert np.max(np.abs(report.pg_exact - extended.ground_population())) < 1e-6
+        assert np.max(np.abs(report.pg_exact - extended.matrices[:, 0, 0].real)) > 0.05
 
     def test_single_member_edge_case(self, fig2_rates, fig2_traj):
         nmqj = run_nmqj(fig2_rates, EXCITED_ATOM, 1, 67)
         mcwf = run_mcwf_pseudomode(fig2_traj, 1, 67)
-        report = compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
+        report = compare_unravelings(nmqj, mcwf, fig2_traj)
         assert np.all(np.isfinite(report.sigma))
         assert report.max_z_score >= 0.0
 
@@ -472,7 +470,19 @@ class TestCompare:
         other = TimeGrid(0.0, 5.0, 100)
         mcwf = run_mcwf_pseudomode(propagate_sector(fig2_model.sector, None, other), 10, 1)
         with pytest.raises(GridMismatch):
-            compare_unravelings(nmqj, mcwf, atom_density_from_amplitudes(fig2_traj))
+            compare_unravelings(nmqj, mcwf, fig2_traj)
+
+    def test_reference_on_another_grid_is_refused(self, fig2_model):
+        # same length, other span: unchecked, it scores max_z_score 10.8 against 1.8 here
+        grid = TimeGrid(0.0, 10.0, 1000)
+        traj = propagate_sector(fig2_model.sector, None, grid)
+        nmqj = run_nmqj(rates_from_amplitudes(traj), EXCITED_ATOM, 1000, 5)
+        mcwf = run_mcwf_pseudomode(traj, 1000, 5)
+        for other in (TimeGrid(0.0, 5.0, 1000), TimeGrid(0.0, 10.0, 999)):
+            reference = propagate_sector(fig2_model.sector, None, other)
+            with pytest.raises(GridMismatch, match="another grid"):
+                compare_unravelings(nmqj, mcwf, reference)
+        assert compare_unravelings(nmqj, mcwf, traj).max_z_score < 5.0
 
 
 # The per-step loops the samplers ran before each pure-death stretch became one
