@@ -158,8 +158,11 @@ def expm(a) -> np.ndarray:
     non-normal matrix less than its norm would, plus the correction that
     raises s where evaluating the approximant would lose digits. The norms
     are computed exactly, not estimated. A stack of diagonal matrices
-    is exponentiated entry by entry. An overflowing exponential comes out
-    with inf or NaN entries and no warning; the caller checks.
+    is exponentiated entry by entry. A triangular matrix gets exp of its
+    diagonal entries on its diagonal, as ``scipy.linalg.expm`` gives them:
+    the squarings would lose them where its norm is large. An overflowing
+    exponential comes out with inf or NaN entries and no warning; the caller
+    checks.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -168,6 +171,11 @@ def expm(a) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.any(stack[:, ~diagonal]):
             out = _scaled_pade13(stack)
+            # exactly one triangle nonzero: triangular, not diagonal
+            below = np.any(np.tril(stack, -1), axis=(-2, -1))
+            triangular = np.flatnonzero(below != np.any(np.triu(stack, 1), axis=(-2, -1)))
+            index = np.arange(n)
+            out[triangular[:, None], index, index] = np.exp(stack[triangular[:, None], index, index])
         else:
             out = np.zeros_like(stack)
             out[:, diagonal] = np.exp(stack[:, diagonal])

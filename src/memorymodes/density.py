@@ -14,8 +14,10 @@ Whole-series operations (validation, spectra, invariant checks, the
 Lindblad fill, the carrier phase) run over chunks of ``_CHUNK_BYTES`` of
 matrices, so their scratch stays fixed while the series grows; the stacks
 the library builds become series without a copy. A spectrum calls LAPACK
-only where it must (``_spectrum``): a diagonal stack is sorted, and a 2x2
-matrix, or a 3x3 one whose vacuum couples to nothing, takes a closed form.
+only where it must (``_spectrum``): a diagonal stack is sorted, a joint
+vacuum that couples to nothing is split off, a 2x2 block takes a closed
+form and a 3x3 block a Jacobi iteration. Of a preset run from |e> nothing
+reaches LAPACK; the joint states of three or more modes do.
 
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
@@ -29,7 +31,7 @@ mode: ``g0…0``, ``g`` with a ``1`` in mode k's position for each k, then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -214,17 +216,23 @@ class DensitySeries:
 _UNSCALED = (1e-140, 1e140)
 #: ``dlasrt`` sorts up to 20 values by insertion, which keeps ties in order
 _MAX_SORTED_DIM = 20
+#: a rotation of :func:`_jacobi` acts on a matrix while its coupling exceeds
+#: this fraction of the block's largest |entry|
+_JACOBI_FLOOR = 2.0**-60
+#: sweeps after which :func:`_jacobi` gives up on a matrix still rotating
+_JACOBI_SWEEPS = 8
 
 
 def _spectrum(matrices: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes).
 
-    The stack is taken chunk by chunk (``_chunks``), each chunk Hermitized in
-    place in one scratch: a^H + a, then halved, rounds like 0.5 (a + a^H).
-    A chunk, or each matrix of it, takes the first of these routes that
-    applies. Only the closed form gives other bits than ``eigvalsh``, and it
-    is chosen matrix by matrix, so a matrix of a series gets the bits it gets
-    alone.
+    The stack is taken chunk by chunk (``_chunks``). Each chunk is routed from
+    the entries its kernels read: the real diagonal and the Hermitized upper
+    triangle 0.5 (a_ij + conj(a_ji)), which has the bits of 0.5 (a + a^H). A
+    chunk, or each matrix of it, takes the first of these routes that
+    applies. Only the closed form and Jacobi give other bits than
+    ``eigvalsh``, and they are chosen matrix by matrix, so a matrix of a
+    series gets the bits it gets alone.
 
     - Diagonal, for a whole chunk of dimension at most ``_MAX_SORTED_DIM``:
       every off-diagonal entry is exactly zero, and the largest entry of each
@@ -236,73 +244,127 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
       the same bits; it would rescale a matrix with a larger or smaller
       largest entry (a density matrix has trace one, so its largest entry is
       at least 1/d).
-    - Closed form, for each matrix of dimension 2 or 3: every nonzero real and
-      imaginary part lies inside ``_UNSCALED``, and at dimension 3 every
-      off-diagonal entry of row 0 is exactly zero, as in the joint state of a
-      one-mode run from |e> and the mode marginal of a two-mode one, whose
-      vacuum couples to nothing. Entry [0, 0] is then an eigenvalue, and the
-      2x2 block that remains, like a 2x2 matrix, takes the closed form of
-      :func:`_closed_form`.
-    - Otherwise ``eigvalsh``, which works matrix by matrix: a larger matrix,
-      one that is not finite, or one with an entry LAPACK could rescale.
+    - A block kernel, for each matrix of dimension 2 to 4 whose every nonzero
+      real and imaginary part lies inside ``_UNSCALED``. Where row 0 is zero
+      off the diagonal, the joint vacuum couples to nothing: entry [0, 0] is
+      an eigenvalue, merged in by a stable sort, and the block is what is
+      left. A 2x2 block, such as an emitter state with a coherence or the
+      mode marginal of a two-mode run, takes the closed form of
+      :func:`_closed_form`; a 3x3 block, the joint state of a two-mode run
+      from |e> or the coupled joint state of a one-mode run, takes
+      :func:`_jacobi`.
+    - Otherwise ``eigvalsh``, which works matrix by matrix, one call per
+      chunk: a larger block, a matrix with a part LAPACK could rescale or
+      that is not finite, and one that Jacobi left unconverged.
     """
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
-    chunks = _chunks(len(stack), dim)
-    scratch = np.empty((chunks[0].stop, dim, dim), dtype=complex)
     values = np.empty(stack.shape[:-1])
-    low, high = _UNSCALED
-    for rows in chunks:
-        hermitized = scratch[: rows.stop - rows.start]
-        np.conjugate(np.swapaxes(stack[rows], -1, -2), out=hermitized)
-        hermitized += stack[rows]
-        hermitized *= 0.5
-        out = values[rows]
-        diagonal = np.diagonal(hermitized, axis1=-2, axis2=-1)
-        if dim <= _MAX_SORTED_DIM and np.count_nonzero(hermitized) == np.count_nonzero(diagonal):
-            out[...] = diagonal.real
-            out.sort(axis=-1, kind="stable")
-            # the largest magnitude is at one end of a sorted row, a NaN at the last
-            largest = np.maximum(np.abs(out[:, :1]), np.abs(out[:, -1:]))
-            if np.all((largest == 0.0) | ((largest >= low) & (largest <= high))):
-                continue
-        if dim > 3:
-            out[...] = np.linalg.eigvalsh(hermitized)
-            continue
-        parts = np.abs(hermitized.view(float)).reshape(len(out), -1)
-        # a NaN fails the comparisons
-        closed = np.all((parts == 0.0) | ((parts >= low) & (parts <= high)), axis=1)
-        if dim == 3:
-            closed &= ~np.any(hermitized[:, 0, 1:], axis=1)
-        if closed.all():
-            out[...] = _closed_form(hermitized)
-            continue
-        out[~closed] = np.linalg.eigvalsh(hermitized[~closed])
-        if closed.any():
-            out[closed] = _closed_form(hermitized[closed])
+    for rows in _chunks(len(stack), dim):
+        _chunk_spectrum(stack[rows], values[rows])
     return values.reshape(matrices.shape[:-1])
 
 
-def _closed_form(hermitized: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of Hermitian 2x2 matrices, or of 3x3 ones
-    whose row 0 is zero off the diagonal, ``(n, d)``.
+def _chunk_spectrum(chunk: np.ndarray, out: np.ndarray) -> None:
+    """Write the spectra of the matrices of ``chunk`` to ``out``, routed as :func:`_spectrum` says."""
+    n, dim = chunk.shape[:2]
+    lapack = np.ones(n, dtype=bool)
+    if dim <= _MAX_SORTED_DIM:
+        rows, cols = _upper_indices(dim)
+        upper = chunk[:, cols, rows]
+        np.conjugate(upper, out=upper)
+        upper += chunk[:, rows, cols]
+        upper *= 0.5
+        # the Hermitized diagonal: a + conj(a), halved, is exactly its real part
+        diagonal = np.diagonal(chunk, axis1=-2, axis2=-1).real
+        if not upper.any():
+            out[...] = diagonal
+            out.sort(axis=-1, kind="stable")
+            # the largest magnitude is at one end of a sorted row, a NaN at the last
+            if _unscaled(np.maximum(np.abs(out[:, :1]), np.abs(out[:, -1:]))).all():
+                return
+        if dim <= 4:
+            # the block left once a decoupled vacuum is split off
+            coupled = upper[:, : dim - 1].any(axis=1) | (dim == 2)
+            size = np.where(coupled, dim, dim - 1)
+            lapack = size > 3
+            for part in (diagonal, upper.real, upper.imag):
+                lapack |= ~_unscaled(part)
+            for block in (2, 3):
+                take = ~lapack & (size == block)
+                if take.all():
+                    out[...], converged = _split_spectrum(diagonal, upper, block)
+                    lapack = ~converged
+                elif take.any():
+                    out[take], converged = _split_spectrum(diagonal[take], upper[take], block)
+                    lapack[take] = ~converged
+    if lapack.all():
+        out[...] = np.linalg.eigvalsh(_hermitized(chunk))
+    elif lapack.any():
+        out[lapack] = np.linalg.eigvalsh(_hermitized(chunk[lapack]))
 
-    The trailing 2x2 block gets LAPACK's ``dlae2``, vectorized, on the
-    diagonal a, c and the coupling |b|: rt1 = (sm +- hypot(a - c, 2|b|))/2
-    takes the sign of sm = a + c, so it does not cancel, and
-    rt2 = (acmx/rt1) acmn - (|b|/rt1) |b|, where acmx and acmn are the
-    diagonal entries of larger and smaller magnitude; at sm = 0 they are
-    +-hypot/2. A block with b = 0 keeps its diagonal, stably sorted, the bits
-    of ``eigvalsh``. Entry [0, 0] of a 3x3 matrix is merged in by a stable
-    sort. Every nonzero part must lie within ``_UNSCALED``, so nothing
-    overflows or underflows. On the presets' blocks the error against mpmath
-    is at most 5.6e-16 of the block's largest |entry|, where ``eigvalsh``
-    reads up to 1.2e-15.
+
+def _hermitized(stack: np.ndarray) -> np.ndarray:
+    """0.5 (a + a^H) of each matrix of ``stack``, formed as a^H + a, then halved."""
+    out = np.conjugate(np.swapaxes(stack, -1, -2))
+    out += stack
+    out *= 0.5
+    return out
+
+
+def _unscaled(parts: np.ndarray) -> np.ndarray:
+    """Whether every nonzero entry of each row of ``parts`` lies inside ``_UNSCALED``."""
+    low, high = _UNSCALED
+    parts = np.abs(parts)
+    # a NaN fails the comparisons
+    return np.all((parts == 0.0) | ((parts >= low) & (parts <= high)), axis=1)
+
+
+@lru_cache(maxsize=None)
+def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle at ``dim``."""
+    indices = np.triu_indices(dim, 1)
+    for index in indices:
+        index.setflags(write=False)
+    return indices
+
+
+def _split_spectrum(diagonal: np.ndarray, upper: np.ndarray, block: int):
+    """Ascending spectra ``(n, d)`` of Hermitian matrices, given by their real
+    diagonal and upper triangle, that couple only within their trailing
+    ``block`` x ``block`` block; and which of them converged.
+
+    Entry [0, 0] of a matrix larger than its block is an eigenvalue.
     """
-    split = hermitized.shape[-1] - 2
-    a = hermitized[:, split, split].real
-    c = hermitized[:, -1, -1].real
-    b = np.abs(hermitized[:, -1, split])
+    if block == 2:
+        eigs = _closed_form(diagonal[:, -2], diagonal[:, -1], upper[:, -1])
+        converged = np.ones(len(eigs), dtype=bool)
+    else:
+        eigs, converged = _jacobi(diagonal[:, -3:], upper[:, -3:])
+    values = np.empty(diagonal.shape)
+    values[:, 0] = diagonal[:, 0]
+    values[:, -block:] = eigs
+    if block == 3 or diagonal.shape[-1] > block:
+        values.sort(axis=-1, kind="stable")
+    return values, converged
+
+
+def _closed_form(a: np.ndarray, c: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``(n, 2)`` of the Hermitian 2x2 matrices [[a, b], [b*, c]],
+    b = ``coupling``.
+
+    LAPACK's ``dlae2``, vectorized, on the diagonal a, c and the coupling
+    |b|: rt1 = (sm +- hypot(a - c, 2|b|))/2 takes the sign of sm = a + c, so
+    it does not cancel, and rt2 = (acmx/rt1) acmn - (|b|/rt1) |b|, where
+    acmx and acmn are the diagonal entries of larger and smaller magnitude;
+    at sm = 0 they are +-hypot/2. A block with b = 0 keeps its diagonal,
+    stably sorted, the bits of ``eigvalsh``. Every nonzero part must lie
+    within ``_UNSCALED``, so nothing overflows or underflows. On the presets'
+    blocks the error against mpmath is at most 5.6e-16 of the block's
+    largest |entry|, where ``eigvalsh`` reads up to 1.2e-15
+    (``scripts/spectrum_errors.py``).
+    """
+    b = np.abs(coupling)
     sm = a + c
     rt = np.hypot(a - c, 2.0 * b)
     rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
@@ -313,13 +375,93 @@ def _closed_form(hermitized: np.ndarray) -> np.ndarray:
     rt2 = np.where(sm == 0.0, -rt1, (acmx / pivot) * acmn - (b / pivot) * b)
     swap = c < a
     coupled = b != 0.0
-    out = np.empty(hermitized.shape[:-1])
-    out[:, split] = np.where(coupled, np.minimum(rt1, rt2), np.where(swap, c, a))
-    out[:, -1] = np.where(coupled, np.maximum(rt1, rt2), np.where(swap, a, c))
-    if split:
-        out[:, 0] = hermitized[:, 0, 0].real
-        out.sort(axis=-1, kind="stable")
+    out = np.empty((len(b), 2))
+    out[:, 0] = np.where(coupled, np.minimum(rt1, rt2), np.where(swap, c, a))
+    out[:, 1] = np.where(coupled, np.maximum(rt1, rt2), np.where(swap, a, c))
     return out
+
+
+def _jacobi(diagonal: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``(n, 3)``, in no order, of Hermitian 3x3 matrices given by their
+    real diagonal and upper triangle (a01, a02, a12); and which of them converged.
+
+    Cyclic Jacobi with complex rotations (Demmel & Veselić, SIAM J. Matrix
+    Anal. Appl. 13, 1204 (1992)), vectorized over the stack. A rotation on
+    (p, q) zeroes a_pq = b e^(i phi): it rephases q by e^(-i phi), which makes
+    the coupling b real, then applies the real rotation of Rutishauser's
+    formulas with t = 2b sgn(d)/(|d| + sqrt(d^2 + 4b^2)), d = a_qq - a_pp,
+    c = 1/sqrt(1 + t^2), s = t c and tau = s/(1 + c):
+    a_pp -= t b, a_qq += t b, and for the third index r, with y = a_rq e^(-i phi),
+    a_rp -= s (y + tau a_rp) and y += s (a_rp - tau y). The couplings are held
+    as A01, A12, A20, so the rotations (0, 1), (1, 2), (2, 0) of a sweep read
+    them alike. A rotation acts on a matrix only while b exceeds
+    ``_JACOBI_FLOOR`` of the largest |entry| of that matrix, so each matrix
+    gets the bits it gets alone; what is left off the diagonal moves an
+    eigenvalue by less than that. A matrix still rotating after
+    ``_JACOBI_SWEEPS`` sweeps has not converged. Every nonzero part must lie
+    within ``_UNSCALED``, so no square overflows. The presets' blocks
+    converge in two sweeps.
+    """
+    d = np.array(diagonal.T)
+    w = np.empty((3, 2, len(d[0])))
+    w[0, 0], w[0, 1] = upper[:, 0].real, upper[:, 0].imag
+    w[1, 0], w[1, 1] = upper[:, 2].real, upper[:, 2].imag
+    w[2, 0], w[2, 1] = upper[:, 1].real, -upper[:, 1].imag
+    floor = np.maximum(np.max(d * d, axis=0), np.max(np.sum(w * w, axis=1), axis=0))
+    floor *= _JACOBI_FLOOR**2
+    for _ in range(_JACOBI_SWEEPS):
+        if not any([_rotate(d, w, floor, p) for p in range(3)]):
+            break
+    converged = np.all(np.sum(w * w, axis=1) <= floor, axis=0)
+    return d.T, converged
+
+
+def _rotate(d: np.ndarray, w: np.ndarray, floor: np.ndarray, p: int) -> bool:
+    """The rotation of :func:`_jacobi` on (p, p + 1 mod 3), in place on the diagonal
+    ``d`` and the couplings ``w`` of every matrix whose squared coupling exceeds
+    ``floor``; whether any matrix rotated."""
+    q, r = (p + 1) % 3, (p + 2) % 3
+    b2 = np.sum(w[p] * w[p], axis=0)
+    active = b2 > floor
+    if active.all():
+        where = True
+    elif active.any():
+        # the others are left alone; b = 1 keeps their lanes finite
+        where = active
+        b2[~active] = 1.0
+    else:
+        return False
+    b = np.sqrt(b2)
+    delta = d[q] - d[p]
+    # in place, as the arrays of a chunk are what the kernel holds: b2 becomes
+    # |delta| + sqrt(delta^2 + 4b^2), then 1 + c; c becomes 1/b once s and tau
+    # are formed, and t becomes t b at the end
+    b2 *= 4.0
+    b2 += delta * delta
+    np.sqrt(b2, out=b2)
+    b2 += np.abs(delta)
+    t = np.copysign(2.0 * b, delta)
+    t /= b2
+    c = t * t
+    c += 1.0
+    np.sqrt(c, out=c)
+    np.reciprocal(c, out=c)
+    s = t * c
+    tau = np.add(c, 1.0, out=b2)
+    np.divide(s, tau, out=tau)
+    (ur, ui), (xr, xi), (yr, yi) = w[p], w[r], w[q]
+    # z = A_qr e^(i phi), the conjugate of y
+    np.reciprocal(b, out=c)
+    zr, zi = (yr * ur - yi * ui) * c, (yr * ui + yi * ur) * c
+    np.add(zr, s * (xr - tau * zr), out=yr, where=where)
+    np.subtract(zi, s * (xi + tau * zi), out=yi, where=where)
+    np.subtract(xr, s * (zr + tau * xr), out=xr, where=where)
+    np.add(xi, s * (zi - tau * xi), out=xi, where=where)
+    np.copyto(w[p], 0.0, where=where)
+    t *= b
+    np.subtract(d[p], t, out=d[p], where=where)
+    np.add(d[q], t, out=d[q], where=where)
+    return True
 
 
 def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:

@@ -4,12 +4,13 @@ One kernel computes spectral entropies from the spectrum of a matrix or a
 stack, and each matrix takes its own spectrum route, so ``info_series``
 and ``von_neumann_entropy`` give the same bits; a series' spectrum is
 computed once and shared with its checks. Of a run from |e> only states
-of dimension 4 or more call LAPACK (``density._spectrum``): the
-emitter marginal is diagonal and is sorted, with the bits of ``eigvalsh``;
-a 3x3 joint state or mode marginal splits off its decoupled vacuum, and
-the 2x2 block that remains takes a closed form, which differs from
-``eigvalsh`` at rounding level. ``info_series`` takes the
-marginals chunk by chunk, so its scratch stays fixed while the series grows.
+of dimension 5 or more call LAPACK (``density._spectrum``), so no preset
+does: the emitter marginal is diagonal and is sorted, with the bits of
+``eigvalsh``; a joint state or mode marginal splits off its decoupled
+vacuum, and the block that remains takes a closed form if it is 2x2 and
+a Jacobi iteration if it is 3x3, both of which differ from ``eigvalsh`` at
+rounding level. ``info_series`` takes the marginals chunk by chunk, so
+its scratch stays fixed while the series grows.
 """
 
 from __future__ import annotations

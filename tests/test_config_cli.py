@@ -18,6 +18,7 @@ from memorymodes import (
     validate_config_text,
 )
 from memorymodes.cli import EXPERIMENTS, FIG2_CONFIG_TEXT, RunConfig, main, run
+from memorymodes.density import _chunk_rows
 from conftest import gamma_markov
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -587,9 +588,12 @@ THREE_LONE_PEAKS = Reservoir(0.0, 0.8, ((1.0, 0.5, -2.0), (1.1, 0.7, 0.0), (1.2,
 @pytest.mark.parametrize(
     "experiment", ["amplitudes", "rates", "identity", "evolve", "info", "nmqj", "mcwf", "compare"]
 )
-def test_every_experiment_runs_on_three_modes(experiment, tmp_path):
+def test_every_experiment_runs_on_three_modes(experiment, tmp_path, monkeypatch):
     # compare's z-score is not gated: the first-order jump probabilities bias
     # both samplers (ROADMAP item 3), and it reads 7.0 at N=1000 already
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
     out = tmp_path / "out"
     entries = run(RunConfig(experiment, THREE_LONE_PEAKS, TimeGrid(0.0, 10.0, 4000), out)).entries
     assert sorted(p.name for p in out.iterdir()) == sorted(entries["artifacts"].split(",") + ["manifest.txt"])
@@ -602,16 +606,27 @@ def test_every_experiment_runs_on_three_modes(experiment, tmp_path):
         assert first == "# dim=5, basis=g000,g100,g010,g001,e000"
     if experiment in ("evolve", "info"):
         assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
+        # only the 5x5 joint series reaches LAPACK, one call per chunk; the emitter
+        # series are diagonal and the mode marginal's 3x3 block takes Jacobi
+        rows = _chunk_rows(5)
+        assert seen == [(min(rows, 4000 - start), 5, 5) for start in range(0, 4000, rows)]
 
 
 @pytest.mark.parametrize(
     "preset, experiment, calls",
-    [("fig2", "evolve", 0), ("bandgap", "evolve", 1), ("fig2", "info", 0), ("bandgap", "info", 1)],
+    [
+        ("fig2", "evolve", 0),
+        ("bandgap", "evolve", 0),
+        ("perfect_gap", "evolve", 0),
+        ("fig2", "info", 0),
+        ("bandgap", "info", 0),
+        ("perfect_gap", "info", 0),
+    ],
 )
 def test_diagonal_spectra_skip_eigvalsh(preset, experiment, calls, tmp_path, monkeypatch):
     # every emitter series of a run from |e>, and fig2's mode marginal, is diagonal;
     # fig2's extended series and the two-mode marginal split into the vacuum and a
-    # 2x2 block, and only bandgap's 4x4 extended series goes to eigvalsh
+    # 2x2 block, and the two-mode 4x4 extended series into the vacuum and a 3x3 block
     seen = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))

@@ -1,9 +1,9 @@
 import dataclasses
+import importlib.util
 import math
 import tracemalloc
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -459,46 +459,60 @@ def spectrum_counting_eigvalsh(matrices, monkeypatch, calls: int) -> np.ndarray:
     return got
 
 
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "spectrum_errors.py"
+_spec = importlib.util.spec_from_file_location("spectrum_errors", SCRIPT)
+spectrum_errors = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(spectrum_errors)
+
 #: bound on |closed form - exact| / max|entry| of the 2x2 block, the worst the
-#: presets read: 5.6004e-16, bandgap's mode marginal at 4000 points (eigvalsh
-#: reads 1.0e-15 there). Near a rank-one block, rt1 ~ a + c ~ 2|b|, and the
-#: roundings of a + c, |b| = hypot(Re b, Im b), the hypot and the final sum
-#: add up to about 1.3 ulp of rt1.
+#: presets read in ``scripts/spectrum_errors.py``: 5.600e-16, bandgap's mode
+#: marginal at 4000 points (eigvalsh reads 1.022e-15 there). Near a rank-one
+#: block, rt1 ~ a + c ~ 2|b|, and the roundings of a + c, |b| = hypot(Re b, Im b),
+#: the hypot and the final sum add up to about 1.3 ulp of rt1.
 CLOSED_FORM_ERROR = 5.61e-16
+#: bound on |Jacobi - exact| / max|entry| of the 3x3 block, the worst the presets
+#: read in ``scripts/spectrum_errors.py``: 6.682e-16, bandgap's joint states at
+#: 4000 points, where eigvalsh reads 1.609e-15 on the same states. Every preset
+#: series it prints reads less with Jacobi than with eigvalsh.
+JACOBI_ERROR = 6.69e-16
+#: every how many-th joint state at 16 000 points is held to the Jacobi oracle
+ORACLE_STRIDE = 16
 
 
-def closed_form_errors(got: np.ndarray, hermitized: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Worst |got - exact| of each spectrum, exact at 50 digits, of Hermitian 2x2 matrices
-    or of 3x3 ones whose row 0 is zero off the diagonal; and the largest |entry| of each
-    2x2 block."""
-    split = hermitized.shape[-1] - 2
-    blocks = hermitized[:, split:, split:]
-    vacuum = hermitized[:, 0, 0].real.tolist()
-    a, c = blocks[:, 0, 0].real.tolist(), blocks[:, 1, 1].real.tolist()
-    re, im = blocks[:, 1, 0].real.tolist(), blocks[:, 1, 0].imag.tolist()
-    mpf = mpmath.mpf
-    errors = []
-    with mpmath.workdps(50):
-        for k, row in enumerate(got.tolist()):
-            mean = (mpf(a[k]) + c[k]) / 2
-            half_gap = mpmath.sqrt(((mpf(a[k]) - c[k]) / 2) ** 2 + mpf(re[k]) ** 2 + mpf(im[k]) ** 2)
-            exact = sorted([mpf(vacuum[k])] * split + [mean - half_gap, mean + half_gap])
-            errors.append(float(max(abs(g - e) for g, e in zip(row, exact))))
-    return np.array(errors), np.max(np.abs(blocks), axis=(-2, -1))
+def kernel_errors(got: np.ndarray, matrices: np.ndarray, block: int):
+    """Errors of the spectra ``got`` of ``matrices`` and of eigvalsh's, as fractions of
+    each block's largest |entry|; every matrix must couple only within its trailing
+    ``block`` x ``block`` block."""
+    dim = matrices.shape[-1]
+    hermitized = spectrum_errors.hermitized(matrices.reshape(-1, dim, dim))
+    assert np.all(spectrum_errors.block_size(hermitized) == block)
+    exact = spectrum_errors.exact_spectra(hermitized, block)
+    ours = spectrum_errors.errors(got.reshape(-1, dim), exact, hermitized, block)
+    lapack = spectrum_errors.errors(np.linalg.eigvalsh(hermitized), exact, hermitized, block)
+    return ours, lapack
 
 
 def assert_spectrum_is_closed_form(matrices, monkeypatch):
     """``_spectrum`` calls no ``eigvalsh`` and is within ``CLOSED_FORM_ERROR`` of mpmath;
     a block with no nonzero entry gives exact zeros."""
     got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=0)
-    hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
-    errors, scales = closed_form_errors(got, hermitized)
-    assert np.all(errors <= CLOSED_FORM_ERROR * scales), np.max(errors / np.where(scales, scales, 1))
+    errors, _ = kernel_errors(got, matrices, block=2)
+    assert errors.max() <= CLOSED_FORM_ERROR, errors.max()
+
+
+def assert_spectrum_is_jacobi(matrices, monkeypatch, rows=slice(None), bound=JACOBI_ERROR):
+    """``_spectrum`` calls no ``eigvalsh``, and on the matrices ``rows`` picks it is within
+    ``bound`` of mpmath; a block with no nonzero entry gives exact zeros. Returns its
+    errors and eigvalsh's on those matrices."""
+    got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=0)
+    errors, lapack = kernel_errors(got[rows], matrices[rows], block=3)
+    assert errors.max() <= bound, errors.max()
+    return errors, lapack
 
 
 class TestSpectrumOracle:
     """Each shortcut of ``_spectrum`` returns what LAPACK returns, except the 2x2
-    closed form, which is held to mpmath."""
+    closed form and 3x3 Jacobi, which are held to mpmath."""
 
     @pytest.mark.parametrize("n_steps", [1000, 2000, 4000, 16000])
     @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
@@ -519,13 +533,15 @@ class TestSpectrumOracle:
             assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=0)
         mode_marginal, joint = partial_trace_atom(extended), extended.matrices
         # the vacuum couples to nothing: a 3x3 matrix splits into [0, 0] and a 2x2
-        # block, a larger one goes to eigvalsh whole
+        # block, a 4x4 one into [0, 0] and a 3x3 block
         if sector.n_modes == 1:
             assert_spectrum_is_eigvalsh(mode_marginal, monkeypatch, calls=0)
             assert_spectrum_is_closed_form(joint, monkeypatch)
         else:
             assert_spectrum_is_closed_form(mode_marginal, monkeypatch)
-            assert_spectrum_is_eigvalsh(joint, monkeypatch, calls=chunk_count(joint))
+            rows = slice(None, None, ORACLE_STRIDE if n_steps > 4000 else 1)
+            errors, lapack = assert_spectrum_is_jacobi(joint, monkeypatch, rows)
+            assert errors.max() <= lapack.max()
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_random_diagonal_stacks(self, dim, monkeypatch):
@@ -573,12 +589,13 @@ class TestSpectrumOracle:
         calls = 0 if dim <= 20 else chunk_count(matrices)
         assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=calls)
 
-    def test_superposition_start_reaches_eigvalsh(self, fig2_model, monkeypatch):
+    def test_superposition_start_takes_jacobi(self, fig2_model, monkeypatch):
         grid = TimeGrid(0.0, 4.0, 400)
         traj = propagate_sector(fig2_model.sector, [0.8, 0.0], grid)
-        # the vacuum is coupled, so the joint states do not split
+        # the vacuum is coupled, so the joint states do not split: a 3x3 block
         joint = extended_density_from_amplitudes(traj).matrices
-        assert_spectrum_is_eigvalsh(joint, monkeypatch, calls=chunk_count(joint))
+        errors, lapack = assert_spectrum_is_jacobi(joint, monkeypatch)
+        assert errors.max() <= lapack.max()
         # the emitter states carry a coherence: 2x2 blocks that are not diagonal
         assert_spectrum_is_closed_form(atom_density_from_amplitudes(traj).matrices, monkeypatch)
 
@@ -614,6 +631,79 @@ class TestSpectrumOracle:
         assert np.array_equal(got[1:3], [[0.3, 0.3], [-2.5, -2.5]])
         assert np.all(got[:, 0] <= got[:, 1])
 
+    def test_jacobi_on_hand_made_blocks(self, monkeypatch):
+        low, high = _UNSCALED
+        rng = np.random.default_rng(1926)
+        n = 400
+        half = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        blocks = 0.25 * (half + np.swapaxes(half, -1, -2).conj())
+        # rank-one blocks, and blocks with a degenerate pair of eigenvalues
+        vectors = half[100:200, 0]
+        blocks[100:200] = vectors[:, :, None] * vectors[:, None, :].conj()
+        unitary = np.linalg.qr(half[200:300])[0]
+        pair = np.stack([np.full(100, 0.4), np.full(100, 0.4), rng.uniform(-1.0, 1.0, 100)], axis=1)
+        blocks[200:300] = unitary @ (pair[:, :, None] * np.swapaxes(unitary, -1, -2).conj())
+        # purely imaginary couplings
+        blocks[300:340] = blocks[300:340].real * np.eye(3) + 1j * blocks[300:340].imag
+        special = [
+            np.zeros((3, 3)),  # the zero block
+            0.3 * np.eye(3),  # multiples of the identity
+            -2.5 * np.eye(3),
+            [[-0.0, 0.0, 0.0], [0.0, -0.0, 0.5j], [0.0, -0.5j, 0.25]],  # signed-zero diagonals
+            [[-0.0, 0.1j, 0.2j], [-0.1j, 0.5, -0.3j], [-0.2j, 0.3j, -0.0]],
+            [[low, 2j * low, low], [-2j * low, 3.0 * low, low], [low, low, 2.0 * low]],  # _UNSCALED
+            [[high, high, 1j * high], [high, -0.5 * high, high], [-1j * high, high, high]],
+            [[high, low, 1j * high], [low, 0.25, 0.5], [-1j * high, 0.5, low]],
+            [[1.0, 1e-9, 1e-9j], [1e-9, 1.0, 0.0], [-1e-9j, 0.0, 1.0]],
+        ]
+        blocks[: len(special)] = special
+        # beside a decoupled vacuum, every block is a 3x3 block
+        matrices = np.zeros((n, 4, 4), complex)
+        matrices[:, 0, 0] = rng.uniform(-1.0, 1.0, n)
+        matrices[:3, 0, 0] = 0.5
+        matrices[:, 1:, 1:] = blocks
+        errors, lapack = assert_spectrum_is_jacobi(matrices, monkeypatch, bound=np.inf)
+        assert errors.max() <= lapack.max(), (errors.max(), lapack.max())
+        got = _spectrum(matrices)
+        assert np.array_equal(got[0].view(np.int64), np.array([0.0, 0.0, 0.0, 0.5]).view(np.int64))
+        assert np.array_equal(got[1:3], [[0.3, 0.3, 0.3, 0.5], [-2.5, -2.5, -2.5, 0.5]])
+        assert np.all(got[:, :-1] <= got[:, 1:])
+        # alone, a block whose row 0 couples is a 3x3 matrix of its own, with the bits
+        # of its eigenvalues beside the vacuum
+        coupled = np.any(blocks[:, 0, 1:], axis=1)
+        assert coupled[4:].all()
+        alone = assert_spectrum_is_jacobi(blocks[coupled], monkeypatch, bound=np.inf)[0]
+        assert alone.max() <= lapack.max()
+        vacuum = matrices[coupled, :1, 0].real
+        beside = np.sort(np.concatenate([_spectrum(blocks[coupled]), vacuum], axis=1))
+        assert np.array_equal(beside, got[coupled])
+        for k in (0, 3, 5, 7, n - 1):
+            assert np.array_equal(got[k].view(np.int64), _spectrum(matrices[k]).view(np.int64))
+
+    def test_unconverged_matrices_alone_reach_eigvalsh(self, monkeypatch):
+        # with one sweep, a block coupled only in (0, 1) converges and a random one does
+        # not; only the random ones go to eigvalsh, the others keep the bits they get
+        # with every sweep
+        rng = np.random.default_rng(1951)
+        n = 600
+        half = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        blocks = 0.25 * (half + np.swapaxes(half, -1, -2).conj())
+        one = np.arange(n) % 3 == 0
+        blocks[one, 0, 2] = blocks[one, 2, 0] = blocks[one, 1, 2] = blocks[one, 2, 1] = 0.0
+        matrices = np.zeros((n, 4, 4), complex)
+        matrices[:, 0, 0] = rng.uniform(-1.0, 1.0, n)
+        matrices[:, 1:, 1:] = blocks
+        every_sweep = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=0)
+        monkeypatch.setattr(density, "_JACOBI_SWEEPS", 1)
+        made = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: made.append(a) or eigvalsh(a))
+        got = _spectrum(matrices)
+        hermitized = 0.5 * (matrices + np.swapaxes(matrices, -1, -2).conj())
+        assert len(made) == 1 and np.array_equal(made[0], hermitized[~one])
+        assert np.array_equal(got[~one].view(np.int64), eigvalsh(hermitized[~one]).view(np.int64))
+        assert np.array_equal(got[one].view(np.int64), every_sweep[one].view(np.int64))
+
     @pytest.mark.parametrize("dim", [4, 5, 8, 12])
     def test_split_blocks_keep_the_bits_of_eigvalsh(self, dim, monkeypatch):
         # an uncoupled [0, 0] beside a block of 3x3 or more, ties and signed zeros too
@@ -631,15 +721,22 @@ class TestSpectrumOracle:
         # an anti-Hermitian row 0 vanishes from the Hermitized matrices
         skew = rng.normal(size=(n, dim - 1)) + 1j * rng.normal(size=(n, dim - 1))
         matrices[:, 0, 1:], matrices[:, 1:, 0] = skew, -skew.conj()
-        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
+        if dim == 4:
+            # the 3x3 block takes Jacobi, no worse than eigvalsh on these random blocks;
+            # the oracle takes the zero blocks, signed zeros and ties, and every 25th other
+            rows = np.r_[:200, 200:n:25]
+            errors, lapack = assert_spectrum_is_jacobi(matrices, monkeypatch, rows, bound=np.inf)
+            assert errors.max() <= lapack.max(), (errors.max(), lapack.max())
+        else:
+            assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize(
         "entry", [np.nextafter(_UNSCALED[0], 0.0), np.nextafter(_UNSCALED[1], np.inf), 1e-300]
     )
     def test_coupled_matrix_beside_the_edges_keeps_eigvalsh(self, dim, entry, monkeypatch):
         # only the matrix with a part LAPACK could rescale reaches eigvalsh; its
-        # neighbours keep the closed form they take alone
+        # neighbours keep the closed form, or at dimension 4 Jacobi, they take alone
         rng = np.random.default_rng(1900 + dim)
         matrices = np.zeros((300, dim, dim), complex)
         matrices[:, -2:, -2:] = rng.uniform(0.1, 1.0, (300, 2, 2))
@@ -649,7 +746,10 @@ class TestSpectrumOracle:
         got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=1)
         assert_spectrum_is_eigvalsh(matrices[-1:], monkeypatch, calls=1)
         assert np.array_equal(got[-1:].view(np.int64), _spectrum(matrices[-1:]).view(np.int64))
-        assert_spectrum_is_closed_form(matrices[:-1], monkeypatch)
+        if dim == 4:
+            assert_spectrum_is_jacobi(matrices[:-1], monkeypatch)
+        else:
+            assert_spectrum_is_closed_form(matrices[:-1], monkeypatch)
         assert np.array_equal(got[:-1].view(np.int64), _spectrum(matrices[:-1]).view(np.int64))
 
 

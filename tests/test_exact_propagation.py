@@ -130,6 +130,20 @@ def test_expm_of_a_diagonal_is_exp_of_its_entries():
     assert np.all(np.abs(got.imag - exact.imag) <= ulp)
 
 
+@pytest.mark.parametrize(
+    "matrix", [[[-1.0, 1e30], [0.0, -2.0]], [[-1.0, 1e200], [0.0, -2.0]], [[-1.0, 0.0], [1e30, -2.0j]]]
+)
+def test_expm_keeps_the_diagonal_of_triangular_input(matrix):
+    # the squarings alone return exp(-1) 1.4e-13 off at 1e30, and a diagonal of 1.0 at 1e200
+    matrix = np.array(matrix, dtype=complex)
+    got = np.diagonal(expm(matrix))
+    assert np.array_equal(got, np.exp(np.diagonal(matrix)))
+    assert np.array_equal(got, np.diagonal(scipy.linalg.expm(matrix)))
+    # in a stack, a full matrix beside it keeps the bits it gets alone
+    full = np.array([[-1.0, 0.5], [0.25, -2.0]], dtype=complex)
+    assert np.array_equal(expm(np.stack([matrix, full])), np.stack([expm(matrix), expm(full)]))
+
+
 def test_overflowing_coupled_propagator_raises_tolerance_error():
     # the Padé route, not the diagonal one: the generator has a coupling
     generator = np.array([[800.0, 1.0], [0.0, 0.0]], dtype=complex)

@@ -149,18 +149,20 @@ class TestInfoSeries:
             von_neumann_entropy(DensityMatrix.excited(4))
         )
 
-    def test_one_coupled_state_leaves_its_neighbours_bits(self, fig2_model, fig2_grid):
-        # state 100 couples the vacuum, so it alone reaches eigvalsh; every other
-        # state keeps the closed form it takes on its own
-        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
-        matrices = joint.matrices.copy()
-        matrices[100, 0, 2] = matrices[100, 2, 0] = 1e-3
-        coupled = DensitySeries(matrices)
-        series = info_series(coupled, fig2_grid)
-        for k in range(fig2_grid.n_steps):
-            assert von_neumann_entropy(coupled[k]) == series.entropy_joint[k]
-            assert coupled[k].invariant_defects()["min_eigenvalue"] == coupled.eigenvalues[k, 0]
-        assert np.array_equal(coupled.eigenvalues[101:], joint.eigenvalues[101:])
+    def test_one_coupled_state_leaves_its_neighbours_bits(self, fig2_model, bandgap_model, fig2_grid):
+        # state 100 couples the vacuum: on fig2 it takes Jacobi, on bandgap eigvalsh;
+        # every other state keeps the closed form, or Jacobi, it takes on its own
+        for model, grid in ((fig2_model, fig2_grid), (bandgap_model, TimeGrid(0.0, 10.0, 200))):
+            dim = model.sector.n_modes + 2
+            joint = evolve_lindblad_sector(model.sector, DensityMatrix.excited(dim), grid)
+            matrices = joint.matrices.copy()
+            matrices[100, 0, 2] = matrices[100, 2, 0] = 1e-3
+            coupled = DensitySeries(matrices)
+            series = info_series(coupled, grid)
+            for k in range(grid.n_steps):
+                assert von_neumann_entropy(coupled[k]) == series.entropy_joint[k]
+                assert coupled[k].invariant_defects()["min_eigenvalue"] == coupled.eigenvalues[k, 0]
+            assert np.array_equal(coupled.eigenvalues[101:], joint.eigenvalues[101:])
 
     def test_no_eigenvalue_above_floor_gives_positive_zero(self):
         series = DensitySeries(np.zeros((2, 2, 2)))
