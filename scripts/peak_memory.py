@@ -6,11 +6,11 @@ Usage:
 
 Each of the CLI's experiments runs in process on each preset in
 ``<repo>/configs`` with ``n_steps`` rewritten, once per step count, using the
-package in ``<repo>/src``, as ``scripts/artifact_digests.py`` runs them. For
-every run it records the exit code, the peak of the memory traced during the
-run above what was traced before it (``peak_mib``) and what its results still
-hold when it returns (``retained_mib``), in MiB. One more run per ``--modes
-K`` and step count, ``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir
+package in ``<repo>/src``, as ``tests/test_golden_artifacts.py`` runs them.
+For every run it records the exit code, the peak of the memory traced
+during the run above what was traced before it (``peak_mib``) and what its
+results still hold when it returns (``retained_mib``), in MiB. One more run
+per ``--modes K`` and step count, ``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir
 of K lone Lorentzian peaks spread over [-2, 2] around the emitter, built here
 as no config kind lists peaks, through the path of the ``info`` experiment:
 the Lindblad series from |e> on (K+2)^2 entries per point, its

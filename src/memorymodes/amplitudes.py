@@ -158,11 +158,12 @@ def expm(a) -> np.ndarray:
     non-normal matrix less than its norm would, plus the correction that
     raises s where evaluating the approximant would lose digits. The norms
     are computed exactly, not estimated. A stack of diagonal matrices
-    is exponentiated entry by entry. A triangular matrix gets exp of its
-    diagonal entries on its diagonal, as ``scipy.linalg.expm`` gives them:
-    the squarings would lose them where its norm is large. An overflowing
-    exponential comes out with inf or NaN entries and no warning; the caller
-    checks.
+    is exponentiated entry by entry. A triangular matrix gets its diagonal
+    and first off-diagonal recomputed in closed form before and after every
+    squaring, and its other triangle kept at zero (ibid., Code Fragment 2.1),
+    as ``scipy.linalg.expm`` does for upper-triangular input: the squarings
+    alone would lose them where its norm is large. An overflowing exponential
+    comes out with inf or NaN entries and no warning; the caller checks.
     """
     a = np.asarray(a)
     n = a.shape[-1]
@@ -170,20 +171,25 @@ def expm(a) -> np.ndarray:
     diagonal = np.eye(n, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if np.any(stack[:, ~diagonal]):
-            out = _scaled_pade13(stack)
-            # exactly one triangle nonzero: triangular, not diagonal
+            # exactly one triangle nonzero: triangular, not diagonal; a lower
+            # triangular matrix is exponentiated as its transpose
             below = np.any(np.tril(stack, -1), axis=(-2, -1))
-            triangular = np.flatnonzero(below != np.any(np.triu(stack, 1), axis=(-2, -1)))
-            index = np.arange(n)
-            out[triangular[:, None], index, index] = np.exp(stack[triangular[:, None], index, index])
+            above = np.any(np.triu(stack, 1), axis=(-2, -1))
+            lower = below & ~above
+            if lower.any():
+                stack = stack.copy()
+                stack[lower] = stack[lower].swapaxes(-2, -1)
+            out = _scaled_pade13(stack, np.flatnonzero(below != above))
+            out[lower] = out[lower].swapaxes(-2, -1)
         else:
             out = np.zeros_like(stack)
             out[:, diagonal] = np.exp(stack[:, diagonal])
     return out.reshape(a.shape)
 
 
-def _scaled_pade13(stack: np.ndarray) -> np.ndarray:
-    """exp of each matrix of the 3-d ``stack`` by Padé-13 with its own scaling 2**s."""
+def _scaled_pade13(stack: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the 3-d ``stack`` by Padé-13 with its own scaling 2**s;
+    the matrices indexed by ``upper`` are upper triangular."""
     a2 = stack @ stack
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -207,11 +213,43 @@ def _scaled_pade13(stack: np.ndarray) -> np.ndarray:
     # (V - U)^-1 (V + U), written so that it keeps the digits the plain form loses near I
     out = eye + 2 * np.linalg.solve(v - u, u)
     s = s.astype(int)
+    _triangular_bands(out, stack, upper, 2.0 ** -s[upper])
     for done in range(s.max()):
         todo = s > done
         square = out[todo]
         out[todo] = square @ square
+        upper = upper[s[upper] > done]
+        _triangular_bands(out, stack, upper, 2.0 ** (done + 1 - s[upper]))
     return out
+
+
+def _triangular_bands(out: np.ndarray, stack: np.ndarray, upper: np.ndarray, scale: np.ndarray):
+    """Write exp of ``stack[upper] * scale`` into ``out[upper]`` on the diagonal and the
+    first superdiagonal, where it has closed forms, and zero below the diagonal."""
+    if not len(upper):
+        return
+    t = stack[upper] * scale[:, None, None]
+    d = np.diagonal(t, axis1=-2, axis2=-1)
+    index = np.arange(t.shape[-1])
+    row, col = index[:-1], index[1:]
+    x = np.triu(out[upper])
+    x[:, index, index] = np.exp(d)
+    x[:, row, col] = t[:, row, col] * _exp_divided_difference(d[:, :-1], d[:, 1:])
+    out[upper] = x
+
+
+def _exp_divided_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(exp(x) - exp(y)) / (x - y), which is exp(x) where x == y.
+
+    Near the diagonal x ~ y it is exp((x+y)/2) sinh(h)/h with h = (x-y)/2
+    (Higham, Functions of Matrices, eq. (10.42)), sinh(h)/h by its Taylor
+    series for tiny h; far from it the plain quotient, where sinh(h) could
+    overflow.
+    """
+    h = 0.5 * (x - y)
+    h2 = h * h
+    sinch = np.where(np.abs(h) < 0.0135, 1 + h2 / 6 * (1 + h2 / 20 * (1 + h2 / 42)), np.sinh(h) / h)
+    return np.where(np.abs(h) < 1, np.exp(0.5 * (x + y)) * sinch, (np.exp(x) - np.exp(y)) / (x - y))
 
 
 def _propagate_constant(generator: np.ndarray, x0: np.ndarray, grid: TimeGrid) -> np.ndarray:

@@ -141,9 +141,11 @@ def _reservoir(kind: str, values: dict, allow_nonphysical: bool) -> Reservoir:
     if not w2 >= 0:  # a negative w2 would be a second positive peak, not a dip
         raise NonPhysical(f"weights must satisfy w1 > w2 >= 0, got w1={w1}, w2={w2}")
     total_weight = w1 - w2
-    if abs(coupling**2 - total_weight) > 0.01 * total_weight:
+    # a product, not coupling**2, which raises OverflowError on floats above ~1.34e154
+    squared = coupling * coupling
+    if abs(squared - total_weight) > 0.01 * total_weight:
         warnings.warn(
-            f"omega_coupling**2 = {coupling**2:.6g} differs from the "
+            f"omega_coupling**2 = {squared:.6g} differs from the "
             f"integrated spectral weight w1 - w2 = {total_weight:.6g} by more "
             "than 1%; proceeding with the given coupling",
             ConsistencyWarning,

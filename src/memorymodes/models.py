@@ -259,5 +259,6 @@ class Reservoir:
         exponents = np.multiply.outer(
             np.asarray(tau, dtype=float), -0.5 * widths - 1j * (centers - self.omega0)
         )
-        out = self.omega_coupling**2 / weights.sum() * (np.exp(exponents) @ weights)
+        coupling = self.omega_coupling
+        out = coupling * coupling / weights.sum() * (np.exp(exponents) @ weights)
         return complex(out) if out.ndim == 0 else out

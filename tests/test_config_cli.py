@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from memorymodes import (
+    ConsistencyWarning,
     NonPhysical,
     ParseError,
     Reservoir,
@@ -427,6 +429,20 @@ class TestMain:
         assert code == 3
         assert "2*omega0 must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("model", ["lorentzian", "bandgap"])
+    def test_huge_coupling_is_an_error_exit(self, tmp_path, capsys, model):
+        # coupling**2 overflows a float; the bandgap weight check must not raise on it
+        bad = tmp_path / "bad.cfg"
+        text = FIG2_CONFIG_TEXT if model == "lorentzian" else BANDGAP_TEXT
+        bad.write_text(re.sub(r"omega_coupling = .*", "omega_coupling = 1e200", text))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConsistencyWarning)
+            assert main(["evolve", "--config", str(bad), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "propagator exp(G*t)" in err and "is not finite" in err
+        assert not (out / "manifest.txt").exists()
 
     def test_nonphysical_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

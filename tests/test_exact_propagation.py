@@ -25,14 +25,26 @@ from memorymodes import (
     evolve_lindblad_sector,
     mode_generator,
     validate_config,
+    validate_config_text,
 )
 from memorymodes import density
 from memorymodes.amplitudes import _norm1, _propagate_constant, expm
+from memorymodes.cli import EXPERIMENTS, main
 from conftest import expm_oracle
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 #: 10 lone peaks, wider the further out they sit; 11 amplitudes
 TEN_PEAKS = Reservoir(0.0, 0.8, tuple((1.0, 0.5 + 0.05 * k, k - 4.5) for k in range(10)))
+#: an uncoupled mode on resonance: the real-coordinate Lindblad generator is upper triangular
+TRIANGULAR_CONFIG = """\
+model = lorentzian
+omega0 = 0.0
+omega_c = 0.0
+gamma = 0.6
+omega_coupling = 0.0
+t_end = 10.0
+n_steps = 400
+"""
 
 
 @pytest.mark.parametrize("route", ["single", "double"])
@@ -142,6 +154,51 @@ def test_expm_keeps_the_diagonal_of_triangular_input(matrix):
     # in a stack, a full matrix beside it keeps the bits it gets alone
     full = np.array([[-1.0, 0.5], [0.25, -2.0]], dtype=complex)
     assert np.array_equal(expm(np.stack([matrix, full])), np.stack([expm(matrix), expm(full)]))
+
+
+@pytest.mark.parametrize("matrix", [[[-1.0, 1e200], [0.0, -2.0]], [[-1.0, 0.0], [1e30, -2.0j]]])
+def test_expm_keeps_the_off_diagonal_of_triangular_input(matrix):
+    # the squarings alone return 1e200 for (e^-1 - e^-2) 1e200, and 1e-46 above a lower triangle
+    matrix = np.array(matrix, dtype=complex)
+    corner = (0, 1) if matrix[0, 1] else (1, 0)
+    with mpmath.workdps(40):
+        a, b, t = (mpmath.mpc(z.real, z.imag) for z in (matrix[0, 0], matrix[1, 1], matrix[corner]))
+        exact = complex(t * (mpmath.exp(a) - mpmath.exp(b)) / (a - b))
+    got = expm(matrix)
+    assert got[corner[::-1]] == 0.0
+    assert abs(got[corner] - exact) <= 1e-15 * abs(exact)
+    assert abs(got[corner] - scipy.linalg.expm(matrix)[corner]) <= 1e-15 * abs(exact)
+
+
+def test_a_real_config_reaches_a_triangular_lindblad_generator(monkeypatch):
+    seen = []
+
+    def spy(generator, x0, grid):
+        seen.append(generator)
+        return _propagate_constant(generator, x0, grid)
+
+    monkeypatch.setattr(density, "_propagate_constant", spy)
+    parsed = validate_config_text(TRIANGULAR_CONFIG)
+    evolve_lindblad_sector(parsed.model.sector, DensityMatrix.excited(3), parsed.grid)
+    (generator,) = seen
+    assert np.array_equal(generator, np.triu(generator)) and np.any(np.triu(generator, 1))
+    stack = ladder(generator, parsed.grid)
+    assert relative_errors(expm(stack), exact_expm(stack)).max() < 2e-15
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_every_experiment_agrees_exactly_on_the_triangular_config(experiment, tmp_path, capsys):
+    # without a coupling every route gives the same trivial answer, bit for bit
+    config = tmp_path / "triangular.cfg"
+    config.write_text(TRIANGULAR_CONFIG)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config), "--out", str(out), "--n", "1000"]) == 0
+    capsys.readouterr()
+    entries = dict(line.split(" = ", 1) for line in (out / "manifest.txt").read_text().splitlines())
+    gated = ("max_diff_", "invariant.", "max_z_score", "max_cross_z")
+    checked = {key: float(value) for key, value in entries.items() if key.startswith(gated)}
+    assert all(value == 0.0 for value in checked.values()), checked
+    assert bool(checked) == (experiment in ("evolve", "info", "compare"))
 
 
 def test_overflowing_coupled_propagator_raises_tolerance_error():

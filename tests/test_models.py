@@ -349,6 +349,14 @@ class TestReservoir:
             model.density(0.0)
         assert model.kernel(2.0) == 1.0
 
+    def test_kernel_of_a_huge_coupling_overflows_without_raising(self):
+        # coupling**2 of a Python float raises OverflowError above ~1.34e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = Reservoir(0.0, 1e200, ((1.0, 0.5, 0.0),)).kernel(0.0)
+            expected = np.float64(1e200) * np.float64(1e200) * np.complex128(1.0)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert math.isinf(got.real)
+
     @pytest.mark.parametrize("allow_nonphysical", [False, True])
     @pytest.mark.parametrize(
         "peaks",
