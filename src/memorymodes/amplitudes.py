@@ -252,26 +252,31 @@ def _exp_divided_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(np.abs(h) < 1, np.exp(0.5 * (x + y)) * sinch, (np.exp(x) - np.exp(y)) / (x - y))
 
 
-def _propagate_constant(generator: np.ndarray, x0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+def _propagate_constant(
+    generator: np.ndarray, x0: np.ndarray, grid: TimeGrid, empty=np.empty
+) -> np.ndarray:
     """Rows exp(G*(t_k - t_0)) @ x0 on the uniform ``grid``, filled by doubling.
 
-    Rows [m, 2m) are rows [0, m) times exp(G*m*dt).T. The propagators of
-    every length m = 1, 2, 4, ... come from one :func:`expm` of the stack
-    G*m*dt, each with its own scaling: squaring the previous one would double
-    its rounding error.
+    Rows [m, 2m) are rows [0, m) times exp(G*m*dt).T, written in place. The
+    propagators of every length m = 1, 2, 4, ... come from one :func:`expm`
+    of the stack G*m*dt, each with its own scaling: squaring the previous one
+    would double its rounding error. Only once they exist is the row buffer
+    ``empty(shape, dtype)`` taken, so the ladder's temporaries are freed
+    before it; a caller may pass a buffer that lives inside its own result.
     """
     if not np.all(np.isfinite(generator)):
         raise ValueError("generator entries must be finite")
-    rows = np.empty((grid.n_steps, len(x0)), dtype=np.result_type(generator, x0))
-    rows[0] = x0
-    lengths = 2 ** np.arange((len(rows) - 1).bit_length())
+    lengths = 2 ** np.arange((grid.n_steps - 1).bit_length())
     propagators = expm(generator * (lengths * grid.dt)[:, None, None])
     finite = np.isfinite(propagators).all(axis=(-2, -1))
     if not finite.all():
         t = lengths[np.argmin(finite)] * grid.dt
         raise ToleranceNotMet(f"propagator exp(G*t) at t={t:g} is not finite")
+    rows = empty((grid.n_steps, len(x0)), np.result_type(generator, x0))
+    rows[0] = x0
     for m, propagator in zip(lengths, propagators):
-        rows[m : 2 * m] = rows[: min(m, len(rows) - m)] @ propagator.T
+        k = min(m, len(rows) - m)
+        np.matmul(rows[:k], propagator.T, out=rows[m : m + k])
     return rows
 
 

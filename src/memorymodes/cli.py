@@ -146,33 +146,40 @@ def _evolve_extended(config: RunConfig):
     return evolve_lindblad_single(sector, DensityMatrix.excited(sector.n_modes + 2), config.grid)
 
 
-def _record_invariants(extras: dict, *series) -> None:
-    """Worst invariant defects over every density series of the run."""
-    defects = [s.invariant_defects() for s in series]
+def _record_invariants(extras: dict, *defects: dict) -> None:
+    """Worst of the invariant defects of every density series of the run."""
     extras["invariant.hermiticity"] = f"{max(d['hermiticity'] for d in defects):.17g}"
     extras["invariant.trace"] = f"{max(d['trace'] for d in defects):.17g}"
     extras["invariant.min_eigenvalue"] = f"{min(d['min_eigenvalue'] for d in defects):.17g}"
 
 
 def _experiment_evolve(config, artifact, extras) -> None:
+    # registered in the manifest's order; the extended series, the largest,
+    # is written, checked and traced, then dropped before the other routes exist
+    paths = {
+        name: artifact(f"density_{name}.csv")
+        for name in ("amplitude", "timelocal", "extended", "traced")
+    }
+    times = config.grid.times
+    extended = _evolve_extended(config)
+    write_density_csv(paths["extended"], extended, times)
+    defects = extended.invariant_defects()
+    traced = partial_trace_pseudomodes(extended)
+    del extended
     traj = _propagate(config)
     rates = rates_from_amplitudes(traj)
-    times = config.grid.times
     from_amplitudes = atom_density_from_amplitudes(traj)
     timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
-    extended = _evolve_extended(config)
-    traced = partial_trace_pseudomodes(extended)
-    write_density_csv(artifact("density_amplitude.csv"), from_amplitudes, times)
-    write_density_csv(artifact("density_timelocal.csv"), timelocal, times)
-    write_density_csv(artifact("density_extended.csv"), extended, times)
-    write_density_csv(artifact("density_traced.csv"), traced, times)
+    write_density_csv(paths["amplitude"], from_amplitudes, times)
+    write_density_csv(paths["timelocal"], timelocal, times)
+    write_density_csv(paths["traced"], traced, times)
     routes = {"amplitude": from_amplitudes, "timelocal": timelocal, "traced": traced}
     names = list(routes)
     for i, first in enumerate(names):
         for second in names[i + 1 :]:
             diff = np.max(np.abs(routes[first].matrices - routes[second].matrices))
             extras[f"max_diff_{first}_{second}"] = f"{diff:.17g}"
-    _record_invariants(extras, from_amplitudes, timelocal, extended, traced)
+    _record_invariants(extras, defects, *(series.invariant_defects() for series in routes.values()))
 
 
 def _experiment_nmqj(config, artifact, extras) -> None:
@@ -203,7 +210,7 @@ def _experiment_compare(config, artifact, extras) -> None:
 def _experiment_info(config, artifact, extras) -> None:
     extended = _evolve_extended(config)
     write_info_csv(artifact("info.csv"), info_series(extended, config.grid))
-    _record_invariants(extras, extended)
+    _record_invariants(extras, extended.invariant_defects())
 
 
 def _experiment_fig2(config, artifact, extras) -> None:

@@ -83,6 +83,17 @@ def _chunks(n: int, dim: int) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+def _expanding_chunks(n: int, dim: int) -> list[slice]:
+    """Consecutive slices [a, b) of ``range(1, n)`` of at most ``_chunk_rows(dim)``
+    matrices with b <= 2a: 1, 2, 4, ... matrices until they reach that size."""
+    rows, start, out = _chunk_rows(dim), 1, []
+    while start < n:
+        stop = min(start + min(start, rows), n)
+        out.append(slice(start, stop))
+        start = stop
+    return out
+
+
 def _checked(mat: np.ndarray, ndim: int, expected: str) -> np.ndarray:
     """``mat``, a C-ordered complex array, made read-only once its shape and entries pass."""
     if mat.ndim != ndim or mat.shape[-1] != mat.shape[-2] or mat.size == 0:
@@ -465,13 +476,23 @@ def _rotate(d: np.ndarray, w: np.ndarray, floor: np.ndarray, p: int) -> bool:
 
 
 def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:
-    """Worst invariant defects of one matrix or a stack with its spectrum ``eigs``."""
+    """Worst invariant defects of one matrix or a stack with its spectrum ``eigs``.
+
+    The hermiticity gap max |a - a^H| is taken once per off-diagonal pair, as
+    |a_ij - conj(a_ji)| over i < j (entry (j, i) has the same modulus, bit for
+    bit), and as 2 |Im a_ii| on the diagonal.
+    """
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
+    rows, cols = _upper_indices(dim)
     gaps, traces = [], []
-    for rows in _chunks(len(stack), dim):
-        chunk = stack[rows]
-        gaps.append(np.max(np.abs(chunk - np.swapaxes(chunk, -1, -2).conj())))
+    for span in _chunks(len(stack), dim):
+        chunk = stack[span]
+        pairs = chunk[:, cols, rows]
+        np.conjugate(pairs, out=pairs)
+        np.subtract(chunk[:, rows, cols], pairs, out=pairs)
+        diagonal = np.diagonal(chunk, axis1=-2, axis2=-1).imag
+        gaps.append(max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diagonal))))
         trace = np.trace(chunk, axis1=-2, axis2=-1)
         traces.append(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
     # finite entries give no NaN, so the builtin max is the worst chunk's
@@ -585,8 +606,15 @@ def evolve_lindblad_sector(
     the diagonal, then Re and Im of the upper triangle, so every state is
     exactly Hermitian. ``basis`` has orthogonal columns: its scaled adjoint is
     an exact left inverse. A mode with a zero leak rate keeps its channel.
-    The states are filled chunk by chunk from the coordinates, with the bits
-    of one product of the whole stack.
+
+    The d*d real coordinates of a state take half the bytes of its complex
+    matrix, so the propagator writes them into the first half of the
+    returned stack itself, and the states are expanded in place from them
+    over the chunks of :func:`_expanding_chunks`, the last first: the states
+    [a, b) of a chunk, b <= 2a, overwrite coordinate rows [2a, 2b), which the
+    chunks after it have read and the chunks before it do not read. State 0
+    comes last, from a copy of its row. Each chunk has the bits of one
+    product of the whole stack.
     """
     dim = sector.n_modes + 2
     if rho0.dim != dim:
@@ -609,12 +637,20 @@ def evolve_lindblad_sector(
     basis = np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
     inverse = basis.conj().T / np.sum(np.abs(basis) ** 2, axis=0)[:, None]
     generator = (inverse @ liouvillian @ basis).real
-    coords = _propagate_constant(generator, (inverse @ rho0.matrix.ravel()).real, grid)
-    stack = np.empty((len(coords), dim, dim), dtype=complex)
-    flat = stack.reshape(len(coords), dim * dim)
-    for rows in _chunks(len(coords), dim):
+    n, size = grid.n_steps, dim * dim
+    flat = None
+
+    def in_stack(shape, dtype):
+        nonlocal flat
+        flat = np.empty((n, size), dtype=complex)
+        return flat.reshape(-1).view(float)[: n * size].reshape(shape)
+
+    coords = _propagate_constant(generator, (inverse @ rho0.matrix.ravel()).real, grid, in_stack)
+    first = coords[:1].copy()
+    for rows in reversed(_expanding_chunks(n, dim)):
         np.matmul(coords[rows], basis.T, out=flat[rows])
-    return DensitySeries._adopt(stack)
+    np.matmul(first, basis.T, out=flat[:1])
+    return DensitySeries._adopt(flat.reshape(n, dim, dim))
 
 
 def partial_trace_pseudomodes(rho: DensityMatrix | DensitySeries) -> DensityMatrix | DensitySeries:

@@ -253,12 +253,19 @@ class Reservoir:
 
         (omega_coupling**2/sum w) * sum_j w_j exp(-gamma_j*tau/2 - i*(c_j - omega0)*tau),
         which is omega_coupling**2/(2*pi*sum w) times the Fourier transform
-        of :meth:`density`.
+        of :meth:`density`. A negative or non-finite delay raises ``ValueError``.
+        The real prefactor scales the real and imaginary parts of the peak sum
+        each on its own, and leaves an exactly zero part as it is, so an
+        overflowing coupling gives ``inf+0j`` at zero delay, not ``inf+nanj``.
         """
+        tau = np.asarray(tau, dtype=float)
+        if not np.all((tau >= 0.0) & (tau < np.inf)):
+            raise ValueError(f"the kernel needs finite delays tau >= 0, got {tau}")
         weights, widths, centers = np.array(self.peaks).T
-        exponents = np.multiply.outer(
-            np.asarray(tau, dtype=float), -0.5 * widths - 1j * (centers - self.omega0)
-        )
+        exponents = np.multiply.outer(tau, -0.5 * widths - 1j * (centers - self.omega0))
         coupling = self.omega_coupling
-        out = coupling * coupling / weights.sum() * (np.exp(exponents) @ weights)
+        scale = coupling * coupling / weights.sum()
+        out = np.array(np.exp(exponents) @ weights)
+        for part in (out.real, out.imag):
+            np.multiply(scale, part, out=part, where=part != 0.0)
         return complex(out) if out.ndim == 0 else out

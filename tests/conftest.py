@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def expm_oracle(generator, initial, t):
     times = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.stack([expm(gen * tk) @ vec for tk in times])
     return out[0] if np.ndim(t) == 0 else out
+
+
+def traced_peak(call):
+    """What ``call()`` returns, its tracemalloc peak and what it left allocated, in MiB."""
+    tracemalloc.start()
+    try:
+        kept = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept, peak / 2**20, current / 2**20
 
 
 def pytest_configure(config):

@@ -21,7 +21,7 @@ from memorymodes import (
 )
 from memorymodes.cli import EXPERIMENTS, FIG2_CONFIG_TEXT, RunConfig, main, run
 from memorymodes.density import _chunk_rows
-from conftest import gamma_markov
+from conftest import gamma_markov, traced_peak
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,6 +133,18 @@ class TestRun:
         listed = set(manifest.entries["artifacts"].split(","))
         present = {p.name for p in (tmp_path / "out").iterdir()} - {"manifest.txt"}
         assert listed == present
+
+    def test_evolve_holds_one_extended_series_at_a_time(self, tmp_path):
+        # the 4 MiB joint stack of bandgap at 16 000 points is written, checked
+        # and traced before the amplitude and time-local routes are built
+        parsed = validate_config(REPO_ROOT / "configs" / "bandgap.cfg")
+        grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, 16_000)
+        config = RunConfig("evolve", parsed.model, grid, tmp_path / "out")
+        manifest, peak, _ = traced_peak(lambda: run(config))
+        assert peak < 8.5, peak
+        assert manifest.entries["artifacts"] == ",".join(
+            f"density_{name}.csv" for name in ("amplitude", "timelocal", "extended", "traced")
+        )
 
     def test_identity_perfect_gap_manifest_records_zero_rate(self, tmp_path):
         parsed = validate_config(REPO_ROOT / "configs" / "perfect_gap.cfg")

@@ -1,7 +1,6 @@
 import dataclasses
 import importlib.util
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +27,9 @@ from memorymodes import (
     validate_config,
 )
 from memorymodes import density
-from memorymodes.density import _UNSCALED, _chunk_rows, _chunks, _spectrum, sector_hamiltonian
-from conftest import max_entry_diff
+from memorymodes.density import _UNSCALED, _chunk_rows, _chunks, _expanding_chunks, _spectrum
+from memorymodes.density import sector_hamiltonian
+from conftest import max_entry_diff, traced_peak
 
 
 def constant_rates(grid, gamma_value, s_value=0.0, omega0=0.0):
@@ -797,29 +797,65 @@ class TestChunkEdges:
 
     @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap", "four_lone_peaks"])
     def test_lindblad_fill_is_one_product(self, preset, monkeypatch):
-        if preset == "four_lone_peaks":
-            peaks = tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / 3) for k in range(4))
-            sector = Reservoir(0.0, 0.8, peaks).sector
-        else:
-            sector = validate_config(REPO_CONFIGS / f"{preset}.cfg").model.sector
+        sector = lindblad_sector(preset)
         dim = sector.n_modes + 2
-        grid = TimeGrid(0.0, 10.0, _chunk_rows(dim) + 1)
+        chunk = _chunk_rows(dim)
         coords = []
         propagate = density._propagate_constant
 
-        def keep(*args):
-            coords.append(propagate(*args))
-            return coords[-1]
+        def keep(generator, x0, grid, empty):
+            rows = propagate(generator, x0, grid, empty)
+            # the states are expanded over the coordinates in place
+            coords.append(rows.copy())
+            return rows
 
         monkeypatch.setattr(density, "_propagate_constant", keep)
-        got = evolve_lindblad_sector(sector, DensityMatrix.excited(dim), grid).matrices
         # the coordinates' basis: the diagonal, then Re and Im of the upper triangle
         rows, cols = np.triu_indices(dim, 1)
         unit = np.eye(dim * dim)
         upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
         basis = np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
-        expected = (coords[0] @ basis.T).reshape(-1, dim, dim)
-        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        for n in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 2**14 + 1):
+            grid = TimeGrid(0.0, 10.0, n)
+            got = evolve_lindblad_sector(sector, DensityMatrix.excited(dim), grid).matrices
+            expected = (coords.pop() @ basis.T).reshape(-1, dim, dim)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
+
+    @pytest.mark.parametrize("dim", [3, 4, 6, 12])
+    @pytest.mark.parametrize("n", [2, 3, 1000, 2**14 + 1, 64_000])
+    def test_in_place_expansion_reads_each_row_before_it_is_overwritten(self, n, dim):
+        chunks = _expanding_chunks(n, dim)
+        assert [rows.start for rows in chunks] == [1] + [rows.stop for rows in chunks[:-1]]
+        assert chunks[-1].stop == n
+        for rows in chunks:
+            # states [a, b) land on coordinate rows [2a, 2b), disjoint from the rows [a, b) read
+            assert rows.start < rows.stop <= 2 * rows.start
+            assert rows.stop - rows.start <= _chunk_rows(dim)
+
+
+def lindblad_sector(preset):
+    """The sector of a preset, or of four lone peaks (dimension 6)."""
+    if preset == "four_lone_peaks":
+        peaks = tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / 3) for k in range(4))
+        return Reservoir(0.0, 0.8, peaks).sector
+    return validate_config(REPO_CONFIGS / f"{preset}.cfg").model.sector
+
+
+def test_lindblad_scratch_is_bounded():
+    """The Lindblad fill holds at most 1.5 MiB beside the stack it returns.
+
+    The real coordinates live in the stack's own buffer, and its propagator
+    ladder is freed before the stack is taken, so the scratch does not grow
+    with the grid (``bandgap``, 16 000 and 64 000 points).
+    """
+    sector = lindblad_sector("bandgap")
+    for n_steps in (16_000, 64_000):
+        grid = TimeGrid(0.0, 10.0, n_steps)
+        series, peak, current = traced_peak(
+            lambda: evolve_lindblad_sector(sector, DensityMatrix.excited(4), grid)
+        )
+        assert current >= series.matrices.nbytes / 2**20
+        assert peak - current <= 1.5, (n_steps, peak - current)
 
 
 def test_series_scratch_is_bounded():
@@ -840,14 +876,9 @@ def test_series_scratch_is_bounded():
         for name, call in calls.items():
             # a new series each time, so that each call computes the spectrum
             series = evolve_lindblad_sector(parsed.model.sector, DensityMatrix.excited(4), grid)
-            tracemalloc.start()
-            try:
-                kept = call(series, grid)
-                current, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            kept, peak, current = traced_peak(lambda: call(series, grid))
             assert kept
-            scratch[name, n_steps] = (peak - current) / 2**20
+            scratch[name, n_steps] = peak - current
     for name in calls:
         small, large = scratch[name, 16_000], scratch[name, 64_000]
         assert small < 4.0 and large < 4.0, (name, small, large)

@@ -108,9 +108,9 @@ def test_expm_is_exact_on_a_liouvillian_ladder(fig2_model, fig2_grid, monkeypatc
     # the real coordinate generator that the Lindblad route hands to the propagator
     seen = []
 
-    def spy(generator, x0, grid):
+    def spy(generator, x0, grid, empty):
         seen.append(generator)
-        return _propagate_constant(generator, x0, grid)
+        return _propagate_constant(generator, x0, grid, empty)
 
     monkeypatch.setattr(density, "_propagate_constant", spy)
     evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
@@ -173,9 +173,9 @@ def test_expm_keeps_the_off_diagonal_of_triangular_input(matrix):
 def test_a_real_config_reaches_a_triangular_lindblad_generator(monkeypatch):
     seen = []
 
-    def spy(generator, x0, grid):
+    def spy(generator, x0, grid, empty):
         seen.append(generator)
-        return _propagate_constant(generator, x0, grid)
+        return _propagate_constant(generator, x0, grid, empty)
 
     monkeypatch.setattr(density, "_propagate_constant", spy)
     parsed = validate_config_text(TRIANGULAR_CONFIG)

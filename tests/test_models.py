@@ -350,12 +350,21 @@ class TestReservoir:
         assert model.kernel(2.0) == 1.0
 
     def test_kernel_of_a_huge_coupling_overflows_without_raising(self):
-        # coupling**2 of a Python float raises OverflowError above ~1.34e154
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = Reservoir(0.0, 1e200, ((1.0, 0.5, 0.0),)).kernel(0.0)
-            expected = np.float64(1e200) * np.float64(1e200) * np.complex128(1.0)
-        assert np.array_equal(got, expected, equal_nan=True)
-        assert math.isinf(got.real)
+        # coupling**2 of a Python float raises OverflowError above ~1.34e154, and
+        # an infinite prefactor times the zero imaginary part would be NaN
+        reservoir = Reservoir(0.0, 1e200, ((1.0, 0.5, 0.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = reservoir.kernel(0.0)
+            series = reservoir.kernel(np.array([0.0, 1.0]))
+        assert type(got) is complex
+        assert got.real == math.inf and got.imag == 0.0 and math.copysign(1.0, got.imag) == 1.0
+        assert np.array_equal(series, [complex(math.inf, 0.0)] * 2)
+
+    @pytest.mark.parametrize("tau", [-1.0, -1e-300, math.nan, math.inf, [0.0, -0.5]])
+    def test_kernel_refuses_a_negative_or_non_finite_delay(self, tau):
+        with pytest.raises(ValueError, match="tau >= 0"):
+            Reservoir(0.0, 0.5, ((1.0, 0.5, 0.0),)).kernel(tau)
 
     @pytest.mark.parametrize("allow_nonphysical", [False, True])
     @pytest.mark.parametrize(
