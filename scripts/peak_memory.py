@@ -9,13 +9,15 @@ Each of the CLI's experiments runs in process on each preset in
 package in ``<repo>/src``, as ``tests/test_golden_artifacts.py`` runs them.
 For every run it records the exit code, the peak of the memory traced
 during the run above what was traced before it (``peak_mib``) and what its
-results still hold when it returns (``retained_mib``), in MiB. One more run
-per ``--modes K`` and step count, ``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir
-of K lone Lorentzian peaks spread over [-2, 2] around the emitter, built here
-as no config kind lists peaks, through the path of the ``info`` experiment:
-the Lindblad series from |e> on (K+2)^2 entries per point, its
-invariant defects and its ``info_series``, all three kept. The output is one
-JSON object keyed ``<preset>/<n_steps>/<experiment>``. tracemalloc sees what
+results still hold when it returns (``retained_mib``), in MiB. Garbage is
+collected before each run, so no run is charged with a cycle an earlier one
+left. One more run per ``--modes K`` and step count,
+``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir of K lone Lorentzian
+peaks spread over [-2, 2] around the emitter, built here as no config kind
+lists peaks, through the ``info`` experiment itself (``cli.run``): the
+Lindblad route from |e> on (K+2)^2 real coordinates per point, its entropies
+written to ``info.csv`` and its invariant defects. The output is one JSON
+object keyed ``<preset>/<n_steps>/<experiment>``. tracemalloc sees what
 Python and numpy allocate, not LAPACK's workspace, so the peaks are lower
 bounds on what a process holds.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import re
@@ -38,6 +41,7 @@ _MIB = 2.0**20
 
 def traced(call) -> dict:
     """Run ``call()``, which returns its exit code and its results, with its output silenced."""
+    gc.collect()
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     quiet = io.StringIO()
@@ -63,12 +67,7 @@ def lone_peaks(n_peaks: int):
 def run_all(repo: Path, n_steps: list[int], modes: list[int], seed: int, n_members: int,
             work: Path) -> dict:
     sys.path.insert(0, str(repo / "src"))
-    from memorymodes import DensityMatrix, Reservoir, TimeGrid, cli
-    from memorymodes import evolve_lindblad_sector, info_series
-
-    def extended(sector, grid):
-        series = evolve_lindblad_sector(sector, DensityMatrix.excited(sector.n_modes + 2), grid)
-        return 0, (series, series.invariant_defects(), info_series(series, grid))
+    from memorymodes import Reservoir, TimeGrid, cli
 
     results = {}
     tracemalloc.start()
@@ -86,11 +85,11 @@ def run_all(repo: Path, n_steps: list[int], modes: list[int], seed: int, n_membe
                 argv += ["--seed", str(seed), "--n", str(n_members)]
                 results[key] = traced(lambda: (cli.main(argv), None))
     for n_peaks in modes:
-        sector = Reservoir(*lone_peaks(n_peaks)).sector
+        model = Reservoir(*lone_peaks(n_peaks))
         for steps in n_steps:
-            grid = TimeGrid(0.0, 10.0, steps)
             key = f"lone_peaks_{n_peaks}/{steps}/extended"
-            results[key] = traced(lambda: extended(sector, grid))
+            config = cli.RunConfig("info", model, TimeGrid(0.0, 10.0, steps), work / key.replace("/", "_"))
+            results[key] = traced(lambda: (0, cli.run(config)))
     tracemalloc.stop()
     return results
 

@@ -267,7 +267,11 @@ def _propagate_constant(
     if not np.all(np.isfinite(generator)):
         raise ValueError("generator entries must be finite")
     lengths = 2 ** np.arange((grid.n_steps - 1).bit_length())
-    propagators = expm(generator * (lengths * grid.dt)[:, None, None])
+    # an overflow here leaves a propagator that is not finite, reported below
+    with np.errstate(over="ignore"):
+        scaled = generator * (lengths * grid.dt)[:, None, None]
+    propagators = expm(scaled)
+    del scaled
     finite = np.isfinite(propagators).all(axis=(-2, -1))
     if not finite.all():
         t = lengths[np.argmin(finite)] * grid.dt

@@ -34,6 +34,8 @@ from .csvio import (
 )
 from .density import (
     DensityMatrix,
+    _CoordinateSeries,
+    _lindblad_coordinates,
     atom_density_from_amplitudes,
     evolve_atom_timelocal,
     evolve_lindblad_sector,
@@ -208,9 +210,13 @@ def _experiment_compare(config, artifact, extras) -> None:
 
 
 def _experiment_info(config, artifact, extras) -> None:
-    extended = _evolve_extended(config)
-    write_info_csv(artifact("info.csv"), info_series(extended, config.grid))
-    _record_invariants(extras, extended.invariant_defects())
+    # every number written is a function of the Lindblad route's real
+    # coordinates, so no complex stack is built
+    sector = config.model.sector
+    excited = DensityMatrix.excited(sector.n_modes + 2)
+    states = _CoordinateSeries(_lindblad_coordinates(sector, excited, config.grid))
+    write_info_csv(artifact("info.csv"), info_series(states, config.grid))
+    _record_invariants(extras, states.invariant_defects())
 
 
 def _experiment_fig2(config, artifact, extras) -> None:

@@ -19,6 +19,13 @@ vacuum that couples to nothing is split off, a 2x2 block takes a closed
 form and a 3x3 block a Jacobi iteration. Of a preset run from |e> nothing
 reaches LAPACK; the joint states of three or more modes do.
 
+The spectral kernel reads Hermitian parts, the real diagonal and the upper
+triangle, and a stack is only one source of them. The Lindblad route steps
+real coordinates (:func:`_lindblad_coordinates`); ``evolve_lindblad_sector``
+expands them into a stack, while ``_CoordinateSeries`` hands their parts to
+the kernel directly, with the same bits and without a complex stack. The
+``info`` experiment reads its states that way.
+
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
 dim = n + 2 and dim 2 is the emitter alone. The labels of
@@ -30,6 +37,7 @@ mode: ``g0…0``, ``g`` with a ``1`` in mode k's position for each k, then
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -221,6 +229,67 @@ class DensitySeries:
         """Sum of the emitter-ground diagonal entries at every point."""
         return _ground_population(self.matrices)
 
+    def _parts(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Hermitian parts of the states ``rows``, as :func:`_stack_parts` gives them."""
+        return _stack_parts(self.matrices[rows])
+
+
+class _CoordinateSeries:
+    """Hermitian states held by their real coordinates, a read-only ``(n, d*d)`` array:
+    the diagonal, then Re and Im of the upper triangle in ``_upper_indices`` order.
+
+    It offers what ``info.info_series`` and the invariant checks read of a
+    ``DensitySeries``, taken from the coordinates without a complex stack:
+    ``len``, ``dim``, ``eigenvalues``, ``invariant_defects`` and the Hermitian
+    parts of a slice of states. The parts have the values a stack of the
+    same states gives (its diagonal, and u_ij = x_ij + i y_ij), so the
+    spectra have the same bits. The coordinates are checked finite, as a
+    stack is, and made read-only. A plain class, not a dataclass, so that
+    defining it costs the import nothing measurable.
+    """
+
+    def __init__(self, coordinates: np.ndarray) -> None:
+        self.coordinates = coordinates
+        self.dim = math.isqrt(coordinates.shape[1])
+        if not all(np.isfinite(coordinates[rows]).all() for rows in _chunks(len(self), self.dim)):
+            raise ValueError("matrix entries must be finite")
+        coordinates.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.coordinates.shape[0]
+
+    def _parts(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        dim = self.dim
+        coords = self.coordinates[rows]
+        pairs = dim * (dim - 1) // 2
+        upper = np.empty((len(coords), pairs), dtype=complex)
+        upper.real = coords[:, dim : dim + pairs]
+        upper.imag = coords[:, dim + pairs :]
+        return coords[:, :dim], upper
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Read-only spectrum of every state, ``(n, d)``, computed once."""
+        eigs = np.empty((len(self), self.dim))
+        for rows in _chunks(len(self), self.dim):
+            _parts_spectrum(*self._parts(rows), eigs[rows])
+        eigs.setflags(write=False)
+        return eigs
+
+    def invariant_defects(self) -> dict[str, float]:
+        """What ``DensitySeries.invariant_defects`` reads on the expanded states: the
+        states are Hermitian by construction, so the hermiticity gap is 0."""
+        dim = self.dim
+        traces = [
+            np.max(np.abs(_diagonal_sum(self.coordinates[rows, :dim]) - 1.0))
+            for rows in _chunks(len(self), dim)
+        ]
+        return {
+            "hermiticity": 0.0,
+            "trace": float(max(traces)),
+            "min_eigenvalue": float(self.eigenvalues.min()),
+        }
+
 
 #: ``?heevd`` rescales a matrix whose largest entry lies outside about
 #: [1e-146, 1e146]; the shortcuts of ``_spectrum`` act only well inside
@@ -238,12 +307,12 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
     """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes).
 
     The stack is taken chunk by chunk (``_chunks``). Each chunk is routed from
-    the entries its kernels read: the real diagonal and the Hermitized upper
-    triangle 0.5 (a_ij + conj(a_ji)), which has the bits of 0.5 (a + a^H). A
-    chunk, or each matrix of it, takes the first of these routes that
-    applies. Only the closed form and Jacobi give other bits than
-    ``eigvalsh``, and they are chosen matrix by matrix, so a matrix of a
-    series gets the bits it gets alone.
+    the entries its kernels read (:func:`_parts_spectrum`): the real diagonal
+    and the Hermitized upper triangle 0.5 (a_ij + conj(a_ji)), which has the
+    bits of 0.5 (a + a^H). A chunk, or each matrix of it, takes the first of
+    these routes that applies. Only the closed form and Jacobi give other
+    bits than ``eigvalsh``, and they are chosen matrix by matrix, so a
+    matrix of a series gets the bits it gets alone.
 
     - Diagonal, for a whole chunk of dimension at most ``_MAX_SORTED_DIM``:
       every off-diagonal entry is exactly zero, and the largest entry of each
@@ -266,7 +335,8 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
       :func:`_jacobi`.
     - Otherwise ``eigvalsh``, which works matrix by matrix, one call per
       chunk: a larger block, a matrix with a part LAPACK could rescale or
-      that is not finite, and one that Jacobi left unconverged.
+      that is not finite, and one that Jacobi left unconverged. It gets the
+      Hermitian matrices rebuilt from the parts (:func:`_hermitian`).
     """
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
@@ -278,16 +348,28 @@ def _spectrum(matrices: np.ndarray) -> np.ndarray:
 
 def _chunk_spectrum(chunk: np.ndarray, out: np.ndarray) -> None:
     """Write the spectra of the matrices of ``chunk`` to ``out``, routed as :func:`_spectrum` says."""
-    n, dim = chunk.shape[:2]
+    _parts_spectrum(*_stack_parts(chunk), out)
+
+
+def _stack_parts(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian parts of the matrices of ``chunk``: the real diagonal ``(n, d)`` and
+    the upper triangle 0.5 (a_ij + conj(a_ji)) ``(n, d(d-1)/2)`` in ``_upper_indices`` order."""
+    rows, cols = _upper_indices(chunk.shape[-1])
+    upper = chunk[:, cols, rows]
+    np.conjugate(upper, out=upper)
+    upper += chunk[:, rows, cols]
+    upper *= 0.5
+    # the Hermitized diagonal: a + conj(a), halved, is exactly its real part
+    return np.diagonal(chunk, axis1=-2, axis2=-1).real, upper
+
+
+def _parts_spectrum(diagonal: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None:
+    """Write the spectra of the Hermitian matrices with real ``diagonal`` and upper
+    triangle ``upper`` (as :func:`_stack_parts` gives them) to ``out``, routed as
+    :func:`_spectrum` says."""
+    n, dim = diagonal.shape
     lapack = np.ones(n, dtype=bool)
     if dim <= _MAX_SORTED_DIM:
-        rows, cols = _upper_indices(dim)
-        upper = chunk[:, cols, rows]
-        np.conjugate(upper, out=upper)
-        upper += chunk[:, rows, cols]
-        upper *= 0.5
-        # the Hermitized diagonal: a + conj(a), halved, is exactly its real part
-        diagonal = np.diagonal(chunk, axis1=-2, axis2=-1).real
         if not upper.any():
             out[...] = diagonal
             out.sort(axis=-1, kind="stable")
@@ -310,16 +392,21 @@ def _chunk_spectrum(chunk: np.ndarray, out: np.ndarray) -> None:
                     out[take], converged = _split_spectrum(diagonal[take], upper[take], block)
                     lapack[take] = ~converged
     if lapack.all():
-        out[...] = np.linalg.eigvalsh(_hermitized(chunk))
+        out[...] = np.linalg.eigvalsh(_hermitian(diagonal, upper))
     elif lapack.any():
-        out[lapack] = np.linalg.eigvalsh(_hermitized(chunk[lapack]))
+        out[lapack] = np.linalg.eigvalsh(_hermitian(diagonal[lapack], upper[lapack]))
 
 
-def _hermitized(stack: np.ndarray) -> np.ndarray:
-    """0.5 (a + a^H) of each matrix of ``stack``, formed as a^H + a, then halved."""
-    out = np.conjugate(np.swapaxes(stack, -1, -2))
-    out += stack
-    out *= 0.5
+def _hermitian(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices with real ``diagonal`` (imaginary part +0) and upper
+    triangle ``upper``, its conjugate below: the values of 0.5 (a + a^H) of the
+    matrices the parts were taken from."""
+    n, dim = diagonal.shape
+    rows, cols = _upper_indices(dim)
+    out = np.zeros((n, dim, dim), dtype=complex)
+    out[:, range(dim), range(dim)] = diagonal
+    out[:, rows, cols] = upper
+    out[:, cols, rows] = upper.conj()
     return out
 
 
@@ -503,6 +590,13 @@ def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, floa
     }
 
 
+def _diagonal_sum(diagonal: np.ndarray) -> np.ndarray:
+    """Sums of the real diagonals ``(n, k)``, added as complex numbers: the order, and
+    so the bits, of the real part of ``np.trace`` on the matrices (a real sum adds
+    in another order from k = 4 on)."""
+    return diagonal.astype(complex).sum(axis=-1).real
+
+
 def _ground_population(matrices: np.ndarray) -> np.ndarray:
     return np.sum(np.diagonal(matrices, axis1=-2, axis2=-1).real[..., :-1], axis=-1)
 
@@ -602,10 +696,9 @@ def evolve_lindblad_sector(
 ) -> DensitySeries:
     """Evolve the emitter+modes state with one leakage channel per mode, rotating frame.
 
-    The constant Liouvillian is stepped exactly in the real coordinates of rho:
-    the diagonal, then Re and Im of the upper triangle, so every state is
-    exactly Hermitian. ``basis`` has orthogonal columns: its scaled adjoint is
-    an exact left inverse. A mode with a zero leak rate keeps its channel.
+    The constant Liouvillian is stepped exactly in the real coordinates of rho
+    (:func:`_lindblad_coordinates`), so every state is exactly Hermitian. A
+    mode with a zero leak rate keeps its channel.
 
     The d*d real coordinates of a state take half the bytes of its complex
     matrix, so the propagator writes them into the first half of the
@@ -616,12 +709,54 @@ def evolve_lindblad_sector(
     comes last, from a copy of its row. Each chunk has the bits of one
     product of the whole stack.
     """
+    n, dim = grid.n_steps, sector.n_modes + 2
+    flat = None
+
+    def in_stack(shape, dtype):
+        nonlocal flat
+        flat = np.empty((n, dim * dim), dtype=complex)
+        return flat.reshape(-1).view(float)[: n * dim * dim].reshape(shape)
+
+    coords = _lindblad_coordinates(sector, rho0, grid, in_stack)
+    basis = _coordinate_basis(dim)
+    first = coords[:1].copy()
+    for rows in reversed(_expanding_chunks(n, dim)):
+        np.matmul(coords[rows], basis.T, out=flat[rows])
+    np.matmul(first, basis.T, out=flat[:1])
+    return DensitySeries._adopt(flat.reshape(n, dim, dim))
+
+
+def _coordinate_basis(dim: int) -> np.ndarray:
+    """Row-major vec of the matrix of each real coordinate, one per column: the
+    diagonal, then Re and Im of the upper triangle in ``_upper_indices`` order."""
+    rows, cols = _upper_indices(dim)
+    unit = np.eye(dim * dim)
+    upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
+    return np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
+
+
+def _lindblad_coordinates(
+    sector: PseudomodeSector, rho0: DensityMatrix, grid: TimeGrid, empty=np.empty
+) -> np.ndarray:
+    """Real coordinates ``(n, d*d)`` of the states of :func:`evolve_lindblad_sector`,
+    written into ``empty(shape, dtype)`` by ``amplitudes._propagate_constant``.
+
+    The basis of :func:`_coordinate_basis` has orthogonal columns, so its
+    scaled adjoint is an exact left inverse, and the generator is real.
+    """
     dim = sector.n_modes + 2
     if rho0.dim != dim:
         raise SectorLeak(
             f"a {sector.n_modes}-mode sector acts on dimension {dim}, got dim {rho0.dim}"
         )
     _check_hermitian(rho0)
+    generator, x0 = _coordinate_problem(sector, rho0.matrix)
+    return _propagate_constant(generator, x0, grid, empty)
+
+
+def _coordinate_problem(sector: PseudomodeSector, rho0: np.ndarray):
+    """The real generator of the Lindblad coordinates and the coordinates of ``rho0``."""
+    dim = len(rho0)
     hamiltonian = sector_hamiltonian(sector)
     eye = np.eye(dim)
     # row-major vec(A rho B) = kron(A, B.T) vec(rho); the jump operators are real
@@ -631,26 +766,9 @@ def evolve_lindblad_sector(
         op[0, which] = 1.0  # lowers mode ``which`` to the joint vacuum
         num = op.T @ op
         liouvillian += rate * (np.kron(op, op) - 0.5 * (np.kron(num, eye) + np.kron(eye, num)))
-    rows, cols = np.triu_indices(dim, 1)
-    unit = np.eye(dim * dim)
-    upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
-    basis = np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
+    basis = _coordinate_basis(dim)
     inverse = basis.conj().T / np.sum(np.abs(basis) ** 2, axis=0)[:, None]
-    generator = (inverse @ liouvillian @ basis).real
-    n, size = grid.n_steps, dim * dim
-    flat = None
-
-    def in_stack(shape, dtype):
-        nonlocal flat
-        flat = np.empty((n, size), dtype=complex)
-        return flat.reshape(-1).view(float)[: n * size].reshape(shape)
-
-    coords = _propagate_constant(generator, (inverse @ rho0.matrix.ravel()).real, grid, in_stack)
-    first = coords[:1].copy()
-    for rows in reversed(_expanding_chunks(n, dim)):
-        np.matmul(coords[rows], basis.T, out=flat[rows])
-    np.matmul(first, basis.T, out=flat[:1])
-    return DensitySeries._adopt(flat.reshape(n, dim, dim))
+    return (inverse @ liouvillian @ basis).real, (inverse @ rho0.ravel()).real
 
 
 def partial_trace_pseudomodes(rho: DensityMatrix | DensitySeries) -> DensityMatrix | DensitySeries:

@@ -9,8 +9,14 @@ does: the emitter marginal is diagonal and is sorted, with the bits of
 ``eigvalsh``; a joint state or mode marginal splits off its decoupled
 vacuum, and the block that remains takes a closed form if it is 2x2 and
 a Jacobi iteration if it is 3x3, both of which differ from ``eigvalsh`` at
-rounding level. ``info_series`` takes the marginals chunk by chunk, so
-its scratch stays fixed while the series grows.
+rounding level. ``info_series`` works chunk by chunk, so its scratch stays
+fixed while the series grows. The joint spectrum, computed once and
+shared with the series' checks, and both marginals come from the
+Hermitian parts of each chunk: the real diagonal and the upper triangle.
+The ``info`` experiment hands it the Lindblad route's real coordinates
+(``density._CoordinateSeries``), whose parts are read off without a
+complex stack; a ``DensitySeries`` gives the same parts and so the same
+bits.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, DensitySeries, _chunks, _mode_entries, _spectrum
-from .density import _traced_entries, partial_trace_atom, partial_trace_pseudomodes
+from .density import DensityMatrix, DensitySeries, _chunks, _diagonal_sum, _parts_spectrum
+from .density import _spectrum, _upper_indices, partial_trace_atom, partial_trace_pseudomodes
 from .models import TimeGrid
 
 __all__ = [
@@ -75,18 +81,48 @@ class InfoSeries:
 
 
 def info_series(densities: DensitySeries, grid: TimeGrid) -> InfoSeries:
-    """Evaluate the entropy diagnostics at every point of a joint-state series."""
+    """Evaluate the entropy diagnostics at every point of a joint-state series.
+
+    The marginals are those of each state's Hermitian part: the emitter
+    takes the ground population (the diagonal but the last, summed as
+    ``np.trace`` sums it), the excited one and the coupling u_(0, last); the
+    modes take the diagonal but the last, the excited population added to
+    the joint vacuum, and the couplings u_ij with j before the last.
+    """
     if len(densities) != grid.n_steps:
         raise ValueError(f"expected {grid.n_steps} states, got {len(densities)}")
-    if densities.dim == 2:
+    dim = densities.dim
+    if dim == 2:
         raise ValueError("state is already emitter-only")
     joint = densities.eigenvalues
+    # the pairs (i, j) of the upper triangle that stay in the mode marginal
+    modes = _upper_indices(dim)[1] < dim - 1
     s_atom, s_modes, s_joint = (np.empty(len(densities)) for _ in range(3))
-    for rows in _chunks(len(densities), densities.dim):
-        chunk = densities.matrices[rows]
-        s_atom[rows] = _entropies(_spectrum(_traced_entries(chunk)))
-        s_modes[rows] = _entropies(_spectrum(_mode_entries(chunk)))
+    for rows in _chunks(len(densities), dim):
+        diagonal, upper = densities._parts(rows)
+        s_atom[rows] = _entropies(_spectra(*_emitter_parts(diagonal, upper)))
+        mode_diagonal = diagonal[:, :-1].copy()
+        mode_diagonal[:, 0] += diagonal[:, -1]
+        s_modes[rows] = _entropies(_spectra(mode_diagonal, upper[:, modes]))
         s_joint[rows] = _entropies(joint[rows])
     mutual = s_atom + s_modes
     mutual -= s_joint
     return InfoSeries(grid, s_atom, s_modes, s_joint, mutual)
+
+
+def _emitter_parts(diagonal: np.ndarray, upper: np.ndarray):
+    """Hermitian parts of the emitter marginal of joint states given by their parts:
+    the ground population, the excited one and the coupling u_(0, last)."""
+    emitter = np.empty((len(diagonal), 2))
+    emitter[:, 0] = _diagonal_sum(diagonal[:, :-1])
+    emitter[:, 1] = diagonal[:, -1]
+    dim = diagonal.shape[1]
+    # row 0 of the upper triangle comes first, (0, last) at its end
+    return emitter, upper[:, dim - 2 : dim - 1]
+
+
+def _spectra(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Spectra of the Hermitian matrices given by their parts."""
+    eigs = np.empty(diagonal.shape)
+    _parts_spectrum(diagonal, upper, eigs)
+    return eigs

@@ -146,6 +146,16 @@ class TestRun:
             f"density_{name}.csv" for name in ("amplitude", "timelocal", "extended", "traced")
         )
 
+    def test_info_builds_no_complex_stack(self, tmp_path):
+        # info reads the real coordinates of bandgap's joint states at 16 000
+        # points (2 MiB); their complex stack would take 4 MiB more
+        parsed = validate_config(REPO_ROOT / "configs" / "bandgap.cfg")
+        grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, 16_000)
+        config = RunConfig("info", parsed.model, grid, tmp_path / "out")
+        manifest, peak, _ = traced_peak(lambda: run(config))
+        assert peak <= 4.6, peak
+        assert manifest.entries["invariant.hermiticity"] == "0"
+
     def test_identity_perfect_gap_manifest_records_zero_rate(self, tmp_path):
         parsed = validate_config(REPO_ROOT / "configs" / "perfect_gap.cfg")
         grid_text = parsed.raw | {"t_end": "4.0", "n_steps": "200"}
@@ -440,6 +450,20 @@ class TestMain:
             code = main([experiment, "--config", str(bad), "--out", str(tmp_path / "out")])
         assert code == 3
         assert "2*omega0 must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_overflowing_propagator_ladder_is_an_error_exit(self, tmp_path, capsys, experiment):
+        # G * t overflows while the ladder is scaled; the finiteness check after
+        # expm reports it, with no numpy warning on the way
+        bad = tmp_path / "bad.cfg"
+        text = FIG2_CONFIG_TEXT.replace("omega_c = 2.4", "omega_c = 1e308")
+        bad.write_text(text.replace("n_steps = 4000", "n_steps = 400"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([experiment, "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert "error: propagator exp(G*t) at t=0.0250627 is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "manifest.txt").exists()
 
     @pytest.mark.parametrize("model", ["lorentzian", "bandgap"])

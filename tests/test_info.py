@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from memorymodes import (
     DensityMatrix,
     DensitySeries,
+    Reservoir,
     TimeGrid,
     atom_density_from_amplitudes,
     evolve_lindblad_sector,
@@ -16,6 +18,9 @@ from memorymodes import (
     propagate_sector,
     von_neumann_entropy,
 )
+from memorymodes import density
+from memorymodes.config import validate_config
+from memorymodes.density import _chunk_rows, _CoordinateSeries, _lindblad_coordinates
 
 LN2 = math.log(2.0)
 
@@ -202,3 +207,76 @@ class TestInfoSeries:
         assert len(info_extrema) == len(mode_extrema) > 4
         for index in info_extrema:
             assert np.min(np.abs(mode_extrema - index)) <= 2
+
+
+REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def lone_peaks(n_peaks):
+    """The reservoir of ``n_peaks`` lone peaks of ``scripts/peak_memory.py``."""
+    centers = [-2.0 + 4.0 * k / (n_peaks - 1) for k in range(n_peaks)]
+    return Reservoir(0.0, 0.8, tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, c) for k, c in enumerate(centers)))
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestCoordinates:
+    """``info_series`` and the invariants read from the real coordinates of the
+    Lindblad route have the bits they have on its expanded stack."""
+
+    @pytest.mark.parametrize("start", ["excited", "superposition"])
+    @pytest.mark.parametrize("case", ["fig2", "bandgap", "perfect_gap", "lone_peaks_3", "lone_peaks_10"])
+    def test_coordinates_give_the_bits_of_the_stack(self, case, start, monkeypatch):
+        if case.startswith("lone_peaks"):
+            sector = lone_peaks(int(case.rsplit("_", 1)[1])).sector
+        else:
+            sector = validate_config(REPO_CONFIGS / f"{case}.cfg").model.sector
+        dim = sector.n_modes + 2
+        vector = np.zeros(dim, dtype=complex)
+        vector[0], vector[-1] = (0.6, 0.8j) if start == "superposition" else (0.0, 1.0)
+        rho0 = DensityMatrix.from_pure(vector)
+        fill, filled = density._lindblad_coordinates, []
+
+        def keep(*args):
+            coords = fill(*args)
+            # the stack is expanded over its coordinates in place
+            filled.append(coords.copy())
+            return coords
+
+        monkeypatch.setattr(density, "_lindblad_coordinates", keep)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        chunk = _chunk_rows(dim)
+        for n in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            grid = TimeGrid(0.0, 10.0, n)
+            stack = evolve_lindblad_sector(sector, rho0, grid)
+            expected = info_series(stack, grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+                states = _CoordinateSeries(filled.pop())
+                got = info_series(states, grid)
+                defects = states.invariant_defects()
+            for name in ("entropy_atom", "entropy_modes", "entropy_joint", "mutual_information"):
+                got_bits, expected_bits = bits(getattr(got, name)), bits(getattr(expected, name))
+                assert np.array_equal(got_bits, expected_bits), (n, name)
+            assert {key: bits(value) for key, value in defects.items()} == {
+                key: bits(value) for key, value in stack.invariant_defects().items()
+            }, n
+            if n <= 3:
+                # the marginals of each state, one at a time through the public functions
+                for k, rho in enumerate(stack):
+                    assert von_neumann_entropy(partial_trace_pseudomodes(rho)) == got.entropy_atom[k]
+                    assert von_neumann_entropy(partial_trace_atom(rho)) == got.entropy_modes[k]
+                    assert von_neumann_entropy(rho) == got.entropy_joint[k]
+        # joint states of three or more modes, and the 4x4 joint states of a
+        # two-mode superposition start, reach LAPACK through the parts
+        assert bool(calls) == (dim > 4 or (dim == 4 and start == "superposition"))
+
+    def test_coordinates_are_checked_finite(self, fig2_model):
+        grid = TimeGrid(0.0, 1.0, 10)
+        coords = _lindblad_coordinates(fig2_model.sector, DensityMatrix.excited(3), grid)
+        coords[7, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            _CoordinateSeries(coords)
