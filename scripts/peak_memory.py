@@ -14,9 +14,11 @@ collected before each run, so no run is charged with a cycle an earlier one
 left. One more run per ``--modes K`` and step count,
 ``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir of K lone Lorentzian
 peaks spread over [-2, 2] around the emitter, built here as no config kind
-lists peaks, through the ``info`` experiment itself (``cli.run``): the
-Lindblad route from |e> on (K+2)^2 real coordinates per point, its entropies
-written to ``info.csv`` and its invariant defects. The output is one JSON
+lists peaks, through the ``evolve`` experiment itself (``cli.run``): the
+Lindblad route from |e> on (K+2)^2 real coordinates per point, its stack
+written to ``density_extended.csv``, checked against the amplitude
+reconstruction and traced, and the emitter routes; a refused run records
+exit 4, as ``cli.main`` gives it. The output is one JSON
 object keyed ``<preset>/<n_steps>/<experiment>``. tracemalloc sees what
 Python and numpy allocate, not LAPACK's workspace, so the peaks are lower
 bounds on what a process holds.
@@ -67,7 +69,14 @@ def lone_peaks(n_peaks: int):
 def run_all(repo: Path, n_steps: list[int], modes: list[int], seed: int, n_members: int,
             work: Path) -> dict:
     sys.path.insert(0, str(repo / "src"))
-    from memorymodes import Reservoir, TimeGrid, cli
+    from memorymodes import MemoryModesError, Reservoir, TimeGrid, cli
+
+    def run(config):
+        # a refused run records the exit code cli.main gives it
+        try:
+            return 0, cli.run(config)
+        except MemoryModesError:
+            return 4, None
 
     results = {}
     tracemalloc.start()
@@ -88,8 +97,8 @@ def run_all(repo: Path, n_steps: list[int], modes: list[int], seed: int, n_membe
         model = Reservoir(*lone_peaks(n_peaks))
         for steps in n_steps:
             key = f"lone_peaks_{n_peaks}/{steps}/extended"
-            config = cli.RunConfig("info", model, TimeGrid(0.0, 10.0, steps), work / key.replace("/", "_"))
-            results[key] = traced(lambda: (0, cli.run(config)))
+            config = cli.RunConfig("evolve", model, TimeGrid(0.0, 10.0, steps), work / key.replace("/", "_"))
+            results[key] = traced(lambda: run(config))
     tracemalloc.stop()
     return results
 

@@ -34,8 +34,8 @@ from .csvio import (
 )
 from .density import (
     DensityMatrix,
-    _CoordinateSeries,
-    _lindblad_coordinates,
+    _certified_defects,
+    _rank_two_defects,
     atom_density_from_amplitudes,
     evolve_atom_timelocal,
     evolve_lindblad_sector,
@@ -156,22 +156,23 @@ def _record_invariants(extras: dict, *defects: dict) -> None:
 
 
 def _experiment_evolve(config, artifact, extras) -> None:
-    # registered in the manifest's order; the extended series, the largest,
-    # is written, checked and traced, then dropped before the other routes exist
+    # registered in the manifest's order. The time-local route, which refuses
+    # invalid rates, comes first; the extended series, the largest, is then
+    # written, checked and traced beside only traj and the time-local series,
+    # and dropped before the amplitude route exists
     paths = {
         name: artifact(f"density_{name}.csv")
         for name in ("amplitude", "timelocal", "extended", "traced")
     }
     times = config.grid.times
+    traj = _propagate(config)
+    timelocal = evolve_atom_timelocal(rates_from_amplitudes(traj), DensityMatrix.excited(2))
     extended = _evolve_extended(config)
     write_density_csv(paths["extended"], extended, times)
-    defects = extended.invariant_defects()
+    defects, distance = _certified_defects(extended, traj)
     traced = partial_trace_pseudomodes(extended)
     del extended
-    traj = _propagate(config)
-    rates = rates_from_amplitudes(traj)
     from_amplitudes = atom_density_from_amplitudes(traj)
-    timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
     write_density_csv(paths["amplitude"], from_amplitudes, times)
     write_density_csv(paths["timelocal"], timelocal, times)
     write_density_csv(paths["traced"], traced, times)
@@ -181,6 +182,7 @@ def _experiment_evolve(config, artifact, extras) -> None:
         for second in names[i + 1 :]:
             diff = np.max(np.abs(routes[first].matrices - routes[second].matrices))
             extras[f"max_diff_{first}_{second}"] = f"{diff:.17g}"
+    extras["max_diff_extended_amplitude"] = f"{distance:.17g}"
     _record_invariants(extras, defects, *(series.invariant_defects() for series in routes.values()))
 
 
@@ -210,13 +212,11 @@ def _experiment_compare(config, artifact, extras) -> None:
 
 
 def _experiment_info(config, artifact, extras) -> None:
-    # every number written is a function of the Lindblad route's real
-    # coordinates, so no complex stack is built
-    sector = config.model.sector
-    excited = DensityMatrix.excited(sector.n_modes + 2)
-    states = _CoordinateSeries(_lindblad_coordinates(sector, excited, config.grid))
-    write_info_csv(artifact("info.csv"), info_series(states, config.grid))
-    _record_invariants(extras, states.invariant_defects())
+    # every number written is a closed form of the amplitude solution's
+    # rank-two states: no Lindblad fill and no spectrum solver
+    traj = _propagate(config)
+    write_info_csv(artifact("info.csv"), info_series(traj))
+    _record_invariants(extras, _rank_two_defects(traj))
 
 
 def _experiment_fig2(config, artifact, extras) -> None:

@@ -13,18 +13,21 @@ last two axes, so one implementation serves a single state and a series.
 Whole-series operations (validation, spectra, invariant checks, the
 Lindblad fill, the carrier phase) run over chunks of ``_CHUNK_BYTES`` of
 matrices, so their scratch stays fixed while the series grows; the stacks
-the library builds become series without a copy. A spectrum calls LAPACK
-only where it must (``_spectrum``): a diagonal stack is sorted, a joint
-vacuum that couples to nothing is split off, a 2x2 block takes a closed
-form and a 3x3 block a Jacobi iteration. Of a preset run from |e> nothing
-reaches LAPACK; the joint states of three or more modes do.
+the library builds become series without a copy. A spectrum
+(``_spectrum``) of 2x2 matrices takes a closed form, and larger matrices
+go to ``eigvalsh``.
 
-The spectral kernel reads Hermitian parts, the real diagonal and the upper
-triangle, and a stack is only one source of them. The Lindblad route steps
-real coordinates (:func:`_lindblad_coordinates`); ``evolve_lindblad_sector``
-expands them into a stack, while ``_CoordinateSeries`` hands their parts to
-the kernel directly, with the same bits and without a complex stack. The
-``info`` experiment reads its states that way.
+From a pure start every state of the sector has rank two. A jump takes the
+one excitation to the joint vacuum, which is stationary, so the Lindblad
+state is the mixture of the no-jump state and the jumped members (Dalibard,
+Castin & Mølmer, PRL 68, 580 (1992)): rho(t) = |Phi><Phi| + mu |vac><vac|,
+with Phi = v|vac> + phi(t), phi(t) the amplitude solution, v =
+``traj.vacuum`` and mu = 1 - v^2 - |phi|^2 the jumped weight. The joint
+state and both marginals are then trace-one 2x2 blocks whose spectra are
+closed forms in the populations of the amplitude solution
+(:func:`_rank_two_spectra`). The ``info`` entropies read them, and the
+distance of a Lindblad state from this reconstruction bounds its spectrum
+(:func:`_certified_defects`).
 
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
@@ -37,9 +40,8 @@ mode: ``g0…0``, ``g`` with a ``1`` in mode k's position for each k, then
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -229,341 +231,64 @@ class DensitySeries:
         """Sum of the emitter-ground diagonal entries at every point."""
         return _ground_population(self.matrices)
 
-    def _parts(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Hermitian parts of the states ``rows``, as :func:`_stack_parts` gives them."""
-        return _stack_parts(self.matrices[rows])
-
-
-class _CoordinateSeries:
-    """Hermitian states held by their real coordinates, a read-only ``(n, d*d)`` array:
-    the diagonal, then Re and Im of the upper triangle in ``_upper_indices`` order.
-
-    It offers what ``info.info_series`` and the invariant checks read of a
-    ``DensitySeries``, taken from the coordinates without a complex stack:
-    ``len``, ``dim``, ``eigenvalues``, ``invariant_defects`` and the Hermitian
-    parts of a slice of states. The parts have the values a stack of the
-    same states gives (its diagonal, and u_ij = x_ij + i y_ij), so the
-    spectra have the same bits. The coordinates are checked finite, as a
-    stack is, and made read-only. A plain class, not a dataclass, so that
-    defining it costs the import nothing measurable.
-    """
-
-    def __init__(self, coordinates: np.ndarray) -> None:
-        self.coordinates = coordinates
-        self.dim = math.isqrt(coordinates.shape[1])
-        if not all(np.isfinite(coordinates[rows]).all() for rows in _chunks(len(self), self.dim)):
-            raise ValueError("matrix entries must be finite")
-        coordinates.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.coordinates.shape[0]
-
-    def _parts(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
-        dim = self.dim
-        coords = self.coordinates[rows]
-        pairs = dim * (dim - 1) // 2
-        upper = np.empty((len(coords), pairs), dtype=complex)
-        upper.real = coords[:, dim : dim + pairs]
-        upper.imag = coords[:, dim + pairs :]
-        return coords[:, :dim], upper
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Read-only spectrum of every state, ``(n, d)``, computed once."""
-        eigs = np.empty((len(self), self.dim))
-        for rows in _chunks(len(self), self.dim):
-            _parts_spectrum(*self._parts(rows), eigs[rows])
-        eigs.setflags(write=False)
-        return eigs
-
-    def invariant_defects(self) -> dict[str, float]:
-        """What ``DensitySeries.invariant_defects`` reads on the expanded states: the
-        states are Hermitian by construction, so the hermiticity gap is 0."""
-        dim = self.dim
-        traces = [
-            np.max(np.abs(_diagonal_sum(self.coordinates[rows, :dim]) - 1.0))
-            for rows in _chunks(len(self), dim)
-        ]
-        return {
-            "hermiticity": 0.0,
-            "trace": float(max(traces)),
-            "min_eigenvalue": float(self.eigenvalues.min()),
-        }
-
-
-#: ``?heevd`` rescales a matrix whose largest entry lies outside about
-#: [1e-146, 1e146]; the shortcuts of ``_spectrum`` act only well inside
-_UNSCALED = (1e-140, 1e140)
-#: ``dlasrt`` sorts up to 20 values by insertion, which keeps ties in order
-_MAX_SORTED_DIM = 20
-#: a rotation of :func:`_jacobi` acts on a matrix while its coupling exceeds
-#: this fraction of the block's largest |entry|
-_JACOBI_FLOOR = 2.0**-60
-#: sweeps after which :func:`_jacobi` gives up on a matrix still rotating
-_JACOBI_SWEEPS = 8
-
 
 def _spectrum(matrices: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitized part of one matrix or a stack (last two axes).
-
-    The stack is taken chunk by chunk (``_chunks``). Each chunk is routed from
-    the entries its kernels read (:func:`_parts_spectrum`): the real diagonal
-    and the Hermitized upper triangle 0.5 (a_ij + conj(a_ji)), which has the
-    bits of 0.5 (a + a^H). A chunk, or each matrix of it, takes the first of
-    these routes that applies. Only the closed form and Jacobi give other
-    bits than ``eigvalsh``, and they are chosen matrix by matrix, so a
-    matrix of a series gets the bits it gets alone.
-
-    - Diagonal, for a whole chunk of dimension at most ``_MAX_SORTED_DIM``:
-      every off-diagonal entry is exactly zero, and the largest entry of each
-      matrix is zero or inside ``_UNSCALED``. Its real diagonal, stably
-      sorted, is the spectrum. The emitter states of runs that start in |e>
-      are such stacks. On them LAPACK's ``?heevd`` applies zero reflectors
-      (``?hetd2``), splits the tridiagonal matrix into 1x1 blocks
-      (``dsterf``) and sorts them by insertion (``dlasrt``), so it returns
-      the same bits; it would rescale a matrix with a larger or smaller
-      largest entry (a density matrix has trace one, so its largest entry is
-      at least 1/d).
-    - A block kernel, for each matrix of dimension 2 to 4 whose every nonzero
-      real and imaginary part lies inside ``_UNSCALED``. Where row 0 is zero
-      off the diagonal, the joint vacuum couples to nothing: entry [0, 0] is
-      an eigenvalue, merged in by a stable sort, and the block is what is
-      left. A 2x2 block, such as an emitter state with a coherence or the
-      mode marginal of a two-mode run, takes the closed form of
-      :func:`_closed_form`; a 3x3 block, the joint state of a two-mode run
-      from |e> or the coupled joint state of a one-mode run, takes
-      :func:`_jacobi`.
-    - Otherwise ``eigvalsh``, which works matrix by matrix, one call per
-      chunk: a larger block, a matrix with a part LAPACK could rescale or
-      that is not finite, and one that Jacobi left unconverged. It gets the
-      Hermitian matrices rebuilt from the parts (:func:`_hermitian`).
-    """
+    """Ascending eigenvalues of the Hermitized part 0.5 (a + a^H) of one matrix or a stack
+    (last two axes), taken chunk by chunk (``_chunks``): 2x2 matrices by
+    :func:`_two_by_two_spectrum`, larger ones by ``eigvalsh``, one call per chunk."""
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
     values = np.empty(stack.shape[:-1])
     for rows in _chunks(len(stack), dim):
-        _chunk_spectrum(stack[rows], values[rows])
+        chunk = stack[rows]
+        if dim == 2:
+            values[rows] = _two_by_two_spectrum(chunk)
+        else:
+            hermitized = np.conj(np.swapaxes(chunk, -1, -2))
+            hermitized += chunk
+            hermitized *= 0.5
+            values[rows] = np.linalg.eigvalsh(hermitized)
     return values.reshape(matrices.shape[:-1])
 
 
-def _chunk_spectrum(chunk: np.ndarray, out: np.ndarray) -> None:
-    """Write the spectra of the matrices of ``chunk`` to ``out``, routed as :func:`_spectrum` says."""
-    _parts_spectrum(*_stack_parts(chunk), out)
+def _two_by_two_spectrum(chunk: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``(n, 2)`` of the Hermitized 2x2 matrices of ``chunk``.
 
-
-def _stack_parts(chunk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian parts of the matrices of ``chunk``: the real diagonal ``(n, d)`` and
-    the upper triangle 0.5 (a_ij + conj(a_ji)) ``(n, d(d-1)/2)`` in ``_upper_indices`` order."""
-    rows, cols = _upper_indices(chunk.shape[-1])
-    upper = chunk[:, cols, rows]
-    np.conjugate(upper, out=upper)
-    upper += chunk[:, rows, cols]
-    upper *= 0.5
-    # the Hermitized diagonal: a + conj(a), halved, is exactly its real part
-    return np.diagonal(chunk, axis1=-2, axis2=-1).real, upper
-
-
-def _parts_spectrum(diagonal: np.ndarray, upper: np.ndarray, out: np.ndarray) -> None:
-    """Write the spectra of the Hermitian matrices with real ``diagonal`` and upper
-    triangle ``upper`` (as :func:`_stack_parts` gives them) to ``out``, routed as
-    :func:`_spectrum` says."""
-    n, dim = diagonal.shape
-    lapack = np.ones(n, dtype=bool)
-    if dim <= _MAX_SORTED_DIM:
-        if not upper.any():
-            out[...] = diagonal
-            out.sort(axis=-1, kind="stable")
-            # the largest magnitude is at one end of a sorted row, a NaN at the last
-            if _unscaled(np.maximum(np.abs(out[:, :1]), np.abs(out[:, -1:]))).all():
-                return
-        if dim <= 4:
-            # the block left once a decoupled vacuum is split off
-            coupled = upper[:, : dim - 1].any(axis=1) | (dim == 2)
-            size = np.where(coupled, dim, dim - 1)
-            lapack = size > 3
-            for part in (diagonal, upper.real, upper.imag):
-                lapack |= ~_unscaled(part)
-            for block in (2, 3):
-                take = ~lapack & (size == block)
-                if take.all():
-                    out[...], converged = _split_spectrum(diagonal, upper, block)
-                    lapack = ~converged
-                elif take.any():
-                    out[take], converged = _split_spectrum(diagonal[take], upper[take], block)
-                    lapack[take] = ~converged
-    if lapack.all():
-        out[...] = np.linalg.eigvalsh(_hermitian(diagonal, upper))
-    elif lapack.any():
-        out[lapack] = np.linalg.eigvalsh(_hermitian(diagonal[lapack], upper[lapack]))
-
-
-def _hermitian(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """The Hermitian matrices with real ``diagonal`` (imaginary part +0) and upper
-    triangle ``upper``, its conjugate below: the values of 0.5 (a + a^H) of the
-    matrices the parts were taken from."""
-    n, dim = diagonal.shape
-    rows, cols = _upper_indices(dim)
-    out = np.zeros((n, dim, dim), dtype=complex)
-    out[:, range(dim), range(dim)] = diagonal
-    out[:, rows, cols] = upper
-    out[:, cols, rows] = upper.conj()
-    return out
-
-
-def _unscaled(parts: np.ndarray) -> np.ndarray:
-    """Whether every nonzero entry of each row of ``parts`` lies inside ``_UNSCALED``."""
-    low, high = _UNSCALED
-    parts = np.abs(parts)
-    # a NaN fails the comparisons
-    return np.all((parts == 0.0) | ((parts >= low) & (parts <= high)), axis=1)
-
-
-@lru_cache(maxsize=None)
-def _upper_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only row and column indices of the strict upper triangle at ``dim``."""
-    indices = np.triu_indices(dim, 1)
-    for index in indices:
-        index.setflags(write=False)
-    return indices
-
-
-def _split_spectrum(diagonal: np.ndarray, upper: np.ndarray, block: int):
-    """Ascending spectra ``(n, d)`` of Hermitian matrices, given by their real
-    diagonal and upper triangle, that couple only within their trailing
-    ``block`` x ``block`` block; and which of them converged.
-
-    Entry [0, 0] of a matrix larger than its block is an eigenvalue.
+    A diagonal matrix gives its sorted diagonal. Any other one is scaled by
+    the power of two that puts its largest part in [0.5, 1), which is exact,
+    so that its determinant a c - |b|^2 cannot overflow, and takes
+    :func:`_pair_spectrum`.
     """
-    if block == 2:
-        eigs = _closed_form(diagonal[:, -2], diagonal[:, -1], upper[:, -1])
-        converged = np.ones(len(eigs), dtype=bool)
-    else:
-        eigs, converged = _jacobi(diagonal[:, -3:], upper[:, -3:])
-    values = np.empty(diagonal.shape)
-    values[:, 0] = diagonal[:, 0]
-    values[:, -block:] = eigs
-    if block == 3 or diagonal.shape[-1] > block:
-        values.sort(axis=-1, kind="stable")
-    return values, converged
-
-
-def _closed_form(a: np.ndarray, c: np.ndarray, coupling: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues ``(n, 2)`` of the Hermitian 2x2 matrices [[a, b], [b*, c]],
-    b = ``coupling``.
-
-    LAPACK's ``dlae2``, vectorized, on the diagonal a, c and the coupling
-    |b|: rt1 = (sm +- hypot(a - c, 2|b|))/2 takes the sign of sm = a + c, so
-    it does not cancel, and rt2 = (acmx/rt1) acmn - (|b|/rt1) |b|, where
-    acmx and acmn are the diagonal entries of larger and smaller magnitude;
-    at sm = 0 they are +-hypot/2. A block with b = 0 keeps its diagonal,
-    stably sorted, the bits of ``eigvalsh``. Every nonzero part must lie
-    within ``_UNSCALED``, so nothing overflows or underflows. On the presets'
-    blocks the error against mpmath is at most 5.6e-16 of the block's
-    largest |entry|, where ``eigvalsh`` reads up to 1.2e-15
-    (``scripts/spectrum_errors.py``).
-    """
-    b = np.abs(coupling)
-    sm = a + c
-    rt = np.hypot(a - c, 2.0 * b)
-    rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
-    larger = np.abs(a) > np.abs(c)
-    acmx, acmn = np.where(larger, a, c), np.where(larger, c, a)
-    # rt1 is zero only on a zero block, whose b is zero
-    pivot = np.where(rt1 == 0.0, 1.0, rt1)
-    rt2 = np.where(sm == 0.0, -rt1, (acmx / pivot) * acmn - (b / pivot) * b)
-    swap = c < a
+    a, c = chunk[:, 0, 0].real, chunk[:, 1, 1].real
+    b = np.abs(chunk[:, 0, 1] + np.conj(chunk[:, 1, 0]))
+    b *= 0.5
+    values = np.stack([np.minimum(a, c), np.maximum(a, c)], axis=-1)
     coupled = b != 0.0
-    out = np.empty((len(b), 2))
-    out[:, 0] = np.where(coupled, np.minimum(rt1, rt2), np.where(swap, c, a))
-    out[:, 1] = np.where(coupled, np.maximum(rt1, rt2), np.where(swap, a, c))
-    return out
+    if coupled.any():
+        a, c, b = a[coupled], c[coupled], b[coupled]
+        _, exponent = np.frexp(np.maximum(np.maximum(np.abs(a), np.abs(c)), b))
+        a, c, b = (np.ldexp(part, -exponent) for part in (a, c, b))
+        pair = _pair_spectrum(a + c, np.hypot(a - c, 2.0 * b), a * c - b * b)
+        values[coupled] = np.ldexp(pair, exponent[:, None])
+    return values
 
 
-def _jacobi(diagonal: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues ``(n, 3)``, in no order, of Hermitian 3x3 matrices given by their
-    real diagonal and upper triangle (a01, a02, a12); and which of them converged.
+def _pair_spectrum(total, root, det) -> np.ndarray:
+    """Ascending eigenvalues ``(n, 2)`` of Hermitian 2x2 matrices [[a, b], [b*, c]] from their
+    trace a + c, the root hypot(a - c, 2|b|) of their discriminant and their determinant.
 
-    Cyclic Jacobi with complex rotations (Demmel & Veselić, SIAM J. Matrix
-    Anal. Appl. 13, 1204 (1992)), vectorized over the stack. A rotation on
-    (p, q) zeroes a_pq = b e^(i phi): it rephases q by e^(-i phi), which makes
-    the coupling b real, then applies the real rotation of Rutishauser's
-    formulas with t = 2b sgn(d)/(|d| + sqrt(d^2 + 4b^2)), d = a_qq - a_pp,
-    c = 1/sqrt(1 + t^2), s = t c and tau = s/(1 + c):
-    a_pp -= t b, a_qq += t b, and for the third index r, with y = a_rq e^(-i phi),
-    a_rp -= s (y + tau a_rp) and y += s (a_rp - tau y). The couplings are held
-    as A01, A12, A20, so the rotations (0, 1), (1, 2), (2, 0) of a sweep read
-    them alike. A rotation acts on a matrix only while b exceeds
-    ``_JACOBI_FLOOR`` of the largest |entry| of that matrix, so each matrix
-    gets the bits it gets alone; what is left off the diagonal moves an
-    eigenvalue by less than that. A matrix still rotating after
-    ``_JACOBI_SWEEPS`` sweeps has not converged. Every nonzero part must lie
-    within ``_UNSCALED``, so no square overflows. The presets' blocks
-    converge in two sweeps.
+    The eigenvalue of larger magnitude, (total +- root)/2 with the sign of
+    the trace, does not cancel; the other is the determinant over it. Both
+    callers pass a positive root or a trace of one, so it is never zero.
     """
-    d = np.array(diagonal.T)
-    w = np.empty((3, 2, len(d[0])))
-    w[0, 0], w[0, 1] = upper[:, 0].real, upper[:, 0].imag
-    w[1, 0], w[1, 1] = upper[:, 2].real, upper[:, 2].imag
-    w[2, 0], w[2, 1] = upper[:, 1].real, -upper[:, 1].imag
-    floor = np.maximum(np.max(d * d, axis=0), np.max(np.sum(w * w, axis=1), axis=0))
-    floor *= _JACOBI_FLOOR**2
-    for _ in range(_JACOBI_SWEEPS):
-        if not any([_rotate(d, w, floor, p) for p in range(3)]):
-            break
-    converged = np.all(np.sum(w * w, axis=1) <= floor, axis=0)
-    return d.T, converged
-
-
-def _rotate(d: np.ndarray, w: np.ndarray, floor: np.ndarray, p: int) -> bool:
-    """The rotation of :func:`_jacobi` on (p, p + 1 mod 3), in place on the diagonal
-    ``d`` and the couplings ``w`` of every matrix whose squared coupling exceeds
-    ``floor``; whether any matrix rotated."""
-    q, r = (p + 1) % 3, (p + 2) % 3
-    b2 = np.sum(w[p] * w[p], axis=0)
-    active = b2 > floor
-    if active.all():
-        where = True
-    elif active.any():
-        # the others are left alone; b = 1 keeps their lanes finite
-        where = active
-        b2[~active] = 1.0
-    else:
-        return False
-    b = np.sqrt(b2)
-    delta = d[q] - d[p]
-    # in place, as the arrays of a chunk are what the kernel holds: b2 becomes
-    # |delta| + sqrt(delta^2 + 4b^2), then 1 + c; c becomes 1/b once s and tau
-    # are formed, and t becomes t b at the end
-    b2 *= 4.0
-    b2 += delta * delta
-    np.sqrt(b2, out=b2)
-    b2 += np.abs(delta)
-    t = np.copysign(2.0 * b, delta)
-    t /= b2
-    c = t * t
-    c += 1.0
-    np.sqrt(c, out=c)
-    np.reciprocal(c, out=c)
-    s = t * c
-    tau = np.add(c, 1.0, out=b2)
-    np.divide(s, tau, out=tau)
-    (ur, ui), (xr, xi), (yr, yi) = w[p], w[r], w[q]
-    # z = A_qr e^(i phi), the conjugate of y
-    np.reciprocal(b, out=c)
-    zr, zi = (yr * ur - yi * ui) * c, (yr * ui + yi * ur) * c
-    np.add(zr, s * (xr - tau * zr), out=yr, where=where)
-    np.subtract(zi, s * (xi + tau * zi), out=yi, where=where)
-    np.subtract(xr, s * (zr + tau * xr), out=xr, where=where)
-    np.add(xi, s * (zi - tau * xi), out=xi, where=where)
-    np.copyto(w[p], 0.0, where=where)
-    t *= b
-    np.subtract(d[p], t, out=d[p], where=where)
-    np.add(d[q], t, out=d[q], where=where)
-    return True
+    outer = 0.5 * (total + np.copysign(root, total))
+    inner = det / outer
+    return np.stack([np.minimum(outer, inner), np.maximum(outer, inner)], axis=-1)
 
 
 def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, float]:
-    """Worst invariant defects of one matrix or a stack with its spectrum ``eigs``.
+    """Worst invariant defects of one matrix or a stack with its spectrum, or lower bounds
+    on it, ``eigs``.
 
     The hermiticity gap max |a - a^H| is taken once per off-diagonal pair, as
     |a_ij - conj(a_ji)| over i < j (entry (j, i) has the same modulus, bit for
@@ -571,7 +296,7 @@ def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, floa
     """
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
-    rows, cols = _upper_indices(dim)
+    rows, cols = np.triu_indices(dim, 1)
     gaps, traces = [], []
     for span in _chunks(len(stack), dim):
         chunk = stack[span]
@@ -588,13 +313,6 @@ def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, floa
         "trace": float(max(traces)),
         "min_eigenvalue": float(eigs.min()),
     }
-
-
-def _diagonal_sum(diagonal: np.ndarray) -> np.ndarray:
-    """Sums of the real diagonals ``(n, k)``, added as complex numbers: the order, and
-    so the bits, of the real part of ``np.trace`` on the matrices (a real sum adds
-    in another order from k = 4 on)."""
-    return diagonal.astype(complex).sum(axis=-1).real
 
 
 def _ground_population(matrices: np.ndarray) -> np.ndarray:
@@ -696,9 +414,10 @@ def evolve_lindblad_sector(
 ) -> DensitySeries:
     """Evolve the emitter+modes state with one leakage channel per mode, rotating frame.
 
-    The constant Liouvillian is stepped exactly in the real coordinates of rho
-    (:func:`_lindblad_coordinates`), so every state is exactly Hermitian. A
-    mode with a zero leak rate keeps its channel.
+    The constant Liouvillian is stepped exactly, by
+    ``amplitudes._propagate_constant``, in the real coordinates of rho (the
+    diagonal, then Re and Im of the upper triangle), so every state is
+    exactly Hermitian. A mode with a zero leak rate keeps its channel.
 
     The d*d real coordinates of a state take half the bytes of its complex
     matrix, so the propagator writes them into the first half of the
@@ -710,6 +429,12 @@ def evolve_lindblad_sector(
     product of the whole stack.
     """
     n, dim = grid.n_steps, sector.n_modes + 2
+    if rho0.dim != dim:
+        raise SectorLeak(
+            f"a {sector.n_modes}-mode sector acts on dimension {dim}, got dim {rho0.dim}"
+        )
+    _check_hermitian(rho0)
+    generator, x0 = _coordinate_problem(sector, rho0.matrix)
     flat = None
 
     def in_stack(shape, dtype):
@@ -717,7 +442,7 @@ def evolve_lindblad_sector(
         flat = np.empty((n, dim * dim), dtype=complex)
         return flat.reshape(-1).view(float)[: n * dim * dim].reshape(shape)
 
-    coords = _lindblad_coordinates(sector, rho0, grid, in_stack)
+    coords = _propagate_constant(generator, x0, grid, in_stack)
     basis = _coordinate_basis(dim)
     first = coords[:1].copy()
     for rows in reversed(_expanding_chunks(n, dim)):
@@ -728,34 +453,19 @@ def evolve_lindblad_sector(
 
 def _coordinate_basis(dim: int) -> np.ndarray:
     """Row-major vec of the matrix of each real coordinate, one per column: the
-    diagonal, then Re and Im of the upper triangle in ``_upper_indices`` order."""
-    rows, cols = _upper_indices(dim)
+    diagonal, then Re and Im of the upper triangle in ``np.triu_indices`` order."""
+    rows, cols = np.triu_indices(dim, 1)
     unit = np.eye(dim * dim)
     upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
     return np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
 
 
-def _lindblad_coordinates(
-    sector: PseudomodeSector, rho0: DensityMatrix, grid: TimeGrid, empty=np.empty
-) -> np.ndarray:
-    """Real coordinates ``(n, d*d)`` of the states of :func:`evolve_lindblad_sector`,
-    written into ``empty(shape, dtype)`` by ``amplitudes._propagate_constant``.
+def _coordinate_problem(sector: PseudomodeSector, rho0: np.ndarray):
+    """The real generator of the Lindblad coordinates and the coordinates of ``rho0``.
 
     The basis of :func:`_coordinate_basis` has orthogonal columns, so its
     scaled adjoint is an exact left inverse, and the generator is real.
     """
-    dim = sector.n_modes + 2
-    if rho0.dim != dim:
-        raise SectorLeak(
-            f"a {sector.n_modes}-mode sector acts on dimension {dim}, got dim {rho0.dim}"
-        )
-    _check_hermitian(rho0)
-    generator, x0 = _coordinate_problem(sector, rho0.matrix)
-    return _propagate_constant(generator, x0, grid, empty)
-
-
-def _coordinate_problem(sector: PseudomodeSector, rho0: np.ndarray):
-    """The real generator of the Lindblad coordinates and the coordinates of ``rho0``."""
     dim = len(rho0)
     hamiltonian = sector_hamiltonian(sector)
     eye = np.eye(dim)
@@ -847,15 +557,12 @@ def atom_density_from_amplitudes(traj: AmplitudeTrajectory) -> DensitySeries:
     return DensitySeries._adopt(_emitter_entries(1.0 - ee, ee, coh))
 
 
-def _extended_vectors(traj: AmplitudeTrajectory) -> np.ndarray:
-    """phi(t) on the sector basis (vacuum, modes, excited) of an amplitude solution.
-
-    The amplitude vector is (excited, modes); the vacuum amplitude
-    ``traj.vacuum`` is frozen.
-    """
-    states = traj.states
+def _extended_vectors(states: np.ndarray, vacuum: float) -> np.ndarray:
+    """phi(t) on the sector basis (vacuum, modes, excited) of the amplitude vectors
+    ``states`` (excited, modes), rows of an ``AmplitudeTrajectory`` whose frozen
+    vacuum amplitude is ``vacuum``."""
     phi = np.empty((len(states), states.shape[1] + 1), dtype=complex)
-    phi[:, 0] = traj.vacuum
+    phi[:, 0] = vacuum
     phi[:, 1:-1] = states[:, 1:]
     phi[:, -1] = states[:, 0]
     return phi
@@ -867,8 +574,83 @@ def extended_density_from_amplitudes(traj: AmplitudeTrajectory) -> DensitySeries
     Each state is |phi(t)><phi(t)| plus the lost norm parked in the joint
     vacuum, with phi ordered on the sector basis (vacuum, modes, excited).
     """
-    phi = _extended_vectors(traj)
+    return DensitySeries._adopt(_reconstructed(_extended_vectors(traj.states, traj.vacuum)))
+
+
+def _reconstructed(phi: np.ndarray) -> np.ndarray:
+    """|phi><phi| plus the lost norm 1 - |phi|^2 at the joint vacuum, for each row of ``phi``."""
     rho = phi[:, :, None] * phi[:, None, :].conj()
     # a batched matmul rounds each norm as np.vdot(phi, phi) does
     rho[:, 0, 0] += 1.0 - (phi.conj()[:, None, :] @ phi[:, :, None])[:, 0, 0].real
-    return DensitySeries._adopt(rho)
+    return rho
+
+
+def _rank_two_spectra(states: np.ndarray, vacuum: float):
+    """Yield the spectra ``(n, 2)`` of the joint states of the amplitude vectors ``states``
+    (rows of an ``AmplitudeTrajectory``) with vacuum amplitude ``vacuum``, then those of
+    their emitter and mode marginals, each that of its trace-one 2x2 block (module
+    docstring):
+
+    - joint: [[1 - s, v sqrt(s)], [v sqrt(s), s]], determinant mu s;
+    - emitter: [[1 - e, v conj(c1)], [v c1, e]], determinant e (m + mu);
+    - modes: [[1 - m, v sqrt(m)], [v sqrt(m), m]], determinant m (e + mu);
+
+    with e = |c1|^2, m the summed mode populations, s = e + m, v = ``vacuum``
+    and mu = 1 - v^2 - s. A block [[1 - x, b], [conj(b), x]] has |b|^2 = v^2 x,
+    so its root is sqrt((1 - 2x)^2 + 4 v^2 x), and the product form of its
+    determinant does not cancel. The other eigenvalues of the joint state and
+    of the mode marginal are zero.
+    """
+    populations = states.real**2 + states.imag**2
+    e = populations[:, 0]
+    m = populations[:, 1:].sum(axis=1)
+    s = e + m
+    v2 = vacuum * vacuum
+    mu = 1.0 - v2 - s
+    for x, det in ((s, mu * s), (e, e * (m + mu)), (m, m * (e + mu))):
+        yield _pair_spectrum(1.0, np.sqrt((1.0 - 2.0 * x) ** 2 + 4.0 * v2 * x), det)
+
+
+def _rank_two_defects(traj: AmplitudeTrajectory) -> dict[str, float]:
+    """Invariant defects of the rank-two joint states of ``traj``: Hermitian by construction,
+    the trace as the sum of the closed-form spectrum and the smallest eigenvalue,
+    the block's smaller one or one of the zeros beside it."""
+    vacuum, traces, lowest = traj.vacuum, [], [0.0]
+    for rows in _chunks(len(traj.states), traj.states.shape[1] + 1):
+        joint = next(_rank_two_spectra(traj.states[rows], vacuum))
+        traces.append(np.max(np.abs(joint.sum(axis=1) - 1.0)))
+        lowest.append(joint.min())
+    return {"hermiticity": 0.0, "trace": float(max(traces)), "min_eigenvalue": float(min(lowest))}
+
+
+def _certified_defects(
+    series: DensitySeries, traj: AmplitudeTrajectory
+) -> tuple[dict[str, float], float]:
+    """Invariant defects of the Lindblad series of the pure start of ``traj`` without its
+    spectrum, and the largest distance max_k delta_k from its reconstruction.
+
+    delta_k is the Frobenius distance of state k from state k of
+    :func:`extended_density_from_amplitudes`, taken chunk by chunk with no
+    second stack. By Weyl's inequality every eigenvalue of state k lies within
+    delta_k of one of the reconstruction, whose smallest, lambda_min(k), is
+    the smaller eigenvalue of its block or one of the zeros beside it
+    (:func:`_rank_two_spectra`). So ``min_eigenvalue`` is the lower bound
+    min_k (lambda_min(k) - delta_k), up to the rounding of both terms.
+    """
+    states, vacuum = traj.states, traj.vacuum
+    bounds, distance = [], 0.0
+    for rows in _chunks(len(series), series.dim):
+        smaller = next(_rank_two_spectra(states[rows], vacuum))[:, 0]
+        distances = _distances(series.matrices[rows], _extended_vectors(states[rows], vacuum))
+        bounds.append(np.min(np.minimum(smaller, 0.0) - distances))
+        distance = max(distance, float(distances.max()))
+    return _invariant_defects(series.matrices, np.array(bounds)), distance
+
+
+def _distances(matrices: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each of ``matrices`` from its state of :func:`_reconstructed`;
+    a function of its own, so that a chunk's scratch is freed before the next one's."""
+    gap = _reconstructed(phi)
+    np.subtract(matrices, gap, out=gap)
+    parts = gap.reshape(len(gap), -1).view(float)
+    return np.sqrt(np.einsum("ij,ij->i", parts, parts))

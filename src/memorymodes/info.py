@@ -1,22 +1,13 @@
-"""Entropy and correlation diagnostics along density-matrix series.
+"""Entropy and correlation diagnostics of density matrices and amplitude solutions.
 
 One kernel computes spectral entropies from the spectrum of a matrix or a
-stack, and each matrix takes its own spectrum route, so ``info_series``
-and ``von_neumann_entropy`` give the same bits; a series' spectrum is
-computed once and shared with its checks. Of a run from |e> only states
-of dimension 5 or more call LAPACK (``density._spectrum``), so no preset
-does: the emitter marginal is diagonal and is sorted, with the bits of
-``eigvalsh``; a joint state or mode marginal splits off its decoupled
-vacuum, and the block that remains takes a closed form if it is 2x2 and
-a Jacobi iteration if it is 3x3, both of which differ from ``eigvalsh`` at
-rounding level. ``info_series`` works chunk by chunk, so its scratch stays
-fixed while the series grows. The joint spectrum, computed once and
-shared with the series' checks, and both marginals come from the
-Hermitian parts of each chunk: the real diagonal and the upper triangle.
-The ``info`` experiment hands it the Lindblad route's real coordinates
-(``density._CoordinateSeries``), whose parts are read off without a
-complex stack; a ``DensitySeries`` gives the same parts and so the same
-bits.
+stack (``density._spectrum``: a closed form for 2x2 matrices, ``eigvalsh``
+for larger ones). ``von_neumann_entropy`` and ``mutual_information`` take
+one state. ``info_series`` takes an amplitude solution: from its pure start
+the joint state has rank two, and it and both marginals are trace-one 2x2
+blocks (``density._rank_two_spectra``), so their entropies cost O(nK) and
+need neither the Lindblad fill nor a spectrum solver. It works chunk by
+chunk, so its scratch stays fixed while the series grows.
 """
 
 from __future__ import annotations
@@ -25,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMatrix, DensitySeries, _chunks, _diagonal_sum, _parts_spectrum
-from .density import _spectrum, _upper_indices, partial_trace_atom, partial_trace_pseudomodes
+from .amplitudes import AmplitudeTrajectory
+from .density import DensityMatrix, _chunks, _rank_two_spectra, _spectrum
+from .density import partial_trace_atom, partial_trace_pseudomodes
 from .models import TimeGrid
 
 __all__ = [
@@ -80,49 +72,19 @@ class InfoSeries:
     mutual_information: np.ndarray
 
 
-def info_series(densities: DensitySeries, grid: TimeGrid) -> InfoSeries:
-    """Evaluate the entropy diagnostics at every point of a joint-state series.
+def info_series(traj: AmplitudeTrajectory) -> InfoSeries:
+    """Evaluate the entropy diagnostics at every point of an amplitude solution.
 
-    The marginals are those of each state's Hermitian part: the emitter
-    takes the ground population (the diagonal but the last, summed as
-    ``np.trace`` sums it), the excited one and the coupling u_(0, last); the
-    modes take the diagonal but the last, the excited population added to
-    the joint vacuum, and the couplings u_ij with j before the last.
+    The states are those of ``extended_density_from_amplitudes(traj)``, which
+    the Lindblad route from the same pure start reproduces; each entropy is
+    read off the closed-form spectrum of its 2x2 block.
     """
-    if len(densities) != grid.n_steps:
-        raise ValueError(f"expected {grid.n_steps} states, got {len(densities)}")
-    dim = densities.dim
-    if dim == 2:
-        raise ValueError("state is already emitter-only")
-    joint = densities.eigenvalues
-    # the pairs (i, j) of the upper triangle that stay in the mode marginal
-    modes = _upper_indices(dim)[1] < dim - 1
-    s_atom, s_modes, s_joint = (np.empty(len(densities)) for _ in range(3))
-    for rows in _chunks(len(densities), dim):
-        diagonal, upper = densities._parts(rows)
-        s_atom[rows] = _entropies(_spectra(*_emitter_parts(diagonal, upper)))
-        mode_diagonal = diagonal[:, :-1].copy()
-        mode_diagonal[:, 0] += diagonal[:, -1]
-        s_modes[rows] = _entropies(_spectra(mode_diagonal, upper[:, modes]))
-        s_joint[rows] = _entropies(joint[rows])
+    states, vacuum = traj.states, traj.vacuum
+    entropies = np.empty((3, len(states)))
+    for rows in _chunks(len(states), states.shape[1] + 1):
+        for out, eigs in zip(entropies, _rank_two_spectra(states[rows], vacuum)):
+            out[rows] = _entropies(eigs)
+    s_joint, s_atom, s_modes = entropies
     mutual = s_atom + s_modes
     mutual -= s_joint
-    return InfoSeries(grid, s_atom, s_modes, s_joint, mutual)
-
-
-def _emitter_parts(diagonal: np.ndarray, upper: np.ndarray):
-    """Hermitian parts of the emitter marginal of joint states given by their parts:
-    the ground population, the excited one and the coupling u_(0, last)."""
-    emitter = np.empty((len(diagonal), 2))
-    emitter[:, 0] = _diagonal_sum(diagonal[:, :-1])
-    emitter[:, 1] = diagonal[:, -1]
-    dim = diagonal.shape[1]
-    # row 0 of the upper triangle comes first, (0, last) at its end
-    return emitter, upper[:, dim - 2 : dim - 1]
-
-
-def _spectra(diagonal: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Spectra of the Hermitian matrices given by their parts."""
-    eigs = np.empty(diagonal.shape)
-    _parts_spectrum(diagonal, upper, eigs)
-    return eigs
+    return InfoSeries(traj.grid, s_atom, s_modes, s_joint, mutual)

@@ -268,7 +268,7 @@ def run_mcwf_pseudomode(traj: AmplitudeTrajectory, n_members: int, seed: int) ->
     """
     _check_members(n_members)
     grid = traj.grid
-    phi = _extended_vectors(traj)
+    phi = _extended_vectors(traj.states, traj.vacuum)
     # a NaN entry would pass the probability bound, since NaN comparisons are False
     if not np.all(np.isfinite(phi)):
         raise ValueError("the trajectory must be finite")

@@ -20,7 +20,6 @@ from memorymodes import (
     validate_config_text,
 )
 from memorymodes.cli import EXPERIMENTS, FIG2_CONFIG_TEXT, RunConfig, main, run
-from memorymodes.density import _chunk_rows
 from conftest import gamma_markov, traced_peak
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -146,14 +145,20 @@ class TestRun:
             f"density_{name}.csv" for name in ("amplitude", "timelocal", "extended", "traced")
         )
 
-    def test_info_builds_no_complex_stack(self, tmp_path):
-        # info reads the real coordinates of bandgap's joint states at 16 000
-        # points (2 MiB); their complex stack would take 4 MiB more
+    def test_info_runs_no_lindblad_fill(self, tmp_path, monkeypatch):
+        # info reads the amplitude solution of bandgap at 16 000 points (0.7 MiB)
+        # and peaks at 2.3 MiB; the Lindblad coordinates alone would take 2 MiB
+        import memorymodes.density as density
+
+        def no_fill(*args):
+            raise AssertionError("info filled the Lindblad route")
+
+        monkeypatch.setattr(density, "_coordinate_problem", no_fill)
         parsed = validate_config(REPO_ROOT / "configs" / "bandgap.cfg")
         grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, 16_000)
         config = RunConfig("info", parsed.model, grid, tmp_path / "out")
         manifest, peak, _ = traced_peak(lambda: run(config))
-        assert peak <= 4.6, peak
+        assert peak <= 2.6, peak
         assert manifest.entries["invariant.hermiticity"] == "0"
 
     def test_identity_perfect_gap_manifest_records_zero_rate(self, tmp_path):
@@ -346,6 +351,8 @@ class TestRun:
         assert main(["evolve", "--config", str(preset), "--out", str(out)]) == 4
         assert "rate series is invalid at t=" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
+        # the time-local route refuses before the Lindblad fill, so no file is written
+        assert list(out.glob("density_extended.csv*")) == []
 
     def test_stochastic_runs_need_members(self, tmp_path):
         with pytest.raises(ValueError, match="n_members"):
@@ -632,6 +639,8 @@ def test_manifest_reports_state_invariants(preset, experiment, tmp_path):
     assert float(entries["invariant.trace"]) <= 1e-14
     assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
     assert (tmp_path / "out" / "manifest.txt").read_text().count("invariant.") == 3
+    if experiment == "evolve":
+        assert float(entries["max_diff_extended_amplitude"]) < 1e-14
 
 
 THREE_LONE_PEAKS = Reservoir(0.0, 0.8, ((1.0, 0.5, -2.0), (1.1, 0.7, 0.0), (1.2, 0.9, 2.0)))
@@ -656,35 +665,26 @@ def test_every_experiment_runs_on_three_modes(experiment, tmp_path, monkeypatch)
         assert float(entries["max_diff_amplitude_timelocal"]) < 2e-11
         first = (out / "density_extended.csv").read_text().split("\n", 1)[0]
         assert first == "# dim=5, basis=g000,g100,g010,g001,e000"
+    if experiment == "evolve":
+        assert float(entries["max_diff_extended_amplitude"]) < 1e-14
     if experiment in ("evolve", "info"):
         assert float(entries["invariant.min_eigenvalue"]) >= -5e-15
-        # only the 5x5 joint series reaches LAPACK, one call per chunk; the emitter
-        # series are diagonal and the mode marginal's 3x3 block takes Jacobi
-        rows = _chunk_rows(5)
-        assert seen == [(min(rows, 4000 - start), 5, 5) for start in range(0, 4000, rows)]
+        # the emitter series take the 2x2 closed form, the joint states the rank-two
+        # one, and evolve bounds the Lindblad spectrum by its distance from them
+        assert seen == []
 
 
-@pytest.mark.parametrize(
-    "preset, experiment, calls",
-    [
-        ("fig2", "evolve", 0),
-        ("bandgap", "evolve", 0),
-        ("perfect_gap", "evolve", 0),
-        ("fig2", "info", 0),
-        ("bandgap", "info", 0),
-        ("perfect_gap", "info", 0),
-    ],
-)
-def test_diagonal_spectra_skip_eigvalsh(preset, experiment, calls, tmp_path, monkeypatch):
-    # every emitter series of a run from |e>, and fig2's mode marginal, is diagonal;
-    # fig2's extended series and the two-mode marginal split into the vacuum and a
-    # 2x2 block, and the two-mode 4x4 extended series into the vacuum and a 3x3 block
+@pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+@pytest.mark.parametrize("experiment", ["evolve", "info"])
+def test_preset_runs_call_no_eigvalsh(preset, experiment, tmp_path, monkeypatch):
+    # the emitter series take the 2x2 closed form; info reads the rank-two joint
+    # states in closed form, and evolve bounds its Lindblad spectrum by them
     seen = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.shape) or eigvalsh(a))
     config = REPO_ROOT / "configs" / f"{preset}.cfg"
     assert main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    assert len(seen) == calls
+    assert seen == []
 
 
 class TestCsvFormats:

@@ -136,6 +136,16 @@ def test_golden_record_covers_every_case():
     assert sorted(_load_golden()["runs"]) == sorted(names)
 
 
+def test_golden_record_bounds_the_extended_distance():
+    # every recorded evolve run's Lindblad states lie within 1e-14 of the rank-two
+    # reconstruction whose spectrum bounds theirs
+    runs = [run for name, run in _load_golden()["runs"].items() if "/evolve " in name]
+    assert len(runs) == 30
+    for run in runs:
+        entries = dict(line.split(" = ", 1) for line in run["manifest"])
+        assert float(entries["max_diff_extended_amplitude"]) < 1e-14
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +12,7 @@ from memorymodes import (
     TimeGrid,
     atom_density_from_amplitudes,
     evolve_lindblad_sector,
+    extended_density_from_amplitudes,
     info_series,
     mutual_information,
     partial_trace_atom,
@@ -19,8 +21,8 @@ from memorymodes import (
     von_neumann_entropy,
 )
 from memorymodes import density
+from memorymodes.info import EIGENVALUE_FLOOR
 from memorymodes.config import validate_config
-from memorymodes.density import _chunk_rows, _CoordinateSeries, _lindblad_coordinates
 
 LN2 = math.log(2.0)
 
@@ -121,53 +123,34 @@ class TestMutualInformation:
 
 
 class TestInfoSeries:
-    def test_combination_identity(self, fig2_model, fig2_grid):
-        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
-        series = info_series(joint, fig2_grid)
+    def test_combination_identity(self, fig2_traj):
+        series = info_series(fig2_traj)
+        assert series.grid is fig2_traj.grid
         recombined = series.entropy_atom + series.entropy_modes - series.entropy_joint
         assert np.array_equal(series.mutual_information, recombined)
         assert series.mutual_information.min() > -1e-9
         assert series.entropy_atom.max() <= LN2 + 1e-9
 
-    def test_rejects_series_of_wrong_length(self, fig2_model, fig2_grid):
-        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
-        with pytest.raises(ValueError, match="states"):
-            info_series(joint[1:], fig2_grid)
-
-    def test_rejects_emitter_only_series(self, fig2_traj, fig2_grid):
-        # it would read mode entropy -0 and mutual information 0 at every point
-        with pytest.raises(ValueError, match="emitter-only"):
-            info_series(atom_density_from_amplitudes(fig2_traj), fig2_grid)
-
-    def test_batched_entropies_match_single_state(self, bandgap_model):
+    def test_entropies_match_the_states_one_at_a_time(self, bandgap_model):
+        # each state of the Lindblad route and of the reconstruction, through the
+        # public functions on its matrices (eigvalsh for the 4x4 and 3x3 ones)
         grid = TimeGrid(0.0, 10.0, 800)
-        joint = evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(4), grid)
-        series = info_series(joint, grid)
-        modes = partial_trace_atom(joint)
-        atom = partial_trace_pseudomodes(joint)
-        for k in range(grid.n_steps):
-            assert von_neumann_entropy(joint[k]) == series.entropy_joint[k]
-            assert von_neumann_entropy(atom[k]) == series.entropy_atom[k]
-            assert von_neumann_entropy(modes[k]) == series.entropy_modes[k]
+        traj = propagate_sector(bandgap_model.sector, None, grid)
+        series = info_series(traj)
+        for joint in (
+            extended_density_from_amplitudes(traj),
+            evolve_lindblad_sector(bandgap_model.sector, DensityMatrix.excited(4), grid),
+        ):
+            modes = partial_trace_atom(joint)
+            atom = partial_trace_pseudomodes(joint)
+            for k in range(grid.n_steps):
+                assert von_neumann_entropy(joint[k]) == pytest.approx(series.entropy_joint[k], abs=2e-14)
+                assert von_neumann_entropy(atom[k]) == pytest.approx(series.entropy_atom[k], abs=2e-14)
+                assert von_neumann_entropy(modes[k]) == pytest.approx(series.entropy_modes[k], abs=2e-14)
         # the pure initial state keeps the sign of its -sum(p ln p) bit for bit
         assert np.signbit(series.entropy_joint[0]) == np.signbit(
             von_neumann_entropy(DensityMatrix.excited(4))
         )
-
-    def test_one_coupled_state_leaves_its_neighbours_bits(self, fig2_model, bandgap_model, fig2_grid):
-        # state 100 couples the vacuum: on fig2 it takes Jacobi, on bandgap eigvalsh;
-        # every other state keeps the closed form, or Jacobi, it takes on its own
-        for model, grid in ((fig2_model, fig2_grid), (bandgap_model, TimeGrid(0.0, 10.0, 200))):
-            dim = model.sector.n_modes + 2
-            joint = evolve_lindblad_sector(model.sector, DensityMatrix.excited(dim), grid)
-            matrices = joint.matrices.copy()
-            matrices[100, 0, 2] = matrices[100, 2, 0] = 1e-3
-            coupled = DensitySeries(matrices)
-            series = info_series(coupled, grid)
-            for k in range(grid.n_steps):
-                assert von_neumann_entropy(coupled[k]) == series.entropy_joint[k]
-                assert coupled[k].invariant_defects()["min_eigenvalue"] == coupled.eigenvalues[k, 0]
-            assert np.array_equal(coupled.eigenvalues[101:], joint.eigenvalues[101:])
 
     def test_no_eigenvalue_above_floor_gives_positive_zero(self):
         series = DensitySeries(np.zeros((2, 2, 2)))
@@ -190,8 +173,7 @@ class TestInfoSeries:
         # grids the flat minima reveal a small systematic offset
         grid = TimeGrid(0.0, 10.0, 400)
         traj = propagate_sector(fig2_model.sector, None, grid)
-        joint = evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), grid)
-        series = info_series(joint, grid)
+        series = info_series(traj)
         mode_pop = np.abs(traj.component("b1")) ** 2
 
         def extrema(values):
@@ -211,72 +193,107 @@ class TestInfoSeries:
 
 REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-
-def lone_peaks(n_peaks):
-    """The reservoir of ``n_peaks`` lone peaks of ``scripts/peak_memory.py``."""
-    centers = [-2.0 + 4.0 * k / (n_peaks - 1) for k in range(n_peaks)]
-    return Reservoir(0.0, 0.8, tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, c) for k, c in enumerate(centers)))
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64)
+#: bounds on the closed form's absolute errors against 40-digit mpmath over every
+#: case of ``TestClosedForm``: the worst eigenvalue error reads 1.79e-16 and the
+#: worst entropy or mutual-information error 1.48e-15; near p = 1e-12, -p ln p turns
+#: an eigenvalue's rounding of about 1e-16 into some 1e-15
+EIGENVALUE_ERROR = 2.2e-16
+ENTROPY_ERROR = 1.8e-15
 
 
-class TestCoordinates:
-    """``info_series`` and the invariants read from the real coordinates of the
-    Lindblad route have the bits they have on its expanded stack."""
+def random_reservoir(n_modes: int, dips: bool, seed: int) -> Reservoir:
+    """``n_modes`` modes of lone peaks and, with ``dips``, at least one peak-dip pair (two
+    modes each), at random centers in [-2, 2], weights, widths and coupling."""
+    rng = np.random.default_rng(seed)
+    pairs = int(rng.integers(1, n_modes // 2 + 1)) if dips else 0
+    peaks = []
+    for k in range(n_modes - pairs):
+        w1, gamma1, center = rng.uniform(0.5, 1.5), rng.uniform(0.3, 1.5), rng.uniform(-2.0, 2.0)
+        peaks.append((w1, gamma1, center))
+        if k < pairs:
+            # w2 = r w1 and r gamma1 < gamma2 < gamma1 keep both pair rates positive
+            r = rng.uniform(0.2, 0.8)
+            peaks.append((-r * w1, gamma1 * (r + (1.0 - r) * rng.uniform(0.1, 0.9)), center))
+    reservoir = Reservoir(0.0, rng.uniform(0.3, 1.2), tuple(peaks))
+    assert reservoir.sector.n_modes == n_modes
+    return reservoir
+
+
+def exact_blocks(state, vacuum):
+    """The (smaller, larger) eigenvalues of the joint, emitter and mode blocks of one
+    amplitude vector, in 40-digit arithmetic on its float entries."""
+    populations = [mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2 for z in state]
+    e, m = populations[0], sum(populations[1:])
+    v2 = mpmath.mpf(vacuum) ** 2
+    mu = 1 - v2 - (e + m)
+    roots = (mpmath.sqrt((1 - 2 * x) ** 2 + 4 * v2 * x) for x in (e + m, e, m))
+    return [((1 - root) / 2, (1 + root) / 2) for root in roots]
+
+
+def exact_matrices(state, vacuum):
+    """The joint state, its emitter and its mode marginal as 40-digit matrices, built from
+    Phi and mu by the partial traces, with no use of their rank."""
+    phi = [mpmath.mpc(vacuum)] + [mpmath.mpc(z) for z in state[1:]] + [mpmath.mpc(state[0])]
+    d = len(phi)
+    joint = mpmath.matrix(d, d)
+    for i in range(d):
+        for j in range(d):
+            joint[i, j] = phi[i] * mpmath.conj(phi[j])
+    joint[0, 0] += 1 - sum(abs(z) ** 2 for z in phi)
+    emitter = mpmath.matrix(2, 2)
+    emitter[0, 0] = sum(joint[i, i] for i in range(d - 1))
+    emitter[0, 1], emitter[1, 0], emitter[1, 1] = joint[0, d - 1], joint[d - 1, 0], joint[d - 1, d - 1]
+    modes = joint[: d - 1, : d - 1]
+    modes[0, 0] += joint[d - 1, d - 1]
+    return joint, emitter, modes
+
+
+def exact_entropy(pair):
+    kept = [p for p in pair if p > EIGENVALUE_FLOOR]
+    return -sum(p * mpmath.log(p) for p in kept) if kept else mpmath.mpf(0)
+
+
+class TestClosedForm:
+    """``info_series`` and the rank-two spectra against 40-digit mpmath."""
 
     @pytest.mark.parametrize("start", ["excited", "superposition"])
-    @pytest.mark.parametrize("case", ["fig2", "bandgap", "perfect_gap", "lone_peaks_3", "lone_peaks_10"])
-    def test_coordinates_give_the_bits_of_the_stack(self, case, start, monkeypatch):
-        if case.startswith("lone_peaks"):
-            sector = lone_peaks(int(case.rsplit("_", 1)[1])).sector
+    @pytest.mark.parametrize(
+        "case",
+        ["fig2", "bandgap", "perfect_gap"]
+        + [f"modes_{k}" for k in (1, 2, 4, 7, 10)]
+        + [f"modes_{k}_dips" for k in (2, 4, 7, 10)],
+    )
+    def test_closed_form_holds_against_mpmath(self, case, start):
+        if case.startswith("modes_"):
+            n_modes = int(case.split("_")[1])
+            sector = random_reservoir(n_modes, case.endswith("dips"), 3100 + len(case) + n_modes).sector
+            grid = TimeGrid(0.0, 10.0, 400)
         else:
-            sector = validate_config(REPO_CONFIGS / f"{case}.cfg").model.sector
-        dim = sector.n_modes + 2
-        vector = np.zeros(dim, dtype=complex)
-        vector[0], vector[-1] = (0.6, 0.8j) if start == "superposition" else (0.0, 1.0)
-        rho0 = DensityMatrix.from_pure(vector)
-        fill, filled = density._lindblad_coordinates, []
-
-        def keep(*args):
-            coords = fill(*args)
-            # the stack is expanded over its coordinates in place
-            filled.append(coords.copy())
-            return coords
-
-        monkeypatch.setattr(density, "_lindblad_coordinates", keep)
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
-        chunk = _chunk_rows(dim)
-        for n in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
-            grid = TimeGrid(0.0, 10.0, n)
-            stack = evolve_lindblad_sector(sector, rho0, grid)
-            expected = info_series(stack, grid)
-            with monkeypatch.context() as patch:
-                patch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
-                states = _CoordinateSeries(filled.pop())
-                got = info_series(states, grid)
-                defects = states.invariant_defects()
-            for name in ("entropy_atom", "entropy_modes", "entropy_joint", "mutual_information"):
-                got_bits, expected_bits = bits(getattr(got, name)), bits(getattr(expected, name))
-                assert np.array_equal(got_bits, expected_bits), (n, name)
-            assert {key: bits(value) for key, value in defects.items()} == {
-                key: bits(value) for key, value in stack.invariant_defects().items()
-            }, n
-            if n <= 3:
-                # the marginals of each state, one at a time through the public functions
-                for k, rho in enumerate(stack):
-                    assert von_neumann_entropy(partial_trace_pseudomodes(rho)) == got.entropy_atom[k]
-                    assert von_neumann_entropy(partial_trace_atom(rho)) == got.entropy_modes[k]
-                    assert von_neumann_entropy(rho) == got.entropy_joint[k]
-        # joint states of three or more modes, and the 4x4 joint states of a
-        # two-mode superposition start, reach LAPACK through the parts
-        assert bool(calls) == (dim > 4 or (dim == 4 and start == "superposition"))
-
-    def test_coordinates_are_checked_finite(self, fig2_model):
-        grid = TimeGrid(0.0, 1.0, 10)
-        coords = _lindblad_coordinates(fig2_model.sector, DensityMatrix.excited(3), grid)
-        coords[7, 4] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            _CoordinateSeries(coords)
+            parsed = validate_config(REPO_CONFIGS / f"{case}.cfg")
+            sector, grid = parsed.model.sector, TimeGrid(parsed.grid.t_start, parsed.grid.t_end, 400)
+        initial = np.zeros(sector.n_modes + 1, dtype=complex)
+        # |e>, or 0.6|g> + 0.8i|e>: traj.vacuum is the 0.6
+        initial[0] = 1.0 if start == "excited" else 0.8j
+        traj = propagate_sector(sector, initial, grid)
+        spectra = tuple(density._rank_two_spectra(traj.states, traj.vacuum))
+        series = info_series(traj)
+        entropies = (series.entropy_joint, series.entropy_atom, series.entropy_modes)
+        eigenvalue_error = entropy_error = 0.0
+        with mpmath.workdps(40):
+            for k, state in enumerate(traj.states):
+                exact = exact_blocks(state, traj.vacuum)
+                for got, pair, entropy in zip(spectra, exact, entropies):
+                    eigenvalue_error = max(eigenvalue_error, *(abs(got[k, i] - pair[i]) for i in range(2)))
+                    entropy_error = max(entropy_error, abs(entropy[k] - exact_entropy(pair)))
+                mutual = exact_entropy(exact[1]) + exact_entropy(exact[2]) - exact_entropy(exact[0])
+                entropy_error = max(entropy_error, abs(series.mutual_information[k] - mutual))
+            # the blocks are the whole spectrum: the matrices have their two eigenvalues
+            # and zeros beside them
+            for k in (0, grid.n_steps // 3, grid.n_steps - 1):
+                exact = exact_blocks(traj.states[k], traj.vacuum)
+                for matrix, pair in zip(exact_matrices(traj.states[k], traj.vacuum), exact):
+                    values = sorted(mpmath.eighe(matrix, eigvals_only=True))
+                    assert all(abs(value) < 1e-30 for value in values[:-2]), (k, values)
+                    assert abs(values[-2] - pair[0]) < 1e-30 and abs(values[-1] - pair[1]) < 1e-30
+        assert eigenvalue_error <= EIGENVALUE_ERROR, float(eigenvalue_error)
+        assert entropy_error <= ENTROPY_ERROR, float(entropy_error)

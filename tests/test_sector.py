@@ -97,7 +97,7 @@ def test_many_lone_peaks_run_through_every_density_layer(n_peaks, tmp_path):
     reconstructed = extended_density_from_amplitudes(traj)
     assert np.max(np.abs(lindblad.matrices - reconstructed.matrices)) <= 1e-14
 
-    series = info_series(lindblad, grid)
+    series = info_series(traj)
     assert np.all(np.isfinite(series.mutual_information))
     assert series.mutual_information.min() > -1e-12
 
