@@ -543,6 +543,160 @@ class TestSpectrum:
         mutual_information(rho)
         assert seen == [(1, 3, 3), (1, 4, 4)]
 
+#: allowance beside the Weyl distance delta_k for the rounding of ``eigvalsh`` and of the
+#: closed form on a preset's Lindblad states; the worst read 1.07e-15 (``fig2``, 4000
+#: points) for the joint states and 2.0e-16 for the mode marginals
+LINDBLAD_ROUNDING = 1.3e-15
+
+
+def padded(pair: np.ndarray, dim: int) -> np.ndarray:
+    """The rank-two spectra ``pair`` (n, 2) with the dim - 2 zeros beside them, ascending."""
+    return np.sort(np.concatenate([pair, np.zeros((len(pair), dim - 2))], axis=1), axis=1)
+
+
+class TestSpectrumOracle:
+    """``_spectrum`` against references: ``eigvalsh``'s bits above dimension 2, with
+    every matrix of a chunk getting the bits it gets alone; the 2x2 form against
+    mpmath and exact under powers of two; and each preset's Lindblad states against
+    the rank-two closed form of their reconstruction, within Weyl's bound."""
+
+    @pytest.mark.parametrize("n_steps", [1000, 2000, 4000, 16000])
+    @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+    def test_preset_series(self, preset, n_steps, monkeypatch):
+        parsed = validate_config(REPO_CONFIGS / f"{preset}.cfg")
+        grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
+        sector = parsed.model.sector
+        traj = propagate_sector(sector, None, grid)
+        extended = evolve_lindblad_sector(sector, DensityMatrix.excited(sector.n_modes + 2), grid)
+        timelocal = evolve_atom_timelocal(rates_from_amplitudes(traj), DensityMatrix.excited(2))
+        # every emitter series of a run from |e> is diagonal: its sorted diagonal, no eigvalsh
+        diagonal = [
+            atom_density_from_amplitudes(traj).matrices,
+            timelocal.matrices,
+            partial_trace_pseudomodes(extended).matrices,
+        ]
+        for matrices in diagonal:
+            got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=0)
+            entries = np.stack([matrices[:, 0, 0].real, matrices[:, 1, 1].real], axis=1)
+            assert np.array_equal(got, np.sort(entries, axis=1))
+        # by Weyl's inequality each eigenvalue of Lindblad state k lies within its distance
+        # delta_k of the reconstruction's, the closed form and zeros; tracing out the
+        # emitter adds at most two entries into one, so the marginal's lie within sqrt(2)
+        joint, _, modes = density._rank_two_spectra(traj.states, traj.vacuum)
+        delta = density._distances(
+            extended.matrices, density._extended_vectors(traj.states, traj.vacuum)
+        )
+        assert delta.max() < 1e-14
+        gap = np.abs(extended.eigenvalues - padded(joint, extended.dim)).max(axis=1)
+        assert np.all(gap <= delta + LINDBLAD_ROUNDING), (gap - delta).max()
+        marginal = partial_trace_atom(extended)
+        calls = 0 if sector.n_modes == 1 else chunk_count(marginal)
+        got = spectrum_counting_eigvalsh(marginal, monkeypatch, calls=calls)
+        gap = np.abs(got - padded(modes, marginal.shape[-1])).max(axis=1)
+        allowed = np.sqrt(2.0) * delta + LINDBLAD_ROUNDING
+        assert np.all(gap <= allowed), (gap - allowed).max()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_random_diagonal_stacks(self, dim, monkeypatch):
+        rng = np.random.default_rng(1700 + dim)
+        n = 4000
+        values = rng.choice([-1.0, 1.0], (n, dim)) * 10.0 ** rng.uniform(-300, 0, (n, dim))
+        kind = rng.integers(0, 4, (n, dim))
+        # ties with the first entry, and zeros of both signs
+        values = np.where(kind == 1, values[:, :1], values)
+        values = np.where(kind == 2, rng.choice([-0.0, 0.0], (n, dim)), values)
+        values[:, -1] = rng.uniform(1e-3, 1.0, n)
+        values[:3] = [-0.0] * dim, [0.0] * dim, [0.5] * dim
+        matrices = np.zeros((n, dim, dim), complex)
+        index = np.arange(dim)
+        matrices[:, index, index] = values + 1j * rng.uniform(-1, 1, (n, dim))
+        calls = 0 if dim == 2 else chunk_count(matrices)
+        sorted_diagonal = np.sort(values, axis=1)
+
+        def check(matrices, expected, calls):
+            # eigvalsh's bits; the 2x2 form, with no call, the sorted diagonal, where
+            # eigvalsh may order or sign a pair of zeros otherwise
+            if dim > 2:
+                assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=calls)
+            got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=calls)
+            assert np.array_equal(got, expected)
+
+        check(matrices, sorted_diagonal, calls)
+        # anti-Hermitian off-diagonal entries vanish from the Hermitized stack
+        upper = np.triu_indices(dim, 1)
+        skew = rng.uniform(-1, 1, (n, len(upper[0]))) + 1j * rng.uniform(-1, 1, (n, len(upper[0])))
+        matrices[:, upper[0], upper[1]] = skew
+        matrices[:, upper[1], upper[0]] = -skew.conj()
+        check(matrices, sorted_diagonal, calls)
+        check(matrices[0], sorted_diagonal[0], min(calls, 1))
+        # one nonzero off-diagonal pair changes the spectrum of its matrix alone
+        before = _spectrum(matrices)
+        matrices[-1, 0, -1] = matrices[-1, -1, 0] = 1e-300
+        got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=calls)
+        assert np.array_equal(got[:-1].view(np.int64), before[:-1].view(np.int64))
+        assert np.array_equal(got[-1].view(np.int64), _spectrum(matrices[-1]).view(np.int64))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-300, 1e150, 1e300])
+    def test_stacks_that_lapack_rescales(self, scale, monkeypatch):
+        # here eigvalsh returns other bits than the sorted diagonal, and _spectrum its bits
+        rng = np.random.default_rng(1717)
+        values = scale * rng.uniform(0.1, 1.0, (500, 3))
+        matrices = np.zeros((500, 3, 3), complex)
+        matrices[:, range(3), range(3)] = values
+        assert not np.array_equal(np.linalg.eigvalsh(matrices), np.sort(values, axis=-1))
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
+        # the 2x2 form scales each matrix by a power of two itself, so scaling a stack
+        # by one scales its spectrum exactly
+        blocks = matrices[:, 1:, 1:].copy()
+        blocks[:, 0, 1] = rng.uniform(-1.0, 1.0, 500) + 1j * rng.uniform(-1.0, 1.0, 500)
+        blocks[:, 1, 0] = blocks[:, 0, 1].conj()
+        power = 2.0 ** np.round(np.log2(scale))
+        unit = blocks / power
+        got = spectrum_counting_eigvalsh(blocks, monkeypatch, calls=0)
+        assert np.array_equal(got.view(np.int64), (_spectrum(unit) * power).view(np.int64))
+
+    @pytest.mark.parametrize("dim", [4, 5, 8, 12])
+    def test_split_blocks_keep_the_bits_of_eigvalsh(self, dim, monkeypatch):
+        # an uncoupled [0, 0] beside a block of 3x3 or more, ties and signed zeros too
+        rng = np.random.default_rng(1800 + dim)
+        n = 5000
+        half = rng.normal(size=(n, dim - 1, dim - 1)) + 1j * rng.normal(size=(n, dim - 1, dim - 1))
+        trailing = (half + np.swapaxes(half, -1, -2).conj()) / (4.0 * dim)
+        trailing[:50] = 0.0
+        vacuum = rng.uniform(-1.0, 1.0, n)
+        vacuum[:100:2] = rng.choice([0.0, -0.0], 50)
+        ties = slice(100, 200)
+        vacuum[ties] = np.linalg.eigvalsh(trailing[ties])[np.arange(100), rng.integers(0, dim - 1, 100)]
+        matrices = np.zeros((n, dim, dim), complex)
+        matrices[:, 0, 0], matrices[:, 1:, 1:] = vacuum, trailing
+        # an anti-Hermitian row 0 vanishes from the Hermitized matrices
+        skew = rng.normal(size=(n, dim - 1)) + 1j * rng.normal(size=(n, dim - 1))
+        matrices[:, 0, 1:], matrices[:, 1:, 0] = skew, -skew.conj()
+        assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=chunk_count(matrices))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "entry", [np.nextafter(1e-140, 0.0), np.nextafter(1e140, np.inf), 1e-300]
+    )
+    def test_coupled_matrix_beside_the_edges_keeps_eigvalsh(self, dim, entry, monkeypatch):
+        # one matrix with a coupling past edge_stack's edges, which LAPACK may rescale,
+        # beside ordinary ones: each keeps the bits it gets alone, and above dimension 2
+        # those of eigvalsh, in one call for the stack
+        rng = np.random.default_rng(1900 + dim)
+        matrices = np.zeros((300, dim, dim), complex)
+        matrices[:, -2:, -2:] = rng.uniform(0.1, 1.0, (300, 2, 2))
+        matrices[:, -1, -2] = matrices[:, -2, -1] = rng.uniform(0.1, 1.0, 300)
+        matrices[:, dim - 2 :, dim - 2 :] += np.eye(2)
+        matrices[-1, -1, -2], matrices[-1, -2, -1] = 1j * entry, -1j * entry
+        calls = 0 if dim == 2 else 1
+        got = spectrum_counting_eigvalsh(matrices, monkeypatch, calls=calls)
+        if dim > 2:
+            assert_spectrum_is_eigvalsh(matrices, monkeypatch, calls=calls)
+        for rows in (slice(-1, None), slice(None, -1)):
+            alone = spectrum_counting_eigvalsh(matrices[rows], monkeypatch, calls=calls)
+            assert np.array_equal(got[rows].view(np.int64), alone.view(np.int64))
+
+
 def edge_stack(n: int, dim: int = 3) -> np.ndarray:
     """``n`` matrices, diagonal once Hermitized, with tiny, huge and signed-zero entries,
     except the last: off-diagonal entries, a larger entry, and the stack's worst
