@@ -15,10 +15,10 @@ left. One more run per ``--modes K`` and step count,
 ``lone_peaks_<K>/<n_steps>/extended``, takes a reservoir of K lone Lorentzian
 peaks spread over [-2, 2] around the emitter, built here as no config kind
 lists peaks, through the ``evolve`` experiment itself (``cli.run``): the
-Lindblad route from |e> on (K+2)^2 real coordinates per point, its stack
-written to ``density_extended.csv``, checked against the amplitude
-reconstruction and traced, and the emitter routes; a refused run records
-exit 4, as ``cli.main`` gives it. The output is one JSON
+Lindblad route from |e> on (K+2)^2 real coordinates per point, streamed a
+chunk at a time, checked against the amplitude reconstruction, traced and
+written to ``density_extended.csv``, and the emitter routes; a refused run
+records exit 4, as ``cli.main`` gives it. The output is one JSON
 object keyed ``<preset>/<n_steps>/<experiment>``. tracemalloc sees what
 Python and numpy allocate, not LAPACK's workspace, so the peaks are lower
 bounds on what a process holds.

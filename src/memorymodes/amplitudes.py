@@ -4,8 +4,9 @@ The amplitude vector (c1, one amplitude per mode) obeys a small
 constant-coefficient linear ODE system built from a ``PseudomodeSector``.
 Propagation is exact up to rounding, by matrix exponentials on the uniform
 grid (:func:`expm`, a numpy Padé-13 scaling and squaring that takes the
-whole doubling ladder in one call); an independent eigen-decomposition
-oracle provides the closed-form solution for cross-checking. A trajectory
+doubling ladder in batches of matrices), filled whole or a chunk of rows at
+a time (:func:`_ladder_chunks`); an independent eigen-decomposition oracle
+provides the closed-form solution for cross-checking. A trajectory
 carries the sector it was propagated in: its labels, carrier frequency,
 generator and leak rates are all read from that one description.
 
@@ -252,35 +253,73 @@ def _exp_divided_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(np.abs(h) < 1, np.exp(0.5 * (x + y)) * sinch, (np.exp(x) - np.exp(y)) / (x - y))
 
 
-def _propagate_constant(
-    generator: np.ndarray, x0: np.ndarray, grid: TimeGrid, empty=np.empty
-) -> np.ndarray:
-    """Rows exp(G*(t_k - t_0)) @ x0 on the uniform ``grid``, filled by doubling.
+#: bytes of the matrices one :func:`expm` call of the doubling ladder takes, an
+#: eighth of ``density._CHUNK_BYTES``: the ladders of the presets and of three
+#: lone peaks fit one call, where batching pays (2.8 ms against 14.8 ms one
+#: matrix at a time at three peaks); the 144x144 Liouvillian of ten peaks takes
+#: one matrix per call, as batched its temporaries reach 27 MiB and run slower
+_LADDER_BYTES = 1 << 17
 
-    Rows [m, 2m) are rows [0, m) times exp(G*m*dt).T, written in place. The
-    propagators of every length m = 1, 2, 4, ... come from one :func:`expm`
-    of the stack G*m*dt, each with its own scaling: squaring the previous one
-    would double its rounding error. Only once they exist is the row buffer
-    ``empty(shape, dtype)`` taken, so the ladder's temporaries are freed
-    before it; a caller may pass a buffer that lives inside its own result.
-    """
+
+def _ladder(generator: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """The propagators exp(G*m*dt) of the doubling fill on ``grid``, m = 1, 2, 4, ...
+    below its length, each from :func:`expm` with its own scaling: squaring the
+    previous one would double its rounding error. They are exponentiated in
+    batches of at most ``_LADDER_BYTES`` of matrices (at least one matrix), whose
+    bits are those of one call. ``ToleranceNotMet`` where one is not finite."""
     if not np.all(np.isfinite(generator)):
         raise ValueError("generator entries must be finite")
     lengths = 2 ** np.arange((grid.n_steps - 1).bit_length())
+    steps = (lengths * grid.dt)[:, None, None]
+    batch = max(1, _LADDER_BYTES // generator.nbytes)
     # an overflow here leaves a propagator that is not finite, reported below
     with np.errstate(over="ignore"):
-        scaled = generator * (lengths * grid.dt)[:, None, None]
-    propagators = expm(scaled)
-    del scaled
+        parts = [expm(generator * steps[at : at + batch]) for at in range(0, len(steps), batch)]
+    propagators = parts[0] if len(parts) == 1 else np.concatenate(parts)
     finite = np.isfinite(propagators).all(axis=(-2, -1))
     if not finite.all():
         t = lengths[np.argmin(finite)] * grid.dt
         raise ToleranceNotMet(f"propagator exp(G*t) at t={t:g} is not finite")
-    rows = empty((grid.n_steps, len(x0)), np.result_type(generator, x0))
-    rows[0] = x0
-    for m, propagator in zip(lengths, propagators):
-        k = min(m, len(rows) - m)
-        np.matmul(rows[:k], propagator.T, out=rows[m : m + k])
+    return propagators
+
+
+def _ladder_chunks(propagators: np.ndarray, x0: np.ndarray, n: int, size: int):
+    """Yield the rows exp(G*(t_k - t_0)) @ x0, k < ``n``, as (start, rows) over chunks
+    of ``size`` rows, a power of two, the last chunk shorter; ``propagators`` are
+    those of :func:`_ladder`.
+
+    The first chunk is filled by doubling: rows [m, 2m) are rows [0, m) times
+    P_m.T, with P_m = exp(G*m*dt). Rows [a, a + size) of a later chunk are rows
+    [0, size) times P_{2^j}.T for each set bit j of a, lowest first. So row k
+    is x0 times the propagators of k's set bits, lowest first: the products, in
+    order, of one doubling fill of all ``n`` rows. A last chunk that starts at
+    a power of two is that fill's own product, rows [0, n - a) times P_a.T; any
+    other last chunk multiplies all ``size`` rows and keeps those it needs, so
+    no product has fewer rows than the fill's. BLAS then gives each row the
+    fill's bits, as the tests check from 16 rows per chunk; a product of one or
+    a few rows can round differently.
+    """
+    first = np.empty((min(size, n), len(x0)), np.result_type(propagators, x0))
+    first[0] = x0
+    for m, propagator in zip(2 ** np.arange(len(propagators)), propagators):
+        if m >= len(first):
+            break
+        k = min(m, len(first) - m)
+        np.matmul(first[:k], propagator.T, out=first[m : m + k])
+    yield 0, first
+    for start in range(size, n, size):
+        rows = first[: n - start] if start & (start - 1) == 0 else first
+        for j in range(start.bit_length()):
+            if start >> j & 1:
+                rows = rows @ propagators[j].T
+        yield start, rows[: n - start]
+
+
+def _propagate_constant(generator: np.ndarray, x0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Rows exp(G*(t_k - t_0)) @ x0 on the uniform ``grid``: the one chunk of
+    :func:`_ladder_chunks` that holds them all, filled by doubling."""
+    n = grid.n_steps
+    ((_, rows),) = _ladder_chunks(_ladder(generator, grid), x0, n, 1 << (n - 1).bit_length())
     return rows
 
 

@@ -34,11 +34,16 @@ from .csvio import (
 )
 from .density import (
     DensityMatrix,
-    _certified_defects,
+    DensitySeries,
+    _amplitude_entries,
+    _certificate,
+    _certified_terms,
+    _LindbladStream,
     _rank_two_defects,
+    _rate_integral,
+    _timelocal_entries,
     atom_density_from_amplitudes,
     evolve_atom_timelocal,
-    evolve_lindblad_sector,
     partial_trace_pseudomodes,
 )
 from .errors import MemoryModesError, NonPhysical, ParseError
@@ -52,11 +57,14 @@ from .trajectories import run_mcwf_pseudomode, run_nmqj
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
 
 _STOCHASTIC = ("nmqj", "mcwf", "compare")
+#: the pairs of emitter routes whose largest difference evolve records, in order
+_ROUTE_PAIRS = (("amplitude", "timelocal"), ("amplitude", "traced"), ("timelocal", "traced"))
 
 # perfbench/tracing.py times these three layers by patching these names on
-# this module; they go with its remap to the sector names (ROADMAP item 1)
+# this module; they go with its remap to the sector names (ROADMAP item 1).
+# evolve streams the Lindblad route, so its span times the stream's ladder
 propagate_single = propagate_sector
-evolve_lindblad_single = evolve_lindblad_sector
+evolve_lindblad_single = _LindbladStream
 memory_identity_single = memory_identity_sector
 
 # Detuned strong-coupling reference preset: width 0.6, coupling sqrt(0.15),
@@ -155,35 +163,63 @@ def _record_invariants(extras: dict, *defects: dict) -> None:
     extras["invariant.min_eigenvalue"] = f"{min(d['min_eigenvalue'] for d in defects):.17g}"
 
 
+def _widen(diffs: dict, routes: dict) -> None:
+    """Raise the largest difference in ``diffs`` of each pair of ``routes``, emitter
+    entries on the same points, to the largest on these points."""
+    for first, second in diffs:
+        diff = float(np.max(np.abs(routes[first] - routes[second])))
+        diffs[first, second] = max(diffs[first, second], diff)
+
+
+def _written(path: Path, series, times: np.ndarray) -> dict:
+    """Write an emitter series to ``path``; return its invariant defects."""
+    write_density_csv(path, series, times)
+    return series.invariant_defects()
+
+
 def _experiment_evolve(config, artifact, extras) -> None:
-    # registered in the manifest's order. The time-local route, which refuses
-    # invalid rates, comes first; the extended series, the largest, is then
-    # written, checked and traced beside only traj and the time-local series,
-    # and dropped before the amplitude route exists
+    # registered in the manifest's order. The time-local route comes first: it
+    # refuses invalid rates before any Lindblad work, and once it is written
+    # the rates' integral is all that is kept of them. The extended series is
+    # streamed, never held whole. One pass over its chunks checks each against
+    # the amplitude reconstruction, traces it and differences the emitter
+    # routes on its rows; the traced and amplitude routes are then written in
+    # turn, and density_extended.csv last, from a second pass
     paths = {
         name: artifact(f"density_{name}.csv")
         for name in ("amplitude", "timelocal", "extended", "traced")
     }
     times = config.grid.times
     traj = _propagate(config)
-    timelocal = evolve_atom_timelocal(rates_from_amplitudes(traj), DensityMatrix.excited(2))
+    rates = rates_from_amplitudes(traj)
+    timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
+    route_defects = [_written(paths["timelocal"], timelocal, times)]
+    del timelocal
+    exponent = _rate_integral(rates)
+    del rates
     extended = _evolve_extended(config)
+    excited, vacuum = DensityMatrix.excited(2), traj.vacuum
+    traced = np.empty((len(times), 2, 2), dtype=complex)
+    terms, diffs = [], dict.fromkeys(_ROUTE_PAIRS, 0.0)
+    for rows, part in extended:
+        terms.append(_certified_terms(part.matrices, traj.states[rows], vacuum))
+        traced[rows] = partial_trace_pseudomodes(part).matrices
+        _widen(diffs, {
+            "amplitude": _amplitude_entries(traj.c1[rows], vacuum),
+            "timelocal": _timelocal_entries(excited, exponent[rows]),
+            "traced": traced[rows],
+        })
+    del exponent, part
+    route_defects.append(_written(paths["traced"], DensitySeries._adopt(traced), times))
+    del traced
+    route_defects.append(_written(paths["amplitude"], atom_density_from_amplitudes(traj), times))
+    del traj
     write_density_csv(paths["extended"], extended, times)
-    defects, distance = _certified_defects(extended, traj)
-    traced = partial_trace_pseudomodes(extended)
-    del extended
-    from_amplitudes = atom_density_from_amplitudes(traj)
-    write_density_csv(paths["amplitude"], from_amplitudes, times)
-    write_density_csv(paths["timelocal"], timelocal, times)
-    write_density_csv(paths["traced"], traced, times)
-    routes = {"amplitude": from_amplitudes, "timelocal": timelocal, "traced": traced}
-    names = list(routes)
-    for i, first in enumerate(names):
-        for second in names[i + 1 :]:
-            diff = np.max(np.abs(routes[first].matrices - routes[second].matrices))
-            extras[f"max_diff_{first}_{second}"] = f"{diff:.17g}"
+    for (first, second), diff in diffs.items():
+        extras[f"max_diff_{first}_{second}"] = f"{diff:.17g}"
+    defects, distance = _certificate(terms)
     extras["max_diff_extended_amplitude"] = f"{distance:.17g}"
-    _record_invariants(extras, defects, *(series.invariant_defects() for series in routes.values()))
+    _record_invariants(extras, defects, *route_defects)
 
 
 def _experiment_nmqj(config, artifact, extras) -> None:

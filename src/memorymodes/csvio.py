@@ -45,6 +45,13 @@ byte in place, so a block pays only for its cells. A block holds as many
 rows as fit 4096 * 48 template bytes, counting 48 per formatted cell and
 2 or 3 per zero cell: 4096 cells when no column is zero, more rows when
 some are.
+
+A file's rows come from a row source, chunks of consecutive rows (whole
+arrays are one chunk), so a series that is never held whole can be written
+(:func:`_write_chunks`). The layout is built from the first chunk, and
+every later chunk must keep its zero columns zero, with their signs; one
+that does not makes the file be written again, from a layout of every
+chunk.
 """
 
 from __future__ import annotations
@@ -277,41 +284,67 @@ def _cell_rows(rows, mask, negative, digits, exponent, first) -> None:
     _MASKS.take(state, axis=0, out=mask, mode="clip")
 
 
+def _statistics(chunks) -> list | None:
+    """What the layout of a file needs of its columns, gathered from ``chunks``, lists of
+    equal-length columns (:func:`_gathered`); None for no rows."""
+    stats = None
+    for columns in chunks:
+        if len(columns[0]):
+            stats = _gathered(stats, columns)
+    return stats
+
+
+def _gathered(stats: list | None, columns) -> list:
+    """``stats`` with the rows of ``columns`` added, as new lists: per column whether it
+    is an integer column, whether a float column has a nonzero cell and, read
+    only while it has none, whether its cells have a sign bit set and whether
+    they all do, and whether an integer column reaches 2**53."""
+    if stats is None:
+        stats = [[column.dtype.kind in "biu", False, False, True, False] for column in columns]
+    stats = [list(stat) for stat in stats]
+    for column, stat in zip(columns, stats):
+        if stat[0]:
+            stat[4] |= max(-int(column.min()), int(column.max())) >= _EXACT_INT
+        elif not stat[1]:
+            # count_nonzero, unlike np.any, raises no warning on any NaN
+            if np.count_nonzero(column):
+                stat[1] = True
+            else:
+                signs = np.signbit(column)
+                stat[2] |= bool(signs.any())
+                stat[3] &= bool(signs.all())
+    return stats
+
+
 class _Layout:
-    """The constants and buffers of one file, built once and shared by its blocks.
+    """The constants and buffers of one file, built once from its :func:`_statistics`
+    and shared by its blocks.
 
     Every column but those skipped as zero is formatted: the first, every
-    integer column and every float column with a nonzero cell. ``cells``
-    holds one row of bytes per formatted cell, the 48 bytes of its template
-    and after them the 2- or 3-byte cells (",0" or ",-0") of the zero columns
-    up to the next formatted one; ``mask`` the bytes each row shows. The
-    zero cells and their masks are written once, but for the sign of a zero
-    column whose signs vary, which each block writes. ``first`` and
-    ``separators`` give the first column the newline that starts each row.
+    integer column and every float column with a nonzero cell; ``formatted``
+    holds their indices. ``cells`` holds one row of bytes per formatted cell,
+    the 48 bytes of its template and after them the 2- or 3-byte cells (",0"
+    or ",-0") of the zero columns up to the next formatted one; ``mask`` the
+    bytes each row shows. The zero cells and their masks are written once, but
+    for the sign of a zero column whose signs vary, which each block reads
+    from its own cells. ``first`` and ``separators`` give the first column the
+    newline that starts each row.
     """
 
-    def __init__(self, columns, n_rows: int):
-        self.columns, self.integral, zero_runs, self.signs = [], [], [], []
-        for j, column in enumerate(columns):
-            is_int = column.dtype.kind in "biu"
-            column = column if is_int else column.astype(float, copy=False)
-            # a float column with no nonzero cell is written from its sign bits
-            # alone; count_nonzero, unlike np.any, raises no warning on any NaN
-            if j == 0 or is_int or np.count_nonzero(column):
-                self.columns.append(column)
+    def __init__(self, stats, n_rows: int):
+        self.formatted, self.integral, zero_runs, self.signs = [], [], [], []
+        for j, (is_int, nonzero, any_negative, all_negative, _) in enumerate(stats):
+            if j == 0 or is_int or nonzero:
+                self.formatted.append(j)
                 self.integral.append(is_int)
                 zero_runs.append([])
             else:
-                signs = np.signbit(column)
-                varies = signs.any() and not signs.all()
-                zero_runs[-1].append((b",-0" if signs[0] or varies else b",0", varies, signs))
+                # a float column with no nonzero cell is written from its sign bits alone
+                varies = any_negative and not all_negative
+                zero_runs[-1].append((b",-0" if any_negative else b",0", varies, j))
         # integer columns that reach 2**53 have cells that are not doubles
-        self.wide = [
-            k
-            for k, (c, is_int) in enumerate(zip(self.columns, self.integral))
-            if is_int and max(-int(c.min()), int(c.max())) >= _EXACT_INT
-        ]
-        n_formatted = len(self.columns)
+        self.wide = [k for k, j in enumerate(self.formatted) if stats[j][4]]
+        n_formatted = len(self.formatted)
         zones = [sum(len(text) for text, _, _ in run) for run in zero_runs]
         self.rows = max(1, min(n_rows, _BLOCK_BYTES // (n_formatted * _WIDTH + sum(zones))))
         # 8-byte aligned rows, so a cell's head is one word
@@ -322,11 +355,11 @@ class _Layout:
         cells[:, :, :_WIDTH] = _TEMPLATE
         for k, run in enumerate(zero_runs):
             at = _WIDTH
-            for text, varies, signs in run:
+            for text, varies, j in run:
                 cells[:, k, at : at + len(text)] = list(text)
                 mask[:, k, at : at + len(text)] = True
                 if varies:
-                    self.signs.append((k, at + 1, signs))
+                    self.signs.append((k, at + 1, j))
                 at += len(text)
         self.cells = cells.reshape(-1, width)
         self.mask = mask.reshape(-1, width)
@@ -336,13 +369,14 @@ class _Layout:
         self.separators[0] = ord("\n")
 
 
-def _format_block(layout: _Layout, start: int, stop: int) -> np.ndarray:
-    """The CSV bytes of rows ``start`` to ``stop``, each starting with a newline."""
-    n_rows = stop - start
-    n_formatted = len(layout.columns)
+def _format_block(layout: _Layout, columns) -> np.ndarray:
+    """The CSV bytes of the rows of ``columns``, at most ``layout.rows`` consecutive rows of
+    the file's columns, each row starting with a newline."""
+    n_rows = len(columns[0])
+    n_formatted = len(layout.formatted)
     values = layout.values[:n_rows]
-    for k, column in enumerate(layout.columns):
-        values[:, k] = column[start:stop]
+    for k, j in enumerate(layout.formatted):
+        values[:, k] = columns[j]
     negative, digits, exponent, exact = _float_parts(values)
     for k in layout.wide:
         exact[:, k] &= np.abs(values[:, k]) < _EXACT_INT
@@ -354,7 +388,7 @@ def _format_block(layout: _Layout, start: int, stop: int) -> np.ndarray:
     if unproven.size:
         row_of, column_of = np.divmod(unproven, n_formatted)
         text = [
-            ("%d" if layout.integral[k] else "%.17g") % layout.columns[k][start + i].item()
+            ("%d" if layout.integral[k] else "%.17g") % columns[layout.formatted[k]][i].item()
             for i, k in zip(row_of.tolist(), column_of.tolist())
         ]
         chars = np.array(text, dtype=f"S{_WIDTH - 1}").view(np.uint8).reshape(-1, _WIDTH - 1)
@@ -362,8 +396,9 @@ def _format_block(layout: _Layout, start: int, stop: int) -> np.ndarray:
         rows[unproven, 1:] = chars
         shown[unproven, 0] = True
         shown[unproven, 1:] = chars != 0
-    for k, position, signs in layout.signs:
-        mask[k::n_formatted, position] = signs[start:stop]
+    for k, position, j in layout.signs:
+        # assigned, as numpy 2.4's signbit into a strided out= skips most of its cells
+        mask[k::n_formatted, position] = np.signbit(columns[j])
     # a 1-D boolean subscript copies the kept bytes in one pass; np.compress
     # would first build an int64 index of them, 8 bytes per byte written
     joined = cells.ravel()[mask.ravel()]
@@ -372,28 +407,96 @@ def _format_block(layout: _Layout, start: int, stop: int) -> np.ndarray:
     return joined
 
 
-def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
-    """Write equal-length columns under ``header``, one row per entry.
+class _Misfit(Exception):
+    """A chunk of a file that the layout of its first chunk cannot write."""
 
-    Integer and bool columns are written as ``'%d'`` writes them, the rest
-    as ``'%.17g'`` writes their doubles; the module docstring says how.
-    Raises ``ValueError`` before the file is opened when the columns differ
-    in length.
+
+def _write_chunks(path, header: str, source, preamble: str | None) -> None:
+    """Write the rows of the chunks of ``source()`` under ``header``.
+
+    ``source`` returns an iterator over lists of equal-length columns, the
+    file's rows in order. The file's layout is built from the
+    :func:`_statistics` of its first chunk with rows, and each later chunk
+    must fit it: a column that is zero so far must stay zero with the sign
+    bits it had, and an integer column must not reach 2**53 where it did not.
+    If one does not fit, the file is written again from the start, from two
+    more calls of ``source()``: one for the statistics of every chunk, one for
+    the rows. Integer and bool columns are written as ``'%d'`` writes them, the
+    rest as ``'%.17g'`` writes their doubles; the module docstring says how.
     """
-    lengths = {len(column) for column in columns}
+    with open(path, "wb") as handle:
+        try:
+            _write_rows(handle, header, preamble, source(), None)
+        except _Misfit:
+            stats = _statistics(source())
+            handle.seek(0)
+            handle.truncate()
+            _write_rows(handle, header, preamble, source(), stats)
+
+
+def _write_rows(handle, header: str, preamble: str | None, chunks, stats) -> None:
+    """Write the file to ``handle`` with the layout of ``stats``, or of the first chunk
+    with rows where ``stats`` is None; ``_Misfit`` for a later chunk it cannot write."""
+    if preamble:
+        handle.write(f"{preamble}\n".encode())
+    # every row starts with its newline, so the file's last one comes after
+    handle.write(header.encode())
+    chunks = (columns for columns in chunks if len(columns[0]))
+    first = next(chunks, None)
+    if first is not None:
+        stats = stats or _statistics([first])
+        layout = _Layout(stats, len(first[0]))
+        for block in _blocks(_fitting(first, chunks, stats), layout.rows):
+            handle.write(_format_block(layout, block))
+    handle.write(b"\n")
+
+
+def _fitting(first, chunks, stats):
+    """Yield ``first``, then each of ``chunks`` whose statistics leave ``stats`` as they are;
+    ``_Misfit`` at the first that does not."""
+    yield first
+    for columns in chunks:
+        if _gathered(stats, columns) != stats:
+            raise _Misfit
+        yield columns
+
+
+def _blocks(chunks, size: int):
+    """The rows of ``chunks``, lists of equal-length columns, regrouped into lists of
+    columns of ``size`` rows, the last shorter: views of a chunk's columns, or
+    joined where a block spans two chunks."""
+    carry = None
+    for columns in chunks:
+        start, length = 0, len(columns[0])
+        if carry is not None:
+            start = min(size - len(carry[0]), length)
+            carry = [np.concatenate([old, new[:start]]) for old, new in zip(carry, columns)]
+            if len(carry[0]) < size:
+                continue
+            yield carry
+        carry = None
+        while length - start >= size:
+            yield [column[start : start + size] for column in columns]
+            start += size
+        if start < length:
+            # copied, so that the chunk is freed before the next one is made
+            carry = [column[start:].copy() for column in columns]
+    if carry is not None:
+        yield carry
+
+
+def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
+    """Write equal-length columns under ``header``, one row per entry, as one chunk of
+    :func:`_write_chunks`. Raises ``ValueError`` before the file is opened when
+    the columns differ in length."""
+    _check_lengths(path, {len(column) for column in columns})
+    columns = [np.asarray(column) for column in columns]
+    _write_chunks(path, header, lambda: iter([columns]), preamble)
+
+
+def _check_lengths(path, lengths: set) -> None:
     if len(lengths) > 1:
         raise ValueError(f"cannot write {path}: columns differ in length {sorted(lengths)}")
-    n_rows = max(lengths, default=0)
-    layout = _Layout([np.asarray(column) for column in columns], n_rows) if n_rows else None
-    with open(path, "wb") as handle:
-        if preamble:
-            handle.write(f"{preamble}\n".encode())
-        # every row starts with its newline, so the file's last one comes after
-        handle.write(header.encode())
-        if layout is not None:
-            for start in range(0, n_rows, layout.rows):
-                handle.write(_format_block(layout, start, min(start + layout.rows, n_rows)))
-        handle.write(b"\n")
 
 
 def _re_im(labels, values) -> tuple[str, list]:
@@ -417,15 +520,28 @@ def write_identity_csv(path, report: MemoryIdentityReport) -> None:
     _write_columns(path, "t,lhs,rhs,residual", columns)
 
 
-def write_density_csv(path, densities: DensitySeries, times: np.ndarray) -> None:
-    """Upper triangle in row-major order, dimension declared in a comment line."""
+def write_density_csv(path, densities, times: np.ndarray) -> None:
+    """Upper triangle in row-major order, dimension declared in a comment line.
+
+    ``densities`` is a ``DensitySeries``, one chunk, or a stream of one such
+    as ``density._LindbladStream``, written a chunk at a time: it has ``dim``,
+    ``basis`` and a length, and each iteration yields ``(rows, part)`` pairs,
+    ``part`` the series of the states ``rows``, in order (:func:`_write_chunks`).
+    """
+    _check_lengths(path, {len(densities), len(times)})
     dim = densities.dim
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
-    header, columns = _re_im(
-        [f"{i}{j}" for i, j in pairs], [densities.matrices[:, i, j] for i, j in pairs]
-    )
+    labels = [f"{i}{j}" for i, j in pairs]
+    header, _ = _re_im(labels, ())
+    chunks = [(slice(None), densities)] if isinstance(densities, DensitySeries) else densities
+
+    def source():
+        for rows, part in chunks:
+            _, columns = _re_im(labels, [part.matrices[:, i, j] for i, j in pairs])
+            yield [times[rows], *columns]
+
     preamble = f"# dim={dim}, basis={','.join(densities.basis)}"
-    _write_columns(path, "t," + header, [times, *columns], preamble)
+    _write_chunks(path, "t," + header, source, preamble)
 
 
 def write_ensemble_csv(path, ens: Ensemble) -> None:

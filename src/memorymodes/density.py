@@ -13,7 +13,8 @@ last two axes, so one implementation serves a single state and a series.
 Whole-series operations (validation, spectra, invariant checks, the
 Lindblad fill, the carrier phase) run over chunks of ``_CHUNK_BYTES`` of
 matrices, so their scratch stays fixed while the series grows; the stacks
-the library builds become series without a copy. A spectrum
+the library builds become series without a copy. A Lindblad series can
+also be streamed, never held whole (:class:`_LindbladStream`). A spectrum
 (``_spectrum``) of 2x2 matrices takes a closed form, and larger matrices
 go to ``eigvalsh``.
 
@@ -45,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .amplitudes import AmplitudeTrajectory, _propagate_constant
+from .amplitudes import AmplitudeTrajectory, _ladder, _ladder_chunks
 from .errors import InvalidRates, SectorLeak
 from .models import PseudomodeSector, TimeGrid
 from .rates import RateTrajectory
@@ -93,15 +94,11 @@ def _chunks(n: int, dim: int) -> list[slice]:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
-def _expanding_chunks(n: int, dim: int) -> list[slice]:
-    """Consecutive slices [a, b) of ``range(1, n)`` of at most ``_chunk_rows(dim)``
-    matrices with b <= 2a: 1, 2, 4, ... matrices until they reach that size."""
-    rows, start, out = _chunk_rows(dim), 1, []
-    while start < n:
-        stop = min(start + min(start, rows), n)
-        out.append(slice(start, stop))
-        start = stop
-    return out
+def _stream_rows(dim: int) -> int:
+    """Rows per chunk of a Lindblad stream: the largest power of two at most half of
+    ``_chunk_rows(dim)``, at least one, so that a chunk's states and the scratch of
+    its checks take about 1.5 MiB together."""
+    return 1 << max(0, (_chunk_rows(dim) // 2).bit_length() - 1)
 
 
 def _checked(mat: np.ndarray, ndim: int, expected: str) -> np.ndarray:
@@ -296,23 +293,22 @@ def _invariant_defects(matrices: np.ndarray, eigs: np.ndarray) -> dict[str, floa
     """
     dim = matrices.shape[-1]
     stack = matrices.reshape(-1, dim, dim)
-    rows, cols = np.triu_indices(dim, 1)
-    gaps, traces = [], []
-    for span in _chunks(len(stack), dim):
-        chunk = stack[span]
-        pairs = chunk[:, cols, rows]
-        np.conjugate(pairs, out=pairs)
-        np.subtract(chunk[:, rows, cols], pairs, out=pairs)
-        diagonal = np.diagonal(chunk, axis1=-2, axis2=-1).imag
-        gaps.append(max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diagonal))))
-        trace = np.trace(chunk, axis1=-2, axis2=-1)
-        traces.append(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
+    gaps, traces = zip(*(_gap_and_trace(stack[rows]) for rows in _chunks(len(stack), dim)))
     # finite entries give no NaN, so the builtin max is the worst chunk's
-    return {
-        "hermiticity": float(max(gaps)),
-        "trace": float(max(traces)),
-        "min_eigenvalue": float(eigs.min()),
-    }
+    return {"hermiticity": max(gaps), "trace": max(traces), "min_eigenvalue": float(eigs.min())}
+
+
+def _gap_and_trace(chunk: np.ndarray) -> tuple[float, float]:
+    """The worst hermiticity gap and trace deviation of the ``(n, d, d)`` stack ``chunk``."""
+    dim = chunk.shape[-1]
+    rows, cols = np.triu_indices(dim, 1)
+    pairs = chunk[:, cols, rows]
+    np.conjugate(pairs, out=pairs)
+    np.subtract(chunk[:, rows, cols], pairs, out=pairs)
+    diagonal = np.diagonal(chunk, axis1=-2, axis2=-1).imag
+    gap = max(np.max(np.abs(pairs)), 2.0 * np.max(np.abs(diagonal)))
+    trace = np.trace(chunk, axis1=-2, axis2=-1)
+    return float(gap), float(np.max(np.abs(trace.real - 1.0) + np.abs(trace.imag)))
 
 
 def _ground_population(matrices: np.ndarray) -> np.ndarray:
@@ -403,10 +399,15 @@ def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> Density
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")
     _check_hermitian(rho0)
-    exponent = _rate_integral(rates)
+    return DensitySeries._adopt(_timelocal_entries(rho0, _rate_integral(rates)))
+
+
+def _timelocal_entries(rho0: DensityMatrix, exponent: np.ndarray) -> np.ndarray:
+    """Emitter entries of the time-local route from ``rho0`` at the points of the rate
+    integral values ``exponent``, each a function of its own point."""
     ee = rho0.matrix[1, 1].real * np.exp(-exponent.real)
     coherence = rho0.matrix[1, 0] * np.exp(-0.5 * exponent)
-    return DensitySeries._adopt(_emitter_entries(1.0 - ee, ee, coherence))
+    return _emitter_entries(1.0 - ee, ee, coherence)
 
 
 def evolve_lindblad_sector(
@@ -414,41 +415,68 @@ def evolve_lindblad_sector(
 ) -> DensitySeries:
     """Evolve the emitter+modes state with one leakage channel per mode, rotating frame.
 
-    The constant Liouvillian is stepped exactly, by
-    ``amplitudes._propagate_constant``, in the real coordinates of rho (the
-    diagonal, then Re and Im of the upper triangle), so every state is
-    exactly Hermitian. A mode with a zero leak rate keeps its channel.
-
-    The d*d real coordinates of a state take half the bytes of its complex
-    matrix, so the propagator writes them into the first half of the
-    returned stack itself, and the states are expanded in place from them
-    over the chunks of :func:`_expanding_chunks`, the last first: the states
-    [a, b) of a chunk, b <= 2a, overwrite coordinate rows [2a, 2b), which the
-    chunks after it have read and the chunks before it do not read. State 0
-    comes last, from a copy of its row. Each chunk has the bits of one
-    product of the whole stack.
+    The constant Liouvillian is stepped exactly, by the doubling ladder of
+    ``amplitudes``, in the real coordinates of rho (the diagonal, then Re and
+    Im of the upper triangle), so every state is exactly Hermitian. A mode
+    with a zero leak rate keeps its channel. The stack is filled a chunk at a
+    time from the coordinates of :class:`_LindbladStream`, so the states have
+    its bits and no whole coordinate series is held beside them.
     """
-    n, dim = grid.n_steps, sector.n_modes + 2
-    if rho0.dim != dim:
-        raise SectorLeak(
-            f"a {sector.n_modes}-mode sector acts on dimension {dim}, got dim {rho0.dim}"
-        )
-    _check_hermitian(rho0)
-    generator, x0 = _coordinate_problem(sector, rho0.matrix)
-    flat = None
+    stream = _LindbladStream(sector, rho0, grid)
+    dim = stream.dim
+    flat = np.empty((len(stream), dim * dim), dtype=complex)
+    for rows, coords in stream.coordinates():
+        stream.expand(coords, flat[rows])
+    return DensitySeries._adopt(flat.reshape(-1, dim, dim))
 
-    def in_stack(shape, dtype):
-        nonlocal flat
-        flat = np.empty((n, dim * dim), dtype=complex)
-        return flat.reshape(-1).view(float)[: n * dim * dim].reshape(shape)
 
-    coords = _propagate_constant(generator, x0, grid, in_stack)
-    basis = _coordinate_basis(dim)
-    first = coords[:1].copy()
-    for rows in reversed(_expanding_chunks(n, dim)):
-        np.matmul(coords[rows], basis.T, out=flat[rows])
-    np.matmul(first, basis.T, out=flat[:1])
-    return DensitySeries._adopt(flat.reshape(n, dim, dim))
+class _LindbladStream:
+    """The states of :func:`evolve_lindblad_sector`, made a chunk at a time and never held
+    whole; each iteration makes them anew.
+
+    The propagators of the coordinates' doubling ladder are computed once, when
+    the stream is built, which also refuses a state of the wrong dimension or
+    one that is not Hermitian. Iterating yields ``(rows, part)`` over chunks of
+    ``_stream_rows(dim)`` states, ``part`` the ``DensitySeries`` of the states
+    ``rows``, checked finite as every series is.
+    """
+
+    def __init__(self, sector: PseudomodeSector, rho0: DensityMatrix, grid: TimeGrid):
+        self.dim = sector.n_modes + 2
+        if rho0.dim != self.dim:
+            raise SectorLeak(
+                f"a {sector.n_modes}-mode sector acts on dimension {self.dim}, got dim {rho0.dim}"
+            )
+        _check_hermitian(rho0)
+        generator, self._x0 = _coordinate_problem(sector, rho0.matrix)
+        self._propagators = _ladder(generator, grid)
+        self._n = grid.n_steps
+        self._basis = _coordinate_basis(self.dim)
+
+    @property
+    def basis(self) -> tuple[str, ...]:
+        return basis_labels(self.dim)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def coordinates(self):
+        """Yield ``(rows, coordinates)`` of the states ``rows``, chunk by chunk."""
+        chunks = _ladder_chunks(self._propagators, self._x0, self._n, _stream_rows(self.dim))
+        for start, coords in chunks:
+            yield slice(start, start + len(coords)), coords
+
+    def expand(self, coords: np.ndarray, out: np.ndarray) -> None:
+        """Write the row-major states of the rows ``coords`` of coordinates into ``out``."""
+        # cast first: a real-by-complex matmul takes a loop 3x slower, with these bits
+        np.matmul(coords.astype(complex), self._basis.T, out=out)
+
+    def __iter__(self):
+        dim = self.dim
+        for rows, coords in self.coordinates():
+            flat = np.empty((len(coords), dim * dim), dtype=complex)
+            self.expand(coords, flat)
+            yield rows, DensitySeries._adopt(flat.reshape(-1, dim, dim))
 
 
 def _coordinate_basis(dim: int) -> np.ndarray:
@@ -549,12 +577,16 @@ def atom_density_from_amplitudes(traj: AmplitudeTrajectory) -> DensitySeries:
     ``traj.vacuum``: the norm lost by the amplitude vector accumulates in the
     ground population.
     """
-    c1 = traj.c1
+    return DensitySeries._adopt(_amplitude_entries(traj.c1, traj.vacuum))
+
+
+def _amplitude_entries(c1: np.ndarray, vacuum: float) -> np.ndarray:
+    """Emitter entries of the pure states with excited amplitudes ``c1`` and vacuum
+    amplitude ``vacuum``, each a function of its own amplitude."""
     # hypot then pow rounds like the scalar abs(c1) ** 2; np.abs(c1) ** 2 can
     # differ in the last bit
     ee = np.float_power(np.hypot(c1.real, c1.imag), 2.0)
-    coh = c1 * np.conj(complex(traj.vacuum))
-    return DensitySeries._adopt(_emitter_entries(1.0 - ee, ee, coh))
+    return _emitter_entries(1.0 - ee, ee, c1 * np.conj(complex(vacuum)))
 
 
 def _extended_vectors(states: np.ndarray, vacuum: float) -> np.ndarray:
@@ -637,14 +669,29 @@ def _certified_defects(
     (:func:`_rank_two_spectra`). So ``min_eigenvalue`` is the lower bound
     min_k (lambda_min(k) - delta_k), up to the rounding of both terms.
     """
-    states, vacuum = traj.states, traj.vacuum
-    bounds, distance = [], 0.0
-    for rows in _chunks(len(series), series.dim):
-        smaller = next(_rank_two_spectra(states[rows], vacuum))[:, 0]
-        distances = _distances(series.matrices[rows], _extended_vectors(states[rows], vacuum))
-        bounds.append(np.min(np.minimum(smaller, 0.0) - distances))
-        distance = max(distance, float(distances.max()))
-    return _invariant_defects(series.matrices, np.array(bounds)), distance
+    vacuum = traj.vacuum
+    return _certificate(
+        _certified_terms(series.matrices[rows], traj.states[rows], vacuum)
+        for rows in _chunks(len(series), series.dim)
+    )
+
+
+def _certified_terms(matrices: np.ndarray, states: np.ndarray, vacuum: float):
+    """The terms of :func:`_certified_defects` on the Lindblad states ``matrices`` of the
+    amplitude vectors ``states``: their hermiticity gap and trace deviation, the
+    bound min_k (lambda_min(k) - delta_k) and max_k delta_k."""
+    smaller = next(_rank_two_spectra(states, vacuum))[:, 0]
+    distances = _distances(matrices, _extended_vectors(states, vacuum))
+    bound = float(np.min(np.minimum(smaller, 0.0) - distances))
+    return *_gap_and_trace(matrices), bound, float(distances.max())
+
+
+def _certificate(terms) -> tuple[dict[str, float], float]:
+    """The defects and the largest distance of :func:`_certified_defects` from the
+    :func:`_certified_terms` of every chunk of a series."""
+    gaps, traces, bounds, distances = zip(*terms)
+    defects = {"hermiticity": max(gaps), "trace": max(traces), "min_eigenvalue": min(bounds)}
+    return defects, max(distances)
 
 
 def _distances(matrices: np.ndarray, phi: np.ndarray) -> np.ndarray:

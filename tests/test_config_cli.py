@@ -134,13 +134,13 @@ class TestRun:
         assert listed == present
 
     def test_evolve_holds_one_extended_series_at_a_time(self, tmp_path):
-        # the 4 MiB joint stack of bandgap at 16 000 points is written, checked
-        # and traced before the amplitude and time-local routes are built
+        # the 4 MiB joint series of bandgap at 16 000 points is streamed, never
+        # held whole, and the emitter routes are built one at a time
         parsed = validate_config(REPO_ROOT / "configs" / "bandgap.cfg")
         grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, 16_000)
         config = RunConfig("evolve", parsed.model, grid, tmp_path / "out")
         manifest, peak, _ = traced_peak(lambda: run(config))
-        assert peak < 8.5, peak
+        assert peak < 5.0, peak
         assert manifest.entries["artifacts"] == ",".join(
             f"density_{name}.csv" for name in ("amplitude", "timelocal", "extended", "traced")
         )
@@ -351,8 +351,75 @@ class TestRun:
         assert main(["evolve", "--config", str(preset), "--out", str(out)]) == 4
         assert "rate series is invalid at t=" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
-        # the time-local route refuses before the Lindblad fill, so no file is written
+        # the time-local route refuses before any Lindblad work, so no file is written
         assert list(out.glob("density_extended.csv*")) == []
+
+    @pytest.mark.parametrize(
+        "reservoir, n_steps, per_point",
+        [("bandgap", (16_000, 64_000), 256), ("lone_peaks_10", (4_000, 16_000), 512)],
+    )
+    def test_evolve_memory_grows_little_with_the_grid(self, reservoir, n_steps, per_point, tmp_path):
+        # the extended series is streamed, so evolve's peak grows by the emitter
+        # series and the amplitude solution alone: measured 199 and 250 bytes per
+        # added point. Holding the (n, d, d) stack it grew by 464 on bandgap and
+        # by 2625 on ten lone peaks (d = 12, scripts/peak_memory.py's reservoir)
+        # from 16 000 to 64 000 points; the lone peaks take a shorter range here,
+        # as 64 000 points of them run for 10 s under tracemalloc
+        if reservoir == "bandgap":
+            model = validate_config(REPO_ROOT / "configs" / "bandgap.cfg").model
+        else:
+            model = Reservoir(0.0, 0.8, tuple(
+                (1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / 9) for k in range(10)
+            ))
+        peaks = []
+        for n in n_steps:
+            config = RunConfig("evolve", model, TimeGrid(0.0, 10.0, n), tmp_path / f"out{n}")
+            _, peak, _ = traced_peak(lambda: run(config))
+            peaks.append(peak * 2**20)
+        growth = (peaks[1] - peaks[0]) / (n_steps[1] - n_steps[0])
+        assert growth <= per_point, growth
+
+    def test_a_non_finite_chunk_mid_stream_leaves_a_closed_partial(self, tmp_path, monkeypatch, capsys):
+        import builtins
+
+        import memorymodes.cli as cli_module
+        import memorymodes.csvio as csvio
+        from memorymodes.density import _LindbladStream
+
+        preset = REPO_ROOT / "configs" / "bandgap.cfg"
+        reference = tmp_path / "reference"
+        assert main(["evolve", "--config", str(preset), "--out", str(reference)]) == 0
+        out = tmp_path / "out"
+        extended = out / "density_extended.csv"
+
+        class Poisoned(_LindbladStream):
+            # a chunk past the first turns non-finite once density_extended.csv is open
+            def coordinates(self):
+                for rows, coords in super().coordinates():
+                    if rows.start and extended.exists():
+                        coords = np.full_like(coords, np.nan)
+                    yield rows, coords
+
+        handles = []
+
+        def recorded(*args, **kwargs):
+            handle = builtins.open(*args, **kwargs)
+            handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(cli_module, "evolve_lindblad_single", Poisoned)
+        monkeypatch.setattr(csvio, "open", recorded, raising=False)
+        assert main(["evolve", "--config", str(preset), "--out", str(out)]) == 1
+        assert "matrix entries must be finite" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+        assert (out / "density_extended.csv.partial").exists() and not extended.exists()
+        assert handles and all(handle.closed for handle in handles)
+        # what was written before the bad chunk is the start of the good file
+        partial = (out / "density_extended.csv.partial").read_bytes()
+        complete = (reference / "density_extended.csv").read_bytes()
+        assert complete.startswith(partial)
+        # the comment line, the header and every row before the bad chunk's block
+        assert 0 < partial.count(b"\n") - 1 < 4000
 
     def test_stochastic_runs_need_members(self, tmp_path):
         with pytest.raises(ValueError, match="n_members"):

@@ -331,7 +331,7 @@ def assert_python_text(path, header: str, columns) -> None:
 
 def block_rows(columns) -> int:
     """Rows per formatting block of a file of ``columns``, however long."""
-    return csvio._Layout(columns, 10**9).rows
+    return csvio._Layout(csvio._statistics([columns]), 10**9).rows
 
 
 def mixed_columns(n: int, kind: str, position: int) -> list[np.ndarray]:
@@ -383,14 +383,14 @@ def test_block_join_allocates_its_output_and_no_index(monkeypatch):
     # one full block of 17-digit cells, its byte rows and masks filled by a first pass
     rng = np.random.default_rng(17)
     columns = list(rng.standard_normal((4, block_rows(list(np.ones((4, 1)))))))
-    layout = csvio._Layout(columns, len(columns[0]))
-    first = csvio._format_block(layout, 0, layout.rows)
+    layout = csvio._Layout(csvio._statistics([columns]), len(columns[0]))
+    first = csvio._format_block(layout, columns)
     parts = csvio._float_parts(layout.values)
     monkeypatch.setattr(csvio, "_float_parts", lambda values: parts)
     monkeypatch.setattr(csvio, "_cell_rows", lambda *args: None)
     tracemalloc.start()
     try:
-        joined = csvio._format_block(layout, 0, layout.rows)
+        joined = csvio._format_block(layout, columns)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -450,3 +450,29 @@ def test_widest_file_scratch_is_bounded(tmp_path):
     # most of the rest the temporaries of its 3938 formatted cells. Blocks of
     # 16 384 cells would take 4.1 MiB
     assert peak <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("sizes", [[1], [5, 1, 7], [0, 3, 0, 4], [-1, 2], [1, -1], [-1, 1, 1, 3]])
+def test_chunked_rows_equal_whole_columns(sizes, tmp_path):
+    # a file written from a row source of several chunks has the bytes of its
+    # whole columns: blocks may span chunks, and the layout's statistics come
+    # from every chunk. A size of -1 is one block less a row
+    block = block_rows([np.ones(4)] * 4 + [np.zeros(4)] * 2)
+    sizes = [block - 1 if size < 0 else size for size in sizes]
+    n = sum(sizes)
+    late = np.arange(n) >= n - 1
+    columns = [
+        np.linspace(0.0, 1.0, n),
+        np.where(late, 0.25, 0.0),  # zero but for its last cell
+        np.where(late, -0.0, 0.0),  # signs vary in the last cell only
+        np.where(late, 2**62, 3).astype(np.int64),  # reaches 2**53 in the last cell
+        np.resize(SPECIAL, n),
+        np.zeros(n),
+    ]
+    edges = np.cumsum([0, *sizes])
+    chunks = [[column[a:b] for column in columns] for a, b in zip(edges[:-1], edges[1:])]
+    chunked, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
+    csvio._write_chunks(chunked, "h", lambda: iter(chunks), None)
+    _write_columns(whole, "h", columns)
+    assert chunked.read_bytes() == whole.read_bytes()
+    assert_python_text(chunked, "h", columns)

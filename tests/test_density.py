@@ -27,7 +27,8 @@ from memorymodes import (
     validate_config,
 )
 from memorymodes import density
-from memorymodes.density import _chunk_rows, _chunks, _expanding_chunks, _spectrum
+from memorymodes.amplitudes import _propagate_constant
+from memorymodes.density import _chunk_rows, _chunks, _spectrum, _stream_rows
 from memorymodes import mutual_information, von_neumann_entropy
 from memorymodes.density import sector_hamiltonian
 from conftest import max_entry_diff, traced_peak
@@ -739,41 +740,48 @@ class TestChunkEdges:
         }
 
     @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap", "four_lone_peaks"])
-    def test_lindblad_fill_is_one_product(self, preset, monkeypatch):
+    def test_lindblad_fill_is_one_product(self, preset):
+        # the stack, filled a stream chunk at a time, has the bits of the whole
+        # coordinate fill expanded by one product
         sector = lindblad_sector(preset)
         dim = sector.n_modes + 2
-        chunk = _chunk_rows(dim)
-        coords = []
-        propagate = density._propagate_constant
-
-        def keep(generator, x0, grid, empty):
-            rows = propagate(generator, x0, grid, empty)
-            # the states are expanded over the coordinates in place
-            coords.append(rows.copy())
-            return rows
-
-        monkeypatch.setattr(density, "_propagate_constant", keep)
+        chunk = _stream_rows(dim)
         # the coordinates' basis: the diagonal, then Re and Im of the upper triangle
         rows, cols = np.triu_indices(dim, 1)
         unit = np.eye(dim * dim)
         upper, lower = unit[rows * dim + cols], unit[cols * dim + rows]
         basis = np.concatenate([unit[:: dim + 1], upper + lower, 1j * (upper - lower)]).T
-        for n in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 2**14 + 1):
+        generator, x0 = density._coordinate_problem(sector, DensityMatrix.excited(dim).matrix)
+        for n in (2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 3 * chunk + 1, 2**14 + 1):
             grid = TimeGrid(0.0, 10.0, n)
             got = evolve_lindblad_sector(sector, DensityMatrix.excited(dim), grid).matrices
-            expected = (coords.pop() @ basis.T).reshape(-1, dim, dim)
+            expected = (_propagate_constant(generator, x0, grid) @ basis.T).reshape(-1, dim, dim)
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), n
 
-    @pytest.mark.parametrize("dim", [3, 4, 6, 12])
-    @pytest.mark.parametrize("n", [2, 3, 1000, 2**14 + 1, 64_000])
-    def test_in_place_expansion_reads_each_row_before_it_is_overwritten(self, n, dim):
-        chunks = _expanding_chunks(n, dim)
-        assert [rows.start for rows in chunks] == [1] + [rows.stop for rows in chunks[:-1]]
-        assert chunks[-1].stop == n
-        for rows in chunks:
-            # states [a, b) land on coordinate rows [2a, 2b), disjoint from the rows [a, b) read
-            assert rows.start < rows.stop <= 2 * rows.start
-            assert rows.stop - rows.start <= _chunk_rows(dim)
+    @pytest.mark.parametrize("preset", ["fig2", "bandgap", "four_lone_peaks"])
+    def test_stream_chunks_are_the_series(self, preset):
+        # each pass over the stream yields consecutive chunks of _stream_rows
+        # states, checked series with the bits of the filled stack
+        sector = lindblad_sector(preset)
+        dim = sector.n_modes + 2
+        chunk = _stream_rows(dim)
+        grid = TimeGrid(0.0, 10.0, 3 * chunk + 5)
+        stream = density._LindbladStream(sector, DensityMatrix.excited(dim), grid)
+        whole = evolve_lindblad_sector(sector, DensityMatrix.excited(dim), grid).matrices
+        for _ in range(2):
+            spans, parts = zip(*stream)
+            assert [(rows.start, rows.stop) for rows in spans] == [
+                (0, chunk), (chunk, 2 * chunk), (2 * chunk, 3 * chunk), (3 * chunk, 3 * chunk + 5)
+            ]
+            assert all(isinstance(part, DensitySeries) and part.dim == dim for part in parts)
+            got = np.concatenate([part.matrices for part in parts])
+            assert np.array_equal(got.view(np.int64), whole.view(np.int64))
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 6, 12, 200, 400])
+    def test_stream_rows_are_a_power_of_two_within_half_a_chunk(self, dim):
+        rows = _stream_rows(dim)
+        assert rows & (rows - 1) == 0
+        assert rows <= max(1, _chunk_rows(dim) // 2) < 2 * rows
 
 
 def lindblad_sector(preset):
@@ -787,9 +795,9 @@ def lindblad_sector(preset):
 def test_lindblad_scratch_is_bounded():
     """The Lindblad fill holds at most 1.5 MiB beside the stack it returns.
 
-    The real coordinates live in the stack's own buffer, and its propagator
-    ladder is freed before the stack is taken, so the scratch does not grow
-    with the grid (``bandgap``, 16 000 and 64 000 points).
+    The real coordinates are made and expanded a stream chunk at a time, so
+    the scratch does not grow with the grid (``bandgap``, 16 000 and 64 000
+    points).
     """
     sector = lindblad_sector("bandgap")
     for n_steps in (16_000, 64_000):

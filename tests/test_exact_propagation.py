@@ -28,7 +28,7 @@ from memorymodes import (
     validate_config_text,
 )
 from memorymodes import density
-from memorymodes.amplitudes import _norm1, _propagate_constant, expm
+from memorymodes.amplitudes import _ladder, _ladder_chunks, _norm1, _propagate_constant, expm
 from memorymodes.cli import EXPERIMENTS, main
 from conftest import expm_oracle
 
@@ -108,11 +108,11 @@ def test_expm_is_exact_on_a_liouvillian_ladder(fig2_model, fig2_grid, monkeypatc
     # the real coordinate generator that the Lindblad route hands to the propagator
     seen = []
 
-    def spy(generator, x0, grid, empty):
+    def spy(generator, grid):
         seen.append(generator)
-        return _propagate_constant(generator, x0, grid, empty)
+        return _ladder(generator, grid)
 
-    monkeypatch.setattr(density, "_propagate_constant", spy)
+    monkeypatch.setattr(density, "_ladder", spy)
     evolve_lindblad_sector(fig2_model.sector, DensityMatrix.excited(3), fig2_grid)
     (generator,) = seen
     assert generator.dtype == float and generator.shape == (9, 9)
@@ -173,11 +173,11 @@ def test_expm_keeps_the_off_diagonal_of_triangular_input(matrix):
 def test_a_real_config_reaches_a_triangular_lindblad_generator(monkeypatch):
     seen = []
 
-    def spy(generator, x0, grid, empty):
+    def spy(generator, grid):
         seen.append(generator)
-        return _propagate_constant(generator, x0, grid, empty)
+        return _ladder(generator, grid)
 
-    monkeypatch.setattr(density, "_propagate_constant", spy)
+    monkeypatch.setattr(density, "_ladder", spy)
     parsed = validate_config_text(TRIANGULAR_CONFIG)
     evolve_lindblad_sector(parsed.model.sector, DensityMatrix.excited(3), parsed.grid)
     (generator,) = seen
@@ -206,3 +206,66 @@ def test_overflowing_coupled_propagator_raises_tolerance_error():
     generator = np.array([[800.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ToleranceNotMet, match="not finite"):
         _propagate_constant(generator, np.array([1.0 + 0j, 0j]), TimeGrid(0.0, 1.0, 2))
+
+
+def lone_peaks(n_peaks):
+    """``n_peaks`` lone Lorentzians over [-2, 2], as ``scripts/peak_memory.py`` builds them."""
+    return Reservoir(0.0, 0.8, tuple(
+        (1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / (n_peaks - 1)) for k in range(n_peaks)
+    ))
+
+
+def ladder_problem(reservoir, kind):
+    """The generator and start of the Lindblad coordinates from |e>, or of the amplitudes."""
+    if reservoir.startswith("lone_peaks_"):
+        sector = lone_peaks(int(reservoir.rsplit("_", 1)[1])).sector
+    else:
+        sector = validate_config(CONFIG_DIR / f"{reservoir}.cfg").model.sector
+    if kind == "amplitudes":
+        x0 = np.zeros(sector.n_modes + 1, dtype=complex)
+        x0[0] = 1.0
+        return mode_generator(sector), x0
+    return density._coordinate_problem(sector, DensityMatrix.excited(sector.n_modes + 2).matrix)
+
+
+#: grid lengths relative to the chunk size c: n = 2, below one chunk, one and a
+#: half chunks, a last chunk of one row after a start with two set bits, and
+#: one row past a power of two
+CHUNK_GRIDS = {"two": lambda c: 2, "below": lambda c: c - 1, "half": lambda c: c + c // 2,
+               "one_row": lambda c: 3 * c + 1, "power_plus_one": lambda c: 4 * c + 1}
+
+
+@pytest.mark.parametrize("size", [16, 256, 1024])
+@pytest.mark.parametrize("kind", ["coordinates", "amplitudes"])
+@pytest.mark.parametrize(
+    "reservoir", ["fig2", "bandgap", "perfect_gap", "lone_peaks_3", "lone_peaks_10"]
+)
+@pytest.mark.parametrize("n", [1000, 4000, 16_000, *CHUNK_GRIDS])
+def test_ladder_chunks_have_the_bits_of_the_whole_fill(n, reservoir, kind, size):
+    n = CHUNK_GRIDS[n](size) if n in CHUNK_GRIDS else n
+    generator, x0 = ladder_problem(reservoir, kind)
+    grid = TimeGrid(0.0, 10.0, n)
+    whole = _propagate_constant(generator, x0, grid)
+    chunks = list(_ladder_chunks(_ladder(generator, grid), x0, n, size))
+    assert [start for start, _ in chunks] == list(range(0, n, size))
+    assert all(len(rows) == min(size, n - start) for start, rows in chunks)
+    got = np.concatenate([rows for _, rows in chunks])
+    assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "reservoir, calls",
+    [("fig2", 1), ("bandgap", 1), ("perfect_gap", 1), ("lone_peaks_3", 1), ("lone_peaks_10", 14)],
+)
+def test_ladder_is_exponentiated_in_byte_bounded_batches(reservoir, calls, monkeypatch):
+    # the presets' and three peaks' ladders take one expm call, ten peaks' 144x144
+    # Liouvillian one call per matrix; the bits are those of one call
+    from memorymodes import amplitudes
+
+    generator, _ = ladder_problem(reservoir, "coordinates")
+    grid = TimeGrid(0.0, 10.0, 16_000)
+    seen = []
+    monkeypatch.setattr(amplitudes, "expm", lambda a: seen.append(len(a)) or expm(a))
+    propagators = _ladder(generator, grid)
+    assert len(seen) == calls and sum(seen) == len(propagators) == 14
+    assert np.array_equal(propagators.view(np.uint64), expm(ladder(generator, grid)).view(np.uint64))
