@@ -36,22 +36,23 @@ pseudomode sector, every vacuum/one-excitation coherence and the imaginary
 part of every population), skips the digits: each of its cells is ",0" or
 ",-0", and where its signs vary ",-0" with the sign kept only where the
 sign bit is set. These bytes follow the 48 bytes of the formatted cell
-before them, in a row that every formatted cell of the file widens to hold
+before them, in a row that every formatted cell of the layout widens to hold
 the longest such run.
 
-What does not depend on the cells is built once per file (``_Layout``):
+What does not depend on the cells is built once per layout (``_Layout``):
 the split of the columns and the byte rows and masks with every constant
 byte in place, so a block pays only for its cells. A block holds as many
 rows as fit 4096 * 48 template bytes, counting 48 per formatted cell and
 2 or 3 per zero cell: 4096 cells when no column is zero, more rows when
 some are.
 
-A file's rows come from a row source, chunks of consecutive rows (whole
-arrays are one chunk), so a series that is never held whole can be written
-(:func:`_write_chunks`). The layout is built from the first chunk, and
-every later chunk must keep its zero columns zero, with their signs; one
-that does not makes the file be written again, from a layout of every
-chunk.
+A file's rows come in chunks of consecutive rows, read once (whole arrays
+are one chunk), so a series that is never held whole can be written as it
+is made (:func:`_write_chunks`). Each chunk is written with the layout of
+its own columns: which are zero, with which signs, and which integers reach
+2**53. A new layout is built only for a chunk whose columns differ in these
+from the chunk before it. Every layout writes a cell as Python would, so a
+file's bytes do not depend on how its rows are chunked.
 """
 
 from __future__ import annotations
@@ -284,41 +285,28 @@ def _cell_rows(rows, mask, negative, digits, exponent, first) -> None:
     _MASKS.take(state, axis=0, out=mask, mode="clip")
 
 
-def _statistics(chunks) -> list | None:
-    """What the layout of a file needs of its columns, gathered from ``chunks``, lists of
-    equal-length columns (:func:`_gathered`); None for no rows."""
-    stats = None
-    for columns in chunks:
-        if len(columns[0]):
-            stats = _gathered(stats, columns)
-    return stats
-
-
-def _gathered(stats: list | None, columns) -> list:
-    """``stats`` with the rows of ``columns`` added, as new lists: per column whether it
-    is an integer column, whether a float column has a nonzero cell and, read
-    only while it has none, whether its cells have a sign bit set and whether
-    they all do, and whether an integer column reaches 2**53."""
-    if stats is None:
-        stats = [[column.dtype.kind in "biu", False, False, True, False] for column in columns]
-    stats = [list(stat) for stat in stats]
-    for column, stat in zip(columns, stats):
-        if stat[0]:
-            stat[4] |= max(-int(column.min()), int(column.max())) >= _EXACT_INT
-        elif not stat[1]:
-            # count_nonzero, unlike np.any, raises no warning on any NaN
-            if np.count_nonzero(column):
-                stat[1] = True
-            else:
-                signs = np.signbit(column)
-                stat[2] |= bool(signs.any())
-                stat[3] &= bool(signs.all())
-    return stats
+def _statistics(columns) -> tuple:
+    """Per column of a chunk, what its layout needs: whether it is an integer column,
+    whether a float column has a nonzero cell, whether a zero column has a sign
+    bit set and whether all do, and whether an integer column reaches 2**53.
+    Flags a column's kind leaves unread are False: equal tuples, equal layouts."""
+    stats = []
+    for column in columns:
+        if column.dtype.kind in "biu":
+            wide = max(-int(column.min()), int(column.max())) >= _EXACT_INT
+            stats.append((True, False, False, False, wide))
+        # count_nonzero, unlike np.any, raises no warning on any NaN
+        elif np.count_nonzero(column):
+            stats.append((False, True, False, False, False))
+        else:
+            signs = np.signbit(column)
+            stats.append((False, False, bool(signs.any()), bool(signs.all()), False))
+    return tuple(stats)
 
 
 class _Layout:
-    """The constants and buffers of one file, built once from its :func:`_statistics`
-    and shared by its blocks.
+    """The constants and buffers of the chunks of a file whose :func:`_statistics` are
+    ``stats``, sized for the first of them and shared by their blocks.
 
     Every column but those skipped as zero is formatted: the first, every
     integer column and every float column with a nonzero cell; ``formatted``
@@ -331,7 +319,8 @@ class _Layout:
     newline that starts each row.
     """
 
-    def __init__(self, stats, n_rows: int):
+    def __init__(self, stats: tuple, n_rows: int):
+        self.stats = stats
         self.formatted, self.integral, zero_runs, self.signs = [], [], [], []
         for j, (is_int, nonzero, any_negative, all_negative, _) in enumerate(stats):
             if j == 0 or is_int or nonzero:
@@ -407,82 +396,34 @@ def _format_block(layout: _Layout, columns) -> np.ndarray:
     return joined
 
 
-class _Misfit(Exception):
-    """A chunk of a file that the layout of its first chunk cannot write."""
+def _write_chunks(path, header: str, chunks, preamble: str | None) -> None:
+    """Write the rows of ``chunks``, lists of equal-length columns, under ``header``.
 
-
-def _write_chunks(path, header: str, source, preamble: str | None) -> None:
-    """Write the rows of the chunks of ``source()`` under ``header``.
-
-    ``source`` returns an iterator over lists of equal-length columns, the
-    file's rows in order. The file's layout is built from the
-    :func:`_statistics` of its first chunk with rows, and each later chunk
-    must fit it: a column that is zero so far must stay zero with the sign
-    bits it had, and an integer column must not reach 2**53 where it did not.
-    If one does not fit, the file is written again from the start, from two
-    more calls of ``source()``: one for the statistics of every chunk, one for
-    the rows. Integer and bool columns are written as ``'%d'`` writes them, the
-    rest as ``'%.17g'`` writes their doubles; the module docstring says how.
+    ``chunks`` is iterated once, and each chunk's rows are written before the
+    next chunk is asked for. A chunk is written in blocks of the layout of its
+    own :func:`_statistics`, built anew only where they differ from those of the
+    chunk before; no block spans two chunks. Integer and bool columns are
+    written as ``'%d'`` writes them, the rest as ``'%.17g'`` writes their
+    doubles, whatever the layout (the module docstring says how), so a file's
+    bytes do not depend on how its rows are chunked.
     """
     with open(path, "wb") as handle:
-        try:
-            _write_rows(handle, header, preamble, source(), None)
-        except _Misfit:
-            stats = _statistics(source())
-            handle.seek(0)
-            handle.truncate()
-            _write_rows(handle, header, preamble, source(), stats)
-
-
-def _write_rows(handle, header: str, preamble: str | None, chunks, stats) -> None:
-    """Write the file to ``handle`` with the layout of ``stats``, or of the first chunk
-    with rows where ``stats`` is None; ``_Misfit`` for a later chunk it cannot write."""
-    if preamble:
-        handle.write(f"{preamble}\n".encode())
-    # every row starts with its newline, so the file's last one comes after
-    handle.write(header.encode())
-    chunks = (columns for columns in chunks if len(columns[0]))
-    first = next(chunks, None)
-    if first is not None:
-        stats = stats or _statistics([first])
-        layout = _Layout(stats, len(first[0]))
-        for block in _blocks(_fitting(first, chunks, stats), layout.rows):
-            handle.write(_format_block(layout, block))
-    handle.write(b"\n")
-
-
-def _fitting(first, chunks, stats):
-    """Yield ``first``, then each of ``chunks`` whose statistics leave ``stats`` as they are;
-    ``_Misfit`` at the first that does not."""
-    yield first
-    for columns in chunks:
-        if _gathered(stats, columns) != stats:
-            raise _Misfit
-        yield columns
-
-
-def _blocks(chunks, size: int):
-    """The rows of ``chunks``, lists of equal-length columns, regrouped into lists of
-    columns of ``size`` rows, the last shorter: views of a chunk's columns, or
-    joined where a block spans two chunks."""
-    carry = None
-    for columns in chunks:
-        start, length = 0, len(columns[0])
-        if carry is not None:
-            start = min(size - len(carry[0]), length)
-            carry = [np.concatenate([old, new[:start]]) for old, new in zip(carry, columns)]
-            if len(carry[0]) < size:
+        if preamble:
+            handle.write(f"{preamble}\n".encode())
+        # every row starts with its newline, so the file's last one comes after
+        handle.write(header.encode())
+        layout = None
+        for columns in chunks:
+            n_rows = len(columns[0])
+            if not n_rows:
                 continue
-            yield carry
-        carry = None
-        while length - start >= size:
-            yield [column[start : start + size] for column in columns]
-            start += size
-        if start < length:
-            # copied, so that the chunk is freed before the next one is made
-            carry = [column[start:].copy() for column in columns]
-    if carry is not None:
-        yield carry
+            stats = _statistics(columns)
+            if layout is None or stats != layout.stats:
+                layout = _Layout(stats, n_rows)
+            for start in range(0, n_rows, layout.rows):
+                block = [column[start : start + layout.rows] for column in columns]
+                handle.write(_format_block(layout, block))
+        handle.write(b"\n")
 
 
 def _write_columns(path, header: str, columns, preamble: str | None = None) -> None:
@@ -490,8 +431,7 @@ def _write_columns(path, header: str, columns, preamble: str | None = None) -> N
     :func:`_write_chunks`. Raises ``ValueError`` before the file is opened when
     the columns differ in length."""
     _check_lengths(path, {len(column) for column in columns})
-    columns = [np.asarray(column) for column in columns]
-    _write_chunks(path, header, lambda: iter([columns]), preamble)
+    _write_chunks(path, header, [[np.asarray(column) for column in columns]], preamble)
 
 
 def _check_lengths(path, lengths: set) -> None:
@@ -524,24 +464,23 @@ def write_density_csv(path, densities, times: np.ndarray) -> None:
     """Upper triangle in row-major order, dimension declared in a comment line.
 
     ``densities`` is a ``DensitySeries``, one chunk, or a stream of one such
-    as ``density._LindbladStream``, written a chunk at a time: it has ``dim``,
-    ``basis`` and a length, and each iteration yields ``(rows, part)`` pairs,
-    ``part`` the series of the states ``rows``, in order (:func:`_write_chunks`).
+    as ``density._LindbladStream``, written a chunk at a time as it is made:
+    it has ``dim``, ``basis`` and a length, and its one iteration yields
+    ``(rows, part)`` pairs, ``part`` the series of the states ``rows``, in
+    order (:func:`_write_chunks`).
     """
     _check_lengths(path, {len(densities), len(times)})
     dim = densities.dim
     pairs = [(i, j) for i in range(dim) for j in range(i, dim)]
     labels = [f"{i}{j}" for i, j in pairs]
     header, _ = _re_im(labels, ())
-    chunks = [(slice(None), densities)] if isinstance(densities, DensitySeries) else densities
-
-    def source():
-        for rows, part in chunks:
-            _, columns = _re_im(labels, [part.matrices[:, i, j] for i, j in pairs])
-            yield [times[rows], *columns]
-
+    parts = [(slice(None), densities)] if isinstance(densities, DensitySeries) else densities
+    chunks = (
+        [times[rows], *_re_im(labels, [part.matrices[:, i, j] for i, j in pairs])[1]]
+        for rows, part in parts
+    )
     preamble = f"# dim={dim}, basis={','.join(densities.basis)}"
-    _write_chunks(path, "t," + header, source, preamble)
+    _write_chunks(path, "t," + header, chunks, preamble)
 
 
 def write_ensemble_csv(path, ens: Ensemble) -> None:

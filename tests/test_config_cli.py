@@ -384,7 +384,7 @@ class TestRun:
 
         import memorymodes.cli as cli_module
         import memorymodes.csvio as csvio
-        from memorymodes.density import _LindbladStream
+        from memorymodes.density import _LindbladStream, _stream_rows
 
         preset = REPO_ROOT / "configs" / "bandgap.cfg"
         reference = tmp_path / "reference"
@@ -418,8 +418,46 @@ class TestRun:
         partial = (out / "density_extended.csv.partial").read_bytes()
         complete = (reference / "density_extended.csv").read_bytes()
         assert complete.startswith(partial)
-        # the comment line, the header and every row before the bad chunk's block
-        assert 0 < partial.count(b"\n") - 1 < 4000
+        # the comment line, the header and every row of the chunk before the bad one
+        assert partial.count(b"\n") - 1 == _stream_rows(4)
+
+    @pytest.mark.parametrize(
+        "reservoir, n_steps",
+        [("fig2", 16_000), ("bandgap", 16_000), ("perfect_gap", 16_000),
+         ("lone_peaks_6", 4000), ("lone_peaks_10", 4000)],
+    )
+    def test_evolve_builds_one_layout_per_artifact(self, reservoir, n_steps, tmp_path, monkeypatch):
+        # every chunk of the streamed density_extended.csv asks for the layout of
+        # the first, so no file pays for a second one
+        import memorymodes.csvio as csvio
+
+        if reservoir.startswith("lone_peaks_"):
+            k = int(reservoir.rsplit("_", 1)[1])
+            model = Reservoir(0.0, 0.8, tuple(
+                (1.0 + 0.1 * j, 0.5 + 0.2 * j, -2.0 + 4.0 * j / (k - 1)) for j in range(k)
+            ))
+            grid = TimeGrid(0.0, 10.0, n_steps)
+        else:
+            parsed = validate_config(REPO_ROOT / "configs" / f"{reservoir}.cfg")
+            model = parsed.model
+            grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
+        layouts = {}
+        layout, write_chunks = csvio._Layout, csvio._write_chunks
+
+        def spy_write(path, *args):
+            layouts[Path(path).name] = 0
+            write_chunks(path, *args)
+
+        def spy_layout(*args):
+            layouts[list(layouts)[-1]] += 1
+            return layout(*args)
+
+        monkeypatch.setattr(csvio, "_write_chunks", spy_write)
+        monkeypatch.setattr(csvio, "_Layout", spy_layout)
+        out = tmp_path / "out"
+        manifest = run(RunConfig("evolve", model, grid, out))
+        assert sorted(layouts) == sorted(manifest.entries["artifacts"].split(","))
+        assert set(layouts.values()) == {1}, layouts
 
     def test_stochastic_runs_need_members(self, tmp_path):
         with pytest.raises(ValueError, match="n_members"):

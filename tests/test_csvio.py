@@ -8,8 +8,8 @@ are also compared with Python's own ``'%.17g'`` and ``'%d'`` over about a
 million values chosen to reach every branch of the numpy formatter, and
 files with columns of signed zeros, which skip that formatter, in every
 position and on both sides of a block edge. A file's bytes must not depend
-on how many rows a block holds, and writing the widest file has a bound on
-its scratch memory.
+on how many rows a block holds nor on how its rows are chunked, and writing
+the widest file has a bound on its scratch memory.
 """
 
 from __future__ import annotations
@@ -331,7 +331,7 @@ def assert_python_text(path, header: str, columns) -> None:
 
 def block_rows(columns) -> int:
     """Rows per formatting block of a file of ``columns``, however long."""
-    return csvio._Layout(csvio._statistics([columns]), 10**9).rows
+    return csvio._Layout(csvio._statistics(columns), 10**9).rows
 
 
 def mixed_columns(n: int, kind: str, position: int) -> list[np.ndarray]:
@@ -383,7 +383,7 @@ def test_block_join_allocates_its_output_and_no_index(monkeypatch):
     # one full block of 17-digit cells, its byte rows and masks filled by a first pass
     rng = np.random.default_rng(17)
     columns = list(rng.standard_normal((4, block_rows(list(np.ones((4, 1)))))))
-    layout = csvio._Layout(csvio._statistics([columns]), len(columns[0]))
+    layout = csvio._Layout(csvio._statistics(columns), len(columns[0]))
     first = csvio._format_block(layout, columns)
     parts = csvio._float_parts(layout.values)
     monkeypatch.setattr(csvio, "_float_parts", lambda values: parts)
@@ -452,15 +452,37 @@ def test_widest_file_scratch_is_bounded(tmp_path):
     assert peak <= 1.5 * 2**20
 
 
-@pytest.mark.parametrize("sizes", [[1], [5, 1, 7], [0, 3, 0, 4], [-1, 2], [1, -1], [-1, 1, 1, 3]])
-def test_chunked_rows_equal_whole_columns(sizes, tmp_path):
-    # a file written from a row source of several chunks has the bytes of its
-    # whole columns: blocks may span chunks, and the layout's statistics come
-    # from every chunk. A size of -1 is one block less a row
+def zero_pattern(column) -> str:
+    """How a chunk's column asks to be laid out: wide or narrow integers, nonzero
+    floats, or zeros with no, every or some sign bit set."""
+    if column.dtype.kind in "biu":
+        return "wide" if np.abs(column).max() >= 2**53 else "narrow"
+    if np.any(column != 0.0):
+        return "nonzero"
+    signs = np.signbit(column)
+    return "-" if signs.all() else "±" if signs.any() else "+"
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [[1], [5, 1, 7], [0, 3, 0, 4], [-1, 2], [1, -1], [-1, 1, 1, 3], [2, 3, 2], [2, -1, 1],
+     [1, 2, 3, 5, 4]],
+)
+def test_chunked_rows_equal_whole_columns(sizes, monkeypatch, tmp_path):
+    # a file written from a one-shot generator of chunks has the bytes of its
+    # whole columns, each chunk in the layout of its own statistics and no block
+    # spanning two chunks. A size of -1 is one block less a row, so in
+    # [2, -1, 1] the first chunk is shorter than a later one; in
+    # [1, 2, 3, 5, 4] the chunks of 3 and 5 rows ask for the same layout,
+    # built once and sized for the first of them, so the 5 go in blocks of 3
     block = block_rows([np.ones(4)] * 4 + [np.zeros(4)] * 2)
     sizes = [block - 1 if size < 0 else size for size in sizes]
     n = sum(sizes)
-    late = np.arange(n) >= n - 1
+    edges = np.cumsum([0, *sizes])
+    row = np.arange(n)
+    late = row >= n - 1
+    # the rows of the second chunk with rows
+    second = np.repeat(np.cumsum(np.array(sizes) > 0), sizes) == 2
     columns = [
         np.linspace(0.0, 1.0, n),
         np.where(late, 0.25, 0.0),  # zero but for its last cell
@@ -468,11 +490,24 @@ def test_chunked_rows_equal_whole_columns(sizes, tmp_path):
         np.where(late, 2**62, 3).astype(np.int64),  # reaches 2**53 in the last cell
         np.resize(SPECIAL, n),
         np.zeros(n),
+        np.where(row == 0, 0.5, 0.0),  # nonzero in the first chunk only
+        np.where(second, -0.0, 0.0),  # signs change in the second chunk and change back
     ]
-    edges = np.cumsum([0, *sizes])
     chunks = [[column[a:b] for column in columns] for a, b in zip(edges[:-1], edges[1:])]
+    built, layout = [], csvio._Layout
+
+    def spy(stats, n_rows):
+        built.append(n_rows)
+        return layout(stats, n_rows)
+
+    monkeypatch.setattr(csvio, "_Layout", spy)
     chunked, whole = tmp_path / "chunked.csv", tmp_path / "whole.csv"
-    csvio._write_chunks(chunked, "h", lambda: iter(chunks), None)
+    csvio._write_chunks(chunked, "h", (chunk for chunk in chunks), None)
+    monkeypatch.undo()
     _write_columns(whole, "h", columns)
     assert chunked.read_bytes() == whole.read_bytes()
     assert_python_text(chunked, "h", columns)
+    # one layout per run of chunks that ask for the same one, sized for its first
+    patterns = [(len(c[0]), [zero_pattern(column) for column in c]) for c in chunks if len(c[0])]
+    runs = [size for k, (size, kinds) in enumerate(patterns) if k == 0 or kinds != patterns[k - 1][1]]
+    assert built == runs
