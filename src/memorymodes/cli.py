@@ -34,17 +34,11 @@ from .csvio import (
 )
 from .density import (
     DensityMatrix,
-    DensitySeries,
-    _amplitude_entries,
-    _certificate,
-    _certified_terms,
+    _lindblad_agreement,
     _LindbladStream,
     _rank_two_defects,
-    _rate_integral,
-    _timelocal_entries,
     atom_density_from_amplitudes,
     evolve_atom_timelocal,
-    partial_trace_pseudomodes,
 )
 from .errors import MemoryModesError, NonPhysical, ParseError
 from .info import info_series
@@ -57,8 +51,6 @@ from .trajectories import run_mcwf_pseudomode, run_nmqj
 __all__ = ["EXPERIMENTS", "RunConfig", "RunManifest", "run", "main", "FIG2_CONFIG_TEXT"]
 
 _STOCHASTIC = ("nmqj", "mcwf", "compare")
-#: the pairs of emitter routes whose largest difference evolve records, in order
-_ROUTE_PAIRS = (("amplitude", "timelocal"), ("amplitude", "traced"), ("timelocal", "traced"))
 
 # perfbench/tracing.py times these three layers by patching these names on
 # this module; they go with its remap to the sector names (ROADMAP item 1).
@@ -163,14 +155,6 @@ def _record_invariants(extras: dict, *defects: dict) -> None:
     extras["invariant.min_eigenvalue"] = f"{min(d['min_eigenvalue'] for d in defects):.17g}"
 
 
-def _widen(diffs: dict, routes: dict) -> None:
-    """Raise the largest difference in ``diffs`` of each pair of ``routes``, emitter
-    entries on the same points, to the largest on these points."""
-    for first, second in diffs:
-        diff = float(np.max(np.abs(routes[first] - routes[second])))
-        diffs[first, second] = max(diffs[first, second], diff)
-
-
 def _written(path: Path, series, times: np.ndarray) -> dict:
     """Write an emitter series to ``path``; return its invariant defects."""
     write_density_csv(path, series, times)
@@ -181,10 +165,9 @@ def _experiment_evolve(config, artifact, extras) -> None:
     # registered in the manifest's order. The time-local route comes first: it
     # refuses invalid rates before any Lindblad work, and once it is written
     # the rates' integral is all that is kept of them. The extended series is
-    # streamed, never held whole. One pass over its chunks checks each against
-    # the amplitude reconstruction, traces it and differences the emitter
-    # routes on its rows; the traced and amplitude routes are then written in
-    # turn, and density_extended.csv last, from a second pass
+    # streamed, never held whole: one pass checks it against the other routes
+    # and traces it; the traced and amplitude routes are then written in turn,
+    # and density_extended.csv last, from a second pass
     paths = {
         name: artifact(f"density_{name}.csv")
         for name in ("amplitude", "timelocal", "extended", "traced")
@@ -195,29 +178,18 @@ def _experiment_evolve(config, artifact, extras) -> None:
     timelocal = evolve_atom_timelocal(rates, DensityMatrix.excited(2))
     route_defects = [_written(paths["timelocal"], timelocal, times)]
     del timelocal
-    exponent = _rate_integral(rates)
+    exponent = rates.integral()
     del rates
     extended = _evolve_extended(config)
-    excited, vacuum = DensityMatrix.excited(2), traj.vacuum
-    traced = np.empty((len(times), 2, 2), dtype=complex)
-    terms, diffs = [], dict.fromkeys(_ROUTE_PAIRS, 0.0)
-    for rows, part in extended:
-        terms.append(_certified_terms(part.matrices, traj.states[rows], vacuum))
-        traced[rows] = partial_trace_pseudomodes(part).matrices
-        _widen(diffs, {
-            "amplitude": _amplitude_entries(traj.c1[rows], vacuum),
-            "timelocal": _timelocal_entries(excited, exponent[rows]),
-            "traced": traced[rows],
-        })
-    del exponent, part
-    route_defects.append(_written(paths["traced"], DensitySeries._adopt(traced), times))
+    traced, diffs, defects, distance = _lindblad_agreement(extended, traj, exponent)
+    del exponent
+    route_defects.append(_written(paths["traced"], traced, times))
     del traced
     route_defects.append(_written(paths["amplitude"], atom_density_from_amplitudes(traj), times))
     del traj
     write_density_csv(paths["extended"], extended, times)
     for (first, second), diff in diffs.items():
         extras[f"max_diff_{first}_{second}"] = f"{diff:.17g}"
-    defects, distance = _certificate(terms)
     extras["max_diff_extended_amplitude"] = f"{distance:.17g}"
     _record_invariants(extras, defects, *route_defects)
 

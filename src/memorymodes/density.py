@@ -27,8 +27,9 @@ with Phi = v|vac> + phi(t), phi(t) the amplitude solution, v =
 state and both marginals are then trace-one 2x2 blocks whose spectra are
 closed forms in the populations of the amplitude solution
 (:func:`_rank_two_spectra`). The ``info`` entropies read them, and the
-distance of a Lindblad state from this reconstruction bounds its spectrum
-(:func:`_certified_defects`).
+distance of a Lindblad state from this reconstruction bounds its spectrum:
+:func:`_lindblad_agreement` checks a Lindblad series, streamed or held,
+against the other three routes chunk by chunk.
 
 The extended basis of an n-mode ``PseudomodeSector`` is the joint vacuum,
 one excitation in each mode in sector order, then the excited emitter, so
@@ -47,7 +48,7 @@ from functools import cached_property
 import numpy as np
 
 from .amplitudes import AmplitudeTrajectory, _ladder, _ladder_chunks
-from .errors import InvalidRates, SectorLeak
+from .errors import SectorLeak
 from .models import PseudomodeSector, TimeGrid
 from .rates import RateTrajectory
 
@@ -71,12 +72,6 @@ def basis_labels(dim: int) -> tuple[str, ...]:
     empty = "0" * (dim - 2)
     one_each = (f"g{empty[:k]}1{empty[k + 1:]}" for k in range(dim - 2))
     return ("g" + empty, *one_each, "e" + empty)
-
-
-#: largest end correction dt^2/12 |k'_j - k'_{j+1}| of a resolved step of the
-#: rate integral; the presets stay below 6e-5 from 1000 to 16 000 points, and
-#: the pole of the rate at a zero of c1 between grid points gives 11 or more
-MAX_END_CORRECTION = 1e-3
 
 
 #: bytes of complex matrices per chunk of a whole-series operation
@@ -348,39 +343,6 @@ def sector_hamiltonian(sector: PseudomodeSector) -> np.ndarray:
     return h
 
 
-def _rate_integral(rates: RateTrajectory) -> np.ndarray:
-    """K(t) on the grid, the integral from t_0 of k = gamma + i(S - 2*omega0).
-
-    It sums per-step increments, each the end-corrected trapezoid
-    dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}), O(dt^4), with the exact
-    slopes. ``InvalidRates`` names the first time where the series cannot be
-    integrated: a rate point flagged invalid, or a step whose end correction
-    is not finite or exceeds ``MAX_END_CORRECTION``.
-    """
-    times = rates.grid.times
-    if not rates.valid.all():
-        first = int(np.argmin(rates.valid))
-        raise InvalidRates(
-            f"rate series is invalid at t={times[first]:.6g}; the time-local "
-            "generator needs finite coefficients on the whole grid"
-        )
-    dt = rates.grid.dt
-    rate = rates.gamma + 1j * (rates.s - 2.0 * rates.omega0)
-    slope = rates.dgamma + 1j * rates.ds
-    correction = dt * dt / 12.0 * (slope[:-1] - slope[1:])
-    # written so that a NaN correction counts as unresolved
-    unresolved = ~(np.abs(correction) <= MAX_END_CORRECTION)
-    if unresolved.any():
-        k = int(np.argmax(unresolved))
-        raise InvalidRates(
-            f"the step from t={times[k]:.6g} to t={times[k + 1]:.6g} is not resolved: its "
-            f"end correction {abs(correction[k]):.3g} is not within {MAX_END_CORRECTION:g}; "
-            "the rate varies faster than the grid, as near a zero of the excited amplitude"
-        )
-    increments = 0.5 * dt * (rate[:-1] + rate[1:]) + correction
-    return np.concatenate([[0.0], np.cumsum(increments)])
-
-
 def _check_hermitian(rho0: DensityMatrix) -> None:
     """Raise ``ValueError`` unless an initial state is Hermitian to 1e-12."""
     # each route keeps only part of the state: one triangle, or its Hermitian part
@@ -392,14 +354,14 @@ def evolve_atom_timelocal(rates: RateTrajectory, rho0: DensityMatrix) -> Density
     """Emitter master equation with time-dependent coefficients, in closed form.
 
     It decouples: rho_ee(t) = rho_ee(0) exp(-Re K) and rho_eg(t) = rho_eg(0) exp(-K/2),
-    with K from :func:`_rate_integral`. rho_gg = 1 - rho_ee, so the trace is
-    one by construction. Output is rotating-frame, on ``rates.grid``. Near a
+    with K = ``rates.integral()``. rho_gg = 1 - rho_ee, so the trace is one by
+    construction. Output is rotating-frame, on ``rates.grid``. Near a
     zero of c1 no time-local generator exists, and ``InvalidRates`` refuses.
     """
     if rho0.dim != 2:
         raise ValueError(f"the time-local equation acts on the emitter alone, got dim {rho0.dim}")
     _check_hermitian(rho0)
-    return DensitySeries._adopt(_timelocal_entries(rho0, _rate_integral(rates)))
+    return DensitySeries._adopt(_timelocal_entries(rho0, rates.integral()))
 
 
 def _timelocal_entries(rho0: DensityMatrix, exponent: np.ndarray) -> np.ndarray:
@@ -655,43 +617,60 @@ def _rank_two_defects(traj: AmplitudeTrajectory) -> dict[str, float]:
     return {"hermiticity": 0.0, "trace": float(max(traces)), "min_eigenvalue": float(min(lowest))}
 
 
-def _certified_defects(
-    series: DensitySeries, traj: AmplitudeTrajectory
-) -> tuple[dict[str, float], float]:
-    """Invariant defects of the Lindblad series of the pure start of ``traj`` without its
-    spectrum, and the largest distance max_k delta_k from its reconstruction.
+#: the pairs of emitter routes whose largest difference :func:`_lindblad_agreement` takes
+_ROUTE_PAIRS = (("amplitude", "timelocal"), ("amplitude", "traced"), ("timelocal", "traced"))
+
+
+def _lindblad_agreement(chunks, traj: AmplitudeTrajectory, exponent: np.ndarray):
+    """Check the Lindblad series of the pure start of ``traj`` against the other routes,
+    a chunk at a time, so that it need never be held whole.
+
+    ``chunks`` yields ``(rows, part)`` over consecutive chunks of the series, as
+    :class:`_LindbladStream` does; ``exponent`` is the rate integral K on the
+    grid (``RateTrajectory.integral``). Returns the traced emitter series, the
+    largest difference of the emitter entries of each pair of ``_ROUTE_PAIRS``,
+    the invariant defects of the series without its spectrum, and the largest
+    distance max_k delta_k from its reconstruction.
 
     delta_k is the Frobenius distance of state k from state k of
-    :func:`extended_density_from_amplitudes`, taken chunk by chunk with no
-    second stack. By Weyl's inequality every eigenvalue of state k lies within
-    delta_k of one of the reconstruction, whose smallest, lambda_min(k), is
-    the smaller eigenvalue of its block or one of the zeros beside it
-    (:func:`_rank_two_spectra`). So ``min_eigenvalue`` is the lower bound
-    min_k (lambda_min(k) - delta_k), up to the rounding of both terms.
+    :func:`extended_density_from_amplitudes`. By Weyl's inequality every
+    eigenvalue of state k lies within delta_k of one of the reconstruction,
+    whose smallest, lambda_min(k), is the smaller eigenvalue of its block or
+    one of the zeros beside it (:func:`_rank_two_spectra`). So
+    ``min_eigenvalue`` is the lower bound min_k (lambda_min(k) - delta_k), up
+    to the rounding of both terms. No number depends on the chunking.
     """
-    vacuum = traj.vacuum
-    return _certificate(
-        _certified_terms(series.matrices[rows], traj.states[rows], vacuum)
-        for rows in _chunks(len(series), series.dim)
-    )
+    traced = np.empty((len(exponent), 2, 2), dtype=complex)
+    diffs = dict.fromkeys(_ROUTE_PAIRS, 0.0)
+    terms = [
+        _chunk_agreement(part.matrices, traj, rows, exponent[rows], traced[rows], diffs)
+        for rows, part in chunks
+    ]
+    gaps, traces, bounds, distances = zip(*terms)
+    defects = {"hermiticity": max(gaps), "trace": max(traces), "min_eigenvalue": min(bounds)}
+    return DensitySeries._adopt(traced), diffs, defects, max(distances)
 
 
-def _certified_terms(matrices: np.ndarray, states: np.ndarray, vacuum: float):
-    """The terms of :func:`_certified_defects` on the Lindblad states ``matrices`` of the
-    amplitude vectors ``states``: their hermiticity gap and trace deviation, the
-    bound min_k (lambda_min(k) - delta_k) and max_k delta_k."""
+def _chunk_agreement(matrices, traj, rows, exponent, traced, diffs):
+    """The hermiticity gap and trace deviation of the Lindblad states ``matrices`` at the
+    points ``rows``, the bound min_k (lambda_min(k) - delta_k) and max_k delta_k of
+    :func:`_lindblad_agreement`. Writes their traced entries into ``traced`` and
+    raises ``diffs`` to the largest differences on these points; a function of
+    its own, so that a chunk's scratch is freed before the next one's."""
+    states, vacuum = traj.states[rows], traj.vacuum
     smaller = next(_rank_two_spectra(states, vacuum))[:, 0]
     distances = _distances(matrices, _extended_vectors(states, vacuum))
     bound = float(np.min(np.minimum(smaller, 0.0) - distances))
+    traced[...] = _traced_entries(matrices)
+    routes = {
+        "amplitude": _amplitude_entries(traj.c1[rows], vacuum),
+        "timelocal": _timelocal_entries(DensityMatrix.excited(2), exponent),
+        "traced": traced,
+    }
+    for first, second in diffs:
+        diff = float(np.max(np.abs(routes[first] - routes[second])))
+        diffs[first, second] = max(diffs[first, second], diff)
     return *_gap_and_trace(matrices), bound, float(distances.max())
-
-
-def _certificate(terms) -> tuple[dict[str, float], float]:
-    """The defects and the largest distance of :func:`_certified_defects` from the
-    :func:`_certified_terms` of every chunk of a series."""
-    gaps, traces, bounds, distances = zip(*terms)
-    defects = {"hermiticity": max(gaps), "trace": max(traces), "min_eigenvalue": min(bounds)}
-    return defects, max(distances)
 
 
 def _distances(matrices: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -2,15 +2,17 @@
 
 The exact emitter evolution is governed by two time-dependent coefficients:
 a frequency shift and a decay rate, both defined through the logarithmic
-derivative of the excited amplitude. The same coefficients can be written in
-terms of the mode amplitudes weighted by their emitter couplings, and the
-mode populations obey exact balance identities that tie their compensated
-drain to the emitter decay rate. Couplings and leak rates are read from the
-sector each trajectory carries. Trajectories are rotating-frame; the shift
-is returned in the lab frame by adding the carrier term 2*omega0. All
-derivatives here come from the ODE right-hand side evaluated at the stored
-states, never from finite differences, so the identities hold to rounding
-for any stored trajectory, however it was propagated.
+derivative of the excited amplitude; their integral (``RateTrajectory.integral``)
+is the exponent of the time-local route and of the no-jump state of the jump
+unraveling. The same coefficients can be written in terms of the mode
+amplitudes weighted by their emitter couplings, and the mode populations obey
+exact balance identities that tie their compensated drain to the emitter
+decay rate. Couplings and leak rates are read from the sector each trajectory
+carries. Trajectories are rotating-frame; the shift is returned in the lab
+frame by adding the carrier term 2*omega0. All derivatives here come from
+the ODE right-hand side evaluated at the stored states, never from finite
+differences, so the identities hold to rounding for any stored trajectory,
+however it was propagated.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import AmplitudeTrajectory
-from .errors import AllPointsInvalid, GridMismatch
+from .errors import AllPointsInvalid, GridMismatch, InvalidRates
 from .models import PseudomodeSector, TimeGrid
 
 __all__ = [
@@ -35,6 +37,11 @@ __all__ = [
 
 #: excited-population floor below which the defining quotient diverges
 VALIDITY_CUTOFF = 1e-12
+
+#: largest end correction dt^2/12 |k'_j - k'_{j+1}| of a resolved step of the
+#: rate integral; the presets stay below 6e-5 from 1000 to 16 000 points, and
+#: the pole of the rate at a zero of c1 between grid points gives 11 or more
+MAX_END_CORRECTION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,38 @@ class RateTrajectory:
     omega0: float
     dgamma: np.ndarray
     ds: np.ndarray
+
+    def integral(self) -> np.ndarray:
+        """K(t) on the grid, the integral from t_0 of k = gamma + i(S - 2*omega0).
+
+        It sums per-step increments, each the end-corrected trapezoid
+        dt/2 (k_j + k_{j+1}) + dt^2/12 (k'_j - k'_{j+1}), O(dt^4), with the exact
+        slopes. ``InvalidRates`` names the first time where the series cannot be
+        integrated: a rate point flagged invalid, or a step whose end correction
+        is not finite or exceeds ``MAX_END_CORRECTION``. Computed anew on each call.
+        """
+        times = self.grid.times
+        if not self.valid.all():
+            first = int(np.argmin(self.valid))
+            raise InvalidRates(
+                f"rate series is invalid at t={times[first]:.6g}; the time-local "
+                "generator needs finite coefficients on the whole grid"
+            )
+        dt = self.grid.dt
+        rate = self.gamma + 1j * (self.s - 2.0 * self.omega0)
+        slope = self.dgamma + 1j * self.ds
+        correction = dt * dt / 12.0 * (slope[:-1] - slope[1:])
+        # written so that a NaN correction counts as unresolved
+        unresolved = ~(np.abs(correction) <= MAX_END_CORRECTION)
+        if unresolved.any():
+            k = int(np.argmax(unresolved))
+            raise InvalidRates(
+                f"the step from t={times[k]:.6g} to t={times[k + 1]:.6g} is not resolved: its "
+                f"end correction {abs(correction[k]):.3g} is not within {MAX_END_CORRECTION:g}; "
+                "the rate varies faster than the grid, as near a zero of the excited amplitude"
+            )
+        increments = 0.5 * dt * (rate[:-1] + rate[1:]) + correction
+        return np.concatenate([[0.0], np.cumsum(increments)])
 
 
 @dataclass(frozen=True)

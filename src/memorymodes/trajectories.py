@@ -28,13 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .amplitudes import NORM_SLACK, AmplitudeTrajectory, _coerce_vector
-from .density import (
-    DensitySeries,
-    _emitter_entries,
-    _extended_vectors,
-    _rate_integral,
-    atom_density_from_amplitudes,
-)
+from .density import DensitySeries, _emitter_entries, _extended_vectors, atom_density_from_amplitudes
 from .errors import GridMismatch, NonPhysical, StepTooLarge
 from .models import TimeGrid
 from .rates import RateTrajectory
@@ -222,7 +216,7 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
     sampler of both unravelings, draws the jumps on ``rates.grid``. The no-jump
     state integrates the rate series as the time-local route does, so the same
     ``InvalidRates`` refuses an invalid rate point or an unresolved step (see
-    ``density._rate_integral``).
+    ``RateTrajectory.integral``).
     """
     _check_members(n_members)
     psi_init = _coerce_vector(initial, 2, "a 2-component pure state")
@@ -236,7 +230,7 @@ def run_nmqj(rates: RateTrajectory, initial, n_members: int, seed: int) -> Ensem
 
     # no-jump state: C_g frozen, C_e attenuated/rephased by the accumulated
     # complex rate, the same integral K as the time-local route
-    half = 0.5 * _rate_integral(rates)
+    half = 0.5 * rates.integral()
     c_g, c_e = psi_init
     if c_g == 0:
         excited = (c_e / abs(c_e)) * np.exp(-1j * half.imag)

@@ -145,6 +145,18 @@ class TestTimeLocal:
             # one rounding op away from 1, no integration drift
             assert abs(complex(np.trace(rho.matrix)) - 1.0) < 1e-15
 
+    @pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap"])
+    def test_excited_population_is_the_exponential_of_the_integral(self, preset):
+        # rho_ee = exp(-Re K) bit for bit, K = rates.integral() made anew on each call
+        parsed = validate_config(REPO_CONFIGS / f"{preset}.cfg")
+        rates = rates_from_amplitudes(propagate_sector(parsed.model.sector, None, parsed.grid))
+        exponent = rates.integral()
+        again = rates.integral()
+        assert again is not exponent and np.array_equal(again.view(np.int64), exponent.view(np.int64))
+        ee = evolve_atom_timelocal(rates, DensityMatrix.excited(2)).matrices[:, 1, 1]
+        assert np.array_equal(ee.real.view(np.int64), np.exp(-exponent.real).view(np.int64))
+        assert not ee.imag.any()
+
     @pytest.mark.parametrize(
         "invalid",
         [slice(100, 101), slice(2000, 2002), slice(1000, 1003), slice(0, 1)],
@@ -784,12 +796,64 @@ class TestChunkEdges:
         assert rows <= max(1, _chunk_rows(dim) // 2) < 2 * rows
 
 
+#: peaks of the lone-peak reservoirs of ``lindblad_sector``
+LONE_PEAKS = {"three_lone_peaks": 3, "four_lone_peaks": 4}
+
+
 def lindblad_sector(preset):
-    """The sector of a preset, or of four lone peaks (dimension 6)."""
-    if preset == "four_lone_peaks":
-        peaks = tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / 3) for k in range(4))
+    """The sector of a preset, or of three or four lone peaks (dimension 5 or 6)."""
+    if preset in LONE_PEAKS:
+        n = LONE_PEAKS[preset]
+        peaks = tuple((1.0 + 0.1 * k, 0.5 + 0.2 * k, -2.0 + 4.0 * k / (n - 1)) for k in range(n))
         return Reservoir(0.0, 0.8, peaks).sector
     return validate_config(REPO_CONFIGS / f"{preset}.cfg").model.sector
+
+
+def held_chunks(series):
+    """``(rows, part)`` over the ``_chunks`` of a held series, as a Lindblad stream yields
+    them; each part is a view, so that no copy counts as the check's scratch."""
+    return (
+        (rows, DensitySeries._adopt(series.matrices[rows]))
+        for rows in _chunks(len(series), series.dim)
+    )
+
+
+@pytest.mark.parametrize("preset", ["fig2", "bandgap", "perfect_gap", "three_lone_peaks"])
+def test_lindblad_agreement_does_not_depend_on_chunking(preset):
+    """The check of a Lindblad series gives the same bits from the stream's chunks, from
+    the ``_chunks`` of the held series and from the series in one piece: the traced
+    series, the route differences, the defects and the distance (4000 points)."""
+    sector = lindblad_sector(preset)
+    dim = sector.n_modes + 2
+    if preset in LONE_PEAKS:
+        grid = TimeGrid(0.0, 10.0, 4000)
+    else:
+        grid = validate_config(REPO_CONFIGS / f"{preset}.cfg").grid
+    traj = propagate_sector(sector, None, grid)
+    exponent = rates_from_amplitudes(traj).integral()
+    start = DensityMatrix.excited(dim)
+    series = evolve_lindblad_sector(sector, start, grid)
+    assert _stream_rows(dim) < len(series) and _stream_rows(dim) < _chunk_rows(dim)
+    results = [
+        density._lindblad_agreement(chunks, traj, exponent)
+        for chunks in (
+            density._LindbladStream(sector, start, grid),
+            held_chunks(series),
+            [(slice(0, len(series)), series)],
+        )
+    ]
+    for traced, diffs, defects, distance in results:
+        assert np.array_equal(traced.matrices.view(np.int64), results[0][0].matrices.view(np.int64))
+        assert list(diffs) == list(density._ROUTE_PAIRS)
+        numbers = [*diffs.values(), *defects.values(), distance]
+        first = [*results[0][1].values(), *results[0][2].values(), results[0][3]]
+        assert np.array_equal(np.array(numbers).view(np.int64), np.array(first).view(np.int64))
+    traced, diffs, defects, distance = results[0]
+    assert np.array_equal(
+        traced.matrices.view(np.int64), partial_trace_pseudomodes(series).matrices.view(np.int64)
+    )
+    assert max(diffs.values()) < 1e-6 and distance < 1e-6
+    assert defects["min_eigenvalue"] > -1e-6
 
 
 def test_lindblad_scratch_is_bounded():
@@ -819,18 +883,21 @@ def test_series_scratch_is_bounded():
     """
     parsed = validate_config(REPO_CONFIGS / "bandgap.cfg")
     calls = {
-        "invariant_defects": lambda series, traj: series.invariant_defects(),
-        "certified_defects": density._certified_defects,
-        "info_series": lambda series, traj: info_series(traj),
+        "invariant_defects": lambda series, traj, exponent: series.invariant_defects(),
+        "lindblad_agreement": lambda series, traj, exponent: density._lindblad_agreement(
+            held_chunks(series), traj, exponent
+        ),
+        "info_series": lambda series, traj, exponent: info_series(traj),
     }
     scratch = {}
     for n_steps in (16_000, 64_000):
         grid = TimeGrid(parsed.grid.t_start, parsed.grid.t_end, n_steps)
         traj = propagate_sector(parsed.model.sector, None, grid)
+        exponent = rates_from_amplitudes(traj).integral()
         for name, call in calls.items():
             # a new series each time, so that each call computes the spectrum
             series = evolve_lindblad_sector(parsed.model.sector, DensityMatrix.excited(4), grid)
-            kept, peak, current = traced_peak(lambda: call(series, traj))
+            kept, peak, current = traced_peak(lambda: call(series, traj, exponent))
             assert kept
             scratch[name, n_steps] = peak - current
     for name in calls:
